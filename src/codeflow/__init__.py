@@ -13,6 +13,7 @@ from .encoding import (
     build_attention_mask,
     build_vocab,
     encode_example,
+    pad_batch,
 )
 from .model import Activations, ModelConfig, ModelParams, compute_gradients, forward, init_params
 
@@ -29,6 +30,7 @@ __all__ = [
     "build_attention_mask",
     "build_vocab",
     "encode_example",
+    "pad_batch",
     "Activations",
     "ModelConfig",
     "ModelParams",

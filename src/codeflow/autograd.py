@@ -85,15 +85,22 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        # Interior nodes are freed as soon as their gradient has been passed
+        # on, so the graph is released while backward runs; leaves keep theirs.
+        while order:
+            node = order.pop()
+            if node._vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._vjp(node.grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.data)
+                    parent.grad += g
+            node.grad = None
+            node._vjp = None
+            node._parents = ()
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -194,17 +201,26 @@ def log_sigmoid(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matmul over the last two axes; leading axes broadcast, so a
+    (B, L, d) operand can meet a shared (d, d) weight."""
     a, b = as_tensor(a), as_tensor(b)
     return _make(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+        ),
     )
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes=None) -> Tensor:
+    """Swap the last two axes, or permute by `axes` when given."""
     a = as_tensor(a)
-    return _make(a.data.T, (a,), lambda g: (g.T,))
+    if axes is None:
+        return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    inverse = np.argsort(axes)
+    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -309,12 +325,13 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     c = float(np.sqrt(2.0 / np.pi))
-    u = c * (x + 0.044715 * x**3)
+    # x*x*x, not x**3: float32 `**` takes numpy's slow general pow path.
+    u = c * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        du = c * (1.0 + 3.0 * 0.044715 * x**2)
+        du = c * (1.0 + 3.0 * 0.044715 * (x * x))
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
     return _make(out, (a,), vjp)

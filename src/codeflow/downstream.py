@@ -20,10 +20,10 @@ from .encoding import (
     EncodedExample,
     Limits,
     Vocabulary,
-    additive_mask,
     build_attention_mask,
     comment_tokens,
     encode_example,
+    pad_batch,
 )
 from .frontend import FrontendError
 from .model import Activations, ModelParams, compute_gradients, forward
@@ -108,17 +108,23 @@ def encode_code_example(
     )
 
 
-def _cls_vector(params: ModelParams, example: EncodedExample, use_dataflow: bool = True) -> Tensor:
-    allow = build_attention_mask(example, use_dataflow=use_dataflow)
-    dtype = params.tensors["tok_emb"].data.dtype
-    acts = forward(params, example.ids, example.position_ids, additive_mask(allow, dtype=dtype))
-    return ag.take_rows(acts.final, [0])
+def _cls_rows(params: ModelParams, examples: list[EncodedExample], use_dataflow: bool = True) -> Tensor:
+    """Final-layer [CLS] rows of `examples`, from one padded forward.
+
+    A single example pads nothing, so ``_cls_rows(params, [ex])`` is the
+    unbatched encoding of ``ex``."""
+    ids, positions, mask = pad_batch(
+        [(ex.ids, ex.position_ids, build_attention_mask(ex, use_dataflow)) for ex in examples],
+        dtype=params.tensors["tok_emb"].data.dtype,
+    )
+    final = forward(params, ids, positions, mask).final
+    return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
 
 
 def encode_text(query: str, params: ModelParams, vocab: Vocabulary, limits: Limits = Limits()) -> np.ndarray:
     """Final-layer [CLS] vector of the comment-only encoding of `query`."""
     ex = encode_query_example(query, vocab, limits, params.config.max_positions)
-    return _cls_vector(params, ex, use_dataflow=False).data[0].copy()
+    return _cls_rows(params, [ex], use_dataflow=False).data[0].copy()
 
 
 def encode_code(
@@ -130,7 +136,7 @@ def encode_code(
 ) -> np.ndarray:
     """Final-layer [CLS] vector of the code(+nodes) encoding, no comment segment."""
     ex = encode_code_example(code, vocab, limits, params.config.max_positions, use_dataflow)
-    return _cls_vector(params, ex, use_dataflow=use_dataflow).data[0].copy()
+    return _cls_rows(params, [ex], use_dataflow).data[0].copy()
 
 
 # ranking --------------------------------------------------------------------
@@ -160,10 +166,10 @@ def evaluate_search(params: ModelParams, examples: list[SearchExample], use_data
     """Whole-corpus protocol: every example's code is a candidate for every query."""
     if not examples:
         raise EmptyInput("no search examples")
-    code_vecs = [_cls_vector(params, ex.code_encoded, use_dataflow).data[0] for ex in examples]
+    code_vecs = [_cls_rows(params, [ex.code_encoded], use_dataflow).data[0] for ex in examples]
     results = []
     for qid, ex in enumerate(examples):
-        qv = _cls_vector(params, ex.query_encoded, use_dataflow=False).data[0]
+        qv = _cls_rows(params, [ex.query_encoded], use_dataflow=False).data[0]
         results.append(rank_candidates(qv, code_vecs, gold_id=qid, query_id=qid))
     return mrr(results)
 
@@ -221,8 +227,10 @@ def finetune_search(
                 continue
 
             def loss_fn(p: ModelParams) -> Tensor:
-                q_rows = ag.concat([_cls_vector(p, ex.query_encoded, use_dataflow=False) for ex in batch], axis=0)
-                c_rows = ag.concat([_cls_vector(p, ex.code_encoded, use_dataflow) for ex in batch], axis=0)
+                n = len(batch)
+                # Queries have no nodes, so their mask is the same under either flag.
+                cls = _cls_rows(p, [ex.query_encoded for ex in batch] + [ex.code_encoded for ex in batch], use_dataflow)
+                q_rows, c_rows = ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))
                 scores = ag.matmul(q_rows, ag.transpose(c_rows))
                 log_probs = ag.log_softmax(scores, axis=-1)
                 diag = ag.gather_cols(log_probs, list(range(len(batch))))
@@ -296,17 +304,11 @@ def finetune_clone(
             batch = [encoded[int(i)] for i in order[lo : lo + batch_size]]
 
             def loss_fn(p: ModelParams) -> Tensor:
-                terms = []
-                for ex_a, ex_b, label in batch:
-                    ha = _cls_vector(p, ex_a, use_dataflow)
-                    hb = _cls_vector(p, ex_b, use_dataflow)
-                    logit = ag.mul(ag.tsum(ag.mul(ha, hb)), scale)
-                    sign = 1.0 if label else -1.0
-                    terms.append(ag.mul(ag.log_sigmoid(ag.mul(logit, sign)), -1.0))
-                total = terms[0]
-                for t in terms[1:]:
-                    total = ag.add(total, t)
-                return ag.mul(total, 1.0 / len(terms))
+                n = len(batch)
+                cls = _cls_rows(p, [a for a, _, _ in batch] + [b for _, b, _ in batch], use_dataflow)
+                dots = ag.tsum(ag.mul(ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))), axis=1)
+                signed_scale = np.array([scale if label else -scale for _, _, label in batch], dtype=dots.dtype)
+                return ag.mul(ag.tmean(ag.log_sigmoid(ag.mul(dots, signed_scale))), -1.0)
 
             _, grads = compute_gradients(loss_fn, params)
             adam_step(params, grads, state, lr)

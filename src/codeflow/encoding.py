@@ -24,7 +24,6 @@ SEG_SPECIAL = "special"
 SEG_COMMENT = "comment"
 SEG_CODE = "code"
 SEG_NODE = "node"
-SEG_PAD = "pad"  # only appears when an example is padded for batching
 
 # Attention is blocked by adding a large negative constant to the score,
 # not a literal -inf: exp() then underflows to exactly zero.
@@ -249,34 +248,25 @@ def assign_positions(example: EncodedExample, max_positions: int = 512) -> tuple
     return tuple(out)
 
 
-def build_attention_mask(
-    example: EncodedExample,
-    use_dataflow: bool = True,
-    pad_to: int | None = None,
-) -> np.ndarray:
+def build_attention_mask(example: EncodedExample, use_dataflow: bool = True) -> np.ndarray:
     """Boolean allow-matrix: ``mask[i, j]`` is True when query ``i`` may
     attend key ``j``.
 
     Allowed entries: special-token queries see every key; any pair within
     the special/comment/code block; a node query sees the source of each of
     its incoming data-flow edges; node<->code alignment links both ways; a
-    node sees itself. Padding (when ``pad_to`` is given) is blocked as a
-    key everywhere and self-attends as a query.
+    node sees itself.
     """
     if not use_dataflow and example.node_positions:
         raise ValueError("use_dataflow=False requires an example with no node positions")
     n = len(example)
-    total = n if pad_to is None else pad_to
-    if total < n:
-        raise ValueError(f"pad_to={pad_to} is smaller than the sequence ({n})")
     segs = example.segments
     is_node = np.array([s == SEG_NODE for s in segs], dtype=bool)
     is_special = np.array([s == SEG_SPECIAL for s in segs], dtype=bool)
     in_text_block = ~is_node  # special | comment | code
 
-    mask = np.zeros((total, total), dtype=bool)
-    mask[:n, :n] = in_text_block[:, None] & in_text_block[None, :]
-    mask[:n, :n] |= is_special[:, None]  # [CLS]/[SEP] queries see everything
+    mask = in_text_block[:, None] & in_text_block[None, :]
+    mask |= is_special[:, None]  # [CLS]/[SEP] queries see everything
     for src, dst in example.node_edges:
         mask[dst, src] = True  # query = edge destination, key = edge source
     for npos, cpos in example.node_token_links:
@@ -284,11 +274,6 @@ def build_attention_mask(
         mask[cpos, npos] = True
     idx = np.where(is_node)[0]
     mask[idx, idx] = True  # node self-attention
-    if pad_to is not None and total > n:
-        mask[n:, :] = False
-        mask[:, n:] = False
-        pads = np.arange(n, total)
-        mask[pads, pads] = True
     mask.flags.writeable = False
     return mask
 
@@ -298,6 +283,29 @@ def additive_mask(allow: np.ndarray, dtype=np.float32, penalty: float = MASK_PEN
     out = np.where(allow, 0.0, penalty).astype(dtype)
     out.flags.writeable = False
     return out
+
+
+def pad_batch(rows, dtype=np.float32) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad ``(ids, position_ids, allow)`` rows to the longest one.
+
+    Returns ``(B, L)`` ids and position ids and the ``(B, L, L)`` additive
+    mask. Padding takes the [PAD] id and position 0; a pad position is
+    blocked as a key everywhere and attends only to itself, so real
+    positions compute exactly what they would unpadded.
+    """
+    if not rows:
+        raise ValueError("cannot pad an empty batch")
+    width = max(len(ids) for ids, _, _ in rows)
+    ids = np.full((len(rows), width), PAD, dtype=np.intp)
+    positions = np.zeros((len(rows), width), dtype=np.intp)
+    allow = np.zeros((len(rows), width, width), dtype=bool)
+    allow[:, np.arange(width), np.arange(width)] = True
+    for b, (tokens, pos, mask) in enumerate(rows):
+        n = len(tokens)
+        ids[b, :n] = tokens
+        positions[b, :n] = pos
+        allow[b, :n, :n] = mask
+    return ids, positions, additive_mask(allow, dtype=dtype)
 
 
 def mask_density(allow: np.ndarray) -> float:

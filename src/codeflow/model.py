@@ -77,8 +77,17 @@ class ModelParams:
 
 @dataclass
 class Activations:
-    hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N, each |X| x d_h
-    attention: list[list[Tensor]] = field(default_factory=list)  # [layer][head], |X| x |X|
+    """Hidden states and attention weights of one forward.
+
+    Hidden states are flat: row ``b * L + pos`` holds position ``pos`` of
+    sequence ``b``, so a single example gives ``|X| x d_h`` and a padded
+    ``(B, L)`` batch gives ``B*L x d_h``. ``attention[layer][head]`` is
+    ``|X| x |X|`` for a single example and ``B x L x L`` for a batch; these
+    are read-only views, gradients flow through the hidden states only.
+    """
+
+    hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N
+    attention: list[list[Tensor]] = field(default_factory=list)  # [layer][head]
 
     @property
     def final(self) -> Tensor:
@@ -140,48 +149,78 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
-def attention_scores(h: Tensor, params: ModelParams, layer: int, additive_mask: np.ndarray) -> list[Tensor]:
-    """Per-head attention weight matrices for one layer (softmax over keys)."""
+def _fused(params: ModelParams, layer: int, kind: str) -> Tensor:
+    """The per-head ``d_h x d_k`` projections of one kind side by side: ``d_h x d_h``."""
+    heads = range(params.config.num_heads)
+    return ag.concat([params.tensors[f"layer{layer}.head{i}.{kind}"] for i in heads], axis=1)
+
+
+def _split_heads(x: Tensor, batch: int, length: int, cfg: ModelConfig) -> Tensor:
+    """``B*L x d_h`` -> ``B x H x L x d_k``."""
+    return ag.transpose(ag.reshape(x, (batch, length, cfg.num_heads, cfg.head_dim)), (0, 2, 1, 3))
+
+
+def _attention_weights(h: Tensor, params: ModelParams, layer: int, mask: np.ndarray) -> Tensor:
+    """Softmax attention of every head at once: ``B x H x L x L`` from flat
+    ``B*L x d_h`` states and a ``B x L x L`` additive mask."""
     cfg = params.config
+    batch, length = mask.shape[0], mask.shape[1]
+    # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
+    wq = ag.mul(_fused(params, layer, "wq"), 1.0 / math.sqrt(cfg.head_dim))
+    q = _split_heads(ag.matmul(h, wq), batch, length, cfg)
+    k = _split_heads(ag.matmul(h, _fused(params, layer, "wk")), batch, length, cfg)
+    scores = ag.add(ag.matmul(q, ag.transpose(k)), Tensor(mask[:, None].astype(h.dtype, copy=False)))
+    return ag.softmax(scores, axis=-1)
+
+
+def attention_scores(h: Tensor, params: ModelParams, layer: int, additive_mask: np.ndarray) -> list[Tensor]:
+    """Per-head attention weight matrices of one example at one layer (softmax over keys).
+
+    For diagnostics only: the weights are detached copies with no autograd
+    history. The encoder itself goes through `_attention_weights`."""
     if additive_mask.shape != (h.shape[0], h.shape[0]):
         raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match sequence length {h.shape[0]}")
-    mask_t = Tensor(additive_mask.astype(h.dtype, copy=False))
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    weights = []
-    for i in range(cfg.num_heads):
-        q = ag.matmul(h, params.tensors[f"layer{layer}.head{i}.wq"])
-        k = ag.matmul(h, params.tensors[f"layer{layer}.head{i}.wk"])
-        scores = ag.add(ag.mul(ag.matmul(q, ag.transpose(k)), scale), mask_t)
-        weights.append(ag.softmax(scores, axis=-1))
-    return weights
+    weights = _attention_weights(h, params, layer, additive_mask[None])
+    return [Tensor(w) for w in weights.data[0]]
 
 
-def _multi_head_block(h: Tensor, params: ModelParams, layer: int, additive_mask: np.ndarray) -> tuple[list[Tensor], Tensor]:
+def _attention_block(h: Tensor, params: ModelParams, layer: int, mask: np.ndarray) -> tuple[Tensor, Tensor]:
     cfg = params.config
-    weights = attention_scores(h, params, layer, additive_mask)
-    contexts = []
-    for i in range(cfg.num_heads):
-        v = ag.matmul(h, params.tensors[f"layer{layer}.head{i}.wv"])
-        contexts.append(ag.matmul(weights[i], v))
-    merged = ag.concat(contexts, axis=1)
+    batch, length = mask.shape[0], mask.shape[1]
+    weights = _attention_weights(h, params, layer, mask)
+    v = _split_heads(ag.matmul(h, _fused(params, layer, "wv")), batch, length, cfg)
+    merged = ag.reshape(ag.transpose(ag.matmul(weights, v), (0, 2, 1, 3)), (batch * length, cfg.hidden_dim))
     return weights, ag.matmul(merged, params.tensors[f"layer{layer}.wo"])
 
 
 def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray) -> Activations:
+    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or a
+    padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) in a single
+    pass. A single example is the ``B = 1`` case; see `Activations` for shapes."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
+    additive_mask = np.asarray(additive_mask)
     if ids.shape != position_ids.shape:
         raise ShapeMismatch("ids and position_ids must have equal length")
+    if ids.ndim not in (1, 2):
+        raise ShapeMismatch(f"ids must be (L,) or (B, L), got shape {ids.shape}")
+    if additive_mask.shape != ids.shape + ids.shape[-1:]:
+        raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match ids shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ShapeMismatch("token id out of vocabulary range")
     if position_ids.size and (position_ids.min() < 0 or position_ids.max() >= cfg.max_positions):
         raise ShapeMismatch("position id out of range")
+    single = ids.ndim == 1
+    mask = additive_mask[None] if single else additive_mask
 
-    h = ag.add(ag.take_rows(params.tensors["tok_emb"], ids), ag.take_rows(params.tensors["pos_emb"], position_ids))
+    h = ag.add(
+        ag.take_rows(params.tensors["tok_emb"], ids.reshape(-1)),
+        ag.take_rows(params.tensors["pos_emb"], position_ids.reshape(-1)),
+    )
     acts = Activations(hidden=[h])
     for n in range(cfg.num_layers):
-        weights, ctx = _multi_head_block(h, params, n, additive_mask)
+        weights, ctx = _attention_block(h, params, n, mask)
         g = ag.layer_norm(
             ag.add(ctx, h),
             params.tensors[f"layer{n}.attn_ln.gain"],
@@ -194,7 +233,8 @@ def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray) -
             params.tensors[f"layer{n}.ffn_ln.gain"],
             params.tensors[f"layer{n}.ffn_ln.bias"],
         )
-        acts.attention.append(weights)
+        heads = weights.data[0] if single else np.swapaxes(weights.data, 0, 1)
+        acts.attention.append([Tensor(w) for w in heads])
         acts.hidden.append(h)
     return acts
 

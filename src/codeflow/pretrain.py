@@ -30,6 +30,7 @@ from .encoding import (
     build_attention_mask,
     build_vocab,
     encode_example,
+    pad_batch,
 )
 from .model import (
     Activations,
@@ -153,12 +154,16 @@ def select_mlm_targets(example: EncodedExample, rng: np.random.Generator, vocab_
     return MlmBatchTarget(masked_ids=tuple(ids), positions=positions, original_ids=originals)
 
 
+def _token_log_likelihoods(final: Tensor, rows, original_ids, params: ModelParams) -> Tensor:
+    """log p(original token) at each given row of the final states."""
+    log_probs = ag.log_softmax(mlm_logits(params, ag.take_rows(final, rows)), axis=-1)
+    return ag.gather_cols(log_probs, original_ids)
+
+
 def mlm_loss(activations: Activations, targets: MlmBatchTarget, params: ModelParams) -> Tensor:
     if not targets.positions:
         raise ValueError("no masked positions to score")
-    rows = ag.take_rows(activations.final, targets.positions)
-    log_probs = ag.log_softmax(mlm_logits(params, rows), axis=-1)
-    picked = ag.gather_cols(log_probs, targets.original_ids)
+    picked = _token_log_likelihoods(activations.final, targets.positions, targets.original_ids, params)
     return ag.mul(ag.tmean(picked), -1.0)
 
 
@@ -258,27 +263,71 @@ def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> A
     )
 
 
-def _pair_score_loss(activations: Activations, candidates, labels) -> Tensor:
-    h = activations.final
-    i_idx = [i for i, _ in candidates]
-    j_idx = [j for _, j in candidates]
-    dots = ag.tsum(ag.mul(ag.take_rows(h, i_idx), ag.take_rows(h, j_idx)), axis=1)
-    y = np.asarray(labels, dtype=h.dtype)
-    pos_term = ag.mul(ag.log_sigmoid(dots), y)
-    neg_term = ag.mul(ag.log_sigmoid(ag.mul(dots, -1.0)), 1.0 - y)
-    return ag.mul(ag.tsum(ag.add(pos_term, neg_term)), -1.0 / len(candidates))
+def _pair_log_likelihoods(final: Tensor, candidates, labels) -> Tensor:
+    """log sigmoid(+-h_i . h_j) per candidate row pair: + for label 1, - for label 0."""
+    left = ag.take_rows(final, [i for i, _ in candidates])
+    right = ag.take_rows(final, [j for _, j in candidates])
+    dots = ag.tsum(ag.mul(left, right), axis=1)
+    signs = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(final.dtype)
+    return ag.log_sigmoid(ag.mul(dots, signs))
 
 
 def edge_pred_loss(activations: Activations, target_set: EdgeTargetSet, params: ModelParams) -> Tensor:
     if not target_set.candidates:
         raise ValueError("empty edge candidate set")
-    return _pair_score_loss(activations, target_set.candidates, target_set.labels)
+    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, target_set.candidates, target_set.labels)), -1.0)
 
 
 def node_align_loss(activations: Activations, target_set: AlignTargetSet, params: ModelParams) -> Tensor:
     if not target_set.candidates:
         raise ValueError("empty alignment candidate set")
-    return _pair_score_loss(activations, target_set.candidates, target_set.labels)
+    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, target_set.candidates, target_set.labels)), -1.0)
+
+
+def batch_loss(
+    params: ModelParams, prepared, structure: str | None, use_dataflow: bool = True
+) -> tuple[Tensor, dict[str, float]]:
+    """Pre-training loss of a batch from one padded forward.
+
+    `prepared` holds ``(example, mlm targets, structure targets or None)``
+    per example. The loss is the mean over examples of `mlm_loss`, plus the
+    mean over examples with structure targets of their `structure` pair loss,
+    exactly as if every example ran through its own forward: each row is
+    weighted by one over (examples counted) x (that example's rows). Returns
+    the loss and its parts by objective name.
+    """
+    dtype = params.tensors["tok_emb"].data.dtype
+    ids, positions, mask = pad_batch(
+        [
+            (mlm_t.masked_ids, ex.position_ids, build_attention_mask(ex, use_dataflow) if tset is None else tset.mask)
+            for ex, mlm_t, tset in prepared
+        ],
+        dtype=dtype,
+    )
+    final = forward(params, ids, positions, mask).final
+    width = ids.shape[1]
+
+    rows, originals, weights = [], [], []
+    for b, (_, mlm_t, _) in enumerate(prepared):
+        rows += [b * width + p for p in mlm_t.positions]
+        originals += mlm_t.original_ids
+        weights += [1.0 / (len(prepared) * len(mlm_t.positions))] * len(mlm_t.positions)
+    picked = _token_log_likelihoods(final, rows, originals, params)
+    total = ag.mul(ag.tsum(ag.mul(picked, np.asarray(weights, dtype=dtype))), -1.0)
+    parts = {"mlm": float(total.data)}
+
+    scored = [(b, tset) for b, (_, _, tset) in enumerate(prepared) if tset is not None]
+    if scored:
+        pairs, labels, weights = [], [], []
+        for b, tset in scored:
+            pairs += [(b * width + i, b * width + j) for i, j in tset.candidates]
+            labels += tset.labels
+            weights += [1.0 / (len(scored) * len(tset.candidates))] * len(tset.candidates)
+        pair_ll = _pair_log_likelihoods(final, pairs, labels)
+        struct = ag.mul(ag.tsum(ag.mul(pair_ll, np.asarray(weights, dtype=dtype))), -1.0)
+        parts[structure] = float(struct.data)
+        total = ag.add(total, struct)
+    return total, parts
 
 
 # language sampling ----------------------------------------------------------
@@ -337,13 +386,6 @@ class PretrainResult:
     vocab: Vocabulary
     loss_log: list[tuple[int, str, float]] = field(default_factory=list)
     adam: AdamState | None = None
-
-
-def _mean(tensors: list[Tensor]) -> Tensor:
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = ag.add(total, t)
-    return ag.mul(total, 1.0 / len(tensors))
 
 
 def pretrain_run(
@@ -412,21 +454,8 @@ def pretrain_run(
         parts: dict[str, float] = {}
 
         def loss_fn(p: ModelParams) -> Tensor:
-            mlm_losses: list[Tensor] = []
-            struct_losses: list[Tensor] = []
-            for ex, mlm_t, tset in prepared:
-                allow = tset.mask if tset is not None else build_attention_mask(ex, use_dataflow=use_dataflow)
-                acts = forward(p, mlm_t.masked_ids, ex.position_ids, additive_mask(allow, dtype=np.float32))
-                mlm_losses.append(mlm_loss(acts, mlm_t, p))
-                if tset is not None:
-                    score = edge_pred_loss if structure == "edgepred" else node_align_loss
-                    struct_losses.append(score(acts, tset, p))
-            total = _mean(mlm_losses)
-            parts["mlm"] = float(total.data)
-            if struct_losses:
-                struct = _mean(struct_losses)
-                parts[structure] = float(struct.data)
-                total = ag.add(total, struct)
+            total, found = batch_loss(p, prepared, structure, use_dataflow)
+            parts.update(found)
             return total
 
         try:

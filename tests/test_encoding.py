@@ -23,6 +23,7 @@ from codeflow.encoding import (
     comment_tokens,
     encode_example,
     mask_density,
+    pad_batch,
 )
 from codeflow.frontend import tokenize
 from helpers import mask_oracle, random_program
@@ -219,21 +220,27 @@ class TestMask:
             got = build_attention_mask(ex)
             assert np.array_equal(got, mask_oracle(ex))
 
-    def test_pad_to(self):
-        ex = encode()
-        n = len(ex)
-        mask = build_attention_mask(ex, pad_to=n + 3)
-        assert mask.shape == (n + 3, n + 3)
-        assert np.array_equal(mask[:n, :n], build_attention_mask(ex))
-        assert not mask[:n, n:].any()  # padding is never a visible key
-        assert not mask[n:, :n].any()
-        assert mask[n:, n:].sum() == 3  # pad queries self-attend only
-        assert all(mask[i, i] for i in range(n, n + 3))
+    def test_pad_batch(self):
+        long, short = encode(), encode(include_dataflow=False)
+        n, m = len(long), len(short)
+        assert m < n
+        rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in (short, long)]
+        ids, positions, add = pad_batch(rows, dtype=np.float64)
+        assert ids.shape == positions.shape == (2, n)
+        assert add.shape == (2, n, n) and add.dtype == np.float64
+        assert np.array_equal(ids[1], long.ids) and np.array_equal(positions[1], long.position_ids)
+        assert np.array_equal(ids[0, :m], short.ids) and (ids[0, m:] == PAD).all()
+        assert (positions[0, m:] == 0).all()
+        assert np.array_equal(add[1], additive_mask(build_attention_mask(long), dtype=np.float64))
+        mask = add[0] == 0.0
+        assert np.array_equal(mask[:m, :m], build_attention_mask(short))
+        assert not mask[:m, m:].any()  # padding is never a visible key
+        assert not mask[m:, :m].any()
+        assert np.array_equal(mask[m:, m:], np.eye(n - m, dtype=bool))  # pad queries self-attend only
 
-    def test_pad_to_too_small(self):
-        ex = encode()
+    def test_pad_batch_empty(self):
         with pytest.raises(ValueError):
-            build_attention_mask(ex, pad_to=len(ex) - 1)
+            pad_batch([])
 
     def test_use_dataflow_false_requires_nodeless_example(self):
         with pytest.raises(ValueError):

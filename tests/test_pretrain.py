@@ -18,7 +18,7 @@ from codeflow.encoding import (
     build_vocab,
     encode_example,
 )
-from codeflow.model import ModelConfig, forward, init_params
+from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import (
     CorpusFormatError,
     CorpusItem,
@@ -28,6 +28,7 @@ from codeflow.pretrain import (
     NoMaskablePositions,
     NoNodes,
     Objectives,
+    batch_loss,
     edge_pred_loss,
     encode_corpus,
     language_sampler,
@@ -351,6 +352,63 @@ class TestStructureLosses:
             edge_pred_loss(acts, empty, params)
 
 
+class TestBatchLoss:
+    """The one-forward batch loss against a forward per example through the
+    single-example loss heads, in float64."""
+
+    @pytest.mark.parametrize("structure", ["edgepred", "nodealign", None])
+    def test_matches_per_example_losses(self, structure):
+        cfg = tiny_config(num_layers=2)
+        params = init_params(cfg).astype(np.float64)
+        rng = np.random.default_rng(23)
+        sample = {"edgepred": sample_edge_targets, "nodealign": sample_align_targets}.get(structure)
+        score = edge_pred_loss if structure == "edgepred" else node_align_loss
+        prepared = []
+        for i, ex in enumerate(edgeful_examples(count=6, seed=29)):
+            mlm_t = select_mlm_targets(ex, rng, cfg.vocab_size)
+            tset = sample(ex, rng) if sample is not None and i % 3 else None  # some examples have none
+            prepared.append((ex, mlm_t, tset if tset is None or tset.candidates else None))
+        assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
+        assert any(t is not None for _, _, t in prepared) == (structure is not None)
+
+        def mean(terms):
+            total = terms[0]
+            for t in terms[1:]:
+                total = total + t
+            return total * (1.0 / len(terms))
+
+        got_parts, want_parts = {}, {}
+
+        def per_example(p):
+            mlm, struct = [], []
+            for ex, mlm_t, tset in prepared:
+                allow = build_attention_mask(ex) if tset is None else tset.mask
+                acts = forward(p, mlm_t.masked_ids, ex.position_ids, additive_mask(allow, dtype=np.float64))
+                mlm.append(mlm_loss(acts, mlm_t, p))
+                if tset is not None:
+                    struct.append(score(acts, tset, p))
+            total = mean(mlm)
+            want_parts["mlm"] = float(total.data)
+            if struct:
+                want_parts[structure] = float(mean(struct).data)
+                total = total + mean(struct)
+            return total
+
+        def batched(p):
+            total, parts = batch_loss(p, prepared, structure)
+            got_parts.update(parts)
+            return total
+
+        got_value, got = compute_gradients(batched, params)
+        want_value, want = compute_gradients(per_example, params)
+        assert abs(got_value - want_value) <= 1e-6
+        assert got_parts.keys() == want_parts.keys()
+        for k in want_parts:
+            assert abs(got_parts[k] - want_parts[k]) <= 1e-6
+        for name in want:
+            assert np.abs(got[name] - want[name]).max() <= 1e-6, name
+
+
 # -- language sampler ---------------------------------------------------------
 
 
@@ -450,6 +508,21 @@ class TestPretrainRun:
         ]
         assert all(np.isfinite(v) for _, _, v in result.loss_log)
         assert result.adam.step == 4
+
+    def test_one_forward_per_step(self, monkeypatch):
+        import codeflow.pretrain as pretrain
+
+        shapes = []
+        real = pretrain.forward
+
+        def counting(params, ids, *args):
+            shapes.append(np.shape(ids))
+            return real(params, ids, *args)
+
+        monkeypatch.setattr(pretrain, "forward", counting)
+        pretrain_run(self.corpus(), tiny_config(), steps=3, rng=1, batch_size=4)
+        assert len(shapes) == 3
+        assert all(len(shape) == 2 and shape[0] == 4 for shape in shapes)
 
     def test_mlm_only(self):
         objectives = Objectives(mlm=True, edge_pred=False, node_align=False)

@@ -8,10 +8,12 @@ from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
+    Vocabulary,
     additive_mask,
     build_attention_mask,
     build_vocab,
     encode_example,
+    pad_batch,
 )
 from codeflow.model import (
     Activations,
@@ -28,6 +30,7 @@ from codeflow.model import (
     param_shapes,
 )
 from codeflow.optim import adam_step, init_adam
+from helpers import random_program
 
 COMMENT = "sum of values"
 CODE = "a = 1\nb = a\n"
@@ -114,6 +117,42 @@ class TestAutogradOps:
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
         w = Tensor(rng.normal(size=(3, 2)))
         check_grads(lambda p, q: ag.tsum(ag.matmul(p, q) * w), a, b)
+
+    def test_matmul_batched_against_shared_weight(self):
+        rng = np.random.default_rng(9)
+        b = rng.normal(size=(4, 2))
+        for lead in [(2,), (2, 3)]:
+            a = rng.normal(size=lead + (3, 4))
+            w = Tensor(rng.normal(size=lead + (3, 2)))
+            check_grads(lambda p, q: ag.tsum(ag.matmul(p, q) * w), a, b)
+        a4, c4 = rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 2, 4, 3))
+        w4 = Tensor(rng.normal(size=(2, 2, 3, 3)))
+        check_grads(lambda p, q: ag.tsum(ag.matmul(p, q) * w4), a4, c4)
+
+    def test_transpose_axes(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(2, 3, 4))
+        w = Tensor(rng.normal(size=(4, 2, 3)))
+        check_grads(lambda a: ag.tsum(ag.transpose(a, (2, 0, 1)) * w), x)
+        assert np.array_equal(ag.transpose(Tensor(x), (2, 0, 1)).data, np.transpose(x, (2, 0, 1)))
+        w_last = Tensor(rng.normal(size=(2, 4, 3)))
+        check_grads(lambda a: ag.tsum(ag.transpose(a) * w_last), x)  # default swaps the last two axes
+        assert np.array_equal(ag.transpose(Tensor(x)).data, np.swapaxes(x, -1, -2))
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
+        interior = []
+
+        def build(a, b):
+            h = ag.gelu(ag.matmul(a, b))
+            out = ag.tsum(ag.layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3))) * h)
+            if not interior:  # the graph check_grads runs backward on
+                interior.extend([h, out])
+            return out
+
+        check_grads(build, self.x, self.y.T)  # leaf grads against finite differences
+        assert interior
+        for t in interior:
+            assert t.grad is None and t._vjp is None and t._parents == ()
 
     def test_transpose_reshape(self):
         w = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0)
@@ -373,6 +412,77 @@ class TestForward:
         row_a = forward(params, ex.ids, ex.position_ids, mask).final.data[14]
         row_b = forward(params, tuple(ids_b), ex.position_ids, mask).final.data[14]
         assert np.array_equal(row_a, row_b)
+
+
+class TestBatchedForward:
+    def batch(self, rng, count):
+        vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
+        codes = [random_program(rng) for _ in range(count)]
+        return [encode_example("find the value", c, extract_dfg(c), vocab, max_positions=512) for c in codes]
+
+    def test_real_rows_match_per_example_forward(self):
+        cfg = small_config(max_positions=512)
+        params = init_params(cfg)
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(5):
+            examples = self.batch(rng, 6)
+            assert len({len(ex) for ex in examples}) > 1  # some rows are padded
+            ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples])
+            acts = forward(params, ids, positions, mask)
+            width = ids.shape[1]
+            assert acts.final.shape == (len(examples) * width, cfg.hidden_dim)
+            for b, ex in enumerate(examples):
+                n = len(ex)
+                one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+                for got, want in zip(acts.hidden, one.hidden):
+                    worst = max(worst, float(np.abs(got.data[b * width : b * width + n] - want.data).max()))
+                for got_layer, want_layer in zip(acts.attention, one.attention):
+                    for got, want in zip(got_layer, want_layer):
+                        assert got.shape == (len(examples), width, width)
+                        worst = max(worst, float(np.abs(got.data[b, :n, :n] - want.data).max()))
+                        assert not got.data[b, :n, n:].any()  # no weight on padding
+        assert worst <= 1e-6, worst
+
+    def test_batched_gradients_match_per_example(self):
+        cfg = small_config(num_layers=1, max_positions=512)
+        params = init_params(cfg).astype(np.float64)
+        examples = self.batch(np.random.default_rng(32), 3)
+        ids, positions, mask = pad_batch(
+            [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], dtype=np.float64
+        )
+        width = ids.shape[1]
+        probe = np.random.default_rng(33).normal(size=(len(examples) * width, cfg.hidden_dim))
+        real = np.zeros(len(examples) * width, dtype=bool)
+        for b, ex in enumerate(examples):
+            real[b * width : b * width + len(ex)] = True
+        probe[~real] = 0.0  # padded rows carry no loss
+
+        def batched(p):
+            return ag.tsum(forward(p, ids, positions, mask).final * Tensor(probe))
+
+        def per_example(p):
+            total = Tensor(np.zeros(()))
+            for b, ex in enumerate(examples):
+                mask_one = additive_mask(build_attention_mask(ex), dtype=np.float64)
+                final = forward(p, ex.ids, ex.position_ids, mask_one).final
+                total = total + ag.tsum(final * Tensor(probe[b * width : b * width + len(ex)]))
+            return total
+
+        got_value, got = compute_gradients(batched, params)
+        want_value, want = compute_gradients(per_example, params)
+        assert abs(got_value - want_value) <= 1e-10
+        for name in want:
+            assert np.abs(got[name] - want[name]).max() <= 1e-10, name
+
+    def test_validation(self):
+        params = init_params(small_config())
+        ex = encoded()
+        ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex))] * 2)
+        with pytest.raises(ShapeMismatch):
+            forward(params, ids, positions, mask[0])
+        with pytest.raises(ShapeMismatch):
+            forward(params, ids[None], positions[None], mask)
 
 
 # -- gradients through the full model ---------------------------------------
