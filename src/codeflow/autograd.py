@@ -4,9 +4,17 @@ Desk-scale engine: every op records a vector-Jacobian closure; `backward`
 replays them in reverse topological order. Arrays keep whatever dtype they
 were built with, so the same model code runs in float32 for training and
 float64 for the finite-difference harness.
+
+Gradient arrays may share memory: `add` hands the same upstream gradient to
+both parents, and `backward` stores the first gradient a node receives as is.
+So no VJP and no backward step writes into an array it did not allocate in
+that call; the fused kernels below write in place only into their own
+buffers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -95,9 +103,7 @@ class Tensor:
                 for parent, g in zip(node._parents, node._vjp(node.grad)):
                     if g is None or not parent.requires_grad:
                         continue
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += g
+                    parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None
             node._vjp = None
             node._parents = ()
@@ -165,29 +171,6 @@ def power(a, exponent: float) -> Tensor:
     return _make(out, (a,), lambda g: (g * exponent * a.data ** (exponent - 1.0),))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def log_sigmoid(a) -> Tensor:
     """log(sigmoid(x)), computed as -softplus(-x) for stability."""
     a = as_tensor(a)
@@ -245,8 +228,11 @@ def take_rows(a, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
+        # One scatter-add over flat element indices: numpy's fast 1-D `add.at`
+        # path, and each element still sums its rows in the order of `idx`.
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        width = math.prod(out.shape[1:])
+        np.add.at(out.reshape(-1), (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
         return (out,)
 
     return _make(a.data[idx], (a,), vjp)
@@ -296,13 +282,15 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        r = g * out
+        np.subtract(g, r.sum(axis=axis, keepdims=True), out=r)
+        r *= out
+        return (r,)
 
     return _make(out, (a,), vjp)
 
@@ -321,26 +309,69 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    Each step is the same elementwise expression, in the same order, as the
+    textbook form, evaluated into as few fresh buffers as it allows."""
     a = as_tensor(a)
     x = a.data
     c = float(np.sqrt(2.0 / np.pi))
     # x*x*x, not x**3: float32 `**` takes numpy's slow general pow path.
-    u = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    np.add(x, t, out=t)
+    t *= c
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= 0.5 * x
 
     def vjp(g):
-        du = c * (1.0 + 3.0 * 0.044715 * (x * x))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+        du = x * x
+        du *= 3.0 * 0.044715
+        du += 1.0
+        du *= c
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        r = 0.5 * x
+        s *= r
+        s *= du
+        np.add(1.0, t, out=r)
+        r *= 0.5
+        r += s
+        r *= g
+        return (r,)
 
     return _make(out, (a,), vjp)
 
 
-def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer norm, composed from primitives so the vjp is exact."""
-    mu = tmean(a, axis=-1, keepdims=True)
-    centered = a - mu
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Row-wise layer norm over the last axis, as one node.
+
+    Forward and VJP replay op for op the primitive chain mean, centre, mean
+    of squares, + eps, ** -0.5, * gain, + bias (built from `tmean`, `mul`,
+    `add` and `power`), so values and gradients are bit-identical to that
+    composition."""
+    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
+    x = a.data
+    k = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
+    centered = x - x.sum(axis=-1, keepdims=True) * k
+    var_eps = (centered * centered).sum(axis=-1, keepdims=True) * k + np.asarray(eps, dtype=x.dtype)
+    inv = var_eps**-0.5
+    normed = centered * inv
+    out = normed * gain.data
+    out += bias.data
+
+    def vjp(g):
+        gx = g * gain.data
+        # d(mean of squares), through the ** -0.5 node's rule, then the mean's 1/n
+        d_var = ((_unbroadcast(gx * centered, inv.shape) * -0.5) * var_eps**-1.5) * k
+        t = d_var * centered  # each of the two factors of centered * centered
+        dc = gx * inv
+        dc += t
+        dc += t
+        dc += (-dc.sum(axis=-1, keepdims=True)) * k  # the centring's mean
+        return (dc, _unbroadcast(g * normed, gain.data.shape), _unbroadcast(g, bias.data.shape))
+
+    return _make(out, (a, gain, bias), vjp)

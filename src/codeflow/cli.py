@@ -52,6 +52,7 @@ from .pretrain import (
     Objectives,
     load_corpus,
     pretrain_run,
+    str_fields,
     write_loss_log,
 )
 
@@ -387,7 +388,8 @@ def _load_clone_pairs(path) -> list[CloneExample]:
             continue
         try:
             obj = json.loads(line)
-            pairs.append(CloneExample(code_a=obj["code_a"], code_b=obj["code_b"], label=int(obj["label"])))
+            code_a, code_b = str_fields(obj, ("code_a", "code_b"))
+            pairs.append(CloneExample(code_a=code_a, code_b=code_b, label=int(obj["label"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     if not pairs:

@@ -143,15 +143,19 @@ def encode_code(
 
 
 def rank_candidates(query_vec: np.ndarray, candidate_vecs, gold_id: int, query_id: int = 0) -> RankingResult:
+    """Order candidates by inner product with the query, best first; ties go
+    to the lower index. `candidate_vecs` is a sequence of vectors or an
+    ``(n, d)`` matrix."""
     q = np.asarray(query_vec, dtype=np.float64)
-    cands = [np.asarray(c, dtype=np.float64) for c in candidate_vecs]
-    if not cands:
+    try:
+        cands = np.asarray(candidate_vecs, dtype=np.float64)
+    except ValueError as e:  # ragged rows
+        raise DimensionMismatch(f"candidates of unequal shapes vs query {q.shape}") from e
+    if len(cands) == 0:
         raise EmptyInput("no candidates to rank")
-    for c in cands:
-        if c.shape != q.shape:
-            raise DimensionMismatch(f"candidate shape {c.shape} vs query {q.shape}")
-    scores = [float(q @ c) for c in cands]
-    ordering = tuple(sorted(range(len(cands)), key=lambda i: (-scores[i], i)))
+    if cands.shape[1:] != q.shape:
+        raise DimensionMismatch(f"candidate shape {cands.shape[1:]} vs query {q.shape}")
+    ordering = tuple(np.argsort(-(cands @ q), kind="stable").tolist())
     return RankingResult(query_id=query_id, ordering=ordering, gold_rank=ordering.index(gold_id) + 1)
 
 
@@ -166,7 +170,7 @@ def evaluate_search(params: ModelParams, examples: list[SearchExample], use_data
     """Whole-corpus protocol: every example's code is a candidate for every query."""
     if not examples:
         raise EmptyInput("no search examples")
-    code_vecs = [_cls_rows(params, [ex.code_encoded], use_dataflow).data[0] for ex in examples]
+    code_vecs = np.stack([_cls_rows(params, [ex.code_encoded], use_dataflow).data[0] for ex in examples])
     results = []
     for qid, ex in enumerate(examples):
         qv = _cls_rows(params, [ex.query_encoded], use_dataflow=False).data[0]

@@ -33,7 +33,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """In-place parameter update; returns the advanced state."""
+    """Updates the moments in place and rebinds each parameter's `data` to a
+    new array; returns the advanced state."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t

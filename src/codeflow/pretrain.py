@@ -82,14 +82,27 @@ class CorpusItem:
     lang: str
 
 
+def str_fields(obj, names: tuple[str, ...]) -> list[str]:
+    """The `names` fields of one parsed JSONL row. Raises KeyError for a
+    missing field and TypeError when the row is not an object or a field is
+    not a string."""
+    values = []
+    for name in names:
+        value = obj[name]
+        if not isinstance(value, str):
+            raise TypeError(f"field {name!r} must be a string, not {type(value).__name__}")
+        values.append(value)
+    return values
+
+
 def load_corpus(path) -> list[CorpusItem]:
     items: list[CorpusItem] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            items.append(CorpusItem(code=obj["code"], docstring=obj["docstring"], lang=obj["lang"]))
+            code, docstring, lang = str_fields(json.loads(line), ("code", "docstring", "lang"))
+            items.append(CorpusItem(code=code, docstring=docstring, lang=lang))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     if not items:

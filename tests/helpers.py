@@ -1,11 +1,13 @@
 """Shared test utilities: a seeded random-program generator that emits
 canonical-style source (so pretty-printing is a fixed point), an independent
-entry-by-entry attention-mask oracle, and small synthetic corpora."""
+entry-by-entry attention-mask oracle, a layer norm composed from autograd
+primitives, and small synthetic corpora."""
 
 from __future__ import annotations
 
 import numpy as np
 
+import codeflow.autograd as ag
 from codeflow.frontend import syntax as ast
 from codeflow.frontend.lexer import Span
 from codeflow.pretrain import CorpusItem
@@ -130,6 +132,19 @@ def mask_oracle(example) -> np.ndarray:
                 ok = (j, i) in links
             allow[i, j] = ok
     return allow
+
+
+# composed kernel reference ----------------------------------------------------
+
+
+def composed_layer_norm(a, gain, bias, eps: float = 1e-5):
+    """Row-wise layer norm built from autograd primitives, one node per op:
+    the definition the fused `ag.layer_norm` must reproduce bit for bit."""
+    mu = ag.tmean(a, axis=-1, keepdims=True)
+    centered = a - mu
+    var = ag.tmean(ag.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ag.power(ag.add(var, eps), -0.5)
+    return ag.add(ag.mul(ag.mul(centered, inv), gain), bias)
 
 
 # synthetic corpora ------------------------------------------------------------

@@ -239,6 +239,28 @@ class TestPretrainCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"code": 5, "docstring": "adds two numbers together", "lang": "python"}],
+            [
+                {"code": "a = 1\n", "docstring": "sets a value here", "lang": "python"},
+                {"code": "b = 2\n", "docstring": "sets another value here", "lang": None},
+            ],
+        ],
+        ids=["int-code", "null-lang"],
+    )
+    def test_non_string_field_is_data_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(
+            capsys, "pretrain", "--corpus", str(bad), "--out", str(tmp_path / "o"),
+            "--steps", "1", *SMALL_MODEL,
+        )
+        assert code == 2
+        assert err.startswith("data error: line ") and err.count("\n") == 1
+        assert "must be a string" in err and "Traceback" not in err
+
 
 # -- retrieval and clones -------------------------------------------------------------
 
@@ -325,6 +347,16 @@ class TestCloneCommands:
         assert code == 0
         metrics = json.loads(stdout)
         assert set(metrics) == {"precision", "recall", "f1"}
+
+    def test_non_string_snippet_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "clones.jsonl"
+        bad.write_text(json.dumps({"code_a": 5, "code_b": "a = 1\n", "label": 1}) + "\n")
+        code, _, err = run(
+            capsys, "eval-clone", "--corpus", str(bad), "--out", str(tmp_path / "o"), *SMALL_MODEL,
+        )
+        assert code == 2
+        assert err.startswith("data error: line 1: ") and err.count("\n") == 1
+        assert "'code_a' must be a string" in err and "Traceback" not in err
 
     def test_finetune_clone(self, tmp_path, capsys):
         corpus = write_clone_corpus(tmp_path)

@@ -89,11 +89,32 @@ class TestRanking:
         b = rank_candidates(3.0 * q, cands, gold_id=0)
         assert a.ordering == b.ordering
 
+    def test_matches_loop_reference(self):
+        # Small integer vectors make every score exact and ties frequent, so
+        # the orderings must agree entry for entry.
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            q = rng.integers(-2, 3, size=5).astype(np.float64)
+            cands = rng.integers(-2, 3, size=(16, 5)).astype(np.float64)
+            scores = [float(q @ c) for c in cands]
+            expected = tuple(sorted(range(len(cands)), key=lambda i: (-scores[i], i)))
+            gold = int(rng.integers(0, 16))
+            for given in (list(cands), cands):
+                r = rank_candidates(q, given, gold_id=gold)
+                assert r.ordering == expected
+                assert r.gold_rank == expected.index(gold) + 1
+
     def test_validation(self):
         with pytest.raises(EmptyInput):
             rank_candidates(np.zeros(3), [], gold_id=0)
+        with pytest.raises(EmptyInput):
+            rank_candidates(np.zeros(3), np.zeros((0, 3)), gold_id=0)
         with pytest.raises(DimensionMismatch):
             rank_candidates(np.zeros(3), [np.zeros(4)], gold_id=0)
+        with pytest.raises(DimensionMismatch):
+            rank_candidates(np.zeros(3), np.zeros((2, 4)), gold_id=0)
+        with pytest.raises(DimensionMismatch):  # ragged candidate list
+            rank_candidates(np.zeros(3), [np.zeros(3), np.zeros(4)], gold_id=0)
 
 
 class TestMrr:

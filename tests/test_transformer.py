@@ -30,7 +30,8 @@ from codeflow.model import (
     param_shapes,
 )
 from codeflow.optim import adam_step, init_adam
-from helpers import random_program
+from codeflow.pretrain import pretrain_run
+from helpers import composed_layer_norm, overfit_corpus, random_program
 
 COMMENT = "sum of values"
 CODE = "a = 1\nb = a\n"
@@ -94,12 +95,6 @@ class TestAutogradOps:
 
     def test_power_negative_exponent(self):
         check_grads(lambda a: ag.tsum(ag.power(a, -2.0) * Tensor(self.w)), np.abs(self.x) + 1.0)
-
-    def test_exp_log_tanh_sigmoid(self):
-        check_grads(lambda a: ag.tsum(ag.exp(a) * Tensor(self.w)), self.x)
-        check_grads(lambda a: ag.tsum(ag.log(a) * Tensor(self.w)), np.abs(self.x) + 0.5)
-        check_grads(lambda a: ag.tsum(ag.tanh(a) * Tensor(self.w)), self.x)
-        check_grads(lambda a: ag.tsum(ag.sigmoid(a) * Tensor(self.w)), self.x)
 
     def test_log_sigmoid(self):
         check_grads(lambda a: ag.tsum(ag.log_sigmoid(a) * Tensor(self.w)), 3.0 * self.x)
@@ -242,6 +237,131 @@ class TestAutogradOps:
         t = Tensor(np.array(1.5), requires_grad=True)
         ((t * t) + (t * 3.0)).backward()
         assert np.isclose(t.grad, 2 * 1.5 + 3.0)
+
+
+# Odd widths reach the vector kernels' tail loops.
+KERNEL_SHAPES = [(3, 4), (5, 37), (2, 3, 4, 9)]
+
+
+def gelu_reference(x, g):
+    """The tanh-approximation GELU and its VJP as plain expressions."""
+    c = float(np.sqrt(2.0 / np.pi))
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    du = c * (1.0 + 3.0 * 0.044715 * (x * x))
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def softmax_reference(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return out, out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+class TestFusedKernels:
+    """The fused kernels against their definitions, bit for bit, and gradient
+    accumulation when gradient arrays are shared."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_equals_composed_ops(self, dtype):
+        rng = np.random.default_rng(31)
+        for shape in KERNEL_SHAPES:
+            arrays = [rng.normal(size=shape), rng.normal(size=shape[-1:]) + 1.0, rng.normal(size=shape[-1:])]
+            w = rng.normal(size=shape).astype(dtype)
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            composed = composed_layer_norm(*leaves)
+            ag.tsum(composed * Tensor(w)).backward()  # the norm's output gets a gradient equal to `w`
+            fused = ag.layer_norm(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
+            grads = fused._vjp(read_only(w))  # a write into the upstream gradient raises
+            for got, want in zip([fused.data, *grads], [composed.data] + [leaf.grad for leaf in leaves]):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_and_softmax_equal_their_expressions(self, dtype):
+        rng = np.random.default_rng(32)
+        for shape in KERNEL_SHAPES:
+            x = (3.0 * rng.normal(size=shape)).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+            for op, reference in ((ag.gelu, gelu_reference), (ag.softmax, softmax_reference)):
+                out = op(Tensor(x, requires_grad=True))
+                (grad,) = out._vjp(read_only(g))  # a write into the upstream gradient raises
+                want_out, want_grad = reference(x, g)
+                assert out.data.dtype == grad.dtype == dtype
+                assert np.array_equal(out.data, want_out)
+                assert np.array_equal(grad, want_grad)
+
+    def test_take_rows_scatter_equals_row_add_at(self):
+        # Repeated rows are summed in index order, exactly as np.add.at over rows does.
+        rng = np.random.default_rng(35)
+        table = Tensor(rng.normal(size=(7, 5)).astype(np.float32), requires_grad=True)
+        idx = rng.integers(0, 7, size=60)
+        g = rng.normal(size=(60, 5)).astype(np.float32)
+        (grad,) = ag.take_rows(table, idx)._vjp(read_only(g))
+        want = np.zeros_like(table.data)
+        np.add.at(want, idx, g)
+        assert grad.dtype == np.float32 and np.array_equal(grad, want)
+
+    def test_fan_out_through_add_matches_finite_differences(self):
+        # `add` hands one gradient array to both parents: the layer norm and
+        # `h`, which also feeds the softmax. Writing into that array, in a VJP
+        # or when `h` accumulates its second gradient, would corrupt the other.
+        rng = np.random.default_rng(34)
+        w = Tensor(rng.normal(size=(3, 4)))
+
+        def build(a, gain, bias):
+            h = ag.gelu(a)
+            both = ag.add(ag.layer_norm(a, gain, bias), h)
+            return ag.tsum(ag.add(both, ag.softmax(ag.mul(h, 2.0))) * w)
+
+        check_grads(build, rng.normal(size=(3, 4)), rng.normal(size=4) + 1.0, rng.normal(size=4))
+
+    def test_backward_never_writes_into_a_shared_gradient(self):
+        # Both parents of `y` get the very same gradient array; `a` then
+        # accumulates a second term, which must not land in `b.grad`. Either
+        # argument order of the outer add is tried, since the order in which
+        # backward reaches `y` and `c` decides whether the hazard arises.
+        w = np.array([0.5, -1.0, 2.0])
+        for swap in (False, True):
+            a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+            y, c = ag.add(a, b), ag.mul(a, 2.0)
+            ag.tsum(ag.mul(ag.add(c, y) if swap else ag.add(y, c), Tensor(w))).backward()
+            assert np.array_equal(a.grad, 3.0 * w)
+            assert np.array_equal(b.grad, w)
+
+    def test_float32_leaves_get_float32_grads(self):
+        params = init_params(small_config(), dtype=np.float32)
+        ex = encoded(max_positions=params.config.max_positions)
+
+        def loss_fn(p):
+            acts = forward(p, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+            return ag.tsum(ag.log_softmax(mlm_logits(p, acts.final), axis=-1)) * -1.0
+
+        _, grads = compute_gradients(loss_fn, params)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        assert all(g.shape == params.tensors[name].shape for name, g in grads.items())
+
+    def test_layer_norm_is_one_node(self):
+        a, gain, bias = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 4), (4,), (4,)))
+        out = ag.layer_norm(a, gain, bias)
+        assert out._parents == (a, gain, bias)
+
+    def test_pretrain_loss_log_equals_composed_layer_norm(self, monkeypatch):
+        config = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=128, max_positions=128)
+        corpus = overfit_corpus(8)
+        fused = pretrain_run(corpus, config, steps=6, rng=2, batch_size=4)
+        monkeypatch.setattr(ag, "layer_norm", composed_layer_norm)
+        composed = pretrain_run(corpus, config, steps=6, rng=2, batch_size=4)
+        assert [(s, o, float.hex(v)) for s, o, v in fused.loss_log] == [
+            (s, o, float.hex(v)) for s, o, v in composed.loss_log
+        ]
+        for name, t in fused.params.tensors.items():
+            assert np.array_equal(t.data, composed.params.tensors[name].data)
 
 
 # -- parameters and init ---------------------------------------------------
