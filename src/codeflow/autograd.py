@@ -1,9 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Desk-scale engine: every op records a vector-Jacobian closure; `backward`
-replays them in reverse topological order. Arrays keep whatever dtype they
-were built with, so the same model code runs in float32 for training and
-float64 for the finite-difference harness.
+Desk-scale engine: an op with an input that requires a gradient records a
+vector-Jacobian closure and its parents; `backward` replays them in reverse
+topological order. An op on inputs that require none records nothing, so its
+inputs can be freed as soon as the caller drops them. Arrays keep whatever
+dtype they were built with, so the same model code runs in float32 for
+training and float64 for the finite-difference harness.
 
 Gradient arrays may share memory: `add` hands the same upstream gradient to
 both parents, and `backward` stores the first gradient a node receives as is.
@@ -144,12 +146,18 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 # elementwise ------------------------------------------------------------
 
 
+# `add` and `mul` skip the gradient of an operand that needs none (a mask, a
+# scale, a constant probe): their VJP returns None for it, which `backward`
+# skips.
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     return _make(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -159,8 +167,8 @@ def mul(a, b) -> Tensor:
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
 

@@ -9,6 +9,7 @@ little-endian float32 payload. Tensors are written in sorted name order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -65,24 +66,27 @@ def load_checkpoint(path) -> ModelParams:
     if r.take(4) != MAGIC:
         raise CheckpointError("bad magic bytes")
     (config_len,) = r.unpack("<I")
-    config = ModelConfig.from_dict(json.loads(r.take(config_len).decode("utf-8")))
+    config_bytes = r.take(config_len)
+    try:
+        config = ModelConfig.from_dict(json.loads(config_bytes.decode("utf-8")))
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"bad model config: {e}") from e
     expected = param_shapes(config)
     (count,) = r.unpack("<I")
     tensors: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.take(name_len).decode("utf-8", errors="replace")
         dtype_code, ndim = r.unpack("<BB")
         if dtype_code != _DTYPE_F32:
             raise CheckpointError(f"unknown dtype code {dtype_code}")
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(size * 4), dtype="<f4").reshape(shape).astype(np.float32)
         if name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r}")
         if shape != expected[name]:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {expected[name]}")
-        tensors[name] = Tensor(data, requires_grad=True)
+        data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4").reshape(shape).astype(np.float32)
+        tensors[name] = Tensor(data)
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise CheckpointError(f"missing tensors: {missing[:5]}")

@@ -38,6 +38,7 @@ from .encoding import (
     Limits,
     SequenceTooLong,
     Vocabulary,
+    VocabularyError,
     additive_mask,
     build_attention_mask,
     build_vocab,
@@ -65,7 +66,9 @@ DATA_ERRORS = (
     EmptyInput,
     DimensionMismatch,
     ParseFailure,
+    VocabularyError,
     OSError,
+    UnicodeError,
     json.JSONDecodeError,
 )
 
@@ -274,6 +277,12 @@ def _load_model(rc: RunConfig, items=None):
         params = load_checkpoint(rc.checkpoint)
         vocab_path = Path(rc.vocab) if rc.vocab else Path(rc.checkpoint).parent / "vocab.txt"
         vocab = Vocabulary.deserialize(vocab_path.read_text(encoding="utf-8"))
+        size, top = params.config.vocab_size, max(vocab.token_to_id.values(), default=0)
+        if len(vocab) > size or top >= size:
+            raise VocabularyError(
+                f"{vocab_path} has {len(vocab)} tokens with ids up to {top}, "
+                f"more than the checkpoint's vocab_size {size}"
+            )
         return params, vocab
     if items is None:
         raise BadFlags(f"{rc.command} requires --checkpoint when no corpus is given")
@@ -357,7 +366,7 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
         raise EmptyCorpus("no usable search examples after filtering")
     params, vocab = _load_model(rc, raw_items)
     examples = prepare_search_examples(
-        [(it.docstring, it.code) for it in raw_items], vocab, rc.limits(), rc.max_positions, rc.use_dataflow
+        [(it.docstring, it.code) for it in raw_items], vocab, rc.limits(), params.config.max_positions, rc.use_dataflow
     )
     if tune:
         params = finetune_search(
@@ -452,7 +461,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
             dfg,
             vocab,
             limits=rc.limits(),
-            max_positions=rc.max_positions,
+            max_positions=params.config.max_positions,
             include_dataflow=rc.use_dataflow,
         )
         allow = build_attention_mask(example, use_dataflow=rc.use_dataflow)

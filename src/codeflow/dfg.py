@@ -117,18 +117,18 @@ class _Extractor:
             raise TypeError(f"unexpected statement node: {node!r}")
 
     def _collect_expr(self, node: AstNode) -> None:
-        if isinstance(node, Name):
-            self.occurrences.append((node.token_index, node.id, ROLE_USE))
-        elif isinstance(node, BinOp):
-            self._collect_expr(node.left)
-            self._collect_expr(node.right)
-        elif isinstance(node, Call):
-            for a in node.args:
-                self._collect_expr(a)
-        elif isinstance(node, Literal):
-            pass
-        else:
-            raise TypeError(f"unexpected expression node: {node!r}")
+        # Iterative: a long operator chain is a deep left-leaning tree.
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Name):
+                self.occurrences.append((node.token_index, node.id, ROLE_USE))
+            elif isinstance(node, BinOp):
+                stack += (node.right, node.left)
+            elif isinstance(node, Call):
+                stack.extend(reversed(node.args))
+            elif not isinstance(node, Literal):
+                raise TypeError(f"unexpected expression node: {node!r}")
 
     # -- pass 2: reaching-definitions walk, accumulating edges -----------
 
@@ -183,28 +183,27 @@ class _Extractor:
             return env
         raise TypeError(f"unexpected statement node: {node!r}")
 
-    def uses_in(self, node: AstNode, env: _Env) -> frozenset[int]:
+    def uses_in(self, node: AstNode, env: _Env) -> set[int]:
         """Resolve every use in an expression against `env`, adding def->use
         edges, and return the set of node ids occurring in the expression."""
-        if isinstance(node, Name):
-            uid = self.node_id[node.token_index]
-            for did in env.get(node.id, frozenset()):
-                self.add_edge(did, uid)
-            return frozenset({uid})
-        if isinstance(node, BinOp):
-            return self.uses_in(node.left, env) | self.uses_in(node.right, env)
-        if isinstance(node, Call):
-            out: frozenset[int] = frozenset()
-            for a in node.args:
-                out |= self.uses_in(a, env)
-            return out
-        if isinstance(node, Literal):
-            return frozenset()
-        raise TypeError(f"unexpected expression node: {node!r}")
+        out: set[int] = set()
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Name):
+                uid = self.node_id[node.token_index]
+                for did in env.get(node.id, ()):
+                    self.add_edge(did, uid)
+                out.add(uid)
+            elif isinstance(node, BinOp):
+                stack += (node.right, node.left)
+            elif isinstance(node, Call):
+                stack.extend(reversed(node.args))
+            elif not isinstance(node, Literal):
+                raise TypeError(f"unexpected expression node: {node!r}")
+        return out
 
-    def define(
-        self, token_index: int, name: str, sources: frozenset[int], env: _Env
-    ) -> _Env:
+    def define(self, token_index: int, name: str, sources: set[int], env: _Env) -> _Env:
         did = self.node_id[token_index]
         for sid in sources:
             self.add_edge(sid, did)

@@ -108,11 +108,16 @@ def encode_code_example(
     )
 
 
+# Most positions one inference forward of `_cls_vectors` takes; caps its
+# (B, H, L, L) attention tensor. A single longer example still gets its own forward.
+MAX_FORWARD_POSITIONS = 4096
+
+
 def _cls_rows(params: ModelParams, examples: list[EncodedExample], use_dataflow: bool = True) -> Tensor:
     """Final-layer [CLS] rows of `examples`, from one padded forward.
 
-    A single example pads nothing, so ``_cls_rows(params, [ex])`` is the
-    unbatched encoding of ``ex``."""
+    Examples of equal length pad nothing, so each row is the unbatched
+    encoding of its example."""
     ids, positions, mask = pad_batch(
         [(ex.ids, ex.position_ids, build_attention_mask(ex, use_dataflow)) for ex in examples],
         dtype=params.tensors["tok_emb"].data.dtype,
@@ -121,10 +126,28 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample], use_dataflow:
     return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
 
 
+def _cls_vectors(params: ModelParams, examples: list[EncodedExample], use_dataflow: bool = True) -> np.ndarray:
+    """``(N, d)`` final-layer [CLS] vectors of `examples`, in order.
+
+    Examples are grouped by exact length and each group is encoded by
+    unpadded forwards of at most `MAX_FORWARD_POSITIONS` positions, so every
+    vector equals the one a single-example forward gives, bit for bit."""
+    out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
+    by_length: dict[int, list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_length.setdefault(len(ex), []).append(i)
+    for length, members in by_length.items():
+        per_forward = max(1, MAX_FORWARD_POSITIONS // length)
+        for lo in range(0, len(members), per_forward):
+            chunk = members[lo : lo + per_forward]
+            out[chunk] = _cls_rows(params, [examples[i] for i in chunk], use_dataflow).data
+    return out
+
+
 def encode_text(query: str, params: ModelParams, vocab: Vocabulary, limits: Limits = Limits()) -> np.ndarray:
     """Final-layer [CLS] vector of the comment-only encoding of `query`."""
     ex = encode_query_example(query, vocab, limits, params.config.max_positions)
-    return _cls_rows(params, [ex], use_dataflow=False).data[0].copy()
+    return _cls_vectors(params, [ex], use_dataflow=False)[0]
 
 
 def encode_code(
@@ -136,7 +159,7 @@ def encode_code(
 ) -> np.ndarray:
     """Final-layer [CLS] vector of the code(+nodes) encoding, no comment segment."""
     ex = encode_code_example(code, vocab, limits, params.config.max_positions, use_dataflow)
-    return _cls_rows(params, [ex], use_dataflow).data[0].copy()
+    return _cls_vectors(params, [ex], use_dataflow)[0]
 
 
 # ranking --------------------------------------------------------------------
@@ -170,12 +193,9 @@ def evaluate_search(params: ModelParams, examples: list[SearchExample], use_data
     """Whole-corpus protocol: every example's code is a candidate for every query."""
     if not examples:
         raise EmptyInput("no search examples")
-    code_vecs = np.stack([_cls_rows(params, [ex.code_encoded], use_dataflow).data[0] for ex in examples])
-    results = []
-    for qid, ex in enumerate(examples):
-        qv = _cls_rows(params, [ex.query_encoded], use_dataflow=False).data[0]
-        results.append(rank_candidates(qv, code_vecs, gold_id=qid, query_id=qid))
-    return mrr(results)
+    code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples], use_dataflow).astype(np.float64)
+    query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples], use_dataflow=False)
+    return mrr([rank_candidates(qv, code_vecs, gold_id=qid, query_id=qid) for qid, qv in enumerate(query_vecs)])
 
 
 def prepare_search_examples(
@@ -269,8 +289,12 @@ def clone_probability(
     use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> float:
-    ha = encode_code(code_a, params, vocab, use_dataflow, limits)
-    hb = encode_code(code_b, params, vocab, use_dataflow, limits)
+    max_positions = params.config.max_positions
+    ha, hb = _cls_vectors(
+        params,
+        [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in (code_a, code_b)],
+        use_dataflow,
+    )
     scaled = float(ha @ hb) / math.sqrt(params.config.hidden_dim)
     return float(1.0 / (1.0 + np.exp(-scaled)))
 

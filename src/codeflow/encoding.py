@@ -34,6 +34,10 @@ class EmptyCorpus(ValueError):
     pass
 
 
+class VocabularyError(ValueError):
+    """A vocabulary file that does not parse, or ids a model cannot embed."""
+
+
 class SequenceTooLong(ValueError):
     pass
 
@@ -66,10 +70,12 @@ class Vocabulary:
     @staticmethod
     def deserialize(text: str) -> "Vocabulary":
         mapping: dict[str, int] = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
-            esc, idx = line.rsplit("\t", 1)
+            esc, tab, idx = line.rpartition("\t")
+            if not tab or not idx.isdecimal():
+                raise VocabularyError(f"line {lineno}: expected token<TAB>id, got {line[:40]!r}")
             token = (
                 esc.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
             )

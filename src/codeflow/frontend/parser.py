@@ -31,11 +31,18 @@ MUL_OPS = frozenset({"*", "/", "%"})
 
 _EXPR_START = frozenset({"identifier", "number", "string", "("})
 
+# Deepest nesting of blocks, `elif` arms, parentheses and call arguments the
+# parser accepts. Each level costs up to six Python frames here and a few more
+# in the DFG walk, so this keeps both well inside the interpreter's recursion
+# limit and turns deeper input into a syntax error.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -65,6 +72,14 @@ class _Parser:
         raise MiniLangSyntaxError(
             f"expected one of {sorted(expected)}, got {got}", index, frozenset(expected)
         )
+
+    def nest(self) -> None:
+        """Enter one level of nesting; the caller leaves it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            index = tok.index if tok is not None else len(self.tokens)
+            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", index, frozenset())
 
     def _span_from(self, start: int) -> Span:
         end_tok = self.tokens[self.pos - 1]
@@ -137,12 +152,14 @@ class _Parser:
         self.expect("operator", ":")
         self.expect("newline")
         self.expect("indent")
+        self.nest()
         body: list[Stmt] = []
         while not self.at("dedent"):
             if self.peek() is None:
                 self.fail({"dedent"})
             body.append(self.statement())
         self.advance()  # dedent
+        self.depth -= 1
         return tuple(body)
 
     def if_stmt(self) -> If:
@@ -155,7 +172,9 @@ class _Parser:
         orelse: tuple[Stmt, ...] = ()
         if self.at("keyword", "elif"):
             nested_kw = self.advance()
+            self.nest()
             orelse = (self._conditional(nested_kw),)
+            self.depth -= 1
         elif self.at("keyword", "else"):
             self.advance()
             orelse = self.block()
@@ -235,7 +254,9 @@ class _Parser:
             return Literal(span=tok.span, value=tok.text[1:-1], raw=tok.text)
         if tok.kind == "operator" and tok.text == "(":
             self.advance()
+            self.nest()
             inner = self.expression()
+            self.depth -= 1
             self.expect("operator", ")")
             return inner
         self.fail(set(_EXPR_START))
@@ -243,6 +264,7 @@ class _Parser:
 
     def call(self, name_tok: Token) -> Call:
         self.expect("operator", "(")
+        self.nest()
         args: list[Expr] = []
         if not self.at("operator", ")"):
             while True:
@@ -251,6 +273,7 @@ class _Parser:
                     self.advance()
                     continue
                 break
+        self.depth -= 1
         close = self.expect("operator", ")")
         return Call(
             span=Span(name_tok.span.start, close.span.end),
@@ -264,7 +287,8 @@ def parse(tokens: list[Token]) -> Module:
     """Parse a token sequence (as produced by `tokenize`) into a Module.
 
     Raises MiniLangSyntaxError with the offending token index and the set of
-    kinds/texts that were acceptable there.
+    kinds/texts that were acceptable there, or with an empty set when the
+    input nests deeper than `MAX_NESTING`.
     """
     return _Parser(tokens).parse_module()
 

@@ -71,7 +71,7 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(
             self.config,
-            {k: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad) for k, t in self.tensors.items()},
+            {k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()},
         )
 
 
@@ -141,7 +141,7 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
             data = np.zeros(shape, dtype=dtype)
         else:
             data = _trunc_normal(rng, shape, 0.02, dtype)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(data)
     return ModelParams(config, tensors)
 
 
@@ -246,16 +246,22 @@ def mlm_logits(params: ModelParams, final_hidden: Tensor) -> Tensor:
 def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
     """Run loss_fn(params), backprop, and return (loss value, grads by name).
 
-    Tensors with no influence on the loss get zero gradients.
+    Tensors with no influence on the loss get zero gradients. Parameters
+    require gradients only during this call, so every other forward records
+    no graph and frees its intermediates as it goes.
     """
     for t in params.tensors.values():
         t.requires_grad = True
         t.grad = None
-    loss = loss_fn(params)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"loss is {value}")
-    loss.backward()
+    try:
+        loss = loss_fn(params)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NonFiniteLoss(f"loss is {value}")
+        loss.backward()
+    finally:
+        for t in params.tensors.values():
+            t.requires_grad = False
     return value, {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data)) for name, t in params.tensors.items()
     }

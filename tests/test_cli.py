@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from codeflow.checkpoint import load_checkpoint
+from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.cli import main
+from codeflow.encoding import build_vocab
 from codeflow.model import ModelConfig, init_params
 from helpers import clone_corpus, overfit_corpus, search_pairs
 
@@ -398,3 +402,154 @@ class TestAttentionSplit:
         )
         assert code == 0
         assert json.loads(stdout)["overall"] == {"code_fraction": 1.0, "node_fraction": 0.0}
+
+
+class TestCheckpointBoundaries:
+    def test_vocab_larger_than_checkpoint_is_data_error(self, tmp_path, capsys):
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=16, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        corpus = write_corpus(tmp_path, overfit_corpus(4))
+        vocab = build_vocab([(it.docstring, it.code) for it in overfit_corpus(4)], 64)
+        assert len(vocab) > 16
+        (tmp_path / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
+        code, _, err = run(capsys, "attention-split", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "model.gcb"))
+        assert code == 2
+        assert err.count("\n") == 1 and "vocab_size 16" in err
+
+    def test_model_limits_come_from_the_checkpoint(self, tmp_path, capsys):
+        # the checkpoint's 128 positions, not the 512 of the flags' defaults
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=512, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        search = write_search_corpus(tmp_path)
+        vocab = build_vocab([(q, c) for q, c in search_pairs(4)], 512)
+        (tmp_path / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
+        for command in ("eval-search", "attention-split"):
+            code, _, err = run(
+                capsys, command, "--corpus", str(search), "--checkpoint", str(tmp_path / "model.gcb"),
+                "--out", str(tmp_path / command),
+            )
+            assert (command, code, err) == (command, 0, "")
+
+    def test_deeply_nested_file_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "deep.txt"
+        f.write_text("x = " + "(" * 3000 + "a" + ")" * 3000 + "\n")
+        code, _, err = run(capsys, "extract-dfg", str(f))
+        assert code == 2 and err.count("\n") == 1 and "nesting deeper than" in err
+
+
+# -- seeded fuzzing of the input boundaries -----------------------------------
+
+FUZZ_CASES = 30  # per input kind; fixed so the suite's run time stays put
+
+HOSTILE_VALUES = [5, None, [], {}, True, 1e400, "", "\x00", "\ud800", "(" * 300 + "a" + ")" * 300]
+HOSTILE_ROWS = ["[1, 2]", "5", "null", '"code"', "{}", "{", '{"code": "a = 1\\n"}', "NaN"]
+
+
+def _corrupt(rng, data: bytes) -> bytes:
+    """Truncate `data`, overwrite a few bytes, or insert random bytes."""
+    kind = int(rng.integers(3))
+    at = int(rng.integers(len(data) + 1))
+    if kind == 0:
+        return data[:at]
+    if kind == 1:
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 8))):
+            buf[int(rng.integers(len(buf)))] = int(rng.integers(256))
+        return bytes(buf)
+    return data[:at] + rng.bytes(int(rng.integers(1, 16))) + data[at:]
+
+
+def _corrupt_rows(rng, case: int, rows: list[dict]) -> bytes:
+    """By `case`, corrupt the bytes of the JSONL, give a random field of a
+    random row the next hostile value, or insert the next hostile line."""
+    kind, pick = case % 3, case // 3
+    lines = [json.dumps(r) for r in rows]
+    if kind == 0:
+        return _corrupt(rng, ("\n".join(lines) + "\n").encode("utf-8"))
+    at = int(rng.integers(len(rows)))
+    if kind == 1:
+        row = dict(rows[at])
+        row[sorted(row)[int(rng.integers(len(row)))]] = HOSTILE_VALUES[pick % len(HOSTILE_VALUES)]
+        lines[at] = json.dumps(row)
+    else:
+        lines.insert(at, HOSTILE_ROWS[pick % len(HOSTILE_ROWS)])
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
+def fuzz_main(argv) -> int:
+    """Run `main` with redirected streams and check the error contract: an
+    exit code in {0, 1, 2, 3}, at most one stderr line, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except BaseException as e:  # anything escaping main would print a traceback
+            pytest.fail(f"{argv[0]} raised {type(e).__name__}: {e}")
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv[0], code, message)
+    assert "Traceback" not in message
+    assert message.count("\n") <= 1 and (not message or message.endswith("\n")), message
+    return code
+
+
+class TestCliFuzz:
+    @pytest.fixture
+    def model_dir(self, tmp_path):
+        """A small checkpoint with a 16-token vocabulary and its vocab file."""
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=16, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        vocab = build_vocab([(q, c) for q, c in search_pairs(4)], 16)
+        (tmp_path / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
+        return tmp_path
+
+    def test_malformed_jsonl(self, tmp_path):
+        rng = np.random.default_rng(0)
+        search = [{"code": c, "docstring": q, "lang": "python"} for q, c in search_pairs(4)]
+        clones = [{"code_a": a, "code_b": b, "label": y} for a, b, y in clone_corpus()]
+        corpus = tmp_path / "corpus.jsonl"
+        codes = set()
+        for case in range(FUZZ_CASES):
+            command = ("eval-search", "pretrain", "attention-split", "eval-clone")[case % 4]
+            corpus.write_bytes(_corrupt_rows(rng, case, clones if command == "eval-clone" else search))
+            extra = ["--steps", "1", "--batch-size", "2"] if command == "pretrain" else []
+            codes.add(fuzz_main([command, "--corpus", str(corpus), "--out", str(tmp_path / "o"), *extra, *SMALL_MODEL]))
+        assert 2 in codes
+
+    def test_malformed_vocab(self, tmp_path, model_dir):
+        rng = np.random.default_rng(1)
+        corpus = write_search_corpus(tmp_path)
+        good = (model_dir / "vocab.txt").read_bytes()
+        hostile = [b"orphan\n", b"tok\tseven\n", b"tok\t-3\n", b"tok\t99999\n", b"\n".join(b"w%d\t%d" % (i, i) for i in range(40))]
+        vocab = tmp_path / "fuzzed_vocab.txt"
+        codes = set()
+        for case in range(FUZZ_CASES):
+            if case % 2:
+                vocab.write_bytes(_corrupt(rng, good))
+            else:
+                vocab.write_bytes(good + hostile[int(rng.integers(len(hostile)))])
+            command = ("eval-search", "attention-split")[(case // 2) % 2]
+            codes.add(fuzz_main([
+                command, "--corpus", str(corpus), "--checkpoint", str(model_dir / "model.gcb"),
+                "--vocab", str(vocab), "--out", str(tmp_path / "o"),
+            ]))
+        assert 2 in codes
+
+    def test_malformed_checkpoint(self, tmp_path, model_dir):
+        rng = np.random.default_rng(2)
+        corpus = write_search_corpus(tmp_path)
+        good = (model_dir / "model.gcb").read_bytes()
+        (config_len,) = struct.unpack("<I", good[4:8])
+        hostile_configs = [b"[]", b'{"num_heads": 3}', b'{"hidden_dim": "x"}', b"\xff\xfe", b'{"num_layers": -1}']
+        checkpoint = tmp_path / "fuzzed.gcb"
+        codes = set()
+        for case in range(FUZZ_CASES):
+            if case % 2:
+                checkpoint.write_bytes(_corrupt(rng, good))
+            else:
+                config = hostile_configs[int(rng.integers(len(hostile_configs)))]
+                checkpoint.write_bytes(good[:4] + struct.pack("<I", len(config)) + config + good[8 + config_len :])
+            codes.add(fuzz_main([
+                "eval-search", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                "--vocab", str(model_dir / "vocab.txt"), "--out", str(tmp_path / "o"),
+            ]))
+        assert 2 in codes

@@ -134,3 +134,12 @@ def test_empty_module():
     g = extract_dfg("")
     assert g.nodes == ()
     assert g.edges == frozenset()
+
+
+def test_long_operator_chain():
+    # A 2000-term chain is a 2000-deep tree; the expression walks are iterative.
+    g = extract_dfg("def f(a):\n    b = " + " + ".join(["a"] * 2000) + "\n    return b\n")
+    assert len(g.nodes) == 2003
+    param, b_def, *uses, b_use = (n.id for n in g.nodes)
+    assert g.edges == {(param, u) for u in uses} | {(u, b_def) for u in uses} | {(b_def, b_use)}
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import codeflow.downstream as downstream
 from codeflow.downstream import (
     CloneExample,
     DimensionMismatch,
@@ -25,10 +26,10 @@ from codeflow.downstream import (
     rank_candidates,
 )
 from codeflow.dfg import extract_dfg
-from codeflow.encoding import additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.encoding import PAD, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.model import ModelConfig, forward, init_params
 from codeflow.pretrain import CorpusItem
-from helpers import clone_corpus, search_pairs
+from helpers import clone_corpus, random_program, search_pairs
 
 MAX_POSITIONS = 128
 
@@ -171,6 +172,79 @@ class TestVectorEncoders:
         _, _, vocab, params, _ = search_fixture()
         with pytest.raises(ParseFailure):
             encode_code("def f(:\n", params, vocab)
+
+
+def single_forward_cls(params, ex, use_dataflow):
+    """The [CLS] vector of one example from its own unbatched forward."""
+    mask = additive_mask(build_attention_mask(ex, use_dataflow), dtype=params.tensors["tok_emb"].data.dtype)
+    return forward(params, ex.ids, ex.position_ids, mask).final.data[0]
+
+
+class TestGroupedVectors:
+    """`_cls_vectors` encodes equal-length examples together, unpadded; each
+    vector must equal the example's own single forward bit for bit."""
+
+    CAP = 64  # positions per forward, small enough to split the groups here
+
+    def fuzzed_corpus(self, seed, use_dataflow):
+        rng = np.random.default_rng(seed)
+        pairs = search_pairs(24)  # four code templates, so many equal lengths
+        pairs += [(pairs[i][0], random_program(rng)) for i in range(12)]
+        order = rng.permutation(len(pairs))
+        pairs = [pairs[int(i)] for i in order]
+        vocab = build_vocab(pairs, 96)
+        params = init_params(tiny_config(seed=seed, max_positions=512))
+        examples = prepare_search_examples(pairs, vocab, max_positions=512, use_dataflow=use_dataflow)
+        return params, examples
+
+    def spy_forwards(self, monkeypatch):
+        shapes = []
+
+        def spy(params, ids, positions, mask):
+            shapes.append(np.shape(ids))
+            assert np.all(np.asarray(ids) != PAD), "a grouped forward must not pad"
+            return forward(params, ids, positions, mask)
+
+        monkeypatch.setattr(downstream, "forward", spy)
+        monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
+        return shapes
+
+    @pytest.mark.parametrize("use_dataflow", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_single_forwards(self, monkeypatch, seed, use_dataflow):
+        params, examples = self.fuzzed_corpus(seed, use_dataflow)
+        for side, flag in (("code_encoded", use_dataflow), ("query_encoded", False)):
+            encoded = [getattr(ex, side) for ex in examples]
+            shapes = self.spy_forwards(monkeypatch)
+            got = downstream._cls_vectors(params, encoded, flag)
+            monkeypatch.undo()
+            want = np.stack([single_forward_cls(params, ex, flag) for ex in encoded])
+            assert got.dtype == np.float32 and np.array_equal(got, want), side
+            lengths = [len(ex) for ex in encoded]
+            expected = sum(-(-lengths.count(n) // max(1, self.CAP // n)) for n in set(lengths))
+            assert len(shapes) == expected
+            assert all(b * n <= self.CAP or b == 1 for b, n in shapes)
+            assert max(lengths.count(n) * n for n in set(lengths)) > self.CAP  # some group was split
+
+    def test_public_encoders_and_clone_probability_agree(self):
+        pairs, cfg, vocab, params, examples = search_fixture()
+        for (query, code), ex in zip(pairs, examples):
+            assert np.array_equal(encode_text(query, params, vocab), single_forward_cls(params, ex.query_encoded, False))
+            assert np.array_equal(encode_code(code, params, vocab), single_forward_cls(params, ex.code_encoded, True))
+        a, b = single_forward_cls(params, examples[0].code_encoded, True), single_forward_cls(params, examples[1].code_encoded, True)
+        want = 1.0 / (1.0 + np.exp(-float(a @ b) / np.sqrt(cfg.hidden_dim)))
+        assert clone_probability(pairs[0][1], pairs[1][1], params, vocab) == want
+
+    @pytest.mark.parametrize("use_dataflow", [True, False])
+    def test_evaluate_search_equals_per_example_reference(self, use_dataflow):
+        params, examples = self.fuzzed_corpus(3, use_dataflow)
+        codes = np.stack([single_forward_cls(params, ex.code_encoded, use_dataflow) for ex in examples])
+        codes = codes.astype(np.float64)
+        ranks = []
+        for gold, ex in enumerate(examples):
+            scores = codes @ single_forward_cls(params, ex.query_encoded, False).astype(np.float64)
+            ranks.append(1 + int(np.sum(scores > scores[gold])) + int(np.sum(scores[:gold] == scores[gold])))
+        assert evaluate_search(params, examples, use_dataflow) == float(np.mean([1.0 / r for r in ranks]))
 
 
 # -- search ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from codeflow.frontend import (
     tokenize,
     walk,
 )
+from codeflow.frontend.parser import MAX_NESTING
 from helpers import random_program
 
 
@@ -193,6 +194,21 @@ class TestParser:
     def test_statement_keyword_expected(self):
         with pytest.raises(MiniLangSyntaxError):
             parse_source("= 3\n")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: "x = " + "(" * n + "a" + ")" * n + "\n",
+            lambda n: "x = " + "f(" * n + "a" + ")" * n + "\n",
+            lambda n: "".join("    " * i + "if a > 0:\n" for i in range(n)) + "    " * n + "x = 1\n",
+            lambda n: "if a:\n    x = 1\n" + "elif a:\n    x = 1\n" * (n - 1),  # the last arm's block is level n
+        ],
+        ids=["parentheses", "calls", "blocks", "elif"],
+    )
+    def test_nesting_limit(self, build):
+        parse_source(build(MAX_NESTING))
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper than"):
+            parse_source(build(MAX_NESTING + 1))
 
 
 class TestPretty:

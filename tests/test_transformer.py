@@ -90,6 +90,17 @@ class TestAutogradOps:
         col = np.array([[0.7], [-1.2], [0.4]])
         check_grads(lambda a, b: ag.tsum(ag.mul(a, b) * Tensor(self.w)), self.x, col)
 
+    def test_add_and_mul_skip_a_constant_operand(self):
+        x = Tensor(self.x, requires_grad=True)
+        const = Tensor(self.y)
+        g = self.w
+        for op in (ag.add, ag.mul):
+            grad_x, grad_c = op(x, const)._vjp(g)
+            assert grad_x is not None and grad_c is None
+            grad_c, grad_x = op(const, x)._vjp(g)
+            assert grad_c is None and grad_x is not None
+            assert np.array_equal(grad_x, g if op is ag.add else g * self.y)
+
     def test_power(self):
         check_grads(lambda a: ag.tsum(ag.power(a, 3.0) * Tensor(self.w)), self.x)
 
@@ -656,6 +667,56 @@ class TestModelGradients:
         params = init_params(small_config())
         with pytest.raises(NonFiniteLoss):
             compute_gradients(lambda p: Tensor(np.array(np.inf)), params)
+
+
+class TestGraphFreeInference:
+    """Parameters require gradients only inside `compute_gradients`, so every
+    other forward records no graph."""
+
+    @staticmethod
+    def assert_graph_free(params):
+        assert not any(t.requires_grad for t in params.tensors.values())
+        ex = encoded()
+        acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+        for h in acts.hidden:
+            assert not h.requires_grad and h._parents == () and h._vjp is None
+
+    def test_after_init_params(self):
+        self.assert_graph_free(init_params(small_config()))
+        self.assert_graph_free(init_params(small_config()).astype(np.float64))
+
+    def test_after_load_checkpoint(self, tmp_path):
+        save_checkpoint(tmp_path / "m.gcb", init_params(small_config()))
+        self.assert_graph_free(load_checkpoint(tmp_path / "m.gcb"))
+
+    def test_after_compute_gradients(self):
+        params = init_params(small_config())
+        ex = encoded()
+        mask = additive_mask(build_attention_mask(ex))
+        recorded = []
+
+        def loss_fn(p):
+            final = forward(p, ex.ids, ex.position_ids, mask).final
+            recorded.append(final.requires_grad and final._parents != ())
+            return ag.tsum(final)
+
+        _, grads = compute_gradients(loss_fn, params)
+        assert recorded == [True]
+        assert np.abs(grads["tok_emb"]).sum() > 0
+        self.assert_graph_free(params)
+
+    @pytest.mark.parametrize("failure", [NonFiniteLoss, KeyError])
+    def test_after_a_failed_compute_gradients(self, failure):
+        params = init_params(small_config())
+
+        def loss_fn(p):
+            if failure is KeyError:
+                return p.tensors["no such tensor"]
+            return ag.add(ag.tsum(p.tensors["mlm.b"]), np.inf)
+
+        with pytest.raises(failure):
+            compute_gradients(loss_fn, params)
+        self.assert_graph_free(params)
 
 
 # -- optimizer ---------------------------------------------------------------
