@@ -51,6 +51,7 @@ from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
     Objectives,
+    encode_corpus,
     load_corpus,
     pretrain_run,
     str_fields,
@@ -270,9 +271,10 @@ def _write_artifacts(rc: RunConfig, metrics: dict | None = None) -> None:
         (out / "metrics.json").write_text(json.dumps(metrics, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_model(rc: RunConfig, items=None):
+def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
     """Either load checkpoint + vocab from disk or build both fresh from the
-    corpus so evaluation commands also work on untrained weights."""
+    corpus's ``(comment, code)`` pairs `texts`, so evaluation commands also
+    work on untrained weights."""
     if rc.checkpoint is not None:
         params = load_checkpoint(rc.checkpoint)
         vocab_path = Path(rc.vocab) if rc.vocab else Path(rc.checkpoint).parent / "vocab.txt"
@@ -284,11 +286,7 @@ def _load_model(rc: RunConfig, items=None):
                 f"more than the checkpoint's vocab_size {size}"
             )
         return params, vocab
-    if items is None:
-        raise BadFlags(f"{rc.command} requires --checkpoint when no corpus is given")
-    params = init_params(rc.model_config())
-    vocab = build_vocab([(it.docstring, it.code) for it in items], rc.vocab_size)
-    return params, vocab
+    return init_params(rc.model_config()), build_vocab(texts, rc.vocab_size)
 
 
 # command handlers -----------------------------------------------------------
@@ -315,7 +313,7 @@ def _cmd_encode(rc: RunConfig) -> int:
         include_comment=bool(comment),
         include_dataflow=rc.use_dataflow,
     )
-    allow = build_attention_mask(example, use_dataflow=rc.use_dataflow)
+    allow = build_attention_mask(example)
     _print_json(
         {
             "ids": list(example.ids),
@@ -364,10 +362,9 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
     raw_items = filter_search_corpus(load_corpus(rc.corpus))
     if not raw_items:
         raise EmptyCorpus("no usable search examples after filtering")
-    params, vocab = _load_model(rc, raw_items)
-    examples = prepare_search_examples(
-        [(it.docstring, it.code) for it in raw_items], vocab, rc.limits(), params.config.max_positions, rc.use_dataflow
-    )
+    texts = [(it.docstring, it.code) for it in raw_items]
+    params, vocab = _load_model(rc, texts)
+    examples = prepare_search_examples(texts, vocab, rc.limits(), params.config.max_positions, rc.use_dataflow)
     if tune:
         params = finetune_search(
             examples,
@@ -376,9 +373,8 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
             lr=rc.lr,
             batch_size=rc.batch_size,
             epochs=rc.epochs,
-            use_dataflow=rc.use_dataflow,
         )
-    score = evaluate_search(params, examples, rc.use_dataflow)
+    score = evaluate_search(params, examples)
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     if tune:
@@ -409,10 +405,7 @@ def _load_clone_pairs(path) -> list[CloneExample]:
 def _cmd_clone(rc: RunConfig, tune: bool) -> int:
     _require(rc, "corpus", "out")
     pairs = _load_clone_pairs(rc.corpus)
-    if rc.checkpoint:
-        params, vocab = _load_model(rc)
-    else:
-        params, vocab = _load_model_from_codes(rc, pairs)
+    params, vocab = _load_model(rc, [("", p.code_a) for p in pairs] + [("", p.code_b) for p in pairs])
     if tune:
         params = finetune_clone(
             pairs,
@@ -440,32 +433,16 @@ def _cmd_clone(rc: RunConfig, tune: bool) -> int:
     return 0
 
 
-def _load_model_from_codes(rc: RunConfig, pairs: list[CloneExample]):
-    params = init_params(rc.model_config())
-    corpus = [("", p.code_a) for p in pairs] + [("", p.code_b) for p in pairs]
-    vocab = build_vocab(corpus, rc.vocab_size)
-    return params, vocab
-
-
 def _cmd_attention_split(rc: RunConfig) -> int:
     _require(rc, "corpus")
     items = load_corpus(rc.corpus)
-    params, vocab = _load_model(rc, items)
+    params, vocab = _load_model(rc, [(it.docstring, it.code) for it in items])
+    encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions, rc.use_dataflow)
     dtype = params.tensors["tok_emb"].data.dtype
     per_lang: dict[str, list[tuple[float, float]]] = {}
-    for item in items:
-        dfg = extract_dfg(item.code)
-        example = encode_example(
-            item.docstring,
-            item.code,
-            dfg,
-            vocab,
-            limits=rc.limits(),
-            max_positions=params.config.max_positions,
-            include_dataflow=rc.use_dataflow,
-        )
-        allow = build_attention_mask(example, use_dataflow=rc.use_dataflow)
-        acts = forward(params, example.ids, example.position_ids, additive_mask(allow, dtype=dtype))
+    for item, example in zip(items, encoded):
+        mask = additive_mask(build_attention_mask(example), dtype=dtype)
+        acts = forward(params, example.ids, example.position_ids, mask)
         per_lang.setdefault(item.lang, []).append(cls_attention_split(acts, example))
     report = {}
     everything = [f for fractions in per_lang.values() for f in fractions]

@@ -7,10 +7,16 @@ occurrence ``i``. Two rules generate edges:
 * assignment: ``x = expr`` adds an edge from every variable occurrence in
   ``expr`` to the target occurrence ``x``;
 * reaching definitions: every use receives an edge from each definition of
-  the same name that can reach it. ``if``/``else`` merges by union; loop
-  bodies are walked a second time from the merged environment so in-loop
-  definitions reach the loop header, the body (around the back edge) and
-  uses after the loop.
+  the same name that can reach it. ``if``/``else`` merges by union. A loop
+  is summarised by ``gen``: the definitions that leave its body when the
+  body is walked from an empty environment, memoised per loop. The body is
+  then walked once from ``entry | gen``, the union of the environment at
+  the loop and ``gen``, and that union is also the environment after the
+  loop. So in-loop definitions reach the loop header, the body (around the
+  back edge) and the uses after the loop. Every statement changes the
+  environment in gen/kill form, so a second walk would add nothing: one
+  walk reaches the fixpoint. A body nested k loops deep is walked k + 2
+  times, not 2^(k+1) times.
 
 Augmented assignment targets act as both a use (they receive edges from the
 prior reaching definitions) and the new definition. Function parameters are
@@ -75,6 +81,7 @@ class _Extractor:
         self.occurrences: list[tuple[int, str, str]] = []  # (token_index, name, role)
         self.node_id: dict[int, int] = {}  # token_index -> node id (after ordering)
         self.edges: set[tuple[int, int]] = set()
+        self.loop_gens: dict[int, _Env] = {}  # id(loop node) -> its body's gen set
 
     # -- pass 1: collect occurrences in token order ----------------------
 
@@ -152,21 +159,13 @@ class _Extractor:
             env_body = self.walk_body(node.body, dict(env))
             env_else = self.walk_body(node.orelse, dict(env)) if node.orelse else env
             return _merge(env_body, env_else)
-        if isinstance(node, While):
-            def one_pass(e: _Env) -> _Env:
-                self.uses_in(node.test, e)
-                return self.walk_body(node.body, dict(e))
-            after = one_pass(env)
-            after = one_pass(_merge(env, after))
-            return _merge(env, after)
-        if isinstance(node, For):
-            def one_pass(e: _Env) -> _Env:
-                sources = self.uses_in(node.iter, e)
-                e = self.define(node.target.token_index, node.target.id, sources, e)
-                return self.walk_body(node.body, dict(e))
-            after = one_pass(env)
-            after = one_pass(_merge(env, after))
-            return _merge(env, after)
+        if isinstance(node, (While, For)):
+            gen = self.loop_gens.get(id(node))
+            if gen is None:
+                gen = self.loop_gens[id(node)] = self.loop_pass(node, {})
+            entry = _merge(env, gen)  # the fixpoint at the loop header
+            self.loop_pass(node, entry)
+            return entry
         if isinstance(node, FunctionDef):
             # Fresh scope seeded by the parameters; no closure capture.
             inner: _Env = {}
@@ -182,6 +181,15 @@ class _Extractor:
             self.uses_in(node.value, env)
             return env
         raise TypeError(f"unexpected statement node: {node!r}")
+
+    def loop_pass(self, node: While | For, env: _Env) -> _Env:
+        """One iteration: the test (or the iterable and the target), then the body."""
+        if isinstance(node, While):
+            self.uses_in(node.test, env)
+        else:
+            sources = self.uses_in(node.iter, env)
+            env = self.define(node.target.token_index, node.target.id, sources, env)
+        return self.walk_body(node.body, dict(env))
 
     def uses_in(self, node: AstNode, env: _Env) -> set[int]:
         """Resolve every use in an expression against `env`, adding def->use

@@ -113,20 +113,20 @@ def encode_code_example(
 MAX_FORWARD_POSITIONS = 4096
 
 
-def _cls_rows(params: ModelParams, examples: list[EncodedExample], use_dataflow: bool = True) -> Tensor:
+def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
     """Final-layer [CLS] rows of `examples`, from one padded forward.
 
     Examples of equal length pad nothing, so each row is the unbatched
     encoding of its example."""
     ids, positions, mask = pad_batch(
-        [(ex.ids, ex.position_ids, build_attention_mask(ex, use_dataflow)) for ex in examples],
+        [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples],
         dtype=params.tensors["tok_emb"].data.dtype,
     )
     final = forward(params, ids, positions, mask).final
     return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
 
 
-def _cls_vectors(params: ModelParams, examples: list[EncodedExample], use_dataflow: bool = True) -> np.ndarray:
+def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
     """``(N, d)`` final-layer [CLS] vectors of `examples`, in order.
 
     Examples are grouped by exact length and each group is encoded by
@@ -140,14 +140,14 @@ def _cls_vectors(params: ModelParams, examples: list[EncodedExample], use_datafl
         per_forward = max(1, MAX_FORWARD_POSITIONS // length)
         for lo in range(0, len(members), per_forward):
             chunk = members[lo : lo + per_forward]
-            out[chunk] = _cls_rows(params, [examples[i] for i in chunk], use_dataflow).data
+            out[chunk] = _cls_rows(params, [examples[i] for i in chunk]).data
     return out
 
 
 def encode_text(query: str, params: ModelParams, vocab: Vocabulary, limits: Limits = Limits()) -> np.ndarray:
     """Final-layer [CLS] vector of the comment-only encoding of `query`."""
     ex = encode_query_example(query, vocab, limits, params.config.max_positions)
-    return _cls_vectors(params, [ex], use_dataflow=False)[0]
+    return _cls_vectors(params, [ex])[0]
 
 
 def encode_code(
@@ -159,7 +159,7 @@ def encode_code(
 ) -> np.ndarray:
     """Final-layer [CLS] vector of the code(+nodes) encoding, no comment segment."""
     ex = encode_code_example(code, vocab, limits, params.config.max_positions, use_dataflow)
-    return _cls_vectors(params, [ex], use_dataflow)[0]
+    return _cls_vectors(params, [ex])[0]
 
 
 # ranking --------------------------------------------------------------------
@@ -189,12 +189,13 @@ def mrr(rankings) -> float:
     return float(np.mean([1.0 / r for r in ranks]))
 
 
-def evaluate_search(params: ModelParams, examples: list[SearchExample], use_dataflow: bool = True) -> float:
-    """Whole-corpus protocol: every example's code is a candidate for every query."""
+def evaluate_search(params: ModelParams, examples: list[SearchExample]) -> float:
+    """Whole-corpus protocol: every example's code is a candidate for every
+    query. The examples' encodings decide whether data flow is used."""
     if not examples:
         raise EmptyInput("no search examples")
-    code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples], use_dataflow).astype(np.float64)
-    query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples], use_dataflow=False)
+    code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples]).astype(np.float64)
+    query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples])
     return mrr([rank_candidates(qv, code_vecs, gold_id=qid, query_id=qid) for qid, qv in enumerate(query_vecs)])
 
 
@@ -228,7 +229,6 @@ def finetune_search(
     lr: float = 1e-3,
     batch_size: int = 8,
     epochs: int = 20,
-    use_dataflow: bool = True,
     val_examples: list[SearchExample] | None = None,
     patience: int = 3,
 ) -> ModelParams:
@@ -252,8 +252,7 @@ def finetune_search(
 
             def loss_fn(p: ModelParams) -> Tensor:
                 n = len(batch)
-                # Queries have no nodes, so their mask is the same under either flag.
-                cls = _cls_rows(p, [ex.query_encoded for ex in batch] + [ex.code_encoded for ex in batch], use_dataflow)
+                cls = _cls_rows(p, [ex.query_encoded for ex in batch] + [ex.code_encoded for ex in batch])
                 q_rows, c_rows = ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))
                 scores = ag.matmul(q_rows, ag.transpose(c_rows))
                 log_probs = ag.log_softmax(scores, axis=-1)
@@ -263,7 +262,7 @@ def finetune_search(
             _, grads = compute_gradients(loss_fn, params)
             adam_step(params, grads, state, lr)
         if val_examples:
-            score = evaluate_search(params, val_examples, use_dataflow)
+            score = evaluate_search(params, val_examples)
             if score > best_val:
                 best_val = score
                 best_snapshot = {k: t.data.copy() for k, t in params.tensors.items()}
@@ -291,9 +290,7 @@ def clone_probability(
 ) -> float:
     max_positions = params.config.max_positions
     ha, hb = _cls_vectors(
-        params,
-        [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in (code_a, code_b)],
-        use_dataflow,
+        params, [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in (code_a, code_b)]
     )
     scaled = float(ha @ hb) / math.sqrt(params.config.hidden_dim)
     return float(1.0 / (1.0 + np.exp(-scaled)))
@@ -333,7 +330,7 @@ def finetune_clone(
 
             def loss_fn(p: ModelParams) -> Tensor:
                 n = len(batch)
-                cls = _cls_rows(p, [a for a, _, _ in batch] + [b for _, b, _ in batch], use_dataflow)
+                cls = _cls_rows(p, [a for a, _, _ in batch] + [b for _, b, _ in batch])
                 dots = ag.tsum(ag.mul(ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))), axis=1)
                 signed_scale = np.array([scale if label else -scale for _, _, label in batch], dtype=dots.dtype)
                 return ag.mul(ag.tmean(ag.log_sigmoid(ag.mul(dots, signed_scale))), -1.0)

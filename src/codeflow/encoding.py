@@ -254,17 +254,16 @@ def assign_positions(example: EncodedExample, max_positions: int = 512) -> tuple
     return tuple(out)
 
 
-def build_attention_mask(example: EncodedExample, use_dataflow: bool = True) -> np.ndarray:
+def build_attention_mask(example: EncodedExample) -> np.ndarray:
     """Boolean allow-matrix: ``mask[i, j]`` is True when query ``i`` may
     attend key ``j``.
 
     Allowed entries: special-token queries see every key; any pair within
     the special/comment/code block; a node query sees the source of each of
     its incoming data-flow edges; node<->code alignment links both ways; a
-    node sees itself.
+    node sees itself. An example encoded without data flow has no nodes, so
+    its mask allows every pair.
     """
-    if not use_dataflow and example.node_positions:
-        raise ValueError("use_dataflow=False requires an example with no node positions")
     n = len(example)
     segs = example.segments
     is_node = np.array([s == SEG_NODE for s in segs], dtype=bool)

@@ -84,13 +84,16 @@ class CorpusItem:
 
 def str_fields(obj, names: tuple[str, ...]) -> list[str]:
     """The `names` fields of one parsed JSONL row. Raises KeyError for a
-    missing field and TypeError when the row is not an object or a field is
-    not a string."""
+    missing field, TypeError when the row is not an object or a field is not
+    a string, and UnicodeEncodeError for a string that is not valid UTF-8
+    (a lone surrogate such as the JSON escape ``"\\ud800"``)."""
     values = []
     for name in names:
         value = obj[name]
         if not isinstance(value, str):
             raise TypeError(f"field {name!r} must be a string, not {type(value).__name__}")
+        if not value.isascii():
+            value.encode("utf-8")  # raises on a lone surrogate
         values.append(value)
     return values
 
@@ -103,7 +106,7 @@ def load_corpus(path) -> list[CorpusItem]:
         try:
             code, docstring, lang = str_fields(json.loads(line), ("code", "docstring", "lang"))
             items.append(CorpusItem(code=code, docstring=docstring, lang=lang))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError and UnicodeEncodeError are ValueErrors
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     if not items:
         raise EmptyCorpus(f"no corpus entries in {path}")
@@ -184,18 +187,17 @@ def mlm_loss(activations: Activations, targets: MlmBatchTarget, params: ModelPar
 
 
 @dataclass(frozen=True)
-class EdgeTargetSet:
-    sampled_positions: tuple[int, ...]
-    masked_edges: tuple[tuple[int, int], ...]  # <src_pos, dst_pos>
-    candidates: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...]
-    mask: np.ndarray  # boolean allow-matrix with the masked edges blocked
+class StructureTargets:
+    """Candidate pairs of one structure objective for one example.
 
+    `masked` holds the relations hidden from attention: <src_pos, dst_pos>
+    data-flow edges for edge prediction, <node_pos, code_pos> links for node
+    alignment. The candidates are those positives followed by the sampled
+    negatives, labelled 1 and 0; `mask` is the boolean allow-matrix with the
+    masked relations blocked."""
 
-@dataclass(frozen=True)
-class AlignTargetSet:
     sampled_positions: tuple[int, ...]
-    masked_links: tuple[tuple[int, int], ...]  # <node_pos, code_pos>
+    masked: tuple[tuple[int, int], ...]
     candidates: tuple[tuple[int, int], ...]
     labels: tuple[int, ...]
     mask: np.ndarray
@@ -208,15 +210,29 @@ def _sample_node_subset(example: EncodedExample, rng: np.random.Generator) -> tu
     return tuple(sorted(nodes[int(i)] for i in chosen))
 
 
-def _sample_negatives(pool: list, count: int, rng: np.random.Generator) -> list:
-    take = min(count, len(pool))
-    if take == 0:
-        return []
-    idx = rng.choice(len(pool), size=take, replace=False)
-    return [pool[int(i)] for i in sorted(idx)]
+def _build_targets(
+    example: EncodedExample, rng: np.random.Generator, sampled: tuple[int, ...], positives: list, pool: list, hidden: list
+) -> StructureTargets:
+    """The tail both samplers share: draw up to one negative per positive
+    from `pool`, and block the ``(query, key)`` entries in `hidden` in a copy
+    of the example's mask."""
+    negatives = []
+    if take := min(len(positives), len(pool)):
+        negatives = [pool[int(i)] for i in sorted(rng.choice(len(pool), size=take, replace=False))]
+    allow = np.array(build_attention_mask(example))
+    for query, key in hidden:
+        allow[query, key] = False
+    allow.flags.writeable = False
+    return StructureTargets(
+        sampled_positions=sampled,
+        masked=tuple(positives),
+        candidates=tuple(positives + negatives),
+        labels=tuple([1] * len(positives) + [0] * len(negatives)),
+        mask=allow,
+    )
 
 
-def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> EdgeTargetSet:
+def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets:
     nodes = example.node_positions
     if not nodes:
         raise NoNodes("example has no variable nodes")
@@ -238,73 +254,63 @@ def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> Ed
         - mirrored
         - {(a, a) for a in sampled}
     )
-    negatives = _sample_negatives(pool, len(positives), rng)
-    allow = np.array(build_attention_mask(example))
-    for src, dst in positives:
-        allow[dst, src] = False
-    allow.flags.writeable = False
-    return EdgeTargetSet(
-        sampled_positions=sampled,
-        masked_edges=tuple(positives),
-        candidates=tuple(positives + negatives),
-        labels=tuple([1] * len(positives) + [0] * len(negatives)),
-        mask=allow,
-    )
+    return _build_targets(example, rng, sampled, positives, pool, [(dst, src) for src, dst in positives])
 
 
-def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> AlignTargetSet:
-    nodes = example.node_positions
-    if not nodes:
+def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets:
+    if not example.node_positions:
         raise NoNodes("example has no variable nodes")
     sampled = _sample_node_subset(example, rng)
     in_sample = set(sampled)
     links = sorted(example.node_token_links)
     positives = [l for l in links if l[0] in in_sample]
     pool = sorted({(v, c) for v in sampled for c in example.code_positions} - set(links))
-    negatives = _sample_negatives(pool, len(positives), rng)
-    allow = np.array(build_attention_mask(example))
-    for node_pos, code_pos in positives:
-        allow[node_pos, code_pos] = False
-        allow[code_pos, node_pos] = False
-    allow.flags.writeable = False
-    return AlignTargetSet(
-        sampled_positions=sampled,
-        masked_links=tuple(positives),
-        candidates=tuple(positives + negatives),
-        labels=tuple([1] * len(positives) + [0] * len(negatives)),
-        mask=allow,
-    )
+    hidden = positives + [(c, v) for v, c in positives]
+    return _build_targets(example, rng, sampled, positives, pool, hidden)
+
+
+def structure_targets(example: EncodedExample, objective: str, rng: np.random.Generator) -> StructureTargets | None:
+    """Targets of `objective` ("edgepred" or "nodealign") for one example, or
+    None when it has no nodes, no edges to predict or no candidates."""
+    try:
+        if objective == "edgepred":
+            targets = sample_edge_targets(example, rng)
+        elif objective == "nodealign":
+            targets = sample_align_targets(example, rng)
+        else:
+            raise ValueError(f"unknown objective {objective!r}")
+    except (NoNodes, NoEdges):
+        return None
+    return targets if targets.candidates else None
+
+
+def _pair_dots(final: Tensor, candidates) -> Tensor:
+    """h_i . h_j per candidate row pair."""
+    left = ag.take_rows(final, [i for i, _ in candidates])
+    right = ag.take_rows(final, [j for _, j in candidates])
+    return ag.tsum(ag.mul(left, right), axis=1)
 
 
 def _pair_log_likelihoods(final: Tensor, candidates, labels) -> Tensor:
     """log sigmoid(+-h_i . h_j) per candidate row pair: + for label 1, - for label 0."""
-    left = ag.take_rows(final, [i for i, _ in candidates])
-    right = ag.take_rows(final, [j for _, j in candidates])
-    dots = ag.tsum(ag.mul(left, right), axis=1)
     signs = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(final.dtype)
-    return ag.log_sigmoid(ag.mul(dots, signs))
+    return ag.log_sigmoid(ag.mul(_pair_dots(final, candidates), signs))
 
 
-def edge_pred_loss(activations: Activations, target_set: EdgeTargetSet, params: ModelParams) -> Tensor:
-    if not target_set.candidates:
-        raise ValueError("empty edge candidate set")
-    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, target_set.candidates, target_set.labels)), -1.0)
+def pair_loss(activations: Activations, targets: StructureTargets) -> Tensor:
+    """Mean negative log-likelihood of the candidate labels under the
+    sigmoid dot-product scorer; one loss for both structure objectives."""
+    if not targets.candidates:
+        raise ValueError("empty structure candidate set")
+    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, targets.candidates, targets.labels)), -1.0)
 
 
-def node_align_loss(activations: Activations, target_set: AlignTargetSet, params: ModelParams) -> Tensor:
-    if not target_set.candidates:
-        raise ValueError("empty alignment candidate set")
-    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, target_set.candidates, target_set.labels)), -1.0)
-
-
-def batch_loss(
-    params: ModelParams, prepared, structure: str | None, use_dataflow: bool = True
-) -> tuple[Tensor, dict[str, float]]:
+def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Tensor, dict[str, float]]:
     """Pre-training loss of a batch from one padded forward.
 
     `prepared` holds ``(example, mlm targets, structure targets or None)``
     per example. The loss is the mean over examples of `mlm_loss`, plus the
-    mean over examples with structure targets of their `structure` pair loss,
+    mean over examples with structure targets of their `pair_loss`,
     exactly as if every example ran through its own forward: each row is
     weighted by one over (examples counted) x (that example's rows). Returns
     the loss and its parts by objective name.
@@ -312,7 +318,7 @@ def batch_loss(
     dtype = params.tensors["tok_emb"].data.dtype
     ids, positions, mask = pad_batch(
         [
-            (mlm_t.masked_ids, ex.position_ids, build_attention_mask(ex, use_dataflow) if tset is None else tset.mask)
+            (mlm_t.masked_ids, ex.position_ids, build_attention_mask(ex) if tset is None else tset.mask)
             for ex, mlm_t, tset in prepared
         ],
         dtype=dtype,
@@ -440,34 +446,20 @@ def pretrain_run(
         lang_pool = by_lang[sampler.sample(rng)]
         picks = rng.choice(len(lang_pool), size=batch_size, replace=len(lang_pool) < batch_size)
         batch = [encoded[lang_pool[int(i)]] for i in picks]
-        structure = "edgepred" if step % 2 == 0 else "nodealign"
-        if structure == "edgepred" and not objectives.edge_pred:
-            structure = None
-        if structure == "nodealign" and not objectives.node_align:
-            structure = None
+        if step % 2 == 0:
+            structure = "edgepred" if objectives.edge_pred else None
+        else:
+            structure = "nodealign" if objectives.node_align else None
 
         prepared = []
         for ex in batch:
             mlm_t = select_mlm_targets(ex, rng, len(vocab))
-            tset = None
-            if structure == "edgepred":
-                try:
-                    tset = sample_edge_targets(ex, rng)
-                except (NoNodes, NoEdges):
-                    tset = None
-            elif structure == "nodealign":
-                try:
-                    tset = sample_align_targets(ex, rng)
-                except NoNodes:
-                    tset = None
-            if tset is not None and not tset.candidates:
-                tset = None
-            prepared.append((ex, mlm_t, tset))
+            prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
 
         parts: dict[str, float] = {}
 
         def loss_fn(p: ModelParams) -> Tensor:
-            total, found = batch_loss(p, prepared, structure, use_dataflow)
+            total, found = batch_loss(p, prepared, structure)
             parts.update(found)
             return total
 
@@ -477,7 +469,7 @@ def pretrain_run(
             raise DivergedLoss(f"step {step}: {e}") from e
         adam_step(params, grads, state, lr)
         log.append((step, "mlm", parts["mlm"]))
-        if structure is not None and structure in parts:
+        if structure in parts:
             log.append((step, structure, parts[structure]))
 
     return PretrainResult(params=params, vocab=vocab, loss_log=log, adam=state)
@@ -503,23 +495,14 @@ def structure_accuracy(
     correct = 0
     total = 0
     for ex in encoded:
-        try:
-            if objective == "edgepred":
-                tset = sample_edge_targets(ex, rng)
-            elif objective == "nodealign":
-                tset = sample_align_targets(ex, rng)
-            else:
-                raise ValueError(f"unknown objective {objective!r}")
-        except (NoNodes, NoEdges):
-            continue
-        if not tset.candidates:
+        tset = structure_targets(ex, objective, rng)
+        if tset is None:
             continue
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask, dtype=dtype))
-        h = acts.final.data
-        for (i, j), y in zip(tset.candidates, tset.labels):
-            p = 1.0 / (1.0 + np.exp(-float(h[i] @ h[j])))
-            correct += int((p > threshold) == bool(y))
-            total += 1
+        dots = _pair_dots(acts.final, tset.candidates).data.astype(np.float64)
+        p = 1.0 / (1.0 + np.exp(-dots))
+        correct += int(np.count_nonzero((p > threshold) == (np.asarray(tset.labels) == 1)))
+        total += len(tset.candidates)
     if total == 0:
         raise ValueError("no structure candidates in the given examples")
     return correct / total

@@ -1,7 +1,8 @@
 """Shared test utilities: a seeded random-program generator that emits
 canonical-style source (so pretty-printing is a fixed point), an independent
-entry-by-entry attention-mask oracle, a layer norm composed from autograd
-primitives, and small synthetic corpora."""
+entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
+data-flow oracle, a layer norm composed from autograd primitives, and small
+synthetic corpora."""
 
 from __future__ import annotations
 
@@ -55,11 +56,12 @@ def _condition(rng, names):
     )
 
 
-def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0) -> ast.AstNode:
-    # Weight assignments heavily so most programs carry data flow.
+def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0, max_depth: int = 2) -> ast.AstNode:
+    # Weight assignments heavily so most programs carry data flow. Compound
+    # statements appear only above `max_depth`.
     roll = rng.random()
     fresh = _pick(rng, IDENTIFIERS)
-    if roll < 0.45 or depth >= 2:
+    if roll < 0.45 or depth >= max_depth:
         target = fresh if rng.random() < 0.5 or not names else _pick(rng, names)
         stmt = ast.Assign(SPAN, ast.Name(SPAN, target, -1), random_expr(rng, names))
         if target not in names:
@@ -69,32 +71,34 @@ def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0) -> a
         op = _pick(rng, ["+=", "-=", "*=", "/="])
         return ast.AugAssign(SPAN, ast.Name(SPAN, _pick(rng, names), -1), op, random_expr(rng, names))
     if roll < 0.7:
-        body = random_block(rng, names, depth + 1)
+        body = random_block(rng, names, depth + 1, max_depth)
         orelse: tuple = ()
         branch = rng.random()
         if branch < 0.3:
-            orelse = random_block(rng, list(names), depth + 1)
+            orelse = random_block(rng, list(names), depth + 1, max_depth)
         elif branch < 0.45:
-            orelse = (ast.If(SPAN, _condition(rng, names), random_block(rng, list(names), depth + 1), ()),)
+            orelse = (ast.If(SPAN, _condition(rng, names), random_block(rng, list(names), depth + 1, max_depth), ()),)
         return ast.If(SPAN, _condition(rng, names), body, orelse)
     if roll < 0.8:
-        return ast.While(SPAN, _condition(rng, names), random_block(rng, names, depth + 1))
+        return ast.While(SPAN, _condition(rng, names), random_block(rng, names, depth + 1, max_depth))
     if roll < 0.9:
         loop_var = fresh
         if loop_var not in names:
             names.append(loop_var)
-        return ast.For(SPAN, ast.Name(SPAN, loop_var, -1), random_expr(rng, names), random_block(rng, names, depth + 1))
+        iterable = random_expr(rng, names)
+        return ast.For(SPAN, ast.Name(SPAN, loop_var, -1), iterable, random_block(rng, names, depth + 1, max_depth))
     if roll < 0.95:
         return ast.Return(SPAN, random_expr(rng, names) if rng.random() < 0.8 else None)
     return ast.ExprStmt(SPAN, ast.Call(SPAN, _pick(rng, FUNCTIONS), -1, tuple(random_expr(rng, names) for _ in range(int(rng.integers(1, 3))))))
 
 
-def random_block(rng: np.random.Generator, names: list[str], depth: int) -> tuple:
-    return tuple(random_stmt(rng, names, depth) for _ in range(int(rng.integers(1, 4))))
+def random_block(rng: np.random.Generator, names: list[str], depth: int, max_depth: int = 2) -> tuple:
+    return tuple(random_stmt(rng, names, depth, max_depth) for _ in range(int(rng.integers(1, 4))))
 
 
-def random_program(rng: np.random.Generator) -> str:
-    """Canonical-style MiniLang source with, usually, real data flow."""
+def random_program(rng: np.random.Generator, max_depth: int = 2) -> str:
+    """Canonical-style MiniLang source with, usually, real data flow;
+    `if`/`while`/`for` nest at most `max_depth` deep."""
     top: list = []
     names: list[str] = []
     if rng.random() < 0.6:
@@ -102,10 +106,10 @@ def random_program(rng: np.random.Generator) -> str:
             ast.Param(_pick(rng, IDENTIFIERS) + str(i), -1, SPAN) for i in range(int(rng.integers(1, 4)))
         )
         fn_names = [p.name for p in params]
-        body = tuple(random_stmt(rng, fn_names, 1) for _ in range(int(rng.integers(1, 5))))
+        body = tuple(random_stmt(rng, fn_names, 1, max_depth) for _ in range(int(rng.integers(1, 5))))
         top.append(ast.FunctionDef(SPAN, "main_fn", -1, params, body))
     for _ in range(int(rng.integers(1, 4))):
-        top.append(random_stmt(rng, names, 0))
+        top.append(random_stmt(rng, names, 0, max_depth))
     return ast.pretty(ast.Module(SPAN, tuple(top)))
 
 
@@ -132,6 +136,112 @@ def mask_oracle(example) -> np.ndarray:
                 ok = (j, i) in links
             allow[i, j] = ok
     return allow
+
+
+# fixpoint data-flow oracle ----------------------------------------------------
+
+
+def _expr_names(node) -> list[tuple[int, str]]:
+    if isinstance(node, ast.Name):
+        return [(node.token_index, node.id)]
+    if isinstance(node, ast.BinOp):
+        return _expr_names(node.left) + _expr_names(node.right)
+    if isinstance(node, ast.Call):
+        return [occ for arg in node.args for occ in _expr_names(arg)]
+    return []
+
+
+def dfg_oracle(module) -> tuple[list[tuple[int, str]], set[tuple[int, int]]]:
+    """The data-flow graph of a parsed module by the textbook iterative
+    reaching-definitions analysis: lower the statements to a control-flow
+    graph (loops get a back edge), iterate IN/OUT sets to a fixpoint, then
+    read off def->use edges plus the value->target edges of assignments and
+    `for` targets. Returns the ``(token_index, name)`` of every occurrence in
+    token order and the ``<src, dst>`` edges between their indices.
+
+    Loop semantics follow `codeflow.dfg`: a loop's exit is reached from its
+    entry and from the end of its body, a `for` evaluates its iterable and
+    defines its target on every iteration, `return` falls through, and a
+    function body is a separate graph that starts from its parameters."""
+    cfg: list[tuple[list, tuple | None, list]] = []  # (uses, definition, value sources)
+    succ: list[list[int]] = []
+
+    def new(uses=(), define=None, sources=(), after=None) -> int:
+        cfg.append((list(uses), define, [tok for tok, _ in sources]))
+        succ.append([])
+        if after is not None:
+            succ[after].append(len(cfg) - 1)
+        return len(cfg) - 1
+
+    def block(stmts, cur: int) -> int:
+        for s in stmts:
+            cur = stmt(s, cur)
+        return cur
+
+    def stmt(s, cur: int) -> int:
+        if isinstance(s, ast.Assign):
+            value = _expr_names(s.value)
+            return new(value, (s.target.token_index, s.target.id), value, cur)
+        if isinstance(s, ast.AugAssign):
+            value = _expr_names(s.value)
+            target = (s.target.token_index, s.target.id)
+            return new(value + [target], target, value, cur)
+        if isinstance(s, ast.If):
+            test = new(_expr_names(s.test), after=cur)
+            join = new()
+            succ[block(s.body, test)].append(join)
+            succ[block(s.orelse, test)].append(join)
+            return join
+        if isinstance(s, ast.While):
+            head = new(_expr_names(s.test), after=cur)
+            succ[block(s.body, head)].append(head)
+            return head
+        if isinstance(s, ast.For):
+            head = new(after=cur)
+            iterable = _expr_names(s.iter)
+            bind = new(iterable, (s.target.token_index, s.target.id), iterable, head)
+            succ[block(s.body, bind)].append(head)
+            return head
+        if isinstance(s, ast.FunctionDef):
+            inner = new()
+            for p in s.params:
+                inner = new(define=(p.token_index, p.name), after=inner)
+            block(s.body, inner)
+            return cur
+        if isinstance(s, (ast.Return, ast.ExprStmt)):
+            return new(_expr_names(s.value) if s.value is not None else [], after=cur)
+        raise TypeError(f"unexpected statement {s!r}")
+
+    block(module.body, new())
+    preds: list[list[int]] = [[] for _ in cfg]
+    for n, outs in enumerate(succ):
+        for m in outs:
+            preds[m].append(n)
+    reach_in = [frozenset()] * len(cfg)
+    reach_out = [frozenset()] * len(cfg)
+    changed = True
+    while changed:
+        changed = False
+        for n, (_, define, _) in enumerate(cfg):
+            reach_in[n] = frozenset().union(*(reach_out[p] for p in preds[n]))
+            out = reach_in[n]
+            if define is not None:
+                out = frozenset(d for d in out if d[1] != define[1]) | {define}
+            if out != reach_out[n]:
+                reach_out[n], changed = out, True
+
+    occurrences: set[tuple[int, str]] = set()
+    edges: set[tuple[int, int]] = set()
+    for n, (uses, define, sources) in enumerate(cfg):
+        occurrences.update(uses)
+        for tok, name in uses:
+            edges.update((dtok, tok) for dtok, dname in reach_in[n] if dname == name)
+        if define is not None:
+            occurrences.add(define)
+            edges.update((src, define[0]) for src in sources)
+    ordered = sorted(occurrences)
+    node_of = {tok: i for i, (tok, _) in enumerate(ordered)}
+    return ordered, {(node_of[a], node_of[b]) for a, b in edges if a != b}
 
 
 # composed kernel reference ----------------------------------------------------

@@ -31,11 +31,10 @@ from codeflow.encoding import (
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from conftest import record_verdict
 from codeflow.pretrain import (
-    edge_pred_loss,
     encode_corpus,
     language_sampler,
     mlm_loss,
-    node_align_loss,
+    pair_loss,
     pretrain_run,
     sample_align_targets,
     sample_edge_targets,
@@ -129,8 +128,8 @@ def test_04_gradient_check_combined_loss():
         acts_e = forward(p, ex.ids, ex.position_ids, edge_mask)
         acts_a = forward(p, ex.ids, ex.position_ids, align_mask)
         return ag.add(ag.add(mlm_loss(acts_m, mlm_t, p),
-                             edge_pred_loss(acts_e, edge_t, p)),
-                      node_align_loss(acts_a, align_t, p))
+                             pair_loss(acts_e, edge_t)),
+                      pair_loss(acts_a, align_t))
 
     _, grads = compute_gradients(loss_fn, params)
 
@@ -187,9 +186,9 @@ def test_05_pair_loss_formulas():
                         dtype=np.float64)
         acts_e = forward(p, ex.ids, ex.position_ids, additive_mask(edge_t.mask, dtype=np.float64))
         acts_a = forward(p, ex.ids, ex.position_ids, additive_mask(align_t.mask, dtype=np.float64))
-        edge_err = max(edge_err, abs(float(edge_pred_loss(acts_e, edge_t, p).data)
+        edge_err = max(edge_err, abs(float(pair_loss(acts_e, edge_t).data)
                                      - direct(acts_e.final.data, edge_t.candidates, edge_t.labels)))
-        align_err = max(align_err, abs(float(node_align_loss(acts_a, align_t, p).data)
+        align_err = max(align_err, abs(float(pair_loss(acts_a, align_t).data)
                                        - direct(acts_a.final.data, align_t.candidates, align_t.labels)))
 
     zero_cfg = ModelConfig(num_layers=0, hidden_dim=16, num_heads=2, ffn_dim=32,
@@ -198,9 +197,9 @@ def test_05_pair_loss_formulas():
     zp.tensors["tok_emb"].data[:] = 0.0
     zp.tensors["pos_emb"].data[:] = 0.0
     acts0 = forward(zp, ex.ids, ex.position_ids, additive_mask(edge_t.mask, dtype=np.float64))
-    ln2_edge = abs(float(edge_pred_loss(acts0, edge_t, zp).data) - np.log(2.0))
+    ln2_edge = abs(float(pair_loss(acts0, edge_t).data) - np.log(2.0))
     acts0a = forward(zp, ex.ids, ex.position_ids, additive_mask(align_t.mask, dtype=np.float64))
-    ln2_align = abs(float(node_align_loss(acts0a, align_t, zp).data) - np.log(2.0))
+    ln2_align = abs(float(pair_loss(acts0a, align_t).data) - np.log(2.0))
     verdict(5, max(edge_err, align_err) <= 1e-6 and max(ln2_edge, ln2_align) <= 1e-9,
             f"pair losses match direct evaluation (max err {max(edge_err, align_err):.2e} <= 1e-6); "
             f"p=0.5 gives ln 2 (max err {max(ln2_edge, ln2_align):.2e} <= 1e-9)")
@@ -253,8 +252,8 @@ def test_08_search_overfit_and_ablation():
                                        use_dataflow=False)
     assert all("node" not in ex.code_encoded.segments for ex in nodeless)
     tuned_nd = finetune_search(nodeless, init_params(cfg), rng=0, lr=5e-3, batch_size=16,
-                               epochs=120, use_dataflow=False)
-    mrr_nd = evaluate_search(tuned_nd, nodeless, use_dataflow=False)
+                               epochs=120)
+    mrr_nd = evaluate_search(tuned_nd, nodeless)
 
     ok = mrr_tuned == 1.0 and abs(base - expect) <= 0.1 and mrr_nd == 1.0
     verdict(8, ok,

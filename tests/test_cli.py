@@ -265,6 +265,21 @@ class TestPretrainCommand:
         assert err.startswith("data error: line ") and err.count("\n") == 1
         assert "must be a string" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["code", "docstring", "lang"])
+    def test_lone_surrogate_is_rejected_before_training(self, tmp_path, capsys, field):
+        row = {"code": "a = 1\nb = a\n", "docstring": "sets a value here", "lang": "python"}
+        row[field] += "\ud800"  # valid JSON, but not encodable as UTF-8
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code, _, err = run(
+            capsys, "pretrain", "--corpus", str(bad), "--out", str(out), "--steps", "1", *SMALL_MODEL,
+        )
+        assert code == 2
+        assert err.startswith("data error: line 1: ") and err.count("\n") == 1
+        assert "surrogates not allowed" in err and "Traceback" not in err
+        assert not (out / "model.gcb").exists() and not (out / "vocab.txt").exists()
+
 
 # -- retrieval and clones -------------------------------------------------------------
 
@@ -361,6 +376,15 @@ class TestCloneCommands:
         assert code == 2
         assert err.startswith("data error: line 1: ") and err.count("\n") == 1
         assert "'code_a' must be a string" in err and "Traceback" not in err
+
+    def test_lone_surrogate_snippet_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "clones.jsonl"
+        bad.write_text(json.dumps({"code_a": "a = 1\n", "code_b": "b = '\udfff'\n", "label": 1}) + "\n")
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "finetune-clone", "--corpus", str(bad), "--out", str(out), *SMALL_MODEL)
+        assert code == 2
+        assert err.startswith("data error: line 1: ") and err.count("\n") == 1
+        assert "surrogates not allowed" in err and not out.exists()
 
     def test_finetune_clone(self, tmp_path, capsys):
         corpus = write_clone_corpus(tmp_path)

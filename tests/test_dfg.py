@@ -1,4 +1,8 @@
-"""Data-flow graph extraction against hand-traced expectations."""
+"""Data-flow graph extraction against hand-traced expectations and a
+fixpoint reaching-definitions oracle."""
+
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from codeflow.dfg import (
     serialize_dfg,
 )
 from codeflow.frontend import parse_source, tokenize
-from helpers import DFG_TRACES, random_program
+from helpers import DFG_TRACES, dfg_oracle, random_program
 
 
 @pytest.mark.parametrize("source,nodes,edges", DFG_TRACES)
@@ -143,3 +147,40 @@ def test_long_operator_chain():
     param, b_def, *uses, b_use = (n.id for n in g.nodes)
     assert g.edges == {(param, u) for u in uses} | {(u, b_def) for u in uses} | {(b_def, b_use)}
 
+
+
+def test_matches_fixpoint_oracle_on_nested_loops():
+    # One walk per loop from entry + gen against IN/OUT sets iterated to a fixpoint.
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        mod = parse_source(random_program(rng, max_depth=4))
+        nodes, edges = dfg_oracle(mod)
+        g = build_dfg(mod)
+        assert [(n.token_index, n.name) for n in g.nodes] == nodes
+        assert g.edges == edges
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("extract_dfg did not finish within the guard")
+
+
+@pytest.mark.parametrize("header", ["while x < {i}:", "for v{i} in x:"], ids=["while", "for"])
+def test_deep_loop_nest_extracts_quickly(header):
+    # Walking every loop body twice per level doubled the work per level.
+    depth = 60
+    source = (
+        "x = 0\n"
+        + "".join("    " * i + header.format(i=i) + "\n" for i in range(depth))
+        + "    " * depth + "x = x + 1\ny = x\n"
+    )
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)  # fail rather than hang if the walk is exponential
+    try:
+        start = time.perf_counter()
+        g = extract_dfg(source)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert g.edges == dfg_oracle(parse_source(source))[1]

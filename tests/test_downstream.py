@@ -174,9 +174,9 @@ class TestVectorEncoders:
             encode_code("def f(:\n", params, vocab)
 
 
-def single_forward_cls(params, ex, use_dataflow):
+def single_forward_cls(params, ex):
     """The [CLS] vector of one example from its own unbatched forward."""
-    mask = additive_mask(build_attention_mask(ex, use_dataflow), dtype=params.tensors["tok_emb"].data.dtype)
+    mask = additive_mask(build_attention_mask(ex), dtype=params.tensors["tok_emb"].data.dtype)
     return forward(params, ex.ids, ex.position_ids, mask).final.data[0]
 
 
@@ -213,12 +213,12 @@ class TestGroupedVectors:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_to_single_forwards(self, monkeypatch, seed, use_dataflow):
         params, examples = self.fuzzed_corpus(seed, use_dataflow)
-        for side, flag in (("code_encoded", use_dataflow), ("query_encoded", False)):
+        for side in ("code_encoded", "query_encoded"):
             encoded = [getattr(ex, side) for ex in examples]
             shapes = self.spy_forwards(monkeypatch)
-            got = downstream._cls_vectors(params, encoded, flag)
+            got = downstream._cls_vectors(params, encoded)
             monkeypatch.undo()
-            want = np.stack([single_forward_cls(params, ex, flag) for ex in encoded])
+            want = np.stack([single_forward_cls(params, ex) for ex in encoded])
             assert got.dtype == np.float32 and np.array_equal(got, want), side
             lengths = [len(ex) for ex in encoded]
             expected = sum(-(-lengths.count(n) // max(1, self.CAP // n)) for n in set(lengths))
@@ -229,22 +229,22 @@ class TestGroupedVectors:
     def test_public_encoders_and_clone_probability_agree(self):
         pairs, cfg, vocab, params, examples = search_fixture()
         for (query, code), ex in zip(pairs, examples):
-            assert np.array_equal(encode_text(query, params, vocab), single_forward_cls(params, ex.query_encoded, False))
-            assert np.array_equal(encode_code(code, params, vocab), single_forward_cls(params, ex.code_encoded, True))
-        a, b = single_forward_cls(params, examples[0].code_encoded, True), single_forward_cls(params, examples[1].code_encoded, True)
+            assert np.array_equal(encode_text(query, params, vocab), single_forward_cls(params, ex.query_encoded))
+            assert np.array_equal(encode_code(code, params, vocab), single_forward_cls(params, ex.code_encoded))
+        a, b = single_forward_cls(params, examples[0].code_encoded), single_forward_cls(params, examples[1].code_encoded)
         want = 1.0 / (1.0 + np.exp(-float(a @ b) / np.sqrt(cfg.hidden_dim)))
         assert clone_probability(pairs[0][1], pairs[1][1], params, vocab) == want
 
     @pytest.mark.parametrize("use_dataflow", [True, False])
     def test_evaluate_search_equals_per_example_reference(self, use_dataflow):
         params, examples = self.fuzzed_corpus(3, use_dataflow)
-        codes = np.stack([single_forward_cls(params, ex.code_encoded, use_dataflow) for ex in examples])
+        codes = np.stack([single_forward_cls(params, ex.code_encoded) for ex in examples])
         codes = codes.astype(np.float64)
         ranks = []
         for gold, ex in enumerate(examples):
-            scores = codes @ single_forward_cls(params, ex.query_encoded, False).astype(np.float64)
+            scores = codes @ single_forward_cls(params, ex.query_encoded).astype(np.float64)
             ranks.append(1 + int(np.sum(scores > scores[gold])) + int(np.sum(scores[:gold] == scores[gold])))
-        assert evaluate_search(params, examples, use_dataflow) == float(np.mean([1.0 / r for r in ranks]))
+        assert evaluate_search(params, examples) == float(np.mean([1.0 / r for r in ranks]))
 
 
 # -- search ----------------------------------------------------------------------
@@ -292,7 +292,7 @@ class TestSearch:
         params = init_params(cfg)
         examples = prepare_search_examples(pairs, vocab, max_positions=MAX_POSITIONS, use_dataflow=False)
         assert all(ex.code_encoded.node_positions == () for ex in examples)
-        score = evaluate_search(params, examples, use_dataflow=False)
+        score = evaluate_search(params, examples)
         assert 0.0 < score <= 1.0
 
 
@@ -388,7 +388,7 @@ class TestAttentionSplit:
             "query words here", code, extract_dfg(code), vocab,
             max_positions=MAX_POSITIONS, include_dataflow=use_dataflow,
         )
-        acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex, use_dataflow=use_dataflow)))
+        acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
         return acts, ex
 
     def test_split_sums_to_one(self):

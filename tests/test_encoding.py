@@ -242,12 +242,10 @@ class TestMask:
         with pytest.raises(ValueError):
             pad_batch([])
 
-    def test_use_dataflow_false_requires_nodeless_example(self):
-        with pytest.raises(ValueError):
-            build_attention_mask(encode(), use_dataflow=False)
+    def test_nodeless_example_allows_every_pair(self):
         ex = encode(include_dataflow=False)
-        mask = build_attention_mask(ex, use_dataflow=False)
-        assert mask.all()  # no nodes: everything is one text block
+        assert ex.node_positions == ()
+        assert build_attention_mask(ex).all()  # no nodes: everything is one text block
 
     def test_mask_not_writeable(self):
         mask = build_attention_mask(encode())

@@ -29,17 +29,17 @@ from codeflow.pretrain import (
     NoNodes,
     Objectives,
     batch_loss,
-    edge_pred_loss,
     encode_corpus,
     language_sampler,
     load_corpus,
     mlm_loss,
-    node_align_loss,
+    pair_loss,
     pretrain_run,
     sample_align_targets,
     sample_edge_targets,
     select_mlm_targets,
     structure_accuracy,
+    structure_targets,
     write_loss_log,
 )
 from helpers import overfit_corpus, random_program
@@ -200,7 +200,7 @@ class TestEdgeTargets:
             assert sampled <= nodes
             # positives: exactly the edges touching the sample
             want_pos = [e for e in sorted(ex.node_edges) if e[0] in sampled or e[1] in sampled]
-            assert list(tset.masked_edges) == want_pos
+            assert list(tset.masked) == want_pos
             npos = len(want_pos)
             assert list(tset.labels) == [1] * npos + [0] * (len(tset.candidates) - npos)
             # negatives: node pairs touching the sample that are not edges in
@@ -221,11 +221,11 @@ class TestEdgeTargets:
         for ex in edgeful_examples(count=10):
             tset = sample_edge_targets(ex, rng)
             want = np.array(build_attention_mask(ex))
-            for src, dst in tset.masked_edges:
+            for src, dst in tset.masked:
                 assert want[dst, src]
                 want[dst, src] = False
             assert np.array_equal(tset.mask, want)
-            assert tset.mask[tset.masked_edges[0][1], tset.masked_edges[0][1]]  # dst keeps self
+            assert tset.mask[tset.masked[0][1], tset.masked[0][1]]  # dst keeps self
             assert not tset.mask.flags.writeable
 
     def test_deterministic(self):
@@ -255,7 +255,7 @@ class TestAlignTargets:
             tset = sample_align_targets(ex, rng)
             sampled = set(tset.sampled_positions)
             want_pos = [l for l in sorted(ex.node_token_links) if l[0] in sampled]
-            assert list(tset.masked_links) == want_pos
+            assert list(tset.masked) == want_pos
             npos = len(want_pos)
             assert list(tset.labels) == [1] * npos + [0] * (len(tset.candidates) - npos)
             pool = {(v, c) for v in sampled for c in ex.code_positions} - set(ex.node_token_links)
@@ -268,7 +268,7 @@ class TestAlignTargets:
         for ex in edgeful_examples(count=10):
             tset = sample_align_targets(ex, rng)
             want = np.array(build_attention_mask(ex))
-            for npos, cpos in tset.masked_links:
+            for npos, cpos in tset.masked:
                 assert want[npos, cpos] and want[cpos, npos]
                 want[npos, cpos] = False
                 want[cpos, npos] = False
@@ -298,7 +298,7 @@ class TestStructureLosses:
             if t.candidates
         )
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask, dtype=np.float64))
-        loss = float(edge_pred_loss(acts, tset, params).data)
+        loss = float(pair_loss(acts, tset).data)
         assert abs(loss - math.log(2.0)) < 1e-9
 
     @pytest.mark.parametrize("which", ["edge", "align"])
@@ -307,14 +307,9 @@ class TestStructureLosses:
         params = init_params(cfg).astype(np.float64)
         ex = edgeful_examples(count=1)[0]
         rng = np.random.default_rng(3)
-        if which == "edge":
-            tset = sample_edge_targets(ex, rng)
-            loss_fn = edge_pred_loss
-        else:
-            tset = sample_align_targets(ex, rng)
-            loss_fn = node_align_loss
+        tset = (sample_edge_targets if which == "edge" else sample_align_targets)(ex, rng)
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask, dtype=np.float64))
-        loss = float(loss_fn(acts, tset, params).data)
+        loss = float(pair_loss(acts, tset).data)
 
         h = acts.final.data
         direct = 0.0
@@ -324,6 +319,24 @@ class TestStructureLosses:
         direct /= len(tset.candidates)
         assert abs(loss - direct) < 1e-9
 
+    # What the separate edge_pred_loss and node_align_loss gave for this setup
+    # before both became pair_loss (float64, tiny_config(num_layers=2), the
+    # first rng seed whose targets have candidates).
+    OLD_LOSSES = {
+        "edgepred": (7.999821910199831, 7.999862403753878, 7.9998753718466205),
+        "nodealign": (3.326050478371908, 2.1078775214118224, 2.2860518342887817),
+    }
+
+    @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
+    def test_gives_the_per_objective_losses_it_replaced(self, objective):
+        params = init_params(tiny_config(num_layers=2)).astype(np.float64)
+        for ex, old in zip(edgeful_examples(count=3, seed=41), self.OLD_LOSSES[objective]):
+            tset = next(
+                t for t in (structure_targets(ex, objective, np.random.default_rng(s)) for s in range(50)) if t
+            )
+            acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask, dtype=np.float64))
+            assert abs(float(pair_loss(acts, tset).data) - old) <= 1e-12
+
     def test_masked_relation_is_invisible_in_attention(self):
         cfg = tiny_config(num_layers=2)
         params = init_params(cfg)
@@ -332,7 +345,7 @@ class TestStructureLosses:
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask))
         for layer in acts.attention:
             for head in layer:
-                for src, dst in tset.masked_edges:
+                for src, dst in tset.masked:
                     assert head.data[dst, src] <= 1e-12
 
     def test_empty_candidates_rejected(self):
@@ -342,14 +355,49 @@ class TestStructureLosses:
         tset = sample_edge_targets(ex, np.random.default_rng(2))
         empty = type(tset)(
             sampled_positions=tset.sampled_positions,
-            masked_edges=tset.masked_edges,
+            masked=tset.masked,
             candidates=(),
             labels=(),
             mask=tset.mask,
         )
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask))
         with pytest.raises(ValueError):
-            edge_pred_loss(acts, empty, params)
+            pair_loss(acts, empty)
+
+
+class TestStructureTargets:
+    """`structure_targets` is the one objective dispatch of `pretrain_run`
+    and `structure_accuracy`."""
+
+    SAMPLERS = {"edgepred": sample_edge_targets, "nodealign": sample_align_targets}
+
+    @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
+    def test_same_targets_and_draws_as_the_sampler(self, objective):
+        for ex in edgeful_examples(count=8, seed=43):
+            rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+            got = structure_targets(ex, objective, rng_got)
+            want = self.SAMPLERS[objective](ex, rng_want)
+            if not want.candidates:
+                assert got is None
+            else:
+                assert (got.sampled_positions, got.masked, got.candidates, got.labels) == (
+                    want.sampled_positions, want.masked, want.candidates, want.labels
+                )
+                assert np.array_equal(got.mask, want.mask)
+            assert rng_got.random() == rng_want.random()  # the same draws were made
+
+    def test_none_without_nodes_or_edges(self):
+        nodeless, _ = encoded_example(code="probe(1)\n")
+        edgeless, _ = encoded_example(code="a = 1\nb = 2\n")
+        for objective in ("edgepred", "nodealign"):
+            assert structure_targets(nodeless, objective, np.random.default_rng(0)) is None
+        assert structure_targets(edgeless, "edgepred", np.random.default_rng(0)) is None
+        assert structure_targets(edgeless, "nodealign", np.random.default_rng(0)) is not None
+
+    def test_unknown_objective(self):
+        ex, _ = encoded_example()
+        with pytest.raises(ValueError, match="unknown objective"):
+            structure_targets(ex, "bogus", np.random.default_rng(0))
 
 
 class TestBatchLoss:
@@ -361,13 +409,11 @@ class TestBatchLoss:
         cfg = tiny_config(num_layers=2)
         params = init_params(cfg).astype(np.float64)
         rng = np.random.default_rng(23)
-        sample = {"edgepred": sample_edge_targets, "nodealign": sample_align_targets}.get(structure)
-        score = edge_pred_loss if structure == "edgepred" else node_align_loss
         prepared = []
         for i, ex in enumerate(edgeful_examples(count=6, seed=29)):
             mlm_t = select_mlm_targets(ex, rng, cfg.vocab_size)
-            tset = sample(ex, rng) if sample is not None and i % 3 else None  # some examples have none
-            prepared.append((ex, mlm_t, tset if tset is None or tset.candidates else None))
+            tset = structure_targets(ex, structure, rng) if structure is not None and i % 3 else None  # some have none
+            prepared.append((ex, mlm_t, tset))
         assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
         assert any(t is not None for _, _, t in prepared) == (structure is not None)
 
@@ -386,7 +432,7 @@ class TestBatchLoss:
                 acts = forward(p, mlm_t.masked_ids, ex.position_ids, additive_mask(allow, dtype=np.float64))
                 mlm.append(mlm_loss(acts, mlm_t, p))
                 if tset is not None:
-                    struct.append(score(acts, tset, p))
+                    struct.append(pair_loss(acts, tset))
             total = mean(mlm)
             want_parts["mlm"] = float(total.data)
             if struct:
@@ -593,6 +639,27 @@ class TestLossLogAndAccuracy:
         assert a == b
         c = structure_accuracy(params, encoded, "nodealign", np.random.default_rng(5))
         assert 0.0 <= c <= 1.0
+
+    @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
+    def test_structure_accuracy_equals_per_pair_scoring(self, objective):
+        # the shared pair dots give the accuracy of scoring each candidate by its own h_i . h_j
+        cfg = tiny_config(num_layers=2)
+        params = init_params(cfg)
+        corpus = overfit_corpus(8)
+        vocab = build_vocab([(it.docstring, it.code) for it in corpus], cfg.vocab_size)
+        encoded = encode_corpus(corpus, vocab, max_positions=cfg.max_positions)
+        rng = np.random.default_rng(11)
+        correct = total = 0
+        for ex in encoded:
+            tset = structure_targets(ex, objective, rng)
+            if tset is None:
+                continue
+            h = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask)).final.data
+            for (i, j), y in zip(tset.candidates, tset.labels):
+                correct += int((1.0 / (1.0 + np.exp(-float(h[i] @ h[j]))) > 0.5) == bool(y))
+                total += 1
+        assert total > 0
+        assert structure_accuracy(params, encoded, objective, np.random.default_rng(11)) == correct / total
 
     def test_structure_accuracy_validation(self):
         cfg = tiny_config()
