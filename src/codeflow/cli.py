@@ -24,13 +24,13 @@ from .downstream import (
     EmptyInput,
     ParseFailure,
     clone_metrics,
-    clone_probability,
+    clone_probabilities,
     cls_attention_split,
-    encode_code_example,
     evaluate_search,
     filter_search_corpus,
     finetune_clone,
     finetune_search,
+    grouped_forwards,
     prepare_search_examples,
 )
 from .encoding import (
@@ -39,14 +39,13 @@ from .encoding import (
     SequenceTooLong,
     Vocabulary,
     VocabularyError,
-    additive_mask,
     build_attention_mask,
     build_vocab,
     encode_example,
     mask_density,
 )
 from .frontend import FrontendError
-from .model import ModelConfig, NonFiniteLoss, forward, init_params
+from .model import ModelConfig, NonFiniteLoss, init_params
 from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
@@ -120,7 +119,7 @@ class RunConfig:
         return Limits(max_comment=self.max_comment, max_code=self.max_code, max_nodes=self.max_nodes)
 
     def objectives(self) -> Objectives:
-        return Objectives(mlm=True, edge_pred=self.edge_pred, node_align=self.node_align)
+        return Objectives(edge_pred=self.edge_pred, node_align=self.node_align)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -199,15 +198,7 @@ def build_parser() -> _Parser:
         "no_dataflow", "no_edgepred", "no_nodealign", "model", "limits",
     )
 
-    for name in ("finetune-search", "eval-search"):
-        p = subs.add_parser(name)
-        _add_common(
-            p,
-            "config", "seed", "corpus", "checkpoint", "vocab", "out",
-            "epochs", "lr", "batch_size", "vocab_size", "no_dataflow", "model", "limits",
-        )
-
-    for name in ("finetune-clone", "eval-clone"):
+    for name in ("finetune-search", "eval-search", "finetune-clone", "eval-clone"):
         p = subs.add_parser(name)
         _add_common(
             p,
@@ -394,7 +385,10 @@ def _load_clone_pairs(path) -> list[CloneExample]:
         try:
             obj = json.loads(line)
             code_a, code_b = str_fields(obj, ("code_a", "code_b"))
-            pairs.append(CloneExample(code_a=code_a, code_b=code_b, label=int(obj["label"])))
+            label = obj["label"]
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(f"label must be the integer 0 or 1, not {json.dumps(label)}")
+            pairs.append(CloneExample(code_a=code_a, code_b=code_b, label=label))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     if not pairs:
@@ -418,9 +412,7 @@ def _cmd_clone(rc: RunConfig, tune: bool) -> int:
             use_dataflow=rc.use_dataflow,
             limits=rc.limits(),
         )
-    predictions = [
-        clone_probability(p.code_a, p.code_b, params, vocab, rc.use_dataflow, rc.limits()) for p in pairs
-    ]
+    predictions = clone_probabilities([(p.code_a, p.code_b) for p in pairs], params, vocab, rc.use_dataflow, rc.limits())
     precision, recall, f1 = clone_metrics(predictions, [p.label for p in pairs])
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,22 +430,14 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     items = load_corpus(rc.corpus)
     params, vocab = _load_model(rc, [(it.docstring, it.code) for it in items])
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions, rc.use_dataflow)
-    dtype = params.tensors["tok_emb"].data.dtype
+    splits = grouped_forwards(params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b))
     per_lang: dict[str, list[tuple[float, float]]] = {}
-    for item, example in zip(items, encoded):
-        mask = additive_mask(build_attention_mask(example), dtype=dtype)
-        acts = forward(params, example.ids, example.position_ids, mask)
-        per_lang.setdefault(item.lang, []).append(cls_attention_split(acts, example))
-    report = {}
-    everything = [f for fractions in per_lang.values() for f in fractions]
-    for lang, fractions in sorted(per_lang.items()):
-        report[lang] = {
-            "code_fraction": float(np.mean([c for c, _ in fractions])),
-            "node_fraction": float(np.mean([n for _, n in fractions])),
-        }
-    report["overall"] = {
-        "code_fraction": float(np.mean([c for c, _ in everything])),
-        "node_fraction": float(np.mean([n for _, n in everything])),
+    for item, split in zip(items, splits):
+        per_lang.setdefault(item.lang, []).append(split)
+    groups = sorted(per_lang.items()) + [("overall", [f for fractions in per_lang.values() for f in fractions])]
+    report = {
+        name: {"code_fraction": float(np.mean([c for c, _ in fs])), "node_fraction": float(np.mean([n for _, n in fs]))}
+        for name, fs in groups
     }
     if rc.out:
         _write_artifacts(rc, report)

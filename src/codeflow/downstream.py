@@ -9,7 +9,7 @@ products; clone probability is a sigmoid of the dot product scaled by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .encoding import (
     pad_batch,
 )
 from .frontend import FrontendError
-from .model import Activations, ModelParams, compute_gradients, forward
+from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
 
@@ -108,7 +108,7 @@ def encode_code_example(
     )
 
 
-# Most positions one inference forward of `_cls_vectors` takes; caps its
+# Most positions one inference forward of `grouped_forwards` takes; caps its
 # (B, H, L, L) attention tensor. A single longer example still gets its own forward.
 MAX_FORWARD_POSITIONS = 4096
 
@@ -126,13 +126,16 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
     return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
 
 
-def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
-    """``(N, d)`` final-layer [CLS] vectors of `examples`, in order.
+def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, masks=None) -> list:
+    """``read(activations, b, i)`` for each example ``i``, in order, where
+    example ``i`` is row ``b`` of the inference forward that gave `activations`.
 
     Examples are grouped by exact length and each group is encoded by
     unpadded forwards of at most `MAX_FORWARD_POSITIONS` positions, so every
-    vector equals the one a single-example forward gives, bit for bit."""
-    out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
+    row equals the one a single-example forward gives, bit for bit. `masks`,
+    one allow-matrix per example, replaces `build_attention_mask`. A forward's
+    activations are freed before the next one runs: `read` copies what it keeps."""
+    out = [None] * len(examples)
     by_length: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
         by_length.setdefault(len(ex), []).append(i)
@@ -140,7 +143,23 @@ def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndar
         per_forward = max(1, MAX_FORWARD_POSITIONS // length)
         for lo in range(0, len(members), per_forward):
             chunk = members[lo : lo + per_forward]
-            out[chunk] = _cls_rows(params, [examples[i] for i in chunk]).data
+            batch = [(examples[i], build_attention_mask(examples[i]) if masks is None else masks[i]) for i in chunk]
+            rows = [(ex.ids, ex.position_ids, allow) for ex, allow in batch]
+            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype))
+            for b, i in enumerate(chunk):
+                out[i] = read(acts, b, i)
+            del acts
+    return out
+
+
+def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
+    """``(N, d)`` final-layer [CLS] vectors of `examples`, in order."""
+    out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
+
+    def read(acts: Activations, b: int, i: int) -> None:
+        out[i] = acts.final.data[b * len(examples[i])]
+
+    grouped_forwards(params, examples, read)
     return out
 
 
@@ -237,8 +256,7 @@ def finetune_search(
     products. Early-stops on validation MRR when a validation split is given."""
     if len(examples) < 2:
         raise EmptyInput("need at least two pairs for in-batch contrast")
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     state = init_adam(params)
     best_val = -1.0
     best_snapshot = None
@@ -280,6 +298,22 @@ def finetune_search(
 # clone detection ------------------------------------------------------------
 
 
+def clone_probabilities(
+    pairs: list[tuple[str, str]],
+    params: ModelParams,
+    vocab: Vocabulary,
+    use_dataflow: bool = True,
+    limits: Limits = Limits(),
+) -> list[float]:
+    """Clone probability of each ``(code_a, code_b)`` pair. Each distinct
+    snippet is encoded once, and all of them in one grouped pass."""
+    index = {code: k for k, code in enumerate(dict.fromkeys(code for pair in pairs for code in pair))}
+    max_positions = params.config.max_positions
+    vecs = _cls_vectors(params, [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in index])
+    scaled = [float(vecs[index[a]] @ vecs[index[b]]) / math.sqrt(params.config.hidden_dim) for a, b in pairs]
+    return [float(1.0 / (1.0 + np.exp(-x))) for x in scaled]
+
+
 def clone_probability(
     code_a: str,
     code_b: str,
@@ -288,12 +322,7 @@ def clone_probability(
     use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> float:
-    max_positions = params.config.max_positions
-    ha, hb = _cls_vectors(
-        params, [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in (code_a, code_b)]
-    )
-    scaled = float(ha @ hb) / math.sqrt(params.config.hidden_dim)
-    return float(1.0 / (1.0 + np.exp(-scaled)))
+    return clone_probabilities([(code_a, code_b)], params, vocab, use_dataflow, limits)[0]
 
 
 def finetune_clone(
@@ -310,8 +339,7 @@ def finetune_clone(
     """Binary cross-entropy on the scaled-dot clone probability."""
     if not pairs:
         raise EmptyInput("no clone pairs")
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     max_positions = params.config.max_positions
     encoded = [
         (
@@ -331,9 +359,8 @@ def finetune_clone(
             def loss_fn(p: ModelParams) -> Tensor:
                 n = len(batch)
                 cls = _cls_rows(p, [a for a, _, _ in batch] + [b for _, b, _ in batch])
-                dots = ag.tsum(ag.mul(ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))), axis=1)
-                signed_scale = np.array([scale if label else -scale for _, _, label in batch], dtype=dots.dtype)
-                return ag.mul(ag.tmean(ag.log_sigmoid(ag.mul(dots, signed_scale))), -1.0)
+                pair_ll = pair_log_likelihoods(cls, [(k, n + k) for k in range(n)], [y for _, _, y in batch], scale)
+                return ag.mul(ag.tmean(pair_ll), -1.0)
 
             _, grads = compute_gradients(loss_fn, params)
             adam_step(params, grads, state, lr)
@@ -357,15 +384,17 @@ def clone_metrics(predictions, labels, threshold: float = 0.5) -> tuple[float, f
 # attention analysis ---------------------------------------------------------
 
 
-def cls_attention_split(activations: Activations, example: EncodedExample) -> tuple[float, float]:
+def cls_attention_split(activations: Activations, example: EncodedExample, index: int = 0) -> tuple[float, float]:
     """Fraction of [CLS] attention mass on code vs node keys, averaged over
-    all heads and layers, renormalized over the two classes."""
+    all heads and layers, renormalized over the two classes. `index` is the
+    example's row in a batched forward of equal-length inputs."""
     node_pos = example.node_positions
     if not node_pos:
         return (1.0, 0.0)
     if not activations.attention:
         raise ValueError("activations carry no attention maps")
-    rows = [w.data[0] for layer in activations.attention for w in layer]
+    n = len(example)
+    rows = [w.data.reshape(-1, n, n)[index, 0] for layer in activations.attention for w in layer]
     mean_row = np.mean(np.stack(rows), axis=0)
     code_mass = float(mean_row[list(example.code_positions)].sum())
     node_mass = float(mean_row[list(node_pos)].sum())

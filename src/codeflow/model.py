@@ -173,17 +173,6 @@ def _attention_weights(h: Tensor, params: ModelParams, layer: int, mask: np.ndar
     return ag.softmax(scores, axis=-1)
 
 
-def attention_scores(h: Tensor, params: ModelParams, layer: int, additive_mask: np.ndarray) -> list[Tensor]:
-    """Per-head attention weight matrices of one example at one layer (softmax over keys).
-
-    For diagnostics only: the weights are detached copies with no autograd
-    history. The encoder itself goes through `_attention_weights`."""
-    if additive_mask.shape != (h.shape[0], h.shape[0]):
-        raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match sequence length {h.shape[0]}")
-    weights = _attention_weights(h, params, layer, additive_mask[None])
-    return [Tensor(w) for w in weights.data[0]]
-
-
 def _attention_block(h: Tensor, params: ModelParams, layer: int, mask: np.ndarray) -> tuple[Tensor, Tensor]:
     cfg = params.config
     batch, length = mask.shape[0], mask.shape[1]
@@ -241,6 +230,20 @@ def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray) -
 
 def mlm_logits(params: ModelParams, final_hidden: Tensor) -> Tensor:
     return ag.add(ag.matmul(final_hidden, params.tensors["mlm.w"]), params.tensors["mlm.b"])
+
+
+def pair_dots(final: Tensor, candidates) -> Tensor:
+    """h_i . h_j per candidate row pair ``(i, j)`` of the final states."""
+    left = ag.take_rows(final, [i for i, _ in candidates])
+    right = ag.take_rows(final, [j for _, j in candidates])
+    return ag.tsum(ag.mul(left, right), axis=1)
+
+
+def pair_log_likelihoods(final: Tensor, candidates, labels, scale: float = 1.0) -> Tensor:
+    """log sigmoid(+-scale * h_i . h_j) per candidate row pair: + for label 1,
+    - for label 0. Pre-training uses scale 1, clone detection 1/sqrt(d)."""
+    signs = np.where(np.asarray(labels) == 1, scale, -scale).astype(final.dtype)
+    return ag.log_sigmoid(ag.mul(pair_dots(final, candidates), signs))
 
 
 def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:

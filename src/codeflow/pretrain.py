@@ -21,12 +21,12 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .dfg import extract_dfg
+from .downstream import grouped_forwards
 from .encoding import (
     EmptyCorpus,
     EncodedExample,
     Limits,
     Vocabulary,
-    additive_mask,
     build_attention_mask,
     build_vocab,
     encode_example,
@@ -41,6 +41,8 @@ from .model import (
     forward,
     init_params,
     mlm_logits,
+    pair_dots,
+    pair_log_likelihoods,
 )
 from .optim import AdamState, adam_step, init_adam
 
@@ -284,25 +286,12 @@ def structure_targets(example: EncodedExample, objective: str, rng: np.random.Ge
     return targets if targets.candidates else None
 
 
-def _pair_dots(final: Tensor, candidates) -> Tensor:
-    """h_i . h_j per candidate row pair."""
-    left = ag.take_rows(final, [i for i, _ in candidates])
-    right = ag.take_rows(final, [j for _, j in candidates])
-    return ag.tsum(ag.mul(left, right), axis=1)
-
-
-def _pair_log_likelihoods(final: Tensor, candidates, labels) -> Tensor:
-    """log sigmoid(+-h_i . h_j) per candidate row pair: + for label 1, - for label 0."""
-    signs = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(final.dtype)
-    return ag.log_sigmoid(ag.mul(_pair_dots(final, candidates), signs))
-
-
 def pair_loss(activations: Activations, targets: StructureTargets) -> Tensor:
     """Mean negative log-likelihood of the candidate labels under the
     sigmoid dot-product scorer; one loss for both structure objectives."""
     if not targets.candidates:
         raise ValueError("empty structure candidate set")
-    return ag.mul(ag.tmean(_pair_log_likelihoods(activations.final, targets.candidates, targets.labels)), -1.0)
+    return ag.mul(ag.tmean(pair_log_likelihoods(activations.final, targets.candidates, targets.labels)), -1.0)
 
 
 def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Tensor, dict[str, float]]:
@@ -342,7 +331,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
             pairs += [(b * width + i, b * width + j) for i, j in tset.candidates]
             labels += tset.labels
             weights += [1.0 / (len(scored) * len(tset.candidates))] * len(tset.candidates)
-        pair_ll = _pair_log_likelihoods(final, pairs, labels)
+        pair_ll = pair_log_likelihoods(final, pairs, labels)
         struct = ag.mul(ag.tsum(ag.mul(pair_ll, np.asarray(weights, dtype=dtype))), -1.0)
         parts[structure] = float(struct.data)
         total = ag.add(total, struct)
@@ -394,7 +383,6 @@ def language_sampler(counts, alpha: float = 0.7) -> LanguageSampler:
 
 @dataclass(frozen=True)
 class Objectives:
-    mlm: bool = True
     edge_pred: bool = True
     node_align: bool = True
 
@@ -426,10 +414,7 @@ def pretrain_run(
     single language chosen by the smoothed multinomial sampler."""
     if not corpus:
         raise EmptyCorpus("pretraining corpus is empty")
-    if not objectives.mlm:
-        raise ValueError("the masked-token objective cannot be disabled")
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     if vocab is None:
         vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
     encoded = encode_corpus(corpus, vocab, limits=limits, max_positions=config.max_positions, use_dataflow=use_dataflow)
@@ -491,18 +476,16 @@ def structure_accuracy(
     threshold: float = 0.5,
 ) -> float:
     """Binary accuracy of the pair scorer over freshly sampled target sets."""
-    dtype = params.tensors["tok_emb"].data.dtype
-    correct = 0
-    total = 0
-    for ex in encoded:
-        tset = structure_targets(ex, objective, rng)
-        if tset is None:
-            continue
-        acts = forward(params, ex.ids, ex.position_ids, additive_mask(tset.mask, dtype=dtype))
-        dots = _pair_dots(acts.final, tset.candidates).data.astype(np.float64)
-        p = 1.0 / (1.0 + np.exp(-dots))
-        correct += int(np.count_nonzero((p > threshold) == (np.asarray(tset.labels) == 1)))
-        total += len(tset.candidates)
-    if total == 0:
+    scored = [(ex, tset) for ex in encoded if (tset := structure_targets(ex, objective, rng)) is not None]
+    if not scored:
         raise ValueError("no structure candidates in the given examples")
-    return correct / total
+
+    def correct(acts: Activations, b: int, i: int) -> int:
+        ex, tset = scored[i]
+        offset = b * len(ex)
+        dots = pair_dots(acts.final, [(offset + x, offset + y) for x, y in tset.candidates]).data.astype(np.float64)
+        p = 1.0 / (1.0 + np.exp(-dots))
+        return int(np.count_nonzero((p > threshold) == (np.asarray(tset.labels) == 1)))
+
+    hits = grouped_forwards(params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored])
+    return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

@@ -8,10 +8,13 @@ import struct
 import numpy as np
 import pytest
 
+import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.cli import main
-from codeflow.encoding import build_vocab
-from codeflow.model import ModelConfig, init_params
+from codeflow.downstream import cls_attention_split
+from codeflow.encoding import additive_mask, build_attention_mask, build_vocab
+from codeflow.model import ModelConfig, forward, init_params
+from codeflow.pretrain import encode_corpus
 from helpers import clone_corpus, overfit_corpus, search_pairs
 
 SMALL_MODEL = [
@@ -386,6 +389,18 @@ class TestCloneCommands:
         assert err.startswith("data error: line 1: ") and err.count("\n") == 1
         assert "surrogates not allowed" in err and not out.exists()
 
+    @pytest.mark.parametrize("label", ["2", "-1", "0.7", "1.0", "true", '"1"', "null"])
+    def test_label_other_than_zero_or_one_is_data_error(self, tmp_path, capsys, label):
+        bad = tmp_path / "clones.jsonl"
+        good = json.dumps({"code_a": "a = 1\n", "code_b": "b = 2\n", "label": 1})
+        bad.write_text(good + "\n" + good.replace('"label": 1', f'"label": {label}') + "\n")
+        for command in ("eval-clone", "finetune-clone"):
+            out = tmp_path / command
+            code, _, err = run(capsys, command, "--corpus", str(bad), "--out", str(out), *SMALL_MODEL)
+            assert code == 2
+            assert err == f"data error: line 2: label must be the integer 0 or 1, not {label}\n"
+            assert not out.exists()
+
     def test_finetune_clone(self, tmp_path, capsys):
         corpus = write_clone_corpus(tmp_path)
         out = tmp_path / "tuned"
@@ -399,8 +414,18 @@ class TestCloneCommands:
 
 
 class TestAttentionSplit:
-    def test_report_shape(self, tmp_path, capsys):
-        corpus = write_corpus(tmp_path, overfit_corpus(6))
+    def test_report_shape(self, tmp_path, capsys, monkeypatch):
+        # the grouped forwards, with a length group split, give the report of per-example forwards
+        shapes = []
+
+        def spy(params, ids, *rest):
+            shapes.append(np.shape(ids))
+            return forward(params, ids, *rest)
+
+        monkeypatch.setattr(downstream, "forward", spy)
+        monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward
+        items = overfit_corpus(6)
+        corpus = write_corpus(tmp_path, items)
         code, stdout, _ = run(
             capsys, "attention-split", "--corpus", str(corpus), *SMALL_MODEL,
         )
@@ -409,6 +434,19 @@ class TestAttentionSplit:
         assert set(report) == {"python", "java", "overall"}
         overall = report["overall"]
         assert overall["code_fraction"] + overall["node_fraction"] == pytest.approx(1.0, abs=1e-6)
+        assert max(b for b, _ in shapes) == 2 and len(shapes) > len({n for _, n in shapes})
+
+        params = init_params(ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, max_positions=128))
+        vocab = build_vocab([(it.docstring, it.code) for it in items], 512)
+        per_lang = {}
+        for item, ex in zip(items, encode_corpus(items, vocab, max_positions=128)):
+            acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+            per_lang.setdefault(item.lang, []).append(cls_attention_split(acts, ex))
+        per_lang["overall"] = [f for fractions in per_lang.values() for f in fractions]
+        assert report == {
+            lang: {"code_fraction": float(np.mean([c for c, _ in fs])), "node_fraction": float(np.mean([n for _, n in fs]))}
+            for lang, fs in per_lang.items()
+        }
 
     def test_out_writes_metrics(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, overfit_corpus(4))

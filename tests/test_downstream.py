@@ -1,5 +1,7 @@
 """Retrieval, clone detection, attention analysis, and corpus filtering."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from codeflow.downstream import (
     ParseFailure,
     RankingResult,
     clone_metrics,
+    clone_probabilities,
     clone_probability,
     cls_attention_split,
     encode_code,
@@ -226,6 +229,22 @@ class TestGroupedVectors:
             assert all(b * n <= self.CAP or b == 1 for b, n in shapes)
             assert max(lengths.count(n) * n for n in set(lengths)) > self.CAP  # some group was split
 
+    def test_one_forward_alive_at_a_time(self, monkeypatch):
+        # a forward's activations and final states are freed before the next forward runs
+        params, examples = self.fuzzed_corpus(0, True)
+        alive = []
+
+        def spy(params, ids, positions, mask):
+            assert all(ref() is None for ref in alive), "a previous forward's activations are still alive"
+            acts = forward(params, ids, positions, mask)
+            alive.extend([weakref.ref(acts), weakref.ref(acts.final.data)])
+            return acts
+
+        monkeypatch.setattr(downstream, "forward", spy)
+        monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
+        downstream.grouped_forwards(params, [ex.code_encoded for ex in examples], lambda acts, b, i: None)
+        assert len(alive) > 2
+
     def test_public_encoders_and_clone_probability_agree(self):
         pairs, cfg, vocab, params, examples = search_fixture()
         for (query, code), ex in zip(pairs, examples):
@@ -316,6 +335,23 @@ class TestCloneDetection:
             q = clone_probability(b, a, params, vocab)
             assert 0.0 < p < 1.0
             assert p == pytest.approx(q, abs=1e-12)
+
+    @pytest.mark.parametrize("use_dataflow", [True, False])
+    def test_clone_probabilities_encode_each_snippet_once(self, monkeypatch, use_dataflow):
+        tuples, vocab, params = clone_fixture()
+        snippets = list(dict.fromkeys([a for a, _, _ in tuples] + [b for _, b, _ in tuples]))
+        ring = [(snippets[i], snippets[(i + 1) % len(snippets)]) for i in range(len(snippets))]
+        want = [clone_probability(a, b, params, vocab, use_dataflow) for a, b in ring]
+        encoded = []
+        real = downstream.encode_code_example
+
+        def spy(code, *args):
+            encoded.append(code)
+            return real(code, *args)
+
+        monkeypatch.setattr(downstream, "encode_code_example", spy)
+        assert clone_probabilities(ring, params, vocab, use_dataflow) == want
+        assert sorted(encoded) == sorted(snippets)
 
     def test_self_pair_at_least_half(self):
         tuples, vocab, params = clone_fixture()

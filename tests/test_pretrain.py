@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import codeflow.downstream as downstream
 from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     MASK,
@@ -571,13 +572,9 @@ class TestPretrainRun:
         assert all(len(shape) == 2 and shape[0] == 4 for shape in shapes)
 
     def test_mlm_only(self):
-        objectives = Objectives(mlm=True, edge_pred=False, node_align=False)
+        objectives = Objectives(edge_pred=False, node_align=False)
         result = pretrain_run(self.corpus(), tiny_config(), objectives, steps=3, rng=1, batch_size=2)
         assert [obj for _, obj, _ in result.loss_log] == ["mlm", "mlm", "mlm"]
-
-    def test_mlm_cannot_be_disabled(self):
-        with pytest.raises(ValueError):
-            pretrain_run(self.corpus(), tiny_config(), Objectives(mlm=False), steps=1)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -641,8 +638,17 @@ class TestLossLogAndAccuracy:
         assert 0.0 <= c <= 1.0
 
     @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
-    def test_structure_accuracy_equals_per_pair_scoring(self, objective):
-        # the shared pair dots give the accuracy of scoring each candidate by its own h_i . h_j
+    def test_structure_accuracy_equals_per_pair_scoring(self, monkeypatch, objective):
+        # the grouped forwards and shared pair dots give the accuracy of scoring
+        # each candidate by its own h_i . h_j, also when a length group is split
+        shapes = []
+
+        def spy(params, ids, *rest):
+            shapes.append(np.shape(ids))
+            return forward(params, ids, *rest)
+
+        monkeypatch.setattr(downstream, "forward", spy)
+        monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward
         cfg = tiny_config(num_layers=2)
         params = init_params(cfg)
         corpus = overfit_corpus(8)
@@ -660,6 +666,7 @@ class TestLossLogAndAccuracy:
                 total += 1
         assert total > 0
         assert structure_accuracy(params, encoded, objective, np.random.default_rng(11)) == correct / total
+        assert max(b for b, _ in shapes) == 2 and len(shapes) > len({n for _, n in shapes})  # a group was split
 
     def test_structure_accuracy_validation(self):
         cfg = tiny_config()

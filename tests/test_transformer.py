@@ -21,7 +21,6 @@ from codeflow.model import (
     ModelParams,
     NonFiniteLoss,
     ShapeMismatch,
-    attention_scores,
     compute_gradients,
     forward,
     init_params,
@@ -520,15 +519,6 @@ class TestForward:
                 w = head.data
                 assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
                 assert w[~allow].max(initial=0.0) == 0.0  # exp underflow, exactly zero
-
-    def test_attention_scores_matches_forward(self):
-        params = init_params(small_config())
-        ex = encoded()
-        mask = additive_mask(build_attention_mask(ex))
-        acts = forward(params, ex.ids, ex.position_ids, mask)
-        again = attention_scores(acts.hidden[0], params, 0, mask)
-        for got, want in zip(again, acts.attention[0]):
-            assert np.array_equal(got.data, want.data)
 
     def test_blocked_key_cannot_influence_query(self):
         # One layer; node query 14 attends only {5, 14}.  Changing the token
