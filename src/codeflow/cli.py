@@ -77,6 +77,15 @@ class BadFlags(Exception):
     pass
 
 
+# A field's default type -> the value types it accepts; a bool is not a number.
+_VALUE_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    type(None): ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -126,10 +135,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, command: str, overrides: dict) -> "RunConfig":
-        allowed = {f.name for f in fields(cls)} - {"command"}
-        unknown = sorted(set(overrides) - allowed)
+        defaults = {f.name: f.default for f in fields(cls) if f.name != "command"}
+        unknown = sorted(set(overrides) - set(defaults))
         if unknown:
             raise BadFlags(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in overrides.items():
+            accepted, what = _VALUE_TYPES[type(defaults[key])]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                raise BadFlags(f"config key {key} must be {what}, not {json.dumps(value)}")
         return cls(command=command, **overrides)
 
 

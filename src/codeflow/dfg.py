@@ -2,7 +2,13 @@
 
 The graph has one node per variable occurrence (in source order) and a
 directed edge ``<i, j>`` whenever the value of occurrence ``j`` comes from
-occurrence ``i``. Two rules generate edges:
+occurrence ``i``. One reaching-definitions walk over the module builds both:
+it records each occurrence as it meets it, keyed by token index with its
+name and role (`define` records a definition, `uses_in` a use), and adds
+edges between token indices. `build_dfg` then numbers the occurrences in
+token order and renumbers the edges once. A node therefore exists exactly
+when the walk visits its token; walking a loop body again re-records the
+same occurrences, which changes nothing. Two rules generate edges:
 
 * assignment: ``x = expr`` adds an edge from every variable occurrence in
   ``expr`` to the target occurrence ``x``;
@@ -22,7 +28,8 @@ Augmented assignment targets act as both a use (they receive edges from the
 prior reaching definitions) and the new definition. Function parameters are
 definitions with no incoming edges. Call target names and function names
 are not variables and never become nodes. A use with no reaching
-definition simply has no incoming edges.
+definition simply has no incoming edges. ``return`` does not end the walk:
+the statements after it are walked, and its environment falls through.
 """
 
 from __future__ import annotations
@@ -65,79 +72,16 @@ class DataFlowGraph:
     nodes: tuple[VariableNode, ...]
     edges: frozenset[tuple[int, int]]  # <src, dst>: value of dst comes from src
 
-    def node_by_token(self, token_index: int) -> VariableNode:
-        for node in self.nodes:
-            if node.token_index == token_index:
-                return node
-        raise KeyError(token_index)
 
-
-# Environment: variable name -> set of node ids of reaching definitions.
+# Environment: variable name -> token indices of its reaching definitions.
 _Env = dict[str, frozenset[int]]
 
 
 class _Extractor:
     def __init__(self) -> None:
-        self.occurrences: list[tuple[int, str, str]] = []  # (token_index, name, role)
-        self.node_id: dict[int, int] = {}  # token_index -> node id (after ordering)
-        self.edges: set[tuple[int, int]] = set()
+        self.occurrences: dict[int, tuple[str, str]] = {}  # token_index -> (name, role)
+        self.edges: set[tuple[int, int]] = set()  # <src, dst> over token indices
         self.loop_gens: dict[int, _Env] = {}  # id(loop node) -> its body's gen set
-
-    # -- pass 1: collect occurrences in token order ----------------------
-
-    def collect(self, node: AstNode) -> None:
-        if isinstance(node, Module):
-            for s in node.body:
-                self.collect(s)
-        elif isinstance(node, FunctionDef):
-            for p in node.params:
-                self.occurrences.append((p.token_index, p.name, ROLE_DEF))
-            for s in node.body:
-                self.collect(s)
-        elif isinstance(node, Assign):
-            self._collect_expr(node.value)
-            self.occurrences.append((node.target.token_index, node.target.id, ROLE_DEF))
-        elif isinstance(node, AugAssign):
-            self._collect_expr(node.value)
-            self.occurrences.append((node.target.token_index, node.target.id, ROLE_DEF))
-        elif isinstance(node, If):
-            self._collect_expr(node.test)
-            for s in node.body:
-                self.collect(s)
-            for s in node.orelse:
-                self.collect(s)
-        elif isinstance(node, While):
-            self._collect_expr(node.test)
-            for s in node.body:
-                self.collect(s)
-        elif isinstance(node, For):
-            self.occurrences.append((node.target.token_index, node.target.id, ROLE_DEF))
-            self._collect_expr(node.iter)
-            for s in node.body:
-                self.collect(s)
-        elif isinstance(node, Return):
-            if node.value is not None:
-                self._collect_expr(node.value)
-        elif isinstance(node, ExprStmt):
-            self._collect_expr(node.value)
-        else:
-            raise TypeError(f"unexpected statement node: {node!r}")
-
-    def _collect_expr(self, node: AstNode) -> None:
-        # Iterative: a long operator chain is a deep left-leaning tree.
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Name):
-                self.occurrences.append((node.token_index, node.id, ROLE_USE))
-            elif isinstance(node, BinOp):
-                stack += (node.right, node.left)
-            elif isinstance(node, Call):
-                stack.extend(reversed(node.args))
-            elif not isinstance(node, Literal):
-                raise TypeError(f"unexpected expression node: {node!r}")
-
-    # -- pass 2: reaching-definitions walk, accumulating edges -----------
 
     def walk_body(self, stmts: tuple, env: _Env) -> _Env:
         for s in stmts:
@@ -170,15 +114,12 @@ class _Extractor:
             # Fresh scope seeded by the parameters; no closure capture.
             inner: _Env = {}
             for p in node.params:
-                inner[p.name] = frozenset({self.node_id[p.token_index]})
+                inner = self.define(p.token_index, p.name, set(), inner)
             self.walk_body(node.body, inner)
             return env
-        if isinstance(node, Return):
+        if isinstance(node, (Return, ExprStmt)):
             if node.value is not None:
                 self.uses_in(node.value, env)
-            return env
-        if isinstance(node, ExprStmt):
-            self.uses_in(node.value, env)
             return env
         raise TypeError(f"unexpected statement node: {node!r}")
 
@@ -192,17 +133,17 @@ class _Extractor:
         return self.walk_body(node.body, dict(env))
 
     def uses_in(self, node: AstNode, env: _Env) -> set[int]:
-        """Resolve every use in an expression against `env`, adding def->use
-        edges, and return the set of node ids occurring in the expression."""
+        """Record every use in an expression, add def->use edges from `env`,
+        and return the token indices of the uses."""
         out: set[int] = set()
-        stack = [node]
+        stack = [node]  # iterative: a long operator chain is a deep left-leaning tree
         while stack:
             node = stack.pop()
             if isinstance(node, Name):
-                uid = self.node_id[node.token_index]
-                for did in env.get(node.id, ()):
-                    self.add_edge(did, uid)
-                out.add(uid)
+                self.occurrences[node.token_index] = (node.id, ROLE_USE)
+                for d in env.get(node.id, ()):
+                    self.add_edge(d, node.token_index)
+                out.add(node.token_index)
             elif isinstance(node, BinOp):
                 stack += (node.right, node.left)
             elif isinstance(node, Call):
@@ -212,11 +153,12 @@ class _Extractor:
         return out
 
     def define(self, token_index: int, name: str, sources: set[int], env: _Env) -> _Env:
-        did = self.node_id[token_index]
-        for sid in sources:
-            self.add_edge(sid, did)
+        """Record a definition fed by `sources` and return the environment it leaves."""
+        self.occurrences[token_index] = (name, ROLE_DEF)
+        for s in sources:
+            self.add_edge(s, token_index)
         env = dict(env)
-        env[name] = frozenset({did})
+        env[name] = frozenset({token_index})
         return env
 
     def add_edge(self, src: int, dst: int) -> None:
@@ -226,23 +168,23 @@ class _Extractor:
 
 def _merge(a: _Env, b: _Env) -> _Env:
     out = dict(a)
-    for name, ids in b.items():
-        out[name] = out.get(name, frozenset()) | ids
+    for name, toks in b.items():
+        out[name] = out.get(name, frozenset()) | toks
     return out
 
 
 def build_dfg(ast: Module) -> DataFlowGraph:
     """Extract the data-flow graph of a parsed module."""
     ex = _Extractor()
-    ex.collect(ast)
-    ordered = sorted(ex.occurrences)
-    ex.node_id = {tok: i for i, (tok, _, _) in enumerate(ordered)}
     ex.walk_body(ast.body, {})
+    order = sorted(ex.occurrences.items())
+    node_id = {tok: i for i, (tok, _) in enumerate(order)}
     nodes = tuple(
         VariableNode(id=i, name=name, token_index=tok, role=role)
-        for i, (tok, name, role) in enumerate(ordered)
+        for i, (tok, (name, role)) in enumerate(order)
     )
-    return DataFlowGraph(nodes=nodes, edges=frozenset(ex.edges))
+    edges = frozenset((node_id[src], node_id[dst]) for src, dst in ex.edges)
+    return DataFlowGraph(nodes=nodes, edges=edges)
 
 
 def align_to_tokens(dfg: DataFlowGraph) -> set[tuple[int, int]]:
@@ -260,16 +202,6 @@ def serialize_dfg(dfg: DataFlowGraph) -> str:
         "edges": [list(e) for e in sorted(dfg.edges)],
     }
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
-
-
-def deserialize_dfg(text: str) -> DataFlowGraph:
-    payload = json.loads(text)
-    nodes = tuple(
-        VariableNode(id=n["id"], name=n["name"], token_index=n["token"])
-        for n in payload["nodes"]
-    )
-    edges = frozenset((src, dst) for src, dst in payload["edges"])
-    return DataFlowGraph(nodes=nodes, edges=edges)
 
 
 def extract_dfg(source: str) -> DataFlowGraph:

@@ -135,7 +135,6 @@ class EncodedExample:
     position_ids: tuple[int, ...]
     node_edges: frozenset[tuple[int, int]]  # <src_pos, dst_pos> over positions
     node_token_links: frozenset[tuple[int, int]]  # <node_pos, code_pos>
-    code_token_of_node: dict[int, int]  # node position -> code position
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -205,7 +204,6 @@ def encode_example(
 
     node_pos_of_id: dict[int, int] = {}
     links: set[tuple[int, int]] = set()
-    code_of_node: dict[int, int] = {}
     if include_dataflow:
         kept_nodes = [n for n in dfg.nodes if n.token_index in code_pos_of_token]
         kept_nodes = kept_nodes[: limits.max_nodes]
@@ -214,9 +212,7 @@ def encode_example(
             node_pos_of_id[node.id] = pos
             ids.append(vocab.id_of(node.name))
             segments.append(SEG_NODE)
-            cpos = code_pos_of_token[node.token_index]
-            links.add((pos, cpos))
-            code_of_node[pos] = cpos
+            links.add((pos, code_pos_of_token[node.token_index]))
     edges = frozenset(
         (node_pos_of_id[src], node_pos_of_id[dst])
         for src, dst in dfg.edges
@@ -229,7 +225,6 @@ def encode_example(
         position_ids=(),
         node_edges=edges,
         node_token_links=frozenset(links),
-        code_token_of_node=code_of_node,
     )
     return replace(example, position_ids=assign_positions(example, max_positions))
 

@@ -132,10 +132,13 @@ class Module(AstNode):
 
 
 def walk(node: AstNode) -> Iterator[AstNode]:
-    """Pre-order traversal."""
-    yield node
-    for child in node.children:
-        yield from walk(child)
+    """Pre-order traversal with an explicit stack: a long operator chain is
+    a deep left-leaning tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 INDENT = "    "
@@ -205,7 +208,15 @@ def _expr(node: AstNode, parent_prec: int = -1) -> str:
     if isinstance(node, BinOp):
         prec = _PRECEDENCE[node.op]
         # Left-associative: the right child needs parens at equal precedence.
-        text = f"{_expr(node.left, prec)} {node.op} {_expr(node.right, prec + 1)}"
+        # The left spine of a chain is followed in a loop while its left
+        # children need no parens, so a long `a + a + ...` does not recurse.
+        tails = []
+        spine, spine_prec = node, prec
+        while isinstance(spine, BinOp) and _PRECEDENCE[spine.op] >= spine_prec:
+            spine_prec = _PRECEDENCE[spine.op]
+            tails.append(f" {spine.op} {_expr(spine.right, spine_prec + 1)}")
+            spine = spine.left
+        text = _expr(spine, spine_prec) + "".join(reversed(tails))
         if prec < parent_prec:
             return f"({text})"
         return text

@@ -151,13 +151,15 @@ def _expr_names(node) -> list[tuple[int, str]]:
     return []
 
 
-def dfg_oracle(module) -> tuple[list[tuple[int, str]], set[tuple[int, int]]]:
+def dfg_oracle(module) -> tuple[list[tuple[int, str, str]], set[tuple[int, int]]]:
     """The data-flow graph of a parsed module by the textbook iterative
     reaching-definitions analysis: lower the statements to a control-flow
     graph (loops get a back edge), iterate IN/OUT sets to a fixpoint, then
     read off def->use edges plus the value->target edges of assignments and
-    `for` targets. Returns the ``(token_index, name)`` of every occurrence in
-    token order and the ``<src, dst>`` edges between their indices.
+    `for` targets. Returns the ``(token_index, name, role)`` of every
+    occurrence in token order, where an occurrence that some statement
+    defines is a definition and any other is a use, and the ``<src, dst>``
+    edges between their indices.
 
     Loop semantics follow `codeflow.dfg`: a loop's exit is reached from its
     entry and from the end of its body, a `for` evaluates its iterable and
@@ -230,17 +232,21 @@ def dfg_oracle(module) -> tuple[list[tuple[int, str]], set[tuple[int, int]]]:
             if out != reach_out[n]:
                 reach_out[n], changed = out, True
 
-    occurrences: set[tuple[int, str]] = set()
+    uses_of: set[tuple[int, str]] = set()
+    defines: set[tuple[int, str]] = set()
     edges: set[tuple[int, int]] = set()
     for n, (uses, define, sources) in enumerate(cfg):
-        occurrences.update(uses)
+        uses_of.update(uses)
         for tok, name in uses:
             edges.update((dtok, tok) for dtok, dname in reach_in[n] if dname == name)
         if define is not None:
-            occurrences.add(define)
+            defines.add(define)
             edges.update((src, define[0]) for src in sources)
-    ordered = sorted(occurrences)
-    node_of = {tok: i for i, (tok, _) in enumerate(ordered)}
+    ordered = sorted(
+        [(tok, name, "definition") for tok, name in defines]
+        + [(tok, name, "use") for tok, name in uses_of - defines]
+    )
+    node_of = {tok: i for i, (tok, _, _) in enumerate(ordered)}
     return ordered, {(node_of[a], node_of[b]) for a, b in edges if a != b}
 
 

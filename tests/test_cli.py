@@ -150,6 +150,29 @@ class TestBadFlags:
         f.write_text("a = 1\n")
         assert run(capsys, "extract-dfg", str(f), "--config", str(cfg))[0] == 1
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"lr": "fast"}, "lr"),
+            ({"seed": "7"}, "seed"),
+            ({"batch_size": True}, "batch_size"),
+            ({"max_code": 3.5}, "max_code"),
+            ({"use_dataflow": "no"}, "use_dataflow"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, overrides, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        corpus = write_corpus(tmp_path, overfit_corpus(4))
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "pretrain", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(out), "--steps", "1", *SMALL_MODEL,
+        )
+        assert code == 1
+        assert err.count("\n") == 1 and f"config key {key} " in err
+        assert not out.exists()
+
     def test_config_merge_priority(self, tmp_path, capsys):
         # dataclass defaults < --config JSON < explicit flags
         cfg = tmp_path / "cfg.json"

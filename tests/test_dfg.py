@@ -1,6 +1,7 @@
 """Data-flow graph extraction against hand-traced expectations and a
 fixpoint reaching-definitions oracle."""
 
+import json
 import signal
 import time
 
@@ -14,7 +15,6 @@ from codeflow.dfg import (
     VariableNode,
     align_to_tokens,
     build_dfg,
-    deserialize_dfg,
     extract_dfg,
     serialize_dfg,
 )
@@ -110,9 +110,11 @@ def test_serialize_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(100):
         g = extract_dfg(random_program(rng))
-        back = deserialize_dfg(serialize_dfg(g))
-        assert back.nodes == g.nodes  # role is metadata, not compared
-        assert back.edges == g.edges
+        payload = json.loads(serialize_dfg(g))
+        assert payload["nodes"] == [
+            {"id": n.id, "name": n.name, "token": n.token_index} for n in g.nodes
+        ]
+        assert {tuple(e) for e in payload["edges"]} == g.edges
 
 
 def test_serialize_orders_edges():
@@ -125,13 +127,6 @@ def test_serialize_orders_edges():
         edges=frozenset({(2, 0), (0, 1), (0, 2)}),
     )
     assert '"edges":[[0,1],[0,2],[2,0]]' in serialize_dfg(g)
-
-
-def test_node_by_token():
-    g = extract_dfg("a = 1\nb = a\n")
-    assert g.node_by_token(6).name == "a"
-    with pytest.raises(KeyError):
-        g.node_by_token(1)
 
 
 def test_empty_module():
@@ -156,7 +151,7 @@ def test_matches_fixpoint_oracle_on_nested_loops():
         mod = parse_source(random_program(rng, max_depth=4))
         nodes, edges = dfg_oracle(mod)
         g = build_dfg(mod)
-        assert [(n.token_index, n.name) for n in g.nodes] == nodes
+        assert [(n.token_index, n.name, n.role) for n in g.nodes] == nodes
         assert g.edges == edges
 
 

@@ -127,7 +127,6 @@ class TestLayout:
         ex = encode()
         # code block starts at 5: a=5 ==6 1=7 <nl>=8 b=9 ==10 a=11 <nl>=12
         assert ex.node_token_links == {(14, 5), (15, 9), (16, 11)}
-        assert ex.code_token_of_node == {14: 5, 15: 9, 16: 11}
         # dfg edges (0,2),(2,1) in node-position space
         assert ex.node_edges == {(14, 16), (16, 15)}
 

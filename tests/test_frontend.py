@@ -227,6 +227,14 @@ class TestPretty:
         src = "x = a - (b - c)\n"
         assert pretty(parse_source(src)) == src
 
+    def test_long_operator_chain_walks_and_renders(self):
+        # A 2000-term chain is a 2000-deep left spine; walk and pretty loop over it.
+        src = "x = " + " + ".join(["a"] * 2000) + "\n"
+        mod = parse_source(src)
+        kinds = [node.kind for node in walk(mod)]
+        assert kinds == ["Module", "Assign", "Name"] + ["BinOp"] * 1999 + ["Name"] * 2000
+        assert pretty(mod) == src
+
     def test_pretty_parse_fixed_point_fuzz(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
