@@ -5,7 +5,7 @@ scorer for both), and retrieval/clone-detection heads."""
 
 __version__ = "0.1.0"
 
-from .dfg import DataFlowGraph, VariableNode, align_to_tokens, build_dfg, extract_dfg
+from .dfg import DataFlowGraph, VariableNode, build_dfg, extract_dfg
 from .encoding import (
     EncodedExample,
     Limits,
@@ -21,7 +21,6 @@ from .model import Activations, ModelConfig, ModelParams, compute_gradients, for
 __all__ = [
     "DataFlowGraph",
     "VariableNode",
-    "align_to_tokens",
     "build_dfg",
     "extract_dfg",
     "EncodedExample",

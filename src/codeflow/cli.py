@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -34,6 +35,7 @@ from .downstream import (
     prepare_search_examples,
 )
 from .encoding import (
+    RESERVED,
     EmptyCorpus,
     Limits,
     SequenceTooLong,
@@ -125,7 +127,9 @@ class RunConfig:
         )
 
     def limits(self) -> Limits:
-        return Limits(max_comment=self.max_comment, max_code=self.max_code, max_nodes=self.max_nodes)
+        """Truncation limits; `use_dataflow` false is the no-data-flow ablation, no node segment."""
+        max_nodes = self.max_nodes if self.use_dataflow else 0
+        return Limits(max_comment=self.max_comment, max_code=self.max_code, max_nodes=max_nodes)
 
     def objectives(self) -> Objectives:
         return Objectives(edge_pred=self.edge_pred, node_align=self.node_align)
@@ -252,6 +256,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("limits must be positive")
         if rc.steps < 0 or rc.epochs < 0 or rc.batch_size < 1:
             raise ValueError("steps/epochs must be >= 0 and batch size >= 1")
+        if rc.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {rc.seed}")
+        if rc.vocab_size < len(RESERVED):
+            raise ValueError(f"vocab size must be at least {len(RESERVED)}, not {rc.vocab_size}")
+        if not (math.isfinite(rc.lr) and rc.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, not {rc.lr}")
     except (TypeError, ValueError) as e:
         raise BadFlags(str(e)) from e
     return rc
@@ -306,16 +316,8 @@ def _cmd_encode(rc: RunConfig) -> int:
     source = Path(rc.file).read_text(encoding="utf-8")
     comment = rc.comment or ""
     vocab = build_vocab([(comment, source)], rc.vocab_size)
-    dfg = extract_dfg(source)
     example = encode_example(
-        comment,
-        source,
-        dfg,
-        vocab,
-        limits=rc.limits(),
-        max_positions=rc.max_positions,
-        include_comment=bool(comment),
-        include_dataflow=rc.use_dataflow,
+        comment, source, vocab, limits=rc.limits(), max_positions=rc.max_positions, include_comment=bool(comment)
     )
     allow = build_attention_mask(example)
     _print_json(
@@ -343,7 +345,6 @@ def _cmd_pretrain(rc: RunConfig) -> int:
         limits=rc.limits(),
         batch_size=rc.batch_size,
         lr=rc.lr,
-        use_dataflow=rc.use_dataflow,
     )
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -368,7 +369,7 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
         raise EmptyCorpus("no usable search examples after filtering")
     texts = [(it.docstring, it.code) for it in raw_items]
     params, vocab = _load_model(rc, texts)
-    examples = prepare_search_examples(texts, vocab, rc.limits(), params.config.max_positions, rc.use_dataflow)
+    examples = prepare_search_examples(texts, vocab, rc.limits(), params.config.max_positions)
     if tune:
         params = finetune_search(
             examples,
@@ -422,10 +423,9 @@ def _cmd_clone(rc: RunConfig, tune: bool) -> int:
             lr=rc.lr,
             batch_size=rc.batch_size,
             epochs=rc.epochs,
-            use_dataflow=rc.use_dataflow,
             limits=rc.limits(),
         )
-    predictions = clone_probabilities([(p.code_a, p.code_b) for p in pairs], params, vocab, rc.use_dataflow, rc.limits())
+    predictions = clone_probabilities([(p.code_a, p.code_b) for p in pairs], params, vocab, rc.limits())
     precision, recall, f1 = clone_metrics(predictions, [p.label for p in pairs])
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -442,7 +442,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     _require(rc, "corpus")
     items = load_corpus(rc.corpus)
     params, vocab = _load_model(rc, [(it.docstring, it.code) for it in items])
-    encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions, rc.use_dataflow)
+    encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
     splits = grouped_forwards(params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b))
     per_lang: dict[str, list[tuple[float, float]]] = {}
     for item, split in zip(items, splits):

@@ -187,12 +187,6 @@ def build_dfg(ast: Module) -> DataFlowGraph:
     return DataFlowGraph(nodes=nodes, edges=edges)
 
 
-def align_to_tokens(dfg: DataFlowGraph) -> set[tuple[int, int]]:
-    """Pairs <node_id, token_index> linking each node to the identifier
-    token it was identified from."""
-    return {(node.id, node.token_index) for node in dfg.nodes}
-
-
 def serialize_dfg(dfg: DataFlowGraph) -> str:
     """Emit the canonical JSON form (edges sorted lexicographically)."""
     payload = {

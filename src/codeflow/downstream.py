@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .dfg import DataFlowGraph, extract_dfg
 from .encoding import (
     EncodedExample,
     Limits,
@@ -25,7 +24,7 @@ from .encoding import (
     encode_example,
     pad_batch,
 )
-from .frontend import FrontendError
+from .frontend import FrontendError, parse_source
 from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
@@ -40,9 +39,6 @@ class DimensionMismatch(ValueError):
 
 class ParseFailure(ValueError):
     pass
-
-
-_EMPTY_DFG = DataFlowGraph(nodes=(), edges=frozenset())
 
 
 @dataclass
@@ -73,16 +69,7 @@ class RankingResult:
 def encode_query_example(query: str, vocab: Vocabulary, limits: Limits = Limits(), max_positions: int = 512) -> EncodedExample:
     if not comment_tokens(query):
         raise EmptyInput("query has no tokens")
-    return encode_example(
-        query,
-        "",
-        _EMPTY_DFG,
-        vocab,
-        limits=limits,
-        max_positions=max_positions,
-        include_code=False,
-        include_dataflow=False,
-    )
+    return encode_example(query, "", vocab, limits=limits, max_positions=max_positions, include_code=False)
 
 
 def encode_code_example(
@@ -90,22 +77,11 @@ def encode_code_example(
     vocab: Vocabulary,
     limits: Limits = Limits(),
     max_positions: int = 512,
-    use_dataflow: bool = True,
 ) -> EncodedExample:
     try:
-        dfg = extract_dfg(code) if use_dataflow else _EMPTY_DFG
+        return encode_example("", code, vocab, limits=limits, max_positions=max_positions, include_comment=False)
     except FrontendError as e:
         raise ParseFailure(str(e)) from e
-    return encode_example(
-        "",
-        code,
-        dfg,
-        vocab,
-        limits=limits,
-        max_positions=max_positions,
-        include_comment=False,
-        include_dataflow=use_dataflow,
-    )
 
 
 # Most positions one inference forward of `grouped_forwards` takes; caps its
@@ -173,11 +149,10 @@ def encode_code(
     code: str,
     params: ModelParams,
     vocab: Vocabulary,
-    use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> np.ndarray:
     """Final-layer [CLS] vector of the code(+nodes) encoding, no comment segment."""
-    ex = encode_code_example(code, vocab, limits, params.config.max_positions, use_dataflow)
+    ex = encode_code_example(code, vocab, limits, params.config.max_positions)
     return _cls_vectors(params, [ex])[0]
 
 
@@ -223,7 +198,6 @@ def prepare_search_examples(
     vocab: Vocabulary,
     limits: Limits = Limits(),
     max_positions: int = 512,
-    use_dataflow: bool = True,
 ) -> list[SearchExample]:
     out = []
     for query, code in pairs:
@@ -232,7 +206,7 @@ def prepare_search_examples(
                 query=query,
                 code=code,
                 query_encoded=encode_query_example(query, vocab, limits, max_positions),
-                code_encoded=encode_code_example(code, vocab, limits, max_positions, use_dataflow),
+                code_encoded=encode_code_example(code, vocab, limits, max_positions),
             )
         )
     return out
@@ -302,14 +276,13 @@ def clone_probabilities(
     pairs: list[tuple[str, str]],
     params: ModelParams,
     vocab: Vocabulary,
-    use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> list[float]:
     """Clone probability of each ``(code_a, code_b)`` pair. Each distinct
     snippet is encoded once, and all of them in one grouped pass."""
     index = {code: k for k, code in enumerate(dict.fromkeys(code for pair in pairs for code in pair))}
     max_positions = params.config.max_positions
-    vecs = _cls_vectors(params, [encode_code_example(code, vocab, limits, max_positions, use_dataflow) for code in index])
+    vecs = _cls_vectors(params, [encode_code_example(code, vocab, limits, max_positions) for code in index])
     scaled = [float(vecs[index[a]] @ vecs[index[b]]) / math.sqrt(params.config.hidden_dim) for a, b in pairs]
     return [float(1.0 / (1.0 + np.exp(-x))) for x in scaled]
 
@@ -319,10 +292,9 @@ def clone_probability(
     code_b: str,
     params: ModelParams,
     vocab: Vocabulary,
-    use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> float:
-    return clone_probabilities([(code_a, code_b)], params, vocab, use_dataflow, limits)[0]
+    return clone_probabilities([(code_a, code_b)], params, vocab, limits)[0]
 
 
 def finetune_clone(
@@ -333,7 +305,6 @@ def finetune_clone(
     lr: float = 1e-3,
     batch_size: int = 8,
     epochs: int = 20,
-    use_dataflow: bool = True,
     limits: Limits = Limits(),
 ) -> ModelParams:
     """Binary cross-entropy on the scaled-dot clone probability."""
@@ -343,8 +314,8 @@ def finetune_clone(
     max_positions = params.config.max_positions
     encoded = [
         (
-            encode_code_example(p.code_a, vocab, limits, max_positions, use_dataflow),
-            encode_code_example(p.code_b, vocab, limits, max_positions, use_dataflow),
+            encode_code_example(p.code_a, vocab, limits, max_positions),
+            encode_code_example(p.code_b, vocab, limits, max_positions),
             p.label,
         )
         for p in pairs
@@ -414,7 +385,7 @@ def filter_search_corpus(items) -> list:
     kept = []
     for item in items:
         try:
-            extract_dfg(item.code)
+            parse_source(item.code)
         except FrontendError:
             continue
         words = comment_tokens(item.docstring)

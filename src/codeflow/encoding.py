@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dfg import DataFlowGraph
+from .dfg import build_dfg
 from .frontend.lexer import Token
 
 PAD, CLS, SEP, MASK, UNK = 0, 1, 2, 3, 4
@@ -161,63 +161,62 @@ class EncodedExample:
 def encode_example(
     comment: str,
     code: str,
-    dfg: DataFlowGraph,
     vocab: Vocabulary,
     limits: Limits = Limits(),
     max_positions: int = 512,
     include_comment: bool = True,
     include_code: bool = True,
-    include_dataflow: bool = True,
 ) -> EncodedExample:
     """Build the ``[CLS] W [SEP] C [SEP] V`` input for one example.
 
-    Comment, code and node sequences are truncated to their limits; a node
-    whose source token fell past the code truncation point is dropped, and
-    edges touching dropped nodes are dropped with them. The ``include_*``
-    switches drop whole segments (with the [SEP] that follows them):
-    comment-only query encoding, code-only candidate encoding, and the
-    no-data-flow ablation.
+    The code is lexed once; the data-flow graph is built from the same
+    tokens, so encoding code raises the frontend's error for code that does
+    not lex or parse. Comment, code and node sequences are truncated to
+    their limits; a node whose source token fell past the code truncation
+    point is dropped, and edges touching dropped nodes are dropped with
+    them. ``Limits(max_nodes=0)`` is the no-data-flow ablation. The
+    ``include_*`` switches drop a whole segment with the [SEP] that follows
+    it (comment-only query encoding, code-only candidate encoding); without
+    the code segment there are no nodes either.
     """
     from .frontend.lexer import tokenize
-
-    if not include_code and include_dataflow:
-        raise ValueError("data-flow nodes require the code segment")
-    words = comment_tokens(comment)[: limits.max_comment] if include_comment else []
+    from .frontend.parser import parse
 
     ids: list[int] = [CLS]
     segments: list[str] = [SEG_SPECIAL]
     if include_comment:
-        for w in words:
+        for w in comment_tokens(comment)[: limits.max_comment]:
             ids.append(vocab.id_of(w))
             segments.append(SEG_COMMENT)
         ids.append(SEP)
         segments.append(SEG_SPECIAL)
-    code_pos_of_token: dict[int, int] = {}
+    links: set[tuple[int, int]] = set()
+    edges: frozenset[tuple[int, int]] = frozenset()
     if include_code:
-        kept_code = tokenize(code)[: limits.max_code]
-        for offset, s in enumerate(code_token_strings(kept_code)):
-            code_pos_of_token[kept_code[offset].index] = len(ids)
+        tokens = tokenize(code)
+        dfg = build_dfg(parse(tokens))
+        kept_code = tokens[: limits.max_code]
+        code_pos_of_token: dict[int, int] = {}
+        for tok, s in zip(kept_code, code_token_strings(kept_code)):
+            code_pos_of_token[tok.index] = len(ids)
             ids.append(vocab.id_of(s))
             segments.append(SEG_CODE)
         ids.append(SEP)
         segments.append(SEG_SPECIAL)
 
-    node_pos_of_id: dict[int, int] = {}
-    links: set[tuple[int, int]] = set()
-    if include_dataflow:
+        node_pos_of_id: dict[int, int] = {}
         kept_nodes = [n for n in dfg.nodes if n.token_index in code_pos_of_token]
-        kept_nodes = kept_nodes[: limits.max_nodes]
-        for node in kept_nodes:
+        for node in kept_nodes[: limits.max_nodes]:
             pos = len(ids)
             node_pos_of_id[node.id] = pos
             ids.append(vocab.id_of(node.name))
             segments.append(SEG_NODE)
             links.add((pos, code_pos_of_token[node.token_index]))
-    edges = frozenset(
-        (node_pos_of_id[src], node_pos_of_id[dst])
-        for src, dst in dfg.edges
-        if src in node_pos_of_id and dst in node_pos_of_id
-    )
+        edges = frozenset(
+            (node_pos_of_id[src], node_pos_of_id[dst])
+            for src, dst in dfg.edges
+            if src in node_pos_of_id and dst in node_pos_of_id
+        )
 
     example = EncodedExample(
         ids=tuple(ids),

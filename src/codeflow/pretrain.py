@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .dfg import extract_dfg
 from .downstream import grouped_forwards
 from .encoding import (
     EmptyCorpus,
@@ -120,23 +119,8 @@ def encode_corpus(
     vocab: Vocabulary,
     limits: Limits = Limits(),
     max_positions: int = 512,
-    use_dataflow: bool = True,
 ) -> list[EncodedExample]:
-    encoded = []
-    for item in items:
-        dfg = extract_dfg(item.code)
-        encoded.append(
-            encode_example(
-                item.docstring,
-                item.code,
-                dfg,
-                vocab,
-                limits=limits,
-                max_positions=max_positions,
-                include_dataflow=use_dataflow,
-            )
-        )
-    return encoded
+    return [encode_example(it.docstring, it.code, vocab, limits, max_positions) for it in items]
 
 
 # masked-token objective -----------------------------------------------------
@@ -406,7 +390,6 @@ def pretrain_run(
     limits: Limits = Limits(),
     batch_size: int = 8,
     lr: float = 1e-3,
-    use_dataflow: bool = True,
     params: ModelParams | None = None,
 ) -> PretrainResult:
     """Alternating loop: even steps pair MLM with edge prediction, odd steps
@@ -417,7 +400,7 @@ def pretrain_run(
     rng = np.random.default_rng(0 if rng is None else rng)
     if vocab is None:
         vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
-    encoded = encode_corpus(corpus, vocab, limits=limits, max_positions=config.max_positions, use_dataflow=use_dataflow)
+    encoded = encode_corpus(corpus, vocab, limits=limits, max_positions=config.max_positions)
     by_lang: dict[str, list[int]] = {}
     for i, item in enumerate(corpus):
         by_lang.setdefault(item.lang, []).append(i)

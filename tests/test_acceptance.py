@@ -52,8 +52,7 @@ def verdict(num, ok, detail):
 
 
 def encode_random(code, vocab, max_positions=128):
-    return encode_example("find the value", code, extract_dfg(code), vocab,
-                          max_positions=max_positions)
+    return encode_example("find the value", code, vocab, max_positions=max_positions)
 
 
 FUZZ_VOCAB = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
@@ -111,7 +110,7 @@ def test_04_gradient_check_combined_loss():
     vocab = build_vocab([(comment, code)], 64)
     cfg = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=32,
                       vocab_size=64, max_positions=128, seed=21)
-    ex = encode_example(comment, code, extract_dfg(code), vocab, max_positions=cfg.max_positions)
+    ex = encode_example(comment, code, vocab, max_positions=cfg.max_positions)
     rng = np.random.default_rng(2)
     mlm_t = select_mlm_targets(ex, rng, len(vocab))
     edge_t = next(t for t in (sample_edge_targets(ex, np.random.default_rng(s)) for s in range(50))
@@ -164,7 +163,7 @@ def test_05_pair_loss_formulas():
     code = "a = 1\nb = a + 2\nc = a + b\n"
     comment = "combine two values"
     vocab = build_vocab([(comment, code)], 64)
-    ex = encode_example(comment, code, extract_dfg(code), vocab, max_positions=128)
+    ex = encode_example(comment, code, vocab, max_positions=128)
     edge_t = next(t for t in (sample_edge_targets(ex, np.random.default_rng(s)) for s in range(50))
                   if t.candidates)
     align_t = next(t for t in (sample_align_targets(ex, np.random.default_rng(s)) for s in range(50))
@@ -248,8 +247,7 @@ def test_08_search_overfit_and_ablation():
     tuned = finetune_search(examples, init_params(cfg), rng=0, lr=5e-3, batch_size=16, epochs=120)
     mrr_tuned = evaluate_search(tuned, examples)
 
-    nodeless = prepare_search_examples(pairs, vocab, max_positions=cfg.max_positions,
-                                       use_dataflow=False)
+    nodeless = prepare_search_examples(pairs, vocab, Limits(max_nodes=0), max_positions=cfg.max_positions)
     assert all("node" not in ex.code_encoded.segments for ex in nodeless)
     tuned_nd = finetune_search(nodeless, init_params(cfg), rng=0, lr=5e-3, batch_size=16,
                                epochs=120)

@@ -173,6 +173,32 @@ class TestBadFlags:
         assert err.count("\n") == 1 and f"config key {key} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            pytest.param("seed", -1, "seed must be >= 0", id="negative-seed"),
+            pytest.param("vocab_size", 4, "vocab size must be at least 5", id="vocab-below-reserved"),
+            pytest.param("lr", -1.0, "learning rate must be finite and positive", id="negative-lr"),
+            pytest.param("lr", 0.0, "learning rate must be finite and positive", id="zero-lr"),
+            pytest.param("lr", float("nan"), "learning rate must be finite and positive", id="nan-lr"),
+            pytest.param("lr", float("inf"), "learning rate must be finite and positive", id="inf-lr"),
+        ],
+    )
+    def test_config_value_out_of_range(self, tmp_path, capsys, via, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value} if via == "config" else {}))  # json writes NaN as NaN
+        flags = [f"--{key.replace('_', '-')}", str(value)] if via == "flag" else []
+        corpus = write_corpus(tmp_path, overfit_corpus(4))
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "pretrain", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(out), "--steps", "1", *SMALL_MODEL, *flags,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_merge_priority(self, tmp_path, capsys):
         # dataclass defaults < --config JSON < explicit flags
         cfg = tmp_path / "cfg.json"
@@ -423,6 +449,21 @@ class TestCloneCommands:
             assert code == 2
             assert err == f"data error: line 2: label must be the integer 0 or 1, not {label}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-clone", "finetune-clone"])
+    def test_unparseable_snippet_without_dataflow_is_data_error(self, tmp_path, capsys, command):
+        # Encoded code is always parsed, so the ablation rejects it as the default does.
+        corpus = write_clone_corpus(tmp_path)
+        with corpus.open("a", encoding="utf-8") as f:
+            f.write(json.dumps({"code_a": "a = 1\n", "code_b": "def (:\n", "label": 0}) + "\n")
+        out = tmp_path / "o"
+        code, _, err = run(
+            capsys, command, "--corpus", str(corpus), "--out", str(out), "--no-dataflow",
+            "--epochs", "1", *SMALL_MODEL,
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_finetune_clone(self, tmp_path, capsys):
         corpus = write_clone_corpus(tmp_path)

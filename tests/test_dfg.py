@@ -13,7 +13,6 @@ from codeflow.dfg import (
     ROLE_USE,
     DataFlowGraph,
     VariableNode,
-    align_to_tokens,
     build_dfg,
     extract_dfg,
     serialize_dfg,
@@ -77,11 +76,6 @@ def test_params_have_no_incoming():
     params = [n.id for n in g.nodes if n.token_index in (3, 5)]
     for _, dst in g.edges:
         assert dst not in params
-
-
-def test_align_to_tokens():
-    g = extract_dfg("v = max_value - min_value\n")
-    assert align_to_tokens(g) == {(0, 0), (1, 2), (2, 4)}
 
 
 def test_roles():

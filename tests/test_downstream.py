@@ -28,8 +28,7 @@ from codeflow.downstream import (
     prepare_search_examples,
     rank_candidates,
 )
-from codeflow.dfg import extract_dfg
-from codeflow.encoding import PAD, additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.model import ModelConfig, forward, init_params
 from codeflow.pretrain import CorpusItem
 from helpers import clone_corpus, random_program, search_pairs
@@ -148,7 +147,7 @@ class TestVectorEncoders:
         ex = encode_code_example("a = 1\nb = a\n", vocab, max_positions=MAX_POSITIONS)
         assert ex.comment_positions == ()
         assert len(ex.node_positions) == 3
-        nodeless = encode_code_example("a = 1\nb = a\n", vocab, max_positions=MAX_POSITIONS, use_dataflow=False)
+        nodeless = encode_code_example("a = 1\nb = a\n", vocab, Limits(max_nodes=0), max_positions=MAX_POSITIONS)
         assert nodeless.node_positions == ()
 
     def test_vector_shapes_and_determinism(self):
@@ -162,8 +161,8 @@ class TestVectorEncoders:
 
     def test_dataflow_changes_code_vector(self):
         _, _, vocab, params, _ = search_fixture()
-        with_flow = encode_code("a = 1\nb = a\n", params, vocab, use_dataflow=True)
-        without = encode_code("a = 1\nb = a\n", params, vocab, use_dataflow=False)
+        with_flow = encode_code("a = 1\nb = a\n", params, vocab)
+        without = encode_code("a = 1\nb = a\n", params, vocab, Limits(max_nodes=0))
         assert not np.array_equal(with_flow, without)
 
     def test_empty_query(self):
@@ -197,7 +196,8 @@ class TestGroupedVectors:
         pairs = [pairs[int(i)] for i in order]
         vocab = build_vocab(pairs, 96)
         params = init_params(tiny_config(seed=seed, max_positions=512))
-        examples = prepare_search_examples(pairs, vocab, max_positions=512, use_dataflow=use_dataflow)
+        limits = Limits() if use_dataflow else Limits(max_nodes=0)
+        examples = prepare_search_examples(pairs, vocab, limits, max_positions=512)
         return params, examples
 
     def spy_forwards(self, monkeypatch):
@@ -309,7 +309,7 @@ class TestSearch:
         cfg = tiny_config()
         vocab = build_vocab([(q, c) for q, c in pairs], cfg.vocab_size)
         params = init_params(cfg)
-        examples = prepare_search_examples(pairs, vocab, max_positions=MAX_POSITIONS, use_dataflow=False)
+        examples = prepare_search_examples(pairs, vocab, Limits(max_nodes=0), max_positions=MAX_POSITIONS)
         assert all(ex.code_encoded.node_positions == () for ex in examples)
         score = evaluate_search(params, examples)
         assert 0.0 < score <= 1.0
@@ -341,7 +341,8 @@ class TestCloneDetection:
         tuples, vocab, params = clone_fixture()
         snippets = list(dict.fromkeys([a for a, _, _ in tuples] + [b for _, b, _ in tuples]))
         ring = [(snippets[i], snippets[(i + 1) % len(snippets)]) for i in range(len(snippets))]
-        want = [clone_probability(a, b, params, vocab, use_dataflow) for a, b in ring]
+        limits = Limits() if use_dataflow else Limits(max_nodes=0)
+        want = [clone_probability(a, b, params, vocab, limits) for a, b in ring]
         encoded = []
         real = downstream.encode_code_example
 
@@ -350,7 +351,7 @@ class TestCloneDetection:
             return real(code, *args)
 
         monkeypatch.setattr(downstream, "encode_code_example", spy)
-        assert clone_probabilities(ring, params, vocab, use_dataflow) == want
+        assert clone_probabilities(ring, params, vocab, limits) == want
         assert sorted(encoded) == sorted(snippets)
 
     def test_self_pair_at_least_half(self):
@@ -420,10 +421,8 @@ class TestAttentionSplit:
         cfg = tiny_config(num_layers=2)
         params = init_params(cfg)
         vocab = build_vocab([("query words here", code)], cfg.vocab_size)
-        ex = encode_example(
-            "query words here", code, extract_dfg(code), vocab,
-            max_positions=MAX_POSITIONS, include_dataflow=use_dataflow,
-        )
+        limits = Limits() if use_dataflow else Limits(max_nodes=0)
+        ex = encode_example("query words here", code, vocab, limits, max_positions=MAX_POSITIONS)
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
         return acts, ex
 
@@ -442,7 +441,7 @@ class TestAttentionSplit:
         params = init_params(cfg)
         code = "a = 1\nb = a\n"
         vocab = build_vocab([("query words here", code)], cfg.vocab_size)
-        ex = encode_example("query words here", code, extract_dfg(code), vocab, max_positions=MAX_POSITIONS)
+        ex = encode_example("query words here", code, vocab, max_positions=MAX_POSITIONS)
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
         with pytest.raises(ValueError):
             cls_attention_split(acts, ex)

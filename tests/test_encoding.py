@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     CLS,
     MASK,
@@ -25,7 +24,8 @@ from codeflow.encoding import (
     mask_density,
     pad_batch,
 )
-from codeflow.frontend import tokenize
+from codeflow import downstream
+from codeflow.frontend import lexer, parser, tokenize
 from helpers import mask_oracle, random_program
 
 COMMENT = "sum of values"
@@ -33,9 +33,8 @@ CODE = "a = 1\nb = a\n"
 
 
 def encode(comment=COMMENT, code=CODE, **kw):
-    dfg = extract_dfg(code)
     vocab = build_vocab([(comment, code)], size=64)
-    return encode_example(comment, code, dfg, vocab, **kw)
+    return encode_example(comment, code, vocab, **kw)
 
 
 class TestVocabulary:
@@ -138,8 +137,9 @@ class TestLayout:
         assert ex.maskable_positions == (1, 2, 3) + tuple(range(5, 13))
 
     def test_comment_only(self):
-        ex = encode(include_code=False, include_dataflow=False)
+        ex = encode(include_code=False)
         assert ex.segments == ("special", "comment", "comment", "comment", "special")
+        assert ex.node_positions == ()
         assert ex.node_edges == frozenset()
 
     def test_code_only(self):
@@ -149,18 +149,70 @@ class TestLayout:
         assert ex.code_positions == tuple(range(1, 9))
         assert ex.node_positions == (10, 11, 12)
 
-    def test_dataflow_requires_code(self):
-        with pytest.raises(ValueError):
-            encode(include_code=False, include_dataflow=True)
-
     def test_no_dataflow_still_has_code(self):
-        ex = encode(include_dataflow=False)
+        ex = encode(limits=Limits(max_nodes=0))
         assert ex.node_positions == ()
         assert ex.node_edges == frozenset()
         assert len(ex) == 14
 
     def test_deterministic(self):
         assert encode() == encode()
+
+
+class TestNoDataflowAblation:
+    """`Limits(max_nodes=0)` drops exactly the node segment."""
+
+    @staticmethod
+    def cut_after_last_sep(ex):
+        end = len(ex.ids) - ex.ids[::-1].index(SEP)
+        return ex.ids[:end], ex.segments[:end], ex.position_ids[:end]
+
+    @pytest.mark.parametrize(
+        "encoder",
+        [
+            lambda code, vocab, limits: encode_example("find the value", code, vocab, limits),
+            lambda code, vocab, limits: downstream.encode_code_example(code, vocab, limits),
+        ],
+        ids=["encode_example", "encode_code_example"],
+    )
+    def test_equals_default_cut_after_last_sep(self, encoder):
+        rng = np.random.default_rng(8)
+        vocab = Vocabulary(dict((t, i) for t, i in zip("abcdefgh", range(5, 13))))
+        for _ in range(400):
+            code = random_program(rng, max_depth=4)
+            full = encoder(code, vocab, Limits())
+            ablated = encoder(code, vocab, Limits(max_nodes=0))
+            assert (ablated.ids, ablated.segments, ablated.position_ids) == self.cut_after_last_sep(full)
+            assert ablated.node_edges == frozenset() and ablated.node_token_links == frozenset()
+
+
+class TestSingleLex:
+    """Encoding code lexes and parses it once, and builds the graph from those tokens."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"tokenize": 0, "parse": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(lexer, "tokenize")
+        counting(parser, "parse")
+        return counts
+
+    def test_code_is_lexed_and_parsed_once(self, calls):
+        encode_example(COMMENT, CODE, Vocabulary({}))
+        assert calls == {"tokenize": 1, "parse": 1}
+
+    def test_comment_only_lexes_nothing(self, calls):
+        encode_example(COMMENT, "", Vocabulary({}), include_code=False)
+        assert calls == {"tokenize": 0, "parse": 0}
 
 
 class TestTruncation:
@@ -215,12 +267,12 @@ class TestMask:
         vocab = Vocabulary(dict((t, i) for t, i in zip("abcdefgh", range(5, 13))))
         for _ in range(200):
             code = random_program(rng)
-            ex = encode_example("find the value", code, extract_dfg(code), vocab)
+            ex = encode_example("find the value", code, vocab)
             got = build_attention_mask(ex)
             assert np.array_equal(got, mask_oracle(ex))
 
     def test_pad_batch(self):
-        long, short = encode(), encode(include_dataflow=False)
+        long, short = encode(), encode(limits=Limits(max_nodes=0))
         n, m = len(long), len(short)
         assert m < n
         rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in (short, long)]
@@ -242,7 +294,7 @@ class TestMask:
             pad_batch([])
 
     def test_nodeless_example_allows_every_pair(self):
-        ex = encode(include_dataflow=False)
+        ex = encode(limits=Limits(max_nodes=0))
         assert ex.node_positions == ()
         assert build_attention_mask(ex).all()  # no nodes: everything is one text block
 
@@ -273,7 +325,7 @@ class TestAdditiveMask:
 def test_mask_density():
     allow = np.array([[True, False], [True, True]])
     assert mask_density(allow) == 0.75
-    ex = encode(include_dataflow=False)
+    ex = encode(limits=Limits(max_nodes=0))
     assert mask_density(build_attention_mask(ex)) == 1.0
 
 

@@ -12,6 +12,7 @@ from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     MASK,
     EmptyCorpus,
+    Limits,
     SequenceTooLong,
     Vocabulary,
     additive_mask,
@@ -50,7 +51,7 @@ CODE = "a = 1\nb = a\nc = a + b\n"
 
 def encoded_example(comment="add two numbers", code=CODE, vocab_size=64, max_positions=128, **kw):
     vocab = build_vocab([(comment, code)], size=vocab_size)
-    return encode_example(comment, code, extract_dfg(code), vocab, max_positions=max_positions, **kw), vocab
+    return encode_example(comment, code, vocab, max_positions=max_positions, **kw), vocab
 
 
 def tiny_config(**kw):
@@ -184,7 +185,7 @@ def edgeful_examples(count=25, seed=17):
         if not dfg.edges:
             continue
         try:
-            out.append(encode_example("query words", code, dfg, vocab, max_positions=128))
+            out.append(encode_example("query words", code, vocab, max_positions=128))
         except SequenceTooLong:
             continue
     return out
@@ -532,7 +533,7 @@ class TestCorpusIo:
         items = items_from([("set both", "a = 1\nb = a\n", "python")])
         vocab = build_vocab([(it.docstring, it.code) for it in items], 64)
         with_flow = encode_corpus(items, vocab)
-        without = encode_corpus(items, vocab, use_dataflow=False)
+        without = encode_corpus(items, vocab, Limits(max_nodes=0))
         assert with_flow[0].node_positions != ()
         assert without[0].node_positions == ()
 
@@ -582,7 +583,7 @@ class TestPretrainRun:
 
     def test_no_dataflow_ablation_runs_mlm_only(self):
         result = pretrain_run(
-            self.corpus(), tiny_config(), steps=2, rng=1, batch_size=2, use_dataflow=False
+            self.corpus(), tiny_config(), steps=2, rng=1, batch_size=2, limits=Limits(max_nodes=0)
         )
         assert [obj for _, obj, _ in result.loss_log] == ["mlm", "mlm"]
 

@@ -6,7 +6,6 @@ import pytest
 import codeflow.autograd as ag
 from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     Vocabulary,
     additive_mask,
@@ -38,7 +37,7 @@ CODE = "a = 1\nb = a\n"
 
 def encoded(max_positions=64):
     vocab = build_vocab([(COMMENT, CODE)], size=32)
-    return encode_example(COMMENT, CODE, extract_dfg(CODE), vocab, max_positions=max_positions)
+    return encode_example(COMMENT, CODE, vocab, max_positions=max_positions)
 
 
 def small_config(**kw):
@@ -539,7 +538,7 @@ class TestBatchedForward:
     def batch(self, rng, count):
         vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
         codes = [random_program(rng) for _ in range(count)]
-        return [encode_example("find the value", c, extract_dfg(c), vocab, max_positions=512) for c in codes]
+        return [encode_example("find the value", c, vocab, max_positions=512) for c in codes]
 
     def test_real_rows_match_per_example_forward(self):
         cfg = small_config(max_positions=512)
