@@ -47,7 +47,7 @@ from .encoding import (
     mask_density,
 )
 from .frontend import FrontendError
-from .model import ModelConfig, NonFiniteLoss, init_params
+from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params
 from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
@@ -277,12 +277,19 @@ def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _write_artifacts(rc: RunConfig, metrics: dict | None = None) -> None:
+def _write_artifacts(
+    rc: RunConfig, metrics: dict, params: ModelParams | None = None, vocab: Vocabulary | None = None
+) -> None:
+    """Make `--out` and write the run config, the metrics and, when given,
+    the model as ``model.gcb`` and its vocabulary as ``vocab.txt``."""
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
+    if params is not None:
+        save_checkpoint(out / "model.gcb", params)
+    if vocab is not None:
+        (out / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
     (out / "run_config.json").write_text(rc.to_json(), encoding="utf-8")
-    if metrics is not None:
-        (out / "metrics.json").write_text(json.dumps(metrics, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "metrics.json").write_text(json.dumps(metrics, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
@@ -314,11 +321,9 @@ def _cmd_extract_dfg(rc: RunConfig) -> int:
 
 def _cmd_encode(rc: RunConfig) -> int:
     source = Path(rc.file).read_text(encoding="utf-8")
-    comment = rc.comment or ""
-    vocab = build_vocab([(comment, source)], rc.vocab_size)
-    example = encode_example(
-        comment, source, vocab, limits=rc.limits(), max_positions=rc.max_positions, include_comment=bool(comment)
-    )
+    comment = rc.comment or None
+    vocab = build_vocab([(comment or "", source)], rc.vocab_size)
+    example = encode_example(comment, source, vocab, limits=rc.limits(), max_positions=rc.max_positions)
     allow = build_attention_mask(example)
     _print_json(
         {
@@ -346,18 +351,14 @@ def _cmd_pretrain(rc: RunConfig) -> int:
         batch_size=rc.batch_size,
         lr=rc.lr,
     )
-    out = Path(rc.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "model.gcb", result.params)
-    (out / "vocab.txt").write_text(result.vocab.serialize(), encoding="utf-8")
-    write_loss_log(out / "losses.csv", result.loss_log)
     mlm_rows = [loss for _, objective, loss in result.loss_log if objective == "mlm"]
     metrics = {
         "steps": rc.steps,
         "initial_mlm_loss": mlm_rows[0] if mlm_rows else None,
         "final_mlm_loss": mlm_rows[-1] if mlm_rows else None,
     }
-    _write_artifacts(rc, metrics)
+    _write_artifacts(rc, metrics, result.params, result.vocab)
+    write_loss_log(Path(rc.out) / "losses.csv", result.loss_log)
     _print_json(metrics)
     return 0
 
@@ -379,14 +380,8 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
             batch_size=rc.batch_size,
             epochs=rc.epochs,
         )
-    score = evaluate_search(params, examples)
-    out = Path(rc.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if tune:
-        save_checkpoint(out / "model.gcb", params)
-        (out / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
-    metrics = {"mrr": score}
-    _write_artifacts(rc, metrics)
+    metrics = {"mrr": evaluate_search(params, examples)}
+    _write_artifacts(rc, metrics, params if tune else None, vocab if tune else None)
     _print_json(metrics)
     return 0
 
@@ -427,13 +422,8 @@ def _cmd_clone(rc: RunConfig, tune: bool) -> int:
         )
     predictions = clone_probabilities([(p.code_a, p.code_b) for p in pairs], params, vocab, rc.limits())
     precision, recall, f1 = clone_metrics(predictions, [p.label for p in pairs])
-    out = Path(rc.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if tune:
-        save_checkpoint(out / "model.gcb", params)
-        (out / "vocab.txt").write_text(vocab.serialize(), encoding="utf-8")
     metrics = {"precision": precision, "recall": recall, "f1": f1}
-    _write_artifacts(rc, metrics)
+    _write_artifacts(rc, metrics, params if tune else None, vocab if tune else None)
     _print_json(metrics)
     return 0
 

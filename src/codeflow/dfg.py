@@ -28,8 +28,12 @@ Augmented assignment targets act as both a use (they receive edges from the
 prior reaching definitions) and the new definition. Function parameters are
 definitions with no incoming edges. Call target names and function names
 are not variables and never become nodes. A use with no reaching
-definition simply has no incoming edges. ``return`` does not end the walk:
-the statements after it are walked, and its environment falls through.
+definition simply has no incoming edges. ``return`` ends its path: it
+records its uses and leaves the empty environment, so a returning branch
+adds nothing to the merge after an ``if``, to a loop's ``gen`` or to the
+environment after a loop. Statements after a ``return`` in the same block
+are unreachable and start from the empty environment: no definition from
+before the ``return`` reaches them, and their own occurrences stay nodes.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class _Extractor:
         if isinstance(node, (Return, ExprStmt)):
             if node.value is not None:
                 self.uses_in(node.value, env)
-            return env
+            return {} if isinstance(node, Return) else env  # a return ends its path
         raise TypeError(f"unexpected statement node: {node!r}")
 
     def loop_pass(self, node: While | For, env: _Env) -> _Env:

@@ -43,10 +43,8 @@ class ParseFailure(ValueError):
 
 @dataclass
 class SearchExample:
-    query: str
-    code: str
-    query_encoded: EncodedExample | None = None
-    code_encoded: EncodedExample | None = None
+    query_encoded: EncodedExample
+    code_encoded: EncodedExample
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class RankingResult:
 def encode_query_example(query: str, vocab: Vocabulary, limits: Limits = Limits(), max_positions: int = 512) -> EncodedExample:
     if not comment_tokens(query):
         raise EmptyInput("query has no tokens")
-    return encode_example(query, "", vocab, limits=limits, max_positions=max_positions, include_code=False)
+    return encode_example(query, None, vocab, limits=limits, max_positions=max_positions)
 
 
 def encode_code_example(
@@ -79,7 +77,7 @@ def encode_code_example(
     max_positions: int = 512,
 ) -> EncodedExample:
     try:
-        return encode_example("", code, vocab, limits=limits, max_positions=max_positions, include_comment=False)
+        return encode_example(None, code, vocab, limits=limits, max_positions=max_positions)
     except FrontendError as e:
         raise ParseFailure(str(e)) from e
 
@@ -199,17 +197,13 @@ def prepare_search_examples(
     limits: Limits = Limits(),
     max_positions: int = 512,
 ) -> list[SearchExample]:
-    out = []
-    for query, code in pairs:
-        out.append(
-            SearchExample(
-                query=query,
-                code=code,
-                query_encoded=encode_query_example(query, vocab, limits, max_positions),
-                code_encoded=encode_code_example(code, vocab, limits, max_positions),
-            )
+    return [
+        SearchExample(
+            query_encoded=encode_query_example(query, vocab, limits, max_positions),
+            code_encoded=encode_code_example(code, vocab, limits, max_positions),
         )
-    return out
+        for query, code in pairs
+    ]
 
 
 # fine-tuning ----------------------------------------------------------------
@@ -222,19 +216,14 @@ def finetune_search(
     lr: float = 1e-3,
     batch_size: int = 8,
     epochs: int = 20,
-    val_examples: list[SearchExample] | None = None,
-    patience: int = 3,
 ) -> ModelParams:
     """In-batch contrastive fine-tuning: each query's own code is the positive,
     the other codes in the batch are negatives, softmax cross-entropy on inner
-    products. Early-stops on validation MRR when a validation split is given."""
+    products."""
     if len(examples) < 2:
         raise EmptyInput("need at least two pairs for in-batch contrast")
     rng = np.random.default_rng(0 if rng is None else rng)
     state = init_adam(params)
-    best_val = -1.0
-    best_snapshot = None
-    stale = 0
     for _epoch in range(epochs):
         order = rng.permutation(len(examples))
         for lo in range(0, len(order), batch_size):
@@ -253,19 +242,6 @@ def finetune_search(
 
             _, grads = compute_gradients(loss_fn, params)
             adam_step(params, grads, state, lr)
-        if val_examples:
-            score = evaluate_search(params, val_examples)
-            if score > best_val:
-                best_val = score
-                best_snapshot = {k: t.data.copy() for k, t in params.tensors.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-    if best_snapshot is not None:
-        for k, t in params.tensors.items():
-            t.data = best_snapshot[k]
     return params
 
 

@@ -159,13 +159,11 @@ class EncodedExample:
 
 
 def encode_example(
-    comment: str,
-    code: str,
+    comment: str | None,
+    code: str | None,
     vocab: Vocabulary,
     limits: Limits = Limits(),
     max_positions: int = 512,
-    include_comment: bool = True,
-    include_code: bool = True,
 ) -> EncodedExample:
     """Build the ``[CLS] W [SEP] C [SEP] V`` input for one example.
 
@@ -174,17 +172,17 @@ def encode_example(
     not lex or parse. Comment, code and node sequences are truncated to
     their limits; a node whose source token fell past the code truncation
     point is dropped, and edges touching dropped nodes are dropped with
-    them. ``Limits(max_nodes=0)`` is the no-data-flow ablation. The
-    ``include_*`` switches drop a whole segment with the [SEP] that follows
-    it (comment-only query encoding, code-only candidate encoding); without
-    the code segment there are no nodes either.
+    them. ``Limits(max_nodes=0)`` is the no-data-flow ablation. A None
+    comment or code drops that whole segment with the [SEP] that follows it
+    (comment-only query encoding, code-only candidate encoding); without the
+    code segment there are no nodes either.
     """
     from .frontend.lexer import tokenize
     from .frontend.parser import parse
 
     ids: list[int] = [CLS]
     segments: list[str] = [SEG_SPECIAL]
-    if include_comment:
+    if comment is not None:
         for w in comment_tokens(comment)[: limits.max_comment]:
             ids.append(vocab.id_of(w))
             segments.append(SEG_COMMENT)
@@ -192,7 +190,7 @@ def encode_example(
         segments.append(SEG_SPECIAL)
     links: set[tuple[int, int]] = set()
     edges: frozenset[tuple[int, int]] = frozenset()
-    if include_code:
+    if code is not None:
         tokens = tokenize(code)
         dfg = build_dfg(parse(tokens))
         kept_code = tokens[: limits.max_code]
@@ -277,9 +275,9 @@ def build_attention_mask(example: EncodedExample) -> np.ndarray:
     return mask
 
 
-def additive_mask(allow: np.ndarray, dtype=np.float32, penalty: float = MASK_PENALTY) -> np.ndarray:
+def additive_mask(allow: np.ndarray, dtype=np.float32) -> np.ndarray:
     """Convert a boolean allow-matrix to the additive form used in scores."""
-    out = np.where(allow, 0.0, penalty).astype(dtype)
+    out = np.where(allow, 0.0, MASK_PENALTY).astype(dtype)
     out.flags.writeable = False
     return out
 

@@ -6,7 +6,6 @@ from .errors import MiniLangSyntaxError
 from .lexer import Span, Token
 from .syntax import (
     Assign,
-    AstNode,
     AugAssign,
     BinOp,
     Call,

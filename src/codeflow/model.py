@@ -8,7 +8,7 @@ of token and position embeddings, with no extra norm before layer 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,15 +48,7 @@ class ModelConfig:
         return self.hidden_dim // self.num_heads
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden_dim": self.hidden_dim,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

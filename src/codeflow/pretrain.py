@@ -53,14 +53,6 @@ class NoMaskablePositions(ValueError):
     pass
 
 
-class NoNodes(ValueError):
-    pass
-
-
-class NoEdges(ValueError):
-    pass
-
-
 class EmptyCounts(ValueError):
     pass
 
@@ -218,13 +210,12 @@ def _build_targets(
     )
 
 
-def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets:
-    nodes = example.node_positions
-    if not nodes:
-        raise NoNodes("example has no variable nodes")
+def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets | None:
+    """Edge-prediction targets, or None when the example has no data-flow edges."""
     edges = sorted(example.node_edges)
     if not edges:
-        raise NoEdges("example has no data-flow edges")
+        return None
+    nodes = example.node_positions
     sampled = _sample_node_subset(example, rng)
     in_sample = set(sampled)
     positives = [e for e in edges if e[0] in in_sample or e[1] in in_sample]
@@ -243,9 +234,10 @@ def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> St
     return _build_targets(example, rng, sampled, positives, pool, [(dst, src) for src, dst in positives])
 
 
-def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets:
+def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets | None:
+    """Node-alignment targets, or None when the example has no variable nodes."""
     if not example.node_positions:
-        raise NoNodes("example has no variable nodes")
+        return None
     sampled = _sample_node_subset(example, rng)
     in_sample = set(sampled)
     links = sorted(example.node_token_links)
@@ -258,16 +250,13 @@ def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> S
 def structure_targets(example: EncodedExample, objective: str, rng: np.random.Generator) -> StructureTargets | None:
     """Targets of `objective` ("edgepred" or "nodealign") for one example, or
     None when it has no nodes, no edges to predict or no candidates."""
-    try:
-        if objective == "edgepred":
-            targets = sample_edge_targets(example, rng)
-        elif objective == "nodealign":
-            targets = sample_align_targets(example, rng)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-    except (NoNodes, NoEdges):
-        return None
-    return targets if targets.candidates else None
+    if objective == "edgepred":
+        targets = sample_edge_targets(example, rng)
+    elif objective == "nodealign":
+        targets = sample_align_targets(example, rng)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return targets if targets is not None and targets.candidates else None
 
 
 def pair_loss(activations: Activations, targets: StructureTargets) -> Tensor:
@@ -328,8 +317,6 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
 @dataclass(frozen=True)
 class LanguageSampler:
     languages: tuple[str, ...]
-    counts: tuple[int, ...]
-    alpha: float
     probabilities: tuple[float, ...]
 
     def sample(self, rng: np.random.Generator) -> str:
@@ -356,8 +343,6 @@ def language_sampler(counts, alpha: float = 0.7) -> LanguageSampler:
         q = w / w.sum()
     return LanguageSampler(
         languages=tuple(name for name, _ in items),
-        counts=tuple(int(c) for _, c in items),
-        alpha=float(alpha),
         probabilities=tuple(float(x) for x in q),
     )
 
@@ -456,7 +441,6 @@ def structure_accuracy(
     encoded: list[EncodedExample],
     objective: str,
     rng: np.random.Generator,
-    threshold: float = 0.5,
 ) -> float:
     """Binary accuracy of the pair scorer over freshly sampled target sets."""
     scored = [(ex, tset) for ex in encoded if (tset := structure_targets(ex, objective, rng)) is not None]
@@ -468,7 +452,7 @@ def structure_accuracy(
         offset = b * len(ex)
         dots = pair_dots(acts.final, [(offset + x, offset + y) for x, y in tset.candidates]).data.astype(np.float64)
         p = 1.0 / (1.0 + np.exp(-dots))
-        return int(np.count_nonzero((p > threshold) == (np.asarray(tset.labels) == 1)))
+        return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 
     hits = grouped_forwards(params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored])
     return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

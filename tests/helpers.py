@@ -1,10 +1,14 @@
 """Shared test utilities: a seeded random-program generator that emits
-canonical-style source (so pretty-printing is a fixed point), an independent
+canonical-style source (so pretty-printing is a fixed point), an AST walk
+and the pretty-printer that renders those programs, an independent
 entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
 data-flow oracle, a layer norm composed from autograd primitives, and small
 synthetic corpora."""
 
 from __future__ import annotations
+
+from dataclasses import fields
+from typing import Iterator
 
 import numpy as np
 
@@ -110,7 +114,113 @@ def random_program(rng: np.random.Generator, max_depth: int = 2) -> str:
         top.append(ast.FunctionDef(SPAN, "main_fn", -1, params, body))
     for _ in range(int(rng.integers(1, 4))):
         top.append(random_stmt(rng, names, 0, max_depth))
-    return ast.pretty(ast.Module(SPAN, tuple(top)))
+    return pretty(ast.Module(SPAN, tuple(top)))
+
+
+# AST traversal and pretty-printer -------------------------------------------
+
+
+def children(node: ast.AstNode) -> tuple[ast.AstNode, ...]:
+    out: list[ast.AstNode] = []
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, ast.AstNode):
+            out.append(v)
+        elif isinstance(v, tuple):
+            out.extend(c for c in v if isinstance(c, ast.AstNode))
+    return tuple(out)
+
+
+def walk(node: ast.AstNode) -> Iterator[ast.AstNode]:
+    """Pre-order traversal with an explicit stack: a long operator chain is
+    a deep left-leaning tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+INDENT = "    "
+
+
+def pretty(node: ast.AstNode) -> str:
+    """Render an AST back to canonical MiniLang source (4-space indents).
+
+    Re-tokenizing the output yields the same (kind, text) token sequence the
+    tree was parsed from, provided the original used the canonical style.
+    """
+    if isinstance(node, ast.Module):
+        return "".join(_stmt(s, 0) for s in node.body)
+    return _expr(node) if isinstance(node, (ast.BinOp, ast.Call, ast.Name, ast.Literal)) else _stmt(node, 0)
+
+
+def _stmt(node: ast.AstNode, depth: int) -> str:
+    pad = INDENT * depth
+    if isinstance(node, ast.Assign):
+        return f"{pad}{node.target.id} = {_expr(node.value)}\n"
+    if isinstance(node, ast.AugAssign):
+        return f"{pad}{node.target.id} {node.op} {_expr(node.value)}\n"
+    if isinstance(node, ast.Return):
+        if node.value is None:
+            return f"{pad}return\n"
+        return f"{pad}return {_expr(node.value)}\n"
+    if isinstance(node, ast.ExprStmt):
+        return f"{pad}{_expr(node.value)}\n"
+    if isinstance(node, ast.If):
+        out = f"{pad}if {_expr(node.test)}:\n" + _block(node.body, depth + 1)
+        orelse = node.orelse
+        while len(orelse) == 1 and isinstance(orelse[0], ast.If):
+            nested = orelse[0]
+            out += f"{pad}elif {_expr(nested.test)}:\n" + _block(nested.body, depth + 1)
+            orelse = nested.orelse
+        if orelse:
+            out += f"{pad}else:\n" + _block(orelse, depth + 1)
+        return out
+    if isinstance(node, ast.While):
+        return f"{pad}while {_expr(node.test)}:\n" + _block(node.body, depth + 1)
+    if isinstance(node, ast.For):
+        return f"{pad}for {node.target.id} in {_expr(node.iter)}:\n" + _block(node.body, depth + 1)
+    if isinstance(node, ast.FunctionDef):
+        params = ", ".join(p.name for p in node.params)
+        return f"{pad}def {node.name}({params}):\n" + _block(node.body, depth + 1)
+    raise TypeError(f"not a statement node: {node!r}")
+
+
+def _block(stmts: tuple[ast.Stmt, ...], depth: int) -> str:
+    return "".join(_stmt(s, depth) for s in stmts)
+
+
+_PRECEDENCE = {
+    "==": 0, "!=": 0, "<": 0, ">": 0, "<=": 0, ">=": 0,
+    "+": 1, "-": 1,
+    "*": 2, "/": 2, "%": 2,
+}
+
+
+def _expr(node: ast.AstNode, parent_prec: int = -1) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Literal):
+        return node.raw
+    if isinstance(node, ast.Call):
+        return f"{node.func}({', '.join(_expr(a) for a in node.args)})"
+    if isinstance(node, ast.BinOp):
+        prec = _PRECEDENCE[node.op]
+        # Left-associative: the right child needs parens at equal precedence.
+        # The left spine of a chain is followed in a loop while its left
+        # children need no parens, so a long `a + a + ...` does not recurse.
+        tails = []
+        spine, spine_prec = node, prec
+        while isinstance(spine, ast.BinOp) and _PRECEDENCE[spine.op] >= spine_prec:
+            spine_prec = _PRECEDENCE[spine.op]
+            tails.append(f" {spine.op} {_expr(spine.right, spine_prec + 1)}")
+            spine = spine.left
+        text = _expr(spine, spine_prec) + "".join(reversed(tails))
+        if prec < parent_prec:
+            return f"({text})"
+        return text
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # independent mask oracle ------------------------------------------------------
@@ -163,8 +273,10 @@ def dfg_oracle(module) -> tuple[list[tuple[int, str, str]], set[tuple[int, int]]
 
     Loop semantics follow `codeflow.dfg`: a loop's exit is reached from its
     entry and from the end of its body, a `for` evaluates its iterable and
-    defines its target on every iteration, `return` falls through, and a
-    function body is a separate graph that starts from its parameters."""
+    defines its target on every iteration, and a function body is a separate
+    graph that starts from its parameters. A `return` jumps to the exit: its
+    node has no successor, so the statements after it start from a fresh
+    node with no predecessor and are unreachable."""
     cfg: list[tuple[list, tuple | None, list]] = []  # (uses, definition, value sources)
     succ: list[list[int]] = []
 
@@ -211,7 +323,8 @@ def dfg_oracle(module) -> tuple[list[tuple[int, str, str]], set[tuple[int, int]]
             block(s.body, inner)
             return cur
         if isinstance(s, (ast.Return, ast.ExprStmt)):
-            return new(_expr_names(s.value) if s.value is not None else [], after=cur)
+            node = new(_expr_names(s.value) if s.value is not None else [], after=cur)
+            return new() if isinstance(s, ast.Return) else node  # return -> exit: what follows has no predecessor
         raise TypeError(f"unexpected statement {s!r}")
 
     block(module.body, new())

@@ -137,6 +137,16 @@ def test_long_operator_chain():
     assert g.edges == {(param, u) for u in uses} | {(u, b_def) for u in uses} | {(b_def, b_use)}
 
 
+def test_return_ends_its_path():
+    # `x = 1` (node 3) returns before `y = x`, so only `x = 0` (node 1) reaches the use (node 6).
+    g = extract_dfg("def f(c):\n    x = 0\n    if c > 0:\n        x = 1\n        return x\n    y = x\n")
+    assert g.edges == {(0, 2), (1, 6), (3, 4), (6, 5)}
+    # Code after a return is unreachable: its occurrences are nodes, but the parameter does not reach its use.
+    g = extract_dfg("def f(a):\n    return a\n    b = a\n")
+    assert [(n.name, n.role) for n in g.nodes] == [("a", ROLE_DEF), ("a", ROLE_USE), ("b", ROLE_DEF), ("a", ROLE_USE)]
+    assert g.edges == {(0, 1), (3, 2)}
+
+
 
 def test_matches_fixpoint_oracle_on_nested_loops():
     # One walk per loop from entry + gen against IN/OUT sets iterated to a fixpoint.

@@ -294,16 +294,6 @@ class TestSearch:
         with pytest.raises(EmptyInput):
             finetune_search(examples[:1], params, rng=0)
 
-    def test_finetune_with_validation_split(self):
-        _, _, _, params, examples = search_fixture(n=6)
-        tuned = finetune_search(
-            examples[:4], params, rng=0, lr=3e-3, batch_size=4, epochs=6,
-            val_examples=examples[4:], patience=2,
-        )
-        assert tuned is params
-        for t in tuned.tensors.values():
-            assert np.isfinite(t.data).all()
-
     def test_no_dataflow_variant(self):
         pairs = search_pairs(4)
         cfg = tiny_config()

@@ -137,13 +137,13 @@ class TestLayout:
         assert ex.maskable_positions == (1, 2, 3) + tuple(range(5, 13))
 
     def test_comment_only(self):
-        ex = encode(include_code=False)
+        ex = encode_example(COMMENT, None, build_vocab([(COMMENT, CODE)], size=64))
         assert ex.segments == ("special", "comment", "comment", "comment", "special")
         assert ex.node_positions == ()
         assert ex.node_edges == frozenset()
 
     def test_code_only(self):
-        ex = encode(include_comment=False)
+        ex = encode_example(None, CODE, build_vocab([(COMMENT, CODE)], size=64))
         assert ex.segments[0] == "special"
         assert ex.comment_positions == ()
         assert ex.code_positions == tuple(range(1, 9))
@@ -211,7 +211,7 @@ class TestSingleLex:
         assert calls == {"tokenize": 1, "parse": 1}
 
     def test_comment_only_lexes_nothing(self, calls):
-        encode_example(COMMENT, "", Vocabulary({}), include_code=False)
+        encode_example(COMMENT, None, Vocabulary({}))
         assert calls == {"tokenize": 0, "parse": 0}
 
 
@@ -312,11 +312,11 @@ class TestAdditiveMask:
         assert set(np.unique(add)) == {MASK_PENALTY, 0.0}
         assert (add == 0.0).sum() == allow.sum()
 
-    def test_dtype_and_penalty_override(self):
+    def test_dtype_override(self):
         allow = np.array([[True, False]])
-        add = additive_mask(allow, dtype=np.float64, penalty=-1e12)
+        add = additive_mask(allow, dtype=np.float64)
         assert add.dtype == np.float64
-        assert add[0, 1] == -1e12
+        assert add[0, 1] == MASK_PENALTY
 
     def test_exp_underflows_to_zero(self):
         assert np.exp(np.float32(MASK_PENALTY)) == 0.0

@@ -18,12 +18,10 @@ from codeflow.frontend import (
     UnterminatedString,
     While,
     parse_source,
-    pretty,
     tokenize,
-    walk,
 )
 from codeflow.frontend.parser import MAX_NESTING
-from helpers import random_program
+from helpers import pretty, random_program, walk
 
 
 def kinds(source):
