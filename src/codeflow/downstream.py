@@ -314,14 +314,14 @@ def finetune_clone(
     return params
 
 
-def clone_metrics(predictions, labels, threshold: float = 0.5) -> tuple[float, float, float]:
+def clone_metrics(predictions, labels) -> tuple[float, float, float]:
     preds = [float(p) for p in predictions]
     golds = [int(l) for l in labels]
     if len(preds) != len(golds):
         raise DimensionMismatch("predictions and labels differ in length")
-    tp = sum(1 for p, y in zip(preds, golds) if p > threshold and y == 1)
-    fp = sum(1 for p, y in zip(preds, golds) if p > threshold and y == 0)
-    fn = sum(1 for p, y in zip(preds, golds) if p <= threshold and y == 1)
+    tp = sum(1 for p, y in zip(preds, golds) if p > 0.5 and y == 1)
+    fp = sum(1 for p, y in zip(preds, golds) if p > 0.5 and y == 0)
+    fn = sum(1 for p, y in zip(preds, golds) if p <= 0.5 and y == 1)
     precision = tp / (tp + fp) if (tp + fp) else 0.0
     recall = tp / (tp + fn) if (tp + fn) else 0.0
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0

@@ -1,6 +1,6 @@
 """Shared test utilities: a seeded random-program generator that emits
-canonical-style source (so pretty-printing is a fixed point), an AST walk
-and the pretty-printer that renders those programs, an independent
+canonical-style source (so pretty-printing is a fixed point), the
+character-loop reference lexer, an AST walk and the pretty-printer that renders those programs, an independent
 entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
 data-flow oracle, a layer norm composed from autograd primitives, and small
 synthetic corpora."""
@@ -14,7 +14,8 @@ import numpy as np
 
 import codeflow.autograd as ag
 from codeflow.frontend import syntax as ast
-from codeflow.frontend.lexer import Span
+from codeflow.frontend.errors import IndentationMismatch, InvalidCharacter, UnterminatedString
+from codeflow.frontend.lexer import KEYWORDS, OPERATORS, Span, Token
 from codeflow.pretrain import CorpusItem
 
 SPAN = Span(0, 0)
@@ -115,6 +116,131 @@ def random_program(rng: np.random.Generator, max_depth: int = 2) -> str:
     for _ in range(int(rng.integers(1, 4))):
         top.append(random_stmt(rng, names, 0, max_depth))
     return pretty(ast.Module(SPAN, tuple(top)))
+
+
+# Reference lexer --------------------------------------------------------------
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | frozenset("0123456789")
+_DIGITS = frozenset("0123456789")
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """The character-loop lexer that `tokenize` replaced, kept as its
+    differential oracle: lex `source` into the complete token sequence.
+
+    Comments (`#` to end of line) produce no tokens. Blank and comment-only
+    lines produce no newline/indent/dedent tokens. Newlines inside an open
+    parenthesis are treated as plain whitespace. Any indentation still open
+    at end of input is closed with zero-width dedents.
+
+    Raises InvalidCharacter, UnterminatedString or IndentationMismatch.
+    """
+    tokens: list[Token] = []
+    indents = [0]
+    pos = 0
+    n = len(source)
+    paren_depth = 0
+    at_line_start = True
+
+    def emit(kind: str, start: int, end: int) -> None:
+        tokens.append(Token(kind, source[start:end], Span(start, end), len(tokens)))
+
+    while pos < n:
+        if at_line_start and paren_depth == 0:
+            # Measure indentation, skipping blank/comment-only lines entirely.
+            line_start = pos
+            while pos < n and source[pos] in " \t\r":
+                pos += 1
+            if pos >= n:
+                break
+            if source[pos] == "\n":
+                pos += 1
+                continue
+            if source[pos] == "#":
+                while pos < n and source[pos] != "\n":
+                    pos += 1
+                continue
+            width = pos - line_start
+            if width > indents[-1]:
+                indents.append(width)
+                emit("indent", line_start, pos)
+            else:
+                while width < indents[-1]:
+                    indents.pop()
+                    emit("dedent", pos, pos)
+                if width != indents[-1]:
+                    raise IndentationMismatch("unindent does not match any outer level", pos)
+            at_line_start = False
+            continue
+
+        ch = source[pos]
+        if ch == "\n":
+            if paren_depth == 0:
+                emit("newline", pos, pos + 1)
+                at_line_start = True
+            pos += 1
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if ch == "#":
+            while pos < n and source[pos] != "\n":
+                pos += 1
+            continue
+        if ch in _IDENT_START:
+            start = pos
+            while pos < n and source[pos] in _IDENT_CONT:
+                pos += 1
+            word = source[start:pos]
+            emit("keyword" if word in KEYWORDS else "identifier", start, pos)
+            continue
+        if ch in _DIGITS:
+            start = pos
+            while pos < n and source[pos] in _DIGITS:
+                pos += 1
+            if pos + 1 < n and source[pos] == "." and source[pos + 1] in _DIGITS:
+                pos += 1
+                while pos < n and source[pos] in _DIGITS:
+                    pos += 1
+            emit("number", start, pos)
+            continue
+        if ch in "'\"":
+            quote = ch
+            start = pos
+            pos += 1
+            while pos < n:
+                c = source[pos]
+                if c == "\\" and pos + 1 < n:
+                    pos += 2
+                    continue
+                if c == quote:
+                    pos += 1
+                    break
+                if c == "\n":
+                    raise UnterminatedString("string literal hits end of line", start)
+                pos += 1
+            else:
+                raise UnterminatedString("string literal hits end of input", start)
+            emit("string", start, pos)
+            continue
+        for op in OPERATORS:
+            if source.startswith(op, pos):
+                if op == "(":
+                    paren_depth += 1
+                elif op == ")":
+                    paren_depth = max(0, paren_depth - 1)
+                emit("operator", pos, pos + len(op))
+                pos += len(op)
+                break
+        else:
+            raise InvalidCharacter(f"unexpected character {ch!r}", pos)
+
+    # Close any indentation still open at end of input.
+    while len(indents) > 1:
+        indents.pop()
+        tokens.append(Token("dedent", "", Span(n, n), len(tokens)))
+    return tokens
 
 
 # AST traversal and pretty-printer -------------------------------------------

@@ -562,6 +562,13 @@ class TestCheckpointBoundaries:
         code, _, err = run(capsys, "extract-dfg", str(f))
         assert code == 2 and err.count("\n") == 1 and "nesting deeper than" in err
 
+    @pytest.mark.parametrize("command", ["extract-dfg", "encode"])
+    def test_non_ascii_identifier_is_data_error(self, tmp_path, capsys, command):
+        f = tmp_path / "accent.txt"
+        f.write_text("café = 1\n", encoding="utf-8")
+        code, _, err = run(capsys, command, str(f))
+        assert code == 2 and err.count("\n") == 1 and "unexpected character 'é'" in err
+
 
 # -- seeded fuzzing of the input boundaries -----------------------------------
 

@@ -377,10 +377,10 @@ class TestCloneMetrics:
         assert clone_metrics([0.1, 0.2], [1, 1]) == (0.0, 0.0, 0.0)
 
     def test_threshold_is_strict(self):
-        # a prediction exactly at the threshold counts as negative
+        # a prediction exactly at the 0.5 threshold counts as negative
         p, r, f1 = clone_metrics([0.5], [1])
         assert (p, r, f1) == (0.0, 0.0, 0.0)
-        p, r, f1 = clone_metrics([0.5], [1], threshold=0.4)
+        p, r, f1 = clone_metrics([np.nextafter(0.5, 1.0)], [1])
         assert (p, r, f1) == (1.0, 1.0, 1.0)
 
     def test_against_confusion_matrix_oracle(self):

@@ -11,6 +11,7 @@ from codeflow.frontend import (
     If,
     IndentationMismatch,
     InvalidCharacter,
+    LexError,
     Literal,
     MiniLangSyntaxError,
     Name,
@@ -21,7 +22,7 @@ from codeflow.frontend import (
     tokenize,
 )
 from codeflow.frontend.parser import MAX_NESTING
-from helpers import pretty, random_program, walk
+from helpers import pretty, random_program, reference_tokenize, walk
 
 
 def kinds(source):
@@ -102,6 +103,76 @@ class TestLexer:
     def test_bad_unindent(self):
         with pytest.raises(IndentationMismatch):
             tokenize("if x > 0:\n        y = 1\n    z = 2\n")
+
+    @pytest.mark.parametrize("src, offset", [("é = 1\n", 0), ("x = ٣\n", 4)], ids=["letter", "digit"])
+    def test_non_ascii_letters_and_digits_are_invalid(self, src, offset):
+        with pytest.raises(InvalidCharacter) as exc:
+            tokenize(src)
+        assert exc.value.offset == offset
+
+    def test_backslash_as_last_byte_of_a_string_hits_end_of_input(self):
+        with pytest.raises(UnterminatedString, match="end of input") as exc:
+            tokenize("s = 'a\\")
+        assert exc.value.offset == 4
+
+    def test_trailing_dot_is_not_part_of_a_number(self):
+        assert texts("x = 1.5\n")[2] == "1.5"
+        with pytest.raises(InvalidCharacter, match="'.'") as exc:  # `1` lexed, then the dot fails
+            tokenize("x = 1.\n")
+        assert exc.value.offset == 5
+
+    def test_crlf_spans(self):
+        toks = tokenize("x = 1\r\ny = 2\r\n")
+        assert [(t.kind, t.span.start, t.span.end) for t in toks if t.kind in ("number", "newline")] == [
+            ("number", 4, 5), ("newline", 6, 7), ("number", 11, 12), ("newline", 13, 14),
+        ]
+
+    def test_comment_only_last_line_without_newline(self):
+        toks = tokenize("if a:\n    x = 1\n  # done")
+        assert [t.kind for t in toks][-3:] == ["number", "newline", "dedent"]
+        assert toks[-1].span == (24, 24)
+
+    def test_tokens_are_immutable_hashable_tuples(self):
+        tok = tokenize("x\n")[0]
+        assert repr(tok) == "Token(kind='identifier', text='x', span=Span(start=0, end=1), index=0)"
+        assert tok == tokenize("x\n")[0] and hash(tok) == hash(tokenize("x\n")[0])
+        with pytest.raises(AttributeError):
+            tok.index = 1
+
+
+MUTATION_ALPHABET = "ab_01.9 \t\r\n#'\"\\()=+-*/%<>!,:@é٣"
+
+
+def _lex_outcome(lex, source):
+    try:
+        return [(t.kind, t.text, t.span.start, t.span.end, t.index) for t in lex(source)]
+    except LexError as e:
+        return (type(e), str(e), e.offset)
+
+
+def _pick_chars(rng, alphabet, k):
+    return [alphabet[int(i)] for i in rng.integers(len(alphabet), size=k)]
+
+
+def test_tokenize_matches_the_character_loop_reference():
+    """Differential oracle: the pattern lexer gives the reference lexer's
+    tokens, or its error class, message and offset, on random programs,
+    byte mutations of them and short random strings."""
+    rng = np.random.default_rng(10)
+    alphabet = list(MUTATION_ALPHABET)
+    inputs = []
+    for _ in range(400):
+        program = random_program(rng, max_depth=4)
+        mutated = list(program)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(mutated)))
+            mutated[at : at + int(rng.integers(2))] = _pick_chars(rng, alphabet, int(rng.integers(2)))
+        inputs += [program, "".join(mutated), "".join(_pick_chars(rng, alphabet, int(rng.integers(1, 16))))]
+    outcomes = [_lex_outcome(reference_tokenize, src) for src in inputs]
+    mismatches = [src for src, want in zip(inputs, outcomes) if _lex_outcome(tokenize, src) != want]
+    assert mismatches == []
+    raised = sum(isinstance(o, tuple) for o in outcomes)
+    assert 0.2 * len(inputs) < raised < 0.8 * len(inputs)  # both the token and the error paths ran
 
 
 class TestParser:
