@@ -183,10 +183,7 @@ def build_dfg(ast: Module) -> DataFlowGraph:
     ex.walk_body(ast.body, {})
     order = sorted(ex.occurrences.items())
     node_id = {tok: i for i, (tok, _) in enumerate(order)}
-    nodes = tuple(
-        VariableNode(id=i, name=name, token_index=tok, role=role)
-        for i, (tok, (name, role)) in enumerate(order)
-    )
+    nodes = tuple(VariableNode(i, name, tok, role) for i, (tok, (name, role)) in enumerate(order))
     edges = frozenset((node_id[src], node_id[dst]) for src, dst in ex.edges)
     return DataFlowGraph(nodes=nodes, edges=edges)
 

@@ -360,10 +360,6 @@ def filter_search_corpus(items) -> list:
     longer than 256 tokens, mentions "http", or is empty / mostly non-ASCII."""
     kept = []
     for item in items:
-        try:
-            parse_source(item.code)
-        except FrontendError:
-            continue
         words = comment_tokens(item.docstring)
         if len(words) < 3 or len(words) > 256:
             continue
@@ -374,6 +370,11 @@ def filter_search_corpus(items) -> list:
             continue
         ascii_count = sum(1 for ch in text if ord(ch) < 128)
         if ascii_count * 2 < len(text):
+            continue
+        # Parse last: a rejected docstring then costs no lex and no parse.
+        try:
+            parse_source(item.code)
+        except FrontendError:
             continue
         kept.append(item)
     return kept

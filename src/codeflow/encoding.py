@@ -10,7 +10,7 @@ within that block, and special-token queries attend everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,23 +216,22 @@ def encode_example(
             if src in node_pos_of_id and dst in node_pos_of_id
         )
 
-    example = EncodedExample(
+    return EncodedExample(
         ids=tuple(ids),
         segments=tuple(segments),
-        position_ids=(),
+        position_ids=assign_positions(segments, max_positions),
         node_edges=edges,
         node_token_links=frozenset(links),
     )
-    return replace(example, position_ids=assign_positions(example, max_positions))
 
 
-def assign_positions(example: EncodedExample, max_positions: int = 512) -> tuple[int, ...]:
+def assign_positions(segments: list[str], max_positions: int = 512) -> tuple[int, ...]:
     """Sequential positions for the comment/code block; every node position
     shares the reserved id ``max_positions - 1``."""
     p_node = max_positions - 1
     out: list[int] = []
     nxt = 0
-    for seg in example.segments:
+    for seg in segments:
         if seg == SEG_NODE:
             out.append(p_node)
         else:

@@ -8,10 +8,10 @@ class FrontendError(Exception):
 
 
 class LexError(FrontendError):
-    """Lexing failure at a known byte offset."""
+    """Lexing failure at a known character offset into the decoded source."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(f"{message} (character offset {offset})")
         self.offset = offset
 
 

@@ -17,9 +17,11 @@ the indentation at each line start, and a counter tracks parenthesis depth.
 Where the pattern fails, a quote means an unterminated string and anything
 else an invalid character.
 
-Span bookkeeping: every token records the byte range it was cut from, so
-that re-inserting the skipped whitespace reproduces the source exactly.
-Synthetic `dedent` tokens carry an empty span at the point they fire.
+Span bookkeeping: every token records the character range of the source
+`str` it was cut from, so that re-inserting the skipped whitespace
+reproduces the source exactly. Offsets count characters, not the bytes of
+an encoded file. Synthetic `dedent` tokens carry an empty span at the point
+they fire.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ OPERATORS = (
 
 
 class Span(NamedTuple):
-    """Half-open byte range [start, end) into the source."""
+    """Half-open character range [start, end) into the source `str`."""
 
     start: int
     end: int

@@ -1,6 +1,20 @@
-"""Recursive-descent parser for MiniLang token streams."""
+"""Recursive-descent parser for MiniLang token streams.
+
+`_Parser` unzips the tokens once into three flat views, `kinds`, `texts`
+and `spans`, each closed by an end sentinel (kind and text None), and the
+grammar methods index them at `self.pos`: checking a token is a tuple
+lookup, not a method call. Since a token's index is its position, `pos` is
+also the token index that `Name` nodes and errors record. Binary
+expressions are parsed by precedence climbing over the one `LEVELS` table:
+`expression(level)` parses a primary, then folds in every operator of that
+level or tighter, each with a right operand parsed one level tighter, so
+every level is left-associative. Spans and nodes are built positionally,
+spans with `tuple.__new__` as the lexer does.
+"""
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 from .errors import MiniLangSyntaxError
 from .lexer import Span, Token
@@ -23,129 +37,107 @@ from .syntax import (
     While,
 )
 
-AUG_OPS = frozenset({"+=", "-=", "*=", "/="})
-COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
-ADD_OPS = frozenset({"+", "-"})
-MUL_OPS = frozenset({"*", "/", "%"})
+ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/="})
+# Binary operators by precedence level, loosest first. No other token's text
+# equals an operator's, so the text alone identifies one.
+LEVELS = {
+    "<": 1, ">": 1, "<=": 1, ">=": 1, "==": 1, "!=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3, "%": 3,
+}
 
 _EXPR_START = frozenset({"identifier", "number", "string", "("})
+_END = (None, None, None, None)
+_new = tuple.__new__
 
 # Deepest nesting of blocks, `elif` arms, parentheses and call arguments the
-# parser accepts. Each level costs up to six Python frames here and a few more
-# in the DFG walk, so this keeps both well inside the interpreter's recursion
-# limit and turns deeper input into a syntax error.
+# parser accepts. Each level costs up to four Python frames here (a block:
+# `statement`, `if_stmt`, `_conditional`, `block`) and up to three in the
+# DFG walk, so this keeps both well inside the interpreter's recursion limit
+# and turns deeper input into a syntax error.
 MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.kinds, self.texts, self.spans, _ = zip(*tokens, _END)
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def expect(self, kind: str, text: str | None = None) -> int:
+        """Consume the token at `pos` if it matches, and return its index."""
+        pos = self.pos
+        if self.kinds[pos] != kind or (text is not None and self.texts[pos] != text):
+            self.fail({kind if text is None else text})
+        self.pos = pos + 1
+        return pos
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return False
-        return text is None or tok.text == text
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            self.fail({text if text is not None else kind})
-        return self.advance()
-
-    def fail(self, expected: set[str]) -> None:
-        tok = self.peek()
-        index = tok.index if tok is not None else len(self.tokens)
-        got = f"{tok.kind} {tok.text!r}" if tok is not None else "end of input"
+    def fail(self, expected: set[str]) -> NoReturn:
+        pos = self.pos
+        kind = self.kinds[pos]
+        got = "end of input" if kind is None else f"{kind} {self.texts[pos]!r}"
         raise MiniLangSyntaxError(
-            f"expected one of {sorted(expected)}, got {got}", index, frozenset(expected)
+            f"expected one of {sorted(expected)}, got {got}", pos, frozenset(expected)
         )
 
     def nest(self) -> None:
         """Enter one level of nesting; the caller leaves it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
-            index = tok.index if tok is not None else len(self.tokens)
-            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", index, frozenset())
-
-    def _span_from(self, start: int) -> Span:
-        end_tok = self.tokens[self.pos - 1]
-        return Span(start, end_tok.span.end)
+            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.pos, frozenset())
 
     # -- statements -----------------------------------------------------
 
     def parse_module(self) -> Module:
         body: list[Stmt] = []
-        while self.peek() is not None:
+        kinds = self.kinds
+        while kinds[self.pos] is not None:
             body.append(self.statement())
-        total = Span(0, self.tokens[-1].span.end) if self.tokens else Span(0, 0)
-        return Module(span=total, body=tuple(body))
+        end = self.spans[-2][1] if len(kinds) > 1 else 0
+        return Module(_new(Span, (0, end)), tuple(body))
 
     def statement(self) -> Stmt:
-        tok = self.peek()
-        assert tok is not None
-        if tok.kind == "keyword":
-            if tok.text == "def":
-                return self.function_def()
-            if tok.text == "if":
-                return self.if_stmt()
-            if tok.text == "while":
-                return self.while_stmt()
-            if tok.text == "for":
-                return self.for_stmt()
-            if tok.text == "return":
-                return self.return_stmt()
-            self.fail({"def", "if", "while", "for", "return"} | _EXPR_START)
+        if self.kinds[self.pos] == "keyword":
+            compound = _COMPOUND.get(self.texts[self.pos])
+            if compound is None:
+                self.fail(set(_COMPOUND) | _EXPR_START)
+            return compound(self)
         return self.simple_stmt()
 
     def simple_stmt(self) -> Stmt:
-        start = self.peek().span.start  # type: ignore[union-attr]
-        if self.at("identifier") and self.pos + 1 < len(self.tokens):
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "operator" and (nxt.text == "=" or nxt.text in AUG_OPS):
-                name_tok = self.advance()
-                op = self.advance().text
-                value = self.expression()
-                target = Name(span=name_tok.span, id=name_tok.text, token_index=name_tok.index)
-                self.end_of_statement()
-                span = Span(start, value.span.end)
-                if op == "=":
-                    return Assign(span=span, target=target, value=value)
-                return AugAssign(span=span, target=target, op=op, value=value)
+        pos = self.pos
+        op = self.texts[pos + 1]
+        if self.kinds[pos] == "identifier" and op in ASSIGN_OPS:
+            self.pos = pos + 2
+            value = self.expression()
+            self.end_of_statement()
+            name_span = self.spans[pos]
+            target = Name(name_span, self.texts[pos], pos)
+            span = _new(Span, (name_span[0], value.span[1]))
+            if op == "=":
+                return Assign(span, target, value)
+            return AugAssign(span, target, op, value)
         value = self.expression()
         self.end_of_statement()
-        return ExprStmt(span=value.span, value=value)
+        return ExprStmt(value.span, value)
 
     def return_stmt(self) -> Return:
         kw = self.expect("keyword", "return")
         value: Expr | None = None
-        tok = self.peek()
-        if tok is not None and (tok.kind in ("identifier", "number", "string") or tok.text == "("):
+        if self.kinds[self.pos] in _EXPR_START or self.texts[self.pos] == "(":
             value = self.expression()
         self.end_of_statement()
-        end = value.span.end if value is not None else kw.span.end
-        return Return(span=Span(kw.span.start, end), value=value)
+        end = value.span[1] if value is not None else self.spans[kw][1]
+        return Return(_new(Span, (self.spans[kw][0], end)), value)
 
     def end_of_statement(self) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind == "dedent":
-            return  # end of input / block close handles it
-        if tok.kind == "newline":
-            self.advance()
-            return
-        self.fail({"newline"})
+        kind = self.kinds[self.pos]
+        if kind == "newline":
+            self.pos += 1
+        elif kind is not None and kind != "dedent":  # end of input / block close handles it
+            self.fail({"newline"})
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("operator", ":")
@@ -153,133 +145,129 @@ class _Parser:
         self.expect("indent")
         self.nest()
         body: list[Stmt] = []
-        while not self.at("dedent"):
-            if self.peek() is None:
+        kinds = self.kinds
+        while kinds[self.pos] != "dedent":
+            if kinds[self.pos] is None:
                 self.fail({"dedent"})
             body.append(self.statement())
-        self.advance()  # dedent
+        self.pos += 1  # dedent
         self.depth -= 1
         return tuple(body)
 
     def if_stmt(self) -> If:
-        kw = self.expect("keyword", "if")
-        return self._conditional(kw)
+        return self._conditional(self.expect("keyword", "if"))
 
-    def _conditional(self, kw: Token) -> If:
+    def _conditional(self, kw: int) -> If:
         test = self.expression()
         body = self.block()
         orelse: tuple[Stmt, ...] = ()
-        if self.at("keyword", "elif"):
-            nested_kw = self.advance()
-            self.nest()
-            orelse = (self._conditional(nested_kw),)
-            self.depth -= 1
-        elif self.at("keyword", "else"):
-            self.advance()
-            orelse = self.block()
-        end = (orelse[-1] if orelse else body[-1]).span.end
-        return If(span=Span(kw.span.start, end), test=test, body=body, orelse=orelse)
+        if self.kinds[self.pos] == "keyword":
+            if self.texts[self.pos] == "elif":
+                nested_kw = self.pos
+                self.pos += 1
+                self.nest()
+                orelse = (self._conditional(nested_kw),)
+                self.depth -= 1
+            elif self.texts[self.pos] == "else":
+                self.pos += 1
+                orelse = self.block()
+        end = (orelse[-1] if orelse else body[-1]).span[1]
+        return If(_new(Span, (self.spans[kw][0], end)), test, body, orelse)
 
     def while_stmt(self) -> While:
         kw = self.expect("keyword", "while")
         test = self.expression()
         body = self.block()
-        return While(span=Span(kw.span.start, body[-1].span.end), test=test, body=body)
+        return While(_new(Span, (self.spans[kw][0], body[-1].span[1])), test, body)
 
     def for_stmt(self) -> For:
         kw = self.expect("keyword", "for")
-        name_tok = self.expect("identifier")
+        name = self.expect("identifier")
         self.expect("keyword", "in")
         it = self.expression()
         body = self.block()
-        target = Name(span=name_tok.span, id=name_tok.text, token_index=name_tok.index)
-        return For(span=Span(kw.span.start, body[-1].span.end), target=target, iter=it, body=body)
+        target = Name(self.spans[name], self.texts[name], name)
+        return For(_new(Span, (self.spans[kw][0], body[-1].span[1])), target, it, body)
 
     def function_def(self) -> FunctionDef:
         kw = self.expect("keyword", "def")
-        name_tok = self.expect("identifier")
+        name = self.expect("identifier")
         self.expect("operator", "(")
         params: list[Param] = []
-        if not self.at("operator", ")"):
+        if self.texts[self.pos] != ")":
             while True:
                 p = self.expect("identifier")
-                params.append(Param(name=p.text, token_index=p.index, span=p.span))
-                if self.at("operator", ","):
-                    self.advance()
-                    continue
-                break
+                params.append(Param(self.texts[p], p, self.spans[p]))
+                if self.texts[self.pos] != ",":
+                    break
+                self.pos += 1
         self.expect("operator", ")")
         body = self.block()
-        return FunctionDef(
-            span=Span(kw.span.start, body[-1].span.end),
-            name=name_tok.text,
-            name_token=name_tok.index,
-            params=tuple(params),
-            body=body,
-        )
+        span = _new(Span, (self.spans[kw][0], body[-1].span[1]))
+        return FunctionDef(span, self.texts[name], name, tuple(params), body)
 
     # -- expressions ----------------------------------------------------
 
-    def expression(self) -> Expr:
-        return self._binary(0)
-
-    def _binary(self, level: int) -> Expr:
-        ops = (COMPARE_OPS, ADD_OPS, MUL_OPS)
-        if level == len(ops):
-            return self.primary()
-        left = self._binary(level + 1)
-        while self.at("operator") and self.peek().text in ops[level]:  # type: ignore[union-attr]
-            op = self.advance().text
-            right = self._binary(level + 1)
-            left = BinOp(span=Span(left.span.start, right.span.end), left=left, op=op, right=right)
-        return left
+    def expression(self, level: int = 1) -> Expr:
+        """Parse a primary and fold in every binary operator of `level` or tighter."""
+        left = self.primary()
+        texts = self.texts
+        while True:
+            op = texts[self.pos]
+            op_level = LEVELS.get(op)
+            if op_level is None or op_level < level:
+                return left
+            self.pos += 1
+            right = self.expression(op_level + 1)
+            left = BinOp(_new(Span, (left.span[0], right.span[1])), left, op, right)
 
     def primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            self.fail(set(_EXPR_START))
-        assert tok is not None
-        if tok.kind == "identifier":
-            self.advance()
-            if self.at("operator", "("):
-                return self.call(tok)
-            return Name(span=tok.span, id=tok.text, token_index=tok.index)
-        if tok.kind == "number":
-            self.advance()
-            value: int | float = float(tok.text) if "." in tok.text else int(tok.text)
-            return Literal(span=tok.span, value=value, raw=tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return Literal(span=tok.span, value=tok.text[1:-1], raw=tok.text)
-        if tok.kind == "operator" and tok.text == "(":
-            self.advance()
+        pos = self.pos
+        kind = self.kinds[pos]
+        text = self.texts[pos]
+        if kind == "identifier":
+            self.pos = pos + 1
+            if self.texts[pos + 1] == "(":
+                return self.call(pos)
+            return Name(self.spans[pos], text, pos)
+        if kind == "number":
+            self.pos = pos + 1
+            return Literal(self.spans[pos], float(text) if "." in text else int(text), text)
+        if kind == "string":
+            self.pos = pos + 1
+            return Literal(self.spans[pos], text[1:-1], text)
+        if text == "(":
+            self.pos = pos + 1
             self.nest()
             inner = self.expression()
             self.depth -= 1
             self.expect("operator", ")")
             return inner
         self.fail(set(_EXPR_START))
-        raise AssertionError("unreachable")
 
-    def call(self, name_tok: Token) -> Call:
-        self.expect("operator", "(")
+    def call(self, name: int) -> Call:
+        self.pos += 1  # the "(" that `primary` saw
         self.nest()
         args: list[Expr] = []
-        if not self.at("operator", ")"):
+        if self.texts[self.pos] != ")":
             while True:
                 args.append(self.expression())
-                if self.at("operator", ","):
-                    self.advance()
-                    continue
-                break
+                if self.texts[self.pos] != ",":
+                    break
+                self.pos += 1
         self.depth -= 1
         close = self.expect("operator", ")")
-        return Call(
-            span=Span(name_tok.span.start, close.span.end),
-            func=name_tok.text,
-            func_token=name_tok.index,
-            args=tuple(args),
-        )
+        span = _new(Span, (self.spans[name][0], self.spans[close][1]))
+        return Call(span, self.texts[name], name, tuple(args))
+
+
+_COMPOUND = {
+    "def": _Parser.function_def,
+    "if": _Parser.if_stmt,
+    "while": _Parser.while_stmt,
+    "for": _Parser.for_stmt,
+    "return": _Parser.return_stmt,
+}
 
 
 def parse(tokens: list[Token]) -> Module:

@@ -569,6 +569,14 @@ class TestCheckpointBoundaries:
         code, _, err = run(capsys, command, str(f))
         assert code == 2 and err.count("\n") == 1 and "unexpected character 'é'" in err
 
+    def test_error_offset_counts_characters(self, tmp_path, capsys):
+        # '٣' is character 13 of the line but starts at byte 14 of the UTF-8 file
+        f = tmp_path / "digit.txt"
+        f.write_text("s = 'café' + ٣\n", encoding="utf-8")
+        code, _, err = run(capsys, "extract-dfg", str(f))
+        assert code == 2 and err.count("\n") == 1
+        assert "unexpected character '٣' (character offset 13)" in err
+
 
 # -- seeded fuzzing of the input boundaries -----------------------------------
 

@@ -29,6 +29,7 @@ from codeflow.downstream import (
     rank_candidates,
 )
 from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.frontend import parse_source
 from codeflow.model import ModelConfig, forward, init_params
 from codeflow.pretrain import CorpusItem
 from helpers import clone_corpus, random_program, search_pairs
@@ -473,3 +474,17 @@ class TestFilterSearchCorpus:
         kept = filter_search_corpus(items)
         assert kept == [items[0], items[2]]
         assert filter_search_corpus(kept) == kept
+
+    def test_rejected_docstring_skips_the_parse(self, monkeypatch):
+        parsed = []
+
+        def spy(code):
+            parsed.append(code)
+            return parse_source(code)
+
+        monkeypatch.setattr(downstream, "parse_source", spy)
+        rejected = ["too short", " ".join(["w"] * 257), "", "see http://x.test for details", "укр мов тест"]
+        items = [item(code=f"x{i} = 1\n", docstring=d) for i, d in enumerate(rejected)]
+        items.append(item(code="kept = 1\n"))
+        assert filter_search_corpus(items) == [items[-1]]
+        assert parsed == ["kept = 1\n"]

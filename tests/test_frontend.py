@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from codeflow.dfg import build_dfg
 from codeflow.frontend import (
     Assign,
     AugAssign,
@@ -16,13 +19,15 @@ from codeflow.frontend import (
     MiniLangSyntaxError,
     Name,
     Return,
+    Token,
     UnterminatedString,
     While,
+    parse,
     parse_source,
     tokenize,
 )
 from codeflow.frontend.parser import MAX_NESTING
-from helpers import pretty, random_program, reference_tokenize, walk
+from helpers import pretty, random_program, reference_parse, reference_tokenize, walk
 
 
 def kinds(source):
@@ -154,10 +159,9 @@ def _pick_chars(rng, alphabet, k):
     return [alphabet[int(i)] for i in rng.integers(len(alphabet), size=k)]
 
 
-def test_tokenize_matches_the_character_loop_reference():
-    """Differential oracle: the pattern lexer gives the reference lexer's
-    tokens, or its error class, message and offset, on random programs,
-    byte mutations of them and short random strings."""
+def _oracle_inputs() -> list[str]:
+    """400 seeded random programs, a 1-3-edit byte mutant of each and a short
+    random string per program, over `MUTATION_ALPHABET`."""
     rng = np.random.default_rng(10)
     alphabet = list(MUTATION_ALPHABET)
     inputs = []
@@ -168,11 +172,75 @@ def test_tokenize_matches_the_character_loop_reference():
             at = int(rng.integers(len(mutated)))
             mutated[at : at + int(rng.integers(2))] = _pick_chars(rng, alphabet, int(rng.integers(2)))
         inputs += [program, "".join(mutated), "".join(_pick_chars(rng, alphabet, int(rng.integers(1, 16))))]
+    return inputs
+
+
+def test_tokenize_matches_the_character_loop_reference():
+    """Differential oracle: the pattern lexer gives the reference lexer's
+    tokens, or its error class, message and offset, on random programs,
+    byte mutations of them and short random strings."""
+    inputs = _oracle_inputs()
     outcomes = [_lex_outcome(reference_tokenize, src) for src in inputs]
     mismatches = [src for src, want in zip(inputs, outcomes) if _lex_outcome(tokenize, src) != want]
     assert mismatches == []
     raised = sum(isinstance(o, tuple) for o in outcomes)
     assert 0.2 * len(inputs) < raised < 0.8 * len(inputs)  # both the token and the error paths ran
+
+
+def _parse_outcome(parse_tokens, tokens):
+    try:
+        module = parse_tokens(tokens)
+    except MiniLangSyntaxError as e:
+        return (type(e), str(e), e.token_index, e.expected)
+    nodes = list(walk(module))
+    return module, [type(n) for n in nodes], [type(n.value) for n in nodes if isinstance(n, Literal)]
+
+
+def _token_mutants(rng, token_lists, count):
+    """Token lists with 1-3 edits, each deleting, duplicating, inserting or
+    replacing a token (new tokens come from any of the lists), re-indexed so
+    that each token's index is its position."""
+    pool = [tok for tokens in token_lists for tok in tokens]
+    out = []
+    for _ in range(count):
+        tokens = list(token_lists[int(rng.integers(len(token_lists)))])
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(tokens) + 1))
+            new = [pool[int(rng.integers(len(pool)))]] if rng.random() < 0.5 else tokens[at : at + 1] * 2
+            tokens[at : at + int(rng.integers(2))] = new[: int(rng.integers(3))]
+        out.append([Token(t.kind, t.text, t.span, i) for i, t in enumerate(tokens)])
+    return out
+
+
+def test_parse_matches_the_token_by_token_reference():
+    """Differential oracle: `parse` gives the reference parser's AST (equal,
+    with the same node and literal types) or its error class, message, token
+    index and expected set, on every lexer-oracle input that lexes and on
+    token-level mutants of the random programs."""
+    inputs = _oracle_inputs()
+    token_lists = []
+    for src in inputs:
+        try:
+            token_lists.append(tokenize(src))
+        except LexError:
+            continue
+    programs = [tokenize(src) for src in inputs[::3]]  # every third input is an unmutated program
+    token_lists += _token_mutants(np.random.default_rng(11), programs, 400)
+    outcomes = [_parse_outcome(reference_parse, tokens) for tokens in token_lists]
+    mismatches = [
+        tokens for tokens, want in zip(token_lists, outcomes) if _parse_outcome(parse, tokens) != want
+    ]
+    assert mismatches == []
+    raised = sum(isinstance(o[0], type) for o in outcomes)
+    assert 0.2 * len(token_lists) < raised < 0.8 * len(token_lists)  # both the AST and the error paths ran
+
+
+NESTING_CASES = {
+    "parentheses": lambda n: "x = " + "(" * n + "a" + ")" * n + "\n",
+    "calls": lambda n: "x = " + "f(" * n + "a" + ")" * n + "\n",
+    "blocks": lambda n: "".join("    " * i + "if a > 0:\n" for i in range(n)) + "    " * n + "x = 1\n",
+    "elif": lambda n: "if a:\n    x = 1\n" + "elif a:\n    x = 1\n" * (n - 1),  # the last arm's block is level n
+}
 
 
 class TestParser:
@@ -264,20 +332,26 @@ class TestParser:
         with pytest.raises(MiniLangSyntaxError):
             parse_source("= 3\n")
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda n: "x = " + "(" * n + "a" + ")" * n + "\n",
-            lambda n: "x = " + "f(" * n + "a" + ")" * n + "\n",
-            lambda n: "".join("    " * i + "if a > 0:\n" for i in range(n)) + "    " * n + "x = 1\n",
-            lambda n: "if a:\n    x = 1\n" + "elif a:\n    x = 1\n" * (n - 1),  # the last arm's block is level n
-        ],
-        ids=["parentheses", "calls", "blocks", "elif"],
-    )
+    @pytest.mark.parametrize("build", NESTING_CASES.values(), ids=NESTING_CASES.keys())
     def test_nesting_limit(self, build):
         parse_source(build(MAX_NESTING))
         with pytest.raises(MiniLangSyntaxError, match="nesting deeper than"):
             parse_source(build(MAX_NESTING + 1))
+
+    def test_nesting_limit_fits_the_frame_budget(self):
+        """`MAX_NESTING` levels cost at most four frames each in the parser and
+        fewer in the DFG walk, as the comment at `MAX_NESTING` states: every
+        case parses and gets its graph within that budget plus a small margin."""
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 4 * MAX_NESTING + 20)
+        try:
+            for build in NESTING_CASES.values():
+                build_dfg(parse_source(build(MAX_NESTING)))
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestPretty:
