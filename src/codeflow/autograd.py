@@ -39,9 +39,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -111,11 +108,8 @@ class Tensor:
             node._parents = ()
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype)
-    return Tensor(arr)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -205,29 +199,10 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def transpose(a, axes=None) -> Tensor:
-    """Swap the last two axes, or permute by `axes` when given."""
+def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = as_tensor(a)
-    if axes is None:
-        return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-    inverse = np.argsort(axes)
-    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
+    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def take_rows(a, indices) -> Tensor:
@@ -285,24 +260,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-# fused numerically-careful ops ------------------------------------------
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        r = g * out
-        np.subtract(g, r.sum(axis=axis, keepdims=True), out=r)
-        r *= out
-        return (r,)
-
-    return _make(out, (a,), vjp)
-
-
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
@@ -316,13 +273,29 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def gelu(a) -> Tensor:
-    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+# kernels of the fused encoder layer -------------------------------------
+# Plain numpy, no nodes: `model.encoder_layer` runs them inside its one node.
+# Each VJP allocates what it returns and never writes into `g`.
 
-    Each step is the same elementwise expression, in the same order, as the
-    textbook form, evaluated into as few fresh buffers as it allows."""
-    a = as_tensor(a)
-    x = a.data
+
+def softmax_kernel(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along `axis`, computed in place in `x`, a buffer the caller owns."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def softmax_vjp(g: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    r = g * out
+    np.subtract(g, r.sum(axis=axis, keepdims=True), out=r)
+    r *= out
+    return r
+
+
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), and
+    the tanh its VJP needs: the textbook expression op for op, in few buffers."""
     c = float(np.sqrt(2.0 / np.pi))
     # x*x*x, not x**3: float32 `**` takes numpy's slow general pow path.
     t = x * x
@@ -333,53 +306,56 @@ def gelu(a) -> Tensor:
     np.tanh(t, out=t)
     out = 1.0 + t
     out *= 0.5 * x
-
-    def vjp(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
-        du = x * x
-        du *= 3.0 * 0.044715
-        du += 1.0
-        du *= c
-        s = t * t
-        np.subtract(1.0, s, out=s)
-        r = 0.5 * x
-        s *= r
-        s *= du
-        np.add(1.0, t, out=r)
-        r *= 0.5
-        r += s
-        r *= g
-        return (r,)
-
-    return _make(out, (a,), vjp)
+    return out, t
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer norm over the last axis, as one node.
+def gelu_vjp(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+    c = float(np.sqrt(2.0 / np.pi))
+    du = x * x
+    du *= 3.0 * 0.044715
+    du += 1.0
+    du *= c
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    r = 0.5 * x
+    s *= r
+    s *= du
+    np.add(1.0, t, out=r)
+    r *= 0.5
+    r += s
+    r *= g
+    return r
+
+
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Row-wise layer norm over the last axis: the output and the statistics
+    `layer_norm_vjp` takes.
 
     Forward and VJP replay op for op the primitive chain mean, centre, mean
     of squares, + eps, ** -0.5, * gain, + bias (built from `tmean`, `mul`,
     `add` and `power`), so values and gradients are bit-identical to that
     composition."""
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    x = a.data
     k = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
     centered = x - x.sum(axis=-1, keepdims=True) * k
     var_eps = (centered * centered).sum(axis=-1, keepdims=True) * k + np.asarray(eps, dtype=x.dtype)
     inv = var_eps**-0.5
     normed = centered * inv
-    out = normed * gain.data
-    out += bias.data
+    out = normed * gain
+    out += bias
+    return out, (centered, var_eps, inv, normed)
 
-    def vjp(g):
-        gx = g * gain.data
-        # d(mean of squares), through the ** -0.5 node's rule, then the mean's 1/n
-        d_var = ((_unbroadcast(gx * centered, inv.shape) * -0.5) * var_eps**-1.5) * k
-        t = d_var * centered  # each of the two factors of centered * centered
-        dc = gx * inv
-        dc += t
-        dc += t
-        dc += (-dc.sum(axis=-1, keepdims=True)) * k  # the centring's mean
-        return (dc, _unbroadcast(g * normed, gain.data.shape), _unbroadcast(g, bias.data.shape))
 
-    return _make(out, (a, gain, bias), vjp)
+def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, stats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the input, the gain and a bias of the gain's shape."""
+    centered, var_eps, inv, normed = stats
+    k = np.asarray(1.0 / centered.shape[-1], dtype=centered.dtype)
+    gx = g * gain
+    # d(mean of squares), through the ** -0.5 node's rule, then the mean's 1/n
+    d_var = ((_unbroadcast(gx * centered, inv.shape) * -0.5) * var_eps**-1.5) * k
+    t = d_var * centered  # each of the two factors of centered * centered
+    dc = gx * inv
+    dc += t
+    dc += t
+    dc += (-dc.sum(axis=-1, keepdims=True)) * k  # the centring's mean
+    return dc, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, gain.shape)

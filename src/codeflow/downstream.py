@@ -96,7 +96,7 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
         [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples],
         dtype=params.tensors["tok_emb"].data.dtype,
     )
-    final = forward(params, ids, positions, mask).final
+    final = forward(params, ids, positions, mask, [len(ex) for ex in examples]).final
     return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
 
 

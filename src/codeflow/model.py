@@ -52,7 +52,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        """Raises TypeError for a value that is not an int (a bool is not)."""
+        for k, v in d.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"{k} must be an integer, not {type(v).__name__} {v!r}")
+        return cls(**d)
 
 
 @dataclass
@@ -61,10 +65,7 @@ class ModelParams:
     tensors: dict[str, Tensor]
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            {k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()},
-        )
+        return ModelParams(self.config, {k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()})
 
 
 @dataclass
@@ -86,9 +87,13 @@ class Activations:
         return self.hidden[-1]
 
 
+# Weights of a layer after its per-head projections, in init order.
+LAYER_WEIGHTS = ("wo", "attn_ln.gain", "attn_ln.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias")
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical name -> shape table; single source of truth for init and checkpoint checks."""
-    d_h, d_k = config.hidden_dim, config.head_dim
+    d_h, d_k, f = config.hidden_dim, config.head_dim, config.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, d_h),
         "pos_emb": (config.max_positions, d_h),
@@ -97,18 +102,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
     for n in range(config.num_layers):
         for i in range(config.num_heads):
-            shapes[f"layer{n}.head{i}.wq"] = (d_h, d_k)
-            shapes[f"layer{n}.head{i}.wk"] = (d_h, d_k)
-            shapes[f"layer{n}.head{i}.wv"] = (d_h, d_k)
-        shapes[f"layer{n}.wo"] = (d_h, d_h)
-        shapes[f"layer{n}.attn_ln.gain"] = (d_h,)
-        shapes[f"layer{n}.attn_ln.bias"] = (d_h,)
-        shapes[f"layer{n}.ffn.w1"] = (d_h, config.ffn_dim)
-        shapes[f"layer{n}.ffn.b1"] = (config.ffn_dim,)
-        shapes[f"layer{n}.ffn.w2"] = (config.ffn_dim, d_h)
-        shapes[f"layer{n}.ffn.b2"] = (d_h,)
-        shapes[f"layer{n}.ffn_ln.gain"] = (d_h,)
-        shapes[f"layer{n}.ffn_ln.bias"] = (d_h,)
+            shapes.update({f"layer{n}.head{i}.{kind}": (d_h, d_k) for kind in ("wq", "wk", "wv")})
+        layer = ((d_h, d_h), (d_h,), (d_h,), (d_h, f), (f,), (f, d_h), (d_h,), (d_h,), (d_h,))
+        shapes.update({f"layer{n}.{name}": shape for name, shape in zip(LAYER_WEIGHTS, layer)})
     return shapes
 
 
@@ -141,43 +137,79 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
-def _fused(params: ModelParams, layer: int, kind: str) -> Tensor:
-    """The per-head ``d_h x d_k`` projections of one kind side by side: ``d_h x d_h``."""
-    heads = range(params.config.num_heads)
-    return ag.concat([params.tensors[f"layer{layer}.head{i}.{kind}"] for i in heads], axis=1)
-
-
-def _split_heads(x: Tensor, batch: int, length: int, cfg: ModelConfig) -> Tensor:
-    """``B*L x d_h`` -> ``B x H x L x d_k``."""
-    return ag.transpose(ag.reshape(x, (batch, length, cfg.num_heads, cfg.head_dim)), (0, 2, 1, 3))
-
-
-def _attention_weights(h: Tensor, params: ModelParams, layer: int, mask: np.ndarray) -> Tensor:
-    """Softmax attention of every head at once: ``B x H x L x L`` from flat
-    ``B*L x d_h`` states and a ``B x L x L`` additive mask."""
+def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
+    one node over flat ``B*L x d_h`` states; also returns the ``B x H x L x L``
+    attention. Position-wise ops run on the real `rows` only, attention on the
+    padded layout of `mask` with pad rows of Q, K, V at 0; pad rows of the
+    output, and of `h`'s gradient, are 0. The forward runs the composed
+    graph's ops in order (same bits); the VJP is written out."""
     cfg = params.config
     batch, length = mask.shape[0], mask.shape[1]
+    heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
+    per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
+    wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
+    x = h.data[rows]
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
-    wq = ag.mul(_fused(params, layer, "wq"), 1.0 / math.sqrt(cfg.head_dim))
-    q = _split_heads(ag.matmul(h, wq), batch, length, cfg)
-    k = _split_heads(ag.matmul(h, _fused(params, layer, "wk")), batch, length, cfg)
-    scores = ag.add(ag.matmul(q, ag.transpose(k)), Tensor(mask[:, None].astype(h.dtype, copy=False)))
-    return ag.softmax(scores, axis=-1)
+    scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
+    wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
+    qkv = np.zeros((batch * length, 3 * d), dtype=x.dtype)
+    qkv[rows] = x @ wqkv
+    q, k, v = qkv.reshape(batch, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)  # each B x H x L x d_k
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs += mask[:, None].astype(x.dtype, copy=False)
+    ag.softmax_kernel(probs)
+    ctx = np.empty((batch, length, heads, d_k), dtype=x.dtype)
+    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    merged = ctx.reshape(batch * length, d)[rows]
+    s1 = merged @ wo.data
+    s1 += x
+    g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
+    u = g @ w1.data
+    u += b1.data
+    act, tanh = ag.gelu_kernel(u)
+    s2 = act @ w2.data
+    s2 += b2.data
+    s2 += g
+    y, ln2 = ag.layer_norm_kernel(s2, gain2.data, bias2.data)
+    out = np.zeros_like(h.data)
+    out[rows] = y
+
+    def vjp(grad):
+        ds2, dgain2, dbias2 = ag.layer_norm_vjp(grad[rows], gain2.data, ln2)
+        du = ag.gelu_vjp(ds2 @ w2.data.T, u, tanh)
+        dg = du @ w1.data.T
+        dg += ds2
+        ds1, dgain1, dbias1 = ag.layer_norm_vjp(dg, gain1.data, ln1)
+        dmerged = np.zeros((batch * length, d), dtype=grad.dtype)
+        dmerged[rows] = ds1 @ wo.data.T
+        dctx = dmerged.reshape(batch, length, heads, d_k).transpose(0, 2, 1, 3)
+        dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), probs)
+        dqkv = np.empty((batch, length, 3, heads, d_k), dtype=grad.dtype)
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(dscores, k, out=dq)
+        np.matmul(np.swapaxes(dscores, -1, -2), q, out=dk)
+        np.matmul(np.swapaxes(probs, -1, -2), dctx, out=dv)
+        dqkv = dqkv.reshape(batch * length, 3 * d)[rows]
+        dwqkv = x.T @ dqkv
+        dx = dqkv @ wqkv.T
+        dx += ds1
+        dh = np.zeros_like(grad)
+        dh[rows] = dx
+        dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
+        dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
+        dlayer = (merged.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
+        return (dh, *dper_head, *dlayer)
+
+    return ag._make(out, (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2), vjp), probs
 
 
-def _attention_block(h: Tensor, params: ModelParams, layer: int, mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    cfg = params.config
-    batch, length = mask.shape[0], mask.shape[1]
-    weights = _attention_weights(h, params, layer, mask)
-    v = _split_heads(ag.matmul(h, _fused(params, layer, "wv")), batch, length, cfg)
-    merged = ag.reshape(ag.transpose(ag.matmul(weights, v), (0, 2, 1, 3)), (batch * length, cfg.hidden_dim))
-    return weights, ag.matmul(merged, params.tensors[f"layer{layer}.wo"])
-
-
-def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray) -> Activations:
+def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None) -> Activations:
     """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or a
     padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) in a single
-    pass. A single example is the ``B = 1`` case; see `Activations` for shapes."""
+    pass. A single example is the ``B = 1`` case; see `Activations` for shapes.
+    `lengths` holds each row's real length (``None``: all of it): layers skip
+    the pad rows, which are 0 in every hidden state after the embeddings."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
@@ -194,27 +226,18 @@ def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray) -
         raise ShapeMismatch("position id out of range")
     single = ids.ndim == 1
     mask = additive_mask[None] if single else additive_mask
+    batch, length = mask.shape[0], mask.shape[1]
+    lengths = np.full(batch, length) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= length)):
+        raise ShapeMismatch(f"lengths {lengths.tolist()} do not fit {batch} rows of length {length}")
+    rows = np.flatnonzero(np.arange(length) < lengths[:, None])
 
-    h = ag.add(
-        ag.take_rows(params.tensors["tok_emb"], ids.reshape(-1)),
-        ag.take_rows(params.tensors["pos_emb"], position_ids.reshape(-1)),
-    )
+    tok, pos = params.tensors["tok_emb"], params.tensors["pos_emb"]
+    h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
     acts = Activations(hidden=[h])
     for n in range(cfg.num_layers):
-        weights, ctx = _attention_block(h, params, n, mask)
-        g = ag.layer_norm(
-            ag.add(ctx, h),
-            params.tensors[f"layer{n}.attn_ln.gain"],
-            params.tensors[f"layer{n}.attn_ln.bias"],
-        )
-        ffn_hidden = ag.gelu(ag.add(ag.matmul(g, params.tensors[f"layer{n}.ffn.w1"]), params.tensors[f"layer{n}.ffn.b1"]))
-        ffn_out = ag.add(ag.matmul(ffn_hidden, params.tensors[f"layer{n}.ffn.w2"]), params.tensors[f"layer{n}.ffn.b2"])
-        h = ag.layer_norm(
-            ag.add(ffn_out, g),
-            params.tensors[f"layer{n}.ffn_ln.gain"],
-            params.tensors[f"layer{n}.ffn_ln.bias"],
-        )
-        heads = weights.data[0] if single else np.swapaxes(weights.data, 0, 1)
+        h, probs = encoder_layer(h, params, n, mask, rows)
+        heads = probs[0] if single else np.swapaxes(probs, 0, 1)
         acts.attention.append([Tensor(w) for w in heads])
         acts.hidden.append(h)
     return acts

@@ -34,7 +34,12 @@ def adam_step(
     eps: float = 1e-8,
 ) -> AdamState:
     """Updates the moments in place and rebinds each parameter's `data` to a
-    new array; returns the advanced state."""
+    new array; returns the advanced state.
+
+    The textbook expressions run op for op in their usual order, but into
+    two scratch arrays per parameter (one in the gradient's dtype, reused
+    for the update when the moments share it), so the result is bit-identical
+    to evaluating each expression into a fresh array."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -43,10 +48,18 @@ def adam_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        scratch = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += scratch
+        np.multiply(g, 1.0 - beta2, out=scratch)
+        scratch *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        tensor.data = tensor.data - np.asarray(lr * update, dtype=tensor.data.dtype)
+        v += scratch
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update = np.divide(m, bc1, out=scratch if scratch.dtype == m.dtype else None)
+        update /= denom
+        update *= lr
+        tensor.data = tensor.data - update.astype(tensor.data.dtype, copy=False)
     return state

@@ -285,7 +285,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
         ],
         dtype=dtype,
     )
-    final = forward(params, ids, positions, mask).final
+    final = forward(params, ids, positions, mask, [len(ex) for ex, _, _ in prepared]).final
     width = ids.shape[1]
 
     rows, originals, weights = [], [], []

@@ -3,11 +3,13 @@ canonical-style source (so pretty-printing is a fixed point), the
 character-loop reference lexer, the token-by-token reference parser, an AST
 walk and the pretty-printer that renders those programs, an independent
 entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
-data-flow oracle, a layer norm composed from autograd primitives, and small
-synthetic corpora."""
+data-flow oracle, a layer norm composed from autograd primitives, the
+composed encoder graph (node wrappers of the fused layer's kernels) and the
+plain Adam step that oracle the fused versions, and small synthetic corpora."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Iterator
 
@@ -36,6 +38,7 @@ from codeflow.frontend.syntax import (
     Stmt,
     While,
 )
+from codeflow.model import Activations
 from codeflow.pretrain import CorpusItem
 
 SPAN = Span(0, 0)
@@ -782,12 +785,111 @@ def dfg_oracle(module) -> tuple[list[tuple[int, str, str]], set[tuple[int, int]]
 
 def composed_layer_norm(a, gain, bias, eps: float = 1e-5):
     """Row-wise layer norm built from autograd primitives, one node per op:
-    the definition the fused `ag.layer_norm` must reproduce bit for bit."""
+    the definition the fused `layer_norm` must reproduce bit for bit."""
     mu = ag.tmean(a, axis=-1, keepdims=True)
     centered = a - mu
     var = ag.tmean(ag.mul(centered, centered), axis=-1, keepdims=True)
     inv = ag.power(ag.add(var, eps), -0.5)
     return ag.add(ag.mul(ag.mul(centered, inv), gain), bias)
+
+
+# autograd nodes over the fused layer's kernels, and the graph they compose -----
+
+
+def softmax(a, axis: int = -1):
+    a = ag.as_tensor(a)
+    out = ag.softmax_kernel(a.data.copy(), axis=axis)
+    return ag._make(out, (a,), lambda g: (ag.softmax_vjp(g, out, axis=axis),))
+
+
+def gelu(a):
+    a = ag.as_tensor(a)
+    out, t = ag.gelu_kernel(a.data)
+    return ag._make(out, (a,), lambda g: (ag.gelu_vjp(g, a.data, t),))
+
+
+def layer_norm(a, gain, bias, eps: float = 1e-5):
+    """Row-wise layer norm over the last axis, as one node."""
+    a, gain, bias = ag.as_tensor(a), ag.as_tensor(gain), ag.as_tensor(bias)
+    out, stats = ag.layer_norm_kernel(a.data, gain.data, bias.data, eps)
+    return ag._make(out, (a, gain, bias), lambda g: ag.layer_norm_vjp(g, gain.data, stats))
+
+
+def transpose(a, axes):
+    """Permute the axes by `axes` (`ag.transpose` swaps the last two)."""
+    a = ag.as_tensor(a)
+    inverse = np.argsort(axes)
+    return ag._make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
+
+
+def reshape(a, shape):
+    a = ag.as_tensor(a)
+    return ag._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+
+
+def concat(tensors, axis: int = 0):
+    tensors = [ag.as_tensor(t) for t in tensors]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return ag._make(
+        np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis))
+    )
+
+
+def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_norm):
+    """The encoder as a graph of about 30 small nodes per layer, every row
+    treated as real: the oracle of the one-node `model.encoder_layer`.
+    `layer_norm` swaps in another norm (`composed_layer_norm`)."""
+    cfg = params.config
+    t = params.tensors
+    ids, position_ids = np.asarray(ids, dtype=np.intp), np.asarray(position_ids, dtype=np.intp)
+    single = ids.ndim == 1
+    mask = np.asarray(additive_mask)[None] if single else np.asarray(additive_mask)
+    batch, length = mask.shape[0], mask.shape[1]
+
+    def fused(n, kind):
+        return concat([t[f"layer{n}.head{i}.{kind}"] for i in range(cfg.num_heads)], axis=1)
+
+    def split_heads(x):
+        return transpose(reshape(x, (batch, length, cfg.num_heads, cfg.head_dim)), (0, 2, 1, 3))
+
+    h = ag.add(ag.take_rows(t["tok_emb"], ids.reshape(-1)), ag.take_rows(t["pos_emb"], position_ids.reshape(-1)))
+    acts = Activations(hidden=[h])
+    for n in range(cfg.num_layers):
+        wq = ag.mul(fused(n, "wq"), 1.0 / math.sqrt(cfg.head_dim))
+        q, k = split_heads(ag.matmul(h, wq)), split_heads(ag.matmul(h, fused(n, "wk")))
+        scores = ag.add(ag.matmul(q, ag.transpose(k)), ag.Tensor(mask[:, None].astype(h.dtype, copy=False)))
+        weights = softmax(scores, axis=-1)
+        v = split_heads(ag.matmul(h, fused(n, "wv")))
+        merged = reshape(transpose(ag.matmul(weights, v), (0, 2, 1, 3)), (batch * length, cfg.hidden_dim))
+        ctx = ag.matmul(merged, t[f"layer{n}.wo"])
+        g = layer_norm(ag.add(ctx, h), t[f"layer{n}.attn_ln.gain"], t[f"layer{n}.attn_ln.bias"])
+        ffn_hidden = gelu(ag.add(ag.matmul(g, t[f"layer{n}.ffn.w1"]), t[f"layer{n}.ffn.b1"]))
+        ffn_out = ag.add(ag.matmul(ffn_hidden, t[f"layer{n}.ffn.w2"]), t[f"layer{n}.ffn.b2"])
+        h = layer_norm(ag.add(ffn_out, g), t[f"layer{n}.ffn_ln.gain"], t[f"layer{n}.ffn_ln.bias"])
+        heads = weights.data[0] if single else np.swapaxes(weights.data, 0, 1)
+        acts.attention.append([ag.Tensor(w) for w in heads])
+        acts.hidden.append(h)
+    return acts
+
+
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written with a fresh array per expression: the oracle of
+    `optim.adam_step`, which computes the same ops into scratch buffers."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, tensor in params.tensors.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        tensor.data = tensor.data - np.asarray(lr * update, dtype=tensor.data.dtype)
+    return state
 
 
 # synthetic corpora ------------------------------------------------------------

@@ -556,6 +556,26 @@ class TestCheckpointBoundaries:
             )
             assert (command, code, err) == (command, 0, "")
 
+    @pytest.mark.parametrize("field, value", [("num_layers", 1.9), ("num_heads", True), ("ffn_dim", "32")])
+    def test_non_integer_config_value_is_data_error(self, tmp_path, capsys, field, value):
+        # Each value would coerce by int() to the checkpoint's own config, so
+        # only the type check stops it.
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        path = tmp_path / "model.gcb"
+        save_checkpoint(path, init_params(config))
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + length])
+        header[field] = value
+        edited = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(edited)) + edited + blob[8 + length :])
+        code, _, err = run(
+            capsys, "eval-search", "--corpus", str(write_search_corpus(tmp_path)), "--checkpoint", str(path),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and field in err
+
     def test_deeply_nested_file_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "deep.txt"
         f.write_text("x = " + "(" * 3000 + "a" + ")" * 3000 + "\n")

@@ -1,12 +1,16 @@
 """Autograd ops, encoder forward/backward, Adam, and checkpoints."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import codeflow.autograd as ag
+import codeflow.pretrain as pretrain
 from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from codeflow.encoding import (
+    PAD,
     Vocabulary,
     additive_mask,
     build_attention_mask,
@@ -21,6 +25,7 @@ from codeflow.model import (
     NonFiniteLoss,
     ShapeMismatch,
     compute_gradients,
+    encoder_layer,
     forward,
     init_params,
     mlm_logits,
@@ -29,7 +34,19 @@ from codeflow.model import (
 )
 from codeflow.optim import adam_step, init_adam
 from codeflow.pretrain import pretrain_run
-from helpers import composed_layer_norm, overfit_corpus, random_program
+from helpers import (
+    composed_forward,
+    composed_layer_norm,
+    concat,
+    gelu,
+    layer_norm,
+    overfit_corpus,
+    random_program,
+    reference_adam_step,
+    reshape,
+    softmax,
+    transpose,
+)
 
 COMMENT = "sum of values"
 CODE = "a = 1\nb = a\n"
@@ -137,8 +154,8 @@ class TestAutogradOps:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 3, 4))
         w = Tensor(rng.normal(size=(4, 2, 3)))
-        check_grads(lambda a: ag.tsum(ag.transpose(a, (2, 0, 1)) * w), x)
-        assert np.array_equal(ag.transpose(Tensor(x), (2, 0, 1)).data, np.transpose(x, (2, 0, 1)))
+        check_grads(lambda a: ag.tsum(transpose(a, (2, 0, 1)) * w), x)
+        assert np.array_equal(transpose(Tensor(x), (2, 0, 1)).data, np.transpose(x, (2, 0, 1)))
         w_last = Tensor(rng.normal(size=(2, 4, 3)))
         check_grads(lambda a: ag.tsum(ag.transpose(a) * w_last), x)  # default swaps the last two axes
         assert np.array_equal(ag.transpose(Tensor(x)).data, np.swapaxes(x, -1, -2))
@@ -147,8 +164,8 @@ class TestAutogradOps:
         interior = []
 
         def build(a, b):
-            h = ag.gelu(ag.matmul(a, b))
-            out = ag.tsum(ag.layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3))) * h)
+            h = gelu(ag.matmul(a, b))
+            out = ag.tsum(layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3))) * h)
             if not interior:  # the graph check_grads runs backward on
                 interior.extend([h, out])
             return out
@@ -162,16 +179,16 @@ class TestAutogradOps:
         w = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0)
         check_grads(lambda a: ag.tsum(ag.transpose(a) * w), self.x)
         w2 = Tensor(np.arange(12, dtype=np.float64).reshape(2, 6) / 5.0)
-        check_grads(lambda a: ag.tsum(ag.reshape(a, (2, 6)) * w2), self.x)
+        check_grads(lambda a: ag.tsum(reshape(a, (2, 6)) * w2), self.x)
 
     def test_concat(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
         w = Tensor(rng.normal(size=(2, 5)))
-        check_grads(lambda p, q: ag.tsum(ag.concat([p, q], axis=1) * w), a, b)
+        check_grads(lambda p, q: ag.tsum(concat([p, q], axis=1) * w), a, b)
         w0 = Tensor(rng.normal(size=(4, 3)))
         c = rng.normal(size=(2, 3))
-        check_grads(lambda p, q: ag.tsum(ag.concat([p, q], axis=0) * w0), a, c)
+        check_grads(lambda p, q: ag.tsum(concat([p, q], axis=0) * w0), a, c)
 
     def test_take_rows_accumulates_repeats(self):
         w = Tensor(np.arange(1.0, 13.0).reshape(3, 4) / 3.0)
@@ -196,15 +213,15 @@ class TestAutogradOps:
         check_grads(lambda a: ag.tmean(a), self.x)
 
     def test_softmax_and_log_softmax(self):
-        check_grads(lambda a: ag.tsum(ag.softmax(a, axis=-1) * Tensor(self.w)), self.x)
+        check_grads(lambda a: ag.tsum(softmax(a, axis=-1) * Tensor(self.w)), self.x)
         check_grads(lambda a: ag.tsum(ag.log_softmax(a, axis=-1) * Tensor(self.w)), self.x)
-        rows = ag.softmax(Tensor(self.x), axis=-1).data.sum(axis=-1)
+        rows = softmax(Tensor(self.x), axis=-1).data.sum(axis=-1)
         assert np.allclose(rows, 1.0, atol=1e-12)
 
     def test_gelu(self):
-        check_grads(lambda a: ag.tsum(ag.gelu(a) * Tensor(self.w)), self.x)
+        check_grads(lambda a: ag.tsum(gelu(a) * Tensor(self.w)), self.x)
         # sanity at a few fixed points of the tanh approximation
-        vals = ag.gelu(Tensor(np.array([0.0, 1.0, -1.0]))).data
+        vals = gelu(Tensor(np.array([0.0, 1.0, -1.0]))).data
         assert vals[0] == 0.0
         assert np.isclose(vals[1], 0.841192, atol=1e-5)
         assert np.isclose(vals[2], -0.158808, atol=1e-5)
@@ -213,10 +230,10 @@ class TestAutogradOps:
         rng = np.random.default_rng(8)
         gain, bias = rng.normal(size=4) + 1.5, rng.normal(size=4)
         check_grads(
-            lambda a, g, b: ag.tsum(ag.layer_norm(a, g, b) * Tensor(self.w)),
+            lambda a, g, b: ag.tsum(layer_norm(a, g, b) * Tensor(self.w)),
             self.x, gain, bias,
         )
-        out = ag.layer_norm(Tensor(self.x), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
+        out = layer_norm(Tensor(self.x), Tensor(np.ones(4)), Tensor(np.zeros(4))).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)  # eps shifts it slightly
 
@@ -231,8 +248,8 @@ class TestAutogradOps:
     def test_float32_stays_float32(self):
         t = Tensor(np.ones((2, 3), dtype=np.float32))
         for out in (
-            t + 1.0, t * 0.5, t / 3.0, -t, ag.gelu(t), ag.softmax(t),
-            ag.layer_norm(t, Tensor(np.ones(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32))),
+            t + 1.0, t * 0.5, t / 3.0, -t, gelu(t), softmax(t),
+            layer_norm(t, Tensor(np.ones(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32))),
             ag.log_sigmoid(t), ag.power(t, 2.0), ag.tmean(t),
         ):
             assert out.dtype == np.float32
@@ -285,7 +302,7 @@ class TestFusedKernels:
             leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             composed = composed_layer_norm(*leaves)
             ag.tsum(composed * Tensor(w)).backward()  # the norm's output gets a gradient equal to `w`
-            fused = ag.layer_norm(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
+            fused = layer_norm(*(Tensor(a.astype(dtype), requires_grad=True) for a in arrays))
             grads = fused._vjp(read_only(w))  # a write into the upstream gradient raises
             for got, want in zip([fused.data, *grads], [composed.data] + [leaf.grad for leaf in leaves]):
                 assert got.dtype == dtype
@@ -297,7 +314,7 @@ class TestFusedKernels:
         for shape in KERNEL_SHAPES:
             x = (3.0 * rng.normal(size=shape)).astype(dtype)
             g = rng.normal(size=shape).astype(dtype)
-            for op, reference in ((ag.gelu, gelu_reference), (ag.softmax, softmax_reference)):
+            for op, reference in ((gelu, gelu_reference), (softmax, softmax_reference)):
                 out = op(Tensor(x, requires_grad=True))
                 (grad,) = out._vjp(read_only(g))  # a write into the upstream gradient raises
                 want_out, want_grad = reference(x, g)
@@ -324,9 +341,9 @@ class TestFusedKernels:
         w = Tensor(rng.normal(size=(3, 4)))
 
         def build(a, gain, bias):
-            h = ag.gelu(a)
-            both = ag.add(ag.layer_norm(a, gain, bias), h)
-            return ag.tsum(ag.add(both, ag.softmax(ag.mul(h, 2.0))) * w)
+            h = gelu(a)
+            both = ag.add(layer_norm(a, gain, bias), h)
+            return ag.tsum(ag.add(both, softmax(ag.mul(h, 2.0))) * w)
 
         check_grads(build, rng.normal(size=(3, 4)), rng.normal(size=4) + 1.0, rng.normal(size=4))
 
@@ -357,20 +374,211 @@ class TestFusedKernels:
 
     def test_layer_norm_is_one_node(self):
         a, gain, bias = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 4), (4,), (4,)))
-        out = ag.layer_norm(a, gain, bias)
+        out = layer_norm(a, gain, bias)
         assert out._parents == (a, gain, bias)
 
     def test_pretrain_loss_log_equals_composed_layer_norm(self, monkeypatch):
+        # The composed encoder trains bit for bit alike with the layer-norm
+        # node over the fused layer's kernels and with the norm built op by op.
         config = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=128, max_positions=128)
         corpus = overfit_corpus(8)
-        fused = pretrain_run(corpus, config, steps=6, rng=2, batch_size=4)
-        monkeypatch.setattr(ag, "layer_norm", composed_layer_norm)
-        composed = pretrain_run(corpus, config, steps=6, rng=2, batch_size=4)
+        runs = []
+        for norm in (layer_norm, composed_layer_norm):
+
+            def encoder(p, ids, positions, mask, lengths=None, norm=norm):
+                return composed_forward(p, ids, positions, mask, layer_norm=norm)
+
+            monkeypatch.setattr(pretrain, "forward", encoder)
+            runs.append(pretrain_run(corpus, config, steps=6, rng=2, batch_size=4))
+        fused, composed = runs
         assert [(s, o, float.hex(v)) for s, o, v in fused.loss_log] == [
             (s, o, float.hex(v)) for s, o, v in composed.loss_log
         ]
         for name, t in fused.params.tensors.items():
             assert np.array_equal(t.data, composed.params.tensors[name].data)
+
+
+def padded_batch(rng, count, dtype=np.float32, distinct=False):
+    """`count` random programs padded to one ``(B, L)`` batch, and their lengths."""
+    vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
+    while True:
+        examples = [encode_example("find the value", random_program(rng), vocab, max_positions=512) for _ in range(count)]
+        lengths = [len(ex) for ex in examples]
+        if len(set(lengths)) == (count if distinct else len(set(lengths))) and len(set(lengths)) > 1:
+            break
+    ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], dtype=dtype)
+    return examples, ids, positions, mask, lengths
+
+
+def real_rows(lengths, width):
+    return np.concatenate([np.arange(n) + b * width for b, n in enumerate(lengths)])
+
+
+class TestFusedLayer:
+    """`model.encoder_layer`, one node per layer, against the composed graph
+    of `helpers.composed_forward` and against finite differences."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_forward_equals_composed_bit_for_bit(self, dtype, num_layers):
+        params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(40 + num_layers)
+        for _ in range(4):
+            _, ids, positions, mask, lengths = padded_batch(rng, 5, dtype)
+            got = forward(params, ids, positions, mask, lengths)
+            want = composed_forward(params, ids, positions, mask)
+            rows = real_rows(lengths, ids.shape[1])
+            pad = np.setdiff1d(np.arange(ids.size), rows)
+            for layer, (g, w) in enumerate(zip(got.hidden, want.hidden)):
+                assert g.dtype == dtype and np.array_equal(g.data[rows], w.data[rows])
+                assert layer == 0 or not g.data[pad].any()
+            for g_layer, w_layer in zip(got.attention, want.attention):
+                for g, w in zip(g_layer, w_layer):
+                    assert np.array_equal(g.data, w.data)
+            ex = padded_batch(rng, 2, dtype)[0][0]
+            one = additive_mask(build_attention_mask(ex), dtype=dtype)
+            got = forward(params, ex.ids, ex.position_ids, one)
+            want = composed_forward(params, ex.ids, ex.position_ids, one)
+            for g, w in zip(got.hidden, want.hidden):
+                assert np.array_equal(g.data, w.data)
+            for g, w in zip(sum(got.attention, []), sum(want.attention, [])):
+                assert np.array_equal(g.data, w.data)
+
+    def test_encoder_layer_against_finite_differences(self):
+        cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
+        params = init_params(cfg).astype(np.float64)
+        rng = np.random.default_rng(41)
+        for t in params.tensors.values():  # off the init's zero biases and unit gains
+            t.data += rng.normal(scale=0.3, size=t.shape)
+            t.requires_grad = True
+        lengths, width = [4, 7, 6], 7
+        allows = [rng.random((n, n)) < 0.6 for n in lengths]
+        for allow in allows:
+            np.fill_diagonal(allow, True)
+        _, _, mask = pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)
+        rows = real_rows(lengths, width)
+        h = Tensor(rng.normal(size=(len(lengths) * width, cfg.hidden_dim)), requires_grad=True)
+        probe = Tensor(rng.normal(size=h.shape))
+        names = [n for n in params.tensors if n.startswith("layer0.")]
+        assert len(names) == 3 * cfg.num_heads + 9
+
+        def loss():
+            return ag.tsum(encoder_layer(h, params, 0, mask, rows)[0] * probe)
+
+        loss().backward()
+        eps = 1e-6
+        for leaf in [h] + [params.tensors[n] for n in names]:
+            numeric = np.zeros_like(leaf.data)
+            for idx in np.ndindex(leaf.shape):
+                keep = leaf.data[idx]
+                leaf.data[idx] = keep + eps
+                hi = float(loss().data)
+                leaf.data[idx] = keep - eps
+                lo = float(loss().data)
+                leaf.data[idx] = keep
+                numeric[idx] = (hi - lo) / (2 * eps)
+            err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
+            assert err.max() < 1e-6
+        pad = np.setdiff1d(np.arange(h.shape[0]), rows)
+        assert not h.grad[pad].any()
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_batch_loss_gradients_match_composed(self, monkeypatch, dtype, tol):
+        config = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=128, max_positions=128)
+        corpus = overfit_corpus(8)
+        vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
+        encoded_corpus = pretrain.encode_corpus(corpus, vocab, max_positions=config.max_positions)
+        rng = np.random.default_rng(42)
+        params = init_params(config, dtype=dtype)
+        for structure, picks in (("edgepred", [0, 1, 2, 5]), ("nodealign", [3, 4, 6, 7, 1])):
+            prepared = [
+                (ex, pretrain.select_mlm_targets(ex, rng, len(vocab)), pretrain.structure_targets(ex, structure, rng))
+                for ex in (encoded_corpus[i] for i in picks)
+            ]
+            assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
+            got_value, got = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
+            with monkeypatch.context() as m:
+                m.setattr(pretrain, "forward", lambda p, i, pos, mask, lengths: composed_forward(p, i, pos, mask))
+                want_value, want = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
+            assert got_value == want_value
+            for name in want:
+                assert got[name].dtype == dtype
+                assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max(), name
+
+    def test_pad_rows_are_zero_and_get_zero_gradient(self):
+        params = init_params(small_config(max_positions=512), dtype=np.float64)
+        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(43), 4, np.float64)
+        pad = np.setdiff1d(np.arange(ids.size), real_rows(lengths, ids.shape[1]))
+        states = []
+        probe = Tensor(np.random.default_rng(44).normal(size=(ids.size, params.config.hidden_dim)))
+
+        def loss_fn(p):
+            acts = forward(p, ids, positions, mask, lengths)
+            states.extend(acts.hidden)
+            return ag.tsum(acts.final * probe)  # the probe weighs the pad rows too
+
+        _, grads = compute_gradients(loss_fn, params)
+        assert all(not h.data[pad].any() for h in states[1:])
+        assert not grads["tok_emb"][PAD].any()  # only pad positions carry the [PAD] id
+        assert np.abs(grads["tok_emb"]).sum() > 0
+
+    def test_wrong_lengths_raise(self):
+        params = init_params(small_config(max_positions=512))
+        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(45), 3)
+        width = ids.shape[1]
+        for bad in (lengths[:-1], lengths + [width], [0] + lengths[1:], [width + 1] + lengths[1:]):
+            with pytest.raises(ShapeMismatch):
+                forward(params, ids, positions, mask, bad)
+
+
+class TestGraphSize:
+    @staticmethod
+    def count_nodes(monkeypatch):
+        """Nodes with parents recorded from now on, by wrapping `ag._make`."""
+        recorded = []
+        make = ag._make
+
+        def counting(*args, **kwargs):
+            out = make(*args, **kwargs)
+            recorded.append(bool(out._parents))
+            return out
+
+        monkeypatch.setattr(ag, "_make", counting)
+        return recorded
+
+    def test_pretrain_step_records_at_most_25_nodes(self, monkeypatch):
+        config = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=128, max_positions=128)
+        corpus = overfit_corpus(8)
+        per_step = []
+        for steps in (1, 2):
+            with monkeypatch.context() as m:
+                recorded = self.count_nodes(m)
+                pretrain_run(corpus, config, steps=steps, rng=0, batch_size=4)
+            per_step.append(sum(recorded))
+        assert 0 < per_step[0] <= 25 and 0 < per_step[1] - per_step[0] <= 25, per_step
+
+    def test_inference_forward_records_no_node(self, monkeypatch):
+        params = init_params(small_config(max_positions=512))
+        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(46), 3)
+        recorded = self.count_nodes(monkeypatch)
+        forward(params, ids, positions, mask, lengths)
+        assert recorded and not any(recorded)
+
+    def test_backward_releases_the_saved_buffers(self):
+        params = init_params(small_config(max_positions=512))
+        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(47), 3)
+        for t in params.tensors.values():
+            t.requires_grad = True
+        acts = forward(params, ids, positions, mask, lengths)
+        node = acts.hidden[1]
+        saved = [c.cell_contents for c in node._vjp.__closure__]
+        saved += [a for c in saved if isinstance(c, tuple) for a in c]
+        refs = [weakref.ref(a) for a in saved if isinstance(a, np.ndarray)]
+        assert len(refs) >= 10
+        loss = ag.tsum(acts.final)
+        del acts, saved
+        loss.backward()
+        assert node._vjp is None and all(r() is None for r in refs)
 
 
 # -- parameters and init ---------------------------------------------------
@@ -745,6 +953,24 @@ class TestAdam:
             state = adam_step(params, grads, state, lr=0.05)
         assert state.step == 100
         assert np.abs(params.tensors["mlm.b"].data).max() < 0.1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_reference_bit_for_bit(self, dtype):
+        params, reference = init_params(small_config(), dtype=dtype), init_params(small_config(), dtype=dtype)
+        state, reference_state = init_adam(params), init_adam(reference)
+        rng = np.random.default_rng(48)
+        for _ in range(50):
+            grads = {k: rng.normal(size=t.shape).astype(dtype) for k, t in params.tensors.items()}
+            before = params.tensors["tok_emb"].data
+            adam_step(params, grads, state, lr=3e-3)
+            reference_adam_step(reference, grads, reference_state, lr=3e-3)
+            assert params.tensors["tok_emb"].data is not before  # `data` is rebound, not written
+        assert state.step == reference_state.step == 50
+        for k, t in params.tensors.items():
+            assert t.data.dtype == dtype
+            assert np.array_equal(t.data, reference.tensors[k].data)
+            assert np.array_equal(state.m[k], reference_state.m[k])
+            assert np.array_equal(state.v[k], reference_state.v[k])
 
 
 # -- checkpoints --------------------------------------------------------------
