@@ -42,35 +42,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
-    # operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Tensor):
-            return mul(self, 1.0 / np.asarray(other, dtype=self.data.dtype))
-        return mul(self, power(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # backward -----------------------------------------------------------
 
     def backward(self) -> None:
@@ -165,12 +136,6 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    out = a.data**exponent
-    return _make(out, (a,), lambda g: (g * exponent * a.data ** (exponent - 1.0),))
 
 
 def log_sigmoid(a) -> Tensor:
@@ -333,8 +298,8 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: fl
     `layer_norm_vjp` takes.
 
     Forward and VJP replay op for op the primitive chain mean, centre, mean
-    of squares, + eps, ** -0.5, * gain, + bias (built from `tmean`, `mul`,
-    `add` and `power`), so values and gradients are bit-identical to that
+    of squares, + eps, ** -0.5, * gain, + bias (one `tmean`, `mul`, `add` or
+    power node per op), so values and gradients are bit-identical to that
     composition."""
     k = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
     centered = x - x.sum(axis=-1, keepdims=True) * k

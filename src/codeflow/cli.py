@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +51,12 @@ from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params
 from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
+    NoMaskablePositions,
     Objectives,
     encode_corpus,
     load_corpus,
     pretrain_run,
+    read_jsonl,
     str_fields,
     write_loss_log,
 )
@@ -64,6 +66,7 @@ DATA_ERRORS = (
     EmptyCorpus,
     SequenceTooLong,
     CorpusFormatError,
+    NoMaskablePositions,
     CheckpointError,
     EmptyInput,
     DimensionMismatch,
@@ -115,24 +118,19 @@ class RunConfig:
     file: str | None = None
     comment: str | None = None
 
+    def _pick(self, cls):
+        """A `cls` built from this config's fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_layers=self.num_layers,
-            hidden_dim=self.hidden_dim,
-            num_heads=self.num_heads,
-            ffn_dim=self.ffn_dim,
-            vocab_size=self.vocab_size,
-            max_positions=self.max_positions,
-            seed=self.seed,
-        )
+        return self._pick(ModelConfig)
 
     def limits(self) -> Limits:
         """Truncation limits; `use_dataflow` false is the no-data-flow ablation, no node segment."""
-        max_nodes = self.max_nodes if self.use_dataflow else 0
-        return Limits(max_comment=self.max_comment, max_code=self.max_code, max_nodes=max_nodes)
+        return self._pick(Limits) if self.use_dataflow else replace(self._pick(Limits), max_nodes=0)
 
     def objectives(self) -> Objectives:
-        return Objectives(edge_pred=self.edge_pred, node_align=self.node_align)
+        return self._pick(Objectives)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -155,80 +153,52 @@ class _Parser(argparse.ArgumentParser):
         raise BadFlags(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    s = argparse.SUPPRESS
-    table = {
-        "seed": lambda: sub.add_argument("--seed", type=int, default=s),
-        "config": lambda: sub.add_argument("--config", default=s, help="JSON file with RunConfig defaults"),
-        "corpus": lambda: sub.add_argument("--corpus", default=s),
-        "checkpoint": lambda: sub.add_argument("--checkpoint", default=s),
-        "vocab": lambda: sub.add_argument("--vocab", default=s),
-        "out": lambda: sub.add_argument("--out", default=s),
-        "steps": lambda: sub.add_argument("--steps", type=int, default=s),
-        "epochs": lambda: sub.add_argument("--epochs", type=int, default=s),
-        "lr": lambda: sub.add_argument("--lr", type=float, default=s),
-        "batch_size": lambda: sub.add_argument("--batch-size", dest="batch_size", type=int, default=s),
-        "vocab_size": lambda: sub.add_argument("--vocab-size", dest="vocab_size", type=int, default=s),
-        "no_dataflow": lambda: sub.add_argument(
-            "--no-dataflow", dest="use_dataflow", action="store_false", default=s
-        ),
-        "no_edgepred": lambda: sub.add_argument(
-            "--no-edgepred", dest="edge_pred", action="store_false", default=s
-        ),
-        "no_nodealign": lambda: sub.add_argument(
-            "--no-nodealign", dest="node_align", action="store_false", default=s
-        ),
-        "model": lambda: [
-            sub.add_argument("--num-layers", dest="num_layers", type=int, default=s),
-            sub.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=s),
-            sub.add_argument("--num-heads", dest="num_heads", type=int, default=s),
-            sub.add_argument("--ffn-dim", dest="ffn_dim", type=int, default=s),
-            sub.add_argument("--max-positions", dest="max_positions", type=int, default=s),
-        ],
-        "limits": lambda: [
-            sub.add_argument("--max-comment", dest="max_comment", type=int, default=s),
-            sub.add_argument("--max-code", dest="max_code", type=int, default=s),
-            sub.add_argument("--max-nodes", dest="max_nodes", type=int, default=s),
-        ],
-    }
-    for name in names:
-        table[name]()
+# The irregular flags: each switches a RunConfig field off. Every other field
+# is `--name-with-dashes`, typed by its default (None: a string).
+_SWITCHES = {"use_dataflow": "--no-dataflow", "edge_pred": "--no-edgepred", "node_align": "--no-nodealign"}
+_MODEL = tuple(f.name for f in fields(ModelConfig) if f.name not in ("vocab_size", "seed"))
+_LIMITS = tuple(f.name for f in fields(Limits))
+_INPUTS = ("config", "seed", "corpus", "checkpoint", "vocab", "out")
+_ENCODER = ("vocab_size", "use_dataflow", *_MODEL, *_LIMITS)
+
+# subcommand -> (help line or None, its arguments in order: RunConfig field
+# names, plus the `file` positional and `--config`)
+_COMMANDS = {
+    "extract-dfg": ("print the variable data-flow graph of a source file", ("file", "config")),
+    "encode": (
+        "print the encoded layout and attention-mask density",
+        ("file", "comment", "config", "seed", "vocab_size", "use_dataflow", *_LIMITS, *_MODEL),
+    ),
+    "pretrain": (
+        "run the alternating pre-training loop",
+        ("config", "seed", "corpus", "out", "steps", "lr", "batch_size", "vocab_size",
+         "use_dataflow", "edge_pred", "node_align", *_MODEL, *_LIMITS),
+    ),
+    **dict.fromkeys(
+        ("finetune-search", "eval-search", "finetune-clone", "eval-clone"),
+        (None, (*_INPUTS, "epochs", "lr", "batch_size", *_ENCODER)),
+    ),
+    "attention-split": ("report [CLS] attention mass on code vs nodes", (*_INPUTS, *_ENCODER)),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="codeflow", description="Data-flow-aware code encoder toolkit")
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("extract-dfg", help="print the variable data-flow graph of a source file")
-    p.add_argument("file")
-    _add_common(p, "config")
-
-    p = subs.add_parser("encode", help="print the encoded layout and attention-mask density")
-    p.add_argument("file")
-    p.add_argument("--comment", default=argparse.SUPPRESS)
-    _add_common(p, "config", "seed", "vocab_size", "no_dataflow", "limits", "model")
-
-    p = subs.add_parser("pretrain", help="run the alternating pre-training loop")
-    _add_common(
-        p,
-        "config", "seed", "corpus", "out", "steps", "lr", "batch_size", "vocab_size",
-        "no_dataflow", "no_edgepred", "no_nodealign", "model", "limits",
-    )
-
-    for name in ("finetune-search", "eval-search", "finetune-clone", "eval-clone"):
-        p = subs.add_parser(name)
-        _add_common(
-            p,
-            "config", "seed", "corpus", "checkpoint", "vocab", "out",
-            "epochs", "lr", "batch_size", "vocab_size", "no_dataflow", "model", "limits",
-        )
-
-    p = subs.add_parser("attention-split", help="report [CLS] attention mass on code vs nodes")
-    _add_common(
-        p,
-        "config", "seed", "corpus", "checkpoint", "vocab", "out", "vocab_size",
-        "no_dataflow", "model", "limits",
-    )
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for command, (help_line, names) in _COMMANDS.items():
+        # An absent flag stays out of the namespace, so --config can set it.
+        sub = subs.add_parser(command, argument_default=argparse.SUPPRESS, **({"help": help_line} if help_line else {}))
+        for name in names:
+            if name == "file":
+                sub.add_argument("file", default=None)
+            elif name == "config":
+                sub.add_argument("--config", help="JSON file with RunConfig defaults")
+            elif name in _SWITCHES:
+                sub.add_argument(_SWITCHES[name], dest=name, action="store_false")
+            else:
+                default = defaults[name]
+                sub.add_argument("--" + name.replace("_", "-"), type=None if default is None else type(default))
     return parser
 
 
@@ -386,28 +356,17 @@ def _cmd_search(rc: RunConfig, tune: bool) -> int:
     return 0
 
 
-def _load_clone_pairs(path) -> list[CloneExample]:
-    pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            code_a, code_b = str_fields(obj, ("code_a", "code_b"))
-            label = obj["label"]
-            if type(label) is not int or label not in (0, 1):
-                raise ValueError(f"label must be the integer 0 or 1, not {json.dumps(label)}")
-            pairs.append(CloneExample(code_a=code_a, code_b=code_b, label=label))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise CorpusFormatError(f"line {lineno}: {e}") from e
-    if not pairs:
-        raise EmptyCorpus(f"no clone pairs in {path}")
-    return pairs
+def _clone_pair(obj) -> CloneExample:
+    code_a, code_b = str_fields(obj, ("code_a", "code_b"))
+    label = obj["label"]
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError(f"label must be the integer 0 or 1, not {json.dumps(label)}")
+    return CloneExample(code_a=code_a, code_b=code_b, label=label)
 
 
 def _cmd_clone(rc: RunConfig, tune: bool) -> int:
     _require(rc, "corpus", "out")
-    pairs = _load_clone_pairs(rc.corpus)
+    pairs = read_jsonl(rc.corpus, _clone_pair, f"no clone pairs in {rc.corpus}")
     params, vocab = _load_model(rc, [("", p.code_a) for p in pairs] + [("", p.code_b) for p in pairs])
     if tune:
         params = finetune_clone(
@@ -430,8 +389,12 @@ def _cmd_clone(rc: RunConfig, tune: bool) -> int:
 
 def _cmd_attention_split(rc: RunConfig) -> int:
     _require(rc, "corpus")
+    if rc.checkpoint is None and rc.num_layers == 0:
+        raise BadFlags("attention-split needs --num-layers of at least 1")
     items = load_corpus(rc.corpus)
     params, vocab = _load_model(rc, [(it.docstring, it.code) for it in items])
+    if params.config.num_layers == 0:
+        raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
     splits = grouped_forwards(params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b))
     per_lang: dict[str, list[tuple[float, float]]] = {}

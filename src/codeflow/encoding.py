@@ -148,10 +148,6 @@ class EncodedExample:
         return tuple(i for i, s in enumerate(self.segments) if s == SEG_CODE)
 
     @property
-    def comment_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.segments) if s == SEG_COMMENT)
-
-    @property
     def maskable_positions(self) -> tuple[int, ...]:
         return tuple(
             i for i, s in enumerate(self.segments) if s in (SEG_COMMENT, SEG_CODE)

@@ -133,10 +133,6 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(config).values())
-
-
 def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
     one node over flat ``B*L x d_h`` states; also returns the ``B x H x L x L``

@@ -91,19 +91,28 @@ def str_fields(obj, names: tuple[str, ...]) -> list[str]:
     return values
 
 
-def load_corpus(path) -> list[CorpusItem]:
-    items: list[CorpusItem] = []
+def read_jsonl(path, row, empty: str) -> list:
+    """`row(obj)` for the object parsed from each non-blank line of the JSONL
+    file at `path`. A line that is not JSON, or on which `row` raises KeyError,
+    TypeError or ValueError, raises CorpusFormatError naming the line; a file
+    with no rows raises EmptyCorpus(`empty`)."""
+    rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            code, docstring, lang = str_fields(json.loads(line), ("code", "docstring", "lang"))
-            items.append(CorpusItem(code=code, docstring=docstring, lang=lang))
+            rows.append(row(json.loads(line)))
         except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError and UnicodeEncodeError are ValueErrors
             raise CorpusFormatError(f"line {lineno}: {e}") from e
-    if not items:
-        raise EmptyCorpus(f"no corpus entries in {path}")
-    return items
+    if not rows:
+        raise EmptyCorpus(empty)
+    return rows
+
+
+def load_corpus(path) -> list[CorpusItem]:
+    return read_jsonl(
+        path, lambda obj: CorpusItem(*str_fields(obj, ("code", "docstring", "lang"))), f"no corpus entries in {path}"
+    )
 
 
 def encode_corpus(
@@ -379,13 +388,18 @@ def pretrain_run(
 ) -> PretrainResult:
     """Alternating loop: even steps pair MLM with edge prediction, odd steps
     with node alignment (each only when enabled). Every batch is drawn from a
-    single language chosen by the smoothed multinomial sampler."""
+    single language chosen by the smoothed multinomial sampler. Raises
+    NoMaskablePositions before the first step for an item with neither comment
+    nor code tokens."""
     if not corpus:
         raise EmptyCorpus("pretraining corpus is empty")
     rng = np.random.default_rng(0 if rng is None else rng)
     if vocab is None:
         vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
     encoded = encode_corpus(corpus, vocab, limits=limits, max_positions=config.max_positions)
+    for i, ex in enumerate(encoded):
+        if not ex.maskable_positions:
+            raise NoMaskablePositions(f"corpus item {i} has no comment or code tokens to mask")
     by_lang: dict[str, list[int]] = {}
     for i, item in enumerate(corpus):
         by_lang.setdefault(item.lang, []).append(i)

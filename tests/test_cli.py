@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
-from codeflow.cli import main
+from codeflow.cli import build_parser, main
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import additive_mask, build_attention_mask, build_vocab
 from codeflow.model import ModelConfig, forward, init_params
@@ -106,6 +107,80 @@ class TestEncode:
         payload = json.loads(out)
         assert payload["num_nodes"] == 0
         assert payload["mask_density"] == 1.0
+
+
+# -- the parser ------------------------------------------------------------------
+
+# Every subcommand's actions as (option strings, dest, type, action class,
+# default, help), taken from the hand-written parser the table-driven one
+# replaced; "S" stands for argparse.SUPPRESS.
+S = argparse.SUPPRESS
+
+
+def _flag(option, dest, type_=None, action="_StoreAction"):
+    return ((option,), dest, type_, action, S, None)
+
+
+_HELP = (("-h", "--help"), "help", None, "_HelpAction", S, "show this help message and exit")
+_FILE = ((), "file", None, "_StoreAction", None, None)
+_CONFIG = (("--config",), "config", None, "_StoreAction", S, "JSON file with RunConfig defaults")
+_NO_DATAFLOW = _flag("--no-dataflow", "use_dataflow", action="_StoreFalseAction")
+_MODEL = [
+    _flag("--num-layers", "num_layers", int),
+    _flag("--hidden-dim", "hidden_dim", int),
+    _flag("--num-heads", "num_heads", int),
+    _flag("--ffn-dim", "ffn_dim", int),
+    _flag("--max-positions", "max_positions", int),
+]
+_LIMITS = [
+    _flag("--max-comment", "max_comment", int), _flag("--max-code", "max_code", int), _flag("--max-nodes", "max_nodes", int),
+]
+_EVAL = [
+    _HELP, _CONFIG, _flag("--seed", "seed", int), _flag("--corpus", "corpus"),
+    _flag("--checkpoint", "checkpoint"), _flag("--vocab", "vocab"), _flag("--out", "out"),
+]
+_TUNE = [
+    *_EVAL, _flag("--epochs", "epochs", int), _flag("--lr", "lr", float), _flag("--batch-size", "batch_size", int),
+    _flag("--vocab-size", "vocab_size", int), _NO_DATAFLOW, *_MODEL, *_LIMITS,
+]
+PARSER_TABLE = {
+    "extract-dfg": [_HELP, _FILE, _CONFIG],
+    "encode": [
+        _HELP, _FILE, _flag("--comment", "comment"), _CONFIG, _flag("--seed", "seed", int),
+        _flag("--vocab-size", "vocab_size", int), _NO_DATAFLOW, *_LIMITS, *_MODEL,
+    ],
+    "pretrain": [
+        _HELP, _CONFIG, _flag("--seed", "seed", int), _flag("--corpus", "corpus"), _flag("--out", "out"),
+        _flag("--steps", "steps", int), _flag("--lr", "lr", float), _flag("--batch-size", "batch_size", int),
+        _flag("--vocab-size", "vocab_size", int), _NO_DATAFLOW,
+        _flag("--no-edgepred", "edge_pred", action="_StoreFalseAction"),
+        _flag("--no-nodealign", "node_align", action="_StoreFalseAction"), *_MODEL, *_LIMITS,
+    ],
+    "finetune-search": _TUNE,
+    "eval-search": _TUNE,
+    "finetune-clone": _TUNE,
+    "eval-clone": _TUNE,
+    "attention-split": [*_EVAL, _flag("--vocab-size", "vocab_size", int), _NO_DATAFLOW, *_MODEL, *_LIMITS],
+}
+SUBCOMMAND_HELP = [
+    ("extract-dfg", "print the variable data-flow graph of a source file"),
+    ("encode", "print the encoded layout and attention-mask density"),
+    ("pretrain", "run the alternating pre-training loop"),
+    ("attention-split", "report [CLS] attention mass on code vs nodes"),
+]
+
+
+class TestParser:
+    def test_flags_match_the_pinned_table(self):
+        (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: [(tuple(a.option_strings), a.dest, a.type, type(a).__name__, a.default, a.help) for a in p._actions]
+            for name, p in subs.choices.items()
+        }
+        assert list(got) == list(PARSER_TABLE)
+        for name, rows in PARSER_TABLE.items():
+            assert got[name] == rows, name
+        assert [(a.dest, a.help) for a in subs._choices_actions] == SUBCOMMAND_HELP
 
 
 # -- flag handling ---------------------------------------------------------------
@@ -285,6 +360,24 @@ class TestPretrainCommand:
             )
         assert code == 3
         assert "divergence" in err
+
+    @pytest.mark.parametrize("with_normal_row", [False, True])
+    def test_row_with_nothing_to_mask_is_rejected_before_training(self, tmp_path, capsys, with_normal_row):
+        # Whether a step drew such a row used to depend on the seed; now no seed trains.
+        rows = [{"code": "", "docstring": "", "lang": "x"}]
+        if with_normal_row:
+            rows.append({"code": "a = 1\nb = a\n", "docstring": "copy a value", "lang": "x"})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        for seed in range(4):
+            out = tmp_path / f"run{seed}"
+            code, stdout, err = run(
+                capsys, "pretrain", "--corpus", str(corpus), "--out", str(out),
+                "--batch-size", "1", "--steps", "3", "--seed", str(seed), *SMALL_MODEL,
+            )
+            assert (code, stdout) == (2, "")
+            assert err == "data error: corpus item 0 has no comment or code tokens to mask\n"
+            assert not out.exists()
 
     def test_bad_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -529,6 +622,23 @@ class TestAttentionSplit:
         assert code == 0
         assert json.loads(stdout)["overall"] == {"code_fraction": 1.0, "node_fraction": 0.0}
 
+
+    def test_zero_layer_model_is_rejected(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, overfit_corpus(4))
+        code, stdout, err = run(capsys, "attention-split", "--corpus", str(corpus), *SMALL_MODEL, "--num-layers", "0")
+        assert (code, stdout) == (1, "")
+        assert err == "error: attention-split needs --num-layers of at least 1\n"
+
+        out = tmp_path / "run"
+        code, _, _ = run(
+            capsys, "pretrain", "--corpus", str(corpus), "--out", str(out), "--steps", "0",
+            *SMALL_MODEL, "--num-layers", "0",
+        )
+        assert code == 0
+        checkpoint = out / "model.gcb"
+        code, stdout, err = run(capsys, "attention-split", "--corpus", str(corpus), "--checkpoint", str(checkpoint))
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {checkpoint} has no encoder layers, so no attention to split\n"
 
 class TestCheckpointBoundaries:
     def test_vocab_larger_than_checkpoint_is_data_error(self, tmp_path, capsys):

@@ -141,12 +141,12 @@ class TestVectorEncoders:
         ex = encode_query_example("find the maximum value", vocab, max_positions=MAX_POSITIONS)
         assert ex.code_positions == ()
         assert ex.node_positions == ()
-        assert len(ex.comment_positions) == 4
+        assert ex.segments.count("comment") == 4
 
     def test_code_encoding_layout(self):
         _, _, vocab, _, _ = search_fixture()
         ex = encode_code_example("a = 1\nb = a\n", vocab, max_positions=MAX_POSITIONS)
-        assert ex.comment_positions == ()
+        assert "comment" not in ex.segments
         assert len(ex.node_positions) == 3
         nodeless = encode_code_example("a = 1\nb = a\n", vocab, Limits(max_nodes=0), max_positions=MAX_POSITIONS)
         assert nodeless.node_positions == ()

@@ -131,7 +131,7 @@ class TestLayout:
 
     def test_position_properties(self):
         ex = encode()
-        assert ex.comment_positions == (1, 2, 3)
+        assert [i for i, s in enumerate(ex.segments) if s == "comment"] == [1, 2, 3]
         assert ex.code_positions == tuple(range(5, 13))
         assert ex.node_positions == (14, 15, 16)
         assert ex.maskable_positions == (1, 2, 3) + tuple(range(5, 13))
@@ -145,7 +145,7 @@ class TestLayout:
     def test_code_only(self):
         ex = encode_example(None, CODE, build_vocab([(COMMENT, CODE)], size=64))
         assert ex.segments[0] == "special"
-        assert ex.comment_positions == ()
+        assert "comment" not in ex.segments
         assert ex.code_positions == tuple(range(1, 9))
         assert ex.node_positions == (10, 11, 12)
 
@@ -218,7 +218,7 @@ class TestSingleLex:
 class TestTruncation:
     def test_comment_truncated(self):
         ex = encode(comment="one two three four", limits=Limits(max_comment=2))
-        assert len(ex.comment_positions) == 2
+        assert ex.segments.count("comment") == 2
 
     def test_code_truncated_and_orphan_nodes_dropped(self):
         # Keeping 6 code tokens keeps a@0 and b@4 but drops the use a@6;

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import codeflow.autograd as ag
 import codeflow.downstream as downstream
 from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
@@ -417,8 +418,8 @@ class TestBatchLoss:
         def mean(terms):
             total = terms[0]
             for t in terms[1:]:
-                total = total + t
-            return total * (1.0 / len(terms))
+                total = ag.add(total, t)
+            return ag.mul(total, 1.0 / len(terms))
 
         got_parts, want_parts = {}, {}
 
@@ -434,7 +435,7 @@ class TestBatchLoss:
             want_parts["mlm"] = float(total.data)
             if struct:
                 want_parts[structure] = float(mean(struct).data)
-                total = total + mean(struct)
+                total = ag.add(total, mean(struct))
             return total
 
         def batched(p):
@@ -551,6 +552,11 @@ class TestPretrainRun:
         ]
         assert all(np.isfinite(v) for _, _, v in result.loss_log)
         assert result.adam.step == 4
+
+    def test_item_with_nothing_to_mask_is_rejected_before_step_0(self):
+        corpus = self.corpus(2) + items_from([("", "", "python")])
+        with pytest.raises(NoMaskablePositions, match="corpus item 2 has no comment or code tokens"):
+            pretrain_run(corpus, tiny_config(), steps=0)
 
     def test_one_forward_per_step(self, monkeypatch):
         import codeflow.pretrain as pretrain
