@@ -82,6 +82,12 @@ class BadFlags(Exception):
     pass
 
 
+# Most examples one training batch may hold (`--batch-size`). The bound makes
+# an absurd value a flag error, not an attempt to allocate that many rows or,
+# past the range of a C long, an OverflowError in the sampler.
+MAX_BATCH_SIZE = 4096
+
+
 # A field's default type -> the value types it accepts; a bool is not a number.
 _VALUE_TYPES = {
     bool: ((bool,), "true or false"),
@@ -226,6 +232,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("limits must be positive")
         if rc.steps < 0 or rc.epochs < 0 or rc.batch_size < 1:
             raise ValueError("steps/epochs must be >= 0 and batch size >= 1")
+        if rc.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch size must be at most {MAX_BATCH_SIZE}, not {rc.batch_size}")
         if rc.seed < 0:
             raise ValueError(f"seed must be >= 0, not {rc.seed}")
         if rc.vocab_size < len(RESERVED):
@@ -270,6 +278,9 @@ def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
         params = load_checkpoint(rc.checkpoint)
         vocab_path = Path(rc.vocab) if rc.vocab else Path(rc.checkpoint).parent / "vocab.txt"
         vocab = Vocabulary.deserialize(vocab_path.read_text(encoding="utf-8"))
+        missing = [f"{token} at id {i}" for token, i in RESERVED if vocab.token_to_id.get(token) != i]
+        if missing:
+            raise VocabularyError(f"{vocab_path} lacks the reserved token {missing[0]}")
         size, top = params.config.vocab_size, max(vocab.token_to_id.values(), default=0)
         if len(vocab) > size or top >= size:
             raise VocabularyError(
@@ -396,7 +407,9 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     if params.config.num_layers == 0:
         raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
-    splits = grouped_forwards(params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b))
+    splits = grouped_forwards(
+        params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b), cls_only=True
+    )
     per_lang: dict[str, list[tuple[float, float]]] = {}
     for item, split in zip(items, splits):
         per_lang.setdefault(item.lang, []).append(split)

@@ -88,7 +88,8 @@ MAX_FORWARD_POSITIONS = 4096
 
 
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
-    """Final-layer [CLS] rows of `examples`, from one padded forward.
+    """Final-layer [CLS] rows of `examples`, from one padded `cls_only`
+    forward, whose last layer runs for the first two positions only.
 
     Examples of equal length pad nothing, so each row is the unbatched
     encoding of its example."""
@@ -96,19 +97,23 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
         [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples],
         dtype=params.tensors["tok_emb"].data.dtype,
     )
-    final = forward(params, ids, positions, mask, [len(ex) for ex in examples]).final
-    return ag.take_rows(final, np.arange(len(examples)) * ids.shape[1])
+    return forward(params, ids, positions, mask, [len(ex) for ex in examples], cls_only=True).final
 
 
-def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, masks=None) -> list:
+def grouped_forwards(
+    params: ModelParams, examples: list[EncodedExample], read, masks=None, cls_only: bool = False
+) -> list:
     """``read(activations, b, i)`` for each example ``i``, in order, where
     example ``i`` is row ``b`` of the inference forward that gave `activations`.
 
     Examples are grouped by exact length and each group is encoded by
     unpadded forwards of at most `MAX_FORWARD_POSITIONS` positions, so every
     row equals the one a single-example forward gives, bit for bit. `masks`,
-    one allow-matrix per example, replaces `build_attention_mask`. A forward's
-    activations are freed before the next one runs: `read` copies what it keeps."""
+    one allow-matrix per example, replaces `build_attention_mask`. `cls_only`
+    goes to `forward`: ``activations.final.data[b]`` is then example ``i``'s
+    [CLS] row, and the last layer's maps hold its first two query rows. A
+    forward's activations are freed before the next one runs: `read` copies
+    what it keeps."""
     out = [None] * len(examples)
     by_length: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
@@ -119,7 +124,7 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
             chunk = members[lo : lo + per_forward]
             batch = [(examples[i], build_attention_mask(examples[i]) if masks is None else masks[i]) for i in chunk]
             rows = [(ex.ids, ex.position_ids, allow) for ex, allow in batch]
-            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype))
+            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype), cls_only=cls_only)
             for b, i in enumerate(chunk):
                 out[i] = read(acts, b, i)
             del acts
@@ -127,13 +132,17 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
 
 
 def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
-    """``(N, d)`` final-layer [CLS] vectors of `examples`, in order."""
+    """``(N, d)`` final-layer [CLS] vectors of `examples`, in order, from
+    `cls_only` forwards: the last layer runs attention, `wo`, both norms and
+    the FFN for the first two positions of each sequence, not all of them.
+    Two rows keep numpy's matmuls on the gemm path, so each vector equals the
+    full forward's bit for bit; one row would take gemv and change bits."""
     out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
 
     def read(acts: Activations, b: int, i: int) -> None:
-        out[i] = acts.final.data[b * len(examples[i])]
+        out[i] = acts.final.data[b]
 
-    grouped_forwards(params, examples, read)
+    grouped_forwards(params, examples, read, cls_only=True)
     return out
 
 
@@ -334,14 +343,15 @@ def clone_metrics(predictions, labels) -> tuple[float, float, float]:
 def cls_attention_split(activations: Activations, example: EncodedExample, index: int = 0) -> tuple[float, float]:
     """Fraction of [CLS] attention mass on code vs node keys, averaged over
     all heads and layers, renormalized over the two classes. `index` is the
-    example's row in a batched forward of equal-length inputs."""
+    example's row in a batched forward of equal-length inputs. Only row 0 of
+    each map is read, so the maps of a `cls_only` forward do."""
     node_pos = example.node_positions
     if not node_pos:
         return (1.0, 0.0)
     if not activations.attention:
         raise ValueError("activations carry no attention maps")
     n = len(example)
-    rows = [w.data.reshape(-1, n, n)[index, 0] for layer in activations.attention for w in layer]
+    rows = [w.data[..., 0, :].reshape(-1, n)[index] for layer in activations.attention for w in layer]
     mean_row = np.mean(np.stack(rows), axis=0)
     code_mass = float(mean_row[list(example.code_positions)].sum())
     node_mass = float(mean_row[list(node_pos)].sum())

@@ -77,6 +77,12 @@ class Activations:
     ``(B, L)`` batch gives ``B*L x d_h``. ``attention[layer][head]`` is
     ``|X| x |X|`` for a single example and ``B x L x L`` for a batch; these
     are read-only views, gradients flow through the hidden states only.
+
+    A `cls_only` forward keeps only what the [CLS] rows need: `final` is the
+    ``B x d_h`` [CLS] rows (``1 x d_h`` for a single example), and the last
+    layer's maps hold the first ``min(2, L)`` query rows, ``min(2, L) x |X|``
+    or ``B x min(2, L) x L``. Two rows, not one, keep the bits of the full
+    forward: see `CLS_PREFIX`.
     """
 
     hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N
@@ -133,15 +139,25 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def encoder_layer(
+    h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray, prefix: int | None = None
+) -> tuple[Tensor, np.ndarray]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
     one node over flat ``B*L x d_h`` states; also returns the ``B x H x L x L``
     attention. Position-wise ops run on the real `rows` only, attention on the
     padded layout of `mask` with pad rows of Q, K, V at 0; pad rows of the
     output, and of `h`'s gradient, are 0. The forward runs the composed
-    graph's ops in order (same bits); the VJP is written out."""
+    graph's ops in order (same bits); the VJP is written out.
+
+    A query `prefix` ``P`` runs the layer for the first ``W = min(P, L)``
+    positions of each sequence only: K and V still come from every real row,
+    but queries, attention rows, `wo`, both norms and the FFN run on the real
+    rows among those ``W``, so the output is ``B*W x d_h`` and the attention
+    ``B x H x W x L``. Its rows equal the full layer's bit for bit when every
+    matmul that shrinks keeps two rows or more (see `CLS_PREFIX`)."""
     cfg = params.config
     batch, length = mask.shape[0], mask.shape[1]
+    width = length if prefix is None else min(prefix, length)
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
@@ -150,16 +166,25 @@ def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
     wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
     qkv = np.zeros((batch * length, 3 * d), dtype=x.dtype)
-    qkv[rows] = x @ wqkv
+    if width == length:
+        asks, out_rows = slice(None), rows  # every real row asks a query
+        qkv[rows] = x @ wqkv
+    else:
+        asks = rows % length < width  # which of `rows` ask a query
+        queries = rows[asks]
+        out_rows = queries - queries // length * (length - width)  # their rows in the B*W output
+        qkv[rows, d:] = x @ wqkv[:, d:]
+        qkv[queries, :d] = x[asks] @ wqkv[:, :d]
     q, k, v = qkv.reshape(batch, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)  # each B x H x L x d_k
+    q = q[:, :, :width]
     probs = q @ np.swapaxes(k, -1, -2)
-    probs += mask[:, None].astype(x.dtype, copy=False)
+    probs += mask[:, None, :width].astype(x.dtype, copy=False)
     ag.softmax_kernel(probs)
-    ctx = np.empty((batch, length, heads, d_k), dtype=x.dtype)
+    ctx = np.empty((batch, width, heads, d_k), dtype=x.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
-    merged = ctx.reshape(batch * length, d)[rows]
+    merged = ctx.reshape(batch * width, d)[out_rows]
     s1 = merged @ wo.data
-    s1 += x
+    s1 += x[asks]
     g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
     u = g @ w1.data
     u += b1.data
@@ -168,29 +193,30 @@ def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows
     s2 += b2.data
     s2 += g
     y, ln2 = ag.layer_norm_kernel(s2, gain2.data, bias2.data)
-    out = np.zeros_like(h.data)
-    out[rows] = y
+    out = np.zeros((batch * width, d), dtype=x.dtype)
+    out[out_rows] = y
 
     def vjp(grad):
-        ds2, dgain2, dbias2 = ag.layer_norm_vjp(grad[rows], gain2.data, ln2)
+        ds2, dgain2, dbias2 = ag.layer_norm_vjp(grad[out_rows], gain2.data, ln2)
         du = ag.gelu_vjp(ds2 @ w2.data.T, u, tanh)
         dg = du @ w1.data.T
         dg += ds2
         ds1, dgain1, dbias1 = ag.layer_norm_vjp(dg, gain1.data, ln1)
-        dmerged = np.zeros((batch * length, d), dtype=grad.dtype)
-        dmerged[rows] = ds1 @ wo.data.T
-        dctx = dmerged.reshape(batch, length, heads, d_k).transpose(0, 2, 1, 3)
+        dmerged = np.zeros((batch * width, d), dtype=grad.dtype)
+        dmerged[out_rows] = ds1 @ wo.data.T
+        dctx = dmerged.reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3)
         dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), probs)
         dqkv = np.empty((batch, length, 3, heads, d_k), dtype=grad.dtype)
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(dscores, k, out=dq)
+        np.matmul(dscores, k, out=dq[:, :, :width])
+        dq[:, :, width:] = 0
         np.matmul(np.swapaxes(dscores, -1, -2), q, out=dk)
         np.matmul(np.swapaxes(probs, -1, -2), dctx, out=dv)
         dqkv = dqkv.reshape(batch * length, 3 * d)[rows]
         dwqkv = x.T @ dqkv
         dx = dqkv @ wqkv.T
-        dx += ds1
-        dh = np.zeros_like(grad)
+        dx[asks] += ds1
+        dh = np.zeros_like(h.data)
         dh[rows] = dx
         dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
         dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
@@ -200,12 +226,27 @@ def encoder_layer(h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows
     return ag._make(out, (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2), vjp), probs
 
 
-def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None) -> Activations:
+# Query positions the last layer of a `cls_only` forward keeps per sequence.
+# One would do for [CLS] alone, but a one-row matmul takes numpy's BLAS gemv
+# path, whose float32 bits differ from the gemm rows of the full layer; with
+# two rows or more every shrunken matmul stays on gemm and the [CLS] row keeps
+# its bits.
+CLS_PREFIX = 2
+
+
+def forward(
+    params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None, cls_only: bool = False
+) -> Activations:
     """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or a
     padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) in a single
     pass. A single example is the ``B = 1`` case; see `Activations` for shapes.
     `lengths` holds each row's real length (``None``: all of it): layers skip
-    the pad rows, which are 0 in every hidden state after the embeddings."""
+    the pad rows, which are 0 in every hidden state after the embeddings.
+
+    `cls_only` asks for the [CLS] rows only: the last layer runs for the
+    first ``min(CLS_PREFIX, L)`` query positions of each sequence (K and V
+    still for all of them), its attention maps hold those rows, and `final`
+    is the ``B x d_h`` [CLS] rows, bit-identical to the full forward's."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
@@ -232,10 +273,13 @@ def forward(params: ModelParams, ids, position_ids, additive_mask: np.ndarray, l
     h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
     acts = Activations(hidden=[h])
     for n in range(cfg.num_layers):
-        h, probs = encoder_layer(h, params, n, mask, rows)
+        prefix = CLS_PREFIX if cls_only and n == cfg.num_layers - 1 else None
+        h, probs = encoder_layer(h, params, n, mask, rows, prefix)
         heads = probs[0] if single else np.swapaxes(probs, 0, 1)
         acts.attention.append([Tensor(w) for w in heads])
         acts.hidden.append(h)
+    if cls_only:
+        acts.hidden[-1] = ag.take_rows(h, np.arange(batch) * (h.shape[0] // batch))
     return acts
 
 

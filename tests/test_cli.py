@@ -11,7 +11,7 @@ import pytest
 
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
-from codeflow.cli import build_parser, main
+from codeflow.cli import MAX_BATCH_SIZE, build_parser, main
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import additive_mask, build_attention_mask, build_vocab
 from codeflow.model import ModelConfig, forward, init_params
@@ -258,6 +258,8 @@ class TestBadFlags:
             pytest.param("lr", 0.0, "learning rate must be finite and positive", id="zero-lr"),
             pytest.param("lr", float("nan"), "learning rate must be finite and positive", id="nan-lr"),
             pytest.param("lr", float("inf"), "learning rate must be finite and positive", id="inf-lr"),
+            pytest.param("batch_size", 10**20, "batch size must be at most", id="huge-batch"),
+            pytest.param("batch_size", MAX_BATCH_SIZE + 1, "batch size must be at most", id="batch-above-bound"),
         ],
     )
     def test_config_value_out_of_range(self, tmp_path, capsys, via, key, value, message):
@@ -273,6 +275,14 @@ class TestBadFlags:
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_batch_size_at_the_bound_is_accepted(self, tmp_path, capsys):
+        corpus = write_search_corpus(tmp_path)
+        code, _, err = run(
+            capsys, "eval-search", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+            "--batch-size", str(MAX_BATCH_SIZE), *SMALL_MODEL,
+        )
+        assert (code, err) == (0, "")
 
     def test_config_merge_priority(self, tmp_path, capsys):
         # dataclass defaults < --config JSON < explicit flags
@@ -575,9 +585,9 @@ class TestAttentionSplit:
         # the grouped forwards, with a length group split, give the report of per-example forwards
         shapes = []
 
-        def spy(params, ids, *rest):
+        def spy(params, ids, *rest, **kwargs):
             shapes.append(np.shape(ids))
-            return forward(params, ids, *rest)
+            return forward(params, ids, *rest, **kwargs)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward
@@ -640,6 +650,44 @@ class TestAttentionSplit:
         assert (code, stdout) == (2, "")
         assert err == f"data error: {checkpoint} has no encoder layers, so no attention to split\n"
 
+class TestPinnedInference:
+    """The inference commands' outputs on a fixed corpus and seed, as
+    `float.hex`, so a faster inference path must reproduce them bit for bit.
+    Forward matmuls give the same bits at one and two BLAS threads."""
+
+    MODEL = [*SMALL_MODEL, "--num-layers", "2", "--seed", "5"]
+    SEARCH_MRR = "0x1.1393583d45c4dp-2"
+    SEARCH_MRR_NO_DATAFLOW = "0x1.1e1a8c536fe1bp-2"
+    CLONE = {"precision": "0x1.0000000000000p-1", "recall": "0x1.0000000000000p+0", "f1": "0x1.5555555555555p-1"}
+    SPLIT = {
+        "java": {"code_fraction": "0x1.8790d0687734ep-1", "node_fraction": "0x1.e1bcbe5e232c9p-3"},
+        "python": {"code_fraction": "0x1.92f336735d0f7p-1", "node_fraction": "0x1.b43326328bc25p-3"},
+        "overall": {"code_fraction": "0x1.901a9cf0a398cp-1", "node_fraction": "0x1.bf958c3d719cfp-3"},
+    }
+
+    @staticmethod
+    def hexed(report):
+        return {k: TestPinnedInference.hexed(v) if isinstance(v, dict) else float.hex(v) for k, v in report.items()}
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        search = write_search_corpus(tmp_path, n=12)
+        clones = write_clone_corpus(tmp_path)
+        items = write_corpus(tmp_path, overfit_corpus(8))
+        outputs = []
+        for argv in (
+            ["eval-search", "--corpus", str(search), "--out", str(tmp_path / "s")],
+            ["eval-search", "--corpus", str(search), "--out", str(tmp_path / "n"), "--no-dataflow"],
+            ["eval-clone", "--corpus", str(clones), "--out", str(tmp_path / "c")],
+            ["attention-split", "--corpus", str(items)],
+        ):
+            code, stdout, err = run(capsys, *argv, *self.MODEL)
+            assert (code, err) == (0, ""), argv
+            outputs.append(self.hexed(json.loads(stdout)))
+        assert outputs == [
+            {"mrr": self.SEARCH_MRR}, {"mrr": self.SEARCH_MRR_NO_DATAFLOW}, self.CLONE, self.SPLIT,
+        ]
+
+
 class TestCheckpointBoundaries:
     def test_vocab_larger_than_checkpoint_is_data_error(self, tmp_path, capsys):
         config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=16, max_positions=128)
@@ -651,6 +699,28 @@ class TestCheckpointBoundaries:
         code, _, err = run(capsys, "attention-split", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "model.gcb"))
         assert code == 2
         assert err.count("\n") == 1 and "vocab_size 16" in err
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            pytest.param("", "[PAD] at id 0", id="empty"),
+            pytest.param("[PAD]\t0\n[CLS]\t1\n[SEP]\t2\n[MASK]\t3\n", "[UNK] at id 4", id="no-unk"),
+            pytest.param("[CLS]\t0\n[PAD]\t1\n[SEP]\t2\n[MASK]\t3\n[UNK]\t4\n", "[PAD] at id 0", id="swapped"),
+        ],
+    )
+    def test_vocab_without_reserved_tokens_is_data_error(self, tmp_path, capsys, text, missing):
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=512, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        vocab = tmp_path / "empty.txt"
+        vocab.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, "eval-search", "--corpus", str(write_search_corpus(tmp_path)),
+            "--checkpoint", str(tmp_path / "model.gcb"), "--vocab", str(vocab), "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {vocab} lacks the reserved token {missing}\n"
+        assert not out.exists()
 
     def test_model_limits_come_from_the_checkpoint(self, tmp_path, capsys):
         # the checkpoint's 128 positions, not the 512 of the flags' defaults

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import codeflow.autograd as ag
 import codeflow.downstream as downstream
 from codeflow.downstream import (
     CloneExample,
@@ -28,7 +29,7 @@ from codeflow.downstream import (
     prepare_search_examples,
     rank_candidates,
 )
-from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example, pad_batch
 from codeflow.frontend import parse_source
 from codeflow.model import ModelConfig, forward, init_params
 from codeflow.pretrain import CorpusItem
@@ -204,10 +205,11 @@ class TestGroupedVectors:
     def spy_forwards(self, monkeypatch):
         shapes = []
 
-        def spy(params, ids, positions, mask):
+        def spy(params, ids, positions, mask, cls_only):
             shapes.append(np.shape(ids))
             assert np.all(np.asarray(ids) != PAD), "a grouped forward must not pad"
-            return forward(params, ids, positions, mask)
+            assert cls_only, "[CLS] vectors need the [CLS] rows only"
+            return forward(params, ids, positions, mask, cls_only=cls_only)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
@@ -235,9 +237,9 @@ class TestGroupedVectors:
         params, examples = self.fuzzed_corpus(0, True)
         alive = []
 
-        def spy(params, ids, positions, mask):
+        def spy(params, ids, positions, mask, cls_only):
             assert all(ref() is None for ref in alive), "a previous forward's activations are still alive"
-            acts = forward(params, ids, positions, mask)
+            acts = forward(params, ids, positions, mask, cls_only=cls_only)
             alive.extend([weakref.ref(acts), weakref.ref(acts.final.data)])
             return acts
 
@@ -265,6 +267,57 @@ class TestGroupedVectors:
             scores = codes @ single_forward_cls(params, ex.query_encoded).astype(np.float64)
             ranks.append(1 + int(np.sum(scores > scores[gold])) + int(np.sum(scores[:gold] == scores[gold])))
         assert evaluate_search(params, examples) == float(np.mean([1.0 / r for r in ranks]))
+
+
+class TestClsOnlyForwards:
+    """Inference and `_cls_rows` run the last layer for two query positions per
+    sequence (`model.CLS_PREFIX`) and keep the full forward's [CLS] bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_padded_cls_rows_equal_the_full_forward(self, dtype):
+        _, _, _, params, examples = search_fixture(12, num_layers=2)
+        params = params.astype(dtype)
+        encoded = [ex.query_encoded for ex in examples] + [ex.code_encoded for ex in examples]
+        lengths = [len(ex) for ex in encoded]
+        assert len(set(lengths)) > 2  # queries and codes of several lengths: rows are padded
+        got = downstream._cls_rows(params, encoded).data
+        rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
+        ids, positions, mask = pad_batch(rows, dtype=dtype)
+        full = forward(params, ids, positions, mask, lengths).final.data
+        assert got.dtype == dtype and np.array_equal(got, full[np.arange(len(encoded)) * ids.shape[1]])
+        assert np.array_equal(got, np.stack([single_forward_cls(params, ex) for ex in encoded]))
+
+    @staticmethod
+    def ffn_rows(monkeypatch):
+        """Rows of every GELU input from now on, one call per layer per forward."""
+        rows = []
+        gelu = ag.gelu_kernel
+
+        def counting(u):
+            rows.append(u.shape[0])
+            return gelu(u)
+
+        monkeypatch.setattr(ag, "gelu_kernel", counting)
+        return rows
+
+    def test_last_layer_ffn_sees_two_rows_per_sequence(self, monkeypatch):
+        num_layers = 2
+        pairs, _, vocab, params, examples = search_fixture(12, num_layers=num_layers)
+        snippets = [code for _, code in pairs]
+        ring = [(snippets[i], snippets[(i + 1) % len(snippets)]) for i in range(len(snippets))]
+        encoded = [ex.code_encoded for ex in examples] + [ex.query_encoded for ex in examples]
+        assert min(len(ex) for ex in encoded) > 2
+        for run, sequences in (
+            (lambda: evaluate_search(params, examples), encoded),
+            (lambda: clone_probabilities(ring, params, vocab), [ex.code_encoded for ex in examples]),
+        ):
+            with monkeypatch.context() as m:
+                rows = self.ffn_rows(m)
+                run()
+            last = rows[num_layers - 1 :: num_layers]
+            assert len(rows) % num_layers == 0 and len(last) < len(sequences)  # some forwards are batched
+            assert sum(last) == 2 * len(sequences)
+            assert sum(rows) - sum(last) == (num_layers - 1) * sum(len(ex) for ex in sequences)
 
 
 # -- search ----------------------------------------------------------------------

@@ -645,9 +645,9 @@ class TestLossLogAndAccuracy:
         # each candidate by its own h_i . h_j, also when a length group is split
         shapes = []
 
-        def spy(params, ids, *rest):
+        def spy(params, ids, *rest, **kwargs):
             shapes.append(np.shape(ids))
-            return forward(params, ids, *rest)
+            return forward(params, ids, *rest, **kwargs)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward

@@ -414,6 +414,48 @@ def real_rows(lengths, width):
     return np.concatenate([np.arange(n) + b * width for b, n in enumerate(lengths)])
 
 
+def layer_finite_difference_check(prefix):
+    """`encoder_layer` with query `prefix` (None: all positions) against
+    float64 central differences of every layer input and weight."""
+    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
+    params = init_params(cfg).astype(np.float64)
+    rng = np.random.default_rng(41)
+    for t in params.tensors.values():  # off the init's zero biases and unit gains
+        t.data += rng.normal(scale=0.3, size=t.shape)
+        t.requires_grad = True
+    lengths, width = [4, 7, 1, 6], 7
+    allows = [rng.random((n, n)) < 0.6 for n in lengths]
+    for allow in allows:
+        np.fill_diagonal(allow, True)
+    _, _, mask = pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)
+    rows = real_rows(lengths, width)
+    h = Tensor(rng.normal(size=(len(lengths) * width, cfg.hidden_dim)), requires_grad=True)
+    out_width = width if prefix is None else prefix
+    probe = Tensor(rng.normal(size=(len(lengths) * out_width, cfg.hidden_dim)))
+    names = [n for n in params.tensors if n.startswith("layer0.")]
+    assert len(names) == 3 * cfg.num_heads + 9
+
+    def loss():
+        return ag.tsum(ag.mul(encoder_layer(h, params, 0, mask, rows, prefix)[0], probe))
+
+    loss().backward()
+    eps = 1e-6
+    for leaf in [h] + [params.tensors[n] for n in names]:
+        numeric = np.zeros_like(leaf.data)
+        for idx in np.ndindex(leaf.shape):
+            keep = leaf.data[idx]
+            leaf.data[idx] = keep + eps
+            hi = float(loss().data)
+            leaf.data[idx] = keep - eps
+            lo = float(loss().data)
+            leaf.data[idx] = keep
+            numeric[idx] = (hi - lo) / (2 * eps)
+        err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
+        assert err.max() < 1e-6
+    pad = np.setdiff1d(np.arange(h.shape[0]), rows)
+    assert not h.grad[pad].any()
+
+
 class TestFusedLayer:
     """`model.encoder_layer`, one node per layer, against the composed graph
     of `helpers.composed_forward` and against finite differences."""
@@ -445,42 +487,7 @@ class TestFusedLayer:
                 assert np.array_equal(g.data, w.data)
 
     def test_encoder_layer_against_finite_differences(self):
-        cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
-        params = init_params(cfg).astype(np.float64)
-        rng = np.random.default_rng(41)
-        for t in params.tensors.values():  # off the init's zero biases and unit gains
-            t.data += rng.normal(scale=0.3, size=t.shape)
-            t.requires_grad = True
-        lengths, width = [4, 7, 6], 7
-        allows = [rng.random((n, n)) < 0.6 for n in lengths]
-        for allow in allows:
-            np.fill_diagonal(allow, True)
-        _, _, mask = pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)
-        rows = real_rows(lengths, width)
-        h = Tensor(rng.normal(size=(len(lengths) * width, cfg.hidden_dim)), requires_grad=True)
-        probe = Tensor(rng.normal(size=h.shape))
-        names = [n for n in params.tensors if n.startswith("layer0.")]
-        assert len(names) == 3 * cfg.num_heads + 9
-
-        def loss():
-            return ag.tsum(ag.mul(encoder_layer(h, params, 0, mask, rows)[0], probe))
-
-        loss().backward()
-        eps = 1e-6
-        for leaf in [h] + [params.tensors[n] for n in names]:
-            numeric = np.zeros_like(leaf.data)
-            for idx in np.ndindex(leaf.shape):
-                keep = leaf.data[idx]
-                leaf.data[idx] = keep + eps
-                hi = float(loss().data)
-                leaf.data[idx] = keep - eps
-                lo = float(loss().data)
-                leaf.data[idx] = keep
-                numeric[idx] = (hi - lo) / (2 * eps)
-            err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
-            assert err.max() < 1e-6
-        pad = np.setdiff1d(np.arange(h.shape[0]), rows)
-        assert not h.grad[pad].any()
+        layer_finite_difference_check(prefix=None)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_batch_loss_gradients_match_composed(self, monkeypatch, dtype, tol):
@@ -529,6 +536,74 @@ class TestFusedLayer:
         for bad in (lengths[:-1], lengths + [width], [0] + lengths[1:], [width + 1] + lengths[1:]):
             with pytest.raises(ShapeMismatch):
                 forward(params, ids, positions, mask, bad)
+
+
+def random_batch(rng, lengths, params, dtype):
+    """Random ids and allow-masks of the given `lengths`, padded to one batch."""
+    rows = []
+    for n in lengths:
+        allow = rng.random((n, n)) < 0.6
+        np.fill_diagonal(allow, True)
+        rows.append((rng.integers(5, params.config.vocab_size, n), rng.permutation(n), allow))
+    return rows, pad_batch(rows, dtype=dtype)
+
+
+class TestClsOnly:
+    """`forward(..., cls_only=True)` runs the last layer for the first
+    `CLS_PREFIX` query positions only; its [CLS] rows must equal the full
+    forward's bit for bit, and its gradients the full forward's."""
+
+    LENGTHS = [[1], [2], [3], [1, 2, 3], [3, 1], [2, 2], [1, 1], [5, 40, 3, 17], [40]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_cls_rows_equal_the_full_forward(self, dtype, num_layers):
+        params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(60 + num_layers)
+        batches = [random_batch(rng, lengths, params, dtype) for lengths in self.LENGTHS]
+        for _ in range(3):  # encoded programs, padded
+            examples, *padded, _ = padded_batch(rng, 5, dtype)
+            batches.append(([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], padded))
+        for rows, (ids, positions, mask) in batches:
+            lengths = [len(r[0]) for r in rows]
+            batch, width = ids.shape
+            full = forward(params, ids, positions, mask, lengths)
+            cls = forward(params, ids, positions, mask, lengths, cls_only=True)
+            assert cls.final.dtype == dtype and cls.final.shape == (batch, params.config.hidden_dim)
+            assert np.array_equal(cls.final.data, full.final.data[np.arange(batch) * width])
+            for n, (g_layer, w_layer) in enumerate(zip(cls.attention, full.attention)):
+                for g, w in zip(g_layer, w_layer):  # the last layer keeps the first min(2, L) query rows
+                    assert g.shape[1] == (min(2, width) if n == num_layers - 1 else width)
+                    assert np.array_equal(g.data, w.data[:, : g.shape[1]])
+            for ex_ids, ex_pos, allow in rows:  # each example alone, unbatched
+                one = additive_mask(allow, dtype=dtype)
+                got = forward(params, ex_ids, ex_pos, one, cls_only=True).final.data
+                assert got.shape == (1, params.config.hidden_dim)
+                assert np.array_equal(got[0], forward(params, ex_ids, ex_pos, one).final.data[0])
+
+    def test_query_prefix_against_finite_differences(self):
+        layer_finite_difference_check(prefix=2)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_gradients_match_the_full_final_layer(self, dtype, tol):
+        params = init_params(small_config(max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(64)
+        for lengths in ([3, 1, 2, 9], [7, 7], [2, 30, 5]):
+            rows, (ids, positions, mask) = random_batch(rng, lengths, params, dtype)
+            probe = Tensor(rng.normal(size=(len(lengths), params.config.hidden_dim)).astype(dtype))
+            firsts = np.arange(len(lengths)) * ids.shape[1]
+
+            def loss_fn(p, cls_only):
+                final = forward(p, ids, positions, mask, lengths, cls_only=cls_only).final
+                cls = final if cls_only else ag.take_rows(final, firsts)
+                return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
+
+            got_value, got = compute_gradients(lambda p: loss_fn(p, True), params)
+            want_value, want = compute_gradients(lambda p: loss_fn(p, False), params)
+            assert got_value == want_value
+            for name in want:
+                assert got[name].dtype == dtype
+                assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max(), name
 
 
 class TestGraphSize:
