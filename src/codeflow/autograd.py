@@ -176,14 +176,21 @@ def take_rows(a, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        # One scatter-add over flat element indices: numpy's fast 1-D `add.at`
-        # path, and each element still sums its rows in the order of `idx`.
         out = np.zeros_like(a.data)
-        width = math.prod(out.shape[1:])
-        np.add.at(out.reshape(-1), (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1), g.reshape(-1))
+        scatter_add_rows(out, idx, g)
         return (out,)
 
     return _make(a.data[idx], (a,), vjp)
+
+
+def scatter_add_rows(out: np.ndarray, idx, rows: np.ndarray) -> None:
+    """``out[idx[i]] += rows[i]`` for every ``i`` of a C-contiguous `out`,
+    repeated indices included. One scatter-add over flat element indices:
+    numpy's fast 1-D `add.at` path, and each element still sums its rows in
+    the order of `idx`."""
+    width = math.prod(out.shape[1:])
+    flat = (np.asarray(idx, dtype=np.intp).reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
 
 
 def gather_cols(a, col_indices) -> Tensor:

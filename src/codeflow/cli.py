@@ -277,7 +277,10 @@ def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
     if rc.checkpoint is not None:
         params = load_checkpoint(rc.checkpoint)
         vocab_path = Path(rc.vocab) if rc.vocab else Path(rc.checkpoint).parent / "vocab.txt"
-        vocab = Vocabulary.deserialize(vocab_path.read_text(encoding="utf-8"))
+        try:
+            vocab = Vocabulary.deserialize(vocab_path.read_text(encoding="utf-8"))
+        except VocabularyError as e:
+            raise VocabularyError(f"{vocab_path} {e}") from e
         missing = [f"{token} at id {i}" for token, i in RESERVED if vocab.token_to_id.get(token) != i]
         if missing:
             raise VocabularyError(f"{vocab_path} lacks the reserved token {missing[0]}")

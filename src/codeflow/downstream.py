@@ -101,7 +101,7 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
 
 
 def grouped_forwards(
-    params: ModelParams, examples: list[EncodedExample], read, masks=None, cls_only: bool = False
+    params: ModelParams, examples: list[EncodedExample], read, masks=None, cls_only: bool = False, reads=None
 ) -> list:
     """``read(activations, b, i)`` for each example ``i``, in order, where
     example ``i`` is row ``b`` of the inference forward that gave `activations`.
@@ -111,9 +111,11 @@ def grouped_forwards(
     row equals the one a single-example forward gives, bit for bit. `masks`,
     one allow-matrix per example, replaces `build_attention_mask`. `cls_only`
     goes to `forward`: ``activations.final.data[b]`` is then example ``i``'s
-    [CLS] row, and the last layer's maps hold its first two query rows. A
-    forward's activations are freed before the next one runs: `read` copies
-    what it keeps."""
+    [CLS] row, and the last layer's maps hold its first two query rows.
+    `reads`, one position list per example, goes to `forward` in its place:
+    ``activations.final`` then holds the read rows of each sequence, ``W``
+    per sequence (see `model.read_layout`). A forward's activations are freed
+    before the next one runs: `read` copies what it keeps."""
     out = [None] * len(examples)
     by_length: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
@@ -124,7 +126,8 @@ def grouped_forwards(
             chunk = members[lo : lo + per_forward]
             batch = [(examples[i], build_attention_mask(examples[i]) if masks is None else masks[i]) for i in chunk]
             rows = [(ex.ids, ex.position_ids, allow) for ex, allow in batch]
-            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype), cls_only=cls_only)
+            kept = {"cls_only": cls_only} if reads is None else {"reads": [reads[i] for i in chunk]}
+            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype), **kept)
             for b, i in enumerate(chunk):
                 out[i] = read(acts, b, i)
             del acts

@@ -69,7 +69,10 @@ class Vocabulary:
 
     @staticmethod
     def deserialize(text: str) -> "Vocabulary":
+        """Parse `serialize`'s lines. Raises VocabularyError for a line that
+        is not ``token<TAB>id``, a token listed twice or an id two tokens hold."""
         mapping: dict[str, int] = {}
+        holders: dict[int, str] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
@@ -79,7 +82,13 @@ class Vocabulary:
             token = (
                 esc.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
             )
-            mapping[token] = int(idx)
+            number = int(idx)
+            if token in mapping:
+                raise VocabularyError(f"line {lineno}: token {token!r} is listed twice")
+            if number in holders:
+                raise VocabularyError(f"line {lineno}: id {number} of {token!r} is already held by {holders[number]!r}")
+            mapping[token] = number
+            holders[number] = token
         return Vocabulary(mapping)
 
 

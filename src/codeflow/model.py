@@ -78,11 +78,14 @@ class Activations:
     ``|X| x |X|`` for a single example and ``B x L x L`` for a batch; these
     are read-only views, gradients flow through the hidden states only.
 
-    A `cls_only` forward keeps only what the [CLS] rows need: `final` is the
-    ``B x d_h`` [CLS] rows (``1 x d_h`` for a single example), and the last
-    layer's maps hold the first ``min(2, L)`` query rows, ``min(2, L) x |X|``
-    or ``B x min(2, L) x L``. Two rows, not one, keep the bits of the full
-    forward: see `CLS_PREFIX`.
+    A forward given `reads` keeps only what those rows need: `final` is the
+    ``B*W x d_h`` read layout of `read_layout` (``W x d_h`` for a single
+    example), and the last layer's maps hold its ``W`` query rows, ``W x |X|``
+    or ``B x W x L``. A `cls_only` forward keeps the [CLS] rows: `final` is
+    ``B x d_h`` (``1 x d_h`` for a single example), and the last layer's maps
+    hold the first ``min(2, L)`` query rows. When ``W >= L`` the last layer
+    runs in full and its maps hold all ``L`` rows. Two rows or more, not one,
+    keep the bits of the full forward: see `CLS_PREFIX`.
     """
 
     hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N
@@ -140,7 +143,7 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
 
 
 def encoder_layer(
-    h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray, prefix: int | None = None
+    h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
     one node over flat ``B*L x d_h`` states; also returns the ``B x H x L x L``
@@ -149,15 +152,16 @@ def encoder_layer(
     output, and of `h`'s gradient, are 0. The forward runs the composed
     graph's ops in order (same bits); the VJP is written out.
 
-    A query `prefix` ``P`` runs the layer for the first ``W = min(P, L)``
+    `keep`, a ``(B, W)`` array of positions, runs the layer for those query
     positions of each sequence only: K and V still come from every real row,
-    but queries, attention rows, `wo`, both norms and the FFN run on the real
-    rows among those ``W``, so the output is ``B*W x d_h`` and the attention
-    ``B x H x W x L``. Its rows equal the full layer's bit for bit when every
-    matmul that shrinks keeps two rows or more (see `CLS_PREFIX`)."""
+    but queries, attention rows, `wo`, both norms and the FFN run for the
+    kept positions, so the output is ``B*W x d_h`` (row ``b*W + j`` holds
+    position ``keep[b, j]``) and the attention ``B x H x W x L``. A position
+    may be kept twice; one past its sequence's length is a pad, with a zero
+    query and output row. Kept rows equal the full layer's bit for bit when
+    every matmul that shrinks keeps two rows or more (see `CLS_PREFIX`)."""
     cfg = params.config
     batch, length = mask.shape[0], mask.shape[1]
-    width = length if prefix is None else min(prefix, length)
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
@@ -166,25 +170,31 @@ def encoder_layer(
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
     wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
     qkv = np.zeros((batch * length, 3 * d), dtype=x.dtype)
-    if width == length:
-        asks, out_rows = slice(None), rows  # every real row asks a query
+    if keep is None:
+        width, asks, out_rows, query_mask = length, rows, rows, mask  # every real row asks a query
         qkv[rows] = x @ wqkv
+        xq, q = x, qkv[:, :d]
     else:
-        asks = rows % length < width  # which of `rows` ask a query
-        queries = rows[asks]
-        out_rows = queries - queries // length * (length - width)  # their rows in the B*W output
+        width = keep.shape[1]
+        slots = (keep + np.arange(batch)[:, None] * length).reshape(-1)  # the kept rows of `h`
+        real = np.zeros(batch * length, dtype=bool)
+        real[rows] = True
+        out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the B*W output
+        asks = slots[out_rows]  # and in `h`
+        query_mask = mask[np.arange(batch)[:, None], keep]
         qkv[rows, d:] = x @ wqkv[:, d:]
-        qkv[queries, :d] = x[asks] @ wqkv[:, :d]
-    q, k, v = qkv.reshape(batch, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)  # each B x H x L x d_k
-    q = q[:, :, :width]
+        xq, q = h.data[asks], np.zeros((batch * width, d), dtype=x.dtype)
+        q[out_rows] = xq @ wqkv[:, :d]
+    q = q.reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3)  # B x H x W x d_k
+    k, v = qkv.reshape(batch, length, 3, heads, d_k)[:, :, 1:].transpose(2, 0, 3, 1, 4)  # each B x H x L x d_k
     probs = q @ np.swapaxes(k, -1, -2)
-    probs += mask[:, None, :width].astype(x.dtype, copy=False)
+    probs += query_mask[:, None].astype(x.dtype, copy=False)
     ag.softmax_kernel(probs)
     ctx = np.empty((batch, width, heads, d_k), dtype=x.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
     merged = ctx.reshape(batch * width, d)[out_rows]
     s1 = merged @ wo.data
-    s1 += x[asks]
+    s1 += xq
     g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
     u = g @ w1.data
     u += b1.data
@@ -208,16 +218,24 @@ def encoder_layer(
         dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), probs)
         dqkv = np.empty((batch, length, 3, heads, d_k), dtype=grad.dtype)
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(dscores, k, out=dq[:, :, :width])
-        dq[:, :, width:] = 0
+        if keep is None:
+            np.matmul(dscores, k, out=dq)
+        else:  # the kept rows' query gradients in the B*L layout; a position kept twice sums both
+            dq_rows = np.zeros((batch * length, d), dtype=grad.dtype)
+            ag.scatter_add_rows(dq_rows, asks, (dscores @ k).transpose(0, 2, 1, 3).reshape(batch * width, d)[out_rows])
+            dq[...] = dq_rows.reshape(batch, length, heads, d_k).transpose(0, 2, 1, 3)
         np.matmul(np.swapaxes(dscores, -1, -2), q, out=dk)
         np.matmul(np.swapaxes(probs, -1, -2), dctx, out=dv)
         dqkv = dqkv.reshape(batch * length, 3 * d)[rows]
         dwqkv = x.T @ dqkv
         dx = dqkv @ wqkv.T
-        dx[asks] += ds1
         dh = np.zeros_like(h.data)
-        dh[rows] = dx
+        if keep is None:
+            dx += ds1
+            dh[rows] = dx
+        else:
+            dh[rows] = dx
+            ag.scatter_add_rows(dh, asks, ds1)
         dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
         dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
         dlayer = (merged.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
@@ -226,16 +244,32 @@ def encoder_layer(
     return ag._make(out, (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2), vjp), probs
 
 
-# Query positions the last layer of a `cls_only` forward keeps per sequence.
-# One would do for [CLS] alone, but a one-row matmul takes numpy's BLAS gemv
-# path, whose float32 bits differ from the gemm rows of the full layer; with
-# two rows or more every shrunken matmul stays on gemm and the [CLS] row keeps
+# Fewest query positions a shrunken last layer keeps per sequence. One would
+# do for [CLS] alone, but a one-row matmul takes numpy's BLAS gemv path,
+# whose float32 bits differ from the gemm rows of the full layer; with two
+# rows or more every shrunken matmul stays on gemm and each kept row keeps
 # its bits.
 CLS_PREFIX = 2
 
 
+def read_layout(reads, lengths) -> np.ndarray:
+    """The ``(B, W)`` positions a forward given `reads` keeps: row ``b`` is
+    ``reads[b]`` padded by repeating its last position, and
+    ``W = max(CLS_PREFIX, longest reads[b])``. Raises ShapeMismatch unless
+    there is one non-empty list per sequence, each within its length."""
+    if len(reads) != len(lengths) or not all(len(r) for r in reads):
+        raise ShapeMismatch(f"reads need one non-empty position list per sequence, got {len(reads)} for {len(lengths)}")
+    keep = np.empty((len(reads), max(CLS_PREFIX, *map(len, reads))), dtype=np.intp)
+    for b, (positions, n) in enumerate(zip(reads, lengths)):
+        if min(positions) < 0 or max(positions) >= n:
+            raise ShapeMismatch(f"read positions of sequence {b} fall outside its length {n}")
+        keep[b, : len(positions)] = positions
+        keep[b, len(positions) :] = positions[-1]
+    return keep
+
+
 def forward(
-    params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None, cls_only: bool = False
+    params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None, cls_only: bool = False, reads=None
 ) -> Activations:
     """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or a
     padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) in a single
@@ -243,10 +277,15 @@ def forward(
     `lengths` holds each row's real length (``None``: all of it): layers skip
     the pad rows, which are 0 in every hidden state after the embeddings.
 
-    `cls_only` asks for the [CLS] rows only: the last layer runs for the
-    first ``min(CLS_PREFIX, L)`` query positions of each sequence (K and V
-    still for all of them), its attention maps hold those rows, and `final`
-    is the ``B x d_h`` [CLS] rows, bit-identical to the full forward's."""
+    `reads`, one list of positions per sequence, asks for those rows of the
+    final states only. The last layer then runs for the ``(B, W)`` positions
+    of `read_layout` (K and V still for every real row), its attention maps
+    hold those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
+    holding position ``reads[b][j]``, bit-identical to the full forward's
+    because ``W`` is two or more (see `CLS_PREFIX`). When ``W >= L``, or with no layers, the rows are gathered from the full
+    states instead. `cls_only` is the [CLS] case: the last layer runs for the
+    first ``min(CLS_PREFIX, L)`` positions and `final` is the ``B x d_h``
+    [CLS] rows."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
@@ -268,18 +307,25 @@ def forward(
     if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= length)):
         raise ShapeMismatch(f"lengths {lengths.tolist()} do not fit {batch} rows of length {length}")
     rows = np.flatnonzero(np.arange(length) < lengths[:, None])
+    keep = None
+    if reads is not None:
+        keep = read_layout(reads, lengths)
+    elif cls_only:
+        keep = np.arange(min(CLS_PREFIX, length))[None].repeat(batch, axis=0)
+    shrink = keep is not None and keep.shape[1] < length
 
     tok, pos = params.tensors["tok_emb"], params.tensors["pos_emb"]
     h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
     acts = Activations(hidden=[h])
     for n in range(cfg.num_layers):
-        prefix = CLS_PREFIX if cls_only and n == cfg.num_layers - 1 else None
-        h, probs = encoder_layer(h, params, n, mask, rows, prefix)
+        h, probs = encoder_layer(h, params, n, mask, rows, keep if shrink and n == cfg.num_layers - 1 else None)
         heads = probs[0] if single else np.swapaxes(probs, 0, 1)
         acts.attention.append([Tensor(w) for w in heads])
         acts.hidden.append(h)
     if cls_only:
         acts.hidden[-1] = ag.take_rows(h, np.arange(batch) * (h.shape[0] // batch))
+    elif keep is not None and h.shape[0] == batch * length:  # full states: no layer shrank
+        acts.hidden[-1] = ag.take_rows(h, (keep + np.arange(batch)[:, None] * length).reshape(-1))
     return acts
 
 

@@ -285,6 +285,13 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     exactly as if every example ran through its own forward: each row is
     weighted by one over (examples counted) x (that example's rows). Returns
     the loss and its parts by objective name.
+
+    The forward `reads` only the rows the losses score, each example's
+    masked positions and candidate endpoints, so its last layer runs for
+    those rows alone (at least two per example, the gemm rule of
+    `model.CLS_PREFIX`). They equal the full layer's bit for bit, and so do
+    the loss and its parts; only the last layer's weight gradients sum over
+    fewer rows.
     """
     dtype = params.tensors["tok_emb"].data.dtype
     ids, positions, mask = pad_batch(
@@ -294,12 +301,17 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
         ],
         dtype=dtype,
     )
-    final = forward(params, ids, positions, mask, [len(ex) for ex, _, _ in prepared]).final
-    width = ids.shape[1]
+    reads = [
+        sorted({*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))})
+        for _, mlm_t, tset in prepared
+    ]
+    final = forward(params, ids, positions, mask, [len(ex) for ex, _, _ in prepared], reads=reads).final
+    width = final.shape[0] // len(prepared)
+    row_of = [{p: b * width + j for j, p in enumerate(kept)} for b, kept in enumerate(reads)]
 
     rows, originals, weights = [], [], []
     for b, (_, mlm_t, _) in enumerate(prepared):
-        rows += [b * width + p for p in mlm_t.positions]
+        rows += [row_of[b][p] for p in mlm_t.positions]
         originals += mlm_t.original_ids
         weights += [1.0 / (len(prepared) * len(mlm_t.positions))] * len(mlm_t.positions)
     picked = _token_log_likelihoods(final, rows, originals, params)
@@ -310,7 +322,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     if scored:
         pairs, labels, weights = [], [], []
         for b, tset in scored:
-            pairs += [(b * width + i, b * width + j) for i, j in tset.candidates]
+            pairs += [(row_of[b][i], row_of[b][j]) for i, j in tset.candidates]
             labels += tset.labels
             weights += [1.0 / (len(scored) * len(tset.candidates))] * len(tset.candidates)
         pair_ll = pair_log_likelihoods(final, pairs, labels)
@@ -456,17 +468,20 @@ def structure_accuracy(
     objective: str,
     rng: np.random.Generator,
 ) -> float:
-    """Binary accuracy of the pair scorer over freshly sampled target sets."""
+    """Binary accuracy of the pair scorer over freshly sampled target sets.
+    The forwards read the candidate endpoints only (see `batch_loss`)."""
     scored = [(ex, tset) for ex in encoded if (tset := structure_targets(ex, objective, rng)) is not None]
     if not scored:
         raise ValueError("no structure candidates in the given examples")
+    reads = [sorted({p for pair in tset.candidates for p in pair}) for _, tset in scored]
 
     def correct(acts: Activations, b: int, i: int) -> int:
         ex, tset = scored[i]
-        offset = b * len(ex)
-        dots = pair_dots(acts.final, [(offset + x, offset + y) for x, y in tset.candidates]).data.astype(np.float64)
+        width = acts.final.shape[0] * len(ex) // acts.hidden[0].shape[0]  # read rows per sequence; no row is padded
+        row_of = {p: b * width + j for j, p in enumerate(reads[i])}
+        dots = pair_dots(acts.final, [(row_of[x], row_of[y]) for x, y in tset.candidates]).data.astype(np.float64)
         p = 1.0 / (1.0 + np.exp(-dots))
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 
-    hits = grouped_forwards(params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored])
+    hits = grouped_forwards(params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored], reads=reads)
     return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

@@ -39,7 +39,7 @@ from codeflow.frontend.syntax import (
     Stmt,
     While,
 )
-from codeflow.model import Activations
+from codeflow.model import Activations, read_layout
 from codeflow.pretrain import CorpusItem
 
 SPAN = Span(0, 0)
@@ -876,6 +876,16 @@ def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_
         heads = weights.data[0] if single else np.swapaxes(weights.data, 0, 1)
         acts.attention.append([ag.Tensor(w) for w in heads])
         acts.hidden.append(h)
+    return acts
+
+
+def composed_reads(params, ids, position_ids, additive_mask, lengths, reads, layer_norm=layer_norm):
+    """`composed_forward` with `final` gathered to the rows of `reads` in
+    `model.read_layout`'s order: the stand-in of ``forward(..., reads=...)``."""
+    acts = composed_forward(params, ids, position_ids, additive_mask, layer_norm)
+    keep = read_layout(reads, lengths)
+    length = np.shape(ids)[-1]
+    acts.hidden[-1] = ag.take_rows(acts.final, (keep + np.arange(len(keep))[:, None] * length).reshape(-1))
     return acts
 
 

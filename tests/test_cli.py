@@ -722,6 +722,29 @@ class TestCheckpointBoundaries:
         assert err == f"data error: {vocab} lacks the reserved token {missing}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            pytest.param("merge\t1\n", "token 'merge' is listed twice", id="token-twice"),
+            pytest.param("unseen\t1\n", "id 1 of 'unseen' is already held by '[CLS]'", id="id-twice"),
+        ],
+    )
+    def test_vocab_with_a_duplicate_is_data_error(self, tmp_path, capsys, extra, problem):
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=512, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        built = build_vocab([(q, c) for q, c in search_pairs(4)], 512)
+        assert "merge" in built.token_to_id and "unseen" not in built.token_to_id
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(built.serialize() + extra, encoding="utf-8")
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, "eval-search", "--corpus", str(write_search_corpus(tmp_path)),
+            "--checkpoint", str(tmp_path / "model.gcb"), "--vocab", str(vocab), "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {vocab} line {len(built) + 1}: {problem}\n"
+        assert not out.exists()
+
     def test_model_limits_come_from_the_checkpoint(self, tmp_path, capsys):
         # the checkpoint's 128 positions, not the 512 of the flags' defaults
         config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=512, max_positions=128)

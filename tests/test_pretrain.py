@@ -21,7 +21,7 @@ from codeflow.encoding import (
     build_vocab,
     encode_example,
 )
-from codeflow.model import ModelConfig, compute_gradients, forward, init_params
+from codeflow.model import ModelConfig, compute_gradients, forward, init_params, read_layout
 from codeflow.pretrain import (
     CorpusFormatError,
     CorpusItem,
@@ -455,6 +455,34 @@ class TestBatchLoss:
 
 # -- language sampler ---------------------------------------------------------
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("structure", ["edgepred", "nodealign", None])
+    def test_loss_and_parts_equal_the_full_final_layer(self, monkeypatch, dtype, structure):
+        # at fixed parameters the read rows keep every bit of the loss
+        import codeflow.pretrain as pretrain
+
+        cfg = tiny_config(num_layers=2)
+        params = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(31)
+        prepared = []
+        for ex in edgeful_examples(count=6, seed=37):
+            mlm_t = select_mlm_targets(ex, rng, cfg.vocab_size)
+            prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
+        assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
+
+        def full_forward(p, ids, positions, mask, lengths, reads):
+            acts = forward(p, ids, positions, mask, lengths)
+            slots = read_layout(reads, lengths) + np.arange(len(reads))[:, None] * np.shape(ids)[1]
+            acts.hidden[-1] = ag.take_rows(acts.final, slots.reshape(-1))
+            return acts
+
+        got, got_parts = batch_loss(params, prepared, structure)
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "forward", full_forward)
+            want, want_parts = batch_loss(params, prepared, structure)
+        assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+        assert {k: float.hex(v) for k, v in got_parts.items()} == {k: float.hex(v) for k, v in want_parts.items()}
+
 
 class TestLanguageSampler:
     def test_equal_counts_uniform(self):
@@ -564,14 +592,56 @@ class TestPretrainRun:
         shapes = []
         real = pretrain.forward
 
-        def counting(params, ids, *args):
+        def counting(params, ids, *args, **kwargs):
             shapes.append(np.shape(ids))
-            return real(params, ids, *args)
+            return real(params, ids, *args, **kwargs)
 
         monkeypatch.setattr(pretrain, "forward", counting)
         pretrain_run(self.corpus(), tiny_config(), steps=3, rng=1, batch_size=4)
         assert len(shapes) == 3
         assert all(len(shape) == 2 and shape[0] == 4 for shape in shapes)
+
+    def test_last_layer_runs_for_the_read_rows_only(self, monkeypatch):
+        # the losses read each example's masked positions and candidate
+        # endpoints; the last layer's FFN must see no more rows than those,
+        # padded to two or more per example, and the first layer every real row
+        import codeflow.pretrain as pretrain
+
+        gelu_rows, batches = [], []
+        gelu, loss = ag.gelu_kernel, pretrain.batch_loss
+
+        def counting_gelu(u):
+            gelu_rows.append(u.shape[0])
+            return gelu(u)
+
+        def recording_loss(params, prepared, structure):
+            batches.append(prepared)
+            return loss(params, prepared, structure)
+
+        monkeypatch.setattr(ag, "gelu_kernel", counting_gelu)
+        monkeypatch.setattr(pretrain, "batch_loss", recording_loss)
+        pretrain_run(self.corpus(), tiny_config(num_layers=2), steps=2, rng=1, batch_size=4)
+        assert len(gelu_rows) == 2 * len(batches) == 4
+        for (first, last), prepared in zip(zip(gelu_rows[::2], gelu_rows[1::2]), batches):
+            reads = [
+                len({*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)})
+                for _, mlm_t, tset in prepared
+            ]
+            assert first == sum(len(ex) for ex, _, _ in prepared)
+            assert last <= len(prepared) * max(2, *reads) < first
+
+    def test_zero_layers_reads_the_embeddings(self):
+        # no layer to shrink: the read rows come from the embeddings, and the
+        # loss log is the one of the full embedding states (float.hex pinned)
+        result = pretrain_run(self.corpus(), tiny_config(num_layers=0), steps=6, rng=3, batch_size=4)
+        assert [(s, o, float.hex(v)) for s, o, v in result.loss_log] == [
+            (0, "mlm", "0x1.0a1f240000000p+2"), (0, "edgepred", "0x1.62b2b40000000p-1"),
+            (1, "mlm", "0x1.0a2a280000000p+2"), (1, "nodealign", "0x1.6231c60000000p-1"),
+            (2, "mlm", "0x1.0a1be00000000p+2"), (2, "edgepred", "0x1.6273ca0000000p-1"),
+            (3, "mlm", "0x1.0a02340000000p+2"), (3, "nodealign", "0x1.6244300000000p-1"),
+            (4, "mlm", "0x1.09ffd40000000p+2"), (4, "edgepred", "0x1.628d300000000p-1"),
+            (5, "mlm", "0x1.09f2ec0000000p+2"), (5, "nodealign", "0x1.6246c60000000p-1"),
+        ]
 
     def test_mlm_only(self):
         objectives = Objectives(edge_pred=False, node_align=False)

@@ -19,6 +19,7 @@ from codeflow.encoding import (
     pad_batch,
 )
 from codeflow.model import (
+    CLS_PREFIX,
     Activations,
     ModelConfig,
     ModelParams,
@@ -30,12 +31,14 @@ from codeflow.model import (
     init_params,
     mlm_logits,
     param_shapes,
+    read_layout,
 )
 from codeflow.optim import adam_step, init_adam
 from codeflow.pretrain import pretrain_run
 from helpers import (
     composed_forward,
     composed_layer_norm,
+    composed_reads,
     concat,
     gelu,
     layer_norm,
@@ -385,8 +388,8 @@ class TestFusedKernels:
         runs = []
         for norm in (layer_norm, composed_layer_norm):
 
-            def encoder(p, ids, positions, mask, lengths=None, norm=norm):
-                return composed_forward(p, ids, positions, mask, layer_norm=norm)
+            def encoder(p, ids, positions, mask, lengths, reads, norm=norm):
+                return composed_reads(p, ids, positions, mask, lengths, reads, layer_norm=norm)
 
             monkeypatch.setattr(pretrain, "forward", encoder)
             runs.append(pretrain_run(corpus, config, steps=6, rng=2, batch_size=4))
@@ -414,9 +417,10 @@ def real_rows(lengths, width):
     return np.concatenate([np.arange(n) + b * width for b, n in enumerate(lengths)])
 
 
-def layer_finite_difference_check(prefix):
-    """`encoder_layer` with query `prefix` (None: all positions) against
-    float64 central differences of every layer input and weight."""
+def layer_finite_difference_check(keep):
+    """`encoder_layer` with the ``(4, W)`` query positions `keep` (None: all
+    positions) against float64 central differences of every layer input and
+    weight, on a batch of lengths 4, 7, 1 and 6."""
     cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
     params = init_params(cfg).astype(np.float64)
     rng = np.random.default_rng(41)
@@ -430,25 +434,25 @@ def layer_finite_difference_check(prefix):
     _, _, mask = pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)
     rows = real_rows(lengths, width)
     h = Tensor(rng.normal(size=(len(lengths) * width, cfg.hidden_dim)), requires_grad=True)
-    out_width = width if prefix is None else prefix
+    out_width = width if keep is None else keep.shape[1]
     probe = Tensor(rng.normal(size=(len(lengths) * out_width, cfg.hidden_dim)))
     names = [n for n in params.tensors if n.startswith("layer0.")]
     assert len(names) == 3 * cfg.num_heads + 9
 
     def loss():
-        return ag.tsum(ag.mul(encoder_layer(h, params, 0, mask, rows, prefix)[0], probe))
+        return ag.tsum(ag.mul(encoder_layer(h, params, 0, mask, rows, keep)[0], probe))
 
     loss().backward()
     eps = 1e-6
     for leaf in [h] + [params.tensors[n] for n in names]:
         numeric = np.zeros_like(leaf.data)
         for idx in np.ndindex(leaf.shape):
-            keep = leaf.data[idx]
-            leaf.data[idx] = keep + eps
+            saved = leaf.data[idx]
+            leaf.data[idx] = saved + eps
             hi = float(loss().data)
-            leaf.data[idx] = keep - eps
+            leaf.data[idx] = saved - eps
             lo = float(loss().data)
-            leaf.data[idx] = keep
+            leaf.data[idx] = saved
             numeric[idx] = (hi - lo) / (2 * eps)
         err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
         assert err.max() < 1e-6
@@ -487,7 +491,7 @@ class TestFusedLayer:
                 assert np.array_equal(g.data, w.data)
 
     def test_encoder_layer_against_finite_differences(self):
-        layer_finite_difference_check(prefix=None)
+        layer_finite_difference_check(keep=None)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_batch_loss_gradients_match_composed(self, monkeypatch, dtype, tol):
@@ -505,7 +509,7 @@ class TestFusedLayer:
             assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
             got_value, got = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             with monkeypatch.context() as m:
-                m.setattr(pretrain, "forward", lambda p, i, pos, mask, lengths: composed_forward(p, i, pos, mask))
+                m.setattr(pretrain, "forward", composed_reads)
                 want_value, want = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             assert got_value == want_value
             for name in want:
@@ -582,7 +586,8 @@ class TestClsOnly:
                 assert np.array_equal(got[0], forward(params, ex_ids, ex_pos, one).final.data[0])
 
     def test_query_prefix_against_finite_differences(self):
-        layer_finite_difference_check(prefix=2)
+        # the [CLS] case: positions 0 and 1 of every sequence, a pad in the length-1 one
+        layer_finite_difference_check(keep=np.tile(np.arange(CLS_PREFIX), (4, 1)))
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_gradients_match_the_full_final_layer(self, dtype, tol):
@@ -604,6 +609,68 @@ class TestClsOnly:
             for name in want:
                 assert got[name].dtype == dtype
                 assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max(), name
+
+
+class TestReadRows:
+    """`forward(..., reads=...)` runs the last layer for the read positions of
+    each sequence only; every kept row, and its attention rows, must equal
+    the full forward's bit for bit."""
+
+    LENGTHS = [[1], [2], [3], [1, 2, 3], [3, 1], [2, 2], [1, 1], [5, 40, 3, 17], [40], [9, 12]]
+
+    @staticmethod
+    def random_reads(rng, lengths):
+        """Ragged reads: one position for the first sequence, any number of
+        distinct positions, in any order, for the others."""
+        return [
+            rng.choice(n, size=1 if b == 0 else int(rng.integers(1, n + 1)), replace=False).tolist()
+            for b, n in enumerate(lengths)
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_read_rows_equal_the_full_forward(self, dtype, num_layers):
+        params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(70 + num_layers)
+        batches = [random_batch(rng, lengths, params, dtype) for lengths in self.LENGTHS]
+        for _ in range(3):  # encoded programs, padded
+            examples, *padded, _ = padded_batch(rng, 5, dtype)
+            batches.append(([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], padded))
+        shrunk = 0
+        for rows, (ids, positions, mask) in batches:
+            lengths = [len(r[0]) for r in rows]
+            batch, width = ids.shape
+            full = forward(params, ids, positions, mask, lengths)
+            for reads in [self.random_reads(rng, lengths) for _ in range(3)] + [[[0]] * batch]:
+                keep = read_layout(reads, lengths)
+                got = forward(params, ids, positions, mask, lengths, reads=reads)
+                assert got.final.dtype == dtype and got.final.shape == (keep.size, params.config.hidden_dim)
+                slots = (keep + np.arange(batch)[:, None] * width).ravel()
+                assert np.array_equal(got.final.data, full.final.data[slots])
+                shrink = keep.shape[1] < width
+                shrunk += shrink and num_layers > 0
+                for n, (g_layer, w_layer) in enumerate(zip(got.attention, full.attention)):
+                    for g, w in zip(g_layer, w_layer):  # a shrunken last layer keeps the read query rows
+                        kept_rows = shrink and n == num_layers - 1
+                        assert np.array_equal(g.data, w.data[np.arange(batch)[:, None], keep] if kept_rows else w.data)
+                for (ex_ids, ex_pos, allow), kept in zip(rows, reads):  # each example alone, unbatched
+                    one = additive_mask(allow, dtype=dtype)
+                    alone = forward(params, ex_ids, ex_pos, one, reads=[kept]).final.data
+                    want = forward(params, ex_ids, ex_pos, one).final.data[read_layout([kept], [len(ex_ids)])[0]]
+                    assert np.array_equal(alone, want)
+        assert shrunk > 10 or num_layers == 0
+
+    def test_ragged_selection_against_finite_differences(self):
+        # repeated positions, as the pads of `read_layout` repeat a kept one
+        layer_finite_difference_check(keep=np.array([[3, 0, 0], [6, 2, 4], [0, 0, 0], [5, 1, 1]]))
+
+    def test_bad_reads_raise(self):
+        params = init_params(small_config(max_positions=512))
+        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(71), 3)
+        good = [[0]] * 3
+        for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [lengths[1]], [0]], [[0], [-1], [0]]):
+            with pytest.raises(ShapeMismatch):
+                forward(params, ids, positions, mask, lengths, reads=bad)
 
 
 class TestGraphSize:
