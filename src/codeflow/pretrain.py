@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +22,11 @@ from . import autograd as ag
 from .autograd import Tensor
 from .downstream import grouped_forwards
 from .encoding import (
+    MASK,
+    RESERVED,
+    SEG_CODE,
+    SEG_COMMENT,
+    SEG_NODE,
     EmptyCorpus,
     EncodedExample,
     Limits,
@@ -42,6 +47,7 @@ from .model import (
     mlm_logits,
     pair_dots,
     pair_log_likelihoods,
+    read_layout,
 )
 from .optim import AdamState, adam_step, init_adam
 
@@ -124,6 +130,67 @@ def encode_corpus(
     return [encode_example(it.docstring, it.code, vocab, limits, max_positions) for it in items]
 
 
+# per-example sampling arrays ------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SamplingArrays:
+    """One encoded example as the target samplers and `batch_loss` read it.
+    `pretrain_run` prepares these once per example before its first step, so
+    a step builds its targets by array operations, not by rescanning
+    segments, sorting sets and rebuilding masks.
+
+    Positions are ascending ``intp`` arrays. ``edge[i, j]`` is True when
+    ``nodes[i] -> nodes[j]`` is a data-flow edge, ``negative_edge[i, j]`` when
+    that pair is neither an edge in either direction nor a self pair, so it
+    may serve as a negative; ``link[i, j]`` is True when ``nodes[i]`` was
+    identified from ``code[j]``. `allow` is the read-only
+    `build_attention_mask` of the example."""
+
+    example: EncodedExample
+    maskable: np.ndarray
+    nodes: np.ndarray
+    code: np.ndarray
+    edge: np.ndarray
+    negative_edge: np.ndarray
+    link: np.ndarray
+    allow: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.example)
+
+
+def sampling_arrays(example: EncodedExample | SamplingArrays) -> SamplingArrays:
+    """The `SamplingArrays` of `example`; one already prepared is returned as is."""
+    if isinstance(example, SamplingArrays):
+        return example
+    segments = np.array(example.segments)
+    nodes = np.flatnonzero(segments == SEG_NODE)
+    code = np.flatnonzero(segments == SEG_CODE)
+    index = np.zeros(len(example), dtype=np.intp)  # of a node in `nodes`, or of a code token in `code`
+    index[nodes] = np.arange(len(nodes))
+    index[code] = np.arange(len(code))
+
+    def matrix(pairs, cols: int) -> np.ndarray:
+        out = np.zeros((len(nodes), cols), dtype=bool)
+        ends = index[np.array(list(pairs), dtype=np.intp).reshape(-1, 2)]
+        out[ends[:, 0], ends[:, 1]] = True
+        return out
+
+    edge = matrix(example.node_edges, len(nodes))
+    link = matrix(example.node_token_links, len(code))
+    return SamplingArrays(
+        example=example,
+        maskable=np.flatnonzero((segments == SEG_COMMENT) | (segments == SEG_CODE)),
+        nodes=nodes,
+        code=code,
+        edge=edge,
+        negative_edge=~(edge | edge.T | np.eye(len(nodes), dtype=bool)),
+        link=link,
+        allow=build_attention_mask(example),
+    )
+
+
 # masked-token objective -----------------------------------------------------
 
 
@@ -134,18 +201,20 @@ class MlmBatchTarget:
     original_ids: tuple[int, ...]
 
 
-def select_mlm_targets(example: EncodedExample, rng: np.random.Generator, vocab_size: int) -> MlmBatchTarget:
+def select_mlm_targets(
+    example: EncodedExample | SamplingArrays, rng: np.random.Generator, vocab_size: int
+) -> MlmBatchTarget:
     """Pick round(15%) of comment/code positions (min 1) and corrupt them:
     80% mask token, 10% random non-reserved token, 10% unchanged."""
-    from .encoding import MASK, RESERVED
-
-    maskable = example.maskable_positions
-    if not maskable:
+    arrays = sampling_arrays(example)
+    maskable = arrays.maskable
+    if not len(maskable):
         raise NoMaskablePositions("example has no comment or code tokens")
     count = max(1, int(MASK_FRACTION * len(maskable) + 0.5))
-    chosen = sorted(int(p) for p in rng.choice(len(maskable), size=count, replace=False))
-    positions = tuple(maskable[i] for i in chosen)
-    ids = list(example.ids)
+    chosen = rng.choice(len(maskable), size=count, replace=False)
+    chosen.sort()
+    positions = maskable[chosen].tolist()
+    ids = list(arrays.example.ids)
     originals = tuple(ids[p] for p in positions)
     reserved_count = len(RESERVED)
     for p in positions:
@@ -154,7 +223,7 @@ def select_mlm_targets(example: EncodedExample, rng: np.random.Generator, vocab_
             ids[p] = MASK
         elif u < 0.9 and vocab_size > reserved_count:
             ids[p] = int(rng.integers(reserved_count, vocab_size))
-    return MlmBatchTarget(masked_ids=tuple(ids), positions=positions, original_ids=originals)
+    return MlmBatchTarget(masked_ids=tuple(ids), positions=tuple(positions), original_ids=originals)
 
 
 def _token_log_likelihoods(final: Tensor, rows, original_ids, params: ModelParams) -> Tensor:
@@ -190,73 +259,87 @@ class StructureTargets:
     mask: np.ndarray
 
 
-def _sample_node_subset(example: EncodedExample, rng: np.random.Generator) -> tuple[int, ...]:
-    nodes = example.node_positions
-    count = math.ceil(NODE_SAMPLE_FRACTION * len(nodes))
-    chosen = rng.choice(len(nodes), size=count, replace=False)
-    return tuple(sorted(nodes[int(i)] for i in chosen))
+def _sample_node_subset(arrays: SamplingArrays, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ceil(20%) of the variable nodes: (which of `arrays.nodes` were
+    drawn, their positions in ascending order)."""
+    count = math.ceil(NODE_SAMPLE_FRACTION * len(arrays.nodes))
+    picked = np.zeros(len(arrays.nodes), dtype=bool)
+    picked[rng.choice(len(arrays.nodes), size=count, replace=False)] = True
+    return picked, arrays.nodes[picked]
+
+
+def _pairs(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rows[i], cols[j])`` position pairs of the True entries of
+    `matrix`, as two arrays. `np.nonzero` walks the entries in row-major
+    order, and both position arrays ascend, so the pairs come sorted."""
+    i, j = matrix.nonzero()
+    return rows[i], cols[j]
 
 
 def _build_targets(
-    example: EncodedExample, rng: np.random.Generator, sampled: tuple[int, ...], positives: list, pool: list, hidden: list
+    arrays: SamplingArrays,
+    rng: np.random.Generator,
+    sampled: np.ndarray,
+    positives: tuple[tuple[int, int], ...],
+    pool: tuple[np.ndarray, np.ndarray],
+    hidden: Iterable[tuple[int, int]],
 ) -> StructureTargets:
     """The tail both samplers share: draw up to one negative per positive
-    from `pool`, and block the ``(query, key)`` entries in `hidden` in a copy
-    of the example's mask."""
-    negatives = []
-    if take := min(len(positives), len(pool)):
-        negatives = [pool[int(i)] for i in sorted(rng.choice(len(pool), size=take, replace=False))]
-    allow = np.array(build_attention_mask(example))
+    from the sorted pairs `pool`, and block the ``(query, key)`` entries in
+    `hidden` in a copy of the example's mask (a few entries: a Python loop
+    beats fancy indexing)."""
+    negatives = ()
+    if take := min(len(positives), len(pool[0])):
+        chosen = rng.choice(len(pool[0]), size=take, replace=False)
+        chosen.sort()
+        negatives = tuple(zip(pool[0][chosen].tolist(), pool[1][chosen].tolist()))
+    allow = arrays.allow.copy()
     for query, key in hidden:
         allow[query, key] = False
     allow.flags.writeable = False
     return StructureTargets(
-        sampled_positions=sampled,
-        masked=tuple(positives),
-        candidates=tuple(positives + negatives),
-        labels=tuple([1] * len(positives) + [0] * len(negatives)),
+        sampled_positions=tuple(sampled.tolist()),
+        masked=positives,
+        candidates=positives + negatives,
+        labels=(1,) * len(positives) + (0,) * len(negatives),
         mask=allow,
     )
 
 
-def sample_edge_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets | None:
+def sample_edge_targets(example: EncodedExample | SamplingArrays, rng: np.random.Generator) -> StructureTargets | None:
     """Edge-prediction targets, or None when the example has no data-flow edges."""
-    edges = sorted(example.node_edges)
-    if not edges:
+    arrays = sampling_arrays(example)
+    if not arrays.example.node_edges:
         return None
-    nodes = example.node_positions
-    sampled = _sample_node_subset(example, rng)
-    in_sample = set(sampled)
-    positives = [e for e in edges if e[0] in in_sample or e[1] in in_sample]
+    picked, sampled = _sample_node_subset(arrays, rng)
+    touching = picked[:, None] | picked  # node pairs with an end in the sample
+    first, second = _pairs(arrays.edge & touching, arrays.nodes, arrays.nodes)
+    positives = tuple(zip(first.tolist(), second.tolist()))
     # Negative pool: pairs touching the sample that are not edges. Self pairs
     # are excluded (a dot-product score of a vector with itself cannot fall
     # below 0.5) and so are mirrors of true edges: the pair scorer is
     # symmetric, so a reversed edge would carry a contradictory label.
-    edge_set = set(edges)
-    mirrored = {(b, a) for a, b in edge_set}
-    pool = sorted(
-        ({(a, b) for a in sampled for b in nodes} | {(a, b) for a in nodes for b in sampled})
-        - edge_set
-        - mirrored
-        - {(a, a) for a in sampled}
-    )
-    return _build_targets(example, rng, sampled, positives, pool, [(dst, src) for src, dst in positives])
+    pool = _pairs(arrays.negative_edge & touching, arrays.nodes, arrays.nodes)
+    return _build_targets(arrays, rng, sampled, positives, pool, [(dst, src) for src, dst in positives])
 
 
-def sample_align_targets(example: EncodedExample, rng: np.random.Generator) -> StructureTargets | None:
+def sample_align_targets(example: EncodedExample | SamplingArrays, rng: np.random.Generator) -> StructureTargets | None:
     """Node-alignment targets, or None when the example has no variable nodes."""
-    if not example.node_positions:
+    arrays = sampling_arrays(example)
+    if not len(arrays.nodes):
         return None
-    sampled = _sample_node_subset(example, rng)
-    in_sample = set(sampled)
-    links = sorted(example.node_token_links)
-    positives = [l for l in links if l[0] in in_sample]
-    pool = sorted({(v, c) for v in sampled for c in example.code_positions} - set(links))
-    hidden = positives + [(c, v) for v, c in positives]
-    return _build_targets(example, rng, sampled, positives, pool, hidden)
+    picked, sampled = _sample_node_subset(arrays, rng)
+    in_sample = picked[:, None]
+    first, second = _pairs(arrays.link & in_sample, arrays.nodes, arrays.code)
+    positives = tuple(zip(first.tolist(), second.tolist()))
+    pool = _pairs(~arrays.link & in_sample, arrays.nodes, arrays.code)
+    hidden = positives + tuple((c, v) for v, c in positives)
+    return _build_targets(arrays, rng, sampled, positives, pool, hidden)
 
 
-def structure_targets(example: EncodedExample, objective: str, rng: np.random.Generator) -> StructureTargets | None:
+def structure_targets(
+    example: EncodedExample | SamplingArrays, objective: str, rng: np.random.Generator
+) -> StructureTargets | None:
     """Targets of `objective` ("edgepred" or "nodealign") for one example, or
     None when it has no nodes, no edges to predict or no candidates."""
     if objective == "edgepred":
@@ -279,12 +362,12 @@ def pair_loss(activations: Activations, targets: StructureTargets) -> Tensor:
 def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Tensor, dict[str, float]]:
     """Pre-training loss of a batch from one padded forward.
 
-    `prepared` holds ``(example, mlm targets, structure targets or None)``
-    per example. The loss is the mean over examples of `mlm_loss`, plus the
-    mean over examples with structure targets of their `pair_loss`,
-    exactly as if every example ran through its own forward: each row is
-    weighted by one over (examples counted) x (that example's rows). Returns
-    the loss and its parts by objective name.
+    `prepared` holds ``(example or its SamplingArrays, mlm targets, structure
+    targets or None)`` per example. The loss is the mean over examples of
+    `mlm_loss`, plus the mean over examples with structure targets of their
+    `pair_loss`, exactly as if every example ran through its own forward:
+    each row is weighted by one over (examples counted) x (that example's
+    rows). Returns the loss and its parts by objective name.
 
     The forward `reads` only the rows the losses score, each example's
     masked positions and candidate endpoints, so its last layer runs for
@@ -294,10 +377,11 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     fewer rows.
     """
     dtype = params.tensors["tok_emb"].data.dtype
+    arrays = [sampling_arrays(ex) for ex, _, _ in prepared]
     ids, positions, mask = pad_batch(
         [
-            (mlm_t.masked_ids, ex.position_ids, build_attention_mask(ex) if tset is None else tset.mask)
-            for ex, mlm_t, tset in prepared
+            (mlm_t.masked_ids, a.example.position_ids, a.allow if tset is None else tset.mask)
+            for a, (_, mlm_t, tset) in zip(arrays, prepared)
         ],
         dtype=dtype,
     )
@@ -409,8 +493,9 @@ def pretrain_run(
     if vocab is None:
         vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
     encoded = encode_corpus(corpus, vocab, limits=limits, max_positions=config.max_positions)
+    encoded = [sampling_arrays(ex) for ex in encoded]  # once per run; every step samples from these
     for i, ex in enumerate(encoded):
-        if not ex.maskable_positions:
+        if not len(ex.maskable):
             raise NoMaskablePositions(f"corpus item {i} has no comment or code tokens to mask")
     by_lang: dict[str, list[int]] = {}
     for i, item in enumerate(corpus):
@@ -474,14 +559,19 @@ def structure_accuracy(
     if not scored:
         raise ValueError("no structure candidates in the given examples")
     reads = [sorted({p for pair in tset.candidates for p in pair}) for _, tset in scored]
+    # Every sequence reads the same number of rows, so each forward's final
+    # states hold `width` rows per sequence.
+    layout = read_layout(reads, [len(ex) for ex, _ in scored])
+    width = layout.shape[1]
 
     def correct(acts: Activations, b: int, i: int) -> int:
-        ex, tset = scored[i]
-        width = acts.final.shape[0] * len(ex) // acts.hidden[0].shape[0]  # read rows per sequence; no row is padded
+        _, tset = scored[i]
         row_of = {p: b * width + j for j, p in enumerate(reads[i])}
         dots = pair_dots(acts.final, [(row_of[x], row_of[y]) for x, y in tset.candidates]).data.astype(np.float64)
         p = 1.0 / (1.0 + np.exp(-dots))
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 
-    hits = grouped_forwards(params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored], reads=reads)
+    hits = grouped_forwards(
+        params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored], reads=layout.tolist()
+    )
     return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

@@ -6,7 +6,8 @@ entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
 data-flow oracle, a layer norm composed from autograd primitives (with the
 `power` node only it uses), the composed encoder graph (node wrappers of the
 fused layer's kernels) and the plain Adam step that oracle the fused
-versions, and small synthetic corpora."""
+versions, the set-based target samplers that oracle the array-based ones of
+`codeflow.pretrain`, and small synthetic corpora."""
 
 from __future__ import annotations
 
@@ -39,8 +40,16 @@ from codeflow.frontend.syntax import (
     Stmt,
     While,
 )
+from codeflow.encoding import MASK, RESERVED, build_attention_mask
 from codeflow.model import Activations, read_layout
-from codeflow.pretrain import CorpusItem
+from codeflow.pretrain import (
+    MASK_FRACTION,
+    NODE_SAMPLE_FRACTION,
+    CorpusItem,
+    MlmBatchTarget,
+    NoMaskablePositions,
+    StructureTargets,
+)
 
 SPAN = Span(0, 0)
 
@@ -907,6 +916,89 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
         update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         tensor.data = tensor.data - np.asarray(lr * update, dtype=tensor.data.dtype)
     return state
+
+
+# set-based target samplers ----------------------------------------------------
+#
+# `select_mlm_targets`, `sample_edge_targets` and `sample_align_targets` as
+# they were before the samplers read arrays prepared once per example: Python
+# sets, `sorted` and a mask rebuilt per call. They make the same generator
+# calls with the same arguments, so they oracle the array versions field for
+# field and draw for draw.
+
+
+def reference_select_mlm_targets(example, rng: np.random.Generator, vocab_size: int) -> MlmBatchTarget:
+    maskable = example.maskable_positions
+    if not maskable:
+        raise NoMaskablePositions("example has no comment or code tokens")
+    count = max(1, int(MASK_FRACTION * len(maskable) + 0.5))
+    chosen = sorted(int(p) for p in rng.choice(len(maskable), size=count, replace=False))
+    positions = tuple(maskable[i] for i in chosen)
+    ids = list(example.ids)
+    originals = tuple(ids[p] for p in positions)
+    reserved_count = len(RESERVED)
+    for p in positions:
+        u = rng.random()
+        if u < 0.8:
+            ids[p] = MASK
+        elif u < 0.9 and vocab_size > reserved_count:
+            ids[p] = int(rng.integers(reserved_count, vocab_size))
+    return MlmBatchTarget(masked_ids=tuple(ids), positions=positions, original_ids=originals)
+
+
+def _reference_node_subset(example, rng: np.random.Generator) -> tuple[int, ...]:
+    nodes = example.node_positions
+    count = math.ceil(NODE_SAMPLE_FRACTION * len(nodes))
+    chosen = rng.choice(len(nodes), size=count, replace=False)
+    return tuple(sorted(nodes[int(i)] for i in chosen))
+
+
+def _reference_targets(example, rng, sampled, positives: list, pool: list, hidden: list) -> StructureTargets:
+    negatives = []
+    if take := min(len(positives), len(pool)):
+        negatives = [pool[int(i)] for i in sorted(rng.choice(len(pool), size=take, replace=False))]
+    allow = np.array(build_attention_mask(example))
+    for query, key in hidden:
+        allow[query, key] = False
+    allow.flags.writeable = False
+    return StructureTargets(
+        sampled_positions=sampled,
+        masked=tuple(positives),
+        candidates=tuple(positives + negatives),
+        labels=tuple([1] * len(positives) + [0] * len(negatives)),
+        mask=allow,
+    )
+
+
+def reference_sample_edge_targets(example, rng: np.random.Generator) -> StructureTargets | None:
+    edges = sorted(example.node_edges)
+    if not edges:
+        return None
+    nodes = example.node_positions
+    sampled = _reference_node_subset(example, rng)
+    in_sample = set(sampled)
+    positives = [e for e in edges if e[0] in in_sample or e[1] in in_sample]
+    edge_set = set(edges)
+    mirrored = {(b, a) for a, b in edge_set}
+    pool = sorted(
+        ({(a, b) for a in sampled for b in nodes} | {(a, b) for a in nodes for b in sampled})
+        - edge_set
+        - mirrored
+        - {(a, a) for a in sampled}
+    )
+    return _reference_targets(example, rng, sampled, positives, pool, [(dst, src) for src, dst in positives])
+
+
+def reference_sample_align_targets(example, rng: np.random.Generator) -> StructureTargets | None:
+    if not example.node_positions:
+        return None
+    sampled = _reference_node_subset(example, rng)
+    in_sample = set(sampled)
+    links = sorted(example.node_token_links)
+    positives = [l for l in links if l[0] in in_sample]
+    pool = sorted({(v, c) for v in sampled for c in example.code_positions} - set(links))
+    hidden = positives + [(c, v) for v, c in positives]
+    return _reference_targets(example, rng, sampled, positives, pool, hidden)
 
 
 # synthetic corpora ------------------------------------------------------------

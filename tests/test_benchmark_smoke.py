@@ -38,3 +38,32 @@ def test_traced_ingest_sees_the_frontend():
     metrics = run_tiny("ingest", "--trace", "1")["metrics"]
     assert metrics["frontend.tokenize.calls_per_program"]["value"] > 0
     assert metrics["frontend.parse.calls_per_program"]["value"] > 0
+
+
+# perfbench/workloads.py's tiny `Pretrain`: 16 functions, 6 steps per `pretrain_run` call
+TINY_PRETRAIN_CORPUS, TINY_PRETRAIN_STEPS = 16, 6
+
+
+def test_traced_pretrain_sees_the_targets():
+    """The tracer patches `pretrain.select_mlm_targets`, `sample_edge_targets`
+    and `sample_align_targets` as module attributes and reads the candidates
+    of the `StructureTargets` they return; `pretrain_run` builds each
+    example's mask once per run, not once per step."""
+    metrics = run_tiny("pretrain", "--trace", "1")["metrics"]
+    assert metrics["pretrain.targets.ms"]["value"] > 0
+    assert metrics["pretrain.candidates_per_step"]["value"] > 0
+    assert metrics["encoding.mask.builds_per_step"]["value"] <= TINY_PRETRAIN_CORPUS / TINY_PRETRAIN_STEPS
+
+
+def test_pretrain_run_steps_through_the_module_adam_step(monkeypatch):
+    """The benchmark clocks a training step by patching `pretrain.adam_step`."""
+    import codeflow.pretrain as pretrain
+    from codeflow.model import ModelConfig
+    from helpers import overfit_corpus
+
+    calls = []
+    adam_step = pretrain.adam_step
+    monkeypatch.setattr(pretrain, "adam_step", lambda *args, **kwargs: calls.append(1) or adam_step(*args, **kwargs))
+    config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=64, max_positions=128)
+    pretrain.pretrain_run(overfit_corpus(4), config, steps=3, rng=0, batch_size=2)
+    assert len(calls) == 3

@@ -27,6 +27,7 @@ from codeflow.pretrain import (
     CorpusItem,
     DivergedLoss,
     EmptyCounts,
+    MlmBatchTarget,
     NoMaskablePositions,
     Objectives,
     batch_loss,
@@ -38,12 +39,19 @@ from codeflow.pretrain import (
     pretrain_run,
     sample_align_targets,
     sample_edge_targets,
+    sampling_arrays,
     select_mlm_targets,
     structure_accuracy,
     structure_targets,
     write_loss_log,
 )
-from helpers import overfit_corpus, random_program
+from helpers import (
+    overfit_corpus,
+    random_program,
+    reference_sample_align_targets,
+    reference_sample_edge_targets,
+    reference_select_mlm_targets,
+)
 
 CODE = "a = 1\nb = a\nc = a + b\n"
 
@@ -396,6 +404,121 @@ class TestStructureTargets:
         ex, _ = encoded_example()
         with pytest.raises(ValueError, match="unknown objective"):
             structure_targets(ex, "bogus", np.random.default_rng(0))
+
+
+def corner_examples():
+    """Examples at the edges of the samplers: no nodes, one node and no
+    edges, nodes without edges, and every code token linked to a node (an
+    empty alignment pool, so no negative is drawn)."""
+    vocab = build_vocab([("x", "a = b\nb = a\n")], size=64)
+    return {
+        "no nodes": encode_example("call it", "probe(1)\n", vocab),
+        "one node": encode_example("one", "a = 1\n", vocab),
+        "no edges": encode_example("two", "a = 1\nb = 2\n", vocab),
+        "all linked": encode_example("only names", "a = b\nb = a\n", vocab, Limits(max_code=1)),
+    }
+
+
+def assert_same_targets(got, want):
+    if want is None:
+        assert got is None
+    elif isinstance(want, MlmBatchTarget):
+        assert got == want
+    else:
+        assert (got.sampled_positions, got.masked, got.candidates, got.labels) == (
+            want.sampled_positions, want.masked, want.candidates, want.labels
+        )
+        assert got.mask.dtype == want.mask.dtype and got.mask.shape == want.mask.shape
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert not got.mask.flags.writeable
+
+
+class TestSamplersMatchTheSetBasedReference:
+    """The array samplers against `helpers.reference_*`, the set-based
+    samplers they replaced: every target field, the mask bytes, and the
+    generator state after each call."""
+
+    def examples(self):
+        cfg = tiny_config()
+        corpus = overfit_corpus(8)
+        vocab = build_vocab([(it.docstring, it.code) for it in corpus], cfg.vocab_size)
+        return (
+            edgeful_examples(count=12, seed=53)
+            + encode_corpus(corpus, vocab, max_positions=cfg.max_positions)
+            + list(corner_examples().values())
+        )
+
+    def test_corner_cases_are_reached(self):
+        corners = corner_examples()
+        assert corners["no nodes"].node_positions == ()
+        assert len(corners["one node"].node_positions) == 1 and not corners["one node"].node_edges
+        assert len(corners["no edges"].node_positions) > 1 and not corners["no edges"].node_edges
+        linked = corners["all linked"]
+        assert {c for _, c in linked.node_token_links} == set(linked.code_positions)
+        tset = sample_align_targets(linked, np.random.default_rng(0))
+        assert tset.candidates == tset.masked != ()  # take == 0: no negatives
+
+    @pytest.mark.parametrize("prepared", [False, True], ids=["example", "arrays"])
+    @pytest.mark.parametrize("vocab_size", [5, 64])
+    def test_same_targets_and_draws(self, prepared, vocab_size):
+        examples = self.examples()
+        for seed in range(40):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for ex in examples:
+                arg = sampling_arrays(ex) if prepared else ex
+                for got, want in (
+                    (
+                        lambda: select_mlm_targets(arg, rng, vocab_size),
+                        lambda: reference_select_mlm_targets(ex, ref_rng, vocab_size),
+                    ),
+                    (lambda: sample_edge_targets(arg, rng), lambda: reference_sample_edge_targets(ex, ref_rng)),
+                    (lambda: sample_align_targets(arg, rng), lambda: reference_sample_align_targets(ex, ref_rng)),
+                ):
+                    assert_same_targets(got(), want())
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_nothing_to_mask_raises_in_both(self):
+        ex, _ = encoded_example(comment="", code="")
+        for sampler in (select_mlm_targets, reference_select_mlm_targets):
+            with pytest.raises(NoMaskablePositions):
+                sampler(ex, np.random.default_rng(0), 64)
+
+    def test_arrays_restate_the_example(self):
+        for ex in self.examples():
+            a = sampling_arrays(ex)
+            assert a.maskable.tolist() == list(ex.maskable_positions)
+            assert a.nodes.tolist() == list(ex.node_positions)
+            assert a.code.tolist() == list(ex.code_positions)
+            nodes, code = a.nodes.tolist(), a.code.tolist()
+            assert {(nodes[i], nodes[j]) for i, j in zip(*np.nonzero(a.edge))} == ex.node_edges
+            assert {(nodes[i], code[j]) for i, j in zip(*np.nonzero(a.link))} == ex.node_token_links
+            mirrored = {(b, c) for c, b in ex.node_edges}
+            negatives = {(b, c) for b in nodes for c in nodes if b != c} - ex.node_edges - mirrored
+            assert {(nodes[i], nodes[j]) for i, j in zip(*np.nonzero(a.negative_edge))} == negatives
+            assert a.allow.tobytes() == build_attention_mask(ex).tobytes() and not a.allow.flags.writeable
+            assert len(a) == len(ex)
+            # prepared ones pass through; nothing is cached on the example
+            assert sampling_arrays(a) is a and sampling_arrays(ex) is not a
+
+    def test_pretrain_run_gives_the_reference_run(self, monkeypatch):
+        # compared within one process: the loss bits depend on the BLAS thread count
+        import codeflow.pretrain as pretrain
+
+        def run():
+            return pretrain_run(overfit_corpus(16), tiny_config(num_layers=2), steps=8, rng=4, batch_size=6)
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "select_mlm_targets", lambda a, rng, v: reference_select_mlm_targets(a.example, rng, v))
+            m.setattr(pretrain, "sample_edge_targets", lambda a, rng: reference_sample_edge_targets(a.example, rng))
+            m.setattr(pretrain, "sample_align_targets", lambda a, rng: reference_sample_align_targets(a.example, rng))
+            want = run()
+        assert {o for _, o, _ in got.loss_log} == {"mlm", "edgepred", "nodealign"}
+        assert [(s, o, float.hex(v)) for s, o, v in got.loss_log] == [
+            (s, o, float.hex(v)) for s, o, v in want.loss_log
+        ]
+        for name, tensor in want.params.tensors.items():
+            assert got.params.tensors[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 class TestBatchLoss:
