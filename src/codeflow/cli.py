@@ -47,7 +47,7 @@ from .encoding import (
     mask_density,
 )
 from .frontend import FrontendError
-from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params
+from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params, param_shapes
 from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
@@ -86,6 +86,20 @@ class BadFlags(Exception):
 # an absurd value a flag error, not an attempt to allocate that many rows or,
 # past the range of a C long, an OverflowError in the sampler.
 MAX_BATCH_SIZE = 4096
+
+# Most parameters a model the flags describe may have: 200 MB of float32
+# weights. The bound makes an absurd size (`--vocab-size 100000000`) a flag
+# error, not a numpy allocation failure.
+MAX_PARAMETERS = 50_000_000
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Parameters of `config`, from `param_shapes` of its first layer; every
+    layer has the same count, and so does any split into heads."""
+    shapes = param_shapes(replace(config, num_layers=min(config.num_layers, 1), num_heads=1))
+    per_layer = sum(math.prod(shape) for name, shape in shapes.items() if name.startswith("layer0."))
+    embeddings = sum(math.prod(shape) for name, shape in shapes.items() if not name.startswith("layer"))
+    return embeddings + config.num_layers * per_layer
 
 
 # A field's default type -> the value types it accepts; a bool is not a number.
@@ -227,13 +241,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     overrides.update(ns)
     try:
         rc = RunConfig.from_dict(command, overrides)
-        rc.model_config()
+        count = parameter_count(rc.model_config())
+        if count > MAX_PARAMETERS:
+            raise ValueError(f"the model would have {count:,} parameters, more than {MAX_PARAMETERS:,}")
         if min(rc.max_comment, rc.max_code, rc.max_nodes) < 1:
             raise ValueError("limits must be positive")
         if rc.steps < 0 or rc.epochs < 0 or rc.batch_size < 1:
             raise ValueError("steps/epochs must be >= 0 and batch size >= 1")
         if rc.batch_size > MAX_BATCH_SIZE:
             raise ValueError(f"batch size must be at most {MAX_BATCH_SIZE}, not {rc.batch_size}")
+        if command == "finetune-search" and rc.batch_size < 2:
+            raise ValueError(
+                f"finetune-search needs a batch size of at least 2 for in-batch contrast, not {rc.batch_size}"
+            )
         if rc.seed < 0:
             raise ValueError(f"seed must be >= 0, not {rc.seed}")
         if rc.vocab_size < len(RESERVED):

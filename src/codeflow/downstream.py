@@ -8,6 +8,7 @@ products; clone probability is a sigmoid of the dot product scaled by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,9 +83,33 @@ def encode_code_example(
         raise ParseFailure(str(e)) from e
 
 
-# Most positions one inference forward of `grouped_forwards` takes; caps its
-# (B, H, L, L) attention tensor. A single longer example still gets its own forward.
-MAX_FORWARD_POSITIONS = 4096
+# Most real rows one inference forward of `grouped_forwards` takes; a single
+# longer example still gets a forward of its own. Memory sets the cap: with
+# search and clone scoring in one process, peak RSS was 50.7 MB with one
+# forward per exact-length group, and 70.6, 58.0 and 50.6 MB with packed
+# forwards of at most 4096, 2048 and 1024 rows.
+MAX_FORWARD_POSITIONS = 1024
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed heap back to the kernel between forwards.
+
+    Its default trim threshold trails twice the largest array freed so far,
+    and a packed forward frees a working set above that (about 9 MB at 1024
+    rows), so every forward page-faulted its buffers back in: 50k minor
+    faults to encode 256 search candidates, against 2k with one forward per
+    length. Fixed thresholds keep up to 64 MB of freed heap mapped and serve
+    arrays under 16 MB from it. A no-op without glibc's `mallopt`."""
+    import ctypes  # here, not at module level: only packed inference needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
 
 
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
@@ -104,33 +129,52 @@ def grouped_forwards(
     params: ModelParams, examples: list[EncodedExample], read, masks=None, cls_only: bool = False, reads=None
 ) -> list:
     """``read(activations, b, i)`` for each example ``i``, in order, where
-    example ``i`` is row ``b`` of the inference forward that gave `activations`.
+    example ``i`` is row ``b`` of the block of an inference forward that
+    gave `activations`: the block's own activations (``Activations.blocks``).
 
-    Examples are grouped by exact length and each group is encoded by
-    unpadded forwards of at most `MAX_FORWARD_POSITIONS` positions, so every
-    row equals the one a single-example forward gives, bit for bit. `masks`,
-    one allow-matrix per example, replaces `build_attention_mask`. `cls_only`
-    goes to `forward`: ``activations.final.data[b]`` is then example ``i``'s
-    [CLS] row, and the last layer's maps hold its first two query rows.
-    `reads`, one position list per example, goes to `forward` in its place:
-    ``activations.final`` then holds the read rows of each sequence, ``W``
-    per sequence (see `model.read_layout`). A forward's activations are freed
-    before the next one runs: `read` copies what it keeps."""
+    Examples are grouped by exact length, and consecutive groups are packed
+    into forwards of at most `MAX_FORWARD_POSITIONS` real rows, each group a
+    block of its own (a group that does not fit is split), so nothing is
+    padded and every row equals the one a single-example forward gives, bit
+    for bit. `masks`, one allow-matrix per example, replaces
+    `build_attention_mask`. `cls_only` goes to `forward`:
+    ``activations.final.data[b]`` is then example ``i``'s [CLS] row, and the
+    last layer's maps hold its first two query rows. `reads`, one position
+    list per example, goes to `forward` in its place: ``activations.final``
+    then holds the read rows of each sequence, ``W`` per sequence (see
+    `model.read_layout`). A forward's activations are freed before the next
+    one runs: `read` copies what it keeps."""
+    _keep_freed_heap()
     out = [None] * len(examples)
     by_length: dict[int, list[int]] = {}
     for i, ex in enumerate(examples):
         by_length.setdefault(len(ex), []).append(i)
+    packed: list[list[list[int]]] = []  # forwards, each a list of blocks of equal-length examples
+    room = 0  # rows the last forward has left
     for length, members in by_length.items():
-        per_forward = max(1, MAX_FORWARD_POSITIONS // length)
-        for lo in range(0, len(members), per_forward):
-            chunk = members[lo : lo + per_forward]
-            batch = [(examples[i], build_attention_mask(examples[i]) if masks is None else masks[i]) for i in chunk]
-            rows = [(ex.ids, ex.position_ids, allow) for ex, allow in batch]
-            kept = {"cls_only": cls_only} if reads is None else {"reads": [reads[i] for i in chunk]}
-            acts = forward(params, *pad_batch(rows, dtype=params.tensors["tok_emb"].data.dtype), **kept)
-            for b, i in enumerate(chunk):
-                out[i] = read(acts, b, i)
-            del acts
+        while members:
+            if room < length:
+                packed.append([])
+                room = max(MAX_FORWARD_POSITIONS, length)
+            block, members = members[: room // length], members[room // length :]
+            packed[-1].append(block)
+            room -= len(block) * length
+    dtype = params.tensors["tok_emb"].data.dtype
+    for blocks in packed:
+        ids, positions, block_masks = [], [], []
+        for block in blocks:
+            allows = [build_attention_mask(examples[i]) if masks is None else masks[i] for i in block]
+            rows = [(examples[i].ids, examples[i].position_ids, allow) for i, allow in zip(block, allows)]
+            block_ids, block_positions, mask = pad_batch(rows, dtype=dtype)
+            ids.append(block_ids.reshape(-1))
+            positions.append(block_positions.reshape(-1))
+            block_masks.append(mask)
+        kept = {"cls_only": cls_only} if reads is None else {"reads": [reads[i] for block in blocks for i in block]}
+        acts = forward(params, np.concatenate(ids), np.concatenate(positions), block_masks, **kept)
+        for g, block in enumerate(blocks):
+            for b, i in enumerate(block):
+                out[i] = read(acts.blocks[g], b, i)
+        del acts
     return out
 
 
@@ -234,6 +278,8 @@ def finetune_search(
     products."""
     if len(examples) < 2:
         raise EmptyInput("need at least two pairs for in-batch contrast")
+    if batch_size < 2:
+        raise ValueError(f"in-batch contrast needs a batch size of at least 2, not {batch_size}")
     rng = np.random.default_rng(0 if rng is None else rng)
     state = init_adam(params)
     for _epoch in range(epochs):

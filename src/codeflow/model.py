@@ -7,6 +7,7 @@ of token and position embeddings, with no extra norm before layer 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -86,10 +87,16 @@ class Activations:
     hold the first ``min(2, L)`` query rows. When ``W >= L`` the last layer
     runs in full and its maps hold all ``L`` rows. Two rows or more, not one,
     keep the bits of the full forward: see `CLS_PREFIX`.
+
+    A forward of several blocks lays the blocks' rows end to end in every
+    hidden state and leaves `attention` empty; ``blocks[g]`` holds block
+    ``g``'s own activations, its rows of each hidden state and its maps, laid
+    out as a forward of that block alone lays them out.
     """
 
     hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N
     attention: list[list[Tensor]] = field(default_factory=list)  # [layer][head]
+    blocks: list["Activations"] = field(default_factory=list)
 
     @property
     def final(self) -> Tensor:
@@ -142,26 +149,35 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(config, tensors)
 
 
+def row_spans(sizes) -> list[slice]:
+    """Consecutive row ranges of the given sizes, from row 0."""
+    ends = list(itertools.accumulate(sizes))
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
 def encoder_layer(
-    h: Tensor, params: ModelParams, n: int, mask: np.ndarray, rows: np.ndarray, keep: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
+    h: Tensor, params: ModelParams, n: int, masks: list[np.ndarray], rows: np.ndarray, keep: list | None = None
+) -> tuple[Tensor, list[np.ndarray]]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
-    one node over flat ``B*L x d_h`` states; also returns the ``B x H x L x L``
-    attention. Position-wise ops run on the real `rows` only, attention on the
-    padded layout of `mask` with pad rows of Q, K, V at 0; pad rows of the
-    output, and of `h`'s gradient, are 0. The forward runs the composed
+    one node over flat states; also returns each block's ``B x H x L x L``
+    attention. The states hold the blocks of `masks`, one ``(B, L, L)`` mask
+    each, end to end: block ``g`` takes ``B*L`` rows, row ``b*L + pos``
+    within them holding position ``pos`` of its sequence ``b``. Position-wise
+    ops run once over the real `rows` of every block, attention per block on
+    the padded layout of its mask with pad rows of Q, K, V at 0; pad rows of
+    the output, and of `h`'s gradient, are 0. The forward runs the composed
     graph's ops in order (same bits); the VJP is written out.
 
-    `keep`, a ``(B, W)`` array of positions, runs the layer for those query
-    positions of each sequence only: K and V still come from every real row,
-    but queries, attention rows, `wo`, both norms and the FFN run for the
-    kept positions, so the output is ``B*W x d_h`` (row ``b*W + j`` holds
-    position ``keep[b, j]``) and the attention ``B x H x W x L``. A position
-    may be kept twice; one past its sequence's length is a pad, with a zero
-    query and output row. Kept rows equal the full layer's bit for bit when
-    every matmul that shrinks keeps two rows or more (see `CLS_PREFIX`)."""
+    `keep`, one ``(B, W)`` array of positions per block, runs the layer for
+    those query positions of each sequence only: K and V still come from
+    every real row, but queries, attention rows, `wo`, both norms and the FFN
+    run for the kept positions, so block ``g`` takes ``B*W`` output rows (row
+    ``b*W + j`` holds position ``keep[g][b, j]``) and its attention is
+    ``B x H x W x L``. A position may be kept twice; one past its sequence's
+    length is a pad, with a zero query and output row. Kept rows equal the
+    full layer's bit for bit when every matmul that shrinks keeps two rows
+    or more (see `CLS_PREFIX`)."""
     cfg = params.config
-    batch, length = mask.shape[0], mask.shape[1]
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
@@ -169,30 +185,52 @@ def encoder_layer(
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
     wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
-    qkv = np.zeros((batch * length, 3 * d), dtype=x.dtype)
+    shapes = [m.shape[:2] for m in masks]
+    spans = row_spans([batch * length for batch, length in shapes])  # of each block in `h`
+    qkv = np.zeros((h.shape[0], 3 * d), dtype=x.dtype)
     if keep is None:
-        width, asks, out_rows, query_mask = length, rows, rows, mask  # every real row asks a query
+        widths, asks, out_rows, query_masks = [length for _, length in shapes], rows, rows, masks
         qkv[rows] = x @ wqkv
         xq, q = x, qkv[:, :d]
     else:
-        width = keep.shape[1]
-        slots = (keep + np.arange(batch)[:, None] * length).reshape(-1)  # the kept rows of `h`
-        real = np.zeros(batch * length, dtype=bool)
+        widths = [k.shape[1] for k in keep]
+        slots = np.concatenate(  # the kept rows of `h`
+            [
+                (k + np.arange(batch)[:, None] * length + span.start).reshape(-1)
+                for k, (batch, length), span in zip(keep, shapes, spans)
+            ]
+        )
+        real = np.zeros(h.shape[0], dtype=bool)
         real[rows] = True
-        out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the B*W output
+        out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the output
         asks = slots[out_rows]  # and in `h`
-        query_mask = mask[np.arange(batch)[:, None], keep]
+        query_masks = [m[np.arange(batch)[:, None], k] for m, k, (batch, _) in zip(masks, keep, shapes)]
         qkv[rows, d:] = x @ wqkv[:, d:]
-        xq, q = h.data[asks], np.zeros((batch * width, d), dtype=x.dtype)
+        xq, q = h.data[asks], np.zeros((len(slots), d), dtype=x.dtype)
         q[out_rows] = xq @ wqkv[:, :d]
-    q = q.reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3)  # B x H x W x d_k
-    k, v = qkv.reshape(batch, length, 3, heads, d_k)[:, :, 1:].transpose(2, 0, 3, 1, 4)  # each B x H x L x d_k
-    probs = q @ np.swapaxes(k, -1, -2)
-    probs += query_mask[:, None].astype(x.dtype, copy=False)
-    ag.softmax_kernel(probs)
-    ctx = np.empty((batch, width, heads, d_k), dtype=x.dtype)
-    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
-    merged = ctx.reshape(batch * width, d)[out_rows]
+    out_spans = row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
+    blocks = list(zip(shapes, widths, spans, out_spans))
+
+    def attention_operands(block):
+        """A block's Q (``B x H x W x d_k``), K and V (each ``B x H x L x d_k``)."""
+        (batch, length), width, span, out_span = block
+        k, v = qkv[span].reshape(batch, length, 3, heads, d_k)[:, :, 1:].transpose(2, 0, 3, 1, 4)
+        return q[out_span].reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3), k, v
+
+    def by_head(a: np.ndarray, block) -> np.ndarray:
+        """A block's output rows of `a` as ``B x H x W x d_k``."""
+        (batch, _), width, _, out_span = block
+        return a[out_span].reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3)
+
+    ctx = np.empty((out_spans[-1].stop, d), dtype=x.dtype)
+    probs = []
+    for block, query_mask in zip(blocks, query_masks):
+        bq, k, v = attention_operands(block)
+        scores = bq @ np.swapaxes(k, -1, -2)
+        scores += query_mask[:, None].astype(x.dtype, copy=False)
+        probs.append(ag.softmax_kernel(scores))
+        np.matmul(scores, v, out=by_head(ctx, block))
+    merged = ctx[out_rows]
     s1 = merged @ wo.data
     s1 += xq
     g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
@@ -203,7 +241,7 @@ def encoder_layer(
     s2 += b2.data
     s2 += g
     y, ln2 = ag.layer_norm_kernel(s2, gain2.data, bias2.data)
-    out = np.zeros((batch * width, d), dtype=x.dtype)
+    out = np.zeros((len(ctx), d), dtype=x.dtype)
     out[out_rows] = y
 
     def vjp(grad):
@@ -212,21 +250,27 @@ def encoder_layer(
         dg = du @ w1.data.T
         dg += ds2
         ds1, dgain1, dbias1 = ag.layer_norm_vjp(dg, gain1.data, ln1)
-        dmerged = np.zeros((batch * width, d), dtype=grad.dtype)
+        dmerged = np.zeros((len(ctx), d), dtype=grad.dtype)
         dmerged[out_rows] = ds1 @ wo.data.T
-        dctx = dmerged.reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3)
-        dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), probs)
-        dqkv = np.empty((batch, length, 3, heads, d_k), dtype=grad.dtype)
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        if keep is None:
-            np.matmul(dscores, k, out=dq)
-        else:  # the kept rows' query gradients in the B*L layout; a position kept twice sums both
-            dq_rows = np.zeros((batch * length, d), dtype=grad.dtype)
-            ag.scatter_add_rows(dq_rows, asks, (dscores @ k).transpose(0, 2, 1, 3).reshape(batch * width, d)[out_rows])
-            dq[...] = dq_rows.reshape(batch, length, heads, d_k).transpose(0, 2, 1, 3)
-        np.matmul(np.swapaxes(dscores, -1, -2), q, out=dk)
-        np.matmul(np.swapaxes(probs, -1, -2), dctx, out=dv)
-        dqkv = dqkv.reshape(batch * length, 3 * d)[rows]
+        dqkv = np.empty((h.shape[0], 3 * d), dtype=grad.dtype)
+        dq_kept = None if keep is None else np.empty((len(ctx), d), dtype=grad.dtype)
+        for block, p in zip(blocks, probs):
+            (batch, length), width, span, out_span = block
+            bq, k, v = attention_operands(block)
+            dctx = by_head(dmerged, block)
+            dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), p)
+            dq, dk, dv = dqkv[span].reshape(batch, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)
+            if keep is None:
+                np.matmul(dscores, k, out=dq)
+            else:
+                dq_kept[out_span] = (dscores @ k).transpose(0, 2, 1, 3).reshape(batch * width, d)
+            np.matmul(np.swapaxes(dscores, -1, -2), bq, out=dk)
+            np.matmul(np.swapaxes(p, -1, -2), dctx, out=dv)
+        if keep is not None:  # the kept rows' query gradients in the layout of `h`; a position kept twice sums both
+            dq_rows = np.zeros((h.shape[0], d), dtype=grad.dtype)
+            ag.scatter_add_rows(dq_rows, asks, dq_kept[out_rows])
+            dqkv[:, :d] = dq_rows
+        dqkv = dqkv[rows]
         dwqkv = x.T @ dqkv
         dx = dqkv @ wqkv.T
         dh = np.zeros_like(h.data)
@@ -269,64 +313,124 @@ def read_layout(reads, lengths) -> np.ndarray:
 
 
 def forward(
-    params: ModelParams, ids, position_ids, additive_mask: np.ndarray, lengths=None, cls_only: bool = False, reads=None
+    params: ModelParams, ids, position_ids, additive_mask, lengths=None, cls_only: bool = False, reads=None
 ) -> Activations:
-    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or a
-    padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) in a single
-    pass. A single example is the ``B = 1`` case; see `Activations` for shapes.
-    `lengths` holds each row's real length (``None``: all of it): layers skip
-    the pad rows, which are 0 in every hidden state after the embeddings.
+    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), a
+    padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) or several
+    blocks in a single pass. A single example is the ``B = 1`` case; see
+    `Activations` for shapes. `lengths` holds each row's real length
+    (``None``: all of it): layers skip the pad rows, which are 0 in every
+    hidden state after the embeddings.
+
+    Several blocks, each a ``(B_g, L_g)`` batch of its own: `additive_mask`
+    is a list of their ``(B_g, L_g, L_g)`` masks, `ids` and `position_ids`
+    are flat, every block's ``(B_g, L_g)`` array raveled and laid end to end,
+    and `lengths`, if given, holds one per-row length array (or ``None``) per
+    block. Position-wise work runs once over the real rows of every block,
+    attention block by block, so ``activations.blocks[g]`` equals the forward
+    of block ``g`` alone bit for bit while each shrunken matmul keeps two rows
+    or more (see `CLS_PREFIX`).
 
     `reads`, one list of positions per sequence, asks for those rows of the
     final states only. The last layer then runs for the ``(B, W)`` positions
     of `read_layout` (K and V still for every real row), its attention maps
     hold those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
     holding position ``reads[b][j]``, bit-identical to the full forward's
-    because ``W`` is two or more (see `CLS_PREFIX`). When ``W >= L``, or with no layers, the rows are gathered from the full
-    states instead. `cls_only` is the [CLS] case: the last layer runs for the
-    first ``min(CLS_PREFIX, L)`` positions and `final` is the ``B x d_h``
-    [CLS] rows."""
+    because ``W`` is two or more (see `CLS_PREFIX`). When ``W >= L``, or with
+    no layers, the rows are gathered from the full states instead. `cls_only`
+    is the [CLS] case: the last layer runs for the first ``min(CLS_PREFIX, L)``
+    positions and `final` is the ``B x d_h`` [CLS] rows. Over several blocks,
+    each block keeps its own ``W`` and its sequences take their turn in
+    `reads`."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
-    additive_mask = np.asarray(additive_mask)
     if ids.shape != position_ids.shape:
         raise ShapeMismatch("ids and position_ids must have equal length")
-    if ids.ndim not in (1, 2):
-        raise ShapeMismatch(f"ids must be (L,) or (B, L), got shape {ids.shape}")
-    if additive_mask.shape != ids.shape + ids.shape[-1:]:
-        raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match ids shape {ids.shape}")
+    blocked = isinstance(additive_mask, list)
+    single = ids.ndim == 1 and not blocked
+    if blocked:
+        masks = [np.asarray(m) for m in additive_mask]
+        lengths = [None] * len(masks) if lengths is None else list(lengths)
+        if not masks or any(m.ndim != 3 or m.shape[1] != m.shape[2] for m in masks):
+            raise ShapeMismatch("blocks need one (B, L, L) mask each")
+        if ids.ndim != 1 or ids.size != sum(m.shape[0] * m.shape[1] for m in masks) or len(lengths) != len(masks):
+            raise ShapeMismatch(
+                f"flat ids of shape {ids.shape} and {len(lengths)} lengths do not fit {len(masks)} blocks"
+            )
+    else:
+        additive_mask = np.asarray(additive_mask)
+        if ids.ndim not in (1, 2):
+            raise ShapeMismatch(f"ids must be (L,) or (B, L), got shape {ids.shape}")
+        if additive_mask.shape != ids.shape + ids.shape[-1:]:
+            raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match ids shape {ids.shape}")
+        masks, lengths = [additive_mask[None] if single else additive_mask], [lengths]
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ShapeMismatch("token id out of vocabulary range")
     if position_ids.size and (position_ids.min() < 0 or position_ids.max() >= cfg.max_positions):
         raise ShapeMismatch("position id out of range")
-    single = ids.ndim == 1
-    mask = additive_mask[None] if single else additive_mask
-    batch, length = mask.shape[0], mask.shape[1]
-    lengths = np.full(batch, length) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (batch,) or not np.all((lengths >= 1) & (lengths <= length)):
-        raise ShapeMismatch(f"lengths {lengths.tolist()} do not fit {batch} rows of length {length}")
-    rows = np.flatnonzero(np.arange(length) < lengths[:, None])
+    shapes = [m.shape[:2] for m in masks]
+    for g, ((batch, length), n) in enumerate(zip(shapes, lengths)):
+        lengths[g] = np.full(batch, length) if n is None else np.asarray(n)
+        if lengths[g].shape != (batch,) or not np.all((lengths[g] >= 1) & (lengths[g] <= length)):
+            raise ShapeMismatch(f"lengths {lengths[g].tolist()} do not fit {batch} rows of length {length}")
+    spans = row_spans([batch * length for batch, length in shapes])
+    rows = np.concatenate(
+        [
+            span.start + np.flatnonzero(np.arange(length) < n[:, None])
+            for span, (_, length), n in zip(spans, shapes, lengths)
+        ]
+    )
     keep = None
     if reads is not None:
-        keep = read_layout(reads, lengths)
+        sequences = row_spans([batch for batch, _ in shapes])  # of each block in `reads`
+        if len(reads) != sequences[-1].stop:
+            raise ShapeMismatch(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
+        keep = [read_layout(reads[seqs], n) for seqs, n in zip(sequences, lengths)]
     elif cls_only:
-        keep = np.arange(min(CLS_PREFIX, length))[None].repeat(batch, axis=0)
-    shrink = keep is not None and keep.shape[1] < length
+        keep = [np.arange(min(CLS_PREFIX, length))[None].repeat(batch, axis=0) for batch, length in shapes]
+    # The last layer shrinks if some block keeps fewer positions than its
+    # length; a block that keeps as many runs in full there, keeping them all.
+    last = None
+    if cfg.num_layers and keep is not None and any(k.shape[1] < length for k, (_, length) in zip(keep, shapes)):
+        last = [
+            k if k.shape[1] < length else np.tile(np.arange(length), (batch, 1))
+            for k, (batch, length) in zip(keep, shapes)
+        ]
 
     tok, pos = params.tensors["tok_emb"], params.tensors["pos_emb"]
     h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
-    acts = Activations(hidden=[h])
+    hidden, maps = [h], []
     for n in range(cfg.num_layers):
-        h, probs = encoder_layer(h, params, n, mask, rows, keep if shrink and n == cfg.num_layers - 1 else None)
-        heads = probs[0] if single else np.swapaxes(probs, 0, 1)
-        acts.attention.append([Tensor(w) for w in heads])
-        acts.hidden.append(h)
-    if cls_only:
-        acts.hidden[-1] = ag.take_rows(h, np.arange(batch) * (h.shape[0] // batch))
-    elif keep is not None and h.shape[0] == batch * length:  # full states: no layer shrank
-        acts.hidden[-1] = ag.take_rows(h, (keep + np.arange(batch)[:, None] * length).reshape(-1))
-    return acts
+        h, probs = encoder_layer(h, params, n, masks, rows, last if n == cfg.num_layers - 1 else None)
+        hidden.append(h)
+        maps.append(probs)
+    # Each block's rows per sequence in the last states, and where they lie.
+    widths = [length for _, length in shapes] if last is None else [k.shape[1] for k in last]
+    final_spans = spans if last is None else row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
+    if keep is not None:  # gather the kept rows, unless the last layer already holds exactly them
+        pick = []
+        for k, (batch, length), width, span in zip(keep, shapes, widths, final_spans):
+            if cls_only:
+                pick.append(span.start + np.arange(batch) * width)
+            elif width < length:  # a shrunken block holds its kept positions in order
+                pick.append(np.arange(span.start, span.stop))
+            else:
+                pick.append(span.start + (k + np.arange(batch)[:, None] * length).reshape(-1))
+        pick = np.concatenate(pick)
+        if not np.array_equal(pick, np.arange(h.shape[0])):
+            hidden[-1] = ag.take_rows(h, pick)
+        final_spans = row_spans([batch if cls_only else k.size for k, (batch, _) in zip(keep, shapes)])
+
+    def block(g: int) -> Activations:
+        bounds = [spans[g]] * (len(hidden) - 1) + [final_spans[g]]
+        states = hidden if len(masks) == 1 else [Tensor(t.data[span]) for t, span in zip(hidden, bounds)]
+        heads = [probs[g][0] if single else np.swapaxes(probs[g], 0, 1) for probs in maps]
+        return Activations(hidden=list(states), attention=[[Tensor(w) for w in layer] for layer in heads])
+
+    if blocked:
+        return Activations(hidden=hidden, blocks=[block(g) for g in range(len(masks))])
+    return block(0)
 
 
 def mlm_logits(params: ModelParams, final_hidden: Tensor) -> Tensor:

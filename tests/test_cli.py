@@ -11,10 +11,10 @@ import pytest
 
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
-from codeflow.cli import MAX_BATCH_SIZE, build_parser, main
+from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import additive_mask, build_attention_mask, build_vocab
-from codeflow.model import ModelConfig, forward, init_params
+from codeflow.model import ModelConfig, forward, init_params, param_shapes
 from codeflow.pretrain import encode_corpus
 from helpers import clone_corpus, overfit_corpus, search_pairs
 
@@ -283,6 +283,39 @@ class TestBadFlags:
             "--batch-size", str(MAX_BATCH_SIZE), *SMALL_MODEL,
         )
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "flags, vocab, hidden",
+        [(["--vocab-size", "100000000"], 100_000_000, 64), (["--hidden-dim", "100000", "--num-heads", "1"], 512, 100_000)],
+        ids=["vocab", "hidden"],
+    )
+    def test_model_above_the_parameter_bound(self, tmp_path, capsys, flags, vocab, hidden):
+        # embeddings V*d + P*d, MLM head d*V + V, two layers of 4d^2 + 2df + f + 5d (P = 512, f = 256)
+        count = 2 * vocab * hidden + 512 * hidden + vocab + 2 * (4 * hidden**2 + 2 * hidden * 256 + 256 + 5 * hidden)
+        corpus = write_search_corpus(tmp_path)
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, "eval-search", "--corpus", str(corpus), "--out", str(out), *flags)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: the model would have {count:,} parameters, more than {MAX_PARAMETERS:,}\n"
+        assert not out.exists()
+
+    def test_parameter_count_matches_the_shapes(self):
+        for cfg in (
+            ModelConfig(),
+            ModelConfig(num_layers=0),
+            ModelConfig(num_layers=3, hidden_dim=48, num_heads=6, ffn_dim=100, vocab_size=77, max_positions=9),
+        ):
+            assert parameter_count(cfg) == sum(int(np.prod(shape)) for shape in param_shapes(cfg).values())
+
+    def test_finetune_search_rejects_a_batch_of_one(self, tmp_path, capsys):
+        corpus = write_search_corpus(tmp_path)
+        out = tmp_path / "tuned"
+        code, stdout, err = run(
+            capsys, "finetune-search", "--corpus", str(corpus), "--out", str(out), "--batch-size", "1", *SMALL_MODEL,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: finetune-search needs a batch size of at least 2 for in-batch contrast, not 1\n"
+        assert not out.exists()
 
     def test_config_merge_priority(self, tmp_path, capsys):
         # dataclass defaults < --config JSON < explicit flags
@@ -585,9 +618,9 @@ class TestAttentionSplit:
         # the grouped forwards, with a length group split, give the report of per-example forwards
         shapes = []
 
-        def spy(params, ids, *rest, **kwargs):
-            shapes.append(np.shape(ids))
-            return forward(params, ids, *rest, **kwargs)
+        def spy(params, ids, positions, masks, **kwargs):
+            shapes.extend(np.shape(m)[:2] for m in masks)  # each block's (B, L)
+            return forward(params, ids, positions, masks, **kwargs)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward
@@ -601,7 +634,7 @@ class TestAttentionSplit:
         assert set(report) == {"python", "java", "overall"}
         overall = report["overall"]
         assert overall["code_fraction"] + overall["node_fraction"] == pytest.approx(1.0, abs=1e-6)
-        assert max(b for b, _ in shapes) == 2 and len(shapes) > len({n for _, n in shapes})
+        assert max(b for b, _ in shapes) == 2 and len(shapes) > len({n for _, n in shapes})  # a group was split
 
         params = init_params(ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, max_positions=128))
         vocab = build_vocab([(it.docstring, it.code) for it in items], 512)

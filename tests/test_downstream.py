@@ -185,10 +185,11 @@ def single_forward_cls(params, ex):
 
 
 class TestGroupedVectors:
-    """`_cls_vectors` encodes equal-length examples together, unpadded; each
-    vector must equal the example's own single forward bit for bit."""
+    """`_cls_vectors` packs exact-length groups, unpadded, as the blocks of
+    shared forwards; each vector must equal the example's own single forward
+    bit for bit."""
 
-    CAP = 64  # positions per forward, small enough to split the groups here
+    CAP = 128  # real rows per forward: packs several groups, splits some, and is below the longest examples
 
     def fuzzed_corpus(self, seed, use_dataflow):
         rng = np.random.default_rng(seed)
@@ -203,43 +204,64 @@ class TestGroupedVectors:
         return params, examples
 
     def spy_forwards(self, monkeypatch):
-        shapes = []
+        """Each forward's blocks, as ``(B, L)`` shapes, from now on."""
+        forwards = []
 
-        def spy(params, ids, positions, mask, cls_only):
-            shapes.append(np.shape(ids))
+        def spy(params, ids, positions, masks, cls_only):
+            forwards.append([np.shape(m)[:2] for m in masks])
             assert np.all(np.asarray(ids) != PAD), "a grouped forward must not pad"
             assert cls_only, "[CLS] vectors need the [CLS] rows only"
-            return forward(params, ids, positions, mask, cls_only=cls_only)
+            return forward(params, ids, positions, masks, cls_only=cls_only)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
-        return shapes
+        return forwards
+
+    @staticmethod
+    def greedy_forwards(lengths, cap):
+        """Forwards that packing the examples, in order, into at most `cap`
+        rows makes: a new forward starts where the next example would not fit."""
+        count, used = 0, cap
+        for n in lengths:
+            if used + n > cap:
+                count, used = count + 1, 0
+            used += n
+        return count
 
     @pytest.mark.parametrize("use_dataflow", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_to_single_forwards(self, monkeypatch, seed, use_dataflow):
         params, examples = self.fuzzed_corpus(seed, use_dataflow)
+        most_blocks = most_rows = 0
         for side in ("code_encoded", "query_encoded"):
             encoded = [getattr(ex, side) for ex in examples]
-            shapes = self.spy_forwards(monkeypatch)
+            forwards = self.spy_forwards(monkeypatch)
             got = downstream._cls_vectors(params, encoded)
             monkeypatch.undo()
             want = np.stack([single_forward_cls(params, ex) for ex in encoded])
             assert got.dtype == np.float32 and np.array_equal(got, want), side
             lengths = [len(ex) for ex in encoded]
-            expected = sum(-(-lengths.count(n) // max(1, self.CAP // n)) for n in set(lengths))
-            assert len(shapes) == expected
-            assert all(b * n <= self.CAP or b == 1 for b, n in shapes)
-            assert max(lengths.count(n) * n for n in set(lengths)) > self.CAP  # some group was split
+            grouped = [n for n in dict.fromkeys(lengths) for _ in range(lengths.count(n))]  # groups in first-seen order
+            assert len(forwards) == self.greedy_forwards(grouped, self.CAP)
+            blocks = [shape for packed in forwards for shape in packed]
+            assert [n for b, n in blocks for _ in range(b)] == grouped  # blocks are the groups, split at most
+            for packed in forwards:
+                assert len({n for _, n in packed}) == len(packed)  # one block per length
+                assert sum(b * n for b, n in packed) <= self.CAP or packed == [(1, packed[0][1])]
+            assert len(blocks) > len(set(lengths))  # some group was split
+            most_blocks = max(most_blocks, *map(len, forwards))
+            most_rows = max(most_rows, *(sum(b * n for b, n in packed) for packed in forwards))
+        assert most_blocks > 1  # some forward packs several groups
+        assert most_rows > self.CAP  # and some example is longer than the cap
 
     def test_one_forward_alive_at_a_time(self, monkeypatch):
         # a forward's activations and final states are freed before the next forward runs
         params, examples = self.fuzzed_corpus(0, True)
         alive = []
 
-        def spy(params, ids, positions, mask, cls_only):
+        def spy(params, ids, positions, masks, cls_only):
             assert all(ref() is None for ref in alive), "a previous forward's activations are still alive"
-            acts = forward(params, ids, positions, mask, cls_only=cls_only)
+            acts = forward(params, ids, positions, masks, cls_only=cls_only)
             alive.extend([weakref.ref(acts), weakref.ref(acts.final.data)])
             return acts
 
@@ -347,6 +369,14 @@ class TestSearch:
         _, _, _, params, examples = search_fixture(n=4)
         with pytest.raises(EmptyInput):
             finetune_search(examples[:1], params, rng=0)
+
+    def test_finetune_needs_a_batch_of_two(self):
+        # a batch of one has no negative to contrast with, so it would train nothing
+        _, _, _, params, examples = search_fixture(n=4)
+        before = {name: t.data.copy() for name, t in params.tensors.items()}
+        with pytest.raises(ValueError, match="batch size of at least 2"):
+            finetune_search(examples, params, rng=0, batch_size=1)
+        assert all(np.array_equal(t.data, before[name]) for name, t in params.tensors.items())
 
     def test_no_dataflow_variant(self):
         pairs = search_pairs(4)

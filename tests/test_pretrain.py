@@ -838,9 +838,9 @@ class TestLossLogAndAccuracy:
         # each candidate by its own h_i . h_j, also when a length group is split
         shapes = []
 
-        def spy(params, ids, *rest, **kwargs):
-            shapes.append(np.shape(ids))
-            return forward(params, ids, *rest, **kwargs)
+        def spy(params, ids, positions, masks, **kwargs):
+            shapes.extend(np.shape(m)[:2] for m in masks)  # each block's (B, L)
+            return forward(params, ids, positions, masks, **kwargs)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)  # two 41-position examples per forward

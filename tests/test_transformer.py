@@ -11,6 +11,7 @@ from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from codeflow.encoding import (
     PAD,
+    Limits,
     Vocabulary,
     additive_mask,
     build_attention_mask,
@@ -417,30 +418,34 @@ def real_rows(lengths, width):
     return np.concatenate([np.arange(n) + b * width for b, n in enumerate(lengths)])
 
 
-def layer_finite_difference_check(keep):
-    """`encoder_layer` with the ``(4, W)`` query positions `keep` (None: all
-    positions) against float64 central differences of every layer input and
-    weight, on a batch of lengths 4, 7, 1 and 6."""
+def layer_finite_difference_check(keep, blocks=([4, 7, 1, 6],)):
+    """`encoder_layer` with the ``(S, W)`` query positions `keep` (None: all
+    positions), one row per sequence, against float64 central differences of
+    every layer input and weight. Each block is a list of sequence lengths,
+    padded to its longest; the default is one batch of lengths 4, 7, 1 and 6."""
     cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
     params = init_params(cfg).astype(np.float64)
     rng = np.random.default_rng(41)
     for t in params.tensors.values():  # off the init's zero biases and unit gains
         t.data += rng.normal(scale=0.3, size=t.shape)
         t.requires_grad = True
-    lengths, width = [4, 7, 1, 6], 7
-    allows = [rng.random((n, n)) < 0.6 for n in lengths]
-    for allow in allows:
-        np.fill_diagonal(allow, True)
-    _, _, mask = pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)
-    rows = real_rows(lengths, width)
-    h = Tensor(rng.normal(size=(len(lengths) * width, cfg.hidden_dim)), requires_grad=True)
-    out_width = width if keep is None else keep.shape[1]
-    probe = Tensor(rng.normal(size=(len(lengths) * out_width, cfg.hidden_dim)))
+    masks, rows, start = [], [], 0
+    for lengths in blocks:
+        allows = [rng.random((n, n)) < 0.6 for n in lengths]
+        for allow in allows:
+            np.fill_diagonal(allow, True)
+        rows.append(start + real_rows(lengths, max(lengths)))
+        start += len(lengths) * max(lengths)
+        masks.append(pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)[2])
+    rows = np.concatenate(rows)
+    h = Tensor(rng.normal(size=(start, cfg.hidden_dim)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(start if keep is None else keep.size, cfg.hidden_dim)))
+    block_keep = None if keep is None else np.split(keep, np.cumsum([len(b) for b in blocks])[:-1])
     names = [n for n in params.tensors if n.startswith("layer0.")]
     assert len(names) == 3 * cfg.num_heads + 9
 
     def loss():
-        return ag.tsum(ag.mul(encoder_layer(h, params, 0, mask, rows, keep)[0], probe))
+        return ag.tsum(ag.mul(encoder_layer(h, params, 0, masks, rows, block_keep)[0], probe))
 
     loss().backward()
     eps = 1e-6
@@ -671,6 +676,127 @@ class TestReadRows:
         for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [lengths[1]], [0]], [[0], [-1], [0]]):
             with pytest.raises(ShapeMismatch):
                 forward(params, ids, positions, mask, lengths, reads=bad)
+
+
+class TestBlocks:
+    """`forward` over several blocks, each a ``(B, L)`` batch with its own
+    mask, laid end to end: position-wise work runs once over every real row,
+    attention block by block. Each block's states and maps must equal the
+    forward of that block alone bit for bit, and the gradients the sum of the
+    per-block gradients."""
+
+    MODES = ["full", "cls_only", "reads"]
+
+    @staticmethod
+    def fuzzed_blocks(rng, params, dtype, use_dataflow, count=4):
+        """`count` random blocks: padded batches of encoded programs, one
+        program repeated (an exact-length block), and short random-mask rows
+        whose kept width reaches their length."""
+        vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
+        limits = Limits() if use_dataflow else Limits(max_nodes=0)
+        blocks = []
+        for g in range(count):
+            if g == count - 1:
+                rows = random_batch(rng, [2, 1], params, dtype)[0]
+            else:
+                codes = [random_program(rng) for _ in range(int(rng.integers(1, 4)))]
+                examples = [encode_example("find the value", c, vocab, limits=limits, max_positions=512) for c in codes]
+                if g == 1:
+                    examples = examples[:1] * 3
+                rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples]
+            ids, positions, mask = pad_batch(rows, dtype=dtype)
+            blocks.append((ids, positions, mask, [len(r[0]) for r in rows]))
+        return blocks
+
+    @staticmethod
+    def packed(blocks):
+        """The flat ids and positions, masks and lengths of one forward over `blocks`."""
+        ids, positions, masks, lengths = zip(*blocks)
+        return np.concatenate([a.ravel() for a in ids]), np.concatenate([a.ravel() for a in positions]), list(masks), list(lengths)
+
+    @staticmethod
+    def kept(rng, blocks, mode):
+        """`forward` keywords for `mode`, over all `blocks` and block by block."""
+        if mode == "reads":
+            per_block = [TestReadRows.random_reads(rng, lengths) for *_, lengths in blocks]
+            return {"reads": sum(per_block, [])}, [{"reads": reads} for reads in per_block]
+        kwargs = {"cls_only": True} if mode == "cls_only" else {}
+        return kwargs, [kwargs] * len(blocks)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("use_dataflow", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [0, 2])
+    def test_blocks_equal_their_own_forwards(self, num_layers, dtype, use_dataflow, mode):
+        params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(80 + num_layers)
+        for _ in range(3):
+            blocks = self.fuzzed_blocks(rng, params, dtype, use_dataflow)
+            together, alone = self.kept(rng, blocks, mode)
+            acts = forward(params, *self.packed(blocks), **together)
+            assert acts.attention == [] and len(acts.blocks) == len(blocks)
+            finals = []
+            for block, got, kwargs in zip(blocks, acts.blocks, alone):
+                want = forward(params, *block, **kwargs)
+                assert len(got.hidden) == len(want.hidden) and len(got.attention) == num_layers
+                for g, w in zip(got.hidden, want.hidden):
+                    assert g.dtype == dtype and g.shape == w.shape and np.array_equal(g.data, w.data)
+                for g_layer, w_layer in zip(got.attention, want.attention):
+                    for g, w in zip(g_layer, w_layer):
+                        assert g.shape == w.shape and np.array_equal(g.data, w.data)
+                finals.append(want.final.data)
+            assert np.array_equal(acts.final.data, np.concatenate(finals))
+
+    @pytest.mark.parametrize("keep", [None, np.array([[3, 0], [6, 2], [0, 0], [5, 1], [2, 2]])])
+    def test_two_blocks_against_finite_differences(self, keep):
+        layer_finite_difference_check(keep, blocks=([4, 7], [1, 6, 3]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_match_the_sum_of_per_block_gradients(self, dtype, mode):
+        # Weight gradients sum over the rows of every block at once, not block
+        # by block, so they agree to rounding: a few hundred ulps of the largest.
+        tol = 256 * np.finfo(dtype).eps
+        params = init_params(small_config(max_positions=512), dtype=dtype)
+        rng = np.random.default_rng(90)
+        blocks = self.fuzzed_blocks(rng, params, dtype, True)
+        together, alone = self.kept(rng, blocks, mode)
+        finals = [forward(params, *block, **kwargs).final.shape[0] for block, kwargs in zip(blocks, alone)]
+        probe = rng.normal(size=(sum(finals), params.config.hidden_dim)).astype(dtype)
+        probes = np.split(probe, np.cumsum(finals)[:-1])
+
+        def loss(final, weights):
+            return ag.tsum(ag.mul(ag.mul(final, final), Tensor(weights)))
+
+        got_value, got = compute_gradients(lambda p: loss(forward(p, *self.packed(blocks), **together).final, probe), params)
+        want_value, want = 0.0, {}
+        for block, kwargs, weights in zip(blocks, alone, probes):
+            value, grads = compute_gradients(lambda p: loss(forward(p, *block, **kwargs).final, weights), params)
+            want_value += value
+            want = {name: want.get(name, 0) + grad for name, grad in grads.items()}
+        assert abs(got_value - want_value) <= tol * abs(want_value) * len(blocks)
+        for name in want:
+            assert got[name].dtype == dtype
+            assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max(), name
+
+    def test_bad_blocks_raise(self):
+        params = init_params(small_config(max_positions=512))
+        blocks = self.fuzzed_blocks(np.random.default_rng(91), params, np.float32, True, count=2)
+        ids, positions, masks, lengths = self.packed(blocks)
+        for bad in (
+            (ids[:-1], positions[:-1], masks, lengths),  # ids do not fill the blocks
+            (ids.reshape(1, -1), positions.reshape(1, -1), masks, lengths),  # not flat
+            (ids, positions, [masks[0], masks[1][0]], lengths),  # a 2-D mask
+            (ids, positions, masks, lengths[:1]),  # lengths for one block of two
+            (ids, positions, masks, [lengths[0], [0] * len(lengths[1])]),
+        ):
+            with pytest.raises(ShapeMismatch):
+                forward(params, *bad)
+        reads = [[0]] * sum(len(n) for n in lengths)
+        forward(params, ids, positions, masks, lengths, reads=reads)
+        for bad in (reads[:-1], reads + [[0]]):
+            with pytest.raises(ShapeMismatch):
+                forward(params, ids, positions, masks, lengths, reads=bad)
 
 
 class TestGraphSize:
