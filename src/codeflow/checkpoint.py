@@ -83,10 +83,14 @@ def load_checkpoint(path) -> ModelParams:
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
         if name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r}")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} is listed twice")
         if shape != expected[name]:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {expected[name]}")
         data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4").reshape(shape).astype(np.float32)
         tensors[name] = Tensor(data)
+    if r.pos != len(r.buf):
+        raise CheckpointError(f"{len(r.buf) - r.pos} trailing bytes after the last tensor")
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise CheckpointError(f"missing tensors: {missing[:5]}")

@@ -431,7 +431,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
         raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
     splits = grouped_forwards(
-        params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b), cls_only=True
+        params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b), [[0]] * len(encoded)
     )
     per_lang: dict[str, list[tuple[float, float]]] = {}
     for item, split in zip(items, splits):
@@ -464,7 +464,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = _merge_config(args)
-        return _HANDLERS[rc.command](rc)
+        with np.errstate(all="ignore"):  # a diverged run reports itself once, through NonFiniteLoss
+            return _HANDLERS[rc.command](rc)
     except BadFlags as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -26,7 +26,7 @@ from .encoding import (
     pad_batch,
 )
 from .frontend import FrontendError, parse_source
-from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
+from .model import MIN_READ_WIDTH, Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
 
@@ -113,8 +113,9 @@ def _keep_freed_heap() -> None:
 
 
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
-    """Final-layer [CLS] rows of `examples`, from one padded `cls_only`
-    forward, whose last layer runs for the first two positions only.
+    """Final-layer [CLS] rows of `examples`, from one padded forward that
+    reads position 0 of each, so its last layer runs for that row only (kept
+    twice, see `model.MIN_READ_WIDTH`); the repeat gets a zero gradient.
 
     Examples of equal length pad nothing, so each row is the unbatched
     encoding of its example."""
@@ -122,12 +123,12 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
         [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples],
         dtype=params.tensors["tok_emb"].data.dtype,
     )
-    return forward(params, ids, positions, mask, [len(ex) for ex in examples], cls_only=True).final
+    n = len(examples)
+    final = forward(params, ids, positions, mask, [len(ex) for ex in examples], reads=[[0]] * n).final
+    return ag.take_rows(final, range(0, MIN_READ_WIDTH * n, MIN_READ_WIDTH))
 
 
-def grouped_forwards(
-    params: ModelParams, examples: list[EncodedExample], read, masks=None, cls_only: bool = False, reads=None
-) -> list:
+def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, reads, masks=None) -> list:
     """``read(activations, b, i)`` for each example ``i``, in order, where
     example ``i`` is row ``b`` of the block of an inference forward that
     gave `activations`: the block's own activations (``Activations.blocks``).
@@ -137,13 +138,11 @@ def grouped_forwards(
     block of its own (a group that does not fit is split), so nothing is
     padded and every row equals the one a single-example forward gives, bit
     for bit. `masks`, one allow-matrix per example, replaces
-    `build_attention_mask`. `cls_only` goes to `forward`:
-    ``activations.final.data[b]`` is then example ``i``'s [CLS] row, and the
-    last layer's maps hold its first two query rows. `reads`, one position
-    list per example, goes to `forward` in its place: ``activations.final``
-    then holds the read rows of each sequence, ``W`` per sequence (see
-    `model.read_layout`). A forward's activations are freed before the next
-    one runs: `read` copies what it keeps."""
+    `build_attention_mask`. `reads`, one position list per example, goes to
+    `forward`: ``activations.final`` holds the read rows of each sequence,
+    ``W`` per sequence (see `model.read_layout`), and the last layer's maps
+    those query rows. A forward's activations are freed before the next one
+    runs: `read` copies what it keeps."""
     _keep_freed_heap()
     out = [None] * len(examples)
     by_length: dict[int, list[int]] = {}
@@ -169,8 +168,8 @@ def grouped_forwards(
             ids.append(block_ids.reshape(-1))
             positions.append(block_positions.reshape(-1))
             block_masks.append(mask)
-        kept = {"cls_only": cls_only} if reads is None else {"reads": [reads[i] for block in blocks for i in block]}
-        acts = forward(params, np.concatenate(ids), np.concatenate(positions), block_masks, **kept)
+        block_reads = [reads[i] for block in blocks for i in block]
+        acts = forward(params, np.concatenate(ids), np.concatenate(positions), block_masks, reads=block_reads)
         for g, block in enumerate(blocks):
             for b, i in enumerate(block):
                 out[i] = read(acts.blocks[g], b, i)
@@ -180,16 +179,16 @@ def grouped_forwards(
 
 def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
     """``(N, d)`` final-layer [CLS] vectors of `examples`, in order, from
-    `cls_only` forwards: the last layer runs attention, `wo`, both norms and
-    the FFN for the first two positions of each sequence, not all of them.
+    forwards that read position 0 of each sequence: the last layer runs
+    attention, `wo`, both norms and the FFN for that row only, kept twice.
     Two rows keep numpy's matmuls on the gemm path, so each vector equals the
     full forward's bit for bit; one row would take gemv and change bits."""
     out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
 
     def read(acts: Activations, b: int, i: int) -> None:
-        out[i] = acts.final.data[b]
+        out[i] = acts.final.data[b * MIN_READ_WIDTH]
 
-    grouped_forwards(params, examples, read, cls_only=True)
+    grouped_forwards(params, examples, read, [[0]] * len(examples))
     return out
 
 
@@ -393,7 +392,7 @@ def cls_attention_split(activations: Activations, example: EncodedExample, index
     """Fraction of [CLS] attention mass on code vs node keys, averaged over
     all heads and layers, renormalized over the two classes. `index` is the
     example's row in a batched forward of equal-length inputs. Only row 0 of
-    each map is read, so the maps of a `cls_only` forward do."""
+    each map is read, so the maps of a forward that reads [CLS] do."""
     node_pos = example.node_positions
     if not node_pos:
         return (1.0, 0.0)

@@ -82,11 +82,10 @@ class Activations:
     A forward given `reads` keeps only what those rows need: `final` is the
     ``B*W x d_h`` read layout of `read_layout` (``W x d_h`` for a single
     example), and the last layer's maps hold its ``W`` query rows, ``W x |X|``
-    or ``B x W x L``. A `cls_only` forward keeps the [CLS] rows: `final` is
-    ``B x d_h`` (``1 x d_h`` for a single example), and the last layer's maps
-    hold the first ``min(2, L)`` query rows. When ``W >= L`` the last layer
+    or ``B x W x L``. The [CLS] read is ``reads=[[0]] * B``: row ``b * W`` of
+    `final` is sequence ``b``'s [CLS] row. When ``W >= L`` the last layer
     runs in full and its maps hold all ``L`` rows. Two rows or more, not one,
-    keep the bits of the full forward: see `CLS_PREFIX`.
+    keep the bits of the full forward: see `MIN_READ_WIDTH`.
 
     A forward of several blocks lays the blocks' rows end to end in every
     hidden state and leaves `attention` empty; ``blocks[g]`` holds block
@@ -176,7 +175,7 @@ def encoder_layer(
     ``B x H x W x L``. A position may be kept twice; one past its sequence's
     length is a pad, with a zero query and output row. Kept rows equal the
     full layer's bit for bit when every matmul that shrinks keeps two rows
-    or more (see `CLS_PREFIX`)."""
+    or more (see `MIN_READ_WIDTH`)."""
     cfg = params.config
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
@@ -288,22 +287,21 @@ def encoder_layer(
     return ag._make(out, (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2), vjp), probs
 
 
-# Fewest query positions a shrunken last layer keeps per sequence. One would
-# do for [CLS] alone, but a one-row matmul takes numpy's BLAS gemv path,
-# whose float32 bits differ from the gemm rows of the full layer; with two
-# rows or more every shrunken matmul stays on gemm and each kept row keeps
-# its bits.
-CLS_PREFIX = 2
+# Fewest rows a read keeps per sequence. One would do for [CLS] alone, but a
+# one-row matmul takes numpy's BLAS gemv path, whose float32 bits differ from
+# the gemm rows of the full layer; with two rows or more every shrunken matmul
+# stays on gemm and each kept row keeps its bits.
+MIN_READ_WIDTH = 2
 
 
 def read_layout(reads, lengths) -> np.ndarray:
     """The ``(B, W)`` positions a forward given `reads` keeps: row ``b`` is
     ``reads[b]`` padded by repeating its last position, and
-    ``W = max(CLS_PREFIX, longest reads[b])``. Raises ShapeMismatch unless
+    ``W = max(MIN_READ_WIDTH, longest reads[b])``. Raises ShapeMismatch unless
     there is one non-empty list per sequence, each within its length."""
     if len(reads) != len(lengths) or not all(len(r) for r in reads):
         raise ShapeMismatch(f"reads need one non-empty position list per sequence, got {len(reads)} for {len(lengths)}")
-    keep = np.empty((len(reads), max(CLS_PREFIX, *map(len, reads))), dtype=np.intp)
+    keep = np.empty((len(reads), max(MIN_READ_WIDTH, *map(len, reads))), dtype=np.intp)
     for b, (positions, n) in enumerate(zip(reads, lengths)):
         if min(positions) < 0 or max(positions) >= n:
             raise ShapeMismatch(f"read positions of sequence {b} fall outside its length {n}")
@@ -312,9 +310,7 @@ def read_layout(reads, lengths) -> np.ndarray:
     return keep
 
 
-def forward(
-    params: ModelParams, ids, position_ids, additive_mask, lengths=None, cls_only: bool = False, reads=None
-) -> Activations:
+def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None, reads=None) -> Activations:
     """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), a
     padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) or several
     blocks in a single pass. A single example is the ``B = 1`` case; see
@@ -329,19 +325,18 @@ def forward(
     block. Position-wise work runs once over the real rows of every block,
     attention block by block, so ``activations.blocks[g]`` equals the forward
     of block ``g`` alone bit for bit while each shrunken matmul keeps two rows
-    or more (see `CLS_PREFIX`).
+    or more (see `MIN_READ_WIDTH`).
 
     `reads`, one list of positions per sequence, asks for those rows of the
     final states only. The last layer then runs for the ``(B, W)`` positions
     of `read_layout` (K and V still for every real row), its attention maps
     hold those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
     holding position ``reads[b][j]``, bit-identical to the full forward's
-    because ``W`` is two or more (see `CLS_PREFIX`). When ``W >= L``, or with
-    no layers, the rows are gathered from the full states instead. `cls_only`
-    is the [CLS] case: the last layer runs for the first ``min(CLS_PREFIX, L)``
-    positions and `final` is the ``B x d_h`` [CLS] rows. Over several blocks,
-    each block keeps its own ``W`` and its sequences take their turn in
-    `reads`."""
+    because ``W`` is two or more (see `MIN_READ_WIDTH`). When ``W >= L``, or
+    with no layers, the rows are gathered from the full states instead. The
+    [CLS] read is ``reads=[[0]] * B``, with the [CLS] rows at ``b * W``. Over
+    several blocks, each block keeps its own ``W`` and its sequences take
+    their turn in `reads`."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
@@ -387,10 +382,10 @@ def forward(
         if len(reads) != sequences[-1].stop:
             raise ShapeMismatch(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
         keep = [read_layout(reads[seqs], n) for seqs, n in zip(sequences, lengths)]
-    elif cls_only:
-        keep = [np.arange(min(CLS_PREFIX, length))[None].repeat(batch, axis=0) for batch, length in shapes]
     # The last layer shrinks if some block keeps fewer positions than its
-    # length; a block that keeps as many runs in full there, keeping them all.
+    # length. A block that keeps as many runs the full layer and its rows are
+    # gathered below: through the kept-row layer, a one-row sequence read at
+    # W = 2 > L = 1 changes float64 bits (float32 keeps them).
     last = None
     if cfg.num_layers and keep is not None and any(k.shape[1] < length for k, (_, length) in zip(keep, shapes)):
         last = [
@@ -411,16 +406,14 @@ def forward(
     if keep is not None:  # gather the kept rows, unless the last layer already holds exactly them
         pick = []
         for k, (batch, length), width, span in zip(keep, shapes, widths, final_spans):
-            if cls_only:
-                pick.append(span.start + np.arange(batch) * width)
-            elif width < length:  # a shrunken block holds its kept positions in order
+            if width < length:  # a shrunken block holds its kept positions in order
                 pick.append(np.arange(span.start, span.stop))
             else:
                 pick.append(span.start + (k + np.arange(batch)[:, None] * length).reshape(-1))
         pick = np.concatenate(pick)
         if not np.array_equal(pick, np.arange(h.shape[0])):
             hidden[-1] = ag.take_rows(h, pick)
-        final_spans = row_spans([batch if cls_only else k.size for k, (batch, _) in zip(keep, shapes)])
+        final_spans = row_spans([k.size for k in keep])
 
     def block(g: int) -> Activations:
         bounds = [spans[g]] * (len(hidden) - 1) + [final_spans[g]]

@@ -372,7 +372,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     The forward `reads` only the rows the losses score, each example's
     masked positions and candidate endpoints, so its last layer runs for
     those rows alone (at least two per example, the gemm rule of
-    `model.CLS_PREFIX`). They equal the full layer's bit for bit, and so do
+    `model.MIN_READ_WIDTH`). They equal the full layer's bit for bit, and so do
     the loss and its parts; only the last layer's weight gradients sum over
     fewer rows.
     """
@@ -572,6 +572,6 @@ def structure_accuracy(
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 
     hits = grouped_forwards(
-        params, [ex for ex, _ in scored], correct, [tset.mask for _, tset in scored], reads=layout.tolist()
+        params, [ex for ex, _ in scored], correct, layout.tolist(), [tset.mask for _, tset in scored]
     )
     return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

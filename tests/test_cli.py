@@ -4,11 +4,16 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codeflow
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
@@ -57,6 +62,8 @@ def write_clone_corpus(tmp_path):
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code:  # every error exit writes one newline-terminated line
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
     return code, captured.out, captured.err
 
 
@@ -403,6 +410,19 @@ class TestPretrainCommand:
             )
         assert code == 3
         assert "divergence" in err
+
+    def test_divergence_writes_one_line_from_a_fresh_process(self, tmp_path):
+        # numpy's overflow warnings would print to stderr ahead of the report;
+        # pytest captures warnings in-process, so only a subprocess sees them
+        corpus = write_corpus(tmp_path, overfit_corpus(48))
+        env = {**os.environ, "PYTHONPATH": str(Path(codeflow.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "codeflow.cli", "pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+             "--steps", "3", "--lr", "1e30", *SMALL_MODEL],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("numerical divergence: ") and done.stderr.count("\n") == 1, done.stderr
 
     @pytest.mark.parametrize("with_normal_row", [False, True])
     def test_row_with_nothing_to_mask_is_rejected_before_training(self, tmp_path, capsys, with_normal_row):
@@ -777,6 +797,38 @@ class TestCheckpointBoundaries:
         assert (code, stdout) == (2, "")
         assert err == f"data error: {vocab} line {len(built) + 1}: {problem}\n"
         assert not out.exists()
+
+    @staticmethod
+    def eval_with(capsys, tmp_path, blob):
+        """`eval-search` over a checkpoint file holding `blob`."""
+        path = tmp_path / "edited.gcb"
+        path.write_bytes(blob)
+        return run(
+            capsys, "eval-search", "--corpus", str(write_search_corpus(tmp_path)), "--checkpoint", str(path),
+            "--out", str(tmp_path / "o"),
+        )
+
+    def test_tensor_listed_twice_is_data_error(self, tmp_path, capsys):
+        # a second copy of tok_emb, appended with the count raised by one, used to win silently
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        params = init_params(config)
+        save_checkpoint(tmp_path / "model.gcb", params)
+        blob = (tmp_path / "model.gcb").read_bytes()
+        (length,) = struct.unpack("<I", blob[4:8])
+        (count,) = struct.unpack("<I", blob[8 + length : 12 + length])
+        tok = np.zeros_like(params.tensors["tok_emb"].data, dtype="<f4")
+        record = struct.pack("<H", 7) + b"tok_emb" + struct.pack("<BB2I", 0, 2, *tok.shape) + tok.tobytes()
+        edited = blob[: 8 + length] + struct.pack("<I", count + 1) + blob[12 + length :] + record
+        code, stdout, err = self.eval_with(capsys, tmp_path, edited)
+        assert (code, stdout) == (2, "")
+        assert err == "data error: tensor 'tok_emb' is listed twice\n"
+
+    def test_trailing_bytes_are_data_error(self, tmp_path, capsys):
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        save_checkpoint(tmp_path / "model.gcb", init_params(config))
+        code, stdout, err = self.eval_with(capsys, tmp_path, (tmp_path / "model.gcb").read_bytes() + bytes(7))
+        assert (code, stdout) == (2, "")
+        assert err == "data error: 7 trailing bytes after the last tensor\n"
 
     def test_model_limits_come_from_the_checkpoint(self, tmp_path, capsys):
         # the checkpoint's 128 positions, not the 512 of the flags' defaults

@@ -7,6 +7,7 @@ import pytest
 
 import codeflow.autograd as ag
 import codeflow.downstream as downstream
+from codeflow.autograd import Tensor
 from codeflow.downstream import (
     CloneExample,
     DimensionMismatch,
@@ -31,7 +32,7 @@ from codeflow.downstream import (
 )
 from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example, pad_batch
 from codeflow.frontend import parse_source
-from codeflow.model import ModelConfig, forward, init_params
+from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
 from helpers import clone_corpus, random_program, search_pairs
 
@@ -207,11 +208,11 @@ class TestGroupedVectors:
         """Each forward's blocks, as ``(B, L)`` shapes, from now on."""
         forwards = []
 
-        def spy(params, ids, positions, masks, cls_only):
+        def spy(params, ids, positions, masks, reads):
             forwards.append([np.shape(m)[:2] for m in masks])
             assert np.all(np.asarray(ids) != PAD), "a grouped forward must not pad"
-            assert cls_only, "[CLS] vectors need the [CLS] rows only"
-            return forward(params, ids, positions, masks, cls_only=cls_only)
+            assert reads == [[0]] * sum(len(m) for m in masks), "[CLS] vectors read the [CLS] rows only"
+            return forward(params, ids, positions, masks, reads=reads)
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
@@ -259,15 +260,16 @@ class TestGroupedVectors:
         params, examples = self.fuzzed_corpus(0, True)
         alive = []
 
-        def spy(params, ids, positions, masks, cls_only):
+        def spy(params, ids, positions, masks, reads):
             assert all(ref() is None for ref in alive), "a previous forward's activations are still alive"
-            acts = forward(params, ids, positions, masks, cls_only=cls_only)
+            acts = forward(params, ids, positions, masks, reads=reads)
             alive.extend([weakref.ref(acts), weakref.ref(acts.final.data)])
             return acts
 
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
-        downstream.grouped_forwards(params, [ex.code_encoded for ex in examples], lambda acts, b, i: None)
+        codes = [ex.code_encoded for ex in examples]
+        downstream.grouped_forwards(params, codes, lambda acts, b, i: None, [[0]] * len(codes))
         assert len(alive) > 2
 
     def test_public_encoders_and_clone_probability_agree(self):
@@ -292,8 +294,9 @@ class TestGroupedVectors:
 
 
 class TestClsOnlyForwards:
-    """Inference and `_cls_rows` run the last layer for two query positions per
-    sequence (`model.CLS_PREFIX`) and keep the full forward's [CLS] bits."""
+    """Inference and `_cls_rows` read position 0 of each sequence, so the last
+    layer runs for that row only, kept `model.MIN_READ_WIDTH` times, and keeps
+    the full forward's [CLS] bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_padded_cls_rows_equal_the_full_forward(self, dtype):
@@ -308,6 +311,33 @@ class TestClsOnlyForwards:
         full = forward(params, ids, positions, mask, lengths).final.data
         assert got.dtype == dtype and np.array_equal(got, full[np.arange(len(encoded)) * ids.shape[1]])
         assert np.array_equal(got, np.stack([single_forward_cls(params, ex) for ex in encoded]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cls_rows_train_as_the_two_position_layout(self, dtype):
+        # `_cls_rows` keeps position 0 twice; the layout it replaced kept
+        # positions 0 and 1. The second row of either gets a zero gradient, so
+        # the loss and every gradient keep their bits.
+        _, _, _, params, examples = search_fixture(12, num_layers=2)
+        params = params.astype(dtype)
+        encoded = [ex.query_encoded for ex in examples] + [ex.code_encoded for ex in examples]
+        lengths = [len(ex) for ex in encoded]
+        assert min(lengths) >= 2 and len(set(lengths)) > 2
+        probe = Tensor(np.random.default_rng(5).normal(size=(len(encoded), params.config.hidden_dim)).astype(dtype))
+
+        def loss(cls):
+            return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
+
+        def two_positions(p):
+            rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
+            ids, positions, mask = pad_batch(rows, dtype=dtype)
+            final = forward(p, ids, positions, mask, lengths, reads=[[0, 1]] * len(encoded)).final
+            return ag.take_rows(final, range(0, 2 * len(encoded), 2))
+
+        got_value, got = compute_gradients(lambda p: loss(downstream._cls_rows(p, encoded)), params)
+        want_value, want = compute_gradients(lambda p: loss(two_positions(p)), params)
+        assert got_value == want_value and got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
 
     @staticmethod
     def ffn_rows(monkeypatch):

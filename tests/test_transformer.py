@@ -20,7 +20,7 @@ from codeflow.encoding import (
     pad_batch,
 )
 from codeflow.model import (
-    CLS_PREFIX,
+    MIN_READ_WIDTH,
     Activations,
     ModelConfig,
     ModelParams,
@@ -558,9 +558,10 @@ def random_batch(rng, lengths, params, dtype):
 
 
 class TestClsOnly:
-    """`forward(..., cls_only=True)` runs the last layer for the first
-    `CLS_PREFIX` query positions only; its [CLS] rows must equal the full
-    forward's bit for bit, and its gradients the full forward's."""
+    """The [CLS] read, `forward(..., reads=[[0]] * B)`, runs the last layer
+    for position 0 only, kept `MIN_READ_WIDTH` times; its [CLS] rows must
+    equal the full forward's bit for bit, and its gradients the full
+    forward's."""
 
     LENGTHS = [[1], [2], [3], [1, 2, 3], [3, 1], [2, 2], [1, 1], [5, 40, 3, 17], [40]]
 
@@ -577,22 +578,23 @@ class TestClsOnly:
             lengths = [len(r[0]) for r in rows]
             batch, width = ids.shape
             full = forward(params, ids, positions, mask, lengths)
-            cls = forward(params, ids, positions, mask, lengths, cls_only=True)
-            assert cls.final.dtype == dtype and cls.final.shape == (batch, params.config.hidden_dim)
-            assert np.array_equal(cls.final.data, full.final.data[np.arange(batch) * width])
+            cls = forward(params, ids, positions, mask, lengths, reads=[[0]] * batch)
+            assert cls.final.dtype == dtype and cls.final.shape == (batch * MIN_READ_WIDTH, params.config.hidden_dim)
+            assert np.array_equal(cls.final.data[::MIN_READ_WIDTH], full.final.data[np.arange(batch) * width])
+            shrink = MIN_READ_WIDTH < width
             for n, (g_layer, w_layer) in enumerate(zip(cls.attention, full.attention)):
-                for g, w in zip(g_layer, w_layer):  # the last layer keeps the first min(2, L) query rows
-                    assert g.shape[1] == (min(2, width) if n == num_layers - 1 else width)
-                    assert np.array_equal(g.data, w.data[:, : g.shape[1]])
+                for g, w in zip(g_layer, w_layer):  # a shrunken last layer repeats query row 0
+                    want = w.data[:, [0] * MIN_READ_WIDTH] if shrink and n == num_layers - 1 else w.data
+                    assert np.array_equal(g.data, want)
             for ex_ids, ex_pos, allow in rows:  # each example alone, unbatched
                 one = additive_mask(allow, dtype=dtype)
-                got = forward(params, ex_ids, ex_pos, one, cls_only=True).final.data
-                assert got.shape == (1, params.config.hidden_dim)
+                got = forward(params, ex_ids, ex_pos, one, reads=[[0]]).final.data
+                assert got.shape == (MIN_READ_WIDTH, params.config.hidden_dim)
                 assert np.array_equal(got[0], forward(params, ex_ids, ex_pos, one).final.data[0])
 
     def test_query_prefix_against_finite_differences(self):
-        # the [CLS] case: positions 0 and 1 of every sequence, a pad in the length-1 one
-        layer_finite_difference_check(keep=np.tile(np.arange(CLS_PREFIX), (4, 1)))
+        # the [CLS] read: position 0 of every sequence, kept twice
+        layer_finite_difference_check(keep=read_layout([[0]] * 4, [4, 7, 1, 6]))
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_gradients_match_the_full_final_layer(self, dtype, tol):
@@ -603,9 +605,12 @@ class TestClsOnly:
             probe = Tensor(rng.normal(size=(len(lengths), params.config.hidden_dim)).astype(dtype))
             firsts = np.arange(len(lengths)) * ids.shape[1]
 
-            def loss_fn(p, cls_only):
-                final = forward(p, ids, positions, mask, lengths, cls_only=cls_only).final
-                cls = final if cls_only else ag.take_rows(final, firsts)
+            def loss_fn(p, read_cls):
+                if read_cls:
+                    final = forward(p, ids, positions, mask, lengths, reads=[[0]] * len(lengths)).final
+                    cls = ag.take_rows(final, np.arange(len(lengths)) * MIN_READ_WIDTH)
+                else:
+                    cls = ag.take_rows(forward(p, ids, positions, mask, lengths).final, firsts)
                 return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
 
             got_value, got = compute_gradients(lambda p: loss_fn(p, True), params)
@@ -685,7 +690,7 @@ class TestBlocks:
     forward of that block alone bit for bit, and the gradients the sum of the
     per-block gradients."""
 
-    MODES = ["full", "cls_only", "reads"]
+    MODES = ["full", "cls", "reads"]
 
     @staticmethod
     def fuzzed_blocks(rng, params, dtype, use_dataflow, count=4):
@@ -716,12 +721,15 @@ class TestBlocks:
 
     @staticmethod
     def kept(rng, blocks, mode):
-        """`forward` keywords for `mode`, over all `blocks` and block by block."""
-        if mode == "reads":
+        """`forward` keywords for `mode`, over all `blocks` and block by block:
+        no reads, the [CLS] read or random reads."""
+        if mode == "full":
+            return {}, [{}] * len(blocks)
+        if mode == "cls":
+            per_block = [[[0]] * len(lengths) for *_, lengths in blocks]
+        else:
             per_block = [TestReadRows.random_reads(rng, lengths) for *_, lengths in blocks]
-            return {"reads": sum(per_block, [])}, [{"reads": reads} for reads in per_block]
-        kwargs = {"cls_only": True} if mode == "cls_only" else {}
-        return kwargs, [kwargs] * len(blocks)
+        return {"reads": sum(per_block, [])}, [{"reads": reads} for reads in per_block]
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("use_dataflow", [True, False])
