@@ -10,6 +10,7 @@ within that block, and special-token queries attend everywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,12 @@ SEG_NODE = "node"
 # Attention is blocked by adding a large negative constant to the score,
 # not a literal -inf: exp() then underflows to exactly zero.
 MASK_PENALTY = -1e9
+
+# What `Vocabulary.serialize` escapes in a token: the characters that would
+# end its field or its line, and the backslash that starts an escape.
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {esc[1]: ch for ch, esc in _ESCAPES.items()}
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 class EmptyCorpus(ValueError):
@@ -60,28 +67,32 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK)
 
     def serialize(self) -> str:
-        """Sorted ``token\\tid`` lines; backslash, tab and newline escaped."""
-        lines = []
-        for token, idx in sorted(self.token_to_id.items()):
-            esc = token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-            lines.append(f"{esc}\t{idx}")
+        """Sorted ``token\\tid`` lines; backslash, tab, newline and carriage
+        return escaped."""
+        table = str.maketrans(_ESCAPES)
+        lines = [f"{token.translate(table)}\t{idx}" for token, idx in sorted(self.token_to_id.items())]
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def deserialize(text: str) -> "Vocabulary":
-        """Parse `serialize`'s lines. Raises VocabularyError for a line that
-        is not ``token<TAB>id``, a token listed twice or an id two tokens hold."""
+        """Parse `serialize`'s lines, split at ``\\n`` only. Raises
+        VocabularyError for a line that is not ``token<TAB>id``, an unknown
+        escape, a token listed twice or an id two tokens hold."""
         mapping: dict[str, int] = {}
         holders: dict[int, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
             esc, tab, idx = line.rpartition("\t")
             if not tab or not idx.isdecimal():
                 raise VocabularyError(f"line {lineno}: expected token<TAB>id, got {line[:40]!r}")
-            token = (
-                esc.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
-            )
+
+            def unescape(m: re.Match) -> str:
+                if m[1] not in _UNESCAPES:
+                    raise VocabularyError(f"line {lineno}: unknown escape {m[0]!r} in {esc[:40]!r}")
+                return _UNESCAPES[m[1]]
+
+            token = _ESCAPE.sub(unescape, esc)
             number = int(idx)
             if token in mapping:
                 raise VocabularyError(f"line {lineno}: token {token!r} is listed twice")

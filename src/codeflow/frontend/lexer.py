@@ -5,17 +5,17 @@ blocks, identifiers/numbers/strings, and a small operator set. The lexer
 emits the full code-token sequence, including `newline`, `indent` and
 `dedent` tokens, so downstream consumers see one flat stream.
 
-One compiled pattern cuts every token: `_TOKEN.match(source, pos)` skips
-`[ \\t\\r]*`, then matches one named group per token kind (`newline`,
-`identifier`, `number`, `string`, `operator`), and `lastgroup` names the
-kind. A comment is matched only together with its newline, so the pattern
-cannot cut a comment short to find a token inside it. The operator alternative
-is built from `OPERATORS`, longest first. Character classes are spelled out
-in ASCII (`[A-Za-z_]`, `[0-9]`), never `\\w` or `\\d`, which would also
-match letters and digits such as `é` or `٣`. A small Python step measures
-the indentation at each line start, and a counter tracks parenthesis depth.
-Where the pattern fails, a quote means an unterminated string and anything
-else an invalid character.
+One `findall` of one compiled pattern cuts the whole source. Its groups are
+the blanks `[ \\t\\r]*` before each piece, then newline (with any comment
+before it), identifier, number, string, operator, and any other character.
+That last group leaves no gap, so each token's span follows from the lengths
+consumed so far, with no match object per token. A comment is matched only
+with its newline, so no token is found inside one. Operators are tried
+longest first. Character classes are spelled out in ASCII (`[A-Za-z_]`,
+`[0-9]`), never `\\w` or `\\d`, which would also match letters and digits
+such as `é` or `٣`. The loop over the pieces measures the indentation at
+each line start and tracks parenthesis depth. Where the last group fires, a
+quote means an unterminated string and anything else an invalid character.
 
 Span bookkeeping: every token records the character range of the source
 `str` it was cut from, so that re-inserting the skipped whitespace
@@ -60,18 +60,16 @@ _OPERATOR = "|".join(re.escape(op) for op in sorted(OPERATORS, key=len, reverse=
 # A string runs to its closing quote; a backslash escapes any next character.
 _STRING_BODY = r"[^{q}\\\n]*(?:\\[\s\S][^{q}\\\n]*)*"
 _STRING = "|".join(q + _STRING_BODY.format(q=q) + q for q in "'\"")
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?:#[^\n]*)?(?P<newline>\n)"
-    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>[0-9]+(?:\.[0-9]+)?)"
-    rf"|(?P<string>{_STRING})"
-    rf"|(?P<operator>{_OPERATOR}))"
-)
-# Blank and comment-only lines, then the indentation of the next line (group 1).
-_LINE_START = re.compile(r"(?:[ \t\r]*(?:#[^\n]*)?\n)*([ \t\r]*)")
-# What `_TOKEN` skipped before it failed.
-_SKIP = re.compile(r"[ \t\r]*(?:#[^\n]*)?")
+# (blanks, newline, identifier, number, string, operator, other) per piece.
+_PIECES = re.compile(
+    r"([ \t\r]*)(?:"
+    r"((?:#[^\n]*)?\n)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([0-9]+(?:\.[0-9]+)?)"
+    rf"|({_STRING})"
+    rf"|({_OPERATOR})"
+    r"|(.))"
+).findall
 # From just after an opening quote to the first unescaped newline or the end.
 _UNTERMINATED = re.compile(_STRING_BODY.format(q=""))
 # Builds a token without the Python-level NamedTuple constructor: a fifth of
@@ -96,51 +94,52 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
     paren_depth = 0
     at_line_start = True
-    match = _TOKEN.match
 
-    while True:
+    for blank, newline, identifier, number, string, operator, other in _PIECES(source):
+        start = pos + len(blank)
+        if newline:
+            pos = start + len(newline)
+            if not (at_line_start or paren_depth):  # blank lines and open parentheses emit nothing
+                append(_new(Token, ("newline", "\n", _new(Span, (pos - 1, pos)), len(tokens))))
+                at_line_start = True
+            continue
+        # A blank is "other" only at the end of input, where `[ \t\r]*` gave
+        # it back; a '#' only when no newline follows its comment.
+        if other and other in " \t\r#":
+            break
         if at_line_start:
-            line_start, pos = _LINE_START.match(source, pos).span(1)
-            if pos == n or source[pos] == "#":  # only blank lines or a last comment remain
-                break
-            width = pos - line_start
+            width = len(blank)
             if width > indents[-1]:
                 indents.append(width)
-                append(Token("indent", source[line_start:pos], Span(line_start, pos), len(tokens)))
+                append(Token("indent", blank, Span(pos, start), len(tokens)))
             else:
                 while width < indents[-1]:
                     indents.pop()
-                    append(Token("dedent", "", Span(pos, pos), len(tokens)))
+                    append(Token("dedent", "", Span(start, start), len(tokens)))
                 if width != indents[-1]:
-                    raise IndentationMismatch("unindent does not match any outer level", pos)
+                    raise IndentationMismatch("unindent does not match any outer level", start)
             at_line_start = False
 
-        m = match(source, pos)
-        if m is None:
-            pos = _SKIP.match(source, pos).end()
-            if pos == n:
-                break
-            ch = source[pos]
-            if ch in "'\"":
-                end = _UNTERMINATED.match(source, pos + 1).end()
-                where = "line" if end < n and source[end] == "\n" else "input"
-                raise UnterminatedString(f"string literal hits end of {where}", pos)
-            raise InvalidCharacter(f"unexpected character {ch!r}", pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        text = source[start:pos]
-        if kind == "newline":
-            if paren_depth:
-                continue
-            at_line_start = True
-        elif kind == "identifier":
-            if text in KEYWORDS:
-                kind = "keyword"
-        elif kind == "operator":
+        if identifier:
+            text = identifier
+            kind = "keyword" if text in KEYWORDS else "identifier"
+        elif operator:
+            text, kind = operator, "operator"
             if text == "(":
                 paren_depth += 1
             elif text == ")" and paren_depth:
                 paren_depth -= 1
+        elif number:
+            text, kind = number, "number"
+        elif string:
+            text, kind = string, "string"
+        elif other in "'\"":
+            end = _UNTERMINATED.match(source, start + 1).end()
+            where = "line" if end < n and source[end] == "\n" else "input"
+            raise UnterminatedString(f"string literal hits end of {where}", start)
+        else:
+            raise InvalidCharacter(f"unexpected character {other!r}", start)
+        pos = start + len(text)
         append(_new(Token, (kind, text, _new(Span, (start, pos)), len(tokens))))
 
     # Close any indentation still open at end of input.

@@ -18,7 +18,7 @@ import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
 from codeflow.downstream import cls_attention_split
-from codeflow.encoding import additive_mask, build_attention_mask, build_vocab
+from codeflow.encoding import Vocabulary, additive_mask, build_attention_mask, build_vocab
 from codeflow.model import ModelConfig, forward, init_params, param_shapes
 from codeflow.pretrain import encode_corpus
 from helpers import clone_corpus, overfit_corpus, search_pairs
@@ -742,6 +742,33 @@ class TestPinnedInference:
 
 
 class TestCheckpointBoundaries:
+    def test_vocab_of_escaped_and_line_breaking_strings_reads_back(self, tmp_path, capsys):
+        """String literals holding backslash escapes, or a character
+        `str.splitlines` breaks a line at, keep their ids through vocab.txt."""
+        literals = ['"a\\nb"', '"\r"', '"\x0c"', '"\x85"', '"\u2028"', '"t\\\\n"', "'\\t'", '"\r\\r"']
+        pairs = [
+            (query, code.replace("\n", f"\n    s = {literal}\n", 1))
+            for (query, code), literal in zip(search_pairs(8), literals)
+        ]
+        corpus = tmp_path / "search.jsonl"
+        rows = [json.dumps({"code": code, "docstring": query, "lang": "python"}) for query, code in pairs]
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "pretrain", "--corpus", str(corpus), "--out", str(out),
+            "--steps", "1", "--batch-size", "2", *SMALL_MODEL,
+        )
+        assert (code, err) == (0, "")
+        written = Vocabulary.deserialize((out / "vocab.txt").read_text(encoding="utf-8"))
+        assert written.token_to_id == build_vocab(pairs, 512).token_to_id
+        assert set(literals) <= written.token_to_id.keys()
+        code, stdout, err = run(
+            capsys, "eval-search", "--corpus", str(corpus),
+            "--checkpoint", str(out / "model.gcb"), "--out", str(tmp_path / "s"),
+        )
+        assert (code, err) == (0, "")
+        assert "mrr" in json.loads(stdout)
+
     def test_vocab_larger_than_checkpoint_is_data_error(self, tmp_path, capsys):
         config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=16, max_positions=128)
         save_checkpoint(tmp_path / "model.gcb", init_params(config))

@@ -15,6 +15,7 @@ from codeflow.encoding import (
     Limits,
     SequenceTooLong,
     Vocabulary,
+    VocabularyError,
     additive_mask,
     build_attention_mask,
     build_vocab,
@@ -26,7 +27,8 @@ from codeflow.encoding import (
 )
 from codeflow import downstream
 from codeflow.frontend import lexer, parser, tokenize
-from helpers import mask_oracle, random_program
+from codeflow.pretrain import encode_corpus
+from helpers import mask_oracle, overfit_corpus, random_program
 
 COMMENT = "sum of values"
 CODE = "a = 1\nb = a\n"
@@ -79,10 +81,28 @@ class TestVocabulary:
         assert Vocabulary.deserialize(v.serialize()).token_to_id == v.token_to_id
 
     def test_serialize_escapes(self):
-        v = Vocabulary({"a\\b": 5, "c\td": 6, "e\nf": 7})
+        # the last three spell escapes with a backslash: the MiniLang literal "\n" and the like
+        v = Vocabulary({"a\\b": 5, "c\td": 6, "e\nf": 7, "g\rh": 8, '"\\n"': 9, "a\\tb": 10, "x\\\\n": 11})
         text = v.serialize()
-        assert "a\\\\b\t5" in text
+        assert "a\\\\b\t5" in text and "g\\rh\t8" in text
         assert Vocabulary.deserialize(text).token_to_id == v.token_to_id
+
+    def test_serialize_round_trip_fuzz(self):
+        """Tokens built from escape letters, backslashes, quotes and
+        characters `str.splitlines` breaks a line at."""
+        rng = np.random.default_rng(4)
+        alphabet = ["\\", "n", "t", "r", "a", '"', "\t", "\n", "\r", "\x0c", "\x85", "\u2028"]
+        for _ in range(300):
+            tokens = {"".join(rng.choice(alphabet, size=int(rng.integers(1, 8)))) for _ in range(6)}
+            v = Vocabulary({tok: i for i, tok in enumerate(sorted(tokens), start=5)})
+            text = v.serialize()
+            assert text.count("\n") == len(v)
+            assert Vocabulary.deserialize(text).token_to_id == v.token_to_id
+
+    @pytest.mark.parametrize("line", ["a\\q\t5\n", "a\\\t5\n", "\\x41\t5\n"])
+    def test_unknown_escape_is_rejected(self, line):
+        with pytest.raises(VocabularyError, match="line 1: unknown escape"):
+            Vocabulary.deserialize(line)
 
 
 class TestTokenStreams:
@@ -213,6 +233,18 @@ class TestSingleLex:
     def test_comment_only_lexes_nothing(self, calls):
         encode_example(COMMENT, None, Vocabulary({}))
         assert calls == {"tokenize": 0, "parse": 0}
+
+    def test_filter_vocab_encode_pass_lexes_each_program_three_times(self, calls):
+        """`tokenize` and `parse` are looked up when called, so a patched
+        function sees every call (the benchmark's tracer counts them so): the
+        filter lexes and parses, the vocabulary lexes, encoding lexes and
+        parses again."""
+        items = overfit_corpus(8)
+        kept = downstream.filter_search_corpus(items)
+        vocab = build_vocab([(it.docstring, it.code) for it in kept], 64)
+        encode_corpus(kept, vocab)
+        assert len(kept) == len(items)
+        assert calls == {"tokenize": 3 * len(items), "parse": 2 * len(items)}
 
 
 class TestTruncation:

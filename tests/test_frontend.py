@@ -187,6 +187,29 @@ def test_tokenize_matches_the_character_loop_reference():
     assert 0.2 * len(inputs) < raised < 0.8 * len(inputs)  # both the token and the error paths ran
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        # trailing blanks or a trailing comment, with no final newline
+        "x = 1  ", "x = 1\t\r", "  ", "x\n  ", "if a:\n    x = 1\n      ", "if a:\n    x = 1\n  ",
+        "x = 1  # done", "# only", "if a:\n    x = 1\n    # done", "f(x  # open",
+        # carriage returns and tabs inside indentation
+        "if a:\n\t b = 1\n\t c = 2\n", "if a:\n \r b\n", "if a:\n\r\n    b\n\r", "if a:\n\tb\n        c\n",
+        "if a:\n  \tb\n\t  c\n",
+        # an invalid character or unterminated string where the indentation
+        # matches no outer level, at the line start and before it
+        "if a:\n    b\n  @\n", "if a:\n    b\n  'c\n", "if a:\n    b\n  \"c", "if a:\n    b\n  é = 1\n",
+        "if a:\n    b @\n  c\n", "if a:\n    'b\n  c\n", "if a:\n    b\n  c\n@",
+        # a string ending in a backslash at the end of input
+        "s = 'a\\", '"\\', "s = 'a\\'", "s = 'a\\\\",
+        # a newline inside parentheses at a line start
+        "(\n)\n", "f(\n  x,\n)\n", "if a:\n    (\n  b)\n    c\n", "x = (\n1\n)\n  y\n", "f(\n\n  # c\n  a)\n",
+    ],
+)
+def test_tokenize_matches_the_reference_on_edge_cases(source):
+    assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
+
+
 def _parse_outcome(parse_tokens, tokens):
     try:
         module = parse_tokens(tokens)
