@@ -281,23 +281,25 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, t
 
 
-def gelu_vjp(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+def gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The derivative of `gelu_kernel` at `x`, from `x` and the tanh it kept,
+    0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2); the VJP is
+    ``g * slope``. The textbook VJP's ops in its order, so ``g * slope`` has
+    its bits; it overwrites `x` and `t`, and the slope takes `t`'s buffer."""
     c = float(np.sqrt(2.0 / np.pi))
-    du = x * x
-    du *= 3.0 * 0.044715
-    du += 1.0
-    du *= c
+    half_x = 0.5 * x
+    np.multiply(x, x, out=x)
+    x *= 3.0 * 0.044715
+    x += 1.0
+    x *= c
     s = t * t
     np.subtract(1.0, s, out=s)
-    r = 0.5 * x
-    s *= r
-    s *= du
-    np.add(1.0, t, out=r)
-    r *= 0.5
-    r += s
-    r *= g
-    return r
+    s *= half_x
+    s *= x
+    np.add(1.0, t, out=t)
+    t *= 0.5
+    t += s
+    return t
 
 
 def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):

@@ -8,7 +8,6 @@ products; clone probability is a sigmoid of the dot product scaled by
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -91,27 +90,6 @@ def encode_code_example(
 MAX_FORWARD_POSITIONS = 1024
 
 
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Stop glibc from handing freed heap back to the kernel between forwards.
-
-    Its default trim threshold trails twice the largest array freed so far,
-    and a packed forward frees a working set above that (about 9 MB at 1024
-    rows), so every forward page-faulted its buffers back in: 50k minor
-    faults to encode 256 search candidates, against 2k with one forward per
-    length. Fixed thresholds keep up to 64 MB of freed heap mapped and serve
-    arrays under 16 MB from it. A no-op without glibc's `mallopt`."""
-    import ctypes  # here, not at module level: only packed inference needs it
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-
-
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
     """Final-layer [CLS] rows of `examples`, from one padded forward that
     reads position 0 of each, so its last layer runs for that row only (kept
@@ -128,29 +106,47 @@ def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
     return ag.take_rows(final, range(0, MIN_READ_WIDTH * n, MIN_READ_WIDTH))
 
 
+def length_groups(examples) -> list[list[int]]:
+    """Indices of `examples` grouped by exact length: groups in the order
+    their length first appears, each group's indices in order."""
+    groups: dict[int, list[int]] = {}
+    for i, ex in enumerate(examples):
+        groups.setdefault(len(ex), []).append(i)
+    return list(groups.values())
+
+
+def block_inputs(blocks, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The flat ids and position ids and the per-block masks of a blocked
+    `forward`, from blocks of equal-length ``(ids, position_ids, allow)``
+    rows: every block an unpadded ``(B, L)`` batch."""
+    padded = [pad_batch(rows, dtype=dtype) for rows in blocks]
+    return (
+        np.concatenate([ids.reshape(-1) for ids, _, _ in padded]),
+        np.concatenate([positions.reshape(-1) for _, positions, _ in padded]),
+        [mask for _, _, mask in padded],
+    )
+
+
 def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, reads, masks=None) -> list:
     """``read(activations, b, i)`` for each example ``i``, in order, where
     example ``i`` is row ``b`` of the block of an inference forward that
     gave `activations`: the block's own activations (``Activations.blocks``).
 
-    Examples are grouped by exact length, and consecutive groups are packed
-    into forwards of at most `MAX_FORWARD_POSITIONS` real rows, each group a
-    block of its own (a group that does not fit is split), so nothing is
-    padded and every row equals the one a single-example forward gives, bit
-    for bit. `masks`, one allow-matrix per example, replaces
-    `build_attention_mask`. `reads`, one position list per example, goes to
-    `forward`: ``activations.final`` holds the read rows of each sequence,
-    ``W`` per sequence (see `model.read_layout`), and the last layer's maps
-    those query rows. A forward's activations are freed before the next one
-    runs: `read` copies what it keeps."""
-    _keep_freed_heap()
+    Examples are grouped by exact length (`length_groups`), and consecutive
+    groups are packed into forwards of at most `MAX_FORWARD_POSITIONS` real
+    rows, each group a block of its own (a group that does not fit is split),
+    so nothing is padded and every row equals the one a single-example
+    forward gives, bit for bit. `masks`, one allow-matrix per example,
+    replaces `build_attention_mask`. `reads`, one position list per example,
+    goes to `forward`: ``activations.final`` holds the read rows of each
+    sequence, ``W`` per sequence (see `model.read_layout`), and the last
+    layer's maps those query rows. A forward's activations are freed before
+    the next one runs: `read` copies what it keeps."""
     out = [None] * len(examples)
-    by_length: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        by_length.setdefault(len(ex), []).append(i)
     packed: list[list[list[int]]] = []  # forwards, each a list of blocks of equal-length examples
     room = 0  # rows the last forward has left
-    for length, members in by_length.items():
+    for members in length_groups(examples):
+        length = len(examples[members[0]])
         while members:
             if room < length:
                 packed.append([])
@@ -159,17 +155,15 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
             packed[-1].append(block)
             room -= len(block) * length
     dtype = params.tensors["tok_emb"].data.dtype
+
+    def row(i: int):
+        allow = build_attention_mask(examples[i]) if masks is None else masks[i]
+        return examples[i].ids, examples[i].position_ids, allow
+
     for blocks in packed:
-        ids, positions, block_masks = [], [], []
-        for block in blocks:
-            allows = [build_attention_mask(examples[i]) if masks is None else masks[i] for i in block]
-            rows = [(examples[i].ids, examples[i].position_ids, allow) for i, allow in zip(block, allows)]
-            block_ids, block_positions, mask = pad_batch(rows, dtype=dtype)
-            ids.append(block_ids.reshape(-1))
-            positions.append(block_positions.reshape(-1))
-            block_masks.append(mask)
+        ids, positions, block_masks = block_inputs([[row(i) for i in block] for block in blocks], dtype)
         block_reads = [reads[i] for block in blocks for i in block]
-        acts = forward(params, np.concatenate(ids), np.concatenate(positions), block_masks, reads=block_reads)
+        acts = forward(params, ids, positions, block_masks, reads=block_reads)
         for g, block in enumerate(blocks):
             for b, i in enumerate(block):
                 out[i] = read(acts.blocks[g], b, i)

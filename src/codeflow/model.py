@@ -7,6 +7,7 @@ of token and position embeddings, with no extra norm before layer 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -154,8 +155,22 @@ def row_spans(sizes) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
+def _gather(a: np.ndarray, rows) -> np.ndarray:
+    """The `rows` of `a`; `a` itself when `rows` is None."""
+    return a if rows is None else a[rows]
+
+
+def _spread(a: np.ndarray, rows, size: int) -> np.ndarray:
+    """`a` as the `rows` of `size` rows of zeros; `a` itself when `rows` is None."""
+    if rows is None:
+        return a
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    out[rows] = a
+    return out
+
+
 def encoder_layer(
-    h: Tensor, params: ModelParams, n: int, masks: list[np.ndarray], rows: np.ndarray, keep: list | None = None
+    h: Tensor, params: ModelParams, n: int, masks: list[np.ndarray], rows, keep: list | None = None
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
     one node over flat states; also returns each block's ``B x H x L x L``
@@ -164,8 +179,11 @@ def encoder_layer(
     within them holding position ``pos`` of its sequence ``b``. Position-wise
     ops run once over the real `rows` of every block, attention per block on
     the padded layout of its mask with pad rows of Q, K, V at 0; pad rows of
-    the output, and of `h`'s gradient, are 0. The forward runs the composed
-    graph's ops in order (same bits); the VJP is written out.
+    the output, and of `h`'s gradient, are 0. `rows` None means every row is
+    real: no row is gathered or scattered, and the bits are those of passing
+    every row. The forward runs the composed graph's ops in order (same
+    bits); the VJP is written out. A layer that records a graph keeps the
+    GELU slope (`autograd.gelu_slope`) for its VJP, not the FFN input.
 
     `keep`, one ``(B, W)`` array of positions per block, runs the layer for
     those query positions of each sequence only: K and V still come from
@@ -180,17 +198,18 @@ def encoder_layer(
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
-    x = h.data[rows]
+    parents = (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2)
+    total = h.shape[0]
+    x = _gather(h.data, rows)
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
     wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
     shapes = [m.shape[:2] for m in masks]
     spans = row_spans([batch * length for batch, length in shapes])  # of each block in `h`
-    qkv = np.zeros((h.shape[0], 3 * d), dtype=x.dtype)
     if keep is None:
         widths, asks, out_rows, query_masks = [length for _, length in shapes], rows, rows, masks
-        qkv[rows] = x @ wqkv
-        xq, q = x, qkv[:, :d]
+        qkv = _spread(x @ wqkv, rows, total)
+        xq, q, kv = x, qkv[:, :d], qkv[:, d:]
     else:
         widths = [k.shape[1] for k in keep]
         slots = np.concatenate(  # the kept rows of `h`
@@ -199,21 +218,24 @@ def encoder_layer(
                 for k, (batch, length), span in zip(keep, shapes, spans)
             ]
         )
-        real = np.zeros(h.shape[0], dtype=bool)
-        real[rows] = True
-        out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the output
-        asks = slots[out_rows]  # and in `h`
+        if rows is None:
+            out_rows, asks = None, slots
+        else:
+            real = np.zeros(total, dtype=bool)
+            real[rows] = True
+            out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the output
+            asks = slots[out_rows]  # and in `h`
         query_masks = [m[np.arange(batch)[:, None], k] for m, k, (batch, _) in zip(masks, keep, shapes)]
-        qkv[rows, d:] = x @ wqkv[:, d:]
-        xq, q = h.data[asks], np.zeros((len(slots), d), dtype=x.dtype)
-        q[out_rows] = xq @ wqkv[:, :d]
+        kv = _spread(x @ wqkv[:, d:], rows, total)
+        xq = h.data[asks]
+        q = _spread(xq @ wqkv[:, :d], out_rows, len(slots))
     out_spans = row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
     blocks = list(zip(shapes, widths, spans, out_spans))
 
     def attention_operands(block):
         """A block's Q (``B x H x W x d_k``), K and V (each ``B x H x L x d_k``)."""
         (batch, length), width, span, out_span = block
-        k, v = qkv[span].reshape(batch, length, 3, heads, d_k)[:, :, 1:].transpose(2, 0, 3, 1, 4)
+        k, v = kv[span].reshape(batch, length, 2, heads, d_k).transpose(2, 0, 3, 1, 4)
         return q[out_span].reshape(batch, width, heads, d_k).transpose(0, 2, 1, 3), k, v
 
     def by_head(a: np.ndarray, block) -> np.ndarray:
@@ -229,29 +251,28 @@ def encoder_layer(
         scores += query_mask[:, None].astype(x.dtype, copy=False)
         probs.append(ag.softmax_kernel(scores))
         np.matmul(scores, v, out=by_head(ctx, block))
-    merged = ctx[out_rows]
+    merged = _gather(ctx, out_rows)
     s1 = merged @ wo.data
     s1 += xq
     g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
     u = g @ w1.data
     u += b1.data
     act, tanh = ag.gelu_kernel(u)
+    slope = ag.gelu_slope(u, tanh) if any(p.requires_grad for p in parents) else None
     s2 = act @ w2.data
     s2 += b2.data
     s2 += g
     y, ln2 = ag.layer_norm_kernel(s2, gain2.data, bias2.data)
-    out = np.zeros((len(ctx), d), dtype=x.dtype)
-    out[out_rows] = y
 
     def vjp(grad):
-        ds2, dgain2, dbias2 = ag.layer_norm_vjp(grad[out_rows], gain2.data, ln2)
-        du = ag.gelu_vjp(ds2 @ w2.data.T, u, tanh)
+        ds2, dgain2, dbias2 = ag.layer_norm_vjp(_gather(grad, out_rows), gain2.data, ln2)
+        du = ds2 @ w2.data.T
+        du *= slope
         dg = du @ w1.data.T
         dg += ds2
         ds1, dgain1, dbias1 = ag.layer_norm_vjp(dg, gain1.data, ln1)
-        dmerged = np.zeros((len(ctx), d), dtype=grad.dtype)
-        dmerged[out_rows] = ds1 @ wo.data.T
-        dqkv = np.empty((h.shape[0], 3 * d), dtype=grad.dtype)
+        dmerged = _spread(ds1 @ wo.data.T, out_rows, len(ctx))
+        dqkv = np.empty((total, 3 * d), dtype=grad.dtype)
         dq_kept = None if keep is None else np.empty((len(ctx), d), dtype=grad.dtype)
         for block, p in zip(blocks, probs):
             (batch, length), width, span, out_span = block
@@ -266,25 +287,23 @@ def encoder_layer(
             np.matmul(np.swapaxes(dscores, -1, -2), bq, out=dk)
             np.matmul(np.swapaxes(p, -1, -2), dctx, out=dv)
         if keep is not None:  # the kept rows' query gradients in the layout of `h`; a position kept twice sums both
-            dq_rows = np.zeros((h.shape[0], d), dtype=grad.dtype)
-            ag.scatter_add_rows(dq_rows, asks, dq_kept[out_rows])
+            dq_rows = np.zeros((total, d), dtype=grad.dtype)
+            ag.scatter_add_rows(dq_rows, asks, _gather(dq_kept, out_rows))
             dqkv[:, :d] = dq_rows
-        dqkv = dqkv[rows]
+        dqkv = _gather(dqkv, rows)
         dwqkv = x.T @ dqkv
         dx = dqkv @ wqkv.T
-        dh = np.zeros_like(h.data)
         if keep is None:
             dx += ds1
-            dh[rows] = dx
-        else:
-            dh[rows] = dx
+        dh = _spread(dx, rows, total)
+        if keep is not None:
             ag.scatter_add_rows(dh, asks, ds1)
         dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
         dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
         dlayer = (merged.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
         return (dh, *dper_head, *dlayer)
 
-    return ag._make(out, (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2), vjp), probs
+    return ag._make(_spread(y, out_rows, len(ctx)), parents, vjp), probs
 
 
 # Fewest rows a read keeps per sequence. One would do for [CLS] alone, but a
@@ -310,13 +329,40 @@ def read_layout(reads, lengths) -> np.ndarray:
     return keep
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed heap back to the kernel between forwards.
+
+    Its default trim threshold trails twice the largest array freed so far,
+    and a forward frees a working set above that when it ends (about 9 MB for
+    a packed inference forward of 1024 rows), so the next one page-faulted
+    its buffers back in: 50k minor faults to encode 256 search candidates
+    against 2k with one forward per length, and 440-610 per pre-training
+    step at the benchmark config against about 0. Fixed thresholds keep up
+    to 64 MB of freed heap mapped and serve arrays under 16 MB from it. A
+    no-op without glibc's `mallopt`; `forward` calls it, so it takes effect
+    at the first forward of the process."""
+    import ctypes  # here, not at module level: only a forward needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+
+
 def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None, reads=None) -> Activations:
     """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), a
     padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) or several
     blocks in a single pass. A single example is the ``B = 1`` case; see
     `Activations` for shapes. `lengths` holds each row's real length
     (``None``: all of it): layers skip the pad rows, which are 0 in every
-    hidden state after the embeddings.
+    hidden state after the embeddings. With no pad row the layers get
+    ``rows=None`` and gather and scatter nothing (see `encoder_layer`).
+    The first forward keeps freed heap mapped for the rest of the process
+    (`_keep_freed_heap`).
 
     Several blocks, each a ``(B_g, L_g)`` batch of its own: `additive_mask`
     is a list of their ``(B_g, L_g, L_g)`` masks, `ids` and `position_ids`
@@ -370,12 +416,14 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None,
         if lengths[g].shape != (batch,) or not np.all((lengths[g] >= 1) & (lengths[g] <= length)):
             raise ShapeMismatch(f"lengths {lengths[g].tolist()} do not fit {batch} rows of length {length}")
     spans = row_spans([batch * length for batch, length in shapes])
-    rows = np.concatenate(
-        [
-            span.start + np.flatnonzero(np.arange(length) < n[:, None])
-            for span, (_, length), n in zip(spans, shapes, lengths)
-        ]
-    )
+    rows = None  # every row is real
+    if any(np.any(n < length) for (_, length), n in zip(shapes, lengths)):
+        rows = np.concatenate(
+            [
+                span.start + np.flatnonzero(np.arange(length) < n[:, None])
+                for span, (_, length), n in zip(spans, shapes, lengths)
+            ]
+        )
     keep = None
     if reads is not None:
         sequences = row_spans([batch for batch, _ in shapes])  # of each block in `reads`
@@ -393,6 +441,7 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None,
             for k, (batch, length) in zip(keep, shapes)
         ]
 
+    _keep_freed_heap()
     tok, pos = params.tensors["tok_emb"], params.tensors["pos_emb"]
     h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
     hidden, maps = [h], []

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .downstream import grouped_forwards
+from .downstream import block_inputs, grouped_forwards, length_groups
 from .encoding import (
     MASK,
     RESERVED,
@@ -34,7 +34,6 @@ from .encoding import (
     build_attention_mask,
     build_vocab,
     encode_example,
-    pad_batch,
 )
 from .model import (
     Activations,
@@ -99,11 +98,13 @@ def str_fields(obj, names: tuple[str, ...]) -> list[str]:
 
 def read_jsonl(path, row, empty: str) -> list:
     """`row(obj)` for the object parsed from each non-blank line of the JSONL
-    file at `path`. A line that is not JSON, or on which `row` raises KeyError,
+    file at `path`. Lines end at ``\n`` only: a raw U+2028, U+2029 or U+0085
+    is legal inside a JSON string, and a ``\r`` before the ``\n`` is JSON
+    whitespace. A line that is not JSON, or on which `row` raises KeyError,
     TypeError or ValueError, raises CorpusFormatError naming the line; a file
     with no rows raises EmptyCorpus(`empty`)."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -360,7 +361,7 @@ def pair_loss(activations: Activations, targets: StructureTargets) -> Tensor:
 
 
 def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Tensor, dict[str, float]]:
-    """Pre-training loss of a batch from one padded forward.
+    """Pre-training loss of a batch from one forward over unpadded blocks.
 
     `prepared` holds ``(example or its SamplingArrays, mlm targets, structure
     targets or None)`` per example. The loss is the mean over examples of
@@ -369,29 +370,36 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     each row is weighted by one over (examples counted) x (that example's
     rows). Returns the loss and its parts by objective name.
 
-    The forward `reads` only the rows the losses score, each example's
-    masked positions and candidate endpoints, so its last layer runs for
-    those rows alone (at least two per example, the gemm rule of
-    `model.MIN_READ_WIDTH`). They equal the full layer's bit for bit, and so do
-    the loss and its parts; only the last layer's weight gradients sum over
-    fewer rows.
+    The examples are grouped by exact length (`downstream.length_groups`),
+    and each group is a block of the forward: an unpadded ``(B_g, L_g)``
+    batch with its own masks, so no [PAD] row is computed. The forward
+    `reads` only the rows the losses score, each example's masked positions
+    and candidate endpoints, so its last layer runs for those rows alone, at
+    the read width ``W_g`` of the example's block (`model.read_layout`, two
+    rows or more). Each read row equals the one a forward of its example
+    alone gives, bit for bit; the losses sum their terms in example order.
     """
     dtype = params.tensors["tok_emb"].data.dtype
     arrays = [sampling_arrays(ex) for ex, _, _ in prepared]
-    ids, positions, mask = pad_batch(
-        [
-            (mlm_t.masked_ids, a.example.position_ids, a.allow if tset is None else tset.mask)
-            for a, (_, mlm_t, tset) in zip(arrays, prepared)
-        ],
-        dtype=dtype,
-    )
     reads = [
         sorted({*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))})
         for _, mlm_t, tset in prepared
     ]
-    final = forward(params, ids, positions, mask, [len(ex) for ex, _, _ in prepared], reads=reads).final
-    width = final.shape[0] // len(prepared)
-    row_of = [{p: b * width + j for j, p in enumerate(kept)} for b, kept in enumerate(reads)]
+
+    def row(i: int):
+        _, mlm_t, tset = prepared[i]
+        return mlm_t.masked_ids, arrays[i].example.position_ids, arrays[i].allow if tset is None else tset.mask
+
+    groups = length_groups(arrays)
+    ids, positions, masks = block_inputs([[row(i) for i in group] for group in groups], dtype)
+    final = forward(params, ids, positions, masks, reads=[reads[i] for group in groups for i in group]).final
+    row_of = [None] * len(prepared)  # per example, position -> row of `final`
+    start = 0
+    for group in groups:
+        width = read_layout([reads[i] for i in group], [len(arrays[i]) for i in group]).shape[1]
+        for b, i in enumerate(group):
+            row_of[i] = {p: start + b * width + j for j, p in enumerate(reads[i])}
+        start += len(group) * width
 
     rows, originals, weights = [], [], []
     for b, (_, mlm_t, _) in enumerate(prepared):

@@ -821,7 +821,7 @@ def softmax(a, axis: int = -1):
 def gelu(a):
     a = ag.as_tensor(a)
     out, t = ag.gelu_kernel(a.data)
-    return ag._make(out, (a,), lambda g: (ag.gelu_vjp(g, a.data, t),))
+    return ag._make(out, (a,), lambda g: (g * ag.gelu_slope(a.data.copy(), t.copy()),))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5):
@@ -888,14 +888,22 @@ def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_
     return acts
 
 
-def composed_reads(params, ids, position_ids, additive_mask, lengths, reads, layer_norm=layer_norm):
-    """`composed_forward` with `final` gathered to the rows of `reads` in
-    `model.read_layout`'s order: the stand-in of ``forward(..., reads=...)``."""
-    acts = composed_forward(params, ids, position_ids, additive_mask, layer_norm)
-    keep = read_layout(reads, lengths)
-    length = np.shape(ids)[-1]
-    acts.hidden[-1] = ag.take_rows(acts.final, (keep + np.arange(len(keep))[:, None] * length).reshape(-1))
-    return acts
+def composed_reads(params, ids, position_ids, masks, lengths=None, reads=None, layer_norm=layer_norm):
+    """The stand-in of a blocked ``forward(..., reads=...)``: `composed_forward`
+    of each unpadded block of `masks` alone, `final` gathered to the rows of
+    `reads` in `model.read_layout`'s order, block after block."""
+    assert lengths is None and reads is not None
+    finals, start, sequences = [], 0, 0
+    for mask in masks:
+        batch, length = mask.shape[:2]
+        rows = slice(start, start + batch * length)
+        acts = composed_forward(
+            params, np.reshape(ids[rows], (batch, length)), np.reshape(position_ids[rows], (batch, length)), mask, layer_norm
+        )
+        keep = read_layout(reads[sequences : sequences + batch], [length] * batch)
+        finals.append(ag.take_rows(acts.final, (keep + np.arange(batch)[:, None] * length).reshape(-1)))
+        start, sequences = rows.stop, sequences + batch
+    return Activations(hidden=[concat(finals, axis=0)])
 
 
 def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import codeflow
+import codeflow.cli as cli
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import Vocabulary, additive_mask, build_attention_mask, build_vocab
 from codeflow.model import ModelConfig, forward, init_params, param_shapes
-from codeflow.pretrain import encode_corpus
+from codeflow.pretrain import encode_corpus, load_corpus
 from helpers import clone_corpus, overfit_corpus, search_pairs
 
 SMALL_MODEL = [
@@ -368,6 +369,30 @@ class TestPretrainCommand:
         assert lines[0] == "step,objective,loss"
         assert len(lines) == 1 + 8  # mlm + structure rows for 4 steps
 
+    def test_raw_line_separators_inside_strings(self, tmp_path, capsys, monkeypatch):
+        # U+2028, U+2029 and U+0085 are legal unescaped in a JSON string, and
+        # `ensure_ascii=False` writes them so; a row ends at "\n" (after an
+        # optional "\r") only
+        odd = "\u2028\u2029\x85"
+        rows = [
+            {"code": f's = "x{odd}y"\nt = s\n', "docstring": f"keep{odd}these values", "lang": "python"},
+            {"code": "a = 1\nb = a\n", "docstring": f"copy{odd}", "lang": "python"},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\r\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n", encoding="utf-8")
+        assert odd in corpus.read_text(encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(cli, "load_corpus", lambda path: seen.extend(load_corpus(path)) or seen)
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "pretrain", "--corpus", str(corpus), "--out", str(out), "--steps", "2", "--batch-size", "2",
+            *SMALL_MODEL,
+        )
+        assert code == 0, err
+        assert [(it.code, it.docstring, it.lang) for it in seen] == [(r["code"], r["docstring"], r["lang"]) for r in rows]
+        vocab = Vocabulary.deserialize((out / "vocab.txt").read_text(encoding="utf-8"))
+        assert f'"x{odd}y"' in vocab.token_to_id
+
     def test_zero_steps_checkpoint_equals_fresh_init(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, overfit_corpus(4))
         out = tmp_path / "run"
@@ -574,6 +599,20 @@ class TestCloneCommands:
         assert code == 0
         metrics = json.loads(stdout)
         assert set(metrics) == {"precision", "recall", "f1"}
+
+    def test_raw_line_separators_inside_strings(self, tmp_path, capsys, monkeypatch):
+        odd = "\u2028\u2029\x85"
+        pairs = [(f'a = "{odd}"\n', f'b = "{odd}"\n', 1), ("a = 1\n", f'b = "x{odd}"\n', 0)]
+        corpus = tmp_path / "clones.jsonl"
+        rows = [json.dumps({"code_a": a, "code_b": b, "label": y}, ensure_ascii=False) for a, b, y in pairs]
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert odd in corpus.read_text(encoding="utf-8")
+        seen, score = [], cli.clone_probabilities
+        monkeypatch.setattr(cli, "clone_probabilities", lambda snippets, *a: seen.extend(snippets) or score(snippets, *a))
+        code, stdout, err = run(capsys, "eval-clone", "--corpus", str(corpus), "--out", str(tmp_path / "o"), *SMALL_MODEL)
+        assert code == 0, err
+        assert set(json.loads(stdout)) == {"precision", "recall", "f1"}
+        assert seen == [(a, b) for a, b, _ in pairs]
 
     def test_non_string_snippet_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "clones.jsonl"

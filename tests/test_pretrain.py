@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import codeflow.downstream as downstream
 from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     MASK,
+    PAD,
     EmptyCorpus,
     Limits,
     SequenceTooLong,
@@ -591,12 +593,17 @@ class TestBatchLoss:
         for ex in edgeful_examples(count=6, seed=37):
             mlm_t = select_mlm_targets(ex, rng, cfg.vocab_size)
             prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
-        assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
+        assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
 
-        def full_forward(p, ids, positions, mask, lengths, reads):
-            acts = forward(p, ids, positions, mask, lengths)
-            slots = read_layout(reads, lengths) + np.arange(len(reads))[:, None] * np.shape(ids)[1]
-            acts.hidden[-1] = ag.take_rows(acts.final, slots.reshape(-1))
+        def full_forward(p, ids, positions, masks, lengths=None, reads=None):
+            acts = forward(p, ids, positions, masks, lengths)
+            slots, start, sequences = [], 0, 0
+            for mask in masks:
+                batch, length = mask.shape[:2]
+                keep = read_layout(reads[sequences : sequences + batch], [length] * batch)
+                slots.append((start + keep + np.arange(batch)[:, None] * length).reshape(-1))
+                start, sequences = start + batch * length, sequences + batch
+            acts.hidden[-1] = ag.take_rows(acts.final, np.concatenate(slots))
             return acts
 
         got, got_parts = batch_loss(params, prepared, structure)
@@ -605,6 +612,95 @@ class TestBatchLoss:
             want, want_parts = batch_loss(params, prepared, structure)
         assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
         assert {k: float.hex(v) for k, v in got_parts.items()} == {k: float.hex(v) for k, v in want_parts.items()}
+
+
+def first_seen_length_order(examples) -> list[int]:
+    """Indices of `examples` by length, lengths in the order they first appear."""
+    lengths = [len(ex) for ex in examples]
+    return [i for length in dict.fromkeys(lengths) for i, n in enumerate(lengths) if n == length]
+
+
+class TestBlockedBatchForward:
+    """`batch_loss`'s one forward over unpadded exact-length blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("structure", ["edgepred", "nodealign", None])
+    @pytest.mark.parametrize("several", [False, True], ids=["one-length", "several-lengths"])
+    def test_read_rows_equal_single_example_forwards(self, monkeypatch, dtype, structure, several):
+        import codeflow.pretrain as pretrain
+
+        cfg = tiny_config(num_layers=2)
+        params = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(47)
+        examples = edgeful_examples(count=6, seed=53)
+        if not several:  # one example four times, each copy with targets of its own
+            examples = [examples[0]] * 4
+        prepared = []
+        for ex in examples:
+            mlm_t = select_mlm_targets(ex, rng, cfg.vocab_size)
+            prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
+        assert (len({len(ex) for ex in examples}) > 1) == several
+        seen = []
+        real = pretrain.forward
+
+        def spy(p, ids, positions, masks, lengths=None, reads=None):
+            acts = real(p, ids, positions, masks, lengths, reads=reads)
+            seen.append((masks, reads, acts.final.data))
+            return acts
+
+        monkeypatch.setattr(pretrain, "forward", spy)
+        batch_loss(params, prepared, structure)
+        [(masks, reads, final)] = seen
+        order = first_seen_length_order(examples)
+        assert len(masks) == len({len(ex) for ex in examples})
+        start, k = 0, 0
+        for mask in masks:
+            batch, length = mask.shape[:2]
+            width = read_layout(reads[k : k + batch], [length] * batch).shape[1]
+            for b in range(batch):
+                ex, mlm_t, tset = prepared[order[k + b]]
+                want_reads = sorted({*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)})
+                assert reads[k + b] == want_reads
+                allow = build_attention_mask(ex) if tset is None else tset.mask
+                alone = forward(
+                    params, mlm_t.masked_ids, ex.position_ids, additive_mask(allow, dtype=dtype), reads=[want_reads]
+                ).final.data[: len(want_reads)]
+                got = final[start + b * width : start + b * width + len(want_reads)]
+                assert got.dtype == dtype and got.tobytes() == alone.tobytes()
+            start, k = start + batch * width, k + batch
+        assert (start, k) == (len(final), len(prepared))
+
+    def test_blocks_are_the_batch_in_first_seen_length_order(self, monkeypatch):
+        import codeflow.pretrain as pretrain
+
+        calls, batches = [], []
+        real_forward, real_loss = pretrain.forward, pretrain.batch_loss
+
+        def spy_forward(params, ids, positions, masks, lengths=None, reads=None):
+            calls.append((np.asarray(ids), np.asarray(positions), masks, lengths))
+            return real_forward(params, ids, positions, masks, lengths, reads=reads)
+
+        def spy_loss(params, prepared, structure):
+            batches.append(prepared)
+            return real_loss(params, prepared, structure)
+
+        monkeypatch.setattr(pretrain, "forward", spy_forward)
+        monkeypatch.setattr(pretrain, "batch_loss", spy_loss)
+        pretrain_run(overfit_corpus(12), tiny_config(num_layers=2), steps=6, rng=4, batch_size=6)
+        assert len(calls) == len(batches) == 6  # one forward per step
+        assert any(len(masks) > 1 for _, _, masks, _ in calls)
+        for (ids, positions, masks, lengths), prepared in zip(calls, batches):
+            assert lengths is None and ids.ndim == 1 and not np.any(ids == PAD)
+            order = first_seen_length_order([ex for ex, _, _ in prepared])
+            assert [mask.shape[0] for mask in masks] == list(Counter(len(ex) for ex, _, _ in prepared).values())
+            start, k = 0, 0
+            for mask in masks:  # each block is an unpadded batch of one length
+                batch, length = mask.shape[:2]
+                assert all(len(prepared[i][0]) == length for i in order[k : k + batch])
+                start, k = start + batch * length, k + batch
+            assert start == len(ids)
+            assert ids.tolist() == [t for i in order for t in prepared[i][1].masked_ids]
+            assert positions.tolist() == [p for i in order for p in prepared[i][0].example.position_ids]
 
 
 class TestLanguageSampler:
@@ -712,17 +808,42 @@ class TestPretrainRun:
     def test_one_forward_per_step(self, monkeypatch):
         import codeflow.pretrain as pretrain
 
-        shapes = []
+        calls = []
         real = pretrain.forward
 
-        def counting(params, ids, *args, **kwargs):
-            shapes.append(np.shape(ids))
-            return real(params, ids, *args, **kwargs)
+        def counting(params, ids, positions, masks, *args, **kwargs):
+            calls.append((np.shape(ids), [mask.shape for mask in masks]))
+            return real(params, ids, positions, masks, *args, **kwargs)
 
         monkeypatch.setattr(pretrain, "forward", counting)
         pretrain_run(self.corpus(), tiny_config(), steps=3, rng=1, batch_size=4)
-        assert len(shapes) == 3
-        assert all(len(shape) == 2 and shape[0] == 4 for shape in shapes)
+        assert len(calls) == 3
+        for ids_shape, mask_shapes in calls:  # one forward holds all four examples
+            assert sum(batch for batch, _, _ in mask_shapes) == 4
+            assert ids_shape == (sum(batch * length for batch, length, _ in mask_shapes),)
+
+    def test_batches_follow_the_smoothed_language_sampler(self, monkeypatch):
+        # 900 python and 100 java items, told apart by their encoded length;
+        # alpha 0.7 smooths (0.9, 0.1) to q = (0.823, 0.177) over 2000 steps
+        import codeflow.pretrain as pretrain
+
+        corpus = items_from([("sum", "a = 1\n", "python")] * 900 + [("sum", "a = 1\nb = a\n", "java")] * 100)
+        batch_lengths = []
+
+        def stub_loss(params, prepared, structure):
+            batch_lengths.append({len(ex) for ex, _, _ in prepared})
+            return ag.mul(ag.tsum(params.tensors["mlm.b"]), 0.0), {"mlm": 0.0}
+
+        monkeypatch.setattr(pretrain, "batch_loss", stub_loss)
+        steps = 2000
+        pretrain_run(corpus, tiny_config(), Objectives(edge_pred=False, node_align=False), steps=steps, rng=11, batch_size=4)
+        assert len(batch_lengths) == steps
+        assert all(len(lengths) == 1 for lengths in batch_lengths)  # every batch from one language
+        java_length = max(length for lengths in batch_lengths for length in lengths)
+        java = sum(lengths == {java_length} for lengths in batch_lengths)
+        q = 0.1**0.7 / (0.9**0.7 + 0.1**0.7)
+        assert abs(q - 0.176818) < 1e-6
+        assert abs(java - steps * q) <= 5 * math.sqrt(steps * q * (1 - q))  # about 85 batches either side of 354
 
     def test_last_layer_runs_for_the_read_rows_only(self, monkeypatch):
         # the losses read each example's masked positions and candidate

@@ -376,6 +376,17 @@ class TestFusedKernels:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         assert all(g.shape == params.tensors[name].shape for name, g in grads.items())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_slope_times_g_equals_the_vjp(self, dtype):
+        # the layer keeps the slope from its forward; the VJP only multiplies
+        rng = np.random.default_rng(35)
+        for shape in KERNEL_SHAPES:
+            x = (3.0 * rng.normal(size=shape)).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+            _, t = ag.gelu_kernel(x)
+            slope = ag.gelu_slope(x.copy(), t)
+            assert slope.dtype == dtype and (slope * g).tobytes() == gelu_reference(x, g)[1].tobytes()
+
     def test_layer_norm_is_one_node(self):
         a, gain, bias = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 4), (4,), (4,)))
         out = layer_norm(a, gain, bias)
@@ -389,8 +400,8 @@ class TestFusedKernels:
         runs = []
         for norm in (layer_norm, composed_layer_norm):
 
-            def encoder(p, ids, positions, mask, lengths, reads, norm=norm):
-                return composed_reads(p, ids, positions, mask, lengths, reads, layer_norm=norm)
+            def encoder(p, ids, positions, masks, lengths=None, reads=None, norm=norm):
+                return composed_reads(p, ids, positions, masks, lengths, reads, layer_norm=norm)
 
             monkeypatch.setattr(pretrain, "forward", encoder)
             runs.append(pretrain_run(corpus, config, steps=6, rng=2, batch_size=4))
@@ -495,6 +506,34 @@ class TestFusedLayer:
             for g, w in zip(sum(got.attention, []), sum(want.attention, [])):
                 assert np.array_equal(g.data, w.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shrink", [False, True])
+    def test_dense_rows_equal_the_padded_row_path(self, dtype, shrink):
+        # blocks with no pad row: `rows=None` skips every gather and scatter
+        # of the real rows and must give the bytes of listing every row
+        cfg = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=32, max_positions=64, seed=3)
+        params = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(46)
+        for t in params.tensors.values():
+            t.data += rng.normal(scale=0.3, size=t.shape).astype(dtype)
+            t.requires_grad = True
+        masks, keep = [], []
+        for batch, length in ((3, 5), (1, 2), (2, 8)):
+            allow = rng.random((batch, length, length)) < 0.6
+            allow[:, np.arange(length), np.arange(length)] = True
+            masks.append(additive_mask(allow, dtype=dtype))
+            keep.append(np.sort(rng.integers(0, length, size=(batch, 2)), axis=1))
+        total = sum(m.shape[0] * m.shape[1] for m in masks)
+        h = Tensor(rng.normal(size=(total, cfg.hidden_dim)).astype(dtype), requires_grad=True)
+        runs = [encoder_layer(h, params, 0, masks, rows, keep if shrink else None) for rows in (None, np.arange(total))]
+        (dense, dense_probs), (padded, padded_probs) = runs
+        assert dense.data.dtype == dtype and dense.data.tobytes() == padded.data.tobytes()
+        for got, want in zip(dense_probs, padded_probs):
+            assert got.tobytes() == want.tobytes()
+        grad = rng.normal(size=dense.shape).astype(dtype)
+        for got, want in zip(dense._vjp(grad), padded._vjp(grad), strict=True):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_encoder_layer_against_finite_differences(self):
         layer_finite_difference_check(keep=None)
 
@@ -511,7 +550,7 @@ class TestFusedLayer:
                 (ex, pretrain.select_mlm_targets(ex, rng, len(vocab)), pretrain.structure_targets(ex, structure, rng))
                 for ex in (encoded_corpus[i] for i in picks)
             ]
-            assert len({len(ex) for ex, _, _ in prepared}) > 1  # some rows are padded
+            assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
             got_value, got = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             with monkeypatch.context() as m:
                 m.setattr(pretrain, "forward", composed_reads)
