@@ -14,7 +14,6 @@ from .encoding import (
     build_attention_mask,
     build_vocab,
     encode_example,
-    pad_batch,
 )
 from .model import Activations, ModelConfig, ModelParams, compute_gradients, forward, init_params
 
@@ -30,7 +29,6 @@ __all__ = [
     "build_attention_mask",
     "build_vocab",
     "encode_example",
-    "pad_batch",
     "Activations",
     "ModelConfig",
     "ModelParams",

@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     except BadFlags as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    except MemoryError as e:  # legal flags can still ask for more memory than the machine has
+        sys.stderr.write(f"error: out of memory: {e}; lower --batch-size\n")
+        return 1
     except DATA_ERRORS as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2

@@ -19,10 +19,10 @@ from .encoding import (
     EncodedExample,
     Limits,
     Vocabulary,
+    additive_mask,
     build_attention_mask,
     comment_tokens,
     encode_example,
-    pad_batch,
 )
 from .frontend import FrontendError, parse_source
 from .model import MIN_READ_WIDTH, Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
@@ -91,19 +91,20 @@ MAX_FORWARD_POSITIONS = 1024
 
 
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
-    """Final-layer [CLS] rows of `examples`, from one padded forward that
-    reads position 0 of each, so its last layer runs for that row only (kept
-    twice, see `model.MIN_READ_WIDTH`); the repeat gets a zero gradient.
-
-    Examples of equal length pad nothing, so each row is the unbatched
-    encoding of its example."""
-    ids, positions, mask = pad_batch(
-        [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples],
-        dtype=params.tensors["tok_emb"].data.dtype,
+    """Final-layer [CLS] rows of `examples`, in order, from one forward whose
+    blocks are their exact-length groups (`length_groups`), unpadded, as
+    `pretrain.batch_loss` runs. It reads position 0 of each sequence, so the
+    last layer runs for that row only (kept twice, see
+    `model.MIN_READ_WIDTH`); the repeat gets a zero gradient. Each row is the
+    one a forward of its example alone gives, bit for bit."""
+    groups = length_groups(examples)
+    ids, positions, masks = block_inputs(
+        [[(examples[i].ids, examples[i].position_ids, build_attention_mask(examples[i])) for i in g] for g in groups],
+        params.tensors["tok_emb"].data.dtype,
     )
-    n = len(examples)
-    final = forward(params, ids, positions, mask, [len(ex) for ex in examples], reads=[[0]] * n).final
-    return ag.take_rows(final, range(0, MIN_READ_WIDTH * n, MIN_READ_WIDTH))
+    final = forward(params, ids, positions, masks, reads=[[0]] * len(examples)).final
+    slots = np.argsort([i for group in groups for i in group])  # each example's sequence in the forward
+    return ag.take_rows(final, MIN_READ_WIDTH * slots)
 
 
 def length_groups(examples) -> list[list[int]]:
@@ -118,12 +119,13 @@ def length_groups(examples) -> list[list[int]]:
 def block_inputs(blocks, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The flat ids and position ids and the per-block masks of a blocked
     `forward`, from blocks of equal-length ``(ids, position_ids, allow)``
-    rows: every block an unpadded ``(B, L)`` batch."""
-    padded = [pad_batch(rows, dtype=dtype) for rows in blocks]
+    rows: every block an unpadded ``(B, L)`` batch, whose allow-matrices are
+    stacked and converted to one additive mask."""
+    rows = [row for block in blocks for row in block]
     return (
-        np.concatenate([ids.reshape(-1) for ids, _, _ in padded]),
-        np.concatenate([positions.reshape(-1) for _, positions, _ in padded]),
-        [mask for _, _, mask in padded],
+        np.concatenate([ids for ids, _, _ in rows]),
+        np.concatenate([positions for _, positions, _ in rows]),
+        [additive_mask(np.stack([allow for _, _, allow in block]), dtype=dtype) for block in blocks],
     )
 
 

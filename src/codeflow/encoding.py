@@ -302,28 +302,5 @@ def additive_mask(allow: np.ndarray, dtype=np.float32) -> np.ndarray:
     return out
 
 
-def pad_batch(rows, dtype=np.float32) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad ``(ids, position_ids, allow)`` rows to the longest one.
-
-    Returns ``(B, L)`` ids and position ids and the ``(B, L, L)`` additive
-    mask. Padding takes the [PAD] id and position 0; a pad position is
-    blocked as a key everywhere and attends only to itself, so real
-    positions compute exactly what they would unpadded.
-    """
-    if not rows:
-        raise ValueError("cannot pad an empty batch")
-    width = max(len(ids) for ids, _, _ in rows)
-    ids = np.full((len(rows), width), PAD, dtype=np.intp)
-    positions = np.zeros((len(rows), width), dtype=np.intp)
-    allow = np.zeros((len(rows), width, width), dtype=bool)
-    allow[:, np.arange(width), np.arange(width)] = True
-    for b, (tokens, pos, mask) in enumerate(rows):
-        n = len(tokens)
-        ids[b, :n] = tokens
-        positions[b, :n] = pos
-        allow[b, :n, :n] = mask
-    return ids, positions, additive_mask(allow, dtype=dtype)
-
-
 def mask_density(allow: np.ndarray) -> float:
     return float(allow.sum()) / float(allow.size)

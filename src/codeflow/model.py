@@ -75,10 +75,10 @@ class Activations:
     """Hidden states and attention weights of one forward.
 
     Hidden states are flat: row ``b * L + pos`` holds position ``pos`` of
-    sequence ``b``, so a single example gives ``|X| x d_h`` and a padded
-    ``(B, L)`` batch gives ``B*L x d_h``. ``attention[layer][head]`` is
-    ``|X| x |X|`` for a single example and ``B x L x L`` for a batch; these
-    are read-only views, gradients flow through the hidden states only.
+    sequence ``b``, so a single example gives ``|X| x d_h`` and a ``(B, L)``
+    batch gives ``B*L x d_h``. ``attention[layer][head]`` is ``|X| x |X|``
+    for a single example and ``B x L x L`` for a batch; these are read-only
+    views, gradients flow through the hidden states only.
 
     A forward given `reads` keeps only what those rows need: `final` is the
     ``B*W x d_h`` read layout of `read_layout` (``W x d_h`` for a single
@@ -155,60 +155,41 @@ def row_spans(sizes) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
-def _gather(a: np.ndarray, rows) -> np.ndarray:
-    """The `rows` of `a`; `a` itself when `rows` is None."""
-    return a if rows is None else a[rows]
-
-
-def _spread(a: np.ndarray, rows, size: int) -> np.ndarray:
-    """`a` as the `rows` of `size` rows of zeros; `a` itself when `rows` is None."""
-    if rows is None:
-        return a
-    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
-    out[rows] = a
-    return out
-
-
 def encoder_layer(
-    h: Tensor, params: ModelParams, n: int, masks: list[np.ndarray], rows, keep: list | None = None
+    h: Tensor, params: ModelParams, n: int, masks: list[np.ndarray], keep: list | None = None
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Post-norm layer `n`, ``LN(FFN(g) + g)`` with ``g = LN(MHA(h) + h)``, as
     one node over flat states; also returns each block's ``B x H x L x L``
     attention. The states hold the blocks of `masks`, one ``(B, L, L)`` mask
     each, end to end: block ``g`` takes ``B*L`` rows, row ``b*L + pos``
     within them holding position ``pos`` of its sequence ``b``. Position-wise
-    ops run once over the real `rows` of every block, attention per block on
-    the padded layout of its mask with pad rows of Q, K, V at 0; pad rows of
-    the output, and of `h`'s gradient, are 0. `rows` None means every row is
-    real: no row is gathered or scattered, and the bits are those of passing
-    every row. The forward runs the composed graph's ops in order (same
-    bits); the VJP is written out. A layer that records a graph keeps the
-    GELU slope (`autograd.gelu_slope`) for its VJP, not the FFN input.
+    ops run once over the rows of every block, attention per block. The
+    forward runs the composed graph's ops in order (same bits); the VJP is
+    written out. A layer that records a graph keeps the GELU slope
+    (`autograd.gelu_slope`) for its VJP, not the FFN input.
 
     `keep`, one ``(B, W)`` array of positions per block, runs the layer for
     those query positions of each sequence only: K and V still come from
-    every real row, but queries, attention rows, `wo`, both norms and the FFN
-    run for the kept positions, so block ``g`` takes ``B*W`` output rows (row
+    every row, but queries, attention rows, `wo`, both norms and the FFN run
+    for the kept positions, so block ``g`` takes ``B*W`` output rows (row
     ``b*W + j`` holds position ``keep[g][b, j]``) and its attention is
-    ``B x H x W x L``. A position may be kept twice; one past its sequence's
-    length is a pad, with a zero query and output row. Kept rows equal the
-    full layer's bit for bit when every matmul that shrinks keeps two rows
-    or more (see `MIN_READ_WIDTH`)."""
+    ``B x H x W x L``. A position may be kept twice. Kept rows equal the full
+    layer's bit for bit when every matmul that shrinks keeps two rows or more
+    (see `MIN_READ_WIDTH`)."""
     cfg = params.config
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
     per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
     parents = (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2)
-    total = h.shape[0]
-    x = _gather(h.data, rows)
+    x = h.data
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
     wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
     shapes = [m.shape[:2] for m in masks]
     spans = row_spans([batch * length for batch, length in shapes])  # of each block in `h`
     if keep is None:
-        widths, asks, out_rows, query_masks = [length for _, length in shapes], rows, rows, masks
-        qkv = _spread(x @ wqkv, rows, total)
+        widths, slots, query_masks = [length for _, length in shapes], None, masks
+        qkv = x @ wqkv
         xq, q, kv = x, qkv[:, :d], qkv[:, d:]
     else:
         widths = [k.shape[1] for k in keep]
@@ -218,17 +199,10 @@ def encoder_layer(
                 for k, (batch, length), span in zip(keep, shapes, spans)
             ]
         )
-        if rows is None:
-            out_rows, asks = None, slots
-        else:
-            real = np.zeros(total, dtype=bool)
-            real[rows] = True
-            out_rows = np.flatnonzero(real[slots])  # the real ones among them, in the output
-            asks = slots[out_rows]  # and in `h`
         query_masks = [m[np.arange(batch)[:, None], k] for m, k, (batch, _) in zip(masks, keep, shapes)]
-        kv = _spread(x @ wqkv[:, d:], rows, total)
-        xq = h.data[asks]
-        q = _spread(xq @ wqkv[:, :d], out_rows, len(slots))
+        kv = x @ wqkv[:, d:]
+        xq = x[slots]
+        q = xq @ wqkv[:, :d]
     out_spans = row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
     blocks = list(zip(shapes, widths, spans, out_spans))
 
@@ -251,8 +225,7 @@ def encoder_layer(
         scores += query_mask[:, None].astype(x.dtype, copy=False)
         probs.append(ag.softmax_kernel(scores))
         np.matmul(scores, v, out=by_head(ctx, block))
-    merged = _gather(ctx, out_rows)
-    s1 = merged @ wo.data
+    s1 = ctx @ wo.data
     s1 += xq
     g, ln1 = ag.layer_norm_kernel(s1, gain1.data, bias1.data)
     u = g @ w1.data
@@ -265,19 +238,19 @@ def encoder_layer(
     y, ln2 = ag.layer_norm_kernel(s2, gain2.data, bias2.data)
 
     def vjp(grad):
-        ds2, dgain2, dbias2 = ag.layer_norm_vjp(_gather(grad, out_rows), gain2.data, ln2)
+        ds2, dgain2, dbias2 = ag.layer_norm_vjp(grad, gain2.data, ln2)
         du = ds2 @ w2.data.T
         du *= slope
         dg = du @ w1.data.T
         dg += ds2
         ds1, dgain1, dbias1 = ag.layer_norm_vjp(dg, gain1.data, ln1)
-        dmerged = _spread(ds1 @ wo.data.T, out_rows, len(ctx))
-        dqkv = np.empty((total, 3 * d), dtype=grad.dtype)
+        dctx_rows = ds1 @ wo.data.T
+        dqkv = np.empty((len(x), 3 * d), dtype=grad.dtype)
         dq_kept = None if keep is None else np.empty((len(ctx), d), dtype=grad.dtype)
         for block, p in zip(blocks, probs):
             (batch, length), width, span, out_span = block
             bq, k, v = attention_operands(block)
-            dctx = by_head(dmerged, block)
+            dctx = by_head(dctx_rows, block)
             dscores = ag.softmax_vjp(dctx @ np.swapaxes(v, -1, -2), p)
             dq, dk, dv = dqkv[span].reshape(batch, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)
             if keep is None:
@@ -287,23 +260,21 @@ def encoder_layer(
             np.matmul(np.swapaxes(dscores, -1, -2), bq, out=dk)
             np.matmul(np.swapaxes(p, -1, -2), dctx, out=dv)
         if keep is not None:  # the kept rows' query gradients in the layout of `h`; a position kept twice sums both
-            dq_rows = np.zeros((total, d), dtype=grad.dtype)
-            ag.scatter_add_rows(dq_rows, asks, _gather(dq_kept, out_rows))
+            dq_rows = np.zeros((len(x), d), dtype=grad.dtype)
+            ag.scatter_add_rows(dq_rows, slots, dq_kept)
             dqkv[:, :d] = dq_rows
-        dqkv = _gather(dqkv, rows)
         dwqkv = x.T @ dqkv
-        dx = dqkv @ wqkv.T
+        dh = dqkv @ wqkv.T
         if keep is None:
-            dx += ds1
-        dh = _spread(dx, rows, total)
-        if keep is not None:
-            ag.scatter_add_rows(dh, asks, ds1)
+            dh += ds1
+        else:
+            ag.scatter_add_rows(dh, slots, ds1)
         dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
         dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
-        dlayer = (merged.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
+        dlayer = (ctx.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
         return (dh, *dper_head, *dlayer)
 
-    return ag._make(_spread(y, out_rows, len(ctx)), parents, vjp), probs
+    return ag._make(y, parents, vjp), probs
 
 
 # Fewest rows a read keeps per sequence. One would do for [CLS] alone, but a
@@ -353,30 +324,26 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
 
 
-def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None, reads=None) -> Activations:
-    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), a
-    padded batch (``ids`` of shape ``(B, L)``, mask ``(B, L, L)``) or several
-    blocks in a single pass. A single example is the ``B = 1`` case; see
-    `Activations` for shapes. `lengths` holds each row's real length
-    (``None``: all of it): layers skip the pad rows, which are 0 in every
-    hidden state after the embeddings. With no pad row the layers get
-    ``rows=None`` and gather and scatter nothing (see `encoder_layer`).
-    The first forward keeps freed heap mapped for the rest of the process
-    (`_keep_freed_heap`).
+def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -> Activations:
+    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), one
+    batch of equal-length sequences (``ids`` of shape ``(B, L)``, mask
+    ``(B, L, L)``) or several such blocks in a single pass. A single example
+    is the ``B = 1`` case; see `Activations` for shapes. Every position is
+    real: nothing is padded. The first forward keeps freed heap mapped for
+    the rest of the process (`_keep_freed_heap`).
 
     Several blocks, each a ``(B_g, L_g)`` batch of its own: `additive_mask`
-    is a list of their ``(B_g, L_g, L_g)`` masks, `ids` and `position_ids`
-    are flat, every block's ``(B_g, L_g)`` array raveled and laid end to end,
-    and `lengths`, if given, holds one per-row length array (or ``None``) per
-    block. Position-wise work runs once over the real rows of every block,
-    attention block by block, so ``activations.blocks[g]`` equals the forward
-    of block ``g`` alone bit for bit while each shrunken matmul keeps two rows
-    or more (see `MIN_READ_WIDTH`).
+    is a list of their ``(B_g, L_g, L_g)`` masks, and `ids` and
+    `position_ids` are flat, every block's ``(B_g, L_g)`` array raveled and
+    laid end to end. Position-wise work runs once over the rows of every
+    block, attention block by block, so ``activations.blocks[g]`` equals the
+    forward of block ``g`` alone bit for bit while each shrunken matmul keeps
+    two rows or more (see `MIN_READ_WIDTH`).
 
     `reads`, one list of positions per sequence, asks for those rows of the
     final states only. The last layer then runs for the ``(B, W)`` positions
-    of `read_layout` (K and V still for every real row), its attention maps
-    hold those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
+    of `read_layout` (K and V still for every row), its attention maps hold
+    those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
     holding position ``reads[b][j]``, bit-identical to the full forward's
     because ``W`` is two or more (see `MIN_READ_WIDTH`). When ``W >= L``, or
     with no layers, the rows are gathered from the full states instead. The
@@ -392,44 +359,29 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None,
     single = ids.ndim == 1 and not blocked
     if blocked:
         masks = [np.asarray(m) for m in additive_mask]
-        lengths = [None] * len(masks) if lengths is None else list(lengths)
         if not masks or any(m.ndim != 3 or m.shape[1] != m.shape[2] for m in masks):
             raise ShapeMismatch("blocks need one (B, L, L) mask each")
-        if ids.ndim != 1 or ids.size != sum(m.shape[0] * m.shape[1] for m in masks) or len(lengths) != len(masks):
-            raise ShapeMismatch(
-                f"flat ids of shape {ids.shape} and {len(lengths)} lengths do not fit {len(masks)} blocks"
-            )
+        if ids.ndim != 1 or ids.size != sum(m.shape[0] * m.shape[1] for m in masks):
+            raise ShapeMismatch(f"flat ids of shape {ids.shape} do not fit {len(masks)} blocks")
     else:
         additive_mask = np.asarray(additive_mask)
         if ids.ndim not in (1, 2):
             raise ShapeMismatch(f"ids must be (L,) or (B, L), got shape {ids.shape}")
         if additive_mask.shape != ids.shape + ids.shape[-1:]:
             raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match ids shape {ids.shape}")
-        masks, lengths = [additive_mask[None] if single else additive_mask], [lengths]
+        masks = [additive_mask[None] if single else additive_mask]
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ShapeMismatch("token id out of vocabulary range")
     if position_ids.size and (position_ids.min() < 0 or position_ids.max() >= cfg.max_positions):
         raise ShapeMismatch("position id out of range")
     shapes = [m.shape[:2] for m in masks]
-    for g, ((batch, length), n) in enumerate(zip(shapes, lengths)):
-        lengths[g] = np.full(batch, length) if n is None else np.asarray(n)
-        if lengths[g].shape != (batch,) or not np.all((lengths[g] >= 1) & (lengths[g] <= length)):
-            raise ShapeMismatch(f"lengths {lengths[g].tolist()} do not fit {batch} rows of length {length}")
     spans = row_spans([batch * length for batch, length in shapes])
-    rows = None  # every row is real
-    if any(np.any(n < length) for (_, length), n in zip(shapes, lengths)):
-        rows = np.concatenate(
-            [
-                span.start + np.flatnonzero(np.arange(length) < n[:, None])
-                for span, (_, length), n in zip(spans, shapes, lengths)
-            ]
-        )
     keep = None
     if reads is not None:
         sequences = row_spans([batch for batch, _ in shapes])  # of each block in `reads`
         if len(reads) != sequences[-1].stop:
             raise ShapeMismatch(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
-        keep = [read_layout(reads[seqs], n) for seqs, n in zip(sequences, lengths)]
+        keep = [read_layout(reads[seqs], [length] * batch) for seqs, (batch, length) in zip(sequences, shapes)]
     # The last layer shrinks if some block keeps fewer positions than its
     # length. A block that keeps as many runs the full layer and its rows are
     # gathered below: through the kept-row layer, a one-row sequence read at
@@ -446,7 +398,7 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, lengths=None,
     h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
     hidden, maps = [h], []
     for n in range(cfg.num_layers):
-        h, probs = encoder_layer(h, params, n, masks, rows, last if n == cfg.num_layers - 1 else None)
+        h, probs = encoder_layer(h, params, n, masks, last if n == cfg.num_layers - 1 else None)
         hidden.append(h)
         maps.append(probs)
     # Each block's rows per sequence in the last states, and where they lie.

@@ -888,11 +888,10 @@ def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_
     return acts
 
 
-def composed_reads(params, ids, position_ids, masks, lengths=None, reads=None, layer_norm=layer_norm):
+def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_norm):
     """The stand-in of a blocked ``forward(..., reads=...)``: `composed_forward`
-    of each unpadded block of `masks` alone, `final` gathered to the rows of
-    `reads` in `model.read_layout`'s order, block after block."""
-    assert lengths is None and reads is not None
+    of each block of `masks` alone, `final` gathered to the rows of `reads` in
+    `model.read_layout`'s order, block after block."""
     finals, start, sequences = [], 0, 0
     for mask in masks:
         batch, length = mask.shape[:2]

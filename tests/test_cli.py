@@ -436,6 +436,25 @@ class TestPretrainCommand:
         assert code == 3
         assert "divergence" in err
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune-search"])
+    def test_out_of_memory_writes_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # a legal --batch-size can still ask for more memory than the machine has
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.64 GiB for an array with shape (1024, 4, 328, 328)")
+
+        monkeypatch.setattr(codeflow.pretrain, "forward", exhausted)
+        monkeypatch.setattr(downstream, "forward", exhausted)
+        if command == "pretrain":
+            corpus, length = write_corpus(tmp_path, overfit_corpus(4)), ["--steps", "1"]
+        else:
+            corpus, length = write_search_corpus(tmp_path), ["--epochs", "1"]
+        code, stdout, err = run(
+            capsys, command, "--corpus", str(corpus), "--out", str(tmp_path / "o"), *length, "--batch-size", "2", *SMALL_MODEL
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 1.64 GiB for an array with shape (1024, 4, 328, 328); lower --batch-size\n"
+        assert "Traceback" not in err
+
     def test_divergence_writes_one_line_from_a_fresh_process(self, tmp_path):
         # numpy's overflow warnings would print to stderr ahead of the report;
         # pytest captures warnings in-process, so only a subprocess sees them
@@ -778,6 +797,41 @@ class TestPinnedInference:
         assert outputs == [
             {"mrr": self.SEARCH_MRR}, {"mrr": self.SEARCH_MRR_NO_DATAFLOW}, self.CLONE, self.SPLIT,
         ]
+
+
+class TestPinnedTraining:
+    """The loss log of a short seeded `pretrain` run at one BLAS thread, as
+    `float.hex`, so a change to the training path that claims to keep its
+    bits must reproduce it. With two threads the weight-gradient sums of
+    OpenBLAS can split differently, so the run pins one."""
+
+    LOSSES = [
+        (0, "mlm", "0x1.8f749a0000000p+2"),
+        (0, "edgepred", "0x1.326af20000000p+2"),
+        (1, "mlm", "0x1.8fbd660000000p+2"),
+        (1, "nodealign", "0x1.d9ab980000000p-1"),
+        (2, "mlm", "0x1.8e451c0000000p+2"),
+        (2, "edgepred", "0x1.3e533c0000000p+2"),
+        (3, "mlm", "0x1.8cd83c0000000p+2"),
+        (3, "nodealign", "0x1.099bb40000000p+0"),
+        (4, "mlm", "0x1.8d229c0000000p+2"),
+        (4, "edgepred", "0x1.e6fbd20000000p+1"),
+        (5, "mlm", "0x1.8d59720000000p+2"),
+        (5, "nodealign", "0x1.4d58d40000000p-1"),
+    ]
+
+    def test_loss_log_is_pinned(self, tmp_path):
+        corpus = write_corpus(tmp_path, overfit_corpus(8))
+        env = {**os.environ, "PYTHONPATH": str(Path(codeflow.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "codeflow.cli", "pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+             "--steps", "6", "--batch-size", "4", *SMALL_MODEL, "--num-layers", "2", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = (tmp_path / "o" / "losses.csv").read_text().splitlines()[1:]
+        logged = [(int(step), objective, float.hex(float(loss))) for step, objective, loss in (r.split(",") for r in rows)]
+        assert logged == self.LOSSES
 
 
 class TestCheckpointBoundaries:

@@ -30,7 +30,7 @@ from codeflow.downstream import (
     prepare_search_examples,
     rank_candidates,
 )
-from codeflow.encoding import PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example, pad_batch
+from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.frontend import parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
@@ -293,24 +293,40 @@ class TestGroupedVectors:
         assert evaluate_search(params, examples) == float(np.mean([1.0 / r for r in ranks]))
 
 
+class TestBlockInputs:
+    def test_stacks_equal_length_rows(self):
+        _, _, _, _, examples = search_fixture()
+        encoded = [ex.code_encoded for ex in examples] + [ex.query_encoded for ex in examples]
+        groups = downstream.length_groups(encoded)
+        assert len(groups) > 1 and any(len(g) > 1 for g in groups)
+        rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
+        ids, positions, masks = downstream.block_inputs([[rows[i] for i in g] for g in groups], np.float64)
+        order = [i for g in groups for i in g]
+        assert ids.tolist() == [t for i in order for t in encoded[i].ids]
+        assert positions.tolist() == [p for i in order for p in encoded[i].position_ids]
+        assert [m.shape for m in masks] == [(len(g), len(encoded[g[0]]), len(encoded[g[0]])) for g in groups]
+        for g, mask in zip(groups, masks):
+            for b, i in enumerate(g):
+                assert mask.dtype == np.float64
+                assert np.array_equal(mask[b], additive_mask(build_attention_mask(encoded[i]), dtype=np.float64))
+        with pytest.raises(ValueError):  # rows of two lengths are not one block
+            downstream.block_inputs([[rows[groups[0][0]], rows[groups[1][0]]]], np.float64)
+
+
 class TestClsOnlyForwards:
     """Inference and `_cls_rows` read position 0 of each sequence, so the last
     layer runs for that row only, kept `model.MIN_READ_WIDTH` times, and keeps
     the full forward's [CLS] bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_padded_cls_rows_equal_the_full_forward(self, dtype):
+    def test_cls_rows_equal_single_forwards(self, dtype):
         _, _, _, params, examples = search_fixture(12, num_layers=2)
         params = params.astype(dtype)
         encoded = [ex.query_encoded for ex in examples] + [ex.code_encoded for ex in examples]
-        lengths = [len(ex) for ex in encoded]
-        assert len(set(lengths)) > 2  # queries and codes of several lengths: rows are padded
+        order = [i for group in downstream.length_groups(encoded) for i in group]
+        assert len(set(map(len, encoded))) > 2 and order != sorted(order)  # several blocks, out of example order
         got = downstream._cls_rows(params, encoded).data
-        rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
-        ids, positions, mask = pad_batch(rows, dtype=dtype)
-        full = forward(params, ids, positions, mask, lengths).final.data
-        assert got.dtype == dtype and np.array_equal(got, full[np.arange(len(encoded)) * ids.shape[1]])
-        assert np.array_equal(got, np.stack([single_forward_cls(params, ex) for ex in encoded]))
+        assert got.dtype == dtype and np.array_equal(got, np.stack([single_forward_cls(params, ex) for ex in encoded]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cls_rows_train_as_the_two_position_layout(self, dtype):
@@ -328,16 +344,81 @@ class TestClsOnlyForwards:
             return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
 
         def two_positions(p):
-            rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
-            ids, positions, mask = pad_batch(rows, dtype=dtype)
-            final = forward(p, ids, positions, mask, lengths, reads=[[0, 1]] * len(encoded)).final
-            return ag.take_rows(final, range(0, 2 * len(encoded), 2))
+            groups = downstream.length_groups(encoded)
+            rows = [[(encoded[i].ids, encoded[i].position_ids, build_attention_mask(encoded[i])) for i in g] for g in groups]
+            final = forward(p, *downstream.block_inputs(rows, dtype), reads=[[0, 1]] * len(encoded)).final
+            return ag.take_rows(final, 2 * np.argsort([i for g in groups for i in g]))
 
         got_value, got = compute_gradients(lambda p: loss(downstream._cls_rows(p, encoded)), params)
         want_value, want = compute_gradients(lambda p: loss(two_positions(p)), params)
         assert got_value == want_value and got.keys() == want.keys()
         for name in want:
             assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
+
+    def test_clone_pair_loss_against_finite_differences(self, monkeypatch):
+        # `finetune_clone`'s loss over a batch of several lengths, through the
+        # blocked `_cls_rows`, against float64 central differences
+        tuples, vocab, _ = clone_fixture()
+        params = init_params(tiny_config(num_layers=2)).astype(np.float64)  # layer 0 in full, layer 1 for [CLS] only
+        rng = np.random.default_rng(7)
+        for t in params.tensors.values():  # off the init's zero biases and unit gains
+            t.data += rng.normal(scale=0.3, size=t.shape)
+        assert len({len(encode_code_example(code, vocab)) for a, b, _ in tuples for code in (a, b)}) > 1
+        losses = []
+        real = downstream.compute_gradients
+
+        def spy(loss_fn, p):
+            losses.append(loss_fn)
+            return real(loss_fn, p)
+
+        monkeypatch.setattr(downstream, "compute_gradients", spy)
+        pairs = [CloneExample(a, b, y) for a, b, y in tuples]
+        finetune_clone(pairs, params.astype(np.float64), vocab, rng=0, batch_size=len(pairs), epochs=1)
+        [loss_fn] = losses
+        _, grads = compute_gradients(loss_fn, params)
+        eps = 1e-6
+        coords = [("tok_emb", (CLS, 3)), ("pos_emb", (0, 5))]  # the [CLS] rows' own embeddings
+        for name in [n for n in params.tensors if not n.startswith("mlm.")]:
+            coords += [(name, tuple(rng.integers(0, s) for s in params.tensors[name].shape)) for _ in range(2)]
+        for name, idx in coords:
+            arr = params.tensors[name].data
+            saved = arr[idx]
+            arr[idx] = saved + eps
+            hi = float(loss_fn(params).data)
+            arr[idx] = saved - eps
+            lo = float(loss_fn(params).data)
+            arr[idx] = saved
+            numeric = (hi - lo) / (2 * eps)
+            assert abs(numeric - grads[name][idx]) <= 1e-6 * max(abs(numeric), 1.0), (name, idx)
+
+    def test_fine_tuning_forwards_are_exact_length_blocks(self, monkeypatch):
+        # every fine-tuning forward runs the batch as unpadded blocks, one per
+        # length, in the order the lengths first appear
+        calls = []
+        real_rows, real_forward = downstream._cls_rows, downstream.forward
+
+        def spy_rows(params, examples):
+            calls.append([examples])
+            return real_rows(params, examples)
+
+        def spy_forward(params, ids, positions, masks, reads=None):
+            calls[-1].append((np.asarray(ids), masks, reads))
+            return real_forward(params, ids, positions, masks, reads=reads)
+
+        monkeypatch.setattr(downstream, "_cls_rows", spy_rows)
+        monkeypatch.setattr(downstream, "forward", spy_forward)
+        _, _, _, params, examples = search_fixture(8)
+        finetune_search(examples, params, rng=0, batch_size=4, epochs=1)
+        tuples, vocab, params = clone_fixture()
+        finetune_clone([CloneExample(a, b, y) for a, b, y in tuples], params, vocab, rng=0, batch_size=4, epochs=1)
+        assert len(calls) == 4 and any(len(masks) > 1 for _, (_, masks, _) in calls)
+        for batch, (ids, masks, reads) in calls:
+            lengths = [len(ex) for ex in batch]
+            firsts = list(dict.fromkeys(lengths))  # lengths in first-seen order
+            assert isinstance(masks, list) and ids.ndim == 1 and not np.any(ids == PAD)
+            assert [m.shape for m in masks] == [(lengths.count(n), n, n) for n in firsts]
+            assert ids.tolist() == [t for n in firsts for ex in batch if len(ex) == n for t in ex.ids]
+            assert reads == [[0]] * len(batch)
 
     @staticmethod
     def ffn_rows(monkeypatch):

@@ -23,7 +23,6 @@ from codeflow.encoding import (
     comment_tokens,
     encode_example,
     mask_density,
-    pad_batch,
 )
 from codeflow import downstream
 from codeflow.frontend import lexer, parser, tokenize
@@ -302,28 +301,6 @@ class TestMask:
             ex = encode_example("find the value", code, vocab)
             got = build_attention_mask(ex)
             assert np.array_equal(got, mask_oracle(ex))
-
-    def test_pad_batch(self):
-        long, short = encode(), encode(limits=Limits(max_nodes=0))
-        n, m = len(long), len(short)
-        assert m < n
-        rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in (short, long)]
-        ids, positions, add = pad_batch(rows, dtype=np.float64)
-        assert ids.shape == positions.shape == (2, n)
-        assert add.shape == (2, n, n) and add.dtype == np.float64
-        assert np.array_equal(ids[1], long.ids) and np.array_equal(positions[1], long.position_ids)
-        assert np.array_equal(ids[0, :m], short.ids) and (ids[0, m:] == PAD).all()
-        assert (positions[0, m:] == 0).all()
-        assert np.array_equal(add[1], additive_mask(build_attention_mask(long), dtype=np.float64))
-        mask = add[0] == 0.0
-        assert np.array_equal(mask[:m, :m], build_attention_mask(short))
-        assert not mask[:m, m:].any()  # padding is never a visible key
-        assert not mask[m:, :m].any()
-        assert np.array_equal(mask[m:, m:], np.eye(n - m, dtype=bool))  # pad queries self-attend only
-
-    def test_pad_batch_empty(self):
-        with pytest.raises(ValueError):
-            pad_batch([])
 
     def test_nodeless_example_allows_every_pair(self):
         ex = encode(limits=Limits(max_nodes=0))

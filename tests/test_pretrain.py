@@ -595,8 +595,8 @@ class TestBatchLoss:
             prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
         assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
 
-        def full_forward(p, ids, positions, masks, lengths=None, reads=None):
-            acts = forward(p, ids, positions, masks, lengths)
+        def full_forward(p, ids, positions, masks, reads=None):
+            acts = forward(p, ids, positions, masks)
             slots, start, sequences = [], 0, 0
             for mask in masks:
                 batch, length = mask.shape[:2]
@@ -643,8 +643,8 @@ class TestBlockedBatchForward:
         seen = []
         real = pretrain.forward
 
-        def spy(p, ids, positions, masks, lengths=None, reads=None):
-            acts = real(p, ids, positions, masks, lengths, reads=reads)
+        def spy(p, ids, positions, masks, reads=None):
+            acts = real(p, ids, positions, masks, reads=reads)
             seen.append((masks, reads, acts.final.data))
             return acts
 
@@ -676,9 +676,9 @@ class TestBlockedBatchForward:
         calls, batches = [], []
         real_forward, real_loss = pretrain.forward, pretrain.batch_loss
 
-        def spy_forward(params, ids, positions, masks, lengths=None, reads=None):
-            calls.append((np.asarray(ids), np.asarray(positions), masks, lengths))
-            return real_forward(params, ids, positions, masks, lengths, reads=reads)
+        def spy_forward(params, ids, positions, masks, reads=None):
+            calls.append((np.asarray(ids), np.asarray(positions), masks))
+            return real_forward(params, ids, positions, masks, reads=reads)
 
         def spy_loss(params, prepared, structure):
             batches.append(prepared)
@@ -688,9 +688,9 @@ class TestBlockedBatchForward:
         monkeypatch.setattr(pretrain, "batch_loss", spy_loss)
         pretrain_run(overfit_corpus(12), tiny_config(num_layers=2), steps=6, rng=4, batch_size=6)
         assert len(calls) == len(batches) == 6  # one forward per step
-        assert any(len(masks) > 1 for _, _, masks, _ in calls)
-        for (ids, positions, masks, lengths), prepared in zip(calls, batches):
-            assert lengths is None and ids.ndim == 1 and not np.any(ids == PAD)
+        assert any(len(masks) > 1 for _, _, masks in calls)
+        for (ids, positions, masks), prepared in zip(calls, batches):
+            assert isinstance(masks, list) and ids.ndim == 1 and not np.any(ids == PAD)
             order = first_seen_length_order([ex for ex, _, _ in prepared])
             assert [mask.shape[0] for mask in masks] == list(Counter(len(ex) for ex, _, _ in prepared).values())
             start, k = 0, 0

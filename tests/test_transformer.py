@@ -9,16 +9,8 @@ import codeflow.autograd as ag
 import codeflow.pretrain as pretrain
 from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from codeflow.encoding import (
-    PAD,
-    Limits,
-    Vocabulary,
-    additive_mask,
-    build_attention_mask,
-    build_vocab,
-    encode_example,
-    pad_batch,
-)
+from codeflow.downstream import block_inputs, length_groups
+from codeflow.encoding import Limits, Vocabulary, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.model import (
     MIN_READ_WIDTH,
     Activations,
@@ -400,8 +392,8 @@ class TestFusedKernels:
         runs = []
         for norm in (layer_norm, composed_layer_norm):
 
-            def encoder(p, ids, positions, masks, lengths=None, reads=None, norm=norm):
-                return composed_reads(p, ids, positions, masks, lengths, reads, layer_norm=norm)
+            def encoder(p, ids, positions, masks, reads=None, norm=norm):
+                return composed_reads(p, ids, positions, masks, reads, layer_norm=norm)
 
             monkeypatch.setattr(pretrain, "forward", encoder)
             runs.append(pretrain_run(corpus, config, steps=6, rng=2, batch_size=4))
@@ -413,50 +405,69 @@ class TestFusedKernels:
             assert np.array_equal(t.data, composed.params.tensors[name].data)
 
 
-def padded_batch(rng, count, dtype=np.float32, distinct=False):
-    """`count` random programs padded to one ``(B, L)`` batch, and their lengths."""
+def program_rows(rng, count):
+    """`count` random programs as ``(ids, position_ids, allow)`` rows, of more than one length."""
     vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
     while True:
         examples = [encode_example("find the value", random_program(rng), vocab, max_positions=512) for _ in range(count)]
-        lengths = [len(ex) for ex in examples]
-        if len(set(lengths)) == (count if distinct else len(set(lengths))) and len(set(lengths)) > 1:
-            break
-    ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], dtype=dtype)
-    return examples, ids, positions, mask, lengths
+        if len({len(ex) for ex in examples}) > 1:
+            return [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples]
 
 
-def real_rows(lengths, width):
-    return np.concatenate([np.arange(n) + b * width for b, n in enumerate(lengths)])
+def random_rows(rng, lengths, vocab_size):
+    """Random ids, position ids and allow-matrices of the given `lengths`."""
+    rows = []
+    for n in lengths:
+        allow = rng.random((n, n)) < 0.6
+        np.fill_diagonal(allow, True)
+        rows.append((rng.integers(5, vocab_size, n), rng.permutation(n), allow))
+    return rows
 
 
-def layer_finite_difference_check(keep, blocks=([4, 7, 1, 6],)):
+def stacked(rows, dtype):
+    """Equal-length rows as one ``(B, L)`` block: ids, position ids and mask."""
+    ids, positions, [mask] = block_inputs([rows], dtype)
+    return ids.reshape(mask.shape[:2]), positions.reshape(mask.shape[:2]), mask
+
+
+def exact_blocks(rows, dtype):
+    """`rows` grouped by exact length (`downstream.length_groups`): the groups
+    and, per group, its `stacked` block."""
+    groups = length_groups([ids for ids, _, _ in rows])
+    return groups, [stacked([rows[i] for i in group], dtype) for group in groups]
+
+
+def packed(blocks):
+    """The flat ids and positions and the masks of one forward over `blocks`."""
+    ids, positions, masks = zip(*blocks)
+    return np.concatenate([a.ravel() for a in ids]), np.concatenate([a.ravel() for a in positions]), list(masks)
+
+
+def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
     """`encoder_layer` with the ``(S, W)`` query positions `keep` (None: all
     positions), one row per sequence, against float64 central differences of
-    every layer input and weight. Each block is a list of sequence lengths,
-    padded to its longest; the default is one batch of lengths 4, 7, 1 and 6."""
+    every layer input and weight. Each block is a ``(B, L)`` shape; the
+    default holds sequences of lengths 4, 4, 7 and 1."""
     cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
     params = init_params(cfg).astype(np.float64)
     rng = np.random.default_rng(41)
     for t in params.tensors.values():  # off the init's zero biases and unit gains
         t.data += rng.normal(scale=0.3, size=t.shape)
         t.requires_grad = True
-    masks, rows, start = [], [], 0
-    for lengths in blocks:
-        allows = [rng.random((n, n)) < 0.6 for n in lengths]
-        for allow in allows:
-            np.fill_diagonal(allow, True)
-        rows.append(start + real_rows(lengths, max(lengths)))
-        start += len(lengths) * max(lengths)
-        masks.append(pad_batch([(np.zeros(n, int), np.zeros(n, int), a) for n, a in zip(lengths, allows)], dtype=np.float64)[2])
-    rows = np.concatenate(rows)
-    h = Tensor(rng.normal(size=(start, cfg.hidden_dim)), requires_grad=True)
-    probe = Tensor(rng.normal(size=(start if keep is None else keep.size, cfg.hidden_dim)))
-    block_keep = None if keep is None else np.split(keep, np.cumsum([len(b) for b in blocks])[:-1])
+    masks = []
+    for batch, length in blocks:
+        allow = rng.random((batch, length, length)) < 0.6
+        allow[:, np.arange(length), np.arange(length)] = True
+        masks.append(additive_mask(allow, dtype=np.float64))
+    total = sum(batch * length for batch, length in blocks)
+    h = Tensor(rng.normal(size=(total, cfg.hidden_dim)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(total if keep is None else keep.size, cfg.hidden_dim)))
+    block_keep = None if keep is None else np.split(keep, np.cumsum([batch for batch, _ in blocks])[:-1])
     names = [n for n in params.tensors if n.startswith("layer0.")]
     assert len(names) == 3 * cfg.num_heads + 9
 
     def loss():
-        return ag.tsum(ag.mul(encoder_layer(h, params, 0, masks, rows, block_keep)[0], probe))
+        return ag.tsum(ag.mul(encoder_layer(h, params, 0, masks, block_keep)[0], probe))
 
     loss().backward()
     eps = 1e-6
@@ -472,8 +483,6 @@ def layer_finite_difference_check(keep, blocks=([4, 7, 1, 6],)):
             numeric[idx] = (hi - lo) / (2 * eps)
         err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
         assert err.max() < 1e-6
-    pad = np.setdiff1d(np.arange(h.shape[0]), rows)
-    assert not h.grad[pad].any()
 
 
 class TestFusedLayer:
@@ -486,53 +495,23 @@ class TestFusedLayer:
         params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
         rng = np.random.default_rng(40 + num_layers)
         for _ in range(4):
-            _, ids, positions, mask, lengths = padded_batch(rng, 5, dtype)
-            got = forward(params, ids, positions, mask, lengths)
-            want = composed_forward(params, ids, positions, mask)
-            rows = real_rows(lengths, ids.shape[1])
-            pad = np.setdiff1d(np.arange(ids.size), rows)
-            for layer, (g, w) in enumerate(zip(got.hidden, want.hidden)):
-                assert g.dtype == dtype and np.array_equal(g.data[rows], w.data[rows])
-                assert layer == 0 or not g.data[pad].any()
-            for g_layer, w_layer in zip(got.attention, want.attention):
-                for g, w in zip(g_layer, w_layer):
-                    assert np.array_equal(g.data, w.data)
-            ex = padded_batch(rng, 2, dtype)[0][0]
-            one = additive_mask(build_attention_mask(ex), dtype=dtype)
-            got = forward(params, ex.ids, ex.position_ids, one)
-            want = composed_forward(params, ex.ids, ex.position_ids, one)
+            _, blocks = exact_blocks(program_rows(rng, 5), dtype)
+            got = forward(params, *packed(blocks))
+            for block, acts in zip(blocks, got.blocks, strict=True):
+                want = composed_forward(params, *block)
+                for g, w in zip(acts.hidden, want.hidden, strict=True):
+                    assert g.dtype == dtype and np.array_equal(g.data, w.data)
+                for g_layer, w_layer in zip(acts.attention, want.attention, strict=True):
+                    for g, w in zip(g_layer, w_layer):
+                        assert np.array_equal(g.data, w.data)
+            ex_ids, ex_pos, allow = program_rows(rng, 2)[0]
+            one = additive_mask(allow, dtype=dtype)
+            got = forward(params, ex_ids, ex_pos, one)
+            want = composed_forward(params, ex_ids, ex_pos, one)
             for g, w in zip(got.hidden, want.hidden):
                 assert np.array_equal(g.data, w.data)
             for g, w in zip(sum(got.attention, []), sum(want.attention, [])):
                 assert np.array_equal(g.data, w.data)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shrink", [False, True])
-    def test_dense_rows_equal_the_padded_row_path(self, dtype, shrink):
-        # blocks with no pad row: `rows=None` skips every gather and scatter
-        # of the real rows and must give the bytes of listing every row
-        cfg = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=32, max_positions=64, seed=3)
-        params = init_params(cfg, dtype=dtype)
-        rng = np.random.default_rng(46)
-        for t in params.tensors.values():
-            t.data += rng.normal(scale=0.3, size=t.shape).astype(dtype)
-            t.requires_grad = True
-        masks, keep = [], []
-        for batch, length in ((3, 5), (1, 2), (2, 8)):
-            allow = rng.random((batch, length, length)) < 0.6
-            allow[:, np.arange(length), np.arange(length)] = True
-            masks.append(additive_mask(allow, dtype=dtype))
-            keep.append(np.sort(rng.integers(0, length, size=(batch, 2)), axis=1))
-        total = sum(m.shape[0] * m.shape[1] for m in masks)
-        h = Tensor(rng.normal(size=(total, cfg.hidden_dim)).astype(dtype), requires_grad=True)
-        runs = [encoder_layer(h, params, 0, masks, rows, keep if shrink else None) for rows in (None, np.arange(total))]
-        (dense, dense_probs), (padded, padded_probs) = runs
-        assert dense.data.dtype == dtype and dense.data.tobytes() == padded.data.tobytes()
-        for got, want in zip(dense_probs, padded_probs):
-            assert got.tobytes() == want.tobytes()
-        grad = rng.normal(size=dense.shape).astype(dtype)
-        for got, want in zip(dense._vjp(grad), padded._vjp(grad), strict=True):
-            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_encoder_layer_against_finite_differences(self):
         layer_finite_difference_check(keep=None)
@@ -560,41 +539,6 @@ class TestFusedLayer:
                 assert got[name].dtype == dtype
                 assert np.abs(got[name] - want[name]).max() <= tol * np.abs(want[name]).max(), name
 
-    def test_pad_rows_are_zero_and_get_zero_gradient(self):
-        params = init_params(small_config(max_positions=512), dtype=np.float64)
-        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(43), 4, np.float64)
-        pad = np.setdiff1d(np.arange(ids.size), real_rows(lengths, ids.shape[1]))
-        states = []
-        probe = Tensor(np.random.default_rng(44).normal(size=(ids.size, params.config.hidden_dim)))
-
-        def loss_fn(p):
-            acts = forward(p, ids, positions, mask, lengths)
-            states.extend(acts.hidden)
-            return ag.tsum(ag.mul(acts.final, probe))  # the probe weighs the pad rows too
-
-        _, grads = compute_gradients(loss_fn, params)
-        assert all(not h.data[pad].any() for h in states[1:])
-        assert not grads["tok_emb"][PAD].any()  # only pad positions carry the [PAD] id
-        assert np.abs(grads["tok_emb"]).sum() > 0
-
-    def test_wrong_lengths_raise(self):
-        params = init_params(small_config(max_positions=512))
-        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(45), 3)
-        width = ids.shape[1]
-        for bad in (lengths[:-1], lengths + [width], [0] + lengths[1:], [width + 1] + lengths[1:]):
-            with pytest.raises(ShapeMismatch):
-                forward(params, ids, positions, mask, bad)
-
-
-def random_batch(rng, lengths, params, dtype):
-    """Random ids and allow-masks of the given `lengths`, padded to one batch."""
-    rows = []
-    for n in lengths:
-        allow = rng.random((n, n)) < 0.6
-        np.fill_diagonal(allow, True)
-        rows.append((rng.integers(5, params.config.vocab_size, n), rng.permutation(n), allow))
-    return rows, pad_batch(rows, dtype=dtype)
-
 
 class TestClsOnly:
     """The [CLS] read, `forward(..., reads=[[0]] * B)`, runs the last layer
@@ -609,22 +553,21 @@ class TestClsOnly:
     def test_cls_rows_equal_the_full_forward(self, dtype, num_layers):
         params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
         rng = np.random.default_rng(60 + num_layers)
-        batches = [random_batch(rng, lengths, params, dtype) for lengths in self.LENGTHS]
-        for _ in range(3):  # encoded programs, padded
-            examples, *padded, _ = padded_batch(rng, 5, dtype)
-            batches.append(([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], padded))
-        for rows, (ids, positions, mask) in batches:
-            lengths = [len(r[0]) for r in rows]
-            batch, width = ids.shape
-            full = forward(params, ids, positions, mask, lengths)
-            cls = forward(params, ids, positions, mask, lengths, reads=[[0]] * batch)
-            assert cls.final.dtype == dtype and cls.final.shape == (batch * MIN_READ_WIDTH, params.config.hidden_dim)
-            assert np.array_equal(cls.final.data[::MIN_READ_WIDTH], full.final.data[np.arange(batch) * width])
-            shrink = MIN_READ_WIDTH < width
-            for n, (g_layer, w_layer) in enumerate(zip(cls.attention, full.attention)):
-                for g, w in zip(g_layer, w_layer):  # a shrunken last layer repeats query row 0
-                    want = w.data[:, [0] * MIN_READ_WIDTH] if shrink and n == num_layers - 1 else w.data
-                    assert np.array_equal(g.data, want)
+        batches = [random_rows(rng, lengths, params.config.vocab_size) for lengths in self.LENGTHS]
+        batches += [program_rows(rng, 5) for _ in range(3)]  # encoded programs
+        for rows in batches:
+            _, blocks = exact_blocks(rows, dtype)
+            full = forward(params, *packed(blocks))
+            cls = forward(params, *packed(blocks), reads=[[0]] * len(rows))
+            assert cls.final.dtype == dtype and cls.final.shape == (len(rows) * MIN_READ_WIDTH, params.config.hidden_dim)
+            for (ids, _, _), f, c in zip(blocks, full.blocks, cls.blocks, strict=True):
+                batch, width = ids.shape
+                assert np.array_equal(c.final.data[::MIN_READ_WIDTH], f.final.data[np.arange(batch) * width])
+                shrink = MIN_READ_WIDTH < width
+                for n, (g_layer, w_layer) in enumerate(zip(c.attention, f.attention)):
+                    for g, w in zip(g_layer, w_layer):  # a shrunken last layer repeats query row 0
+                        want = w.data[:, [0] * MIN_READ_WIDTH] if shrink and n == num_layers - 1 else w.data
+                        assert np.array_equal(g.data, want)
             for ex_ids, ex_pos, allow in rows:  # each example alone, unbatched
                 one = additive_mask(allow, dtype=dtype)
                 got = forward(params, ex_ids, ex_pos, one, reads=[[0]]).final.data
@@ -633,23 +576,24 @@ class TestClsOnly:
 
     def test_query_prefix_against_finite_differences(self):
         # the [CLS] read: position 0 of every sequence, kept twice
-        layer_finite_difference_check(keep=read_layout([[0]] * 4, [4, 7, 1, 6]))
+        layer_finite_difference_check(keep=read_layout([[0]] * 4, [4, 4, 7, 1]))
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_gradients_match_the_full_final_layer(self, dtype, tol):
         params = init_params(small_config(max_positions=512), dtype=dtype)
         rng = np.random.default_rng(64)
         for lengths in ([3, 1, 2, 9], [7, 7], [2, 30, 5]):
-            rows, (ids, positions, mask) = random_batch(rng, lengths, params, dtype)
+            _, blocks = exact_blocks(random_rows(rng, lengths, params.config.vocab_size), dtype)
             probe = Tensor(rng.normal(size=(len(lengths), params.config.hidden_dim)).astype(dtype))
-            firsts = np.arange(len(lengths)) * ids.shape[1]
+            starts = np.cumsum([0] + [ids.size for ids, _, _ in blocks])  # of each block in the states
+            firsts = np.concatenate([start + np.arange(ids.shape[0]) * ids.shape[1] for start, (ids, _, _) in zip(starts, blocks)])
 
             def loss_fn(p, read_cls):
                 if read_cls:
-                    final = forward(p, ids, positions, mask, lengths, reads=[[0]] * len(lengths)).final
+                    final = forward(p, *packed(blocks), reads=[[0]] * len(lengths)).final
                     cls = ag.take_rows(final, np.arange(len(lengths)) * MIN_READ_WIDTH)
                 else:
-                    cls = ag.take_rows(forward(p, ids, positions, mask, lengths).final, firsts)
+                    cls = ag.take_rows(forward(p, *packed(blocks)).final, firsts)
                 return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
 
             got_value, got = compute_gradients(lambda p: loss_fn(p, True), params)
@@ -681,27 +625,28 @@ class TestReadRows:
     def test_read_rows_equal_the_full_forward(self, dtype, num_layers):
         params = init_params(small_config(num_layers=num_layers, max_positions=512), dtype=dtype)
         rng = np.random.default_rng(70 + num_layers)
-        batches = [random_batch(rng, lengths, params, dtype) for lengths in self.LENGTHS]
-        for _ in range(3):  # encoded programs, padded
-            examples, *padded, _ = padded_batch(rng, 5, dtype)
-            batches.append(([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], padded))
+        batches = [random_rows(rng, lengths, params.config.vocab_size) for lengths in self.LENGTHS]
+        batches += [program_rows(rng, 5) for _ in range(3)]  # encoded programs
         shrunk = 0
-        for rows, (ids, positions, mask) in batches:
-            lengths = [len(r[0]) for r in rows]
-            batch, width = ids.shape
-            full = forward(params, ids, positions, mask, lengths)
-            for reads in [self.random_reads(rng, lengths) for _ in range(3)] + [[[0]] * batch]:
-                keep = read_layout(reads, lengths)
-                got = forward(params, ids, positions, mask, lengths, reads=reads)
-                assert got.final.dtype == dtype and got.final.shape == (keep.size, params.config.hidden_dim)
-                slots = (keep + np.arange(batch)[:, None] * width).ravel()
-                assert np.array_equal(got.final.data, full.final.data[slots])
-                shrink = keep.shape[1] < width
-                shrunk += shrink and num_layers > 0
-                for n, (g_layer, w_layer) in enumerate(zip(got.attention, full.attention)):
-                    for g, w in zip(g_layer, w_layer):  # a shrunken last layer keeps the read query rows
-                        kept_rows = shrink and n == num_layers - 1
-                        assert np.array_equal(g.data, w.data[np.arange(batch)[:, None], keep] if kept_rows else w.data)
+        for rows in batches:
+            groups, blocks = exact_blocks(rows, dtype)
+            order = [i for group in groups for i in group]  # the sequences in block order
+            lengths = [len(ids) for ids, _, _ in rows]
+            full = forward(params, *packed(blocks))
+            for reads in [self.random_reads(rng, lengths) for _ in range(3)] + [[[0]] * len(rows)]:
+                got = forward(params, *packed(blocks), reads=[reads[i] for i in order])
+                for group, (ids, _, _), f, g_acts in zip(groups, blocks, full.blocks, got.blocks, strict=True):
+                    batch, width = ids.shape
+                    keep = read_layout([reads[i] for i in group], [width] * batch)
+                    assert g_acts.final.dtype == dtype and g_acts.final.shape == (keep.size, params.config.hidden_dim)
+                    slots = (keep + np.arange(batch)[:, None] * width).ravel()
+                    assert np.array_equal(g_acts.final.data, f.final.data[slots])
+                    shrink = keep.shape[1] < width
+                    shrunk += shrink and num_layers > 0
+                    for n, (g_layer, w_layer) in enumerate(zip(g_acts.attention, f.attention)):
+                        for g, w in zip(g_layer, w_layer):  # a shrunken last layer keeps the read query rows
+                            kept_rows = shrink and n == num_layers - 1
+                            assert np.array_equal(g.data, w.data[np.arange(batch)[:, None], keep] if kept_rows else w.data)
                 for (ex_ids, ex_pos, allow), kept in zip(rows, reads):  # each example alone, unbatched
                     one = additive_mask(allow, dtype=dtype)
                     alone = forward(params, ex_ids, ex_pos, one, reads=[kept]).final.data
@@ -711,20 +656,20 @@ class TestReadRows:
 
     def test_ragged_selection_against_finite_differences(self):
         # repeated positions, as the pads of `read_layout` repeat a kept one
-        layer_finite_difference_check(keep=np.array([[3, 0, 0], [6, 2, 4], [0, 0, 0], [5, 1, 1]]))
+        layer_finite_difference_check(keep=np.array([[3, 0, 0], [1, 2, 2], [6, 2, 4], [0, 0, 0]]))
 
     def test_bad_reads_raise(self):
         params = init_params(small_config(max_positions=512))
-        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(71), 3)
+        ids, positions, mask = stacked(random_rows(np.random.default_rng(71), [5] * 3, 32), np.float32)
         good = [[0]] * 3
-        for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [lengths[1]], [0]], [[0], [-1], [0]]):
+        for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [5], [0]], [[0], [-1], [0]]):
             with pytest.raises(ShapeMismatch):
-                forward(params, ids, positions, mask, lengths, reads=bad)
+                forward(params, ids, positions, mask, reads=bad)
 
 
 class TestBlocks:
     """`forward` over several blocks, each a ``(B, L)`` batch with its own
-    mask, laid end to end: position-wise work runs once over every real row,
+    mask, laid end to end: position-wise work runs once over every row,
     attention block by block. Each block's states and maps must equal the
     forward of that block alone bit for bit, and the gradients the sum of the
     per-block gradients."""
@@ -733,30 +678,22 @@ class TestBlocks:
 
     @staticmethod
     def fuzzed_blocks(rng, params, dtype, use_dataflow, count=4):
-        """`count` random blocks: padded batches of encoded programs, one
-        program repeated (an exact-length block), and short random-mask rows
-        whose kept width reaches their length."""
+        """`count` random blocks, each of one length: encoded programs, each
+        repeated one to three times, distinct random rows of one length, and
+        short random rows whose kept width reaches their length."""
         vocab = Vocabulary({t: i for t, i in zip("abcdefgh", range(5, 13))})
         limits = Limits() if use_dataflow else Limits(max_nodes=0)
         blocks = []
         for g in range(count):
             if g == count - 1:
-                rows = random_batch(rng, [2, 1], params, dtype)[0]
+                rows = random_rows(rng, [int(rng.integers(1, 3))] * 2, params.config.vocab_size)
+            elif g == count - 2:
+                rows = random_rows(rng, [int(rng.integers(3, 30))] * int(rng.integers(1, 4)), params.config.vocab_size)
             else:
-                codes = [random_program(rng) for _ in range(int(rng.integers(1, 4)))]
-                examples = [encode_example("find the value", c, vocab, limits=limits, max_positions=512) for c in codes]
-                if g == 1:
-                    examples = examples[:1] * 3
-                rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples]
-            ids, positions, mask = pad_batch(rows, dtype=dtype)
-            blocks.append((ids, positions, mask, [len(r[0]) for r in rows]))
+                ex = encode_example("find the value", random_program(rng), vocab, limits=limits, max_positions=512)
+                rows = [(ex.ids, ex.position_ids, build_attention_mask(ex))] * int(rng.integers(1, 4))
+            blocks.append(stacked(rows, dtype))
         return blocks
-
-    @staticmethod
-    def packed(blocks):
-        """The flat ids and positions, masks and lengths of one forward over `blocks`."""
-        ids, positions, masks, lengths = zip(*blocks)
-        return np.concatenate([a.ravel() for a in ids]), np.concatenate([a.ravel() for a in positions]), list(masks), list(lengths)
 
     @staticmethod
     def kept(rng, blocks, mode):
@@ -765,9 +702,9 @@ class TestBlocks:
         if mode == "full":
             return {}, [{}] * len(blocks)
         if mode == "cls":
-            per_block = [[[0]] * len(lengths) for *_, lengths in blocks]
+            per_block = [[[0]] * len(ids) for ids, _, _ in blocks]
         else:
-            per_block = [TestReadRows.random_reads(rng, lengths) for *_, lengths in blocks]
+            per_block = [TestReadRows.random_reads(rng, [ids.shape[1]] * len(ids)) for ids, _, _ in blocks]
         return {"reads": sum(per_block, [])}, [{"reads": reads} for reads in per_block]
 
     @pytest.mark.parametrize("mode", MODES)
@@ -780,7 +717,7 @@ class TestBlocks:
         for _ in range(3):
             blocks = self.fuzzed_blocks(rng, params, dtype, use_dataflow)
             together, alone = self.kept(rng, blocks, mode)
-            acts = forward(params, *self.packed(blocks), **together)
+            acts = forward(params, *packed(blocks), **together)
             assert acts.attention == [] and len(acts.blocks) == len(blocks)
             finals = []
             for block, got, kwargs in zip(blocks, acts.blocks, alone):
@@ -794,9 +731,9 @@ class TestBlocks:
                 finals.append(want.final.data)
             assert np.array_equal(acts.final.data, np.concatenate(finals))
 
-    @pytest.mark.parametrize("keep", [None, np.array([[3, 0], [6, 2], [0, 0], [5, 1], [2, 2]])])
+    @pytest.mark.parametrize("keep", [None, np.array([[3, 0], [1, 1], [0, 0], [5, 1], [2, 4]])])
     def test_two_blocks_against_finite_differences(self, keep):
-        layer_finite_difference_check(keep, blocks=([4, 7], [1, 6, 3]))
+        layer_finite_difference_check(keep, blocks=((2, 4), (3, 6)))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -815,7 +752,7 @@ class TestBlocks:
         def loss(final, weights):
             return ag.tsum(ag.mul(ag.mul(final, final), Tensor(weights)))
 
-        got_value, got = compute_gradients(lambda p: loss(forward(p, *self.packed(blocks), **together).final, probe), params)
+        got_value, got = compute_gradients(lambda p: loss(forward(p, *packed(blocks), **together).final, probe), params)
         want_value, want = 0.0, {}
         for block, kwargs, weights in zip(blocks, alone, probes):
             value, grads = compute_gradients(lambda p: loss(forward(p, *block, **kwargs).final, weights), params)
@@ -829,21 +766,20 @@ class TestBlocks:
     def test_bad_blocks_raise(self):
         params = init_params(small_config(max_positions=512))
         blocks = self.fuzzed_blocks(np.random.default_rng(91), params, np.float32, True, count=2)
-        ids, positions, masks, lengths = self.packed(blocks)
+        ids, positions, masks = packed(blocks)
         for bad in (
-            (ids[:-1], positions[:-1], masks, lengths),  # ids do not fill the blocks
-            (ids.reshape(1, -1), positions.reshape(1, -1), masks, lengths),  # not flat
-            (ids, positions, [masks[0], masks[1][0]], lengths),  # a 2-D mask
-            (ids, positions, masks, lengths[:1]),  # lengths for one block of two
-            (ids, positions, masks, [lengths[0], [0] * len(lengths[1])]),
+            (ids[:-1], positions[:-1], masks),  # ids do not fill the blocks
+            (ids.reshape(1, -1), positions.reshape(1, -1), masks),  # not flat
+            (ids, positions, [masks[0], masks[1][0]]),  # a 2-D mask
+            (ids, positions, []),  # no block
         ):
             with pytest.raises(ShapeMismatch):
                 forward(params, *bad)
-        reads = [[0]] * sum(len(n) for n in lengths)
-        forward(params, ids, positions, masks, lengths, reads=reads)
+        reads = [[0]] * sum(len(m) for m in masks)
+        forward(params, ids, positions, masks, reads=reads)
         for bad in (reads[:-1], reads + [[0]]):
             with pytest.raises(ShapeMismatch):
-                forward(params, ids, positions, masks, lengths, reads=bad)
+                forward(params, ids, positions, masks, reads=bad)
 
 
 class TestGraphSize:
@@ -874,17 +810,17 @@ class TestGraphSize:
 
     def test_inference_forward_records_no_node(self, monkeypatch):
         params = init_params(small_config(max_positions=512))
-        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(46), 3)
+        _, blocks = exact_blocks(program_rows(np.random.default_rng(46), 3), np.float32)
         recorded = self.count_nodes(monkeypatch)
-        forward(params, ids, positions, mask, lengths)
+        forward(params, *packed(blocks))
         assert recorded and not any(recorded)
 
     def test_backward_releases_the_saved_buffers(self):
         params = init_params(small_config(max_positions=512))
-        _, ids, positions, mask, lengths = padded_batch(np.random.default_rng(47), 3)
+        _, blocks = exact_blocks(program_rows(np.random.default_rng(47), 3), np.float32)
         for t in params.tensors.values():
             t.requires_grad = True
-        acts = forward(params, ids, positions, mask, lengths)
+        acts = forward(params, *packed(blocks))
         node = acts.hidden[1]
         saved = [c.cell_contents for c in node._vjp.__closure__]
         saved += [a for c in saved if isinstance(c, tuple) for a in c]
@@ -1070,46 +1006,41 @@ class TestBatchedForward:
         worst = 0.0
         for _ in range(5):
             examples = self.batch(rng, 6)
-            assert len({len(ex) for ex in examples}) > 1  # some rows are padded
-            ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples])
-            acts = forward(params, ids, positions, mask)
-            width = ids.shape[1]
-            assert acts.final.shape == (len(examples) * width, cfg.hidden_dim)
-            for b, ex in enumerate(examples):
-                n = len(ex)
-                one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
-                for got, want in zip(acts.hidden, one.hidden):
-                    worst = max(worst, float(np.abs(got.data[b * width : b * width + n] - want.data).max()))
-                for got_layer, want_layer in zip(acts.attention, one.attention):
-                    for got, want in zip(got_layer, want_layer):
-                        assert got.shape == (len(examples), width, width)
-                        worst = max(worst, float(np.abs(got.data[b, :n, :n] - want.data).max()))
-                        assert not got.data[b, :n, n:].any()  # no weight on padding
+            groups, blocks = exact_blocks([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], np.float32)
+            assert len(blocks) > 1  # examples of several lengths
+            acts = forward(params, *packed(blocks))
+            for group, (ids, _, _), block in zip(groups, blocks, acts.blocks, strict=True):
+                width = ids.shape[1]
+                assert block.final.shape == (len(group) * width, cfg.hidden_dim)
+                for b, ex in enumerate(examples[i] for i in group):
+                    one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+                    for got, want in zip(block.hidden, one.hidden):
+                        worst = max(worst, float(np.abs(got.data[b * width : (b + 1) * width] - want.data).max()))
+                    for got_layer, want_layer in zip(block.attention, one.attention):
+                        for got, want in zip(got_layer, want_layer):
+                            assert got.shape == (len(group), width, width)
+                            worst = max(worst, float(np.abs(got.data[b] - want.data).max()))
         assert worst <= 1e-6, worst
 
     def test_batched_gradients_match_per_example(self):
         cfg = small_config(num_layers=1, max_positions=512)
         params = init_params(cfg).astype(np.float64)
         examples = self.batch(np.random.default_rng(32), 3)
-        ids, positions, mask = pad_batch(
-            [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], dtype=np.float64
-        )
-        width = ids.shape[1]
-        probe = np.random.default_rng(33).normal(size=(len(examples) * width, cfg.hidden_dim))
-        real = np.zeros(len(examples) * width, dtype=bool)
-        for b, ex in enumerate(examples):
-            real[b * width : b * width + len(ex)] = True
-        probe[~real] = 0.0  # padded rows carry no loss
+        groups, blocks = exact_blocks([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], np.float64)
+        assert len(blocks) > 1
+        order = [examples[i] for group in groups for i in group]  # in the rows of the forward
+        probe = np.random.default_rng(33).normal(size=(sum(len(ex) for ex in examples), cfg.hidden_dim))
 
         def batched(p):
-            return ag.tsum(ag.mul(forward(p, ids, positions, mask).final, Tensor(probe)))
+            return ag.tsum(ag.mul(forward(p, *packed(blocks)).final, Tensor(probe)))
 
         def per_example(p):
-            total = Tensor(np.zeros(()))
-            for b, ex in enumerate(examples):
+            total, start = Tensor(np.zeros(())), 0
+            for ex in order:
                 mask_one = additive_mask(build_attention_mask(ex), dtype=np.float64)
                 final = forward(p, ex.ids, ex.position_ids, mask_one).final
-                total = ag.add(total, ag.tsum(ag.mul(final, Tensor(probe[b * width : b * width + len(ex)]))))
+                total = ag.add(total, ag.tsum(ag.mul(final, Tensor(probe[start : start + len(ex)]))))
+                start += len(ex)
             return total
 
         got_value, got = compute_gradients(batched, params)
@@ -1121,7 +1052,7 @@ class TestBatchedForward:
     def test_validation(self):
         params = init_params(small_config())
         ex = encoded()
-        ids, positions, mask = pad_batch([(ex.ids, ex.position_ids, build_attention_mask(ex))] * 2)
+        ids, positions, mask = stacked([(ex.ids, ex.position_ids, build_attention_mask(ex))] * 2, np.float32)
         with pytest.raises(ShapeMismatch):
             forward(params, ids, positions, mask[0])
         with pytest.raises(ShapeMismatch):
