@@ -5,14 +5,14 @@ walk and the pretty-printer that renders those programs, an independent
 entry-by-entry attention-mask oracle, a fixpoint reaching-definitions
 data-flow oracle, a layer norm composed from autograd primitives (with the
 `power` node only it uses), the composed encoder graph (node wrappers of the
-fused layer's kernels) and the plain Adam step that oracle the fused
+fused layer's kernels) and the per-tensor Adam step that oracle the fused
 versions, the set-based target samplers that oracle the array-based ones of
 `codeflow.pretrain`, and small synthetic corpora."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -905,9 +905,26 @@ def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_nor
     return Activations(hidden=[concat(finals, axis=0)])
 
 
-def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam written with a fresh array per expression: the oracle of
-    `optim.adam_step`, which computes the same ops into scratch buffers."""
+@dataclass
+class ReferenceAdamState:
+    """Per-name moments of `reference_adam_step`, kept apart from the flat
+    store of `optim.AdamState` so the oracle shares no state with the code
+    it checks."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    step: int = 0
+
+
+def reference_init_adam(params) -> ReferenceAdamState:
+    m, v = ({name: np.zeros_like(t.data) for name, t in params.tensors.items()} for _ in range(2))
+    return ReferenceAdamState(m, v)
+
+
+def reference_adam_step(params, grads, state: ReferenceAdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam per tensor, with a fresh array per expression and each parameter's
+    `data` rebound: the oracle of `optim.adam_step`, which computes the same
+    ops over one flat store into scratch buffers and updates it in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -832,6 +833,26 @@ class TestPinnedTraining:
         rows = (tmp_path / "o" / "losses.csv").read_text().splitlines()[1:]
         logged = [(int(step), objective, float.hex(float(loss))) for step, objective, loss in (r.split(",") for r in rows)]
         assert logged == self.LOSSES
+
+
+class TestPinnedFineTuning:
+    """The sha256 of `model.gcb` after a short seeded `finetune-search` at one
+    BLAS thread, as `TestPinnedTraining` pins pre-training's loss log: a
+    change to the fine-tuning path or to Adam that claims to keep its bits
+    must reproduce the checkpoint byte for byte."""
+
+    MODEL_SHA256 = "b25cdcd3e6a17bb712714fb8ab813b404435170f160aa2e3b5011b821495a880"
+
+    def test_model_bytes_are_pinned(self, tmp_path):
+        corpus = write_search_corpus(tmp_path, n=8)
+        env = {**os.environ, "PYTHONPATH": str(Path(codeflow.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "codeflow.cli", "finetune-search", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+             "--epochs", "3", "--batch-size", "4", *SMALL_MODEL, "--num-layers", "2", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert hashlib.sha256((tmp_path / "o" / "model.gcb").read_bytes()).hexdigest() == self.MODEL_SHA256
 
 
 class TestCheckpointBoundaries:

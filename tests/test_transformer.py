@@ -39,6 +39,7 @@ from helpers import (
     power,
     random_program,
     reference_adam_step,
+    reference_init_adam,
     reshape,
     softmax,
     transpose,
@@ -1200,23 +1201,53 @@ class TestAdam:
         assert state.step == 100
         assert np.abs(params.tensors["mlm.b"].data).max() < 0.1
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_reference_bit_for_bit(self, dtype):
+    @pytest.mark.parametrize(
+        "dtype, grad_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+        ids=["float32", "float64", "float64-grads-into-float32"],
+    )
+    def test_equals_reference_bit_for_bit(self, dtype, grad_dtype):
+        # float64 gradients into float32 parameters run the moments' arithmetic
+        # in float64 and the denominator in float32, so the flat gradient array
+        # must not stand in for the denominator there
         params, reference = init_params(small_config(), dtype=dtype), init_params(small_config(), dtype=dtype)
-        state, reference_state = init_adam(params), init_adam(reference)
+        state, reference_state = init_adam(params), reference_init_adam(reference)
+        views = [t.data for t in params.tensors.values()]
         rng = np.random.default_rng(48)
         for _ in range(50):
-            grads = {k: rng.normal(size=t.shape).astype(dtype) for k, t in params.tensors.items()}
-            before = params.tensors["tok_emb"].data
+            grads = {k: rng.normal(size=t.shape).astype(grad_dtype) for k, t in params.tensors.items()}
             adam_step(params, grads, state, lr=3e-3)
             reference_adam_step(reference, grads, reference_state, lr=3e-3)
-            assert params.tensors["tok_emb"].data is not before  # `data` is rebound, not written
+            for t, view in zip(params.tensors.values(), views):  # `data` is written in place, not rebound
+                assert t.data is view and np.shares_memory(view, state.flat)
         assert state.step == reference_state.step == 50
         for k, t in params.tensors.items():
             assert t.data.dtype == dtype
             assert np.array_equal(t.data, reference.tensors[k].data)
-            assert np.array_equal(state.m[k], reference_state.m[k])
-            assert np.array_equal(state.v[k], reference_state.v[k])
+        for flat, moments in ((state.m, reference_state.m), (state.v, reference_state.v)):
+            assert flat.dtype == dtype
+            assert np.array_equal(flat, np.concatenate([moments[k] for k in params.tensors], axis=None))
+
+    @pytest.mark.parametrize("case", ["other-params", "rebound-tensor"])
+    def test_rejects_params_it_did_not_pack(self, case):
+        # the update would land in a buffer no tensor reads
+        params = init_params(small_config())
+        state = init_adam(params)
+        before = state.flat.copy()
+        if case == "other-params":
+            params = init_params(small_config())
+        else:
+            params.tensors["mlm.b"].data = params.tensors["mlm.b"].data + 1.0
+        grads = {k: np.ones(t.shape, dtype=np.float32) for k, t in params.tensors.items()}
+        with pytest.raises(ValueError, match="init_adam packed"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.step == 0 and np.array_equal(state.flat, before) and not state.m.any()
+
+    def test_rejects_params_of_mixed_dtypes(self):
+        params = init_params(small_config())
+        params.tensors["mlm.b"].data = params.tensors["mlm.b"].data.astype(np.float64)
+        with pytest.raises(ValueError, match="one dtype"):
+            init_adam(params)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -1239,6 +1270,19 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.gcb", params)
         save_checkpoint(tmp_path / "b.gcb", params)
         assert (tmp_path / "a.gcb").read_bytes() == (tmp_path / "b.gcb").read_bytes()
+
+    def test_packed_params_write_the_bytes_of_an_unpacked_copy(self, tmp_path):
+        params = init_params(small_config())
+        state = init_adam(params)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            adam_step(params, {k: rng.normal(size=t.shape) for k, t in params.tensors.items()}, state, lr=1e-2)
+        unpacked = params.astype(np.float32)
+        assert all(np.shares_memory(t.data, state.flat) for t in params.tensors.values())
+        assert not any(np.shares_memory(t.data, state.flat) for t in unpacked.tensors.values())
+        save_checkpoint(tmp_path / "packed.gcb", params)
+        save_checkpoint(tmp_path / "unpacked.gcb", unpacked)
+        assert (tmp_path / "packed.gcb").read_bytes() == (tmp_path / "unpacked.gcb").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         params = init_params(small_config())
