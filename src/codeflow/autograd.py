@@ -8,10 +8,12 @@ dtype they were built with, so the same model code runs in float32 for
 training and float64 for the finite-difference harness.
 
 Gradient arrays may share memory: `add` hands the same upstream gradient to
-both parents, and `backward` stores the first gradient a node receives as is.
-So no VJP and no backward step writes into an array it did not allocate in
-that call; the fused kernels below write in place only into their own
-buffers.
+both parents, and `backward` stores the first gradient an interior node
+receives as is. So no VJP writes into an array it did not allocate in that
+call; the fused kernels below write in place only into their own buffers.
+A backward step writes only into a leaf's own `grad`, summing in place: the
+array the leaf holds (`model.ModelParams` gives each parameter its view of
+one gradient store), else a copy of the first gradient it receives.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None, grad=None):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = grad
         self.requires_grad = requires_grad
         self._parents = _parents
         self._vjp = _vjp
@@ -73,7 +75,12 @@ class Tensor:
                 for parent, g in zip(node._parents, node._vjp(node.grad)):
                     if g is None or not parent.requires_grad:
                         continue
-                    parent.grad = g if parent.grad is None else parent.grad + g
+                    if parent._vjp is not None:  # an interior node
+                        parent.grad = g if parent.grad is None else parent.grad + g
+                    elif parent.grad is None:
+                        parent.grad = g.copy()
+                    else:
+                        parent.grad += g
             node.grad = None
             node._vjp = None
             node._parents = ()

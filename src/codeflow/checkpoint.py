@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor
-from .model import ModelConfig, ModelParams, param_shapes
+from .model import ModelConfig, ModelParams, param_shapes, parameter_count
 
 MAGIC = b"GCB1"
 _DTYPE_F32 = 0
@@ -73,7 +72,7 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"bad model config: {e}") from e
     expected = param_shapes(config)
     (count,) = r.unpack("<I")
-    tensors: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.take(name_len).decode("utf-8", errors="replace")
@@ -83,15 +82,17 @@ def load_checkpoint(path) -> ModelParams:
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
         if name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r}")
-        if name in tensors:
+        if name in arrays:
             raise CheckpointError(f"tensor {name!r} is listed twice")
         if shape != expected[name]:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {expected[name]}")
-        data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4").reshape(shape).astype(np.float32)
-        tensors[name] = Tensor(data)
+        arrays[name] = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4").reshape(shape)
     if r.pos != len(r.buf):
         raise CheckpointError(f"{len(r.buf) - r.pos} trailing bytes after the last tensor")
-    missing = sorted(set(expected) - set(tensors))
+    missing = sorted(set(expected) - set(arrays))
     if missing:
         raise CheckpointError(f"missing tensors: {missing[:5]}")
-    return ModelParams(config, tensors)
+    params = ModelParams(config, np.zeros(parameter_count(config), dtype=np.float32))
+    for name, t in params.tensors.items():
+        t.data[...] = arrays[name]
+    return params

@@ -47,7 +47,7 @@ from .encoding import (
     mask_density,
 )
 from .frontend import FrontendError
-from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params, param_shapes
+from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params, parameter_count
 from .pretrain import (
     CorpusFormatError,
     DivergedLoss,
@@ -91,15 +91,6 @@ MAX_BATCH_SIZE = 4096
 # weights. The bound makes an absurd size (`--vocab-size 100000000`) a flag
 # error, not a numpy allocation failure.
 MAX_PARAMETERS = 50_000_000
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Parameters of `config`, from `param_shapes` of its first layer; every
-    layer has the same count, and so does any split into heads."""
-    shapes = param_shapes(replace(config, num_layers=min(config.num_layers, 1), num_heads=1))
-    per_layer = sum(math.prod(shape) for name, shape in shapes.items() if name.startswith("layer0."))
-    embeddings = sum(math.prod(shape) for name, shape in shapes.items() if not name.startswith("layer"))
-    return embeddings + config.num_layers * per_layer
 
 
 # A field's default type -> the value types it accepts; a bool is not a number.

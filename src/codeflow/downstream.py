@@ -293,8 +293,8 @@ def finetune_search(
                 diag = ag.gather_cols(log_probs, list(range(len(batch))))
                 return ag.mul(ag.tmean(diag), -1.0)
 
-            _, grads = compute_gradients(loss_fn, params)
-            adam_step(params, grads, state, lr)
+            compute_gradients(loss_fn, params)
+            adam_step(params, state, lr)
     return params
 
 
@@ -362,8 +362,8 @@ def finetune_clone(
                 pair_ll = pair_log_likelihoods(cls, [(k, n + k) for k in range(n)], [y for _, _, y in batch], scale)
                 return ag.mul(ag.tmean(pair_ll), -1.0)
 
-            _, grads = compute_gradients(loss_fn, params)
-            adam_step(params, grads, state, lr)
+            compute_gradients(loss_fn, params)
+            adam_step(params, state, lr)
     return params
 
 

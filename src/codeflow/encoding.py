@@ -51,9 +51,16 @@ class SequenceTooLong(ValueError):
 
 @dataclass(frozen=True)
 class Limits:
+    """Most comment words, code tokens and nodes kept; ``max_nodes=0`` drops the nodes."""
+
     max_comment: int = 128
     max_code: int = 256
     max_nodes: int = 64
+
+    def __post_init__(self):
+        for name in ("max_comment", "max_code", "max_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

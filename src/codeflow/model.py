@@ -10,7 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+import mmap
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,13 +62,45 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
+    """Every parameter end to end in one array, `flat`, and its gradient at
+    the same place in `grad`; this constructor, which `init_params`,
+    `load_checkpoint` and `astype` all go through, decides the layout. The
+    tensors of `tensors`, named and ordered as in `param_shapes`, view both.
+    Layer ``n``'s per-head projections are column views of one ``d x 3d``
+    block, ``qkv[n]``, which the layer reads (`head_columns`)."""
+
     config: ModelConfig
-    tensors: dict[str, Tensor]
+    flat: np.ndarray
+    grad: np.ndarray = field(init=False, repr=False)
+    tensors: dict[str, Tensor] = field(init=False, repr=False)
+    qkv: list[Tensor] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (parameter_count(self.config),):
+            raise ShapeMismatch(f"a flat store of shape {self.flat.shape} does not fit the config")
+        # The zero pages of an anonymous mapping take no memory until written,
+        # so a model that never trains does not pay for its gradient store.
+        self.grad = np.frombuffer(mmap.mmap(-1, self.flat.nbytes), dtype=self.flat.dtype)
+        self.tensors, self.qkv = {}, []
+        d, columns, shapes = self.config.hidden_dim, head_columns(self.config), param_shapes(self.config)
+        for (name, shape), span in zip(shapes.items(), row_spans([math.prod(s) for s in shapes.values()])):
+            cols = columns.get(name.partition(".")[2])
+            if cols is None:
+                self.tensors[name] = Tensor(self.flat[span].reshape(shape), grad=self.grad[span].reshape(shape))
+                continue
+            if cols.start == 0:  # a layer's first projection: its 3*d*d-entry block takes the place of them all
+                block = slice(span.start, span.start + 3 * d * d)
+                self.qkv.append(Tensor(self.flat[block].reshape(d, -1), grad=self.grad[block].reshape(d, -1)))
+            self.tensors[name] = Tensor(self.qkv[-1].data[:, cols], grad=self.qkv[-1].grad[:, cols])
+
+    def leaves(self) -> list[Tensor]:
+        """Every tensor a graph may read: the named ones and the QKV blocks."""
+        return [*self.tensors.values(), *self.qkv]
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.config, {k: Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()})
+        return ModelParams(self.config, self.flat.astype(dtype))
 
 
 @dataclass
@@ -107,6 +140,17 @@ class Activations:
 LAYER_WEIGHTS = ("wo", "attn_ln.gain", "attn_ln.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias")
 
 
+def head_columns(config: ModelConfig) -> dict[str, slice]:
+    """A layer's per-head projections, in init order, and their columns of its
+    QKV block: thirds for wq, wk and wv, head ``i`` at ``i*d_k`` in each."""
+    d, d_k, kinds = config.hidden_dim, config.head_dim, ("wq", "wk", "wv")
+    return {
+        f"head{i}.{kind}": slice(j * d + i * d_k, j * d + (i + 1) * d_k)
+        for i in range(config.num_heads)
+        for j, kind in enumerate(kinds)
+    }
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical name -> shape table; single source of truth for init and checkpoint checks."""
     d_h, d_k, f = config.hidden_dim, config.head_dim, config.ffn_dim
@@ -117,36 +161,43 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "mlm.b": (config.vocab_size,),
     }
     for n in range(config.num_layers):
-        for i in range(config.num_heads):
-            shapes.update({f"layer{n}.head{i}.{kind}": (d_h, d_k) for kind in ("wq", "wk", "wv")})
+        shapes.update({f"layer{n}.{name}": (d_h, d_k) for name in head_columns(config)})
         layer = ((d_h, d_h), (d_h,), (d_h,), (d_h, f), (f,), (f, d_h), (d_h,), (d_h,), (d_h,))
         shapes.update({f"layer{n}.{name}": shape for name, shape in zip(LAYER_WEIGHTS, layer)})
     return shapes
 
 
-def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float, dtype) -> np.ndarray:
+def parameter_count(config: ModelConfig) -> int:
+    """Parameters of `config`, from `param_shapes` of its first layer; every
+    layer has the same count, and so does any split into heads."""
+    shapes = param_shapes(replace(config, num_layers=min(config.num_layers, 1), num_heads=1))
+    per_layer = sum(math.prod(shape) for name, shape in shapes.items() if name.startswith("layer0."))
+    embeddings = sum(math.prod(shape) for name, shape in shapes.items() if not name.startswith("layer"))
+    return embeddings + config.num_layers * per_layer
+
+
+def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     # Resample out-of-range entries so the distribution is truly truncated at 2 sigma.
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
-    return out.astype(dtype)
+    return out
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
+    """Unit gains, zero biases, and every other tensor drawn in `param_shapes`
+    order from a truncated normal seeded by the config."""
     rng = np.random.default_rng(config.seed)
-    tensors: dict[str, Tensor] = {}
-    for name, shape in param_shapes(config).items():
+    params = ModelParams(config, np.zeros(parameter_count(config), dtype=dtype))
+    for name, t in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("gain",):
-            data = np.ones(shape, dtype=dtype)
-        elif leaf in ("bias", "b", "b1", "b2"):
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = _trunc_normal(rng, shape, 0.02, dtype)
-        tensors[name] = Tensor(data)
-    return ModelParams(config, tensors)
+        if leaf == "gain":
+            t.data[...] = 1.0
+        elif leaf not in ("bias", "b", "b1", "b2"):
+            t.data[...] = _trunc_normal(rng, t.shape, 0.02)
+    return params
 
 
 def row_spans(sizes) -> list[slice]:
@@ -166,7 +217,10 @@ def encoder_layer(
     ops run once over the rows of every block, attention per block. The
     forward runs the composed graph's ops in order (same bits); the VJP is
     written out. A layer that records a graph keeps the GELU slope
-    (`autograd.gelu_slope`) for its VJP, not the FFN input.
+    (`autograd.gelu_slope`) for its VJP, not the FFN input. The Q/K/V
+    projections are one block, ``params.qkv[n]``: the layer scales a copy's
+    query columns by ``1/sqrt(d_k)``, and the VJP returns the block's gradient
+    as one array with those columns scaled alike.
 
     `keep`, one ``(B, W)`` array of positions per block, runs the layer for
     those query positions of each sequence only: K and V still come from
@@ -178,13 +232,14 @@ def encoder_layer(
     (see `MIN_READ_WIDTH`)."""
     cfg = params.config
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
-    per_head = [params.tensors[f"layer{n}.head{i}.{kind}"] for kind in ("wq", "wk", "wv") for i in range(heads)]
+    projections = params.qkv[n]
     wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
-    parents = (h, *per_head, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2)
+    parents = (h, projections, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2)
     x = h.data
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
-    wqkv = np.concatenate([w.data * scale if j < heads else w.data for j, w in enumerate(per_head)], axis=1)
+    wqkv = projections.data.copy()
+    wqkv[:, :d] *= scale
     shapes = [m.shape[:2] for m in masks]
     spans = row_spans([batch * length for batch, length in shapes])  # of each block in `h`
     if keep is None:
@@ -264,15 +319,14 @@ def encoder_layer(
             ag.scatter_add_rows(dq_rows, slots, dq_kept)
             dqkv[:, :d] = dq_rows
         dwqkv = x.T @ dqkv
+        dwqkv[:, :d] *= scale
         dh = dqkv @ wqkv.T
         if keep is None:
             dh += ds1
         else:
             ag.scatter_add_rows(dh, slots, ds1)
-        dper_head = [dwqkv[:, j * d_k : (j + 1) * d_k] for j in range(3 * heads)]
-        dper_head[:heads] = [dw * scale for dw in dper_head[:heads]]
         dlayer = (ctx.T @ ds1, dgain1, dbias1, g.T @ du, du.sum(axis=0), act.T @ ds2, ds2.sum(axis=0), dgain2, dbias2)
-        return (dh, *dper_head, *dlayer)
+        return (dh, dwqkv, *dlayer)
 
     return ag._make(y, parents, vjp), probs
 
@@ -446,15 +500,18 @@ def pair_log_likelihoods(final: Tensor, candidates, labels, scale: float = 1.0) 
 
 
 def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:
-    """Run loss_fn(params), backprop, and return (loss value, grads by name).
+    """Run loss_fn(params) and backprop into `params.grad`, zeroed first, so
+    each tensor's gradient lands in its view of it; returns the loss value and
+    those views by name, which the next call overwrites.
 
-    Tensors with no influence on the loss get zero gradients. Parameters
+    Tensors with no influence on the loss keep zero gradients. Parameters
     require gradients only during this call, so every other forward records
     no graph and frees its intermediates as it goes.
     """
-    for t in params.tensors.values():
+    leaves = params.leaves()
+    params.grad.fill(0)
+    for t in leaves:
         t.requires_grad = True
-        t.grad = None
     try:
         loss = loss_fn(params)
         value = float(loss.data)
@@ -462,8 +519,6 @@ def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np
             raise NonFiniteLoss(f"loss is {value}")
         loss.backward()
     finally:
-        for t in params.tensors.values():
+        for t in leaves:
             t.requires_grad = False
-    return value, {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data)) for name, t in params.tensors.items()
-    }
+    return value, {name: t.grad for name, t in params.tensors.items()}

@@ -536,10 +536,10 @@ def pretrain_run(
             return total
 
         try:
-            _, grads = compute_gradients(loss_fn, params)
+            compute_gradients(loss_fn, params)
         except NonFiniteLoss as e:
             raise DivergedLoss(f"step {step}: {e}") from e
-        adam_step(params, grads, state, lr)
+        adam_step(params, state, lr)
         log.append((step, "mlm", parts["mlm"]))
         if structure in parts:
             log.append((step, structure, parts[structure]))

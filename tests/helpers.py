@@ -41,7 +41,7 @@ from codeflow.frontend.syntax import (
     While,
 )
 from codeflow.encoding import MASK, RESERVED, build_attention_mask
-from codeflow.model import Activations, read_layout
+from codeflow.model import Activations, compute_gradients, read_layout
 from codeflow.pretrain import (
     MASK_FRACTION,
     NODE_SAMPLE_FRACTION,
@@ -905,10 +905,17 @@ def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_nor
     return Activations(hidden=[concat(finals, axis=0)])
 
 
+def gradient_copies(loss_fn, params):
+    """`compute_gradients` with every gradient copied out of `params.grad`,
+    which the next call overwrites."""
+    value, grads = compute_gradients(loss_fn, params)
+    return value, {name: grad.copy() for name, grad in grads.items()}
+
+
 @dataclass
 class ReferenceAdamState:
     """Per-name moments of `reference_adam_step`, kept apart from the flat
-    store of `optim.AdamState` so the oracle shares no state with the code
+    moments of `optim.AdamState` so the oracle shares no state with the code
     it checks."""
 
     m: dict[str, np.ndarray]

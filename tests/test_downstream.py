@@ -34,7 +34,7 @@ from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_m
 from codeflow.frontend import parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
-from helpers import clone_corpus, random_program, search_pairs
+from helpers import clone_corpus, gradient_copies, random_program, search_pairs
 
 MAX_POSITIONS = 128
 
@@ -349,8 +349,8 @@ class TestClsOnlyForwards:
             final = forward(p, *downstream.block_inputs(rows, dtype), reads=[[0, 1]] * len(encoded)).final
             return ag.take_rows(final, 2 * np.argsort([i for g in groups for i in g]))
 
-        got_value, got = compute_gradients(lambda p: loss(downstream._cls_rows(p, encoded)), params)
-        want_value, want = compute_gradients(lambda p: loss(two_positions(p)), params)
+        got_value, got = gradient_copies(lambda p: loss(downstream._cls_rows(p, encoded)), params)
+        want_value, want = gradient_copies(lambda p: loss(two_positions(p)), params)
         assert got_value == want_value and got.keys() == want.keys()
         for name in want:
             assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name

@@ -259,6 +259,14 @@ class TestTruncation:
         assert len(ex.node_positions) == 2
         assert ex.node_edges == frozenset()
 
+    @pytest.mark.parametrize("field", ["max_comment", "max_code", "max_nodes"])
+    def test_negative_limit_raises(self, field):
+        # a negative cap would slice from the end and silently drop the last
+        # comment word, code token or node; zero stays valid (no data flow)
+        with pytest.raises(ValueError, match=field):
+            Limits(**{field: -1})
+        assert getattr(Limits(**{field: 0}), field) == 0
+
     def test_node_cap_keeps_token_order_prefix(self):
         ex = encode(limits=Limits(max_nodes=2))
         assert len(ex.node_positions) == 2

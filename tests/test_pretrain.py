@@ -23,7 +23,7 @@ from codeflow.encoding import (
     build_vocab,
     encode_example,
 )
-from codeflow.model import ModelConfig, compute_gradients, forward, init_params, read_layout
+from codeflow.model import ModelConfig, forward, init_params, read_layout
 from codeflow.pretrain import (
     CorpusFormatError,
     CorpusItem,
@@ -48,6 +48,7 @@ from codeflow.pretrain import (
     write_loss_log,
 )
 from helpers import (
+    gradient_copies,
     overfit_corpus,
     random_program,
     reference_sample_align_targets,
@@ -568,8 +569,8 @@ class TestBatchLoss:
             got_parts.update(parts)
             return total
 
-        got_value, got = compute_gradients(batched, params)
-        want_value, want = compute_gradients(per_example, params)
+        got_value, got = gradient_copies(batched, params)
+        want_value, want = gradient_copies(per_example, params)
         assert abs(got_value - want_value) <= 1e-6
         assert got_parts.keys() == want_parts.keys()
         for k in want_parts:

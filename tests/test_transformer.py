@@ -1,5 +1,6 @@
 """Autograd ops, encoder forward/backward, Adam, and checkpoints."""
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from codeflow.downstream import block_inputs, length_groups
 from codeflow.encoding import Limits, Vocabulary, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.model import (
+    LAYER_WEIGHTS,
     MIN_READ_WIDTH,
     Activations,
     ModelConfig,
@@ -34,6 +36,7 @@ from helpers import (
     composed_reads,
     concat,
     gelu,
+    gradient_copies,
     layer_norm,
     overfit_corpus,
     power,
@@ -447,13 +450,16 @@ def packed(blocks):
 def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
     """`encoder_layer` with the ``(S, W)`` query positions `keep` (None: all
     positions), one row per sequence, against float64 central differences of
-    every layer input and weight. Each block is a ``(B, L)`` shape; the
-    default holds sequences of lengths 4, 4, 7 and 1."""
-    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
+    the layer input and every weight, for each layer of a two-layer model.
+    The Q/K/V block is checked entry by entry, so each head's scaled query,
+    key and value columns are. Each block is a ``(B, L)`` shape; the default
+    holds sequences of lengths 4, 4, 7 and 1."""
+    cfg = ModelConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
     params = init_params(cfg).astype(np.float64)
     rng = np.random.default_rng(41)
     for t in params.tensors.values():  # off the init's zero biases and unit gains
         t.data += rng.normal(scale=0.3, size=t.shape)
+    for t in params.leaves():
         t.requires_grad = True
     masks = []
     for batch, length in blocks:
@@ -464,26 +470,29 @@ def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
     h = Tensor(rng.normal(size=(total, cfg.hidden_dim)), requires_grad=True)
     probe = Tensor(rng.normal(size=(total if keep is None else keep.size, cfg.hidden_dim)))
     block_keep = None if keep is None else np.split(keep, np.cumsum([batch for batch, _ in blocks])[:-1])
-    names = [n for n in params.tensors if n.startswith("layer0.")]
-    assert len(names) == 3 * cfg.num_heads + 9
-
-    def loss():
-        return ag.tsum(ag.mul(encoder_layer(h, params, 0, masks, block_keep)[0], probe))
-
-    loss().backward()
     eps = 1e-6
-    for leaf in [h] + [params.tensors[n] for n in names]:
-        numeric = np.zeros_like(leaf.data)
-        for idx in np.ndindex(leaf.shape):
-            saved = leaf.data[idx]
-            leaf.data[idx] = saved + eps
-            hi = float(loss().data)
-            leaf.data[idx] = saved - eps
-            lo = float(loss().data)
-            leaf.data[idx] = saved
-            numeric[idx] = (hi - lo) / (2 * eps)
-        err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
-        assert err.max() < 1e-6
+    for n in range(cfg.num_layers):
+
+        def loss():
+            return ag.tsum(ag.mul(encoder_layer(h, params, n, masks, block_keep)[0], probe))
+
+        h.grad = None
+        params.grad.fill(0)
+        loss().backward()
+        leaves = [h, params.qkv[n]] + [params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS]
+        assert params.qkv[n].shape == (cfg.hidden_dim, 3 * cfg.hidden_dim)
+        for leaf in leaves:
+            numeric = np.zeros_like(leaf.data)
+            for idx in np.ndindex(leaf.shape):
+                saved = leaf.data[idx]
+                leaf.data[idx] = saved + eps
+                hi = float(loss().data)
+                leaf.data[idx] = saved - eps
+                lo = float(loss().data)
+                leaf.data[idx] = saved
+                numeric[idx] = (hi - lo) / (2 * eps)
+            err = np.abs(numeric - leaf.grad) / np.maximum(np.abs(numeric), 1.0)
+            assert err.max() < 1e-6
 
 
 class TestFusedLayer:
@@ -531,10 +540,10 @@ class TestFusedLayer:
                 for ex in (encoded_corpus[i] for i in picks)
             ]
             assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
-            got_value, got = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
+            got_value, got = gradient_copies(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             with monkeypatch.context() as m:
                 m.setattr(pretrain, "forward", composed_reads)
-                want_value, want = compute_gradients(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
+                want_value, want = gradient_copies(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             assert got_value == want_value
             for name in want:
                 assert got[name].dtype == dtype
@@ -597,8 +606,8 @@ class TestClsOnly:
                     cls = ag.take_rows(forward(p, *packed(blocks)).final, firsts)
                 return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
 
-            got_value, got = compute_gradients(lambda p: loss_fn(p, True), params)
-            want_value, want = compute_gradients(lambda p: loss_fn(p, False), params)
+            got_value, got = gradient_copies(lambda p: loss_fn(p, True), params)
+            want_value, want = gradient_copies(lambda p: loss_fn(p, False), params)
             assert got_value == want_value
             for name in want:
                 assert got[name].dtype == dtype
@@ -753,10 +762,10 @@ class TestBlocks:
         def loss(final, weights):
             return ag.tsum(ag.mul(ag.mul(final, final), Tensor(weights)))
 
-        got_value, got = compute_gradients(lambda p: loss(forward(p, *packed(blocks), **together).final, probe), params)
+        got_value, got = gradient_copies(lambda p: loss(forward(p, *packed(blocks), **together).final, probe), params)
         want_value, want = 0.0, {}
         for block, kwargs, weights in zip(blocks, alone, probes):
-            value, grads = compute_gradients(lambda p: loss(forward(p, *block, **kwargs).final, weights), params)
+            value, grads = gradient_copies(lambda p: loss(forward(p, *block, **kwargs).final, weights), params)
             want_value += value
             want = {name: want.get(name, 0) + grad for name, grad in grads.items()}
         assert abs(got_value - want_value) <= tol * abs(want_value) * len(blocks)
@@ -915,6 +924,35 @@ class TestConfigAndInit:
         params = init_params(small_config()).astype(np.float64)
         assert all(t.data.dtype == np.float64 for t in params.tensors.values())
 
+    def test_init_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the sha256 of this file before the per-head projections moved into
+        # one QKV block per layer: the draw order and the bytes stay
+        cfg = ModelConfig(num_layers=2, hidden_dim=16, num_heads=4, ffn_dim=32, vocab_size=40, max_positions=24, seed=7)
+        save_checkpoint(tmp_path / "init.gcb", init_params(cfg))
+        digest = hashlib.sha256((tmp_path / "init.gcb").read_bytes()).hexdigest()
+        assert digest == "7c01101cd4ece96aea4a372cfa45b4753b6ca93c4a04a6a1d898a7ec678329d6"
+
+    @pytest.mark.parametrize("build", ["init_params", "load_checkpoint", "astype"])
+    def test_every_tensor_is_a_view_of_the_store(self, tmp_path, build):
+        params = init_params(small_config(num_heads=4))
+        if build == "load_checkpoint":
+            save_checkpoint(tmp_path / "m.gcb", params)
+            params = load_checkpoint(tmp_path / "m.gcb")
+        elif build == "astype":
+            params = params.astype(np.float64)
+        d = params.config.hidden_dim
+        assert [t.shape for t in params.qkv] == [(d, 3 * d)] * params.config.num_layers
+        for t in params.leaves():
+            assert np.shares_memory(t.data, params.flat) and np.shares_memory(t.grad, params.grad)
+            assert t.data.dtype == t.grad.dtype == params.flat.dtype
+        assert sum(t.data.size for t in params.tensors.values()) == params.flat.size == params.grad.size
+        for n, block in enumerate(params.qkv):  # head i's wq, wk and wv at i*d_k in each third of the block
+            for i in range(params.config.num_heads):
+                for j, kind in enumerate(("wq", "wk", "wv")):
+                    cols = slice(j * d + i * params.config.head_dim, j * d + (i + 1) * params.config.head_dim)
+                    head = params.tensors[f"layer{n}.head{i}.{kind}"].data
+                    assert np.shares_memory(head, block.data[:, cols]) and np.array_equal(head, block.data[:, cols])
+
 
 # -- forward pass ----------------------------------------------------------
 
@@ -1044,8 +1082,8 @@ class TestBatchedForward:
                 start += len(ex)
             return total
 
-        got_value, got = compute_gradients(batched, params)
-        want_value, want = compute_gradients(per_example, params)
+        got_value, got = gradient_copies(batched, params)
+        want_value, want = gradient_copies(per_example, params)
         assert abs(got_value - want_value) <= 1e-10
         for name in want:
             assert np.abs(got[name] - want[name]).max() <= 1e-10, name
@@ -1081,7 +1119,7 @@ class TestModelGradients:
             picked = ag.gather_cols(ag.take_rows(logp, targets), target_ids)
             return ag.mul(ag.tmean(picked), -1.0)
 
-        value, grads = compute_gradients(loss_fn, params)
+        value, grads = gradient_copies(loss_fn, params)
         rng = np.random.default_rng(2)
         eps = 1e-5
         for name in ["tok_emb", "layer0.head0.wq", "layer0.wo", "layer0.ffn.w1", "layer0.attn_ln.gain", "mlm.w"]:
@@ -1106,6 +1144,21 @@ class TestModelGradients:
         assert value == pytest.approx(0.0)
         assert np.array_equal(grads["tok_emb"], np.zeros_like(grads["tok_emb"]))
         assert grads["mlm.b"].shape == params.tensors["mlm.b"].data.shape
+
+    def test_consecutive_calls_do_not_accumulate(self):
+        params = init_params(small_config())
+        ex = encoded()
+        mask = additive_mask(build_attention_mask(ex))
+
+        def loss_fn(p):
+            return ag.tsum(ag.mul(mlm_logits(p, forward(p, ex.ids, ex.position_ids, mask).final), 0.01))
+
+        _, first = gradient_copies(loss_fn, params)
+        _, second = compute_gradients(loss_fn, params)
+        assert np.abs(params.grad).max() > 0
+        for name, grad in second.items():
+            assert np.shares_memory(grad, params.grad)
+            assert np.array_equal(grad, first[name]), name
 
     def test_non_finite_loss_raises(self):
         params = init_params(small_config())
@@ -1170,11 +1223,9 @@ class TestAdam:
     def test_first_step_formula(self):
         params = init_params(small_config())
         before = {k: t.data.copy() for k, t in params.tensors.items()}
-        grads = {
-            k: np.random.default_rng(1).normal(size=t.data.shape).astype(np.float64)
-            for k, t in params.tensors.items()
-        }
-        state = adam_step(params, grads, init_adam(params), lr=0.01)
+        params.grad[:] = np.random.default_rng(1).normal(size=params.grad.shape)
+        grads = {k: t.grad.copy() for k, t in params.tensors.items()}
+        state = adam_step(params, init_adam(params), lr=0.01)
         assert state.step == 1
         for k, t in params.tensors.items():
             want = before[k] - 0.01 * grads[k] / (np.abs(grads[k]) + 1e-8)
@@ -1183,71 +1234,65 @@ class TestAdam:
 
     def test_zero_gradient_leaves_params(self):
         params = init_params(small_config())
-        before = {k: t.data.copy() for k, t in params.tensors.items()}
-        zeros = {k: np.zeros_like(t.data, dtype=np.float64) for k, t in params.tensors.items()}
-        adam_step(params, zeros, init_adam(params), lr=0.5)
-        for k, t in params.tensors.items():
-            assert np.array_equal(t.data, before[k])
+        before = params.flat.copy()
+        adam_step(params, init_adam(params), lr=0.5)
+        assert np.array_equal(params.flat, before)
 
     def test_minimizes_quadratic(self):
         params = init_params(small_config())
         params.tensors["mlm.b"].data[:] = 1.0
         state = init_adam(params)
         for _ in range(100):
-            _, grads = compute_gradients(
-                lambda p: ag.tsum(ag.mul(p.tensors["mlm.b"], p.tensors["mlm.b"])), params
-            )
-            state = adam_step(params, grads, state, lr=0.05)
+            compute_gradients(lambda p: ag.tsum(ag.mul(p.tensors["mlm.b"], p.tensors["mlm.b"])), params)
+            state = adam_step(params, state, lr=0.05)
         assert state.step == 100
         assert np.abs(params.tensors["mlm.b"].data).max() < 0.1
 
-    @pytest.mark.parametrize(
-        "dtype, grad_dtype",
-        [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
-        ids=["float32", "float64", "float64-grads-into-float32"],
-    )
-    def test_equals_reference_bit_for_bit(self, dtype, grad_dtype):
-        # float64 gradients into float32 parameters run the moments' arithmetic
-        # in float64 and the denominator in float32, so the flat gradient array
-        # must not stand in for the denominator there
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_equals_reference_bit_for_bit(self, dtype):
         params, reference = init_params(small_config(), dtype=dtype), init_params(small_config(), dtype=dtype)
         state, reference_state = init_adam(params), reference_init_adam(reference)
-        views = [t.data for t in params.tensors.values()]
+        views = [t.data for t in params.leaves()]
         rng = np.random.default_rng(48)
         for _ in range(50):
-            grads = {k: rng.normal(size=t.shape).astype(grad_dtype) for k, t in params.tensors.items()}
-            adam_step(params, grads, state, lr=3e-3)
-            reference_adam_step(reference, grads, reference_state, lr=3e-3)
-            for t, view in zip(params.tensors.values(), views):  # `data` is written in place, not rebound
-                assert t.data is view and np.shares_memory(view, state.flat)
+            params.grad[:] = rng.normal(size=params.grad.shape)
+            adam_step(params, state, lr=3e-3)
+            reference_adam_step(reference, {k: t.grad for k, t in params.tensors.items()}, reference_state, lr=3e-3)
+            for t, view in zip(params.leaves(), views, strict=True):  # `data` is written in place, not rebound
+                assert t.data is view and np.shares_memory(view, params.flat)
         assert state.step == reference_state.step == 50
         for k, t in params.tensors.items():
             assert t.data.dtype == dtype
             assert np.array_equal(t.data, reference.tensors[k].data)
         for flat, moments in ((state.m, reference_state.m), (state.v, reference_state.v)):
             assert flat.dtype == dtype
-            assert np.array_equal(flat, np.concatenate([moments[k] for k in params.tensors], axis=None))
+            by_name = ModelParams(params.config, flat).tensors  # the moments in the store's layout
+            assert all(np.array_equal(by_name[k].data, moments[k]) for k in params.tensors)
 
-    @pytest.mark.parametrize("case", ["other-params", "rebound-tensor"])
+    @pytest.mark.parametrize("case", ["other-params", "rebound-tensor", "rebound-head", "rebound-block"])
     def test_rejects_params_it_did_not_pack(self, case):
-        # the update would land in a buffer no tensor reads
+        # moments of another model's size, or an update the rebound tensor would miss
         params = init_params(small_config())
         state = init_adam(params)
-        before = state.flat.copy()
         if case == "other-params":
-            params = init_params(small_config())
+            params = init_params(small_config(num_layers=1))
+        elif case == "rebound-block":
+            params.qkv[1].data = params.qkv[1].data.copy()
         else:
-            params.tensors["mlm.b"].data = params.tensors["mlm.b"].data + 1.0
-        grads = {k: np.ones(t.shape, dtype=np.float32) for k, t in params.tensors.items()}
-        with pytest.raises(ValueError, match="init_adam packed"):
-            adam_step(params, grads, state, lr=0.1)
-        assert state.step == 0 and np.array_equal(state.flat, before) and not state.m.any()
+            name = "mlm.b" if case == "rebound-tensor" else "layer1.head1.wk"
+            params.tensors[name].data = params.tensors[name].data + 1.0
+        params.grad[:] = 1.0
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match="rebound"):
+            adam_step(params, state, lr=0.1)
+        assert state.step == 0 and np.array_equal(params.flat, before) and not state.m.any() and not state.v.any()
 
-    def test_rejects_params_of_mixed_dtypes(self):
+    def test_init_adam_rebinds_nothing(self):
         params = init_params(small_config())
-        params.tensors["mlm.b"].data = params.tensors["mlm.b"].data.astype(np.float64)
-        with pytest.raises(ValueError, match="one dtype"):
-            init_adam(params)
+        views = [t.data for t in params.leaves()]
+        state = init_adam(params)
+        assert all(t.data is view for t, view in zip(params.leaves(), views, strict=True))
+        assert state.m.shape == state.v.shape == params.flat.shape and not state.m.any() and not state.v.any()
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -1276,10 +1321,11 @@ class TestCheckpoint:
         state = init_adam(params)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            adam_step(params, {k: rng.normal(size=t.shape) for k, t in params.tensors.items()}, state, lr=1e-2)
+            params.grad[:] = rng.normal(size=params.grad.shape)
+            adam_step(params, state, lr=1e-2)
         unpacked = params.astype(np.float32)
-        assert all(np.shares_memory(t.data, state.flat) for t in params.tensors.values())
-        assert not any(np.shares_memory(t.data, state.flat) for t in unpacked.tensors.values())
+        assert all(np.shares_memory(t.data, params.flat) for t in params.tensors.values())
+        assert not any(np.shares_memory(t.data, params.flat) for t in unpacked.tensors.values())
         save_checkpoint(tmp_path / "packed.gcb", params)
         save_checkpoint(tmp_path / "unpacked.gcb", unpacked)
         assert (tmp_path / "packed.gcb").read_bytes() == (tmp_path / "unpacked.gcb").read_bytes()
