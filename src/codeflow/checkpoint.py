@@ -70,6 +70,9 @@ def load_checkpoint(path) -> ModelParams:
         config = ModelConfig.from_dict(json.loads(config_bytes.decode("utf-8")))
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"bad model config: {e}") from e
+    needed = parameter_count(config)
+    if 4 * needed > len(r.buf) - r.pos:  # before `param_shapes`, whose table grows with the config
+        raise CheckpointError(f"config needs {needed} parameters, more than the file holds")
     expected = param_shapes(config)
     (count,) = r.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
@@ -87,12 +90,14 @@ def load_checkpoint(path) -> ModelParams:
         if shape != expected[name]:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {expected[name]}")
         arrays[name] = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4").reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
     if r.pos != len(r.buf):
         raise CheckpointError(f"{len(r.buf) - r.pos} trailing bytes after the last tensor")
     missing = sorted(set(expected) - set(arrays))
     if missing:
         raise CheckpointError(f"missing tensors: {missing[:5]}")
-    params = ModelParams(config, np.zeros(parameter_count(config), dtype=np.float32))
+    params = ModelParams(config, np.zeros(needed, dtype=np.float32))
     for name, t in params.tensors.items():
         t.data[...] = arrays[name]
     return params

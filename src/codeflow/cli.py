@@ -422,7 +422,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
         raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
     splits = grouped_forwards(
-        params, encoded, lambda acts, b, i: cls_attention_split(acts, encoded[i], b), [[0]] * len(encoded)
+        params, encoded, lambda acts, i: cls_attention_split(acts, encoded[i]), [[0]] * len(encoded)
     )
     per_lang: dict[str, list[tuple[float, float]]] = {}
     for item, split in zip(items, splits):

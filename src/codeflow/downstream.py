@@ -25,7 +25,7 @@ from .encoding import (
     encode_example,
 )
 from .frontend import FrontendError, parse_source
-from .model import MIN_READ_WIDTH, Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
+from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
 
@@ -91,98 +91,92 @@ MAX_FORWARD_POSITIONS = 1024
 
 
 def _cls_rows(params: ModelParams, examples: list[EncodedExample]) -> Tensor:
-    """Final-layer [CLS] rows of `examples`, in order, from one forward whose
-    blocks are their exact-length groups (`length_groups`), unpadded, as
-    `pretrain.batch_loss` runs. It reads position 0 of each sequence, so the
-    last layer runs for that row only (kept twice, see
-    `model.MIN_READ_WIDTH`); the repeat gets a zero gradient. Each row is the
-    one a forward of its example alone gives, bit for bit."""
-    groups = length_groups(examples)
-    ids, positions, masks = block_inputs(
-        [[(examples[i].ids, examples[i].position_ids, build_attention_mask(examples[i])) for i in g] for g in groups],
-        params.tensors["tok_emb"].data.dtype,
-    )
-    final = forward(params, ids, positions, masks, reads=[[0]] * len(examples)).final
-    slots = np.argsort([i for group in groups for i in group])  # each example's sequence in the forward
-    return ag.take_rows(final, MIN_READ_WIDTH * slots)
+    """Final-layer [CLS] rows of `examples`, in order, from one
+    `batch_forward` that reads position 0 of each, as `pretrain.batch_loss`
+    runs. Each row is the one a forward of its example alone gives, bit for
+    bit."""
+    sequences = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples]
+    acts = batch_forward(params, sequences, [[0]] * len(examples))
+    return ag.take_rows(acts.final, [rows[0] for rows in acts.rows])
 
 
-def length_groups(examples) -> list[list[int]]:
-    """Indices of `examples` grouped by exact length: groups in the order
+def length_groups(sequences) -> list[list[int]]:
+    """Indices of `sequences` grouped by exact length: groups in the order
     their length first appears, each group's indices in order."""
     groups: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        groups.setdefault(len(ex), []).append(i)
+    for i, seq in enumerate(sequences):
+        groups.setdefault(len(seq), []).append(i)
     return list(groups.values())
 
 
-def block_inputs(blocks, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The flat ids and position ids and the per-block masks of a blocked
-    `forward`, from blocks of equal-length ``(ids, position_ids, allow)``
-    rows: every block an unpadded ``(B, L)`` batch, whose allow-matrices are
-    stacked and converted to one additive mask."""
-    rows = [row for block in blocks for row in block]
-    return (
-        np.concatenate([ids for ids, _, _ in rows]),
-        np.concatenate([positions for _, positions, _ in rows]),
-        [additive_mask(np.stack([allow for _, _, allow in block]), dtype=dtype) for block in blocks],
+def batch_forward(params: ModelParams, sequences, reads) -> Activations:
+    """One `forward` over `sequences`, ``(ids, position_ids, allow)`` each,
+    in any order, that reads the positions `reads[i]` of sequence ``i``. The
+    sequences are grouped by exact length (`length_groups`), and each group
+    is an unpadded block whose allow-matrices are stacked into one additive
+    mask, so every read row equals the one a forward of its sequence alone
+    gives, bit for bit (see `model.forward`). ``rows[i]`` and ``sequence(i)``
+    of the result belong to sequence ``i``: its rows of ``final``, in the
+    order of `reads[i]`."""
+    groups = length_groups([ids for ids, _, _ in sequences])
+    order = [i for group in groups for i in group]
+    dtype = params.tensors["tok_emb"].data.dtype
+    acts = forward(
+        params,
+        np.concatenate([sequences[i][0] for i in order]),
+        np.concatenate([sequences[i][1] for i in order]),
+        [additive_mask(np.stack([sequences[i][2] for i in group]), dtype=dtype) for group in groups],
+        reads=[reads[i] for i in order],
     )
+    slots = np.argsort(order)  # each sequence's place in the forward
+    acts.rows, acts.maps = [acts.rows[s] for s in slots], [acts.maps[s] for s in slots]
+    return acts
 
 
 def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, reads, masks=None) -> list:
-    """``read(activations, b, i)`` for each example ``i``, in order, where
-    example ``i`` is row ``b`` of the block of an inference forward that
-    gave `activations`: the block's own activations (``Activations.blocks``).
+    """``read(activations, i)`` for each example ``i``, in order, with the
+    example's own activations (`Activations.sequence`): the rows of
+    `reads[i]`, in order, as ``final``, and its attention maps, whose last
+    layer holds those query rows when it ran for them alone.
 
     Examples are grouped by exact length (`length_groups`), and consecutive
-    groups are packed into forwards of at most `MAX_FORWARD_POSITIONS` real
-    rows, each group a block of its own (a group that does not fit is split),
-    so nothing is padded and every row equals the one a single-example
-    forward gives, bit for bit. `masks`, one allow-matrix per example,
-    replaces `build_attention_mask`. `reads`, one position list per example,
-    goes to `forward`: ``activations.final`` holds the read rows of each
-    sequence, ``W`` per sequence (see `model.read_layout`), and the last
-    layer's maps those query rows. A forward's activations are freed before
-    the next one runs: `read` copies what it keeps."""
-    out = [None] * len(examples)
-    packed: list[list[list[int]]] = []  # forwards, each a list of blocks of equal-length examples
+    groups are packed into `batch_forward`s of at most
+    `MAX_FORWARD_POSITIONS` real rows (a group that does not fit is split),
+    so nothing is padded. `masks`, one allow-matrix per example, replaces
+    `build_attention_mask`. A forward's activations are freed before the
+    next one runs: `read` copies what it keeps."""
+    packed: list[list[int]] = []  # forwards, each a list of examples
     room = 0  # rows the last forward has left
-    for members in length_groups(examples):
-        length = len(examples[members[0]])
-        while members:
-            if room < length:
-                packed.append([])
-                room = max(MAX_FORWARD_POSITIONS, length)
-            block, members = members[: room // length], members[room // length :]
-            packed[-1].append(block)
-            room -= len(block) * length
-    dtype = params.tensors["tok_emb"].data.dtype
+    for i in (i for group in length_groups(examples) for i in group):
+        length = len(examples[i])
+        if room < length:
+            packed.append([])
+            room = max(MAX_FORWARD_POSITIONS, length)
+        packed[-1].append(i)
+        room -= length
 
-    def row(i: int):
+    def sequence(i: int):
         allow = build_attention_mask(examples[i]) if masks is None else masks[i]
         return examples[i].ids, examples[i].position_ids, allow
 
-    for blocks in packed:
-        ids, positions, block_masks = block_inputs([[row(i) for i in block] for block in blocks], dtype)
-        block_reads = [reads[i] for block in blocks for i in block]
-        acts = forward(params, ids, positions, block_masks, reads=block_reads)
-        for g, block in enumerate(blocks):
-            for b, i in enumerate(block):
-                out[i] = read(acts.blocks[g], b, i)
+    out = [None] * len(examples)
+    for members in packed:
+        acts = batch_forward(params, [sequence(i) for i in members], [reads[i] for i in members])
+        for s, i in enumerate(members):
+            out[i] = read(acts.sequence(s), i)
         del acts
     return out
 
 
 def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndarray:
     """``(N, d)`` final-layer [CLS] vectors of `examples`, in order, from
-    forwards that read position 0 of each sequence: the last layer runs
-    attention, `wo`, both norms and the FFN for that row only, kept twice.
-    Two rows keep numpy's matmuls on the gemm path, so each vector equals the
-    full forward's bit for bit; one row would take gemv and change bits."""
+    forwards that read position 0 of each sequence, so the last layer runs
+    attention, `wo`, both norms and the FFN for that row only. Each vector
+    equals the full forward's bit for bit."""
     out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
 
-    def read(acts: Activations, b: int, i: int) -> None:
-        out[i] = acts.final.data[b * MIN_READ_WIDTH]
+    def read(acts: Activations, i: int) -> None:
+        out[i] = acts.final.data[0]
 
     grouped_forwards(params, examples, read, [[0]] * len(examples))
     return out
@@ -384,18 +378,16 @@ def clone_metrics(predictions, labels) -> tuple[float, float, float]:
 # attention analysis ---------------------------------------------------------
 
 
-def cls_attention_split(activations: Activations, example: EncodedExample, index: int = 0) -> tuple[float, float]:
+def cls_attention_split(activations: Activations, example: EncodedExample) -> tuple[float, float]:
     """Fraction of [CLS] attention mass on code vs node keys, averaged over
-    all heads and layers, renormalized over the two classes. `index` is the
-    example's row in a batched forward of equal-length inputs. Only row 0 of
+    all heads and layers, renormalized over the two classes. Only row 0 of
     each map is read, so the maps of a forward that reads [CLS] do."""
     node_pos = example.node_positions
     if not node_pos:
         return (1.0, 0.0)
     if not activations.attention:
         raise ValueError("activations carry no attention maps")
-    n = len(example)
-    rows = [w.data[..., 0, :].reshape(-1, n)[index] for layer in activations.attention for w in layer]
+    rows = [w.data[0] for layer in activations.attention for w in layer]
     mean_row = np.mean(np.stack(rows), axis=0)
     code_mass = float(mean_row[list(example.code_positions)].sum())
     node_mass = float(mean_row[list(node_pos)].sum())

@@ -174,12 +174,6 @@ class EncodedExample:
     def code_positions(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.segments) if s == SEG_CODE)
 
-    @property
-    def maskable_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, s in enumerate(self.segments) if s in (SEG_COMMENT, SEG_CODE)
-        )
-
 
 def encode_example(
     comment: str | None,

@@ -107,33 +107,38 @@ class ModelParams:
 class Activations:
     """Hidden states and attention weights of one forward.
 
-    Hidden states are flat: row ``b * L + pos`` holds position ``pos`` of
-    sequence ``b``, so a single example gives ``|X| x d_h`` and a ``(B, L)``
-    batch gives ``B*L x d_h``. ``attention[layer][head]`` is ``|X| x |X|``
-    for a single example and ``B x L x L`` for a batch; these are read-only
-    views, gradients flow through the hidden states only.
+    Hidden states are flat: the forward's blocks lie end to end, and row
+    ``b * L + pos`` of a block holds position ``pos`` of its sequence ``b``,
+    so a single example gives ``|X| x d_h``. ``rows[s]`` lists the rows of
+    `final` that hold sequence ``s`` (sequences counted block after block):
+    its reads in order, or every position of it when the forward has no
+    `reads`. ``maps[s][layer]`` is its ``H x W x L`` attention, one map per
+    head with a query row for each of its ``W`` rows in that layer. Maps are
+    read-only views: gradients flow through the hidden states only. A single
+    example also gets them as ``attention[layer][head]``, and `sequence`
+    gives any sequence's own activations.
 
-    A forward given `reads` keeps only what those rows need: `final` is the
-    ``B*W x d_h`` read layout of `read_layout` (``W x d_h`` for a single
-    example), and the last layer's maps hold its ``W`` query rows, ``W x |X|``
-    or ``B x W x L``. The [CLS] read is ``reads=[[0]] * B``: row ``b * W`` of
-    `final` is sequence ``b``'s [CLS] row. When ``W >= L`` the last layer
-    runs in full and its maps hold all ``L`` rows. Two rows or more, not one,
-    keep the bits of the full forward: see `MIN_READ_WIDTH`.
-
-    A forward of several blocks lays the blocks' rows end to end in every
-    hidden state and leaves `attention` empty; ``blocks[g]`` holds block
-    ``g``'s own activations, its rows of each hidden state and its maps, laid
-    out as a forward of that block alone lays them out.
+    A forward given `reads` runs its last layer for the read rows only, when
+    that is fewer rows than a block has: the block then keeps ``W`` rows per
+    sequence, ``W = max(MIN_READ_WIDTH, longest read)``, and its last maps
+    hold those ``W`` query rows. Two rows or more, not one, keep the bits of
+    the full forward: see `MIN_READ_WIDTH`.
     """
 
     hidden: list[Tensor] = field(default_factory=list)  # H^0 .. H^N
-    attention: list[list[Tensor]] = field(default_factory=list)  # [layer][head]
-    blocks: list["Activations"] = field(default_factory=list)
+    attention: list[list[Tensor]] = field(default_factory=list)  # [layer][head], of a single example
+    rows: list[np.ndarray] = field(default_factory=list)  # [sequence]
+    maps: list[list[np.ndarray]] = field(default_factory=list)  # [sequence][layer]
 
     @property
     def final(self) -> Tensor:
         return self.hidden[-1]
+
+    def sequence(self, s: int) -> "Activations":
+        """Sequence `s`'s own activations: its rows of `final`, in order, as
+        the one hidden state, and its maps as ``attention[layer][head]``."""
+        maps = [[Tensor(w) for w in layer] for layer in self.maps[s]]
+        return Activations(hidden=[Tensor(self.final.data[self.rows[s]])], attention=maps)
 
 
 # Weights of a layer after its per-head projections, in init order.
@@ -379,57 +384,42 @@ def _keep_freed_heap() -> None:
 
 
 def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -> Activations:
-    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``), one
-    batch of equal-length sequences (``ids`` of shape ``(B, L)``, mask
-    ``(B, L, L)``) or several such blocks in a single pass. A single example
-    is the ``B = 1`` case; see `Activations` for shapes. Every position is
-    real: nothing is padded. The first forward keeps freed heap mapped for
-    the rest of the process (`_keep_freed_heap`).
+    """Encode one example (``ids`` of shape ``(L,)``, mask ``(L, L)``) or
+    several blocks in a single pass; see `Activations` for what it returns.
+    Every position is real: nothing is padded. The first forward keeps freed
+    heap mapped for the rest of the process (`_keep_freed_heap`).
 
-    Several blocks, each a ``(B_g, L_g)`` batch of its own: `additive_mask`
-    is a list of their ``(B_g, L_g, L_g)`` masks, and `ids` and
-    `position_ids` are flat, every block's ``(B_g, L_g)`` array raveled and
-    laid end to end. Position-wise work runs once over the rows of every
-    block, attention block by block, so ``activations.blocks[g]`` equals the
-    forward of block ``g`` alone bit for bit while each shrunken matmul keeps
-    two rows or more (see `MIN_READ_WIDTH`).
+    Several blocks, each an unpadded batch of ``B_g`` sequences of one length
+    ``L_g``: `additive_mask` is a list of their ``(B_g, L_g, L_g)`` masks,
+    and `ids` and `position_ids` are flat, every block's sequences laid end
+    to end. Position-wise work runs once over the rows of every block,
+    attention block by block, so each sequence's rows and maps equal those of
+    a forward of it alone, bit for bit, while each matmul keeps two rows or
+    more (see `MIN_READ_WIDTH`): alone, a sequence of length 1 has one-row
+    matmuls, whose float64 bits differ.
 
-    `reads`, one list of positions per sequence, asks for those rows of the
-    final states only. The last layer then runs for the ``(B, W)`` positions
-    of `read_layout` (K and V still for every row), its attention maps hold
-    those query rows, and `final` is ``B*W x d_h`` with row ``b*W + j``
-    holding position ``reads[b][j]``, bit-identical to the full forward's
-    because ``W`` is two or more (see `MIN_READ_WIDTH`). When ``W >= L``, or
-    with no layers, the rows are gathered from the full states instead. The
-    [CLS] read is ``reads=[[0]] * B``, with the [CLS] rows at ``b * W``. Over
-    several blocks, each block keeps its own ``W`` and its sequences take
-    their turn in `reads`."""
+    `reads`, one non-empty list of positions per sequence (block after
+    block), asks for those rows of the final states only. A block then runs
+    its last layer for the ``(B, W)`` positions of `read_layout` (K and V
+    still for every row), and `rows` says where each read landed. A block
+    whose ``W`` reaches its length ``L``, or a model with no layers, runs
+    the full last layer and reports the read rows of its full states."""
     cfg = params.config
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
-    if ids.shape != position_ids.shape:
-        raise ShapeMismatch("ids and position_ids must have equal length")
-    blocked = isinstance(additive_mask, list)
-    single = ids.ndim == 1 and not blocked
-    if blocked:
-        masks = [np.asarray(m) for m in additive_mask]
-        if not masks or any(m.ndim != 3 or m.shape[1] != m.shape[2] for m in masks):
-            raise ShapeMismatch("blocks need one (B, L, L) mask each")
-        if ids.ndim != 1 or ids.size != sum(m.shape[0] * m.shape[1] for m in masks):
-            raise ShapeMismatch(f"flat ids of shape {ids.shape} do not fit {len(masks)} blocks")
-    else:
-        additive_mask = np.asarray(additive_mask)
-        if ids.ndim not in (1, 2):
-            raise ShapeMismatch(f"ids must be (L,) or (B, L), got shape {ids.shape}")
-        if additive_mask.shape != ids.shape + ids.shape[-1:]:
-            raise ShapeMismatch(f"mask shape {additive_mask.shape} does not match ids shape {ids.shape}")
-        masks = [additive_mask[None] if single else additive_mask]
+    if ids.ndim != 1 or ids.shape != position_ids.shape:
+        raise ShapeMismatch(f"ids {ids.shape} and position_ids {position_ids.shape} must be flat and of equal length")
+    single = not isinstance(additive_mask, list)
+    masks = [np.asarray(additive_mask)[None]] if single else [np.asarray(m) for m in additive_mask]
+    if not masks or any(m.ndim != 3 or m.shape[1] != m.shape[2] for m in masks):
+        raise ShapeMismatch("one example needs an (L, L) mask, and blocks a list of (B, L, L) masks")
+    if ids.size != sum(m.shape[0] * m.shape[1] for m in masks):
+        raise ShapeMismatch(f"ids of shape {ids.shape} do not fit masks of shapes {[m.shape for m in masks]}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ShapeMismatch("token id out of vocabulary range")
     if position_ids.size and (position_ids.min() < 0 or position_ids.max() >= cfg.max_positions):
         raise ShapeMismatch("position id out of range")
     shapes = [m.shape[:2] for m in masks]
-    spans = row_spans([batch * length for batch, length in shapes])
     keep = None
     if reads is not None:
         sequences = row_spans([batch for batch, _ in shapes])  # of each block in `reads`
@@ -437,8 +427,8 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -
             raise ShapeMismatch(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
         keep = [read_layout(reads[seqs], [length] * batch) for seqs, (batch, length) in zip(sequences, shapes)]
     # The last layer shrinks if some block keeps fewer positions than its
-    # length. A block that keeps as many runs the full layer and its rows are
-    # gathered below: through the kept-row layer, a one-row sequence read at
+    # length. A block that keeps as many runs the full layer and reports the
+    # read rows of it: through the kept-row layer, a one-row sequence read at
     # W = 2 > L = 1 changes float64 bits (float32 keeps them).
     last = None
     if cfg.num_layers and keep is not None and any(k.shape[1] < length for k, (_, length) in zip(keep, shapes)):
@@ -449,7 +439,7 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -
 
     _keep_freed_heap()
     tok, pos = params.tensors["tok_emb"], params.tensors["pos_emb"]
-    h = ag.add(ag.take_rows(tok, ids.reshape(-1)), ag.take_rows(pos, position_ids.reshape(-1)))
+    h = ag.add(ag.take_rows(tok, ids), ag.take_rows(pos, position_ids))
     hidden, maps = [h], []
     for n in range(cfg.num_layers):
         h, probs = encoder_layer(h, params, n, masks, last if n == cfg.num_layers - 1 else None)
@@ -457,28 +447,20 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -
         maps.append(probs)
     # Each block's rows per sequence in the last states, and where they lie.
     widths = [length for _, length in shapes] if last is None else [k.shape[1] for k in last]
-    final_spans = spans if last is None else row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
-    if keep is not None:  # gather the kept rows, unless the last layer already holds exactly them
-        pick = []
-        for k, (batch, length), width, span in zip(keep, shapes, widths, final_spans):
-            if width < length:  # a shrunken block holds its kept positions in order
-                pick.append(np.arange(span.start, span.stop))
-            else:
-                pick.append(span.start + (k + np.arange(batch)[:, None] * length).reshape(-1))
-        pick = np.concatenate(pick)
-        if not np.array_equal(pick, np.arange(h.shape[0])):
-            hidden[-1] = ag.take_rows(h, pick)
-        final_spans = row_spans([k.size for k in keep])
-
-    def block(g: int) -> Activations:
-        bounds = [spans[g]] * (len(hidden) - 1) + [final_spans[g]]
-        states = hidden if len(masks) == 1 else [Tensor(t.data[span]) for t, span in zip(hidden, bounds)]
-        heads = [probs[g][0] if single else np.swapaxes(probs[g], 0, 1) for probs in maps]
-        return Activations(hidden=list(states), attention=[[Tensor(w) for w in layer] for layer in heads])
-
-    if blocked:
-        return Activations(hidden=hidden, blocks=[block(g) for g in range(len(masks))])
-    return block(0)
+    final_spans = row_spans([batch * width for (batch, _), width in zip(shapes, widths)])
+    acts = Activations(hidden=hidden)
+    for g, ((batch, length), width, span) in enumerate(zip(shapes, widths, final_spans)):
+        for b in range(batch):
+            if reads is None:
+                positions = np.arange(length)
+            else:  # a shrunken block holds its sequences' reads in order, a full one every position
+                read = np.asarray(reads[len(acts.rows)], dtype=np.intp)
+                positions = np.arange(len(read)) if width < length else read
+            acts.rows.append(span.start + b * width + positions)
+            acts.maps.append([probs[g][b] for probs in maps])
+    if single:
+        acts.attention = [[Tensor(w) for w in layer] for layer in acts.maps[0]]
+    return acts
 
 
 def mlm_logits(params: ModelParams, final_hidden: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .downstream import block_inputs, grouped_forwards, length_groups
+from .downstream import batch_forward, grouped_forwards
 from .encoding import (
     MASK,
     RESERVED,
@@ -41,12 +41,10 @@ from .model import (
     ModelParams,
     NonFiniteLoss,
     compute_gradients,
-    forward,
     init_params,
     mlm_logits,
     pair_dots,
     pair_log_likelihoods,
-    read_layout,
 )
 from .optim import AdamState, adam_step, init_adam
 
@@ -370,14 +368,11 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     each row is weighted by one over (examples counted) x (that example's
     rows). Returns the loss and its parts by objective name.
 
-    The examples are grouped by exact length (`downstream.length_groups`),
-    and each group is a block of the forward: an unpadded ``(B_g, L_g)``
-    batch with its own masks, so no [PAD] row is computed. The forward
-    `reads` only the rows the losses score, each example's masked positions
-    and candidate endpoints, so its last layer runs for those rows alone, at
-    the read width ``W_g`` of the example's block (`model.read_layout`, two
-    rows or more). Each read row equals the one a forward of its example
-    alone gives, bit for bit; the losses sum their terms in example order.
+    The forward is one `downstream.batch_forward`, unpadded, that `reads`
+    only the rows the losses score, each example's masked positions and
+    candidate endpoints, so its last layer runs for those rows alone. Each
+    read row equals the one a forward of its example alone gives, bit for
+    bit; the losses sum their terms in example order.
     """
     dtype = params.tensors["tok_emb"].data.dtype
     arrays = [sampling_arrays(ex) for ex, _, _ in prepared]
@@ -385,21 +380,13 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
         sorted({*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))})
         for _, mlm_t, tset in prepared
     ]
-
-    def row(i: int):
-        _, mlm_t, tset = prepared[i]
-        return mlm_t.masked_ids, arrays[i].example.position_ids, arrays[i].allow if tset is None else tset.mask
-
-    groups = length_groups(arrays)
-    ids, positions, masks = block_inputs([[row(i) for i in group] for group in groups], dtype)
-    final = forward(params, ids, positions, masks, reads=[reads[i] for group in groups for i in group]).final
-    row_of = [None] * len(prepared)  # per example, position -> row of `final`
-    start = 0
-    for group in groups:
-        width = read_layout([reads[i] for i in group], [len(arrays[i]) for i in group]).shape[1]
-        for b, i in enumerate(group):
-            row_of[i] = {p: start + b * width + j for j, p in enumerate(reads[i])}
-        start += len(group) * width
+    sequences = [
+        (mlm_t.masked_ids, a.example.position_ids, a.allow if tset is None else tset.mask)
+        for a, (_, mlm_t, tset) in zip(arrays, prepared)
+    ]
+    acts = batch_forward(params, sequences, reads)
+    final = acts.final
+    row_of = [dict(zip(positions, rows.tolist())) for positions, rows in zip(reads, acts.rows)]  # position -> row
 
     rows, originals, weights = [], [], []
     for b, (_, mlm_t, _) in enumerate(prepared):
@@ -567,19 +554,13 @@ def structure_accuracy(
     if not scored:
         raise ValueError("no structure candidates in the given examples")
     reads = [sorted({p for pair in tset.candidates for p in pair}) for _, tset in scored]
-    # Every sequence reads the same number of rows, so each forward's final
-    # states hold `width` rows per sequence.
-    layout = read_layout(reads, [len(ex) for ex, _ in scored])
-    width = layout.shape[1]
 
-    def correct(acts: Activations, b: int, i: int) -> int:
+    def correct(acts: Activations, i: int) -> int:
         _, tset = scored[i]
-        row_of = {p: b * width + j for j, p in enumerate(reads[i])}
+        row_of = {p: j for j, p in enumerate(reads[i])}
         dots = pair_dots(acts.final, [(row_of[x], row_of[y]) for x, y in tset.candidates]).data.astype(np.float64)
         p = 1.0 / (1.0 + np.exp(-dots))
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 
-    hits = grouped_forwards(
-        params, [ex for ex, _ in scored], correct, layout.tolist(), [tset.mask for _, tset in scored]
-    )
+    hits = grouped_forwards(params, [ex for ex, _ in scored], correct, reads, [tset.mask for _, tset in scored])
     return sum(hits) / sum(len(tset.candidates) for _, tset in scored)

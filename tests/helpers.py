@@ -41,7 +41,7 @@ from codeflow.frontend.syntax import (
     While,
 )
 from codeflow.encoding import MASK, RESERVED, build_attention_mask
-from codeflow.model import Activations, compute_gradients, read_layout
+from codeflow.model import Activations, compute_gradients
 from codeflow.pretrain import (
     MASK_FRACTION,
     NODE_SAMPLE_FRACTION,
@@ -890,8 +890,8 @@ def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_
 
 def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_norm):
     """The stand-in of a blocked ``forward(..., reads=...)``: `composed_forward`
-    of each block of `masks` alone, `final` gathered to the rows of `reads` in
-    `model.read_layout`'s order, block after block."""
+    of each block of `masks` alone, `final` gathered to the rows of `reads`,
+    sequence after sequence, `rows` saying where each landed, and no maps."""
     finals, start, sequences = [], 0, 0
     for mask in masks:
         batch, length = mask.shape[:2]
@@ -899,10 +899,12 @@ def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_nor
         acts = composed_forward(
             params, np.reshape(ids[rows], (batch, length)), np.reshape(position_ids[rows], (batch, length)), mask, layer_norm
         )
-        keep = read_layout(reads[sequences : sequences + batch], [length] * batch)
-        finals.append(ag.take_rows(acts.final, (keep + np.arange(batch)[:, None] * length).reshape(-1)))
+        picks = [b * length + np.asarray(read) for b, read in enumerate(reads[sequences : sequences + batch])]
+        finals.append(ag.take_rows(acts.final, np.concatenate(picks)))
         start, sequences = rows.stop, sequences + batch
-    return Activations(hidden=[concat(finals, axis=0)])
+    landed = np.cumsum([0] + [len(read) for read in reads])
+    rows = [np.arange(a, b) for a, b in zip(landed, landed[1:])]
+    return Activations(hidden=[concat(finals, axis=0)], rows=rows, maps=[[] for _ in reads])
 
 
 def gradient_copies(loss_fn, params):
@@ -959,7 +961,7 @@ def reference_adam_step(params, grads, state: ReferenceAdamState, lr, beta1=0.9,
 
 
 def reference_select_mlm_targets(example, rng: np.random.Generator, vocab_size: int) -> MlmBatchTarget:
-    maskable = example.maskable_positions
+    maskable = [i for i, segment in enumerate(example.segments) if segment in ("comment", "code")]
     if not maskable:
         raise NoMaskablePositions("example has no comment or code tokens")
     count = max(1, int(MASK_FRACTION * len(maskable) + 0.5))

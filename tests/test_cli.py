@@ -443,8 +443,7 @@ class TestPretrainCommand:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.64 GiB for an array with shape (1024, 4, 328, 328)")
 
-        monkeypatch.setattr(codeflow.pretrain, "forward", exhausted)
-        monkeypatch.setattr(downstream, "forward", exhausted)
+        monkeypatch.setattr(downstream, "forward", exhausted)  # every batched forward goes through it
         if command == "pretrain":
             corpus, length = write_corpus(tmp_path, overfit_corpus(4)), ["--steps", "1"]
         else:
@@ -970,6 +969,23 @@ class TestCheckpointBoundaries:
         code, stdout, err = self.eval_with(capsys, tmp_path, (tmp_path / "model.gcb").read_bytes() + bytes(7))
         assert (code, stdout) == (2, "")
         assert err == "data error: 7 trailing bytes after the last tensor\n"
+
+    def test_header_claiming_more_parameters_than_the_file_holds_is_data_error(self, tmp_path, capsys):
+        config = ModelConfig(num_layers=10**6, hidden_dim=8, num_heads=4, ffn_dim=16, vocab_size=32, max_positions=16)
+        header = json.dumps(config.to_dict()).encode("utf-8")
+        code, stdout, err = self.eval_with(capsys, tmp_path, b"GCB1" + struct.pack("<I", len(header)) + header + bytes(4))
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: config needs {parameter_count(config)} parameters, more than the file holds\n"
+
+    def test_non_finite_weight_is_data_error(self, tmp_path, capsys):
+        # one NaN used to load silently and give a meaningless MRR
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        params = init_params(config)
+        params.tensors["layer0.ffn.w1"].data[3, 5] = np.nan
+        save_checkpoint(tmp_path / "model.gcb", params)
+        code, stdout, err = self.eval_with(capsys, tmp_path, (tmp_path / "model.gcb").read_bytes())
+        assert (code, stdout) == (2, "")
+        assert err == "data error: tensor 'layer0.ffn.w1' holds a non-finite value\n"
 
     def test_model_limits_come_from_the_checkpoint(self, tmp_path, capsys):
         # the checkpoint's 128 positions, not the 512 of the flags' defaults

@@ -269,7 +269,7 @@ class TestGroupedVectors:
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
         codes = [ex.code_encoded for ex in examples]
-        downstream.grouped_forwards(params, codes, lambda acts, b, i: None, [[0]] * len(codes))
+        downstream.grouped_forwards(params, codes, lambda acts, i: None, [[0]] * len(codes))
         assert len(alive) > 2
 
     def test_public_encoders_and_clone_probability_agree(self):
@@ -293,24 +293,69 @@ class TestGroupedVectors:
         assert evaluate_search(params, examples) == float(np.mean([1.0 / r for r in ranks]))
 
 
-class TestBlockInputs:
-    def test_stacks_equal_length_rows(self):
-        _, _, _, _, examples = search_fixture()
+class TestBatchForward:
+    """`downstream.batch_forward`, the one entry of every batched forward:
+    sequences in any order, each with its own reads."""
+
+    def test_stacks_equal_length_sequences(self, monkeypatch):
+        _, _, _, params, examples = search_fixture()
         encoded = [ex.code_encoded for ex in examples] + [ex.query_encoded for ex in examples]
         groups = downstream.length_groups(encoded)
         assert len(groups) > 1 and any(len(g) > 1 for g in groups)
+        calls = []
+
+        def spy(params, ids, positions, masks, reads):
+            calls.append((ids, positions, masks, reads))
+            return forward(params, ids, positions, masks, reads=reads)
+
+        monkeypatch.setattr(downstream, "forward", spy)
         rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
-        ids, positions, masks = downstream.block_inputs([[rows[i] for i in g] for g in groups], np.float64)
+        reads = [[0, i % len(ex)] for i, ex in enumerate(encoded)]
+        downstream.batch_forward(params.astype(np.float64), rows, reads)
+        [(ids, positions, masks, got_reads)] = calls
         order = [i for g in groups for i in g]
         assert ids.tolist() == [t for i in order for t in encoded[i].ids]
         assert positions.tolist() == [p for i in order for p in encoded[i].position_ids]
+        assert got_reads == [reads[i] for i in order]
         assert [m.shape for m in masks] == [(len(g), len(encoded[g[0]]), len(encoded[g[0]])) for g in groups]
         for g, mask in zip(groups, masks):
             for b, i in enumerate(g):
                 assert mask.dtype == np.float64
                 assert np.array_equal(mask[b], additive_mask(build_attention_mask(encoded[i]), dtype=np.float64))
-        with pytest.raises(ValueError):  # rows of two lengths are not one block
-            downstream.block_inputs([[rows[groups[0][0]], rows[groups[1][0]]]], np.float64)
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_rows_equal_single_forwards_in_any_order(self, dtype, num_layers):
+        # Lengths include 1, read at W = 2 > L = 1 (its block runs the full
+        # last layer), and blocks whose sequences read unequal numbers of rows.
+        # Every read row equals the full forward of the same batch. It equals
+        # the forward of its sequence alone too, but for a float64 sequence of
+        # length 1: alone, every matmul of it has one row and takes BLAS's
+        # gemv path, whose float64 bits differ from the gemm rows of a batch.
+        params = init_params(tiny_config(num_layers=num_layers, max_positions=64), dtype=dtype)
+        rng = np.random.default_rng(11 + num_layers)
+        for _ in range(4):
+            lengths = [1, 1, 2, 5, 5, 5, 9, 9, 30] + rng.integers(1, 30, size=4).tolist()
+            rows = []
+            for n in lengths:
+                allow = rng.random((n, n)) < 0.6
+                np.fill_diagonal(allow, True)
+                rows.append((rng.integers(5, params.config.vocab_size, n), rng.permutation(n), allow))
+            reads = [rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist() for n in lengths]
+            reads[0] = [0, 0]  # a read wider than its one-row sequence
+            reads[3], reads[4] = [4], [0, 3, 1]  # fewer rows than a block-mate
+            order = rng.permutation(len(rows))
+            rows, reads = [rows[i] for i in order], [reads[i] for i in order]
+            acts = downstream.batch_forward(params, rows, reads)
+            full = downstream.batch_forward(params, rows, [list(range(len(ids))) for ids, _, _ in rows])
+            assert len(acts.rows) == len(rows)
+            for s, ((ids, positions, allow), read) in enumerate(zip(rows, reads)):
+                got = acts.final.data[acts.rows[s]]
+                assert got.dtype == dtype and acts.sequence(s).final.data.tobytes() == got.tobytes()
+                assert got.tobytes() == full.final.data[full.rows[s][read]].tobytes()
+                if dtype == np.float32 or len(ids) > 1:
+                    alone = forward(params, ids, positions, additive_mask(allow, dtype=dtype)).final.data[read]
+                    assert got.tobytes() == alone.tobytes()
 
 
 class TestClsOnlyForwards:
@@ -344,10 +389,9 @@ class TestClsOnlyForwards:
             return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
 
         def two_positions(p):
-            groups = downstream.length_groups(encoded)
-            rows = [[(encoded[i].ids, encoded[i].position_ids, build_attention_mask(encoded[i])) for i in g] for g in groups]
-            final = forward(p, *downstream.block_inputs(rows, dtype), reads=[[0, 1]] * len(encoded)).final
-            return ag.take_rows(final, 2 * np.argsort([i for g in groups for i in g]))
+            rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
+            acts = downstream.batch_forward(p, rows, [[0, 1]] * len(encoded))
+            return ag.take_rows(acts.final, [landed[0] for landed in acts.rows])
 
         got_value, got = gradient_copies(lambda p: loss(downstream._cls_rows(p, encoded)), params)
         want_value, want = gradient_copies(lambda p: loss(two_positions(p)), params)

@@ -26,7 +26,7 @@ from codeflow.encoding import (
 )
 from codeflow import downstream
 from codeflow.frontend import lexer, parser, tokenize
-from codeflow.pretrain import encode_corpus
+from codeflow.pretrain import encode_corpus, sampling_arrays
 from helpers import mask_oracle, overfit_corpus, random_program
 
 COMMENT = "sum of values"
@@ -153,7 +153,7 @@ class TestLayout:
         assert [i for i, s in enumerate(ex.segments) if s == "comment"] == [1, 2, 3]
         assert ex.code_positions == tuple(range(5, 13))
         assert ex.node_positions == (14, 15, 16)
-        assert ex.maskable_positions == (1, 2, 3) + tuple(range(5, 13))
+        assert sampling_arrays(ex).maskable.tolist() == [1, 2, 3] + list(range(5, 13))
 
     def test_comment_only(self):
         ex = encode_example(COMMENT, None, build_vocab([(COMMENT, CODE)], size=64))

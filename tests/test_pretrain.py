@@ -23,7 +23,7 @@ from codeflow.encoding import (
     build_vocab,
     encode_example,
 )
-from codeflow.model import ModelConfig, forward, init_params, read_layout
+from codeflow.model import ModelConfig, forward, init_params
 from codeflow.pretrain import (
     CorpusFormatError,
     CorpusItem,
@@ -86,7 +86,7 @@ class TestMlmTargets:
         for n, want in [(3, 1), (4, 1), (10, 2), (17, 3), (100, 15)]:
             comment = " ".join(f"w{i}" for i in range(n))
             e, _ = encoded_example(comment=comment, code="")
-            assert len(e.maskable_positions) == n
+            assert len(sampling_arrays(e).maskable) == n
             t = select_mlm_targets(e, np.random.default_rng(0), 64)
             assert len(t.positions) == want
 
@@ -95,7 +95,7 @@ class TestMlmTargets:
         for seed in range(20):
             t = select_mlm_targets(ex, np.random.default_rng(seed), 64)
             assert list(t.positions) == sorted(set(t.positions))
-            assert set(t.positions) <= set(ex.maskable_positions)
+            assert set(t.positions) <= set(sampling_arrays(ex).maskable.tolist())
 
     def test_originals_and_untouched_positions(self):
         ex, _ = encoded_example()
@@ -489,7 +489,7 @@ class TestSamplersMatchTheSetBasedReference:
     def test_arrays_restate_the_example(self):
         for ex in self.examples():
             a = sampling_arrays(ex)
-            assert a.maskable.tolist() == list(ex.maskable_positions)
+            assert a.maskable.tolist() == [i for i, s in enumerate(ex.segments) if s in ("comment", "code")]
             assert a.nodes.tolist() == list(ex.node_positions)
             assert a.code.tolist() == list(ex.code_positions)
             nodes, code = a.nodes.tolist(), a.code.tolist()
@@ -585,8 +585,6 @@ class TestBatchLoss:
     @pytest.mark.parametrize("structure", ["edgepred", "nodealign", None])
     def test_loss_and_parts_equal_the_full_final_layer(self, monkeypatch, dtype, structure):
         # at fixed parameters the read rows keep every bit of the loss
-        import codeflow.pretrain as pretrain
-
         cfg = tiny_config(num_layers=2)
         params = init_params(cfg, dtype=dtype)
         rng = np.random.default_rng(31)
@@ -597,19 +595,13 @@ class TestBatchLoss:
         assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
 
         def full_forward(p, ids, positions, masks, reads=None):
-            acts = forward(p, ids, positions, masks)
-            slots, start, sequences = [], 0, 0
-            for mask in masks:
-                batch, length = mask.shape[:2]
-                keep = read_layout(reads[sequences : sequences + batch], [length] * batch)
-                slots.append((start + keep + np.arange(batch)[:, None] * length).reshape(-1))
-                start, sequences = start + batch * length, sequences + batch
-            acts.hidden[-1] = ag.take_rows(acts.final, np.concatenate(slots))
+            acts = forward(p, ids, positions, masks)  # every row of the last layer
+            acts.rows = [rows[read] for rows, read in zip(acts.rows, reads)]
             return acts
 
         got, got_parts = batch_loss(params, prepared, structure)
         with monkeypatch.context() as m:
-            m.setattr(pretrain, "forward", full_forward)
+            m.setattr(downstream, "forward", full_forward)
             want, want_parts = batch_loss(params, prepared, structure)
         assert got.dtype == dtype and got.data.tobytes() == want.data.tobytes()
         assert {k: float.hex(v) for k, v in got_parts.items()} == {k: float.hex(v) for k, v in want_parts.items()}
@@ -642,40 +634,32 @@ class TestBlockedBatchForward:
             prepared.append((ex, mlm_t, None if structure is None else structure_targets(ex, structure, rng)))
         assert (len({len(ex) for ex in examples}) > 1) == several
         seen = []
-        real = pretrain.forward
+        real = pretrain.batch_forward
 
-        def spy(p, ids, positions, masks, reads=None):
-            acts = real(p, ids, positions, masks, reads=reads)
-            seen.append((masks, reads, acts.final.data))
+        def spy(p, sequences, reads):
+            acts = real(p, sequences, reads)
+            seen.append((sequences, reads, acts))
             return acts
 
-        monkeypatch.setattr(pretrain, "forward", spy)
+        monkeypatch.setattr(pretrain, "batch_forward", spy)
         batch_loss(params, prepared, structure)
-        [(masks, reads, final)] = seen
-        order = first_seen_length_order(examples)
-        assert len(masks) == len({len(ex) for ex in examples})
-        start, k = 0, 0
-        for mask in masks:
-            batch, length = mask.shape[:2]
-            width = read_layout(reads[k : k + batch], [length] * batch).shape[1]
-            for b in range(batch):
-                ex, mlm_t, tset = prepared[order[k + b]]
-                want_reads = sorted({*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)})
-                assert reads[k + b] == want_reads
-                allow = build_attention_mask(ex) if tset is None else tset.mask
-                alone = forward(
-                    params, mlm_t.masked_ids, ex.position_ids, additive_mask(allow, dtype=dtype), reads=[want_reads]
-                ).final.data[: len(want_reads)]
-                got = final[start + b * width : start + b * width + len(want_reads)]
-                assert got.dtype == dtype and got.tobytes() == alone.tobytes()
-            start, k = start + batch * width, k + batch
-        assert (start, k) == (len(final), len(prepared))
+        [(sequences, reads, acts)] = seen
+        assert len(sequences) == len(reads) == len(acts.rows) == len(prepared)
+        for (ex, mlm_t, tset), (ids, positions, allow), read, rows in zip(prepared, sequences, reads, acts.rows):
+            assert read == sorted({*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)})
+            assert ids == mlm_t.masked_ids and positions == ex.position_ids
+            assert np.array_equal(allow, build_attention_mask(ex) if tset is None else tset.mask)
+            alone = forward(params, ids, positions, additive_mask(allow, dtype=dtype)).final.data[read]
+            got = acts.final.data[rows]
+            assert got.dtype == dtype and got.tobytes() == alone.tobytes()
+        landed = np.concatenate(acts.rows)  # no two reads share a row
+        assert len(set(landed.tolist())) == len(landed) and landed.max() < len(acts.final.data)
 
     def test_blocks_are_the_batch_in_first_seen_length_order(self, monkeypatch):
         import codeflow.pretrain as pretrain
 
         calls, batches = [], []
-        real_forward, real_loss = pretrain.forward, pretrain.batch_loss
+        real_forward, real_loss = downstream.forward, pretrain.batch_loss
 
         def spy_forward(params, ids, positions, masks, reads=None):
             calls.append((np.asarray(ids), np.asarray(positions), masks))
@@ -685,7 +669,7 @@ class TestBlockedBatchForward:
             batches.append(prepared)
             return real_loss(params, prepared, structure)
 
-        monkeypatch.setattr(pretrain, "forward", spy_forward)
+        monkeypatch.setattr(downstream, "forward", spy_forward)
         monkeypatch.setattr(pretrain, "batch_loss", spy_loss)
         pretrain_run(overfit_corpus(12), tiny_config(num_layers=2), steps=6, rng=4, batch_size=6)
         assert len(calls) == len(batches) == 6  # one forward per step
@@ -807,16 +791,14 @@ class TestPretrainRun:
             pretrain_run(corpus, tiny_config(), steps=0)
 
     def test_one_forward_per_step(self, monkeypatch):
-        import codeflow.pretrain as pretrain
-
         calls = []
-        real = pretrain.forward
+        real = downstream.forward
 
         def counting(params, ids, positions, masks, *args, **kwargs):
             calls.append((np.shape(ids), [mask.shape for mask in masks]))
             return real(params, ids, positions, masks, *args, **kwargs)
 
-        monkeypatch.setattr(pretrain, "forward", counting)
+        monkeypatch.setattr(downstream, "forward", counting)
         pretrain_run(self.corpus(), tiny_config(), steps=3, rng=1, batch_size=4)
         assert len(calls) == 3
         for ids_shape, mask_shapes in calls:  # one forward holds all four examples

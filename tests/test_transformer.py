@@ -1,16 +1,19 @@
 """Autograd ops, encoder forward/backward, Adam, and checkpoints."""
 
 import hashlib
+import json
+import struct
 import weakref
 
 import numpy as np
 import pytest
 
 import codeflow.autograd as ag
+import codeflow.downstream as downstream
 import codeflow.pretrain as pretrain
 from codeflow.autograd import Tensor
 from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from codeflow.downstream import block_inputs, length_groups
+from codeflow.downstream import length_groups
 from codeflow.encoding import Limits, Vocabulary, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.model import (
     LAYER_WEIGHTS,
@@ -26,6 +29,7 @@ from codeflow.model import (
     init_params,
     mlm_logits,
     param_shapes,
+    parameter_count,
     read_layout,
 )
 from codeflow.optim import adam_step, init_adam
@@ -399,7 +403,7 @@ class TestFusedKernels:
             def encoder(p, ids, positions, masks, reads=None, norm=norm):
                 return composed_reads(p, ids, positions, masks, reads, layer_norm=norm)
 
-            monkeypatch.setattr(pretrain, "forward", encoder)
+            monkeypatch.setattr(downstream, "forward", encoder)
             runs.append(pretrain_run(corpus, config, steps=6, rng=2, batch_size=4))
         fused, composed = runs
         assert [(s, o, float.hex(v)) for s, o, v in fused.loss_log] == [
@@ -430,8 +434,8 @@ def random_rows(rng, lengths, vocab_size):
 
 def stacked(rows, dtype):
     """Equal-length rows as one ``(B, L)`` block: ids, position ids and mask."""
-    ids, positions, [mask] = block_inputs([rows], dtype)
-    return ids.reshape(mask.shape[:2]), positions.reshape(mask.shape[:2]), mask
+    ids, positions, allow = (np.stack(column) for column in zip(*rows))
+    return ids, positions, additive_mask(allow, dtype=dtype)
 
 
 def exact_blocks(rows, dtype):
@@ -445,6 +449,13 @@ def packed(blocks):
     """The flat ids and positions and the masks of one forward over `blocks`."""
     ids, positions, masks = zip(*blocks)
     return np.concatenate([a.ravel() for a in ids]), np.concatenate([a.ravel() for a in positions]), list(masks)
+
+
+def seats(blocks):
+    """``(s, g, b)`` for each sequence of a forward over `blocks`: sequence
+    ``s`` of the forward is row ``b`` of block ``g``."""
+    pairs = [(g, b) for g, (ids, _, _) in enumerate(blocks) for b in range(len(ids))]
+    return [(s, g, b) for s, (g, b) in enumerate(pairs)]
 
 
 def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
@@ -507,13 +518,15 @@ class TestFusedLayer:
         for _ in range(4):
             _, blocks = exact_blocks(program_rows(rng, 5), dtype)
             got = forward(params, *packed(blocks))
-            for block, acts in zip(blocks, got.blocks, strict=True):
-                want = composed_forward(params, *block)
-                for g, w in zip(acts.hidden, want.hidden, strict=True):
-                    assert g.dtype == dtype and np.array_equal(g.data, w.data)
-                for g_layer, w_layer in zip(acts.attention, want.attention, strict=True):
-                    for g, w in zip(g_layer, w_layer):
-                        assert np.array_equal(g.data, w.data)
+            wants = [composed_forward(params, *block) for block in blocks]
+            for s, g, b in seats(blocks):  # each sequence's rows of every state, and its maps
+                length = blocks[g][0].shape[1]
+                for got_h, want_h in zip(got.hidden, wants[g].hidden, strict=True):
+                    assert got_h.dtype == dtype
+                    assert np.array_equal(got_h.data[got.rows[s]], want_h.data[b * length : (b + 1) * length])
+                for got_layer, want_layer in zip(got.maps[s], wants[g].attention, strict=True):
+                    for got_w, want_w in zip(got_layer, want_layer, strict=True):
+                        assert np.array_equal(got_w, want_w.data[b])
             ex_ids, ex_pos, allow = program_rows(rng, 2)[0]
             one = additive_mask(allow, dtype=dtype)
             got = forward(params, ex_ids, ex_pos, one)
@@ -542,7 +555,7 @@ class TestFusedLayer:
             assert len({len(ex) for ex, _, _ in prepared}) > 1  # the forward has several blocks
             got_value, got = gradient_copies(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             with monkeypatch.context() as m:
-                m.setattr(pretrain, "forward", composed_reads)
+                m.setattr(downstream, "forward", composed_reads)
                 want_value, want = gradient_copies(lambda p: pretrain.batch_loss(p, prepared, structure)[0], params)
             assert got_value == want_value
             for name in want:
@@ -569,19 +582,18 @@ class TestClsOnly:
             _, blocks = exact_blocks(rows, dtype)
             full = forward(params, *packed(blocks))
             cls = forward(params, *packed(blocks), reads=[[0]] * len(rows))
-            assert cls.final.dtype == dtype and cls.final.shape == (len(rows) * MIN_READ_WIDTH, params.config.hidden_dim)
-            for (ids, _, _), f, c in zip(blocks, full.blocks, cls.blocks, strict=True):
-                batch, width = ids.shape
-                assert np.array_equal(c.final.data[::MIN_READ_WIDTH], f.final.data[np.arange(batch) * width])
-                shrink = MIN_READ_WIDTH < width
-                for n, (g_layer, w_layer) in enumerate(zip(c.attention, f.attention)):
-                    for g, w in zip(g_layer, w_layer):  # a shrunken last layer repeats query row 0
-                        want = w.data[:, [0] * MIN_READ_WIDTH] if shrink and n == num_layers - 1 else w.data
-                        assert np.array_equal(g.data, want)
+            assert cls.final.dtype == dtype and len(cls.rows) == len(rows)
+            for s, g, _ in seats(blocks):
+                assert np.array_equal(cls.final.data[cls.rows[s]], full.final.data[full.rows[s][:1]])
+                shrink = MIN_READ_WIDTH < blocks[g][0].shape[1]
+                for n, (g_layer, w_layer) in enumerate(zip(cls.maps[s], full.maps[s])):
+                    # a shrunken last layer repeats query row 0
+                    want = w_layer[:, [0] * MIN_READ_WIDTH] if shrink and n == num_layers - 1 else w_layer
+                    assert np.array_equal(g_layer, want)
             for ex_ids, ex_pos, allow in rows:  # each example alone, unbatched
                 one = additive_mask(allow, dtype=dtype)
-                got = forward(params, ex_ids, ex_pos, one, reads=[[0]]).final.data
-                assert got.shape == (MIN_READ_WIDTH, params.config.hidden_dim)
+                got = forward(params, ex_ids, ex_pos, one, reads=[[0]]).sequence(0).final.data
+                assert got.shape == (1, params.config.hidden_dim)
                 assert np.array_equal(got[0], forward(params, ex_ids, ex_pos, one).final.data[0])
 
     def test_query_prefix_against_finite_differences(self):
@@ -600,8 +612,8 @@ class TestClsOnly:
 
             def loss_fn(p, read_cls):
                 if read_cls:
-                    final = forward(p, *packed(blocks), reads=[[0]] * len(lengths)).final
-                    cls = ag.take_rows(final, np.arange(len(lengths)) * MIN_READ_WIDTH)
+                    acts = forward(p, *packed(blocks), reads=[[0]] * len(lengths))
+                    cls = ag.take_rows(acts.final, [rows[0] for rows in acts.rows])
                 else:
                     cls = ag.take_rows(forward(p, *packed(blocks)).final, firsts)
                 return ag.tsum(ag.mul(ag.mul(cls, cls), probe))
@@ -645,23 +657,20 @@ class TestReadRows:
             full = forward(params, *packed(blocks))
             for reads in [self.random_reads(rng, lengths) for _ in range(3)] + [[[0]] * len(rows)]:
                 got = forward(params, *packed(blocks), reads=[reads[i] for i in order])
-                for group, (ids, _, _), f, g_acts in zip(groups, blocks, full.blocks, got.blocks, strict=True):
-                    batch, width = ids.shape
-                    keep = read_layout([reads[i] for i in group], [width] * batch)
-                    assert g_acts.final.dtype == dtype and g_acts.final.shape == (keep.size, params.config.hidden_dim)
-                    slots = (keep + np.arange(batch)[:, None] * width).ravel()
-                    assert np.array_equal(g_acts.final.data, f.final.data[slots])
+                assert got.final.dtype == dtype and len(got.rows) == len(rows)
+                for s, g, b in seats(blocks):
+                    read, width = reads[order[s]], blocks[g][0].shape[1]
+                    keep = read_layout([reads[i] for i in groups[g]], [width] * len(groups[g]))
+                    assert np.array_equal(got.final.data[got.rows[s]], full.final.data[full.rows[s][read]])
                     shrink = keep.shape[1] < width
                     shrunk += shrink and num_layers > 0
-                    for n, (g_layer, w_layer) in enumerate(zip(g_acts.attention, f.attention)):
-                        for g, w in zip(g_layer, w_layer):  # a shrunken last layer keeps the read query rows
-                            kept_rows = shrink and n == num_layers - 1
-                            assert np.array_equal(g.data, w.data[np.arange(batch)[:, None], keep] if kept_rows else w.data)
+                    for n, (g_layer, w_layer) in enumerate(zip(got.maps[s], full.maps[s])):
+                        kept_rows = shrink and n == num_layers - 1  # a shrunken last layer keeps the read query rows
+                        assert np.array_equal(g_layer, w_layer[:, keep[b]] if kept_rows else w_layer)
                 for (ex_ids, ex_pos, allow), kept in zip(rows, reads):  # each example alone, unbatched
                     one = additive_mask(allow, dtype=dtype)
-                    alone = forward(params, ex_ids, ex_pos, one, reads=[kept]).final.data
-                    want = forward(params, ex_ids, ex_pos, one).final.data[read_layout([kept], [len(ex_ids)])[0]]
-                    assert np.array_equal(alone, want)
+                    alone = forward(params, ex_ids, ex_pos, one, reads=[kept]).sequence(0).final.data
+                    assert np.array_equal(alone, forward(params, ex_ids, ex_pos, one).final.data[kept])
         assert shrunk > 10 or num_layers == 0
 
     def test_ragged_selection_against_finite_differences(self):
@@ -670,11 +679,12 @@ class TestReadRows:
 
     def test_bad_reads_raise(self):
         params = init_params(small_config(max_positions=512))
-        ids, positions, mask = stacked(random_rows(np.random.default_rng(71), [5] * 3, 32), np.float32)
+        ids, positions, masks = packed([stacked(random_rows(np.random.default_rng(71), [5] * 3, 32), np.float32)])
         good = [[0]] * 3
+        forward(params, ids, positions, masks, reads=good)
         for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [5], [0]], [[0], [-1], [0]]):
             with pytest.raises(ShapeMismatch):
-                forward(params, ids, positions, mask, reads=bad)
+                forward(params, ids, positions, masks, reads=bad)
 
 
 class TestBlocks:
@@ -728,18 +738,20 @@ class TestBlocks:
             blocks = self.fuzzed_blocks(rng, params, dtype, use_dataflow)
             together, alone = self.kept(rng, blocks, mode)
             acts = forward(params, *packed(blocks), **together)
-            assert acts.attention == [] and len(acts.blocks) == len(blocks)
-            finals = []
-            for block, got, kwargs in zip(blocks, acts.blocks, alone):
-                want = forward(params, *block, **kwargs)
-                assert len(got.hidden) == len(want.hidden) and len(got.attention) == num_layers
-                for g, w in zip(got.hidden, want.hidden):
-                    assert g.dtype == dtype and g.shape == w.shape and np.array_equal(g.data, w.data)
-                for g_layer, w_layer in zip(got.attention, want.attention):
-                    for g, w in zip(g_layer, w_layer):
-                        assert g.shape == w.shape and np.array_equal(g.data, w.data)
-                finals.append(want.final.data)
-            assert np.array_equal(acts.final.data, np.concatenate(finals))
+            wants = [forward(params, *packed([block]), **kwargs) for block, kwargs in zip(blocks, alone)]
+            assert acts.attention == [] and len(acts.rows) == len(acts.maps) == sum(len(ids) for ids, _, _ in blocks)
+            start = 0
+            for (ids, _, _), want in zip(blocks, wants):  # each block's rows of the states below the last
+                for g, w in zip(acts.hidden[:-1], want.hidden[:-1], strict=True):
+                    assert g.dtype == dtype and np.array_equal(g.data[start : start + ids.size], w.data)
+                start += ids.size
+            for s, g, b in seats(blocks):  # each sequence's read rows and maps
+                want = wants[g]
+                assert np.array_equal(acts.final.data[acts.rows[s]], want.final.data[want.rows[b]])
+                assert len(acts.maps[s]) == num_layers
+                for got_w, want_w in zip(acts.maps[s], want.maps[b], strict=True):
+                    assert got_w.shape == want_w.shape and np.array_equal(got_w, want_w)
+            assert np.array_equal(acts.final.data, np.concatenate([want.final.data for want in wants]))
 
     @pytest.mark.parametrize("keep", [None, np.array([[3, 0], [1, 1], [0, 0], [5, 1], [2, 4]])])
     def test_two_blocks_against_finite_differences(self, keep):
@@ -755,7 +767,7 @@ class TestBlocks:
         rng = np.random.default_rng(90)
         blocks = self.fuzzed_blocks(rng, params, dtype, True)
         together, alone = self.kept(rng, blocks, mode)
-        finals = [forward(params, *block, **kwargs).final.shape[0] for block, kwargs in zip(blocks, alone)]
+        finals = [forward(params, *packed([block]), **kwargs).final.shape[0] for block, kwargs in zip(blocks, alone)]
         probe = rng.normal(size=(sum(finals), params.config.hidden_dim)).astype(dtype)
         probes = np.split(probe, np.cumsum(finals)[:-1])
 
@@ -765,7 +777,7 @@ class TestBlocks:
         got_value, got = gradient_copies(lambda p: loss(forward(p, *packed(blocks), **together).final, probe), params)
         want_value, want = 0.0, {}
         for block, kwargs, weights in zip(blocks, alone, probes):
-            value, grads = gradient_copies(lambda p: loss(forward(p, *block, **kwargs).final, weights), params)
+            value, grads = gradient_copies(lambda p: loss(forward(p, *packed([block]), **kwargs).final, weights), params)
             want_value += value
             want = {name: want.get(name, 0) + grad for name, grad in grads.items()}
         assert abs(got_value - want_value) <= tol * abs(want_value) * len(blocks)
@@ -1045,20 +1057,17 @@ class TestBatchedForward:
         worst = 0.0
         for _ in range(5):
             examples = self.batch(rng, 6)
-            groups, blocks = exact_blocks([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], np.float32)
-            assert len(blocks) > 1  # examples of several lengths
-            acts = forward(params, *packed(blocks))
-            for group, (ids, _, _), block in zip(groups, blocks, acts.blocks, strict=True):
-                width = ids.shape[1]
-                assert block.final.shape == (len(group) * width, cfg.hidden_dim)
-                for b, ex in enumerate(examples[i] for i in group):
-                    one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
-                    for got, want in zip(block.hidden, one.hidden):
-                        worst = max(worst, float(np.abs(got.data[b * width : (b + 1) * width] - want.data).max()))
-                    for got_layer, want_layer in zip(block.attention, one.attention):
-                        for got, want in zip(got_layer, want_layer):
-                            assert got.shape == (len(group), width, width)
-                            worst = max(worst, float(np.abs(got.data[b] - want.data).max()))
+            assert len({len(ex) for ex in examples}) > 1  # examples of several lengths
+            rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples]
+            acts = downstream.batch_forward(params, rows, [list(range(len(ex))) for ex in examples])
+            for i, ex in enumerate(examples):
+                one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
+                for got, want in zip(acts.hidden, one.hidden, strict=True):  # all rows read: no layer shrinks
+                    worst = max(worst, float(np.abs(got.data[acts.rows[i]] - want.data).max()))
+                for got_layer, want_layer in zip(acts.sequence(i).attention, one.attention, strict=True):
+                    for got, want in zip(got_layer, want_layer, strict=True):
+                        assert got.shape == (len(ex), len(ex))
+                        worst = max(worst, float(np.abs(got.data - want.data).max()))
         assert worst <= 1e-6, worst
 
     def test_batched_gradients_match_per_example(self):
@@ -1092,10 +1101,14 @@ class TestBatchedForward:
         params = init_params(small_config())
         ex = encoded()
         ids, positions, mask = stacked([(ex.ids, ex.position_ids, build_attention_mask(ex))] * 2, np.float32)
-        with pytest.raises(ShapeMismatch):
-            forward(params, ids, positions, mask[0])
-        with pytest.raises(ShapeMismatch):
-            forward(params, ids[None], positions[None], mask)
+        forward(params, ids.ravel(), positions.ravel(), [mask])
+        for bad in (
+            (ids, positions, mask),  # a (B, L) batch is one block of a blocked forward, not a form of its own
+            (ids.ravel(), positions.ravel(), mask),  # flat ids of two sequences and one unlisted mask
+            (ids[0], positions[0], mask[0][None]),  # one example with a (1, L, L) mask
+        ):
+            with pytest.raises(ShapeMismatch):
+                forward(params, *bad)
 
 
 # -- gradients through the full model ---------------------------------------
@@ -1347,6 +1360,28 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_header_claiming_more_parameters_than_the_file_holds(self, tmp_path, monkeypatch):
+        # a million layers and no tensors: rejected before the shape table of
+        # the config, whose size grows with it, is built
+        import codeflow.checkpoint as checkpoint
+
+        config = ModelConfig(num_layers=10**6, hidden_dim=8, num_heads=4, ffn_dim=16, vocab_size=32, max_positions=16)
+        header = json.dumps(config.to_dict()).encode("utf-8")
+        path = tmp_path / "huge.gcb"
+        path.write_bytes(b"GCB1" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
+        monkeypatch.setattr(checkpoint, "param_shapes", lambda config: pytest.fail("sized the config's tensors"))
+        with pytest.raises(CheckpointError, match=f"config needs {parameter_count(config)} parameters"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_first_tensor(self, tmp_path, value):
+        params = init_params(small_config())
+        params.tensors["tok_emb"].data[1, 2] = value
+        params.tensors["layer0.ffn.w1"].data[3, 5] = value  # before tok_emb in the file's sorted order
+        save_checkpoint(tmp_path / "model.gcb", params)
+        with pytest.raises(CheckpointError, match=r"^tensor 'layer0.ffn.w1' holds a non-finite value$"):
+            load_checkpoint(tmp_path / "model.gcb")
 
     def test_shape_mismatch(self, tmp_path):
         params = init_params(small_config())
