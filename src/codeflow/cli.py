@@ -57,6 +57,7 @@ from .pretrain import (
     load_corpus,
     pretrain_run,
     read_jsonl,
+    read_text,
     str_fields,
     write_loss_log,
 )
@@ -247,6 +248,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             )
         if rc.seed < 0:
             raise ValueError(f"seed must be >= 0, not {rc.seed}")
+        if rc.vocab is not None and rc.checkpoint is None:  # the vocabulary is built from the corpus
+            raise ValueError("--vocab needs --checkpoint")
         if rc.vocab_size < len(RESERVED):
             raise ValueError(f"vocab size must be at least {len(RESERVED)}, not {rc.vocab_size}")
         if not (math.isfinite(rc.lr) and rc.lr > 0):
@@ -309,13 +312,13 @@ def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
 
 
 def _cmd_extract_dfg(rc: RunConfig) -> int:
-    source = Path(rc.file).read_text(encoding="utf-8")
+    source = read_text(rc.file)
     sys.stdout.write(serialize_dfg(extract_dfg(source)) + "\n")
     return 0
 
 
 def _cmd_encode(rc: RunConfig) -> int:
-    source = Path(rc.file).read_text(encoding="utf-8")
+    source = read_text(rc.file)
     comment = rc.comment or None
     vocab = build_vocab([(comment or "", source)], rc.vocab_size)
     example = encode_example(comment, source, vocab, limits=rc.limits(), max_positions=rc.max_positions)

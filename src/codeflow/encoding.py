@@ -211,22 +211,21 @@ def encode_example(
         tokens = tokenize(code)
         dfg = build_dfg(parse(tokens))
         kept_code = tokens[: limits.max_code]
-        code_pos_of_token: dict[int, int] = {}
-        for tok, s in zip(kept_code, code_token_strings(kept_code)):
-            code_pos_of_token[tok.index] = len(ids)
+        code_start = len(ids)  # token i sits at position code_start + i
+        for s in code_token_strings(kept_code):
             ids.append(vocab.id_of(s))
             segments.append(SEG_CODE)
         ids.append(SEP)
         segments.append(SEG_SPECIAL)
 
         node_pos_of_id: dict[int, int] = {}
-        kept_nodes = [n for n in dfg.nodes if n.token_index in code_pos_of_token]
+        kept_nodes = [n for n in dfg.nodes if n.token_index < len(kept_code)]
         for node in kept_nodes[: limits.max_nodes]:
             pos = len(ids)
             node_pos_of_id[node.id] = pos
             ids.append(vocab.id_of(node.name))
             segments.append(SEG_NODE)
-            links.add((pos, code_pos_of_token[node.token_index]))
+            links.add((pos, code_start + node.token_index))
         edges = frozenset(
             (node_pos_of_id[src], node_pos_of_id[dst])
             for src, dst in dfg.edges

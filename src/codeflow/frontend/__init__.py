@@ -8,7 +8,7 @@ from .errors import (
     MiniLangSyntaxError,
     UnterminatedString,
 )
-from .lexer import KEYWORDS, OPERATORS, Span, Token, tokenize
+from .lexer import KEYWORDS, OPERATORS, Token, tokenize
 from .parser import parse, parse_source
 from .syntax import (
     Assign,
@@ -37,7 +37,6 @@ __all__ = [
     "UnterminatedString",
     "KEYWORDS",
     "OPERATORS",
-    "Span",
     "Token",
     "tokenize",
     "parse",

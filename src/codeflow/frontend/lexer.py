@@ -8,20 +8,19 @@ emits the full code-token sequence, including `newline`, `indent` and
 One `findall` of one compiled pattern cuts the whole source. Its groups are
 the blanks `[ \\t\\r]*` before each piece, then newline (with any comment
 before it), identifier, number, string, operator, and any other character.
-That last group leaves no gap, so each token's span follows from the lengths
-consumed so far, with no match object per token. A comment is matched only
-with its newline, so no token is found inside one. Operators are tried
-longest first. Character classes are spelled out in ASCII (`[A-Za-z_]`,
-`[0-9]`), never `\\w` or `\\d`, which would also match letters and digits
-such as `é` or `٣`. The loop over the pieces measures the indentation at
-each line start and tracks parenthesis depth. Where the last group fires, a
-quote means an unterminated string and anything else an invalid character.
+That last group leaves no gap, so the offset of each piece follows from the
+lengths consumed so far, with no match object per token. A comment is
+matched only with its newline, so no token is found inside one. Operators
+are tried longest first. Character classes are spelled out in ASCII
+(`[A-Za-z_]`, `[0-9]`), never `\\w` or `\\d`, which would also match
+letters and digits such as `é` or `٣`. The loop over the pieces measures
+the indentation at each line start and tracks parenthesis depth. Where the
+last group fires, a quote means an unterminated string and anything else
+an invalid character.
 
-Span bookkeeping: every token records the character range of the source
-`str` it was cut from, so that re-inserting the skipped whitespace
-reproduces the source exactly. Offsets count characters, not the bytes of
-an encoded file. Synthetic `dedent` tokens carry an empty span at the point
-they fire.
+A token is its kind and its text; its index is its place in the list. The
+offsets are kept only to report where a `LexError` occurs; they count
+characters, not the bytes of an encoded file.
 """
 
 from __future__ import annotations
@@ -39,20 +38,11 @@ OPERATORS = (
 )
 
 
-class Span(NamedTuple):
-    """Half-open character range [start, end) into the source `str`."""
-
-    start: int
-    end: int
-
-
 class Token(NamedTuple):
-    """One token. A tuple, so its `index` field shadows `tuple.index`."""
+    """One token; its index is its place in the token list."""
 
     kind: str  # identifier | number | string | operator | keyword | newline | indent | dedent
     text: str
-    span: Span
-    index: int  # 0-based position in the token sequence
 
 
 # Longest first, so '<=' wins over '<', '+=' over '+', etc.
@@ -75,6 +65,9 @@ _UNTERMINATED = re.compile(_STRING_BODY.format(q=""))
 # Builds a token without the Python-level NamedTuple constructor: a fifth of
 # the lexing time.
 _new = tuple.__new__
+# Tokens are immutable, so every newline and every dedent is one shared token.
+_NEWLINE = Token("newline", "\n")
+_DEDENT = Token("dedent", "")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -83,7 +76,7 @@ def tokenize(source: str) -> list[Token]:
     Comments (`#` to end of line) produce no tokens. Blank and comment-only
     lines produce no newline/indent/dedent tokens. Newlines inside an open
     parenthesis are treated as plain whitespace. Any indentation still open
-    at end of input is closed with zero-width dedents.
+    at end of input is closed with dedents.
 
     Raises InvalidCharacter, UnterminatedString or IndentationMismatch.
     """
@@ -91,7 +84,6 @@ def tokenize(source: str) -> list[Token]:
     append = tokens.append
     indents = [0]
     pos = 0
-    n = len(source)
     paren_depth = 0
     at_line_start = True
 
@@ -100,7 +92,7 @@ def tokenize(source: str) -> list[Token]:
         if newline:
             pos = start + len(newline)
             if not (at_line_start or paren_depth):  # blank lines and open parentheses emit nothing
-                append(_new(Token, ("newline", "\n", _new(Span, (pos - 1, pos)), len(tokens))))
+                append(_NEWLINE)
                 at_line_start = True
             continue
         # A blank is "other" only at the end of input, where `[ \t\r]*` gave
@@ -111,11 +103,11 @@ def tokenize(source: str) -> list[Token]:
             width = len(blank)
             if width > indents[-1]:
                 indents.append(width)
-                append(Token("indent", blank, Span(pos, start), len(tokens)))
+                append(Token("indent", blank))
             else:
                 while width < indents[-1]:
                     indents.pop()
-                    append(Token("dedent", "", Span(start, start), len(tokens)))
+                    append(_DEDENT)
                 if width != indents[-1]:
                     raise IndentationMismatch("unindent does not match any outer level", start)
             at_line_start = False
@@ -135,15 +127,15 @@ def tokenize(source: str) -> list[Token]:
             text, kind = string, "string"
         elif other in "'\"":
             end = _UNTERMINATED.match(source, start + 1).end()
-            where = "line" if end < n and source[end] == "\n" else "input"
+            where = "line" if end < len(source) and source[end] == "\n" else "input"
             raise UnterminatedString(f"string literal hits end of {where}", start)
         else:
             raise InvalidCharacter(f"unexpected character {other!r}", start)
         pos = start + len(text)
-        append(_new(Token, (kind, text, _new(Span, (start, pos)), len(tokens))))
+        append(_new(Token, (kind, text)))
 
     # Close any indentation still open at end of input.
     while len(indents) > 1:
         indents.pop()
-        append(Token("dedent", "", Span(n, n), len(tokens)))
+        append(_DEDENT)
     return tokens

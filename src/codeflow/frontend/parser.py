@@ -1,15 +1,14 @@
 """Recursive-descent parser for MiniLang token streams.
 
-`_Parser` unzips the tokens once into three flat views, `kinds`, `texts`
-and `spans`, each closed by an end sentinel (kind and text None), and the
-grammar methods index them at `self.pos`: checking a token is a tuple
-lookup, not a method call. Since a token's index is its position, `pos` is
-also the token index that `Name` nodes and errors record. Binary
-expressions are parsed by precedence climbing over the one `LEVELS` table:
-`expression(level)` parses a primary, then folds in every operator of that
-level or tighter, each with a right operand parsed one level tighter, so
-every level is left-associative. Spans and nodes are built positionally,
-spans with `tuple.__new__` as the lexer does.
+`_Parser` unzips the tokens once into two flat views, `kinds` and `texts`,
+each closed by an end sentinel (None), and the grammar methods index them
+at `self.pos`: checking a token is a tuple lookup, not a method call. Since
+a token's index is its position, `pos` is also the token index that `Name`
+and `Param` nodes and errors record; nodes carry no source positions.
+Binary expressions are parsed by precedence climbing over the one `LEVELS`
+table: `expression(level)` parses a primary, then folds in every operator
+of that level or tighter, each with a right operand parsed one level
+tighter, so every level is left-associative.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from typing import NoReturn
 
 from .errors import MiniLangSyntaxError
-from .lexer import Span, Token
+from .lexer import Token
 from .syntax import (
     Assign,
     AugAssign,
@@ -47,8 +46,7 @@ LEVELS = {
 }
 
 _EXPR_START = frozenset({"identifier", "number", "string", "("})
-_END = (None, None, None, None)
-_new = tuple.__new__
+_END = (None, None)
 
 # Deepest nesting of blocks, `elif` arms, parentheses and call arguments the
 # parser accepts. Each level costs up to four Python frames here (a block:
@@ -60,7 +58,7 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.kinds, self.texts, self.spans, _ = zip(*tokens, _END)
+        self.kinds, self.texts = zip(*tokens, _END)
         self.pos = 0
         self.depth = 0
 
@@ -95,8 +93,7 @@ class _Parser:
         kinds = self.kinds
         while kinds[self.pos] is not None:
             body.append(self.statement())
-        end = self.spans[-2][1] if len(kinds) > 1 else 0
-        return Module(_new(Span, (0, end)), tuple(body))
+        return Module(tuple(body))
 
     def statement(self) -> Stmt:
         if self.kinds[self.pos] == "keyword":
@@ -113,24 +110,21 @@ class _Parser:
             self.pos = pos + 2
             value = self.expression()
             self.end_of_statement()
-            name_span = self.spans[pos]
-            target = Name(name_span, self.texts[pos], pos)
-            span = _new(Span, (name_span[0], value.span[1]))
+            target = Name(self.texts[pos], pos)
             if op == "=":
-                return Assign(span, target, value)
-            return AugAssign(span, target, op, value)
+                return Assign(target, value)
+            return AugAssign(target, op, value)
         value = self.expression()
         self.end_of_statement()
-        return ExprStmt(value.span, value)
+        return ExprStmt(value)
 
     def return_stmt(self) -> Return:
-        kw = self.expect("keyword", "return")
+        self.expect("keyword", "return")
         value: Expr | None = None
         if self.kinds[self.pos] in _EXPR_START or self.texts[self.pos] == "(":
             value = self.expression()
         self.end_of_statement()
-        end = value.span[1] if value is not None else self.spans[kw][1]
-        return Return(_new(Span, (self.spans[kw][0], end)), value)
+        return Return(value)
 
     def end_of_statement(self) -> None:
         kind = self.kinds[self.pos]
@@ -155,56 +149,50 @@ class _Parser:
         return tuple(body)
 
     def if_stmt(self) -> If:
-        return self._conditional(self.expect("keyword", "if"))
+        self.expect("keyword", "if")
+        return self._conditional()
 
-    def _conditional(self, kw: int) -> If:
+    def _conditional(self) -> If:
         test = self.expression()
         body = self.block()
         orelse: tuple[Stmt, ...] = ()
         if self.kinds[self.pos] == "keyword":
             if self.texts[self.pos] == "elif":
-                nested_kw = self.pos
                 self.pos += 1
                 self.nest()
-                orelse = (self._conditional(nested_kw),)
+                orelse = (self._conditional(),)
                 self.depth -= 1
             elif self.texts[self.pos] == "else":
                 self.pos += 1
                 orelse = self.block()
-        end = (orelse[-1] if orelse else body[-1]).span[1]
-        return If(_new(Span, (self.spans[kw][0], end)), test, body, orelse)
+        return If(test, body, orelse)
 
     def while_stmt(self) -> While:
-        kw = self.expect("keyword", "while")
+        self.expect("keyword", "while")
         test = self.expression()
-        body = self.block()
-        return While(_new(Span, (self.spans[kw][0], body[-1].span[1])), test, body)
+        return While(test, self.block())
 
     def for_stmt(self) -> For:
-        kw = self.expect("keyword", "for")
+        self.expect("keyword", "for")
         name = self.expect("identifier")
         self.expect("keyword", "in")
         it = self.expression()
-        body = self.block()
-        target = Name(self.spans[name], self.texts[name], name)
-        return For(_new(Span, (self.spans[kw][0], body[-1].span[1])), target, it, body)
+        return For(Name(self.texts[name], name), it, self.block())
 
     def function_def(self) -> FunctionDef:
-        kw = self.expect("keyword", "def")
+        self.expect("keyword", "def")
         name = self.expect("identifier")
         self.expect("operator", "(")
         params: list[Param] = []
         if self.texts[self.pos] != ")":
             while True:
                 p = self.expect("identifier")
-                params.append(Param(self.texts[p], p, self.spans[p]))
+                params.append(Param(self.texts[p], p))
                 if self.texts[self.pos] != ",":
                     break
                 self.pos += 1
         self.expect("operator", ")")
-        body = self.block()
-        span = _new(Span, (self.spans[kw][0], body[-1].span[1]))
-        return FunctionDef(span, self.texts[name], name, tuple(params), body)
+        return FunctionDef(self.texts[name], tuple(params), self.block())
 
     # -- expressions ----------------------------------------------------
 
@@ -219,7 +207,7 @@ class _Parser:
                 return left
             self.pos += 1
             right = self.expression(op_level + 1)
-            left = BinOp(_new(Span, (left.span[0], right.span[1])), left, op, right)
+            left = BinOp(left, op, right)
 
     def primary(self) -> Expr:
         pos = self.pos
@@ -228,14 +216,14 @@ class _Parser:
         if kind == "identifier":
             self.pos = pos + 1
             if self.texts[pos + 1] == "(":
-                return self.call(pos)
-            return Name(self.spans[pos], text, pos)
+                return self.call(text)
+            return Name(text, pos)
         if kind == "number":
             self.pos = pos + 1
-            return Literal(self.spans[pos], float(text) if "." in text else int(text), text)
+            return Literal(float(text) if "." in text else int(text), text)
         if kind == "string":
             self.pos = pos + 1
-            return Literal(self.spans[pos], text[1:-1], text)
+            return Literal(text[1:-1], text)
         if text == "(":
             self.pos = pos + 1
             self.nest()
@@ -245,7 +233,7 @@ class _Parser:
             return inner
         self.fail(set(_EXPR_START))
 
-    def call(self, name: int) -> Call:
+    def call(self, func: str) -> Call:
         self.pos += 1  # the "(" that `primary` saw
         self.nest()
         args: list[Expr] = []
@@ -256,9 +244,8 @@ class _Parser:
                     break
                 self.pos += 1
         self.depth -= 1
-        close = self.expect("operator", ")")
-        span = _new(Span, (self.spans[name][0], self.spans[close][1]))
-        return Call(span, self.texts[name], name, tuple(args))
+        self.expect("operator", ")")
+        return Call(func, tuple(args))
 
 
 _COMPOUND = {

@@ -3,19 +3,17 @@
 Nodes are slotted dataclasses, compared by value, not hashable: a slotted
 init costs under a third of a frozen one, and the parser builds dozens of
 nodes per program. Nothing mutates a node once the parser has built it,
-and the data-flow extractor keys its loop memo on `id(node)`. Every node
-carries the character span it covers; `Name` leaves additionally record
-the index of the identifier token they resolve to, which is what the
-data-flow extractor keys on. Function and call names are deliberately
-*not* `Name` nodes: functions are not variables.
+and the data-flow extractor keys its loop memo on `id(node)`. Nodes carry
+no source positions: `Name` leaves and `Param`s record only the index of
+the identifier token they resolve to, which is what the data-flow
+extractor keys on. Function and call names are deliberately *not* `Name`
+nodes, and record no token: functions are not variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
-
-from .lexer import Span
 
 Expr = Union["BinOp", "Call", "Name", "Literal"]
 Stmt = Union[
@@ -25,8 +23,6 @@ Stmt = Union[
 
 @dataclass(slots=True)
 class AstNode:
-    span: Span
-
     @property
     def kind(self) -> str:
         return type(self).__name__
@@ -38,7 +34,6 @@ class Param:
 
     name: str
     token_index: int
-    span: Span
 
 
 @dataclass(slots=True)
@@ -63,7 +58,6 @@ class BinOp(AstNode):
 @dataclass(slots=True)
 class Call(AstNode):
     func: str
-    func_token: int
     args: tuple[Expr, ...]
 
 
@@ -113,7 +107,6 @@ class For(AstNode):
 @dataclass(slots=True)
 class FunctionDef(AstNode):
     name: str
-    name_token: int
     params: tuple[Param, ...]
     body: tuple[Stmt, ...]
 

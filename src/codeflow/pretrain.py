@@ -14,7 +14,6 @@ import json
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -94,6 +93,13 @@ def str_fields(obj, names: tuple[str, ...]) -> list[str]:
     return values
 
 
+def read_text(path) -> str:
+    """The UTF-8 file at `path` with no newline translation, so a lone ``\\r``
+    stays a character and does not end a line."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def read_jsonl(path, row, empty: str) -> list:
     """`row(obj)` for the object parsed from each non-blank line of the JSONL
     file at `path`. Lines end at ``\n`` only: a raw U+2028, U+2029 or U+0085
@@ -102,7 +108,7 @@ def read_jsonl(path, row, empty: str) -> list:
     TypeError or ValueError, raises CorpusFormatError naming the line; a file
     with no rows raises EmptyCorpus(`empty`)."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -20,7 +20,7 @@ import numpy as np
 import codeflow.autograd as ag
 from codeflow.frontend import syntax as ast
 from codeflow.frontend.errors import IndentationMismatch, InvalidCharacter, MiniLangSyntaxError, UnterminatedString
-from codeflow.frontend.lexer import KEYWORDS, OPERATORS, Span, Token
+from codeflow.frontend.lexer import KEYWORDS, OPERATORS, Token
 from codeflow.frontend.parser import MAX_NESTING
 from codeflow.frontend.syntax import (
     Assign,
@@ -51,8 +51,6 @@ from codeflow.pretrain import (
     StructureTargets,
 )
 
-SPAN = Span(0, 0)
-
 IDENTIFIERS = [
     "acc", "base", "count", "delta", "extra", "flag", "gain", "high",
     "index", "join", "keep", "low", "mark", "next_val", "outer", "pivot",
@@ -72,26 +70,24 @@ def random_expr(rng: np.random.Generator, names: list[str], depth: int = 0) -> a
     if depth >= 3 or roll < 0.45:
         kind = int(rng.integers(4))
         if kind == 0 and names:
-            return ast.Name(SPAN, _pick(rng, names), -1)
+            return ast.Name(_pick(rng, names), -1)
         if kind == 1:
             n = int(rng.integers(100))
-            return ast.Literal(SPAN, n, str(n))
+            return ast.Literal(n, str(n))
         if kind == 2:
             a, b = int(rng.integers(10)), int(rng.integers(10))
-            return ast.Literal(SPAN, float(f"{a}.{b}"), f"{a}.{b}")
+            return ast.Literal(float(f"{a}.{b}"), f"{a}.{b}")
         word = _pick(rng, ["alpha", "omega", "note"])
-        return ast.Literal(SPAN, word, f'"{word}"')
+        return ast.Literal(word, f'"{word}"')
     if roll < 0.85:
         op = _pick(rng, BIN_OPS)
-        return ast.BinOp(SPAN, random_expr(rng, names, depth + 1), op, random_expr(rng, names, depth + 1))
+        return ast.BinOp(random_expr(rng, names, depth + 1), op, random_expr(rng, names, depth + 1))
     args = tuple(random_expr(rng, names, depth + 1) for _ in range(int(rng.integers(0, 3))))
-    return ast.Call(SPAN, _pick(rng, FUNCTIONS), -1, args)
+    return ast.Call(_pick(rng, FUNCTIONS), args)
 
 
 def _condition(rng, names):
-    return ast.BinOp(
-        SPAN, random_expr(rng, names, depth=2), _pick(rng, CMP_OPS), random_expr(rng, names, depth=2)
-    )
+    return ast.BinOp(random_expr(rng, names, depth=2), _pick(rng, CMP_OPS), random_expr(rng, names, depth=2))
 
 
 def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0, max_depth: int = 2) -> ast.AstNode:
@@ -101,13 +97,13 @@ def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0, max_
     fresh = _pick(rng, IDENTIFIERS)
     if roll < 0.45 or depth >= max_depth:
         target = fresh if rng.random() < 0.5 or not names else _pick(rng, names)
-        stmt = ast.Assign(SPAN, ast.Name(SPAN, target, -1), random_expr(rng, names))
+        stmt = ast.Assign(ast.Name(target, -1), random_expr(rng, names))
         if target not in names:
             names.append(target)
         return stmt
     if roll < 0.55 and names:
         op = _pick(rng, ["+=", "-=", "*=", "/="])
-        return ast.AugAssign(SPAN, ast.Name(SPAN, _pick(rng, names), -1), op, random_expr(rng, names))
+        return ast.AugAssign(ast.Name(_pick(rng, names), -1), op, random_expr(rng, names))
     if roll < 0.7:
         body = random_block(rng, names, depth + 1, max_depth)
         orelse: tuple = ()
@@ -115,19 +111,19 @@ def random_stmt(rng: np.random.Generator, names: list[str], depth: int = 0, max_
         if branch < 0.3:
             orelse = random_block(rng, list(names), depth + 1, max_depth)
         elif branch < 0.45:
-            orelse = (ast.If(SPAN, _condition(rng, names), random_block(rng, list(names), depth + 1, max_depth), ()),)
-        return ast.If(SPAN, _condition(rng, names), body, orelse)
+            orelse = (ast.If(_condition(rng, names), random_block(rng, list(names), depth + 1, max_depth), ()),)
+        return ast.If(_condition(rng, names), body, orelse)
     if roll < 0.8:
-        return ast.While(SPAN, _condition(rng, names), random_block(rng, names, depth + 1, max_depth))
+        return ast.While(_condition(rng, names), random_block(rng, names, depth + 1, max_depth))
     if roll < 0.9:
         loop_var = fresh
         if loop_var not in names:
             names.append(loop_var)
         iterable = random_expr(rng, names)
-        return ast.For(SPAN, ast.Name(SPAN, loop_var, -1), iterable, random_block(rng, names, depth + 1, max_depth))
+        return ast.For(ast.Name(loop_var, -1), iterable, random_block(rng, names, depth + 1, max_depth))
     if roll < 0.95:
-        return ast.Return(SPAN, random_expr(rng, names) if rng.random() < 0.8 else None)
-    return ast.ExprStmt(SPAN, ast.Call(SPAN, _pick(rng, FUNCTIONS), -1, tuple(random_expr(rng, names) for _ in range(int(rng.integers(1, 3))))))
+        return ast.Return(random_expr(rng, names) if rng.random() < 0.8 else None)
+    return ast.ExprStmt(ast.Call(_pick(rng, FUNCTIONS), tuple(random_expr(rng, names) for _ in range(int(rng.integers(1, 3))))))
 
 
 def random_block(rng: np.random.Generator, names: list[str], depth: int, max_depth: int = 2) -> tuple:
@@ -141,14 +137,14 @@ def random_program(rng: np.random.Generator, max_depth: int = 2) -> str:
     names: list[str] = []
     if rng.random() < 0.6:
         params = tuple(
-            ast.Param(_pick(rng, IDENTIFIERS) + str(i), -1, SPAN) for i in range(int(rng.integers(1, 4)))
+            ast.Param(_pick(rng, IDENTIFIERS) + str(i), -1) for i in range(int(rng.integers(1, 4)))
         )
         fn_names = [p.name for p in params]
         body = tuple(random_stmt(rng, fn_names, 1, max_depth) for _ in range(int(rng.integers(1, 5))))
-        top.append(ast.FunctionDef(SPAN, "main_fn", -1, params, body))
+        top.append(ast.FunctionDef("main_fn", params, body))
     for _ in range(int(rng.integers(1, 4))):
         top.append(random_stmt(rng, names, 0, max_depth))
-    return pretty(ast.Module(SPAN, tuple(top)))
+    return pretty(ast.Module(tuple(top)))
 
 
 # Reference lexer --------------------------------------------------------------
@@ -165,7 +161,7 @@ def reference_tokenize(source: str) -> list[Token]:
     Comments (`#` to end of line) produce no tokens. Blank and comment-only
     lines produce no newline/indent/dedent tokens. Newlines inside an open
     parenthesis are treated as plain whitespace. Any indentation still open
-    at end of input is closed with zero-width dedents.
+    at end of input is closed with dedents.
 
     Raises InvalidCharacter, UnterminatedString or IndentationMismatch.
     """
@@ -177,7 +173,7 @@ def reference_tokenize(source: str) -> list[Token]:
     at_line_start = True
 
     def emit(kind: str, start: int, end: int) -> None:
-        tokens.append(Token(kind, source[start:end], Span(start, end), len(tokens)))
+        tokens.append(Token(kind, source[start:end]))
 
     while pos < n:
         if at_line_start and paren_depth == 0:
@@ -272,7 +268,7 @@ def reference_tokenize(source: str) -> list[Token]:
     # Close any indentation still open at end of input.
     while len(indents) > 1:
         indents.pop()
-        tokens.append(Token("dedent", "", Span(n, n), len(tokens)))
+        tokens.append(Token("dedent", ""))
     return tokens
 
 
@@ -313,25 +309,23 @@ class _ReferenceParser:
             self.fail({text if text is not None else kind})
         return self.advance()
 
+    def name(self) -> Name:
+        """Consume an identifier as the variable occurrence at its token index."""
+        index = self.pos
+        return Name(id=self.expect("identifier").text, token_index=index)
+
     def fail(self, expected: set[str]) -> None:
         tok = self.peek()
-        index = tok.index if tok is not None else len(self.tokens)
         got = f"{tok.kind} {tok.text!r}" if tok is not None else "end of input"
         raise MiniLangSyntaxError(
-            f"expected one of {sorted(expected)}, got {got}", index, frozenset(expected)
+            f"expected one of {sorted(expected)}, got {got}", self.pos, frozenset(expected)
         )
 
     def nest(self) -> None:
         """Enter one level of nesting; the caller leaves it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
-            index = tok.index if tok is not None else len(self.tokens)
-            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", index, frozenset())
-
-    def _span_from(self, start: int) -> Span:
-        end_tok = self.tokens[self.pos - 1]
-        return Span(start, end_tok.span.end)
+            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.pos, frozenset())
 
     # -- statements -----------------------------------------------------
 
@@ -339,8 +333,7 @@ class _ReferenceParser:
         body: list[Stmt] = []
         while self.peek() is not None:
             body.append(self.statement())
-        total = Span(0, self.tokens[-1].span.end) if self.tokens else Span(0, 0)
-        return Module(span=total, body=tuple(body))
+        return Module(body=tuple(body))
 
     def statement(self) -> Stmt:
         tok = self.peek()
@@ -360,32 +353,28 @@ class _ReferenceParser:
         return self.simple_stmt()
 
     def simple_stmt(self) -> Stmt:
-        start = self.peek().span.start  # type: ignore[union-attr]
         if self.at("identifier") and self.pos + 1 < len(self.tokens):
             nxt = self.tokens[self.pos + 1]
             if nxt.kind == "operator" and (nxt.text == "=" or nxt.text in AUG_OPS):
-                name_tok = self.advance()
+                target = self.name()
                 op = self.advance().text
                 value = self.expression()
-                target = Name(span=name_tok.span, id=name_tok.text, token_index=name_tok.index)
                 self.end_of_statement()
-                span = Span(start, value.span.end)
                 if op == "=":
-                    return Assign(span=span, target=target, value=value)
-                return AugAssign(span=span, target=target, op=op, value=value)
+                    return Assign(target=target, value=value)
+                return AugAssign(target=target, op=op, value=value)
         value = self.expression()
         self.end_of_statement()
-        return ExprStmt(span=value.span, value=value)
+        return ExprStmt(value=value)
 
     def return_stmt(self) -> Return:
-        kw = self.expect("keyword", "return")
+        self.expect("keyword", "return")
         value: Expr | None = None
         tok = self.peek()
         if tok is not None and (tok.kind in ("identifier", "number", "string") or tok.text == "("):
             value = self.expression()
         self.end_of_statement()
-        end = value.span.end if value is not None else kw.span.end
-        return Return(span=Span(kw.span.start, end), value=value)
+        return Return(value=value)
 
     def end_of_statement(self) -> None:
         tok = self.peek()
@@ -411,61 +400,53 @@ class _ReferenceParser:
         return tuple(body)
 
     def if_stmt(self) -> If:
-        kw = self.expect("keyword", "if")
-        return self._conditional(kw)
+        self.expect("keyword", "if")
+        return self._conditional()
 
-    def _conditional(self, kw: Token) -> If:
+    def _conditional(self) -> If:
         test = self.expression()
         body = self.block()
         orelse: tuple[Stmt, ...] = ()
         if self.at("keyword", "elif"):
-            nested_kw = self.advance()
+            self.advance()
             self.nest()
-            orelse = (self._conditional(nested_kw),)
+            orelse = (self._conditional(),)
             self.depth -= 1
         elif self.at("keyword", "else"):
             self.advance()
             orelse = self.block()
-        end = (orelse[-1] if orelse else body[-1]).span.end
-        return If(span=Span(kw.span.start, end), test=test, body=body, orelse=orelse)
+        return If(test=test, body=body, orelse=orelse)
 
     def while_stmt(self) -> While:
-        kw = self.expect("keyword", "while")
+        self.expect("keyword", "while")
         test = self.expression()
         body = self.block()
-        return While(span=Span(kw.span.start, body[-1].span.end), test=test, body=body)
+        return While(test=test, body=body)
 
     def for_stmt(self) -> For:
-        kw = self.expect("keyword", "for")
-        name_tok = self.expect("identifier")
+        self.expect("keyword", "for")
+        target = self.name()
         self.expect("keyword", "in")
         it = self.expression()
         body = self.block()
-        target = Name(span=name_tok.span, id=name_tok.text, token_index=name_tok.index)
-        return For(span=Span(kw.span.start, body[-1].span.end), target=target, iter=it, body=body)
+        return For(target=target, iter=it, body=body)
 
     def function_def(self) -> FunctionDef:
-        kw = self.expect("keyword", "def")
+        self.expect("keyword", "def")
         name_tok = self.expect("identifier")
         self.expect("operator", "(")
         params: list[Param] = []
         if not self.at("operator", ")"):
             while True:
-                p = self.expect("identifier")
-                params.append(Param(name=p.text, token_index=p.index, span=p.span))
+                p = self.name()
+                params.append(Param(name=p.id, token_index=p.token_index))
                 if self.at("operator", ","):
                     self.advance()
                     continue
                 break
         self.expect("operator", ")")
         body = self.block()
-        return FunctionDef(
-            span=Span(kw.span.start, body[-1].span.end),
-            name=name_tok.text,
-            name_token=name_tok.index,
-            params=tuple(params),
-            body=body,
-        )
+        return FunctionDef(name=name_tok.text, params=tuple(params), body=body)
 
     # -- expressions ----------------------------------------------------
 
@@ -480,7 +461,7 @@ class _ReferenceParser:
         while self.at("operator") and self.peek().text in ops[level]:  # type: ignore[union-attr]
             op = self.advance().text
             right = self._binary(level + 1)
-            left = BinOp(span=Span(left.span.start, right.span.end), left=left, op=op, right=right)
+            left = BinOp(left=left, op=op, right=right)
         return left
 
     def primary(self) -> Expr:
@@ -489,17 +470,17 @@ class _ReferenceParser:
             self.fail(set(_EXPR_START))
         assert tok is not None
         if tok.kind == "identifier":
-            self.advance()
+            name = self.name()
             if self.at("operator", "("):
-                return self.call(tok)
-            return Name(span=tok.span, id=tok.text, token_index=tok.index)
+                return self.call(name.id)
+            return name
         if tok.kind == "number":
             self.advance()
             value: int | float = float(tok.text) if "." in tok.text else int(tok.text)
-            return Literal(span=tok.span, value=value, raw=tok.text)
+            return Literal(value=value, raw=tok.text)
         if tok.kind == "string":
             self.advance()
-            return Literal(span=tok.span, value=tok.text[1:-1], raw=tok.text)
+            return Literal(value=tok.text[1:-1], raw=tok.text)
         if tok.kind == "operator" and tok.text == "(":
             self.advance()
             self.nest()
@@ -510,7 +491,7 @@ class _ReferenceParser:
         self.fail(set(_EXPR_START))
         raise AssertionError("unreachable")
 
-    def call(self, name_tok: Token) -> Call:
+    def call(self, func: str) -> Call:
         self.expect("operator", "(")
         self.nest()
         args: list[Expr] = []
@@ -522,14 +503,8 @@ class _ReferenceParser:
                     continue
                 break
         self.depth -= 1
-        close = self.expect("operator", ")")
-        return Call(
-            span=Span(name_tok.span.start, close.span.end),
-            func=name_tok.text,
-            func_token=name_tok.index,
-            args=tuple(args),
-        )
-
+        self.expect("operator", ")")
+        return Call(func=func, args=tuple(args))
 
 
 def reference_parse(tokens: list[Token]) -> ast.Module:

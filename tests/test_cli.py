@@ -18,6 +18,7 @@ import codeflow
 import codeflow.cli as cli
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
+from codeflow.dfg import extract_dfg, serialize_dfg
 from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import Vocabulary, additive_mask, build_attention_mask, build_vocab
@@ -92,6 +93,20 @@ class TestExtractDfg:
         f.write_text("def f(:\n")
         code, _, _ = run(capsys, "extract-dfg", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["extract-dfg", "encode"])
+    def test_lone_carriage_return_stays_in_the_source(self, tmp_path, capsys, command):
+        # a "\r" inside a string literal is a character of it; a reader that
+        # translated it into a line end would cut the string
+        source = 's = "a\rb"\nt = s\n'
+        f = tmp_path / "snippet.txt"
+        f.write_bytes(source.encode())
+        code, out, err = run(capsys, command, str(f))
+        assert (code, err) == (0, "")
+        if command == "extract-dfg":
+            assert out == serialize_dfg(extract_dfg(source)) + "\n"
+        else:
+            assert json.loads(out)["num_nodes"] == 3
 
 
 class TestEncode:
@@ -326,6 +341,17 @@ class TestBadFlags:
         assert err == "error: finetune-search needs a batch size of at least 2 for in-batch contrast, not 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["finetune-search", "eval-search", "finetune-clone", "eval-clone", "attention-split"])
+    def test_vocab_needs_a_checkpoint(self, tmp_path, capsys, command):
+        # rejected before any file is read: neither the corpus nor the vocabulary exists
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, command, "--corpus", str(tmp_path / "pairs.jsonl"), "--vocab", str(tmp_path / "missing.txt"),
+            "--out", str(out),
+        )
+        assert (code, stdout, err) == (1, "", "error: --vocab needs --checkpoint\n")
+        assert not out.exists()
+
     def test_config_merge_priority(self, tmp_path, capsys):
         # dataclass defaults < --config JSON < explicit flags
         cfg = tmp_path / "cfg.json"
@@ -548,6 +574,23 @@ class TestSearchCommands:
         assert 0.0 < metrics["mrr"] <= 1.0
         assert json.loads((out / "metrics.json").read_text()) == metrics
         assert not (out / "model.gcb").exists()  # eval never writes weights
+
+    def test_carriage_return_between_json_tokens(self, tmp_path, capsys):
+        # "\r" is JSON whitespace, so a row may hold one between its tokens;
+        # a reader that translated it into a line end would split the row
+        plain = write_search_corpus(tmp_path)
+        rows = plain.read_text(encoding="utf-8").splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes("".join(r.replace(', "docstring"', ',\r"docstring"') + "\n" for r in rows).encode())
+        assert spaced.read_bytes().count(b"\r") == len(rows)
+        outputs = []
+        for corpus in (plain, spaced):
+            code, stdout, err = run(
+                capsys, "eval-search", "--corpus", str(corpus), "--out", str(tmp_path / corpus.stem), *SMALL_MODEL,
+            )
+            assert (code, err) == (0, "")
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
 
     def test_eval_search_deterministic(self, tmp_path, capsys):
         corpus = write_search_corpus(tmp_path)

@@ -1,5 +1,8 @@
 """Vocabulary, sequence layout, positions, and the attention mask."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from codeflow.encoding import (
     mask_density,
 )
 from codeflow import downstream
+from codeflow.dfg import extract_dfg, serialize_dfg
 from codeflow.frontend import lexer, parser, tokenize
 from codeflow.pretrain import encode_corpus, sampling_arrays
 from helpers import mask_oracle, overfit_corpus, random_program
@@ -203,6 +207,27 @@ class TestNoDataflowAblation:
             ablated = encoder(code, vocab, Limits(max_nodes=0))
             assert (ablated.ids, ablated.segments, ablated.position_ids) == self.cut_after_last_sep(full)
             assert ablated.node_edges == frozenset() and ablated.node_token_links == frozenset()
+
+
+class TestPinnedEncoding:
+    """A sha256 over what `encode_example` emits for 200 random programs with
+    one vocabulary, and over each program's serialized graph, so a change to
+    the frontend or the encoder that claims to keep its outputs must
+    reproduce every id, segment, position, edge and node-to-code link."""
+
+    DIGEST = "fa25b48ba0ccccaae46afe238f74cf3583d255dfdade4233bdc021e032ccda88"
+
+    def test_outputs_are_pinned(self):
+        rng = np.random.default_rng(7)  # 26 of its 200 programs pass the 256-token code limit
+        rows = [(f"row {i} of the {('alpha', 'omega')[i % 2]} set", random_program(rng, max_depth=4)) for i in range(200)]
+        vocab = build_vocab(rows, size=96)
+        digest = hashlib.sha256()
+        for comment, code in rows:
+            ex = encode_example(comment, code, vocab)
+            fields = [ex.ids, ex.segments, ex.position_ids, sorted(ex.node_edges), sorted(ex.node_token_links)]
+            digest.update(json.dumps(fields).encode())
+            digest.update(serialize_dfg(extract_dfg(code)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestSingleLex:
