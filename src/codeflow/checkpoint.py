@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 from .model import ModelConfig, ModelParams, param_shapes, parameter_count
 
 MAGIC = b"GCB1"
 _DTYPE_F32 = 0
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     pass
 
 

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 bad flags or configuration, 2 data errors
-(unreadable / malformed / unparseable inputs), 3 numerical divergence.
+(`DataError`, and OSError or UnicodeError from reading a file), 3 numerical
+divergence (`NonFiniteLoss`).
 Every run that writes artifacts drops the merged RunConfig JSON beside them,
 and all randomness descends from the single configured seed.
 """
@@ -21,9 +22,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dfg import extract_dfg, serialize_dfg
 from .downstream import (
     CloneExample,
-    DimensionMismatch,
-    EmptyInput,
-    ParseFailure,
     clone_metrics,
     clone_probabilities,
     cls_attention_split,
@@ -38,7 +36,6 @@ from .encoding import (
     RESERVED,
     EmptyCorpus,
     Limits,
-    SequenceTooLong,
     Vocabulary,
     VocabularyError,
     build_attention_mask,
@@ -46,12 +43,9 @@ from .encoding import (
     encode_example,
     mask_density,
 )
-from .frontend import FrontendError
+from .errors import DataError
 from .model import ModelConfig, ModelParams, NonFiniteLoss, init_params, parameter_count
 from .pretrain import (
-    CorpusFormatError,
-    DivergedLoss,
-    NoMaskablePositions,
     Objectives,
     encode_corpus,
     load_corpus,
@@ -61,23 +55,6 @@ from .pretrain import (
     str_fields,
     write_loss_log,
 )
-
-DATA_ERRORS = (
-    FrontendError,
-    EmptyCorpus,
-    SequenceTooLong,
-    CorpusFormatError,
-    NoMaskablePositions,
-    CheckpointError,
-    EmptyInput,
-    DimensionMismatch,
-    ParseFailure,
-    VocabularyError,
-    OSError,
-    UnicodeError,
-    json.JSONDecodeError,
-)
-
 
 class BadFlags(Exception):
     pass
@@ -157,6 +134,8 @@ class RunConfig:
             accepted, what = _VALUE_TYPES[type(defaults[key])]
             if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
                 raise BadFlags(f"config key {key} must be {what}, not {json.dumps(value)}")
+            if isinstance(value, str) and "\0" in value:  # JSON can carry one, argv cannot; open() rejects it
+                raise BadFlags(f"config key {key} holds a NUL byte")
         return cls(command=command, **overrides)
 
 
@@ -224,7 +203,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if config_path is not None:
         try:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # UnicodeDecodeError, JSONDecodeError, an integer past the digit limit
             raise BadFlags(f"cannot read --config {config_path}: {e}") from e
         if not isinstance(loaded, dict):
             raise BadFlags("--config must hold a JSON object")
@@ -466,10 +445,10 @@ def main(argv=None) -> int:
     except MemoryError as e:  # legal flags can still ask for more memory than the machine has
         sys.stderr.write(f"error: out of memory: {e}; lower --batch-size\n")
         return 1
-    except DATA_ERRORS as e:
+    except (DataError, OSError, UnicodeError) as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2
-    except (DivergedLoss, NonFiniteLoss) as e:
+    except NonFiniteLoss as e:
         sys.stderr.write(f"numerical divergence: {e}\n")
         return 3
 

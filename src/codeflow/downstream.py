@@ -24,20 +24,17 @@ from .encoding import (
     comment_tokens,
     encode_example,
 )
+from .errors import DataError
 from .frontend import FrontendError, parse_source
 from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
 
-class EmptyInput(ValueError):
+class EmptyInput(DataError):
     pass
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
-class ParseFailure(ValueError):
+class DimensionMismatch(DataError):
     pass
 
 
@@ -76,10 +73,7 @@ def encode_code_example(
     limits: Limits = Limits(),
     max_positions: int = 512,
 ) -> EncodedExample:
-    try:
-        return encode_example(None, code, vocab, limits=limits, max_positions=max_positions)
-    except FrontendError as e:
-        raise ParseFailure(str(e)) from e
+    return encode_example(None, code, vocab, limits=limits, max_positions=max_positions)
 
 
 # Most real rows one inference forward of `grouped_forwards` takes; a single

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfg import build_dfg
+from .errors import DataError
 from .frontend.lexer import Token
 
 PAD, CLS, SEP, MASK, UNK = 0, 1, 2, 3, 4
@@ -35,17 +36,20 @@ MASK_PENALTY = -1e9
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {esc[1]: ch for ch, esc in _ESCAPES.items()}
 _ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+# An id in a vocabulary file: ASCII digits only, and few enough that int()
+# stays far below Python's digit limit and the value fits an int64.
+_ID = re.compile(r"[0-9]{1,18}")
 
 
-class EmptyCorpus(ValueError):
+class EmptyCorpus(DataError):
     pass
 
 
-class VocabularyError(ValueError):
+class VocabularyError(DataError):
     """A vocabulary file that does not parse, or ids a model cannot embed."""
 
 
-class SequenceTooLong(ValueError):
+class SequenceTooLong(DataError):
     pass
 
 
@@ -83,15 +87,16 @@ class Vocabulary:
     @staticmethod
     def deserialize(text: str) -> "Vocabulary":
         """Parse `serialize`'s lines, split at ``\\n`` only. Raises
-        VocabularyError for a line that is not ``token<TAB>id``, an unknown
-        escape, a token listed twice or an id two tokens hold."""
+        VocabularyError for a line that is not ``token<TAB>id`` with an id of
+        1 to 18 ASCII digits, an unknown escape, a token listed twice or an
+        id two tokens hold."""
         mapping: dict[str, int] = {}
         holders: dict[int, str] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
             esc, tab, idx = line.rpartition("\t")
-            if not tab or not idx.isdecimal():
+            if not tab or not _ID.fullmatch(idx):
                 raise VocabularyError(f"line {lineno}: expected token<TAB>id, got {line[:40]!r}")
 
             def unescape(m: re.Match) -> str:

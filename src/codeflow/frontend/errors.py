@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from ..errors import DataError
 
-class FrontendError(Exception):
+
+class FrontendError(DataError):
     """Base class for lexing/parsing failures."""
 
 

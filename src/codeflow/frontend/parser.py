@@ -218,12 +218,9 @@ class _Parser:
             if self.texts[pos + 1] == "(":
                 return self.call(text)
             return Name(text, pos)
-        if kind == "number":
+        if kind in ("number", "string"):
             self.pos = pos + 1
-            return Literal(float(text) if "." in text else int(text), text)
-        if kind == "string":
-            self.pos = pos + 1
-            return Literal(text[1:-1], text)
+            return Literal(text)
         if text == "(":
             self.pos = pos + 1
             self.nest()

@@ -44,7 +44,6 @@ class Name(AstNode):
 
 @dataclass(slots=True)
 class Literal(AstNode):
-    value: int | float | str
     raw: str
 
 

@@ -34,6 +34,7 @@ from .encoding import (
     build_vocab,
     encode_example,
 )
+from .errors import DataError
 from .model import (
     Activations,
     ModelConfig,
@@ -51,7 +52,7 @@ MASK_FRACTION = 0.15
 NODE_SAMPLE_FRACTION = 0.2
 
 
-class NoMaskablePositions(ValueError):
+class NoMaskablePositions(DataError):
     pass
 
 
@@ -59,11 +60,11 @@ class EmptyCounts(ValueError):
     pass
 
 
-class DivergedLoss(ArithmeticError):
+class DivergedLoss(NonFiniteLoss):
     pass
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(DataError):
     pass
 
 

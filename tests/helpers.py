@@ -72,13 +72,12 @@ def random_expr(rng: np.random.Generator, names: list[str], depth: int = 0) -> a
         if kind == 0 and names:
             return ast.Name(_pick(rng, names), -1)
         if kind == 1:
-            n = int(rng.integers(100))
-            return ast.Literal(n, str(n))
+            return ast.Literal(str(int(rng.integers(100))))
         if kind == 2:
             a, b = int(rng.integers(10)), int(rng.integers(10))
-            return ast.Literal(float(f"{a}.{b}"), f"{a}.{b}")
+            return ast.Literal(f"{a}.{b}")
         word = _pick(rng, ["alpha", "omega", "note"])
-        return ast.Literal(word, f'"{word}"')
+        return ast.Literal(f'"{word}"')
     if roll < 0.85:
         op = _pick(rng, BIN_OPS)
         return ast.BinOp(random_expr(rng, names, depth + 1), op, random_expr(rng, names, depth + 1))
@@ -474,13 +473,9 @@ class _ReferenceParser:
             if self.at("operator", "("):
                 return self.call(name.id)
             return name
-        if tok.kind == "number":
+        if tok.kind in ("number", "string"):
             self.advance()
-            value: int | float = float(tok.text) if "." in tok.text else int(tok.text)
-            return Literal(value=value, raw=tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return Literal(value=tok.text[1:-1], raw=tok.text)
+            return Literal(raw=tok.text)
         if tok.kind == "operator" and tok.text == "(":
             self.advance()
             self.nest()

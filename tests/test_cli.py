@@ -83,6 +83,16 @@ class TestExtractDfg:
         assert [n["name"] for n in payload["nodes"]] == ["v", "max_value", "min_value"]
         assert payload["edges"] == [[1, 0], [2, 0]]
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # the parser keeps a literal's text and converts none, so a number
+        # too long for int() is still a literal
+        source = "x = " + "9" * 5000 + "\ny = x\n"
+        f = tmp_path / "long.txt"
+        f.write_text(source)
+        code, out, err = run(capsys, "extract-dfg", str(f))
+        assert (code, err) == (0, "")
+        assert [n["name"] for n in json.loads(out)["nodes"]] == ["x", "y", "x"]
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "extract-dfg", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -242,6 +252,25 @@ class TestBadFlags:
         f.write_text("a = 1\n")
         assert run(capsys, "extract-dfg", str(f), "--config", str(cfg))[0] == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(None, id="missing"),
+            pytest.param(b"{", id="not-json"),
+            pytest.param(b'{"seed": "\xff"}', id="not-utf8"),
+            pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", id="past-the-digit-limit"),
+        ],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        f = tmp_path / "s.txt"
+        f.write_text("a = 1\n")
+        code, stdout, err = run(capsys, "extract-dfg", str(f), "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot read --config {cfg}: ")
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -257,6 +286,7 @@ class TestBadFlags:
             ({"batch_size": True}, "batch_size"),
             ({"max_code": 3.5}, "max_code"),
             ({"use_dataflow": "no"}, "use_dataflow"),
+            ({"checkpoint": "model\x00.gcb"}, "checkpoint"),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, overrides, key):
@@ -963,6 +993,10 @@ class TestCheckpointBoundaries:
         [
             pytest.param("merge\t1\n", "token 'merge' is listed twice", id="token-twice"),
             pytest.param("unseen\t1\n", "id 1 of 'unseen' is already held by '[CLS]'", id="id-twice"),
+            pytest.param("unseen\t٣\n", "expected token<TAB>id, got 'unseen\\t٣'", id="non-ascii-id"),
+            pytest.param(
+                "unseen\t" + "9" * 5000 + "\n", "expected token<TAB>id, got 'unseen\\t" + "9" * 33 + "'", id="huge-id"
+            ),
         ],
     )
     def test_vocab_with_a_duplicate_is_data_error(self, tmp_path, capsys, extra, problem):

@@ -12,7 +12,6 @@ from codeflow.downstream import (
     CloneExample,
     DimensionMismatch,
     EmptyInput,
-    ParseFailure,
     RankingResult,
     clone_metrics,
     clone_probabilities,
@@ -31,7 +30,7 @@ from codeflow.downstream import (
     rank_candidates,
 )
 from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
-from codeflow.frontend import parse_source
+from codeflow.frontend import FrontendError, parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
 from helpers import clone_corpus, gradient_copies, random_program, search_pairs
@@ -175,7 +174,7 @@ class TestVectorEncoders:
 
     def test_unparseable_code(self):
         _, _, vocab, params, _ = search_fixture()
-        with pytest.raises(ParseFailure):
+        with pytest.raises(FrontendError):
             encode_code("def f(:\n", params, vocab)
 
 

@@ -218,7 +218,7 @@ def _parse_outcome(parse_tokens, tokens):
     except MiniLangSyntaxError as e:
         return (type(e), str(e), e.token_index, e.expected)
     nodes = list(walk(module))
-    return module, [type(n) for n in nodes], [type(n.value) for n in nodes if isinstance(n, Literal)]
+    return module, [type(n) for n in nodes], [n.raw for n in nodes if isinstance(n, Literal)]
 
 
 def _token_mutants(rng, token_lists, count):
@@ -289,13 +289,13 @@ class TestParser:
         value = parse_source("x = mix(a, probe(b), 3)\n").body[0].value
         assert isinstance(value, Call) and value.func == "mix"
         assert isinstance(value.args[1], Call) and value.args[1].func == "probe"
-        assert isinstance(value.args[2], Literal) and value.args[2].value == 3
+        assert isinstance(value.args[2], Literal) and value.args[2].raw == "3"
 
     def test_literal_values(self):
         stmts = parse_source("a = 7\nb = 2.5\nc = 'hi'\n").body
-        assert stmts[0].value.value == 7
-        assert stmts[1].value.value == 2.5
-        assert stmts[2].value.value == "hi" and stmts[2].value.raw == "'hi'"
+        assert stmts[0].value.raw == "7"
+        assert stmts[1].value.raw == "2.5"
+        assert stmts[2].value.raw == "'hi'"
 
     def test_augassign(self):
         stmt = parse_source("x += y * 2\n").body[0]
