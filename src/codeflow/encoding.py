@@ -11,6 +11,7 @@ within that block, and special-token queries attend everywhere.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +120,13 @@ def comment_tokens(comment: str) -> list[str]:
     return comment.split()
 
 
+# The model-facing names of the structural tokens; every other token is its text.
+_NAMES = {"newline": "<nl>", "indent": "<ind>", "dedent": "<ded>"}
+
+
 def code_token_strings(tokens: list[Token]) -> list[str]:
     """Canonical model-facing strings: structural tokens get stable names."""
-    out = []
-    for tok in tokens:
-        if tok.kind == "newline":
-            out.append("<nl>")
-        elif tok.kind == "indent":
-            out.append("<ind>")
-        elif tok.kind == "dedent":
-            out.append("<ded>")
-        else:
-            out.append(tok.text)
-    return out
+    return [_NAMES.get(kind, text) for kind, text in tokens]
 
 
 def build_vocab(corpus: list[tuple[str, str]], size: int) -> Vocabulary:
@@ -147,12 +142,10 @@ def build_vocab(corpus: list[tuple[str, str]], size: int) -> Vocabulary:
         raise ValueError(f"vocabulary size must be at least 5, got {size}")
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for comment, code in corpus:
-        for w in comment_tokens(comment):
-            counts[w] = counts.get(w, 0) + 1
-        for s in code_token_strings(tokenize(code)):
-            counts[s] = counts.get(s, 0) + 1
+        counts.update(comment_tokens(comment))
+        counts.update(code_token_strings(tokenize(code)))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     mapping = dict(RESERVED)
     for token, _ in ranked[: size - 5]:
@@ -198,72 +191,59 @@ def encode_example(
     comment or code drops that whole segment with the [SEP] that follows it
     (comment-only query encoding, code-only candidate encoding); without the
     code segment there are no nodes either.
+
+    The comment/code block takes sequential positions from 0; every node
+    shares the reserved id ``max_positions - 1``. Raises SequenceTooLong when
+    the block needs more than ``max_positions - 1`` positions.
     """
     from .frontend.lexer import tokenize
     from .frontend.parser import parse
 
+    get = vocab.token_to_id.get
     ids: list[int] = [CLS]
     segments: list[str] = [SEG_SPECIAL]
     if comment is not None:
-        for w in comment_tokens(comment)[: limits.max_comment]:
-            ids.append(vocab.id_of(w))
-            segments.append(SEG_COMMENT)
+        words = comment_tokens(comment)[: limits.max_comment]
+        ids += [get(w, UNK) for w in words]
         ids.append(SEP)
+        segments += [SEG_COMMENT] * len(words)
         segments.append(SEG_SPECIAL)
-    links: set[tuple[int, int]] = set()
+    links: frozenset[tuple[int, int]] = frozenset()
     edges: frozenset[tuple[int, int]] = frozenset()
+    n_nodes = 0
     if code is not None:
         tokens = tokenize(code)
         dfg = build_dfg(parse(tokens))
         kept_code = tokens[: limits.max_code]
+        n_code = len(kept_code)
         code_start = len(ids)  # token i sits at position code_start + i
-        for s in code_token_strings(kept_code):
-            ids.append(vocab.id_of(s))
-            segments.append(SEG_CODE)
+        ids += [get(_NAMES.get(kind, text), UNK) for kind, text in kept_code]
         ids.append(SEP)
+        segments += [SEG_CODE] * n_code
         segments.append(SEG_SPECIAL)
 
-        node_pos_of_id: dict[int, int] = {}
-        kept_nodes = [n for n in dfg.nodes if n.token_index < len(kept_code)]
-        for node in kept_nodes[: limits.max_nodes]:
-            pos = len(ids)
-            node_pos_of_id[node.id] = pos
-            ids.append(vocab.id_of(node.name))
-            segments.append(SEG_NODE)
-            links.add((pos, code_start + node.token_index))
-        edges = frozenset(
-            (node_pos_of_id[src], node_pos_of_id[dst])
-            for src, dst in dfg.edges
-            if src in node_pos_of_id and dst in node_pos_of_id
-        )
+        # Nodes are numbered in token order, so the kept ones are the first
+        # few and node k sits at position first + k.
+        nodes = [n for n in dfg.nodes if n.token_index < n_code][: limits.max_nodes]
+        first, n_nodes = len(ids), len(nodes)
+        ids += [get(n.name, UNK) for n in nodes]
+        segments += [SEG_NODE] * n_nodes
+        # Frozen from sets, which size the table to fit: from a list it can
+        # take twice the memory, and callers keep every example.
+        links = frozenset({(first + n.id, code_start + n.token_index) for n in nodes})
+        edges = frozenset({(first + src, first + dst) for src, dst in dfg.edges if src < n_nodes and dst < n_nodes})
 
+    sequential = len(ids) - n_nodes
+    p_node = max_positions - 1
+    if sequential > p_node:
+        raise SequenceTooLong(f"sequence needs {sequential} sequential positions, only {p_node} available")
     return EncodedExample(
         ids=tuple(ids),
         segments=tuple(segments),
-        position_ids=assign_positions(segments, max_positions),
+        position_ids=(*range(sequential), *[p_node] * n_nodes),
         node_edges=edges,
-        node_token_links=frozenset(links),
+        node_token_links=links,
     )
-
-
-def assign_positions(segments: list[str], max_positions: int = 512) -> tuple[int, ...]:
-    """Sequential positions for the comment/code block; every node position
-    shares the reserved id ``max_positions - 1``."""
-    p_node = max_positions - 1
-    out: list[int] = []
-    nxt = 0
-    for seg in segments:
-        if seg == SEG_NODE:
-            out.append(p_node)
-        else:
-            if nxt >= p_node:
-                raise SequenceTooLong(
-                    f"sequence needs {nxt + 1} sequential positions, "
-                    f"only {p_node} available"
-                )
-            out.append(nxt)
-            nxt += 1
-    return tuple(out)
 
 
 def build_attention_mask(example: EncodedExample) -> np.ndarray:

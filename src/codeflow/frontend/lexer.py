@@ -5,30 +5,35 @@ blocks, identifiers/numbers/strings, and a small operator set. The lexer
 emits the full code-token sequence, including `newline`, `indent` and
 `dedent` tokens, so downstream consumers see one flat stream.
 
-One `findall` of one compiled pattern cuts the whole source. Its groups are
-the blanks `[ \\t\\r]*` before each piece, then newline (with any comment
-before it), identifier, number, string, operator, and any other character.
-That last group leaves no gap, so the offset of each piece follows from the
-lengths consumed so far, with no match object per token. A comment is
-matched only with its newline, so no token is found inside one. Operators
-are tried longest first. Character classes are spelled out in ASCII
-(`[A-Za-z_]`, `[0-9]`), never `\\w` or `\\d`, which would also match
-letters and digits such as `é` or `٣`. The loop over the pieces measures
-the indentation at each line start and tracks parenthesis depth. Where the
-last group fires, a quote means an unterminated string and anything else
-an invalid character.
+One `findall` of one compiled pattern cuts the whole source into pairs of
+the blanks `[ \\t\\r]*` before a piece and the piece. The piece's
+alternatives are tried in this order, the common pieces first: identifier,
+two-character operator, one-character operator, newline, number, comment
+with its newline, string, and any other character. A comment is matched
+only with its newline, so no token is found inside one. Character classes
+are spelled out in ASCII (`[A-Za-z_]`, `[0-9]`), never `\\w` or `\\d`,
+which would also match letters and digits such as `é` or `٣`.
 
-A token is its kind and its text; its index is its place in the list. The
-offsets are kept only to report where a `LexError` occurs; they count
-characters, not the bytes of an encoded file.
+The loop over the pieces takes each keyword, operator and newline from one
+table of shared tokens, and builds a token only for an identifier, number,
+string or indent. It measures the indentation at each line start and tracks
+parenthesis depth. A lone quote means an unterminated string and any other
+unmatched character an invalid one. The pieces leave no gap, so the
+character offset that a `LexError` reports is the sum of the lengths before
+its piece; the loop itself keeps no position.
+
+A token is its kind and its text; its index is its place in the list.
+Offsets count characters, not the bytes of an encoded file.
 """
 
 from __future__ import annotations
 
 import re
+from operator import length_hint
+from string import ascii_letters, digits
 from typing import NamedTuple
 
-from .errors import IndentationMismatch, InvalidCharacter, UnterminatedString
+from .errors import IndentationMismatch, InvalidCharacter, LexError, UnterminatedString
 
 KEYWORDS = frozenset({"def", "if", "elif", "else", "while", "for", "in", "return"})
 
@@ -45,29 +50,43 @@ class Token(NamedTuple):
     text: str
 
 
-# Longest first, so '<=' wins over '<', '+=' over '+', etc.
-_OPERATOR = "|".join(re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True))
+# The operator classes are built from the table; every two-character
+# operator ends in '='.
+_OPERATOR_2 = "".join(re.escape(op[0]) for op in OPERATORS if len(op) == 2)
+_OPERATOR_1 = "".join(re.escape(op) for op in OPERATORS if len(op) == 1)
 # A string runs to its closing quote; a backslash escapes any next character.
 _STRING_BODY = r"[^{q}\\\n]*(?:\\[\s\S][^{q}\\\n]*)*"
 _STRING = "|".join(q + _STRING_BODY.format(q=q) + q for q in "'\"")
-# (blanks, newline, identifier, number, string, operator, other) per piece.
+# (blanks, piece), with the piece's alternatives in the order above.
 _PIECES = re.compile(
-    r"([ \t\r]*)(?:"
-    r"((?:#[^\n]*)?\n)"
-    r"|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|([0-9]+(?:\.[0-9]+)?)"
-    rf"|({_STRING})"
-    rf"|({_OPERATOR})"
-    r"|(.))"
+    r"([ \t\r]*)("
+    r"[A-Za-z_][A-Za-z0-9_]*"
+    rf"|[{_OPERATOR_2}]=|[{_OPERATOR_1}]"
+    r"|\n"
+    r"|[0-9]+(?:\.[0-9]+)?"
+    r"|#[^\n]*\n"
+    rf"|{_STRING}"
+    r"|.)"
 ).findall
 # From just after an opening quote to the first unescaped newline or the end.
 _UNTERMINATED = re.compile(_STRING_BODY.format(q=""))
-# Builds a token without the Python-level NamedTuple constructor: a fifth of
-# the lexing time.
+# Builds a token without the Python-level NamedTuple constructor.
 _new = tuple.__new__
-# Tokens are immutable, so every newline and every dedent is one shared token.
+# Tokens are immutable, so each keyword, operator, newline and dedent is one
+# shared token.
 _NEWLINE = Token("newline", "\n")
 _DEDENT = Token("dedent", "")
+_FIXED = {
+    **{kw: Token("keyword", kw) for kw in KEYWORDS},
+    **{op: Token("operator", op) for op in OPERATORS},
+    "\n": _NEWLINE,
+}
+_OPEN, _CLOSE = _FIXED["("], _FIXED[")"]
+# The kind of an identifier or number piece, by its first character.
+_KINDS = {
+    **dict.fromkeys(ascii_letters + "_", "identifier"),
+    **dict.fromkeys(digits, "number"),
+}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -83,59 +102,67 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     indents = [0]
-    pos = 0
     paren_depth = 0
     at_line_start = True
+    pieces = _PIECES(source)
+    rest = iter(pieces)
 
-    for blank, newline, identifier, number, string, operator, other in _PIECES(source):
-        start = pos + len(blank)
-        if newline:
-            pos = start + len(newline)
+    for blank, piece in rest:
+        token = _FIXED.get(piece)
+        if token is None:
+            kind = _KINDS.get(piece[0])
+            if kind is not None:
+                token = _new(Token, (kind, piece))
+            elif len(piece) > 1:  # a string, or a comment with its newline
+                token = _NEWLINE if piece[0] == "#" else _new(Token, ("string", piece))
+            elif piece in " \t\r#":
+                # Only at the end of input: a blank that `[ \t\r]*` gave
+                # back, or a comment with no newline after it.
+                break
+            else:
+                raise _error(source, pieces, rest, indents if at_line_start else None)
+        if token is _NEWLINE:
             if not (at_line_start or paren_depth):  # blank lines and open parentheses emit nothing
                 append(_NEWLINE)
                 at_line_start = True
             continue
-        # A blank is "other" only at the end of input, where `[ \t\r]*` gave
-        # it back; a '#' only when no newline follows its comment.
-        if other and other in " \t\r#":
-            break
         if at_line_start:
             width = len(blank)
             if width > indents[-1]:
                 indents.append(width)
-                append(Token("indent", blank))
-            else:
+                append(_new(Token, ("indent", blank)))
+            elif width < indents[-1]:
+                if width not in indents:
+                    raise _error(source, pieces, rest, indents)
                 while width < indents[-1]:
                     indents.pop()
                     append(_DEDENT)
-                if width != indents[-1]:
-                    raise IndentationMismatch("unindent does not match any outer level", start)
             at_line_start = False
-
-        if identifier:
-            text = identifier
-            kind = "keyword" if text in KEYWORDS else "identifier"
-        elif operator:
-            text, kind = operator, "operator"
-            if text == "(":
-                paren_depth += 1
-            elif text == ")" and paren_depth:
-                paren_depth -= 1
-        elif number:
-            text, kind = number, "number"
-        elif string:
-            text, kind = string, "string"
-        elif other in "'\"":
-            end = _UNTERMINATED.match(source, start + 1).end()
-            where = "line" if end < len(source) and source[end] == "\n" else "input"
-            raise UnterminatedString(f"string literal hits end of {where}", start)
-        else:
-            raise InvalidCharacter(f"unexpected character {other!r}", start)
-        pos = start + len(text)
-        append(_new(Token, (kind, text)))
+        if token is _OPEN:
+            paren_depth += 1
+        elif token is _CLOSE and paren_depth:
+            paren_depth -= 1
+        append(token)
 
     # Close any indentation still open at end of input.
     while len(indents) > 1:
         indents.pop()
         append(_DEDENT)
     return tokens
+
+
+def _error(source: str, pieces: list, rest, indents: list[int] | None) -> LexError:
+    """The error of the piece just taken from `rest`, at the character offset
+    after its blanks. `indents` are the open indentation widths when the
+    piece starts a line: an unindent to a width that none of them matches
+    comes first. Otherwise the piece is a lone quote or an invalid character."""
+    done = len(pieces) - length_hint(rest) - 1
+    blank, piece = pieces[done]
+    start = sum(len(b) + len(p) for b, p in pieces[:done]) + len(blank)
+    if indents is not None and len(blank) not in indents and len(blank) < indents[-1]:
+        return IndentationMismatch("unindent does not match any outer level", start)
+    if piece in "'\"":
+        end = _UNTERMINATED.match(source, start + 1).end()
+        where = "line" if end < len(source) and source[end] == "\n" else "input"
+        return UnterminatedString(f"string literal hits end of {where}", start)
+    return InvalidCharacter(f"unexpected character {piece!r}", start)

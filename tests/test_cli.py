@@ -142,6 +142,15 @@ class TestEncode:
         assert payload["num_nodes"] == 0
         assert payload["mask_density"] == 1.0
 
+    @pytest.mark.parametrize("max_positions, available", [(2, 1), (1, 0)])
+    def test_too_long_reports_the_positions_needed(self, tmp_path, capsys, max_positions, available):
+        # [CLS], 12 code tokens and [SEP] take 14 sequential positions
+        f = tmp_path / "snippet.txt"
+        f.write_text("def f(a):\n    return a\n")
+        code, _, err = run(capsys, "encode", str(f), "--max-positions", str(max_positions))
+        assert code == 2
+        assert err == f"data error: sequence needs 14 sequential positions, only {available} available\n"
+
 
 # -- the parser ------------------------------------------------------------------
 

@@ -305,6 +305,9 @@ class TestTruncation:
         encode(max_positions=15)
         with pytest.raises(SequenceTooLong):
             encode(max_positions=14)
+        # far past the boundary, the message still counts the whole block
+        with pytest.raises(SequenceTooLong, match=r"needs 14 sequential positions, only 1 available"):
+            encode(max_positions=2)
 
 
 class TestMask:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from codeflow.frontend import (
     Literal,
     MiniLangSyntaxError,
     Name,
+    OPERATORS,
     Return,
     Token,
     UnterminatedString,
@@ -87,6 +89,24 @@ class TestLexer:
         assert texts("a += b\n")[1] == "+="
         assert texts("a == b\n")[1] == "=="
         assert texts("a = b\n")[1] == "="
+
+    def test_every_operator_is_one_token(self):
+        for op in OPERATORS:
+            assert tokenize(op) == [Token("operator", op)]
+
+    def test_two_operator_characters_not_in_the_table_are_two_tokens(self):
+        # guards the pattern's operator classes against drifting from OPERATORS:
+        # '!' alone is no operator, so a run with it fails at the '!'
+        chars = sorted(set("".join(OPERATORS)))
+        for a, b in itertools.product(chars, repeat=2):
+            if a + b in OPERATORS:
+                continue
+            if a in OPERATORS and b in OPERATORS:
+                assert tokenize(a + b) == [Token("operator", a), Token("operator", b)]
+            else:
+                with pytest.raises(InvalidCharacter) as err:
+                    tokenize(a + b)
+                assert err.value.offset == (a + b).index("!")
 
     def test_float_and_int_numbers(self):
         assert [(t.kind, t.text) for t in tokenize("x = 1.25 + 3\n")][2][1] == "1.25"
@@ -206,6 +226,9 @@ def test_tokenize_matches_the_character_loop_reference():
         "s = 'a\\", '"\\', "s = 'a\\'", "s = 'a\\\\",
         # a newline inside parentheses at a line start
         "(\n)\n", "f(\n  x,\n)\n", "if a:\n    (\n  b)\n    c\n", "x = (\n1\n)\n  y\n", "f(\n\n  # c\n  a)\n",
+        # where the order of the pattern's alternatives decides the pieces
+        "a!=b", "a ! b", "x=<y", "a==b==c", "**", "1.x", "x = 1.",
+        "'a#b'", '"#"\n', "a#b\n", ")(", "x = 1\n# c\r\ny = 2\n",
     ],
 )
 def test_tokenize_matches_the_reference_on_edge_cases(source):

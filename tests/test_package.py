@@ -1,10 +1,12 @@
 """Rules that hold across every module of the package: which errors mean
-unusable input, and which libraries the code may import."""
+unusable input, which libraries the code may import, and which Python
+grammar it may use."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -47,3 +49,12 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             foreign = {name.split(".")[0] for name in names} - sys.stdlib_module_names - {"numpy"}
             assert not foreign, (module.__name__, sorted(foreign))
+
+
+def test_modules_parse_at_the_declared_python_floor():
+    # `feature_version` makes the parser reject grammar newer than the floor
+    # that pyproject.toml declares, such as `except*` under 3.10
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    for module in [codeflow, *package_modules()]:
+        ast.parse(Path(module.__file__).read_text(encoding="utf-8"), feature_version=(major, minor))
