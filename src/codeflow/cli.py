@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 bad flags or configuration, 2 data errors
 (`DataError`, and OSError or UnicodeError from reading a file), 3 numerical
-divergence (`NonFiniteLoss`).
+divergence (`NonFiniteLoss`), 130 interrupted (Ctrl-C).
 Every run that writes artifacts drops the merged RunConfig JSON beside them,
 and all randomness descends from the single configured seed.
 """
@@ -22,14 +22,13 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dfg import extract_dfg, serialize_dfg
 from .downstream import (
     CloneExample,
+    attention_splits,
     clone_metrics,
     clone_probabilities,
-    cls_attention_split,
     evaluate_search,
     filter_search_corpus,
     finetune_clone,
     finetune_search,
-    grouped_forwards,
     prepare_search_examples,
 )
 from .encoding import (
@@ -403,9 +402,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     if params.config.num_layers == 0:
         raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
-    splits = grouped_forwards(
-        params, encoded, lambda acts, i: cls_attention_split(acts, encoded[i]), [[0]] * len(encoded)
-    )
+    splits = attention_splits(params, encoded)
     per_lang: dict[str, list[tuple[float, float]]] = {}
     for item, split in zip(items, splits):
         per_lang.setdefault(item.lang, []).append(split)
@@ -451,6 +448,9 @@ def main(argv=None) -> int:
     except NonFiniteLoss as e:
         sys.stderr.write(f"numerical divergence: {e}\n")
         return 3
+    except KeyboardInterrupt:  # Ctrl-C: one line and the shell's 128 + SIGINT, not a traceback
+        sys.stderr.write("interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

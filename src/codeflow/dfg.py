@@ -205,6 +205,6 @@ def serialize_dfg(dfg: DataFlowGraph) -> str:
 
 def extract_dfg(source: str) -> DataFlowGraph:
     """tokenize + parse + build_dfg in one call."""
-    from .frontend import parse_source
+    from .frontend.parser import parse_source
 
     return build_dfg(parse_source(source))

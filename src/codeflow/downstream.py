@@ -25,8 +25,9 @@ from .encoding import (
     encode_example,
 )
 from .errors import DataError
-from .frontend import FrontendError, parse_source
-from .model import Activations, ModelParams, compute_gradients, forward, pair_log_likelihoods
+from .frontend.errors import FrontendError
+from .frontend.parser import parse_source
+from .model import Activations, DivergedLoss, ModelParams, NonFiniteLoss, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
 
 
@@ -248,6 +249,35 @@ def prepare_search_examples(
 # fine-tuning ----------------------------------------------------------------
 
 
+def _finetune(
+    pairs: list, loss, params: ModelParams, rng, lr: float, batch_size: int, epochs: int, min_batch: int = 1
+) -> ModelParams:
+    """Adam on `loss(cls, batch)` over shuffled batches of `pairs`, each
+    a tuple whose first two entries are encoded examples: ``cls`` holds the
+    batch's `_cls_rows`, its first examples in order, then its second ones.
+    Each epoch draws one permutation from `rng`; a batch of fewer than
+    `min_batch` pairs is skipped. A non-finite loss raises `DivergedLoss`
+    naming the epoch and the step (the batch within it), both from 0."""
+    rng = np.random.default_rng(0 if rng is None else rng)
+    state = init_adam(params)
+    for epoch in range(epochs):
+        order = rng.permutation(len(pairs))
+        for step, lo in enumerate(range(0, len(order), batch_size)):
+            batch = [pairs[int(i)] for i in order[lo : lo + batch_size]]
+            if len(batch) < min_batch:
+                continue
+
+            def loss_fn(p: ModelParams) -> Tensor:
+                return loss(_cls_rows(p, [pair[0] for pair in batch] + [pair[1] for pair in batch]), batch)
+
+            try:
+                compute_gradients(loss_fn, params)
+            except NonFiniteLoss as e:
+                raise DivergedLoss(f"epoch {epoch}, step {step}: {e}") from e
+            adam_step(params, state, lr)
+    return params
+
+
 def finetune_search(
     examples: list[SearchExample],
     params: ModelParams,
@@ -258,32 +288,22 @@ def finetune_search(
 ) -> ModelParams:
     """In-batch contrastive fine-tuning: each query's own code is the positive,
     the other codes in the batch are negatives, softmax cross-entropy on inner
-    products."""
+    products. A trailing batch of one pair has no negative and is skipped."""
     if len(examples) < 2:
         raise EmptyInput("need at least two pairs for in-batch contrast")
     if batch_size < 2:
         raise ValueError(f"in-batch contrast needs a batch size of at least 2, not {batch_size}")
-    rng = np.random.default_rng(0 if rng is None else rng)
-    state = init_adam(params)
-    for _epoch in range(epochs):
-        order = rng.permutation(len(examples))
-        for lo in range(0, len(order), batch_size):
-            batch = [examples[int(i)] for i in order[lo : lo + batch_size]]
-            if len(batch) < 2:
-                continue
 
-            def loss_fn(p: ModelParams) -> Tensor:
-                n = len(batch)
-                cls = _cls_rows(p, [ex.query_encoded for ex in batch] + [ex.code_encoded for ex in batch])
-                q_rows, c_rows = ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))
-                scores = ag.matmul(q_rows, ag.transpose(c_rows))
-                log_probs = ag.log_softmax(scores, axis=-1)
-                diag = ag.gather_cols(log_probs, list(range(len(batch))))
-                return ag.mul(ag.tmean(diag), -1.0)
+    def contrast(cls: Tensor, batch) -> Tensor:
+        n = len(batch)
+        q_rows, c_rows = ag.take_rows(cls, range(n)), ag.take_rows(cls, range(n, 2 * n))
+        scores = ag.matmul(q_rows, ag.transpose(c_rows))
+        log_probs = ag.log_softmax(scores, axis=-1)
+        diag = ag.gather_cols(log_probs, list(range(n)))
+        return ag.mul(ag.tmean(diag), -1.0)
 
-            compute_gradients(loss_fn, params)
-            adam_step(params, state, lr)
-    return params
+    pairs = [(ex.query_encoded, ex.code_encoded) for ex in examples]
+    return _finetune(pairs, contrast, params, rng, lr, batch_size, epochs, min_batch=2)
 
 
 # clone detection ------------------------------------------------------------
@@ -327,7 +347,6 @@ def finetune_clone(
     """Binary cross-entropy on the scaled-dot clone probability."""
     if not pairs:
         raise EmptyInput("no clone pairs")
-    rng = np.random.default_rng(0 if rng is None else rng)
     max_positions = params.config.max_positions
     encoded = [
         (
@@ -338,21 +357,13 @@ def finetune_clone(
         for p in pairs
     ]
     scale = 1.0 / math.sqrt(params.config.hidden_dim)
-    state = init_adam(params)
-    for _epoch in range(epochs):
-        order = rng.permutation(len(encoded))
-        for lo in range(0, len(order), batch_size):
-            batch = [encoded[int(i)] for i in order[lo : lo + batch_size]]
 
-            def loss_fn(p: ModelParams) -> Tensor:
-                n = len(batch)
-                cls = _cls_rows(p, [a for a, _, _ in batch] + [b for _, b, _ in batch])
-                pair_ll = pair_log_likelihoods(cls, [(k, n + k) for k in range(n)], [y for _, _, y in batch], scale)
-                return ag.mul(ag.tmean(pair_ll), -1.0)
+    def cross_entropy(cls: Tensor, batch) -> Tensor:
+        n = len(batch)
+        pair_ll = pair_log_likelihoods(cls, [(k, n + k) for k in range(n)], [y for _, _, y in batch], scale)
+        return ag.mul(ag.tmean(pair_ll), -1.0)
 
-            compute_gradients(loss_fn, params)
-            adam_step(params, state, lr)
-    return params
+    return _finetune(encoded, cross_entropy, params, rng, lr, batch_size, epochs)
 
 
 def clone_metrics(predictions, labels) -> tuple[float, float, float]:
@@ -389,6 +400,14 @@ def cls_attention_split(activations: Activations, example: EncodedExample) -> tu
     if total == 0.0:
         raise ValueError("[CLS] row carries no mass on code or node keys")
     return (code_mass / total, node_mass / total)
+
+
+def attention_splits(params: ModelParams, examples: list[EncodedExample]) -> list[tuple[float, float]]:
+    """`cls_attention_split` of each example, in order, from `grouped_forwards`
+    that read [CLS] only."""
+    return grouped_forwards(
+        params, examples, lambda acts, i: cls_attention_split(acts, examples[i]), [[0]] * len(examples)
+    )
 
 
 # query filtering ------------------------------------------------------------

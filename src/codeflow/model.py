@@ -27,6 +27,10 @@ class NonFiniteLoss(ArithmeticError):
     pass
 
 
+class DivergedLoss(NonFiniteLoss):
+    """A non-finite loss that a training loop raises with where it happened."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int = 2

@@ -37,6 +37,7 @@ from .encoding import (
 from .errors import DataError
 from .model import (
     Activations,
+    DivergedLoss,
     ModelConfig,
     ModelParams,
     NonFiniteLoss,
@@ -57,10 +58,6 @@ class NoMaskablePositions(DataError):
 
 
 class EmptyCounts(ValueError):
-    pass
-
-
-class DivergedLoss(NonFiniteLoss):
     pass
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,10 +20,10 @@ import codeflow.cli as cli
 import codeflow.downstream as downstream
 from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.dfg import extract_dfg, serialize_dfg
-from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main, parameter_count
+from codeflow.cli import MAX_BATCH_SIZE, MAX_PARAMETERS, build_parser, main
 from codeflow.downstream import cls_attention_split
 from codeflow.encoding import Vocabulary, additive_mask, build_attention_mask, build_vocab
-from codeflow.model import ModelConfig, forward, init_params, param_shapes
+from codeflow.model import ModelConfig, forward, init_params, param_shapes, parameter_count
 from codeflow.pretrain import encode_corpus, load_corpus
 from helpers import clone_corpus, overfit_corpus, search_pairs
 
@@ -502,6 +503,26 @@ class TestPretrainCommand:
         assert code == 3
         assert "divergence" in err
 
+    @pytest.mark.parametrize("command", ["finetune-search", "finetune-clone"])
+    def test_fine_tuning_divergence_names_epoch_and_step(self, tmp_path, capsys, command):
+        corpus = write_search_corpus(tmp_path) if command == "finetune-search" else write_clone_corpus(tmp_path)
+        # clone training reaches nan near epoch 19 of the default 20, at a
+        # point that moves with the BLAS thread count
+        code, stdout, err = run(
+            capsys, command, "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--lr", "1e4", "--epochs", "100"
+        )
+        assert (code, stdout) == (3, "")
+        assert re.fullmatch(r"numerical divergence: epoch \d+, step \d+: loss is nan\n", err), err
+
+    def test_interrupt_writes_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "pretrain_run", interrupted)
+        corpus = write_corpus(tmp_path, overfit_corpus(4))
+        code, stdout, err = run(capsys, "pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "o"), *SMALL_MODEL)
+        assert (code, stdout, err) == (130, "", "interrupted\n")
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune-search"])
     def test_out_of_memory_writes_one_line(self, tmp_path, capsys, monkeypatch, command):
         # a legal --batch-size can still ask for more memory than the machine has
@@ -930,6 +951,25 @@ class TestPinnedFineTuning:
         done = subprocess.run(
             [sys.executable, "-m", "codeflow.cli", "finetune-search", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
              "--epochs", "3", "--batch-size", "4", *SMALL_MODEL, "--num-layers", "2", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert hashlib.sha256((tmp_path / "o" / "model.gcb").read_bytes()).hexdigest() == self.MODEL_SHA256
+
+
+class TestPinnedCloneFineTuning:
+    """`TestPinnedFineTuning` for `finetune-clone`, whose pairs run through
+    the same fine-tuning loop. 8 pairs in batches of 7 end each epoch with a
+    batch of one pair, which clone training keeps and search skips."""
+
+    MODEL_SHA256 = "17765aa2c335ed1dea68693cc015fd9e374e00f98e50c299dc03b2c80e6dd47a"
+
+    def test_model_bytes_are_pinned(self, tmp_path):
+        corpus = write_clone_corpus(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(codeflow.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "codeflow.cli", "finetune-clone", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+             "--epochs", "3", "--batch-size", "7", *SMALL_MODEL, "--num-layers", "2", "--seed", "1"],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert (done.returncode, done.stderr) == (0, "")

@@ -17,7 +17,8 @@ from codeflow.dfg import (
     extract_dfg,
     serialize_dfg,
 )
-from codeflow.frontend import parse_source, tokenize
+from codeflow.frontend.lexer import tokenize
+from codeflow.frontend.parser import parse_source
 from helpers import DFG_TRACES, dfg_oracle, random_program
 
 

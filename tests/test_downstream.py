@@ -30,7 +30,8 @@ from codeflow.downstream import (
     rank_candidates,
 )
 from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
-from codeflow.frontend import FrontendError, parse_source
+from codeflow.frontend.errors import FrontendError
+from codeflow.frontend.parser import parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
 from helpers import clone_corpus, gradient_copies, random_program, search_pairs
@@ -531,6 +532,16 @@ class TestSearch:
         with pytest.raises(ValueError, match="batch size of at least 2"):
             finetune_search(examples, params, rng=0, batch_size=1)
         assert all(np.array_equal(t.data, before[name]) for name, t in params.tensors.items())
+
+    def test_finetune_skips_a_trailing_batch_of_one(self, monkeypatch):
+        # 5 pairs in batches of 2 end each epoch with one pair, which has no
+        # negative; `finetune_clone`, through the same loop, trains on one
+        _, _, _, params, examples = search_fixture(n=5)
+        steps = []
+        adam_step = downstream.adam_step
+        monkeypatch.setattr(downstream, "adam_step", lambda *args: steps.append(args) or adam_step(*args))
+        finetune_search(examples, params, rng=0, batch_size=2, epochs=2)
+        assert len(steps) == 4
 
     def test_no_dataflow_variant(self):
         pairs = search_pairs(4)

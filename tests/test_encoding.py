@@ -29,7 +29,8 @@ from codeflow.encoding import (
 )
 from codeflow import downstream
 from codeflow.dfg import extract_dfg, serialize_dfg
-from codeflow.frontend import lexer, parser, tokenize
+from codeflow.frontend import lexer, parser
+from codeflow.frontend.lexer import tokenize
 from codeflow.pretrain import encode_corpus, sampling_arrays
 from helpers import mask_oracle, overfit_corpus, random_program
 

@@ -5,30 +5,16 @@ import numpy as np
 import pytest
 
 from codeflow.dfg import build_dfg
-from codeflow.frontend import (
-    Assign,
-    AugAssign,
-    BinOp,
-    Call,
-    For,
-    FunctionDef,
-    If,
+from codeflow.frontend.errors import (
     IndentationMismatch,
     InvalidCharacter,
     LexError,
-    Literal,
     MiniLangSyntaxError,
-    Name,
-    OPERATORS,
-    Return,
-    Token,
     UnterminatedString,
-    While,
-    parse,
-    parse_source,
-    tokenize,
 )
-from codeflow.frontend.parser import MAX_NESTING
+from codeflow.frontend.lexer import OPERATORS, Token, tokenize
+from codeflow.frontend.parser import MAX_NESTING, parse, parse_source
+from codeflow.frontend.syntax import Assign, AugAssign, BinOp, Call, For, FunctionDef, If, Literal, Name, Return, While
 from helpers import pretty, random_program, reference_parse, reference_tokenize, walk
 
 

@@ -1,9 +1,10 @@
 """Rules that hold across every module of the package: which errors mean
-unusable input, which libraries the code may import, and which Python
-grammar it may use."""
+unusable input, which libraries the code may import, where each imported
+name comes from, and which Python grammar it may use."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -13,8 +14,8 @@ from pathlib import Path
 import codeflow
 from codeflow.cli import BadFlags
 from codeflow.errors import DataError
-from codeflow.model import NonFiniteLoss, ShapeMismatch
-from codeflow.pretrain import DivergedLoss, EmptyCounts
+from codeflow.model import DivergedLoss, NonFiniteLoss, ShapeMismatch
+from codeflow.pretrain import EmptyCounts
 
 # The errors that are not about unusable input: bad flags (exit 1), a loss
 # that is not finite (exit 3), and two internal contracts that no command-line
@@ -49,6 +50,35 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             foreign = {name.split(".")[0] for name in names} - sys.stdlib_module_names - {"numpy"}
             assert not foreign, (module.__name__, sorted(foreign))
+
+
+def test_every_imported_class_or_function_names_its_defining_module():
+    # One import path per name: `from .frontend import parse_source` would
+    # hide that `frontend.parser` defines it. Lazy imports inside functions
+    # count too.
+    for module in [codeflow, *package_modules()]:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = importlib.util.resolve_name("." * node.level + (node.module or ""), module.__package__)
+            if source.partition(".")[0] != "codeflow":
+                continue
+            for alias in node.names:
+                obj = getattr(importlib.import_module(source), alias.name)
+                if inspect.isclass(obj) or inspect.isfunction(obj):
+                    where = f"{module.__file__}:{node.lineno}"
+                    assert obj.__module__ == source, f"{where} imports {alias.name} from {source}, not {obj.__module__}"
+
+
+def test_packages_re_export_nothing():
+    # `codeflow.frontend.FrontendError` stays bound: the benchmark's tracer
+    # reads it there to count rejected programs.
+    def bound(package):
+        return {name for name in vars(package) if not (name.startswith("__") or inspect.ismodule(getattr(package, name)))}
+
+    assert bound(codeflow) == set()
+    assert bound(importlib.import_module("codeflow.frontend")) == {"FrontendError"}
+    assert codeflow.__version__
 
 
 def test_modules_parse_at_the_declared_python_floor():

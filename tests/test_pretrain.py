@@ -23,11 +23,10 @@ from codeflow.encoding import (
     build_vocab,
     encode_example,
 )
-from codeflow.model import ModelConfig, forward, init_params
+from codeflow.model import DivergedLoss, ModelConfig, forward, init_params
 from codeflow.pretrain import (
     CorpusFormatError,
     CorpusItem,
-    DivergedLoss,
     EmptyCounts,
     MlmBatchTarget,
     NoMaskablePositions,
