@@ -151,8 +151,9 @@ _LIMITS = tuple(f.name for f in fields(Limits))
 _INPUTS = ("config", "seed", "corpus", "checkpoint", "vocab", "out")
 _ENCODER = ("vocab_size", "use_dataflow", *_MODEL, *_LIMITS)
 
-# subcommand -> (help line or None, its arguments in order: RunConfig field
-# names, plus the `file` positional and `--config`)
+# subcommand -> (help line, its arguments in order: RunConfig field names,
+# plus the `file` positional and `--config`)
+_TUNE = (*_INPUTS, "epochs", "lr", "batch_size", *_ENCODER)
 _COMMANDS = {
     "extract-dfg": ("print the variable data-flow graph of a source file", ("file", "config")),
     "encode": (
@@ -164,10 +165,10 @@ _COMMANDS = {
         ("config", "seed", "corpus", "out", "steps", "lr", "batch_size", "vocab_size",
          "use_dataflow", "edge_pred", "node_align", *_MODEL, *_LIMITS),
     ),
-    **dict.fromkeys(
-        ("finetune-search", "eval-search", "finetune-clone", "eval-clone"),
-        (None, (*_INPUTS, "epochs", "lr", "batch_size", *_ENCODER)),
-    ),
+    "finetune-search": ("fine-tune on code search pairs, then report MRR", _TUNE),
+    "eval-search": ("report the code search MRR of a model", _TUNE),
+    "finetune-clone": ("fine-tune on clone pairs, then report precision/recall/F1", _TUNE),
+    "eval-clone": ("report the clone precision, recall and F1 of a model", _TUNE),
     "attention-split": ("report [CLS] attention mass on code vs nodes", (*_INPUTS, *_ENCODER)),
 }
 
@@ -178,7 +179,7 @@ def build_parser() -> _Parser:
     defaults = {f.name: f.default for f in fields(RunConfig)}
     for command, (help_line, names) in _COMMANDS.items():
         # An absent flag stays out of the namespace, so --config can set it.
-        sub = subs.add_parser(command, argument_default=argparse.SUPPRESS, **({"help": help_line} if help_line else {}))
+        sub = subs.add_parser(command, argument_default=argparse.SUPPRESS, help=help_line)
         for name in names:
             if name == "file":
                 sub.add_argument("file", default=None)

@@ -2,27 +2,30 @@
 
 The graph has one node per variable occurrence (in source order) and a
 directed edge ``<i, j>`` whenever the value of occurrence ``j`` comes from
-occurrence ``i``. One reaching-definitions walk over the module builds both:
-it records each occurrence as it meets it, keyed by token index with its
-name and role (`define` records a definition, `uses_in` a use), and adds
-edges between token indices. `build_dfg` then numbers the occurrences in
-token order and renumbers the edges once. A node therefore exists exactly
-when the walk visits its token; walking a loop body again re-records the
-same occurrences, which changes nothing. Two rules generate edges:
+occurrence ``i``. One reaching-definitions walk over the module,
+`DataFlowWalk`, builds both: it records each occurrence as it meets it, by
+token index with its name (`define` marks a definition, `uses_in` leaves a
+use), and adds edges between token indices as it goes. `build_dfg` numbers
+the occurrences in token order and renumbers the edges once, and
+`encoding.encode_example` reads the walk itself. A node therefore exists
+exactly when the walk visits its token. Two rules generate edges:
 
 * assignment: ``x = expr`` adds an edge from every variable occurrence in
   ``expr`` to the target occurrence ``x``;
 * reaching definitions: every use receives an edge from each definition of
   the same name that can reach it. ``if``/``else`` merges by union. A loop
-  is summarised by ``gen``: the definitions that leave its body when the
-  body is walked from an empty environment, memoised per loop. The body is
-  then walked once from ``entry | gen``, the union of the environment at
-  the loop and ``gen``, and that union is also the environment after the
-  loop. So in-loop definitions reach the loop header, the body (around the
-  back edge) and the uses after the loop. Every statement changes the
-  environment in gen/kill form, so a second walk would add nothing: one
-  walk reaches the fixpoint. A body nested k loops deep is walked k + 2
-  times, not 2^(k+1) times.
+  is summarised by ``gen``: the definitions that leave its body from an
+  empty environment, memoised per loop. The body is then walked once from
+  ``entry | gen``, the union of the environment at the loop and ``gen``,
+  and that union is also the environment after the loop. So in-loop
+  definitions reach the loop header, the body (around the back edge) and
+  the uses after the loop. Every statement changes the environment in
+  gen/kill form, so a second walk would add nothing: one walk reaches the
+  fixpoint. A walk from the empty environment gives a subset of the edges
+  and the same occurrences as the walk from ``entry | gen``, so ``gen``
+  needs neither: each statement's expressions are walked once; loop
+  summaries come from a definitions-only walk. The environment is updated
+  in place and copied only where control flow branches.
 
 Augmented assignment targets act as both a use (they receive edges from the
 prior reaching definitions) and the new definition. Function parameters are
@@ -85,110 +88,134 @@ class DataFlowGraph:
 _Env = dict[str, frozenset[int]]
 
 
-class _Extractor:
-    def __init__(self) -> None:
-        self.occurrences: dict[int, tuple[str, str]] = {}  # token_index -> (name, role)
-        self.edges: set[tuple[int, int]] = set()  # <src, dst> over token indices
-        self.loop_gens: dict[int, _Env] = {}  # id(loop node) -> its body's gen set
+class DataFlowWalk:
+    """The reaching-definitions walk of a module, over token indices.
+
+    `occurrences` maps the token index of every variable occurrence to its
+    name, `definitions` holds the indices that are definitions (every other
+    occurrence is a use), and `edges` holds the ``<src, dst>`` pairs."""
+
+    def __init__(self, module: Module) -> None:
+        self.occurrences: dict[int, str] = {}
+        self.definitions: set[int] = set()
+        self.edges: set[tuple[int, int]] = set()
+        self._gens: dict[int, _Env] = {}  # id(loop node) -> its body's gen set
+        self.walk_body(module.body, {})
 
     def walk_body(self, stmts: tuple, env: _Env) -> _Env:
-        for s in stmts:
-            env = self.walk_stmt(s, env)
+        """Walk `stmts` from `env`, which they update in place, and return
+        the environment they leave."""
+        uses_in, define = self.uses_in, self.define
+        for node in stmts:
+            kind = type(node)
+            if kind is Assign:
+                define(node.target.token_index, node.target.id, uses_in(node.value, env), env)
+            elif kind is AugAssign:
+                # x (op)= e: the single occurrence of x is fed by its own prior
+                # reaching definitions as well as everything in e.
+                sources = uses_in(node.value, env)
+                sources.update(env.get(node.target.id, ()))
+                define(node.target.token_index, node.target.id, sources, env)
+            elif kind is If:
+                uses_in(node.test, env)
+                taken = self.walk_body(node.body, dict(env))
+                env = _merge(self.walk_body(node.orelse, env), taken)
+            elif kind is While or kind is For:
+                env = _merge(env, self.gen(node))  # the fixpoint at the loop header
+                inner = dict(env)
+                if kind is While:
+                    uses_in(node.test, inner)
+                else:
+                    define(node.target.token_index, node.target.id, uses_in(node.iter, inner), inner)
+                self.walk_body(node.body, inner)
+            elif kind is FunctionDef:
+                # Fresh scope seeded by the parameters; no closure capture.
+                inner = {}
+                for p in node.params:
+                    define(p.token_index, p.name, set(), inner)
+                self.walk_body(node.body, inner)
+            elif kind is Return or kind is ExprStmt:
+                if node.value is not None:
+                    uses_in(node.value, env)
+                if kind is Return:
+                    env = {}  # a return ends its path
+            else:
+                raise TypeError(f"unexpected statement node: {node!r}")
         return env
 
-    def walk_stmt(self, node: AstNode, env: _Env) -> _Env:
-        if isinstance(node, Assign):
-            sources = self.uses_in(node.value, env)
-            return self.define(node.target.token_index, node.target.id, sources, env)
-        if isinstance(node, AugAssign):
-            # x (op)= e: the single occurrence of x is fed by its own prior
-            # reaching definitions as well as everything in e.
-            sources = self.uses_in(node.value, env)
-            sources |= env.get(node.target.id, frozenset())
-            return self.define(node.target.token_index, node.target.id, sources, env)
-        if isinstance(node, If):
-            self.uses_in(node.test, env)
-            env_body = self.walk_body(node.body, dict(env))
-            env_else = self.walk_body(node.orelse, dict(env)) if node.orelse else env
-            return _merge(env_body, env_else)
-        if isinstance(node, (While, For)):
-            gen = self.loop_gens.get(id(node))
-            if gen is None:
-                gen = self.loop_gens[id(node)] = self.loop_pass(node, {})
-            entry = _merge(env, gen)  # the fixpoint at the loop header
-            self.loop_pass(node, entry)
-            return entry
-        if isinstance(node, FunctionDef):
-            # Fresh scope seeded by the parameters; no closure capture.
-            inner: _Env = {}
-            for p in node.params:
-                inner = self.define(p.token_index, p.name, set(), inner)
-            self.walk_body(node.body, inner)
-            return env
-        if isinstance(node, (Return, ExprStmt)):
-            if node.value is not None:
-                self.uses_in(node.value, env)
-            return {} if isinstance(node, Return) else env  # a return ends its path
-        raise TypeError(f"unexpected statement node: {node!r}")
+    def gen(self, loop: While | For) -> _Env:
+        """The definitions that leave one pass of `loop` from the empty
+        environment, memoised per loop."""
+        gen = self._gens.get(id(loop))
+        if gen is None:
+            env = {loop.target.id: frozenset((loop.target.token_index,))} if type(loop) is For else {}
+            gen = self._gens[id(loop)] = self.gen_body(loop.body, env)
+        return gen
 
-    def loop_pass(self, node: While | For, env: _Env) -> _Env:
-        """One iteration: the test (or the iterable and the target), then the body."""
-        if isinstance(node, While):
-            self.uses_in(node.test, env)
-        else:
-            sources = self.uses_in(node.iter, env)
-            env = self.define(node.target.token_index, node.target.id, sources, env)
-        return self.walk_body(node.body, dict(env))
+    def gen_body(self, stmts: tuple, env: _Env) -> _Env:
+        """`walk_body` for definitions only: no uses, edges or occurrences."""
+        for node in stmts:
+            kind = type(node)
+            if kind is Assign or kind is AugAssign:
+                env[node.target.id] = frozenset((node.target.token_index,))
+            elif kind is If:
+                taken = self.gen_body(node.body, dict(env))
+                env = _merge(self.gen_body(node.orelse, env), taken)
+            elif kind is While or kind is For:
+                env = _merge(env, self.gen(node))
+            elif kind is Return:
+                env = {}
+        return env
 
     def uses_in(self, node: AstNode, env: _Env) -> set[int]:
         """Record every use in an expression, add def->use edges from `env`,
         and return the token indices of the uses."""
+        occurrences, edges = self.occurrences, self.edges
         out: set[int] = set()
         stack = [node]  # iterative: a long operator chain is a deep left-leaning tree
         while stack:
             node = stack.pop()
-            if isinstance(node, Name):
-                self.occurrences[node.token_index] = (node.id, ROLE_USE)
+            kind = type(node)
+            if kind is Name:
+                tok = node.token_index
+                occurrences[tok] = node.id
                 for d in env.get(node.id, ()):
-                    self.add_edge(d, node.token_index)
-                out.add(node.token_index)
-            elif isinstance(node, BinOp):
+                    edges.add((d, tok))
+                out.add(tok)
+            elif kind is BinOp:
                 stack += (node.right, node.left)
-            elif isinstance(node, Call):
+            elif kind is Call:
                 stack.extend(reversed(node.args))
-            elif not isinstance(node, Literal):
+            elif kind is not Literal:
                 raise TypeError(f"unexpected expression node: {node!r}")
         return out
 
-    def define(self, token_index: int, name: str, sources: set[int], env: _Env) -> _Env:
-        """Record a definition fed by `sources` and return the environment it leaves."""
-        self.occurrences[token_index] = (name, ROLE_DEF)
+    def define(self, tok: int, name: str, sources: set[int], env: _Env) -> None:
+        """Record a definition fed by `sources`; it alone reaches on from here."""
+        self.occurrences[tok] = name
+        self.definitions.add(tok)
         for s in sources:
-            self.add_edge(s, token_index)
-        env = dict(env)
-        env[name] = frozenset({token_index})
-        return env
-
-    def add_edge(self, src: int, dst: int) -> None:
-        if src != dst:  # self-loops are a mask-time concern, never stored
-            self.edges.add((src, dst))
+            if s != tok:  # self-loops are a mask-time concern, never stored
+                self.edges.add((s, tok))
+        env[name] = frozenset((tok,))
 
 
-def _merge(a: _Env, b: _Env) -> _Env:
-    out = dict(a)
-    for name, toks in b.items():
-        out[name] = out.get(name, frozenset()) | toks
-    return out
+def _merge(env: _Env, other: _Env) -> _Env:
+    """Add `other`'s reaching definitions to `env` in place and return it."""
+    for name, toks in other.items():
+        had = env.get(name)
+        env[name] = toks if had is None else had | toks
+    return env
 
 
 def build_dfg(ast: Module) -> DataFlowGraph:
     """Extract the data-flow graph of a parsed module."""
-    ex = _Extractor()
-    ex.walk_body(ast.body, {})
-    order = sorted(ex.occurrences.items())
-    node_id = {tok: i for i, (tok, _) in enumerate(order)}
-    nodes = tuple([VariableNode(i, name, tok, role) for i, (tok, (name, role)) in enumerate(order)])
-    edges = frozenset({(node_id[src], node_id[dst]) for src, dst in ex.edges})
+    walk = DataFlowWalk(ast)
+    names, defs = walk.occurrences, walk.definitions
+    order = sorted(names)
+    node_id = {tok: i for i, tok in enumerate(order)}
+    nodes = tuple([VariableNode(i, names[tok], tok, ROLE_DEF if tok in defs else ROLE_USE) for i, tok in enumerate(order)])
+    edges = frozenset({(node_id[src], node_id[dst]) for src, dst in walk.edges})
     return DataFlowGraph(nodes=nodes, edges=edges)
 
 

@@ -427,8 +427,7 @@ def filter_search_corpus(items) -> list:
         text = item.docstring.strip()
         if not text:
             continue
-        ascii_count = sum(1 for ch in text if ord(ch) < 128)
-        if ascii_count * 2 < len(text):
+        if len(text.encode("ascii", "ignore")) * 2 < len(text):  # the encoding keeps only ASCII
             continue
         # Parse last: a rejected docstring then costs no lex and no parse.
         try:

@@ -14,13 +14,17 @@ only with its newline, so no token is found inside one. Character classes
 are spelled out in ASCII (`[A-Za-z_]`, `[0-9]`), never `\\w` or `\\d`,
 which would also match letters and digits such as `é` or `٣`.
 
-The loop over the pieces takes each keyword, operator and newline from one
-table of shared tokens, and builds a token only for an identifier, number,
-string or indent. It measures the indentation at each line start and tracks
-parenthesis depth. A lone quote means an unterminated string and any other
-unmatched character an invalid one. The pieces leave no gap, so the
-character offset that a `LexError` reports is the sum of the lengths before
-its piece; the loop itself keeps no position.
+The loop over the pieces looks each one up in a table of tokens by text,
+which every call copies from the shared table of keywords, operators and
+the newline. The first time an identifier or number appears its token is
+built and added to the call's table, so each later occurrence costs one
+dict hit; strings and indents are built each time. The table dies with the
+call: no token is kept from one call to the next. The loop measures the
+indentation at each line start and tracks parenthesis depth. A lone quote
+means an unterminated string and any other unmatched character an invalid
+one. The pieces leave no gap, so the character offset that a `LexError`
+reports is the sum of the lengths before its piece; the loop itself keeps
+no position.
 
 A token is its kind and its text; its index is its place in the list.
 Offsets count characters, not the bytes of an encoded file.
@@ -106,13 +110,14 @@ def tokenize(source: str) -> list[Token]:
     at_line_start = True
     pieces = _PIECES(source)
     rest = iter(pieces)
+    known = _FIXED.copy()  # this call's tokens by text; gone when it returns
 
     for blank, piece in rest:
-        token = _FIXED.get(piece)
+        token = known.get(piece)
         if token is None:
             kind = _KINDS.get(piece[0])
             if kind is not None:
-                token = _new(Token, (kind, piece))
+                token = known[piece] = _new(Token, (kind, piece))
             elif len(piece) > 1:  # a string, or a comment with its newline
                 token = _NEWLINE if piece[0] == "#" else _new(Token, ("string", piece))
             elif piece in " \t\r#":

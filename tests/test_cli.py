@@ -210,6 +210,10 @@ SUBCOMMAND_HELP = [
     ("extract-dfg", "print the variable data-flow graph of a source file"),
     ("encode", "print the encoded layout and attention-mask density"),
     ("pretrain", "run the alternating pre-training loop"),
+    ("finetune-search", "fine-tune on code search pairs, then report MRR"),
+    ("eval-search", "report the code search MRR of a model"),
+    ("finetune-clone", "fine-tune on clone pairs, then report precision/recall/F1"),
+    ("eval-clone", "report the clone precision, recall and F1 of a model"),
     ("attention-split", "report [CLS] attention mass on code vs nodes"),
 ]
 
@@ -225,6 +229,15 @@ class TestParser:
         for name, rows in PARSER_TABLE.items():
             assert got[name] == rows, name
         assert [(a.dest, a.help) for a in subs._choices_actions] == SUBCOMMAND_HELP
+
+    def test_help_lists_every_subcommand_with_its_line(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        listing = " ".join(capsys.readouterr().out.split())  # argparse wraps long lines
+        assert [name for name, _ in SUBCOMMAND_HELP] == list(PARSER_TABLE)
+        for name, line in SUBCOMMAND_HELP:
+            assert f" {name} {line} " in listing, name
 
 
 # -- flag handling ---------------------------------------------------------------

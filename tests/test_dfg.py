@@ -4,6 +4,7 @@ fixpoint reaching-definitions oracle."""
 import json
 import signal
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from codeflow.dfg import (
     ROLE_DEF,
     ROLE_USE,
     DataFlowGraph,
+    DataFlowWalk,
     VariableNode,
     build_dfg,
     extract_dfg,
@@ -19,7 +21,8 @@ from codeflow.dfg import (
 )
 from codeflow.frontend.lexer import tokenize
 from codeflow.frontend.parser import parse_source
-from helpers import DFG_TRACES, dfg_oracle, random_program
+from codeflow.frontend.syntax import Assign, AugAssign, ExprStmt, For, FunctionDef, If, Return, While
+from helpers import DFG_TRACES, dfg_oracle, random_program, walk
 
 
 @pytest.mark.parametrize("source,nodes,edges", DFG_TRACES)
@@ -184,3 +187,69 @@ def test_deep_loop_nest_extracts_quickly(header):
         signal.signal(signal.SIGALRM, previous)
     assert elapsed < 1.0
     assert g.edges == dfg_oracle(parse_source(source))[1]
+
+
+def _expression_sites(module) -> list:
+    """Every expression a statement holds: an assignment's value, a test, a
+    `for` iterable, and a returned or evaluated value."""
+    sites = []
+    for node in walk(module):
+        if isinstance(node, (Assign, AugAssign, Return, ExprStmt)):
+            if node.value is not None:
+                sites.append(node.value)
+        elif isinstance(node, (If, While)):
+            sites.append(node.test)
+        elif isinstance(node, For):
+            sites.append(node.iter)
+    return sites
+
+
+def _random_programs(seed: int, count: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [random_program(rng, max_depth=4) for _ in range(count)]
+
+
+def _deep_nest(header: str, depth: int = 60) -> str:
+    return (
+        "x = 0\n"
+        + "".join("    " * i + header.format(i=i) + "\n" for i in range(depth))
+        + "    " * depth + "x = x + 1\ny = x\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        _random_programs(seed=31, count=200),
+        [_deep_nest("while x < {i}:"), _deep_nest("for v{i} in x:")],
+    ],
+    ids=["random-depth-4", "60-deep"],
+)
+def test_each_expression_is_walked_once(monkeypatch, sources):
+    # Loop summaries come from a definitions-only walk, so however deep a
+    # loop nests, the walk that records uses meets each expression once.
+    visits = Counter()
+    uses_in = DataFlowWalk.uses_in
+
+    def counting(self, node, env):
+        visits[id(node)] += 1
+        return uses_in(self, node, env)
+
+    monkeypatch.setattr(DataFlowWalk, "uses_in", counting)
+    for source in sources:
+        mod = parse_source(source)
+        visits.clear()
+        build_dfg(mod)
+        sites = _expression_sites(mod)
+        assert visits == Counter(id(e) for e in sites)
+        assert len(visits) == len(sites)  # no two sites are one object
+    assert max(_loop_depth(parse_source(source).body) for source in sources) >= 4
+
+
+def _loop_depth(stmts) -> int:
+    """How many loops deep `stmts` nest."""
+    depths = [0]
+    for s in stmts:
+        blocks = (s.body, s.orelse) if isinstance(s, If) else (s.body,) if isinstance(s, (While, For, FunctionDef)) else ()
+        depths += [_loop_depth(b) + isinstance(s, (While, For)) for b in blocks]
+    return max(depths)

@@ -712,6 +712,13 @@ class TestFilterSearchCorpus:
     def test_drops_mostly_non_ascii(self):
         assert filter_search_corpus([item(docstring="укр мов тест")]) == []
         assert filter_search_corpus([item(docstring="abc où def")]) != []
+        assert filter_search_corpus([item(docstring="ab ü ñéöäßçøåæ")]) == []
+        # Half ASCII is kept, one character short of half is not; a lone
+        # surrogate counts as one non-ASCII character.
+        assert filter_search_corpus([item(docstring="a b éééé")]) != []
+        assert filter_search_corpus([item(docstring="a b ééééé")]) == []
+        assert filter_search_corpus([item(docstring="one two \ud800")]) != []
+        assert filter_search_corpus([item(docstring="a b \ud800\ud800\ud800\ud800\ud800")]) == []
 
     def test_order_preserving_and_idempotent(self):
         items = [

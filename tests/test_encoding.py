@@ -28,9 +28,10 @@ from codeflow.encoding import (
     mask_density,
 )
 from codeflow import downstream
-from codeflow.dfg import extract_dfg, serialize_dfg
+from codeflow.dfg import build_dfg, extract_dfg, serialize_dfg
 from codeflow.frontend import lexer, parser
 from codeflow.frontend.lexer import tokenize
+from codeflow.frontend.parser import parse
 from codeflow.pretrain import encode_corpus, sampling_arrays
 from helpers import mask_oracle, overfit_corpus, random_program
 
@@ -208,6 +209,42 @@ class TestNoDataflowAblation:
             ablated = encoder(code, vocab, Limits(max_nodes=0))
             assert (ablated.ids, ablated.segments, ablated.position_ids) == self.cut_after_last_sep(full)
             assert ablated.node_edges == frozenset() and ablated.node_token_links == frozenset()
+
+
+class TestNodeSegment:
+    """`encode_example` reads its nodes off the data-flow walk; they are the
+    public graph's: `build_dfg`'s nodes whose token was kept, the first
+    `max_nodes` of them, node k at position ``first + k``, its link to its
+    code token, and the edges between kept nodes."""
+
+    @staticmethod
+    def from_graph(code, limits, first, code_start):
+        tokens = tokenize(code)
+        g = build_dfg(parse(tokens))
+        nodes = [n for n in g.nodes if n.token_index < min(len(tokens), limits.max_code)][: limits.max_nodes]
+        kept = len(nodes)
+        links = {(first + n.id, code_start + n.token_index) for n in nodes}
+        edges = {(first + src, first + dst) for src, dst in g.edges if src < kept and dst < kept}
+        return [n.name for n in nodes], links, edges
+
+    @pytest.mark.parametrize(
+        "max_code,max_nodes", [(256, 64), (256, 0), (40, 64), (40, 5), (12, 3), (5, 0), (0, 64), (300, 1)]
+    )
+    def test_matches_the_public_graph(self, max_code, max_nodes):
+        rng = np.random.default_rng(19)
+        programs = [random_program(rng, max_depth=4) for _ in range(150)]
+        vocab = build_vocab([("", code) for code in programs], size=4096)  # every name has its own id
+        limits = Limits(max_code=max_code, max_nodes=max_nodes)
+        nodes = 0
+        for code in programs:
+            ex = encode_example("find the value", code, vocab, limits)
+            first = len(ex) - ex.segments.count("node")
+            names, links, edges = self.from_graph(code, limits, first, code_start=5)
+            assert list(ex.ids[first:]) == [vocab.id_of(name) for name in names]
+            assert ex.node_token_links == links
+            assert ex.node_edges == edges
+            nodes += len(names)
+        assert nodes > 0 or 0 in (max_code, max_nodes)
 
 
 class TestPinnedEncoding:

@@ -12,6 +12,7 @@ from codeflow.frontend.errors import (
     MiniLangSyntaxError,
     UnterminatedString,
 )
+from codeflow.frontend import lexer
 from codeflow.frontend.lexer import OPERATORS, Token, tokenize
 from codeflow.frontend.parser import MAX_NESTING, parse, parse_source
 from codeflow.frontend.syntax import Assign, AugAssign, BinOp, Call, For, FunctionDef, If, Literal, Name, Return, While
@@ -151,6 +152,23 @@ class TestLexer:
         assert tok == tokenize("x\n")[0] and hash(tok) == hash(tokenize("x\n")[0])
         with pytest.raises(AttributeError):
             tok.text = "y"
+
+    def test_no_token_table_outlives_a_call(self):
+        """Each call builds its identifier and number tokens in a table of its
+        own: lexing many sources leaves the shared fixed-token table as it
+        was, lexing A first changes nothing in what B gives, and two calls
+        share no token object beyond the fixed ones."""
+        fixed = dict(lexer._FIXED)
+        rng = np.random.default_rng(12)
+        sources = [random_program(rng, max_depth=3) for _ in range(200)]
+        alone = [tokenize(s) for s in sources]
+        shared = {id(t) for t in fixed.values()} | {id(lexer._DEDENT)}
+        for a, b, b_alone in zip(sources, sources[1:], alone[1:]):
+            tokens_a, tokens_b = tokenize(a), tokenize(b)
+            assert tokens_b == b_alone
+            assert {id(t) for t in tokens_a} & {id(t) for t in tokens_b} <= shared
+        assert len(lexer._FIXED) == len(fixed)
+        assert all(lexer._FIXED[text] is token for text, token in fixed.items())
 
 
 MUTATION_ALPHABET = "ab_01.9 \t\r\n#'\"\\()=+-*/%<>!,:@é٣"
