@@ -52,13 +52,6 @@ class CloneExample:
     label: int
 
 
-@dataclass(frozen=True)
-class RankingResult:
-    query_id: int
-    ordering: tuple[int, ...]  # candidate ids, best first
-    gold_rank: int  # 1-based
-
-
 # encoding helpers -----------------------------------------------------------
 
 
@@ -106,33 +99,37 @@ def length_groups(sequences) -> list[list[int]]:
 
 def batch_forward(params: ModelParams, sequences, reads) -> Activations:
     """One `forward` over `sequences`, ``(ids, position_ids, allow)`` each,
-    in any order, that reads the positions `reads[i]` of sequence ``i``. The
-    sequences are grouped by exact length (`length_groups`), and each group
-    is an unpadded block whose allow-matrices are stacked into one additive
-    mask, so every read row equals the one a forward of its sequence alone
-    gives, bit for bit (see `model.forward`). ``rows[i]`` and ``sequence(i)``
-    of the result belong to sequence ``i``: its rows of ``final``, in the
-    order of `reads[i]`."""
+    in any order, that reads the positions `reads[i]` of sequence ``i``, in
+    any order and with repeats: the forward reads each distinct position
+    once, in ascending order. The sequences are grouped by exact length
+    (`length_groups`), and each group is an unpadded block whose
+    allow-matrices are stacked into one additive mask, so every read row
+    equals the one a forward of its sequence alone gives, bit for bit (see
+    `model.forward`). ``rows[i]`` and ``sequence(i)`` of the result belong
+    to sequence ``i``: ``rows[i][k]`` is the row of ``final`` holding
+    ``reads[i][k]``."""
     groups = length_groups([ids for ids, _, _ in sequences])
     order = [i for group in groups for i in group]
+    distinct = [sorted(set(reads[i])) for i in order]
     dtype = params.tensors["tok_emb"].data.dtype
     acts = forward(
         params,
         np.concatenate([sequences[i][0] for i in order]),
         np.concatenate([sequences[i][1] for i in order]),
         [additive_mask(np.stack([sequences[i][2] for i in group]), dtype=dtype) for group in groups],
-        reads=[reads[i] for i in order],
+        reads=distinct,
     )
     slots = np.argsort(order)  # each sequence's place in the forward
-    acts.rows, acts.maps = [acts.rows[s] for s in slots], [acts.maps[s] for s in slots]
+    acts.rows = [acts.rows[s][np.searchsorted(distinct[s], read)] for s, read in zip(slots, reads)]
+    acts.maps = [acts.maps[s] for s in slots]
     return acts
 
 
 def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, reads, masks=None) -> list:
     """``read(activations, i)`` for each example ``i``, in order, with the
-    example's own activations (`Activations.sequence`): the rows of
+    example's own activations (`Activations.sequence`): a row per entry of
     `reads[i]`, in order, as ``final``, and its attention maps, whose last
-    layer holds those query rows when it ran for them alone.
+    layer holds its distinct reads' query rows when it ran for them alone.
 
     Examples are grouped by exact length (`length_groups`), and consecutive
     groups are packed into `batch_forward`s of at most
@@ -197,10 +194,10 @@ def encode_code(
 # ranking --------------------------------------------------------------------
 
 
-def rank_candidates(query_vec: np.ndarray, candidate_vecs, gold_id: int, query_id: int = 0) -> RankingResult:
-    """Order candidates by inner product with the query, best first; ties go
-    to the lower index. `candidate_vecs` is a sequence of vectors or an
-    ``(n, d)`` matrix."""
+def rank_candidates(query_vec: np.ndarray, candidate_vecs, gold_id: int) -> int:
+    """1-based rank of candidate `gold_id` by inner product with the query:
+    one plus the candidates that score higher and the lower-indexed ones that
+    tie. `candidate_vecs` is a sequence of vectors or an ``(n, d)`` matrix."""
     q = np.asarray(query_vec, dtype=np.float64)
     try:
         cands = np.asarray(candidate_vecs, dtype=np.float64)
@@ -210,15 +207,17 @@ def rank_candidates(query_vec: np.ndarray, candidate_vecs, gold_id: int, query_i
         raise EmptyInput("no candidates to rank")
     if cands.shape[1:] != q.shape:
         raise DimensionMismatch(f"candidate shape {cands.shape[1:]} vs query {q.shape}")
-    ordering = tuple(np.argsort(-(cands @ q), kind="stable").tolist())
-    return RankingResult(query_id=query_id, ordering=ordering, gold_rank=ordering.index(gold_id) + 1)
+    if not 0 <= gold_id < len(cands):  # a negative id would index from the end
+        raise IndexError(f"gold id {gold_id} is not one of {len(cands)} candidates")
+    scores = cands @ q
+    gold = scores[gold_id]
+    return 1 + int(np.count_nonzero(scores > gold)) + int(np.count_nonzero(scores[:gold_id] == gold))
 
 
-def mrr(rankings) -> float:
-    if not rankings:
+def mrr(ranks) -> float:
+    if not ranks:
         raise EmptyInput("no rankings")
-    ranks = [r.gold_rank if isinstance(r, RankingResult) else int(r) for r in rankings]
-    return float(np.mean([1.0 / r for r in ranks]))
+    return float(np.mean([1.0 / int(r) for r in ranks]))
 
 
 def evaluate_search(params: ModelParams, examples: list[SearchExample]) -> float:
@@ -228,7 +227,7 @@ def evaluate_search(params: ModelParams, examples: list[SearchExample]) -> float
         raise EmptyInput("no search examples")
     code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples]).astype(np.float64)
     query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples])
-    return mrr([rank_candidates(qv, code_vecs, gold_id=qid, query_id=qid) for qid, qv in enumerate(query_vecs)])
+    return mrr([rank_candidates(qv, code_vecs, gold_id=qid) for qid, qv in enumerate(query_vecs)])
 
 
 def prepare_search_examples(

@@ -182,15 +182,15 @@ def encode_example(
 ) -> EncodedExample:
     """Build the ``[CLS] W [SEP] C [SEP] V`` input for one example.
 
-    The code is lexed once and the data-flow walk runs on the same tokens,
-    so encoding code raises the frontend's error for code that does not lex
-    or parse. The node segment is read straight off the walk's occurrences
-    and token-index edges, in one pass: they give the nodes and edges of
+    The code is lexed and parsed once, also without nodes, so encoding code
+    raises the frontend's error for code that does not lex or parse. The
+    node segment is read straight off the data-flow walk's occurrences and
+    token-index edges, in one pass: they give the nodes and edges of
     `dfg.build_dfg`, with no graph built. Comment, code and node sequences
     are truncated to their limits; a node whose source token fell past the
     code truncation point is dropped, and edges touching dropped nodes are
-    dropped with them. ``Limits(max_nodes=0)`` is the no-data-flow
-    ablation. A None comment or code drops that whole segment with the
+    dropped with them. ``Limits(max_nodes=0)``, the no-data-flow ablation,
+    runs no walk. A None comment or code drops that whole segment with the
     [SEP] that follows it (comment-only query encoding, code-only candidate
     encoding); without the code segment there are no nodes either.
 
@@ -215,7 +215,7 @@ def encode_example(
     n_nodes = 0
     if code is not None:
         tokens = tokenize(code)
-        walk = DataFlowWalk(parse(tokens))
+        tree = parse(tokens)
         kept_code = tokens[: limits.max_code]
         n_code = len(kept_code)
         code_start = len(ids)  # token i sits at position code_start + i
@@ -227,17 +227,19 @@ def encode_example(
         # The nodes are the first `max_nodes` occurrences, in token order,
         # whose token was kept: a prefix of them all. Node k sits at position
         # first + k, and an edge stays when both its ends are in the prefix.
-        names = walk.occurrences
-        kept = sorted([tok for tok in names if tok < n_code])[: limits.max_nodes]
-        first, n_nodes = len(ids), len(kept)
-        ids += [get(names[tok], UNK) for tok in kept]
-        segments += [SEG_NODE] * n_nodes
-        position = {tok: first + k for k, tok in enumerate(kept)}
-        last = kept[-1] if kept else -1
-        # Frozen from sets, which size the table to fit: from a list it can
-        # take twice the memory, and callers keep every example.
-        links = frozenset({(pos, code_start + tok) for tok, pos in position.items()})
-        edges = frozenset({(position[src], position[dst]) for src, dst in walk.edges if src <= last and dst <= last})
+        if limits.max_nodes:
+            walk = DataFlowWalk(tree)
+            names = walk.occurrences
+            kept = sorted([tok for tok in names if tok < n_code])[: limits.max_nodes]
+            first, n_nodes = len(ids), len(kept)
+            ids += [get(names[tok], UNK) for tok in kept]
+            segments += [SEG_NODE] * n_nodes
+            position = {tok: first + k for k, tok in enumerate(kept)}
+            last = kept[-1] if kept else -1
+            # Frozen from sets, which size the table to fit: from a list it can
+            # take twice the memory, and callers keep every example.
+            links = frozenset({(pos, code_start + tok) for tok, pos in position.items()})
+            edges = frozenset({(position[src], position[dst]) for src, dst in walk.edges if src <= last and dst <= last})
 
     sequential = len(ids) - n_nodes
     p_node = max_positions - 1

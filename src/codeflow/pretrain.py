@@ -373,15 +373,15 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     rows). Returns the loss and its parts by objective name.
 
     The forward is one `downstream.batch_forward`, unpadded, that `reads`
-    only the rows the losses score, each example's masked positions and
-    candidate endpoints, so its last layer runs for those rows alone. Each
-    read row equals the one a forward of its example alone gives, bit for
-    bit; the losses sum their terms in example order.
+    only the rows the losses score, each example's masked positions followed
+    by its candidate endpoints, so its last layer runs for those rows alone.
+    Each read row equals the one a forward of its example alone gives, bit
+    for bit; the losses sum their terms in example order.
     """
     dtype = params.tensors["tok_emb"].data.dtype
     arrays = [sampling_arrays(ex) for ex, _, _ in prepared]
     reads = [
-        sorted({*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))})
+        [*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))]
         for _, mlm_t, tset in prepared
     ]
     sequences = [
@@ -390,11 +390,10 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     ]
     acts = batch_forward(params, sequences, reads)
     final = acts.final
-    row_of = [dict(zip(positions, rows.tolist())) for positions, rows in zip(reads, acts.rows)]  # position -> row
 
     rows, originals, weights = [], [], []
     for b, (_, mlm_t, _) in enumerate(prepared):
-        rows += [row_of[b][p] for p in mlm_t.positions]
+        rows += acts.rows[b][: len(mlm_t.positions)].tolist()
         originals += mlm_t.original_ids
         weights += [1.0 / (len(prepared) * len(mlm_t.positions))] * len(mlm_t.positions)
     picked = _token_log_likelihoods(final, rows, originals, params)
@@ -405,7 +404,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     if scored:
         pairs, labels, weights = [], [], []
         for b, tset in scored:
-            pairs += [(row_of[b][i], row_of[b][j]) for i, j in tset.candidates]
+            pairs += acts.rows[b][-2 * len(tset.candidates) :].reshape(-1, 2).tolist()  # after the mlm reads
             labels += tset.labels
             weights += [1.0 / (len(scored) * len(tset.candidates))] * len(tset.candidates)
         pair_ll = pair_log_likelihoods(final, pairs, labels)
@@ -557,12 +556,11 @@ def structure_accuracy(
     scored = [(ex, tset) for ex in encoded if (tset := structure_targets(ex, objective, rng)) is not None]
     if not scored:
         raise ValueError("no structure candidates in the given examples")
-    reads = [sorted({p for pair in tset.candidates for p in pair}) for _, tset in scored]
+    reads = [[p for pair in tset.candidates for p in pair] for _, tset in scored]
 
     def correct(acts: Activations, i: int) -> int:
         _, tset = scored[i]
-        row_of = {p: j for j, p in enumerate(reads[i])}
-        dots = pair_dots(acts.final, [(row_of[x], row_of[y]) for x, y in tset.candidates]).data.astype(np.float64)
+        dots = pair_dots(acts.final, [(2 * k, 2 * k + 1) for k in range(len(tset.candidates))]).data.astype(np.float64)
         p = 1.0 / (1.0 + np.exp(-dots))
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 

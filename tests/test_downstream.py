@@ -12,7 +12,6 @@ from codeflow.downstream import (
     CloneExample,
     DimensionMismatch,
     EmptyInput,
-    RankingResult,
     clone_metrics,
     clone_probabilities,
     clone_probability,
@@ -60,55 +59,57 @@ def search_fixture(n=8, **cfg_kw):
 # -- ranking -------------------------------------------------------------------
 
 
+def loop_rank(q, cands, gold):
+    """The reference rank: 1-based place of `gold` when the candidates are
+    sorted by score, best first, ties by ascending index."""
+    scores = [float(q @ c) for c in cands]
+    return sorted(range(len(cands)), key=lambda i: (-scores[i], i)).index(gold) + 1
+
+
 class TestRanking:
     def test_hand_example(self):
-        r = rank_candidates(np.array([1.0, 0.0]), [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])], gold_id=0)
-        assert r.ordering == (1, 2, 0)
-        assert r.gold_rank == 3
+        cands = [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])]
+        assert [rank_candidates(np.array([1.0, 0.0]), cands, gold_id=g) for g in range(3)] == [3, 1, 2]
 
     def test_ties_break_by_ascending_id(self):
         q = np.array([1.0, 0.0])
         cands = [np.array([1.0, 9.0]), np.array([1.0, -4.0]), np.array([1.0, 0.0])]
-        r = rank_candidates(q, cands, gold_id=2)
-        assert r.ordering == (0, 1, 2)
-        assert r.gold_rank == 3
+        assert [rank_candidates(q, cands, gold_id=g) for g in range(3)] == [1, 2, 3]
 
     def test_ordering_properties_fuzz(self):
+        # without ties, the candidates' ranks are 1..n in descending score order
         rng = np.random.default_rng(19)
         for _ in range(50):
             q = rng.normal(size=8)
             cands = [rng.normal(size=8) for _ in range(12)]
-            gold = int(rng.integers(0, 12))
-            r = rank_candidates(q, cands, gold_id=gold, query_id=3)
-            assert sorted(r.ordering) == list(range(12))
+            ranks = [rank_candidates(q, cands, gold_id=g) for g in range(12)]
+            assert sorted(ranks) == list(range(1, 13))
             scores = [float(q @ c) for c in cands]
-            along = [scores[i] for i in r.ordering]
-            assert all(a >= b for a, b in zip(along, along[1:]))
-            assert r.ordering[r.gold_rank - 1] == gold
-            assert r.query_id == 3
+            assert [g for _, g in sorted(zip(ranks, range(12)))] == sorted(range(12), key=lambda i: -scores[i])
 
     def test_query_scaling_keeps_ordering(self):
         rng = np.random.default_rng(21)
-        q = rng.normal(size=4)
-        cands = [rng.normal(size=4) for _ in range(6)]
-        a = rank_candidates(q, cands, gold_id=0)
-        b = rank_candidates(3.0 * q, cands, gold_id=0)
-        assert a.ordering == b.ordering
+        for _ in range(20):
+            q = rng.integers(-2, 3, size=4).astype(np.float64)
+            cands = rng.integers(-2, 3, size=(8, 4)).astype(np.float64)
+            for scale in (3.0, 0.5):
+                for gold in range(8):
+                    assert rank_candidates(scale * q, cands, gold_id=gold) == rank_candidates(q, cands, gold_id=gold)
 
     def test_matches_loop_reference(self):
         # Small integer vectors make every score exact and ties frequent, so
-        # the orderings must agree entry for entry.
+        # every candidate's rank must agree with the sorted loop's.
         rng = np.random.default_rng(23)
+        ties = 0
         for _ in range(50):
             q = rng.integers(-2, 3, size=5).astype(np.float64)
             cands = rng.integers(-2, 3, size=(16, 5)).astype(np.float64)
-            scores = [float(q @ c) for c in cands]
-            expected = tuple(sorted(range(len(cands)), key=lambda i: (-scores[i], i)))
-            gold = int(rng.integers(0, 16))
-            for given in (list(cands), cands):
-                r = rank_candidates(q, given, gold_id=gold)
-                assert r.ordering == expected
-                assert r.gold_rank == expected.index(gold) + 1
+            ties += len(cands) - len({float(q @ c) for c in cands})
+            for gold in range(len(cands)):
+                want = loop_rank(q, cands, gold)
+                for given in (list(cands), cands):
+                    assert rank_candidates(q, given, gold_id=gold) == want
+        assert ties > 100
 
     def test_validation(self):
         with pytest.raises(EmptyInput):
@@ -121,13 +122,16 @@ class TestRanking:
             rank_candidates(np.zeros(3), np.zeros((2, 4)), gold_id=0)
         with pytest.raises(DimensionMismatch):  # ragged candidate list
             rank_candidates(np.zeros(3), [np.zeros(3), np.zeros(4)], gold_id=0)
+        for gold in (-1, 2):  # no such candidate
+            with pytest.raises(IndexError):
+                rank_candidates(np.zeros(3), np.zeros((2, 3)), gold_id=gold)
 
 
 class TestMrr:
     def test_hand_values(self):
         assert mrr([2, 4]) == pytest.approx(0.375)
         assert mrr([1, 1, 1]) == 1.0
-        assert mrr([RankingResult(0, (1, 0), 2), 4]) == pytest.approx(0.375)
+        assert mrr((np.int64(2), 4)) == pytest.approx(0.375)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
@@ -310,13 +314,15 @@ class TestBatchForward:
 
         monkeypatch.setattr(downstream, "forward", spy)
         rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
-        reads = [[0, i % len(ex)] for i, ex in enumerate(encoded)]
-        downstream.batch_forward(params.astype(np.float64), rows, reads)
+        reads = [[i % len(ex), 0, i % len(ex)] for i, ex in enumerate(encoded)]  # unordered, with repeats
+        acts = downstream.batch_forward(params.astype(np.float64), rows, reads)
         [(ids, positions, masks, got_reads)] = calls
         order = [i for g in groups for i in g]
         assert ids.tolist() == [t for i in order for t in encoded[i].ids]
         assert positions.tolist() == [p for i in order for p in encoded[i].position_ids]
-        assert got_reads == [reads[i] for i in order]
+        assert got_reads == [sorted(set(reads[i])) for i in order]  # each sequence's distinct reads, ascending
+        for read, landed in zip(reads, acts.rows):  # one row per read, a repeated position's row repeated
+            assert len(landed) == 3 and landed[0] == landed[2] and (landed[0] == landed[1]) == (read[0] == 0)
         assert [m.shape for m in masks] == [(len(g), len(encoded[g[0]]), len(encoded[g[0]])) for g in groups]
         for g, mask in zip(groups, masks):
             for b, i in enumerate(g):
@@ -325,13 +331,21 @@ class TestBatchForward:
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_read_rows_equal_single_forwards_in_any_order(self, dtype, num_layers):
+    def test_read_rows_equal_single_forwards_in_any_order(self, monkeypatch, dtype, num_layers):
         # Lengths include 1, read at W = 2 > L = 1 (its block runs the full
         # last layer), and blocks whose sequences read unequal numbers of rows.
-        # Every read row equals the full forward of the same batch. It equals
-        # the forward of its sequence alone too, but for a float64 sequence of
-        # length 1: alone, every matmul of it has one row and takes BLAS's
-        # gemv path, whose float64 bits differ from the gemm rows of a batch.
+        # Reads come unordered and with repeats. Every read row equals the
+        # full forward of the same batch. It equals the forward of its
+        # sequence alone too, but for a float64 sequence of length 1: alone,
+        # every matmul of it has one row and takes BLAS's gemv path, whose
+        # float64 bits differ from the gemm rows of a batch.
+        forwarded = []
+
+        def spy(params, ids, positions, masks, reads=None):
+            forwarded.append(reads)
+            return forward(params, ids, positions, masks, reads=reads)
+
+        monkeypatch.setattr(downstream, "forward", spy)
         params = init_params(tiny_config(num_layers=num_layers, max_positions=64), dtype=dtype)
         rng = np.random.default_rng(11 + num_layers)
         for _ in range(4):
@@ -342,13 +356,19 @@ class TestBatchForward:
                 np.fill_diagonal(allow, True)
                 rows.append((rng.integers(5, params.config.vocab_size, n), rng.permutation(n), allow))
             reads = [rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist() for n in lengths]
+            reads[-2:] = [rng.choice(n, size=6).tolist() for n in lengths[-2:]]  # drawn with replacement
             reads[0] = [0, 0]  # a read wider than its one-row sequence
-            reads[3], reads[4] = [4], [0, 3, 1]  # fewer rows than a block-mate
+            reads[3], reads[4], reads[5] = [4], [0, 3, 1], [4, 1, 4, 0, 1]  # fewer rows than a block-mate
             order = rng.permutation(len(rows))
             rows, reads = [rows[i] for i in order], [reads[i] for i in order]
+            forwarded.clear()
             acts = downstream.batch_forward(params, rows, reads)
+            [distinct] = forwarded  # each sequence's distinct reads, ascending, block after block
+            blocks = downstream.length_groups([ids for ids, _, _ in rows])
+            assert distinct == [sorted(set(reads[i])) for group in blocks for i in group]
             full = downstream.batch_forward(params, rows, [list(range(len(ids))) for ids, _, _ in rows])
             assert len(acts.rows) == len(rows)
+            assert [len(landed) for landed in acts.rows] == [len(read) for read in reads]
             for s, ((ids, positions, allow), read) in enumerate(zip(rows, reads)):
                 got = acts.final.data[acts.rows[s]]
                 assert got.dtype == dtype and acts.sequence(s).final.data.tobytes() == got.tobytes()

@@ -27,7 +27,7 @@ from codeflow.encoding import (
     encode_example,
     mask_density,
 )
-from codeflow import downstream
+from codeflow import downstream, encoding
 from codeflow.dfg import build_dfg, extract_dfg, serialize_dfg
 from codeflow.frontend import lexer, parser
 from codeflow.frontend.lexer import tokenize
@@ -307,6 +307,24 @@ class TestSingleLex:
         encode_corpus(kept, vocab)
         assert len(kept) == len(items)
         assert calls == {"tokenize": 3 * len(items), "parse": 2 * len(items)}
+
+    def test_no_walk_without_nodes(self, calls, monkeypatch):
+        # The no-data-flow ablation keeps no node, so no walk runs; the parse
+        # still does, and raises for code that does not parse.
+        walks = []
+
+        class CountingWalk(encoding.DataFlowWalk):
+            def __init__(self, module):
+                walks.append(module)
+                super().__init__(module)
+
+        monkeypatch.setattr(encoding, "DataFlowWalk", CountingWalk)
+        encode_example(COMMENT, CODE, Vocabulary({}), Limits(max_nodes=0))
+        assert len(walks) == 0 and calls == {"tokenize": 1, "parse": 1}
+        assert len(encode_example(COMMENT, CODE, Vocabulary({}), Limits()).node_positions) == 3
+        assert len(walks) == 1 and calls == {"tokenize": 2, "parse": 2}
+        with pytest.raises(parser.MiniLangSyntaxError):
+            encode_example(COMMENT, "a = (1\n", Vocabulary({}), Limits(max_nodes=0))
 
 
 class TestTruncation:

@@ -88,3 +88,35 @@ def test_modules_parse_at_the_declared_python_floor():
     major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
     for module in [codeflow, *package_modules()]:
         ast.parse(Path(module.__file__).read_text(encoding="utf-8"), feature_version=(major, minor))
+
+
+
+def test_every_definition_has_a_caller():
+    # A top-level function or class that only unit tests use is dead code:
+    # each one is named, outside its own definition, by the package, the
+    # benchmark (whose tracer names what it wraps in strings) or the
+    # acceptance tests.
+    root = Path(__file__).parents[1]
+    package = sorted((root / "src" / "codeflow").rglob("*.py"))
+    statements = []  # (file, top-level statement, the names it mentions)
+    for path in [*package, *sorted((root / "perfbench").rglob("*.py")), root / "tests" / "test_acceptance.py"]:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+            statements.append((path, stmt, names))
+    definitions = [
+        (path, stmt) for path, stmt, _ in statements if path in package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(definitions) > 150
+    unused = [
+        f"{path.relative_to(root)}:{stmt.lineno} {stmt.name}"
+        for path, stmt in definitions
+        if not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert unused == []

@@ -645,14 +645,19 @@ class TestBlockedBatchForward:
         [(sequences, reads, acts)] = seen
         assert len(sequences) == len(reads) == len(acts.rows) == len(prepared)
         for (ex, mlm_t, tset), (ids, positions, allow), read, rows in zip(prepared, sequences, reads, acts.rows):
-            assert read == sorted({*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)})
+            # the masked positions, then each candidate's two ends, repeats and all
+            assert read == [*mlm_t.positions, *(p for pair in (tset.candidates if tset else ()) for p in pair)]
             assert ids == mlm_t.masked_ids and positions == ex.position_ids
             assert np.array_equal(allow, build_attention_mask(ex) if tset is None else tset.mask)
             alone = forward(params, ids, positions, additive_mask(allow, dtype=dtype)).final.data[read]
             got = acts.final.data[rows]
             assert got.dtype == dtype and got.tobytes() == alone.tobytes()
-        landed = np.concatenate(acts.rows)  # no two reads share a row
-        assert len(set(landed.tolist())) == len(landed) and landed.max() < len(acts.final.data)
+        assert (structure is not None) == any(len(set(read)) < len(read) for read in reads)
+        landed = {}  # row -> the one (sequence, position) it holds
+        for s, (read, rows) in enumerate(zip(reads, acts.rows)):
+            for position, row in zip(read, rows.tolist()):
+                assert landed.setdefault(row, (s, position)) == (s, position)
+        assert max(landed) < len(acts.final.data)
 
     def test_blocks_are_the_batch_in_first_seen_length_order(self, monkeypatch):
         import codeflow.pretrain as pretrain
