@@ -105,8 +105,8 @@ def batch_forward(params: ModelParams, sequences, reads) -> Activations:
     (`length_groups`), and each group is an unpadded block whose
     allow-matrices are stacked into one additive mask, so every read row
     equals the one a forward of its sequence alone gives, bit for bit (see
-    `model.forward`). ``rows[i]`` and ``sequence(i)`` of the result belong
-    to sequence ``i``: ``rows[i][k]`` is the row of ``final`` holding
+    `model.forward`). ``rows[i]`` and ``maps[i]`` of the result belong to
+    sequence ``i``: ``rows[i][k]`` is the row of ``final`` holding
     ``reads[i][k]``."""
     groups = length_groups([ids for ids, _, _ in sequences])
     order = [i for group in groups for i in group]
@@ -126,17 +126,18 @@ def batch_forward(params: ModelParams, sequences, reads) -> Activations:
 
 
 def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, reads, masks=None) -> list:
-    """``read(activations, i)`` for each example ``i``, in order, with the
-    example's own activations (`Activations.sequence`): a row per entry of
-    `reads[i]`, in order, as ``final``, and its attention maps, whose last
-    layer holds its distinct reads' query rows when it ran for them alone.
+    """``read(rows, maps, i)`` for each example ``i``, in order: ``rows``
+    holds a final-layer row per entry of `reads[i]`, in order, and ``maps``
+    its per-layer ``H x W x L`` attention arrays, whose last layer holds its
+    distinct reads' query rows when it ran for them alone.
 
     Examples are grouped by exact length (`length_groups`), and consecutive
     groups are packed into `batch_forward`s of at most
     `MAX_FORWARD_POSITIONS` real rows (a group that does not fit is split),
     so nothing is padded. `masks`, one allow-matrix per example, replaces
     `build_attention_mask`. A forward's activations are freed before the
-    next one runs: `read` copies what it keeps."""
+    next one runs: ``rows`` is the example's own copy, and `read` copies
+    whatever it keeps of ``maps``."""
     packed: list[list[int]] = []  # forwards, each a list of examples
     room = 0  # rows the last forward has left
     for i in (i for group in length_groups(examples) for i in group):
@@ -155,7 +156,7 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
     for members in packed:
         acts = batch_forward(params, [sequence(i) for i in members], [reads[i] for i in members])
         for s, i in enumerate(members):
-            out[i] = read(acts.sequence(s), i)
+            out[i] = read(acts.final.data[acts.rows[s]], acts.maps[s], i)
         del acts
     return out
 
@@ -167,8 +168,8 @@ def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndar
     equals the full forward's bit for bit."""
     out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
 
-    def read(acts: Activations, i: int) -> None:
-        out[i] = acts.final.data[0]
+    def read(rows: np.ndarray, maps, i: int) -> None:
+        out[i] = rows[0]
 
     grouped_forwards(params, examples, read, [[0]] * len(examples))
     return out
@@ -382,17 +383,17 @@ def clone_metrics(predictions, labels) -> tuple[float, float, float]:
 # attention analysis ---------------------------------------------------------
 
 
-def cls_attention_split(activations: Activations, example: EncodedExample) -> tuple[float, float]:
+def _cls_split(maps, example: EncodedExample) -> tuple[float, float]:
     """Fraction of [CLS] attention mass on code vs node keys, averaged over
-    all heads and layers, renormalized over the two classes. Only row 0 of
-    each map is read, so the maps of a forward that reads [CLS] do."""
+    all heads of the per-layer ``H x W x L`` arrays `maps`, renormalized over
+    the two classes. Only query row 0 of each map is read, so the maps of a
+    forward that reads [CLS] do."""
     node_pos = example.node_positions
     if not node_pos:
         return (1.0, 0.0)
-    if not activations.attention:
-        raise ValueError("activations carry no attention maps")
-    rows = [w.data[0] for layer in activations.attention for w in layer]
-    mean_row = np.mean(np.stack(rows), axis=0)
+    if not maps:
+        raise ValueError("no attention maps to split: the model has no layers")
+    mean_row = np.mean(np.concatenate([layer[:, 0] for layer in maps]), axis=0)
     code_mass = float(mean_row[list(example.code_positions)].sum())
     node_mass = float(mean_row[list(node_pos)].sum())
     total = code_mass + node_mass
@@ -401,11 +402,17 @@ def cls_attention_split(activations: Activations, example: EncodedExample) -> tu
     return (code_mass / total, node_mass / total)
 
 
+def cls_attention_split(activations: Activations, example: EncodedExample) -> tuple[float, float]:
+    """[CLS] attention split (code fraction, node fraction) of a
+    single-example forward's activations: see `_cls_split`."""
+    return _cls_split(activations.maps[0], example)
+
+
 def attention_splits(params: ModelParams, examples: list[EncodedExample]) -> list[tuple[float, float]]:
     """`cls_attention_split` of each example, in order, from `grouped_forwards`
     that read [CLS] only."""
     return grouped_forwards(
-        params, examples, lambda acts, i: cls_attention_split(acts, examples[i]), [[0]] * len(examples)
+        params, examples, lambda rows, maps, i: _cls_split(maps, examples[i]), [[0]] * len(examples)
     )
 
 

@@ -75,9 +75,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
-
     def serialize(self) -> str:
         """Sorted ``token\\tid`` lines; backslash, tab, newline and carriage
         return escaped."""

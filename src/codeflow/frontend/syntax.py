@@ -23,9 +23,7 @@ Stmt = Union[
 
 @dataclass(slots=True)
 class AstNode:
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
+    """Base of every expression and statement node."""
 
 
 @dataclass(slots=True)

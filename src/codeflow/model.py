@@ -119,8 +119,7 @@ class Activations:
     `reads`. ``maps[s][layer]`` is its ``H x W x L`` attention, one map per
     head with a query row for each of its ``W`` rows in that layer. Maps are
     read-only views: gradients flow through the hidden states only. A single
-    example also gets them as ``attention[layer][head]``, and `sequence`
-    gives any sequence's own activations.
+    example also gets them as ``attention[layer][head]``.
 
     A forward given `reads` runs its last layer for the read rows only, when
     that is fewer rows than a block has: the block then keeps ``W`` rows per
@@ -137,12 +136,6 @@ class Activations:
     @property
     def final(self) -> Tensor:
         return self.hidden[-1]
-
-    def sequence(self, s: int) -> "Activations":
-        """Sequence `s`'s own activations: its rows of `final`, in order, as
-        the one hidden state, and its maps as ``attention[layer][head]``."""
-        maps = [[Tensor(w) for w in layer] for layer in self.maps[s]]
-        return Activations(hidden=[Tensor(self.final.data[self.rows[s]])], attention=maps)
 
 
 # Weights of a layer after its per-head projections, in init order.
@@ -471,18 +464,14 @@ def mlm_logits(params: ModelParams, final_hidden: Tensor) -> Tensor:
     return ag.add(ag.matmul(final_hidden, params.tensors["mlm.w"]), params.tensors["mlm.b"])
 
 
-def pair_dots(final: Tensor, candidates) -> Tensor:
-    """h_i . h_j per candidate row pair ``(i, j)`` of the final states."""
+def pair_log_likelihoods(final: Tensor, candidates, labels, scale: float = 1.0) -> Tensor:
+    """log sigmoid(+-scale * h_i . h_j) per candidate row pair ``(i, j)`` of
+    the final states: + for label 1, - for label 0. Pre-training uses scale 1,
+    clone detection 1/sqrt(d)."""
+    signs = np.where(np.asarray(labels) == 1, scale, -scale).astype(final.dtype)
     left = ag.take_rows(final, [i for i, _ in candidates])
     right = ag.take_rows(final, [j for _, j in candidates])
-    return ag.tsum(ag.mul(left, right), axis=1)
-
-
-def pair_log_likelihoods(final: Tensor, candidates, labels, scale: float = 1.0) -> Tensor:
-    """log sigmoid(+-scale * h_i . h_j) per candidate row pair: + for label 1,
-    - for label 0. Pre-training uses scale 1, clone detection 1/sqrt(d)."""
-    signs = np.where(np.asarray(labels) == 1, scale, -scale).astype(final.dtype)
-    return ag.log_sigmoid(ag.mul(pair_dots(final, candidates), signs))
+    return ag.log_sigmoid(ag.mul(ag.tsum(ag.mul(left, right), axis=1), signs))
 
 
 def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np.ndarray]]:

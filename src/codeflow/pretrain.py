@@ -44,7 +44,6 @@ from .model import (
     compute_gradients,
     init_params,
     mlm_logits,
-    pair_dots,
     pair_log_likelihoods,
 )
 from .optim import AdamState, adam_step, init_adam
@@ -558,9 +557,9 @@ def structure_accuracy(
         raise ValueError("no structure candidates in the given examples")
     reads = [[p for pair in tset.candidates for p in pair] for _, tset in scored]
 
-    def correct(acts: Activations, i: int) -> int:
+    def correct(rows: np.ndarray, maps, i: int) -> int:
         _, tset = scored[i]
-        dots = pair_dots(acts.final, [(2 * k, 2 * k + 1) for k in range(len(tset.candidates))]).data.astype(np.float64)
+        dots = (rows[0::2] * rows[1::2]).sum(axis=1).astype(np.float64)  # h_i . h_j of each candidate's row pair
         p = 1.0 / (1.0 + np.exp(-dots))
         return int(np.count_nonzero((p > 0.5) == (np.asarray(tset.labels) == 1)))
 

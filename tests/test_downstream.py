@@ -273,7 +273,7 @@ class TestGroupedVectors:
         monkeypatch.setattr(downstream, "forward", spy)
         monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", self.CAP)
         codes = [ex.code_encoded for ex in examples]
-        downstream.grouped_forwards(params, codes, lambda acts, i: None, [[0]] * len(codes))
+        downstream.grouped_forwards(params, codes, lambda rows, maps, i: None, [[0]] * len(codes))
         assert len(alive) > 2
 
     def test_public_encoders_and_clone_probability_agree(self):
@@ -371,7 +371,7 @@ class TestBatchForward:
             assert [len(landed) for landed in acts.rows] == [len(read) for read in reads]
             for s, ((ids, positions, allow), read) in enumerate(zip(rows, reads)):
                 got = acts.final.data[acts.rows[s]]
-                assert got.dtype == dtype and acts.sequence(s).final.data.tobytes() == got.tobytes()
+                assert got.dtype == dtype
                 assert got.tobytes() == full.final.data[full.rows[s][read]].tobytes()
                 if dtype == np.float32 or len(ids) > 1:
                     alone = forward(params, ids, positions, additive_mask(allow, dtype=dtype)).final.data[read]
@@ -704,6 +704,37 @@ class TestAttentionSplit:
         acts = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
         with pytest.raises(ValueError):
             cls_attention_split(acts, ex)
+
+    def test_batched_splits_equal_single_forwards(self, monkeypatch):
+        # `attention_splits` reads [CLS] only, from packed forwards, and a
+        # length group is split; each split equals, float for float, the one
+        # of the example's own full single-example forward
+        shapes = []
+
+        def spy(params, ids, positions, masks, reads):
+            shapes.extend(np.shape(m)[:2] for m in masks)  # each block's (B, L)
+            return forward(params, ids, positions, masks, reads=reads)
+
+        monkeypatch.setattr(downstream, "forward", spy)
+        monkeypatch.setattr(downstream, "MAX_FORWARD_POSITIONS", 100)
+        rng = np.random.default_rng(5)
+        pairs = search_pairs(12) + [("find the value", random_program(rng)) for _ in range(6)]
+        params = init_params(tiny_config(num_layers=2, max_positions=512))
+        vocab = build_vocab(pairs, params.config.vocab_size)
+        examples = [
+            encode_example(query, code, vocab, limits, max_positions=512)
+            for query, code in pairs
+            for limits in (Limits(), Limits(max_nodes=0))
+        ]
+        assert {bool(ex.node_positions) for ex in examples} == {True, False}
+        assert len({len(ex) for ex in examples}) > 5
+        want = [
+            cls_attention_split(forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex))), ex)
+            for ex in examples
+        ]
+        assert downstream.attention_splits(params, examples) == want
+        assert len(shapes) > len({n for _, n in shapes})  # a length group was split
+        assert any(0.0 < node < 1.0 for _, node in want)
 
 
 # -- corpus filtering ----------------------------------------------------------------

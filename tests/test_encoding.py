@@ -47,21 +47,21 @@ def encode(comment=COMMENT, code=CODE, **kw):
 class TestVocabulary:
     def test_reserved_ids(self):
         v = build_vocab([("a", "x = 1\n")], size=32)
-        assert v.id_of("[PAD]") == PAD == 0
-        assert v.id_of("[CLS]") == CLS == 1
-        assert v.id_of("[SEP]") == SEP == 2
-        assert v.id_of("[MASK]") == MASK == 3
-        assert v.id_of("[UNK]") == UNK == 4
+        assert v.token_to_id.get("[PAD]", UNK) == PAD == 0
+        assert v.token_to_id.get("[CLS]", UNK) == CLS == 1
+        assert v.token_to_id.get("[SEP]", UNK) == SEP == 2
+        assert v.token_to_id.get("[MASK]", UNK) == MASK == 3
+        assert v.token_to_id.get("[UNK]", UNK) == UNK == 4
 
     def test_frequency_then_lexicographic(self):
         v = build_vocab([("b b a a c", "")], size=8)
-        assert v.id_of("a") == 5
-        assert v.id_of("b") == 6
-        assert v.id_of("c") == 7
+        assert v.token_to_id.get("a", UNK) == 5
+        assert v.token_to_id.get("b", UNK) == 6
+        assert v.token_to_id.get("c", UNK) == 7
 
     def test_unknown_maps_to_unk(self):
         v = build_vocab([("a", "")], size=8)
-        assert v.id_of("never-seen") == UNK
+        assert v.token_to_id.get("never-seen", UNK) == UNK
 
     def test_size_cap(self):
         v = build_vocab([("a b c d e f g", "")], size=7)
@@ -70,8 +70,8 @@ class TestVocabulary:
     def test_counts_comment_and_code_together(self):
         # "a" appears once in the comment and twice in the code.
         v = build_vocab([("a zz", "a = a\n")], size=6)
-        assert v.id_of("a") == 5
-        assert v.id_of("zz") == UNK
+        assert v.token_to_id.get("a", UNK) == 5
+        assert v.token_to_id.get("zz", UNK) == UNK
 
     def test_size_below_reserved_rejected(self):
         with pytest.raises(ValueError):
@@ -137,10 +137,10 @@ class TestLayout:
         )
         assert ex.ids[0] == CLS
         assert ex.ids[4] == SEP and ex.ids[13] == SEP
-        assert ex.ids[1] == vocab.id_of("sum")
-        assert ex.ids[5] == vocab.id_of("a")
-        assert ex.ids[14] == vocab.id_of("a")  # node carries its variable name
-        assert ex.ids[15] == vocab.id_of("b")
+        assert ex.ids[1] == vocab.token_to_id.get("sum", UNK)
+        assert ex.ids[5] == vocab.token_to_id.get("a", UNK)
+        assert ex.ids[14] == vocab.token_to_id.get("a", UNK)  # node carries its variable name
+        assert ex.ids[15] == vocab.token_to_id.get("b", UNK)
 
     def test_positions_sequential_then_shared(self):
         ex = encode(max_positions=512)
@@ -240,7 +240,7 @@ class TestNodeSegment:
             ex = encode_example("find the value", code, vocab, limits)
             first = len(ex) - ex.segments.count("node")
             names, links, edges = self.from_graph(code, limits, first, code_start=5)
-            assert list(ex.ids[first:]) == [vocab.id_of(name) for name in names]
+            assert list(ex.ids[first:]) == [vocab.token_to_id.get(name, UNK) for name in names]
             assert ex.node_token_links == links
             assert ex.node_edges == edges
             nodes += len(names)
@@ -352,8 +352,8 @@ class TestTruncation:
         ex = encode(limits=Limits(max_nodes=2))
         assert len(ex.node_positions) == 2
         vocab = build_vocab([(COMMENT, CODE)], size=64)
-        assert ex.ids[ex.node_positions[0]] == vocab.id_of("a")
-        assert ex.ids[ex.node_positions[1]] == vocab.id_of("b")
+        assert ex.ids[ex.node_positions[0]] == vocab.token_to_id.get("a", UNK)
+        assert ex.ids[ex.node_positions[1]] == vocab.token_to_id.get("b", UNK)
 
     def test_sequence_too_long(self):
         # 14 sequential slots are needed; p_node = max_positions - 1 must

@@ -425,7 +425,7 @@ class TestPretty:
         # A 2000-term chain is a 2000-deep left spine; walk and pretty loop over it.
         src = "x = " + " + ".join(["a"] * 2000) + "\n"
         mod = parse_source(src)
-        kinds = [node.kind for node in walk(mod)]
+        kinds = [type(node).__name__ for node in walk(mod)]
         assert kinds == ["Module", "Assign", "Name"] + ["BinOp"] * 1999 + ["Name"] * 2000
         assert pretty(mod) == src
 

@@ -9,6 +9,7 @@ import inspect
 import pkgutil
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import codeflow
@@ -119,4 +120,41 @@ def test_every_definition_has_a_caller():
         for path, stmt in definitions
         if not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
+    assert unused == []
+
+
+def test_every_method_has_a_caller():
+    # A method or property that only unit tests use is dead code too: each
+    # one is read as an attribute, or named in a string, outside its own body
+    # by the package, the benchmark or the acceptance tests. Special methods,
+    # which Python itself calls, and overrides of a base class's method, which
+    # the base class calls, are exempt.
+    root = Path(__file__).parents[1]
+    package = sorted((root / "src" / "codeflow").rglob("*.py"))
+    sources = [*package, *sorted((root / "perfbench").rglob("*.py")), root / "tests" / "test_acceptance.py"]
+
+    def names_read(tree) -> Counter:
+        return Counter(
+            node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+        )
+
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    reads = sum((names_read(tree) for tree in trees.values()), Counter())
+    methods, unused = 0, []
+    for path in package:
+        parts = path.relative_to(root / "src").with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        for cls in (stmt for stmt in trees[path].body if isinstance(stmt, ast.ClassDef)):
+            bases = inspect.getmro(getattr(module, cls.name))[1:]
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or re.fullmatch(r"__\w+__", method.name):
+                    continue
+                if any(hasattr(base, method.name) for base in bases):
+                    continue
+                methods += 1
+                if reads[method.name] == names_read(method)[method.name]:
+                    unused.append(f"{path.relative_to(root)}:{method.lineno} {cls.name}.{method.name}")
+    assert methods > 40
     assert unused == []

@@ -942,8 +942,9 @@ class TestLossLogAndAccuracy:
 
     @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
     def test_structure_accuracy_equals_per_pair_scoring(self, monkeypatch, objective):
-        # the grouped forwards and shared pair dots give the accuracy of scoring
-        # each candidate by its own h_i . h_j, also when a length group is split
+        # the grouped forwards and the numpy dots of consecutive read rows give
+        # the accuracy of scoring each candidate by its own h_i . h_j, also
+        # when a length group is split
         shapes = []
 
         def spy(params, ids, positions, masks, **kwargs):

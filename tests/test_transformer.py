@@ -592,7 +592,8 @@ class TestClsOnly:
                     assert np.array_equal(g_layer, want)
             for ex_ids, ex_pos, allow in rows:  # each example alone, unbatched
                 one = additive_mask(allow, dtype=dtype)
-                got = forward(params, ex_ids, ex_pos, one, reads=[[0]]).sequence(0).final.data
+                alone = forward(params, ex_ids, ex_pos, one, reads=[[0]])
+                got = alone.final.data[alone.rows[0]]
                 assert got.shape == (1, params.config.hidden_dim)
                 assert np.array_equal(got[0], forward(params, ex_ids, ex_pos, one).final.data[0])
 
@@ -669,7 +670,8 @@ class TestReadRows:
                         assert np.array_equal(g_layer, w_layer[:, keep[b]] if kept_rows else w_layer)
                 for (ex_ids, ex_pos, allow), kept in zip(rows, reads):  # each example alone, unbatched
                     one = additive_mask(allow, dtype=dtype)
-                    alone = forward(params, ex_ids, ex_pos, one, reads=[kept]).sequence(0).final.data
+                    acts = forward(params, ex_ids, ex_pos, one, reads=[kept])
+                    alone = acts.final.data[acts.rows[0]]
                     assert np.array_equal(alone, forward(params, ex_ids, ex_pos, one).final.data[kept])
         assert shrunk > 10 or num_layers == 0
 
@@ -1064,10 +1066,10 @@ class TestBatchedForward:
                 one = forward(params, ex.ids, ex.position_ids, additive_mask(build_attention_mask(ex)))
                 for got, want in zip(acts.hidden, one.hidden, strict=True):  # all rows read: no layer shrinks
                     worst = max(worst, float(np.abs(got.data[acts.rows[i]] - want.data).max()))
-                for got_layer, want_layer in zip(acts.sequence(i).attention, one.attention, strict=True):
+                for got_layer, want_layer in zip(acts.maps[i], one.attention, strict=True):
                     for got, want in zip(got_layer, want_layer, strict=True):
                         assert got.shape == (len(ex), len(ex))
-                        worst = max(worst, float(np.abs(got.data - want.data).max()))
+                        worst = max(worst, float(np.abs(got - want.data).max()))
         assert worst <= 1e-6, worst
 
     def test_batched_gradients_match_per_example(self):
