@@ -175,20 +175,15 @@ def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndar
     return out
 
 
-def encode_text(query: str, params: ModelParams, vocab: Vocabulary, limits: Limits = Limits()) -> np.ndarray:
+def encode_text(query: str, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """Final-layer [CLS] vector of the comment-only encoding of `query`."""
-    ex = encode_query_example(query, vocab, limits, params.config.max_positions)
+    ex = encode_query_example(query, vocab, max_positions=params.config.max_positions)
     return _cls_vectors(params, [ex])[0]
 
 
-def encode_code(
-    code: str,
-    params: ModelParams,
-    vocab: Vocabulary,
-    limits: Limits = Limits(),
-) -> np.ndarray:
+def encode_code(code: str, params: ModelParams, vocab: Vocabulary) -> np.ndarray:
     """Final-layer [CLS] vector of the code(+nodes) encoding, no comment segment."""
-    ex = encode_code_example(code, vocab, limits, params.config.max_positions)
+    ex = encode_code_example(code, vocab, max_positions=params.config.max_positions)
     return _cls_vectors(params, [ex])[0]
 
 
@@ -324,14 +319,8 @@ def clone_probabilities(
     return [float(1.0 / (1.0 + np.exp(-x))) for x in scaled]
 
 
-def clone_probability(
-    code_a: str,
-    code_b: str,
-    params: ModelParams,
-    vocab: Vocabulary,
-    limits: Limits = Limits(),
-) -> float:
-    return clone_probabilities([(code_a, code_b)], params, vocab, limits)[0]
+def clone_probability(code_a: str, code_b: str, params: ModelParams, vocab: Vocabulary) -> float:
+    return clone_probabilities([(code_a, code_b)], params, vocab)[0]
 
 
 def finetune_clone(
@@ -431,8 +420,6 @@ def filter_search_corpus(items) -> list:
         if "http" in item.docstring:
             continue
         text = item.docstring.strip()
-        if not text:
-            continue
         if len(text.encode("ascii", "ignore")) * 2 < len(text):  # the encoding keeps only ASCII
             continue
         # Parse last: a rejected docstring then costs no lex and no parse.

@@ -154,7 +154,7 @@ def head_columns(config: ModelConfig) -> dict[str, slice]:
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical name -> shape table; single source of truth for init and checkpoint checks."""
+    """Canonical name -> shape table in store order, from which `ModelParams` lays out the flat store."""
     d_h, d_k, f = config.hidden_dim, config.head_dim, config.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, d_h),

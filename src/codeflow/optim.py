@@ -8,6 +8,8 @@ import numpy as np
 
 from .model import ModelParams
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -22,14 +24,7 @@ def init_adam(params: ModelParams) -> AdamState:
     return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(
-    params: ModelParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
     """Updates the moments and `params.flat` in place from `params.grad`;
     returns the advanced state. Raises ValueError, before any change, for
     moments of another store's size or a tensor of `params` rebound away from
@@ -42,19 +37,19 @@ def adam_step(
         raise ValueError("adam_step needs moments of params' store and every tensor in it, none rebound since")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     g, m, v = params.grad, state.m, state.v
-    scratch = np.multiply(g, 1.0 - beta1)
-    m *= beta1
+    scratch = np.multiply(g, 1.0 - BETA1)
+    m *= BETA1
     m += scratch
-    np.multiply(g, 1.0 - beta2, out=scratch)
+    np.multiply(g, 1.0 - BETA2, out=scratch)
     scratch *= g
-    v *= beta2
+    v *= BETA2
     v += scratch
     denom = np.divide(v, bc2)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     update = np.divide(m, bc1, out=scratch)
     update /= denom
     update *= lr

@@ -7,11 +7,14 @@ data-flow oracle, a layer norm composed from autograd primitives (with the
 `power` node only it uses), the composed encoder graph (node wrappers of the
 fused layer's kernels) and the per-tensor Adam step that oracle the fused
 versions, the set-based target samplers that oracle the array-based ones of
-`codeflow.pretrain`, and small synthetic corpora."""
+`codeflow.pretrain`, a crafted-checkpoint writer, and small synthetic
+corpora."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -1002,6 +1005,17 @@ def reference_sample_align_targets(example, rng: np.random.Generator) -> Structu
     pool = sorted({(v, c) for v in sampled for c in example.code_positions} - set(links))
     hidden = positives + [(c, v) for v, c in positives]
     return _reference_targets(example, rng, sampled, positives, pool, hidden)
+
+
+# crafted checkpoints ----------------------------------------------------------
+
+
+def checkpoint_file(header: bytes, store: bytes) -> bytes:
+    """A GCB2 checkpoint of config JSON `header` and float bytes `store`
+    under a valid sha256, so that a crafted config or store size reaches the
+    checks past the digest."""
+    body = b"GCB2" + struct.pack("<I", len(header)) + header + store
+    return body + hashlib.sha256(body).digest()
 
 
 # synthetic corpora ------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from codeflow.downstream import cls_attention_split
 from codeflow.encoding import Vocabulary, additive_mask, build_attention_mask, build_vocab
 from codeflow.model import ModelConfig, forward, init_params, param_shapes, parameter_count
 from codeflow.pretrain import encode_corpus, load_corpus
-from helpers import clone_corpus, overfit_corpus, search_pairs
+from helpers import checkpoint_file, clone_corpus, overfit_corpus, search_pairs
 
 SMALL_MODEL = [
     "--num-layers", "1", "--hidden-dim", "16", "--num-heads", "2",
@@ -954,9 +955,11 @@ class TestPinnedFineTuning:
     """The sha256 of `model.gcb` after a short seeded `finetune-search` at one
     BLAS thread, as `TestPinnedTraining` pins pre-training's loss log: a
     change to the fine-tuning path or to Adam that claims to keep its bits
-    must reproduce the checkpoint byte for byte."""
+    must reproduce the checkpoint byte for byte. `FLAT_SHA256` pins the
+    weights alone, so that they stay pinned through a change of file format."""
 
-    MODEL_SHA256 = "b25cdcd3e6a17bb712714fb8ab813b404435170f160aa2e3b5011b821495a880"
+    MODEL_SHA256 = "bb69e2fb7f4a5af499c155464b3dfbd00606540e09ac7a4ee116c7db493da985"
+    FLAT_SHA256 = "6cd434eb3d27886b4186cda811644c9241d8adbf618fee1269807a48f3848a69"
 
     def test_model_bytes_are_pinned(self, tmp_path):
         corpus = write_search_corpus(tmp_path, n=8)
@@ -967,7 +970,9 @@ class TestPinnedFineTuning:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert hashlib.sha256((tmp_path / "o" / "model.gcb").read_bytes()).hexdigest() == self.MODEL_SHA256
+        model = tmp_path / "o" / "model.gcb"
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.MODEL_SHA256
+        assert hashlib.sha256(load_checkpoint(model).flat.tobytes()).hexdigest() == self.FLAT_SHA256
 
 
 class TestPinnedCloneFineTuning:
@@ -975,7 +980,8 @@ class TestPinnedCloneFineTuning:
     the same fine-tuning loop. 8 pairs in batches of 7 end each epoch with a
     batch of one pair, which clone training keeps and search skips."""
 
-    MODEL_SHA256 = "17765aa2c335ed1dea68693cc015fd9e374e00f98e50c299dc03b2c80e6dd47a"
+    MODEL_SHA256 = "9bff3a5d5c47e9be1bf3b076df654f606b7a64f2593648509e68f5b403a62167"
+    FLAT_SHA256 = "01adbc0cf146986711112de9734c27e61c752d0d25eb66ba51937c5742503ad1"
 
     def test_model_bytes_are_pinned(self, tmp_path):
         corpus = write_clone_corpus(tmp_path)
@@ -986,7 +992,9 @@ class TestPinnedCloneFineTuning:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert hashlib.sha256((tmp_path / "o" / "model.gcb").read_bytes()).hexdigest() == self.MODEL_SHA256
+        model = tmp_path / "o" / "model.gcb"
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.MODEL_SHA256
+        assert hashlib.sha256(load_checkpoint(model).flat.tobytes()).hexdigest() == self.FLAT_SHA256
 
 
 class TestCheckpointBoundaries:
@@ -1087,34 +1095,43 @@ class TestCheckpointBoundaries:
             "--out", str(tmp_path / "o"),
         )
 
-    def test_tensor_listed_twice_is_data_error(self, tmp_path, capsys):
-        # a second copy of tok_emb, appended with the count raised by one, used to win silently
-        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
-        params = init_params(config)
-        save_checkpoint(tmp_path / "model.gcb", params)
-        blob = (tmp_path / "model.gcb").read_bytes()
-        (length,) = struct.unpack("<I", blob[4:8])
-        (count,) = struct.unpack("<I", blob[8 + length : 12 + length])
-        tok = np.zeros_like(params.tensors["tok_emb"].data, dtype="<f4")
-        record = struct.pack("<H", 7) + b"tok_emb" + struct.pack("<BB2I", 0, 2, *tok.shape) + tok.tobytes()
-        edited = blob[: 8 + length] + struct.pack("<I", count + 1) + blob[12 + length :] + record
-        code, stdout, err = self.eval_with(capsys, tmp_path, edited)
+    def test_gcb1_file_is_data_error(self, tmp_path, capsys):
+        code, stdout, err = self.eval_with(capsys, tmp_path, b"GCB1" + bytes(64))
         assert (code, stdout) == (2, "")
-        assert err == "data error: tensor 'tok_emb' is listed twice\n"
+        problem = "is a GCB1 checkpoint, a format this version no longer reads"
+        assert err == f"data error: {tmp_path / 'edited.gcb'} {problem}\n"
 
-    def test_trailing_bytes_are_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where, problem", [
+        pytest.param(3, "bad magic bytes", id="magic"),
+        pytest.param(10, "fails its sha256 check", id="config"),
+        pytest.param(-5000, "fails its sha256 check", id="store"),
+        pytest.param(-1, "fails its sha256 check", id="digest"),
+    ])
+    def test_one_flipped_byte_is_data_error(self, tmp_path, capsys, where, problem):
         config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
         save_checkpoint(tmp_path / "model.gcb", init_params(config))
-        code, stdout, err = self.eval_with(capsys, tmp_path, (tmp_path / "model.gcb").read_bytes() + bytes(7))
+        blob = bytearray((tmp_path / "model.gcb").read_bytes())
+        blob[where] ^= 0x10
+        code, stdout, err = self.eval_with(capsys, tmp_path, bytes(blob))
         assert (code, stdout) == (2, "")
-        assert err == "data error: 7 trailing bytes after the last tensor\n"
+        assert err.startswith("data error: ") and problem in err
+
+    def test_trailing_bytes_are_data_error(self, tmp_path, capsys):
+        # bytes past the store the config needs, under a valid digest
+        config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        header, store = json.dumps(config.to_dict()).encode("utf-8"), init_params(config).flat.tobytes()
+        code, stdout, err = self.eval_with(capsys, tmp_path, checkpoint_file(header, store + bytes(7)))
+        assert (code, stdout) == (2, "")
+        size = len(store) + 7
+        assert err == f"data error: config needs {len(store) // 4} parameters, but the file holds {size} bytes of them\n"
 
     def test_header_claiming_more_parameters_than_the_file_holds_is_data_error(self, tmp_path, capsys):
         config = ModelConfig(num_layers=10**6, hidden_dim=8, num_heads=4, ffn_dim=16, vocab_size=32, max_positions=16)
         header = json.dumps(config.to_dict()).encode("utf-8")
-        code, stdout, err = self.eval_with(capsys, tmp_path, b"GCB1" + struct.pack("<I", len(header)) + header + bytes(4))
+        code, stdout, err = self.eval_with(capsys, tmp_path, checkpoint_file(header, bytes(4)))
         assert (code, stdout) == (2, "")
-        assert err == f"data error: config needs {parameter_count(config)} parameters, more than the file holds\n"
+        needed = parameter_count(config)
+        assert err == f"data error: config needs {needed} parameters, but the file holds 4 bytes of them\n"
 
     def test_non_finite_weight_is_data_error(self, tmp_path, capsys):
         # one NaN used to load silently and give a meaningless MRR
@@ -1145,14 +1162,9 @@ class TestCheckpointBoundaries:
         # Each value would coerce by int() to the checkpoint's own config, so
         # only the type check stops it.
         config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=1, ffn_dim=32, vocab_size=512, max_positions=128)
+        header = json.dumps({**config.to_dict(), field: value}).encode("utf-8")
         path = tmp_path / "model.gcb"
-        save_checkpoint(path, init_params(config))
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + length])
-        header[field] = value
-        edited = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:4] + struct.pack("<I", len(edited)) + edited + blob[8 + length :])
+        path.write_bytes(checkpoint_file(header, init_params(config).flat.tobytes()))
         code, _, err = run(
             capsys, "eval-search", "--corpus", str(write_search_corpus(tmp_path)), "--checkpoint", str(path),
             "--out", str(tmp_path / "o"),
@@ -1279,6 +1291,27 @@ class TestCliFuzz:
             ]))
         assert 2 in codes
 
+    def test_every_corrupted_checkpoint_is_data_error(self, tmp_path, model_dir, capsys):
+        # 150 seeded corruptions of a one-layer model: 1-4 bytes each changed
+        # to another value, and 30% of the files also truncated. Without a
+        # digest, most of them loaded with silently changed weights.
+        rng = np.random.default_rng(3)
+        corpus = write_search_corpus(tmp_path)
+        good = (model_dir / "model.gcb").read_bytes()
+        checkpoint = tmp_path / "corrupted.gcb"
+        outcomes = Counter()
+        for _ in range(150):
+            blob = bytearray(good)
+            for at in rng.choice(len(blob), size=int(rng.integers(1, 5)), replace=False):
+                blob[at] ^= int(rng.integers(1, 256))
+            checkpoint.write_bytes(blob[: int(rng.integers(len(blob)))] if rng.random() < 0.3 else blob)
+            code = main([
+                "eval-search", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                "--vocab", str(model_dir / "vocab.txt"), "--out", str(tmp_path / "o"),
+            ])
+            outcomes[code, capsys.readouterr().err.count("\n")] += 1
+        assert outcomes == {(2, 1): 150}
+
     def test_malformed_checkpoint(self, tmp_path, model_dir):
         rng = np.random.default_rng(2)
         corpus = write_search_corpus(tmp_path)
@@ -1292,7 +1325,7 @@ class TestCliFuzz:
                 checkpoint.write_bytes(_corrupt(rng, good))
             else:
                 config = hostile_configs[int(rng.integers(len(hostile_configs)))]
-                checkpoint.write_bytes(good[:4] + struct.pack("<I", len(config)) + config + good[8 + config_len :])
+                checkpoint.write_bytes(checkpoint_file(config, good[8 + config_len : -32]))  # under a valid digest
             codes.add(fuzz_main([
                 "eval-search", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
                 "--vocab", str(model_dir / "vocab.txt"), "--out", str(tmp_path / "o"),

@@ -169,7 +169,8 @@ class TestVectorEncoders:
     def test_dataflow_changes_code_vector(self):
         _, _, vocab, params, _ = search_fixture()
         with_flow = encode_code("a = 1\nb = a\n", params, vocab)
-        without = encode_code("a = 1\nb = a\n", params, vocab, Limits(max_nodes=0))
+        ablated = encode_code_example("a = 1\nb = a\n", vocab, Limits(max_nodes=0), params.config.max_positions)
+        without = downstream._cls_vectors(params, [ablated])[0]
         assert not np.array_equal(with_flow, without)
 
     def test_empty_query(self):
@@ -601,7 +602,7 @@ class TestCloneDetection:
         snippets = list(dict.fromkeys([a for a, _, _ in tuples] + [b for _, b, _ in tuples]))
         ring = [(snippets[i], snippets[(i + 1) % len(snippets)]) for i in range(len(snippets))]
         limits = Limits() if use_dataflow else Limits(max_nodes=0)
-        want = [clone_probability(a, b, params, vocab, limits) for a, b in ring]
+        want = [clone_probabilities([(a, b)], params, vocab, limits)[0] for a, b in ring]
         encoded = []
         real = downstream.encode_code_example
 
