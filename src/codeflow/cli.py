@@ -203,7 +203,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if config_path is not None:
         try:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:  # UnicodeDecodeError, JSONDecodeError, an integer past the digit limit
+        except (OSError, ValueError, RecursionError) as e:  # also a JSON decode error, an integer past the digit limit
             raise BadFlags(f"cannot read --config {config_path}: {e}") from e
         if not isinstance(loaded, dict):
             raise BadFlags("--config must hold a JSON object")

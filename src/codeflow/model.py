@@ -69,17 +69,14 @@ class ModelConfig:
 @dataclass(eq=False)
 class ModelParams:
     """Every parameter end to end in one array, `flat`, and its gradient at
-    the same place in `grad`; this constructor, which `init_params`,
-    `load_checkpoint` and `astype` all go through, decides the layout. The
-    tensors of `tensors`, named and ordered as in `param_shapes`, view both.
-    Layer ``n``'s per-head projections are column views of one ``d x 3d``
-    block, ``qkv[n]``, which the layer reads (`head_columns`)."""
+    the same place in `grad`; this constructor, which `init_params` and
+    `load_checkpoint` go through, decides the layout. The tensors of
+    `tensors`, named and ordered as in `param_shapes`, view both."""
 
     config: ModelConfig
     flat: np.ndarray
     grad: np.ndarray = field(init=False, repr=False)
     tensors: dict[str, Tensor] = field(init=False, repr=False)
-    qkv: list[Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.flat.shape != (parameter_count(self.config),):
@@ -87,24 +84,11 @@ class ModelParams:
         # The zero pages of an anonymous mapping take no memory until written,
         # so a model that never trains does not pay for its gradient store.
         self.grad = np.frombuffer(mmap.mmap(-1, self.flat.nbytes), dtype=self.flat.dtype)
-        self.tensors, self.qkv = {}, []
-        d, columns, shapes = self.config.hidden_dim, head_columns(self.config), param_shapes(self.config)
-        for (name, shape), span in zip(shapes.items(), row_spans([math.prod(s) for s in shapes.values()])):
-            cols = columns.get(name.partition(".")[2])
-            if cols is None:
-                self.tensors[name] = Tensor(self.flat[span].reshape(shape), grad=self.grad[span].reshape(shape))
-                continue
-            if cols.start == 0:  # a layer's first projection: its 3*d*d-entry block takes the place of them all
-                block = slice(span.start, span.start + 3 * d * d)
-                self.qkv.append(Tensor(self.flat[block].reshape(d, -1), grad=self.grad[block].reshape(d, -1)))
-            self.tensors[name] = Tensor(self.qkv[-1].data[:, cols], grad=self.qkv[-1].grad[:, cols])
-
-    def leaves(self) -> list[Tensor]:
-        """Every tensor a graph may read: the named ones and the QKV blocks."""
-        return [*self.tensors.values(), *self.qkv]
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.config, self.flat.astype(dtype))
+        shapes = param_shapes(self.config)
+        self.tensors = {
+            name: Tensor(self.flat[span].reshape(shape), grad=self.grad[span].reshape(shape))
+            for (name, shape), span in zip(shapes.items(), row_spans([math.prod(s) for s in shapes.values()]))
+        }
 
 
 @dataclass
@@ -138,41 +122,32 @@ class Activations:
         return self.hidden[-1]
 
 
-# Weights of a layer after its per-head projections, in init order.
-LAYER_WEIGHTS = ("wo", "attn_ln.gain", "attn_ln.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias")
-
-
-def head_columns(config: ModelConfig) -> dict[str, slice]:
-    """A layer's per-head projections, in init order, and their columns of its
-    QKV block: thirds for wq, wk and wv, head ``i`` at ``i*d_k`` in each."""
-    d, d_k, kinds = config.hidden_dim, config.head_dim, ("wq", "wk", "wv")
-    return {
-        f"head{i}.{kind}": slice(j * d + i * d_k, j * d + (i + 1) * d_k)
-        for i in range(config.num_heads)
-        for j, kind in enumerate(kinds)
-    }
+# Weights of a layer in store and init order. ``qkv`` is its Q/K/V projection,
+# ``d x 3d``: thirds for Q, K and V, head ``i`` at columns ``i*d_k`` of each.
+LAYER_WEIGHTS = (
+    "qkv", "wo", "attn_ln.gain", "attn_ln.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ffn_ln.gain", "ffn_ln.bias"
+)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical name -> shape table in store order, from which `ModelParams` lays out the flat store."""
-    d_h, d_k, f = config.hidden_dim, config.head_dim, config.ffn_dim
+    d_h, f = config.hidden_dim, config.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, d_h),
         "pos_emb": (config.max_positions, d_h),
         "mlm.w": (d_h, config.vocab_size),
         "mlm.b": (config.vocab_size,),
     }
+    layer = ((d_h, 3 * d_h), (d_h, d_h), (d_h,), (d_h,), (d_h, f), (f,), (f, d_h), (d_h,), (d_h,), (d_h,))
     for n in range(config.num_layers):
-        shapes.update({f"layer{n}.{name}": (d_h, d_k) for name in head_columns(config)})
-        layer = ((d_h, d_h), (d_h,), (d_h,), (d_h, f), (f,), (f, d_h), (d_h,), (d_h,), (d_h,))
         shapes.update({f"layer{n}.{name}": shape for name, shape in zip(LAYER_WEIGHTS, layer)})
     return shapes
 
 
 def parameter_count(config: ModelConfig) -> int:
     """Parameters of `config`, from `param_shapes` of its first layer; every
-    layer has the same count, and so does any split into heads."""
-    shapes = param_shapes(replace(config, num_layers=min(config.num_layers, 1), num_heads=1))
+    layer has the same count."""
+    shapes = param_shapes(replace(config, num_layers=min(config.num_layers, 1)))
     per_layer = sum(math.prod(shape) for name, shape in shapes.items() if name.startswith("layer0."))
     embeddings = sum(math.prod(shape) for name, shape in shapes.items() if not name.startswith("layer"))
     return embeddings + config.num_layers * per_layer
@@ -190,13 +165,19 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     """Unit gains, zero biases, and every other tensor drawn in `param_shapes`
-    order from a truncated normal seeded by the config."""
+    order from a truncated normal seeded by the config. A Q/K/V block draws
+    one ``d x d_k`` matrix per head and projection: head 0's Q, K and V
+    columns, then head 1's, and so on."""
     rng = np.random.default_rng(config.seed)
     params = ModelParams(config, np.zeros(parameter_count(config), dtype=dtype))
+    d, d_k = config.hidden_dim, config.head_dim
     for name, t in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "gain":
             t.data[...] = 1.0
+        elif leaf == "qkv":
+            for i, j in itertools.product(range(config.num_heads), range(3)):
+                t.data[:, j * d + i * d_k : j * d + (i + 1) * d_k] = _trunc_normal(rng, (d, d_k), 0.02)
         elif leaf not in ("bias", "b", "b1", "b2"):
             t.data[...] = _trunc_normal(rng, t.shape, 0.02)
     return params
@@ -220,9 +201,9 @@ def encoder_layer(
     forward runs the composed graph's ops in order (same bits); the VJP is
     written out. A layer that records a graph keeps the GELU slope
     (`autograd.gelu_slope`) for its VJP, not the FFN input. The Q/K/V
-    projections are one block, ``params.qkv[n]``: the layer scales a copy's
-    query columns by ``1/sqrt(d_k)``, and the VJP returns the block's gradient
-    as one array with those columns scaled alike.
+    projections are one ``d x 3d`` tensor, the layer's ``qkv`` weight: the
+    layer scales a copy's query columns by ``1/sqrt(d_k)``, and the VJP
+    returns the block's gradient as one array with those columns scaled alike.
 
     `keep`, one ``(B, W)`` array of positions per block, runs the layer for
     those query positions of each sequence only: K and V still come from
@@ -234,9 +215,9 @@ def encoder_layer(
     (see `MIN_READ_WIDTH`)."""
     cfg = params.config
     heads, d_k, d = cfg.num_heads, cfg.head_dim, cfg.hidden_dim
-    projections = params.qkv[n]
-    wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = (params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS)
-    parents = (h, projections, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2)
+    weights = [params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS]
+    projections, wo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = weights
+    parents = (h, *weights)
     x = h.data
     # The 1/sqrt(d_k) score scale is applied to the query weights, the smallest operand.
     scale = np.asarray(1.0 / math.sqrt(d_k), dtype=x.dtype)
@@ -483,7 +464,7 @@ def compute_gradients(loss_fn, params: ModelParams) -> tuple[float, dict[str, np
     require gradients only during this call, so every other forward records
     no graph and frees its intermediates as it goes.
     """
-    leaves = params.leaves()
+    leaves = params.tensors.values()
     params.grad.fill(0)
     for t in leaves:
         t.requires_grad = True

@@ -33,7 +33,8 @@ def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
     The textbook expressions run op for op in their usual order over the
     whole store, into two scratch arrays, so the result is bit-identical to
     evaluating each expression per tensor into a fresh array."""
-    if state.m.shape != params.flat.shape or not all(np.may_share_memory(t.data, params.flat) for t in params.leaves()):
+    tensors = params.tensors.values()
+    if state.m.shape != params.flat.shape or not all(np.may_share_memory(t.data, params.flat) for t in tensors):
         raise ValueError("adam_step needs moments of params' store and every tensor in it, none rebound since")
     state.step += 1
     t = state.step

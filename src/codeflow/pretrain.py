@@ -101,16 +101,16 @@ def read_jsonl(path, row, empty: str) -> list:
     """`row(obj)` for the object parsed from each non-blank line of the JSONL
     file at `path`. Lines end at ``\n`` only: a raw U+2028, U+2029 or U+0085
     is legal inside a JSON string, and a ``\r`` before the ``\n`` is JSON
-    whitespace. A line that is not JSON, or on which `row` raises KeyError,
-    TypeError or ValueError, raises CorpusFormatError naming the line; a file
-    with no rows raises EmptyCorpus(`empty`)."""
+    whitespace. A line that is not JSON, nests too deep to parse, or on which
+    `row` raises KeyError, TypeError or ValueError, raises CorpusFormatError
+    naming the line; a file with no rows raises EmptyCorpus(`empty`)."""
     rows = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
             rows.append(row(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError and UnicodeEncodeError are ValueErrors
+        except (KeyError, TypeError, ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
             raise CorpusFormatError(f"line {lineno}: {e}") from e
     if not rows:
         raise EmptyCorpus(empty)

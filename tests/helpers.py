@@ -44,7 +44,7 @@ from codeflow.frontend.syntax import (
     While,
 )
 from codeflow.encoding import MASK, RESERVED, build_attention_mask
-from codeflow.model import Activations, compute_gradients
+from codeflow.model import Activations, ModelParams, compute_gradients
 from codeflow.pretrain import (
     MASK_FRACTION,
     NODE_SAMPLE_FRACTION,
@@ -824,6 +824,18 @@ def concat(tensors, axis: int = 0):
     )
 
 
+def columns(a, cols: slice):
+    """Columns `cols` of a matrix, as a contiguous copy."""
+    a = ag.as_tensor(a)
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[:, cols] = g
+        return (out,)
+
+    return ag._make(np.ascontiguousarray(a.data[:, cols]), (a,), vjp)
+
+
 def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_norm):
     """The encoder as a graph of about 30 small nodes per layer, every row
     treated as real: the oracle of the one-node `model.encoder_layer`.
@@ -836,7 +848,9 @@ def composed_forward(params, ids, position_ids, additive_mask, layer_norm=layer_
     batch, length = mask.shape[0], mask.shape[1]
 
     def fused(n, kind):
-        return concat([t[f"layer{n}.head{i}.{kind}"] for i in range(cfg.num_heads)], axis=1)
+        """A third of layer `n`'s Q/K/V block: its query, key or value columns."""
+        third = ("wq", "wk", "wv").index(kind) * cfg.hidden_dim
+        return columns(t[f"layer{n}.qkv"], slice(third, third + cfg.hidden_dim))
 
     def split_heads(x):
         return transpose(reshape(x, (batch, length, cfg.num_heads, cfg.head_dim)), (0, 2, 1, 3))
@@ -878,6 +892,11 @@ def composed_reads(params, ids, position_ids, masks, reads, layer_norm=layer_nor
     landed = np.cumsum([0] + [len(read) for read in reads])
     rows = [np.arange(a, b) for a, b in zip(landed, landed[1:])]
     return Activations(hidden=[concat(finals, axis=0)], rows=rows, maps=[[] for _ in reads])
+
+
+def with_dtype(params, dtype) -> ModelParams:
+    """`params` over a copy of its store in `dtype`."""
+    return ModelParams(params.config, params.flat.astype(dtype))
 
 
 def gradient_copies(loss_fn, params):

@@ -295,6 +295,22 @@ class TestBadFlags:
         assert (code, stdout) == (1, "")
         assert err.startswith(f"error: cannot read --config {cfg}: ")
 
+    @pytest.mark.parametrize(
+        "command,flag,want",
+        [("pretrain", "--config", 1), ("pretrain", "--corpus", 2), ("eval-clone", "--corpus", 2)],
+    )
+    def test_deeply_nested_json_is_one_line(self, tmp_path, capsys, command, flag, want):
+        # Past the interpreter's recursion limit the JSON decoder raises RecursionError, not a ValueError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        corpus = write_corpus(tmp_path, overfit_corpus(4)) if command == "pretrain" else write_clone_corpus(tmp_path)
+        args = {"--corpus": corpus, "--config": None, flag: deep}
+        argv = [f"{k}={v}" for k, v in args.items() if v is not None]
+        code, stdout, err = run(capsys, command, *argv, "--out", str(tmp_path / "o"), *SMALL_MODEL)
+        assert (code, stdout) == (want, "")
+        assert err.startswith(f"error: cannot read --config {deep}: " if want == 1 else "data error: line 1: ")
+        assert "recursion" in err
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

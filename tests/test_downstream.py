@@ -33,7 +33,7 @@ from codeflow.frontend.errors import FrontendError
 from codeflow.frontend.parser import parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
 from codeflow.pretrain import CorpusItem
-from helpers import clone_corpus, gradient_copies, random_program, search_pairs
+from helpers import clone_corpus, gradient_copies, random_program, search_pairs, with_dtype
 
 MAX_POSITIONS = 128
 
@@ -316,7 +316,7 @@ class TestBatchForward:
         monkeypatch.setattr(downstream, "forward", spy)
         rows = [(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in encoded]
         reads = [[i % len(ex), 0, i % len(ex)] for i, ex in enumerate(encoded)]  # unordered, with repeats
-        acts = downstream.batch_forward(params.astype(np.float64), rows, reads)
+        acts = downstream.batch_forward(with_dtype(params, np.float64), rows, reads)
         [(ids, positions, masks, got_reads)] = calls
         order = [i for g in groups for i in g]
         assert ids.tolist() == [t for i in order for t in encoded[i].ids]
@@ -387,7 +387,7 @@ class TestClsOnlyForwards:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cls_rows_equal_single_forwards(self, dtype):
         _, _, _, params, examples = search_fixture(12, num_layers=2)
-        params = params.astype(dtype)
+        params = with_dtype(params, dtype)
         encoded = [ex.query_encoded for ex in examples] + [ex.code_encoded for ex in examples]
         order = [i for group in downstream.length_groups(encoded) for i in group]
         assert len(set(map(len, encoded))) > 2 and order != sorted(order)  # several blocks, out of example order
@@ -400,7 +400,7 @@ class TestClsOnlyForwards:
         # positions 0 and 1. The second row of either gets a zero gradient, so
         # the loss and every gradient keep their bits.
         _, _, _, params, examples = search_fixture(12, num_layers=2)
-        params = params.astype(dtype)
+        params = with_dtype(params, dtype)
         encoded = [ex.query_encoded for ex in examples] + [ex.code_encoded for ex in examples]
         lengths = [len(ex) for ex in encoded]
         assert min(lengths) >= 2 and len(set(lengths)) > 2
@@ -424,7 +424,7 @@ class TestClsOnlyForwards:
         # `finetune_clone`'s loss over a batch of several lengths, through the
         # blocked `_cls_rows`, against float64 central differences
         tuples, vocab, _ = clone_fixture()
-        params = init_params(tiny_config(num_layers=2)).astype(np.float64)  # layer 0 in full, layer 1 for [CLS] only
+        params = with_dtype(init_params(tiny_config(num_layers=2)), np.float64)  # layer 0 in full, layer 1 for [CLS] only
         rng = np.random.default_rng(7)
         for t in params.tensors.values():  # off the init's zero biases and unit gains
             t.data += rng.normal(scale=0.3, size=t.shape)
@@ -438,7 +438,7 @@ class TestClsOnlyForwards:
 
         monkeypatch.setattr(downstream, "compute_gradients", spy)
         pairs = [CloneExample(a, b, y) for a, b, y in tuples]
-        finetune_clone(pairs, params.astype(np.float64), vocab, rng=0, batch_size=len(pairs), epochs=1)
+        finetune_clone(pairs, with_dtype(params, np.float64), vocab, rng=0, batch_size=len(pairs), epochs=1)
         [loss_fn] = losses
         _, grads = compute_gradients(loss_fn, params)
         eps = 1e-6

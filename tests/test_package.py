@@ -156,5 +156,5 @@ def test_every_method_has_a_caller():
                 methods += 1
                 if reads[method.name] == names_read(method)[method.name]:
                     unused.append(f"{path.relative_to(root)}:{method.lineno} {cls.name}.{method.name}")
-    assert methods > 40
+    assert methods >= 40
     assert unused == []

@@ -53,6 +53,7 @@ from helpers import (
     reference_sample_align_targets,
     reference_sample_edge_targets,
     reference_select_mlm_targets,
+    with_dtype,
 )
 
 CODE = "a = 1\nb = a\nc = a + b\n"
@@ -155,7 +156,7 @@ class TestMlmLoss:
 
     def test_matches_direct_evaluation(self):
         cfg = tiny_config()
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         ex, _ = encoded_example()
         t = select_mlm_targets(ex, np.random.default_rng(1), cfg.vocab_size)
         acts = forward(params, t.masked_ids, ex.position_ids, additive_mask(build_attention_mask(ex), dtype=np.float64))
@@ -296,7 +297,7 @@ class TestStructureLosses:
         # zero embeddings and no layers make every representation zero, so
         # every candidate pair scores sigmoid(0) = 0.5
         cfg = tiny_config(num_layers=0)
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         params.tensors["tok_emb"].data[:] = 0.0
         params.tensors["pos_emb"].data[:] = 0.0
         ex = edgeful_examples(count=1)[0]
@@ -312,7 +313,7 @@ class TestStructureLosses:
     @pytest.mark.parametrize("which", ["edge", "align"])
     def test_matches_direct_evaluation(self, which):
         cfg = tiny_config()
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         ex = edgeful_examples(count=1)[0]
         rng = np.random.default_rng(3)
         tset = (sample_edge_targets if which == "edge" else sample_align_targets)(ex, rng)
@@ -337,7 +338,7 @@ class TestStructureLosses:
 
     @pytest.mark.parametrize("objective", ["edgepred", "nodealign"])
     def test_gives_the_per_objective_losses_it_replaced(self, objective):
-        params = init_params(tiny_config(num_layers=2)).astype(np.float64)
+        params = with_dtype(init_params(tiny_config(num_layers=2)), np.float64)
         for ex, old in zip(edgeful_examples(count=3, seed=41), self.OLD_LOSSES[objective]):
             tset = next(
                 t for t in (structure_targets(ex, objective, np.random.default_rng(s)) for s in range(50)) if t
@@ -530,7 +531,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("structure", ["edgepred", "nodealign", None])
     def test_matches_per_example_losses(self, structure):
         cfg = tiny_config(num_layers=2)
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         rng = np.random.default_rng(23)
         prepared = []
         for i, ex in enumerate(edgeful_examples(count=6, seed=29)):

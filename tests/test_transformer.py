@@ -50,6 +50,7 @@ from helpers import (
     reshape,
     softmax,
     transpose,
+    with_dtype,
 )
 
 COMMENT = "sum of values"
@@ -466,11 +467,11 @@ def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
     key and value columns are. Each block is a ``(B, L)`` shape; the default
     holds sequences of lengths 4, 4, 7 and 1."""
     cfg = ModelConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=32, max_positions=64, seed=9)
-    params = init_params(cfg).astype(np.float64)
+    params = with_dtype(init_params(cfg), np.float64)
     rng = np.random.default_rng(41)
     for t in params.tensors.values():  # off the init's zero biases and unit gains
         t.data += rng.normal(scale=0.3, size=t.shape)
-    for t in params.leaves():
+    for t in params.tensors.values():
         t.requires_grad = True
     masks = []
     for batch, length in blocks:
@@ -490,8 +491,8 @@ def layer_finite_difference_check(keep, blocks=((2, 4), (1, 7), (1, 1))):
         h.grad = None
         params.grad.fill(0)
         loss().backward()
-        leaves = [h, params.qkv[n]] + [params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS]
-        assert params.qkv[n].shape == (cfg.hidden_dim, 3 * cfg.hidden_dim)
+        leaves = [h] + [params.tensors[f"layer{n}.{name}"] for name in LAYER_WEIGHTS]
+        assert leaves[1].shape == (cfg.hidden_dim, 3 * cfg.hidden_dim)
         for leaf in leaves:
             numeric = np.zeros_like(leaf.data)
             for idx in np.ndindex(leaf.shape):
@@ -883,12 +884,7 @@ class TestConfigAndInit:
             "pos_emb": (13, 8),
             "mlm.w": (8, 11),
             "mlm.b": (11,),
-            "layer0.head0.wq": (8, 4),
-            "layer0.head0.wk": (8, 4),
-            "layer0.head0.wv": (8, 4),
-            "layer0.head1.wq": (8, 4),
-            "layer0.head1.wk": (8, 4),
-            "layer0.head1.wv": (8, 4),
+            "layer0.qkv": (8, 24),
             "layer0.wo": (8, 8),
             "layer0.attn_ln.gain": (8,),
             "layer0.attn_ln.bias": (8,),
@@ -934,10 +930,6 @@ class TestConfigAndInit:
             if name.endswith((".bias", ".b", ".b1", ".b2")):
                 assert np.array_equal(t.data, np.zeros_like(t.data))
 
-    def test_astype(self):
-        params = init_params(small_config()).astype(np.float64)
-        assert all(t.data.dtype == np.float64 for t in params.tensors.values())
-
     def test_init_checkpoint_bytes_are_pinned(self, tmp_path):
         # The weights' sha256 has held since the per-head projections moved
         # into one QKV block per layer; the file's is that of the GCB2 format,
@@ -949,26 +941,30 @@ class TestConfigAndInit:
         flat = hashlib.sha256(load_checkpoint(tmp_path / "init.gcb").flat.tobytes()).hexdigest()
         assert flat == "3d7393bcbab1d9bd94a0f5c16e5eda0a7446fa01c9b1e0698ca311832aed4cf8"
 
-    @pytest.mark.parametrize("build", ["init_params", "load_checkpoint", "astype"])
+    @pytest.mark.parametrize("build", ["init_params", "load_checkpoint", "float64"])
     def test_every_tensor_is_a_view_of_the_store(self, tmp_path, build):
-        params = init_params(small_config(num_heads=4))
+        params = init_params(small_config(num_heads=4), dtype=np.float64 if build == "float64" else np.float32)
         if build == "load_checkpoint":
             save_checkpoint(tmp_path / "m.gcb", params)
             params = load_checkpoint(tmp_path / "m.gcb")
-        elif build == "astype":
-            params = params.astype(np.float64)
-        d = params.config.hidden_dim
-        assert [t.shape for t in params.qkv] == [(d, 3 * d)] * params.config.num_layers
-        for t in params.leaves():
+        for t in params.tensors.values():
             assert np.shares_memory(t.data, params.flat) and np.shares_memory(t.grad, params.grad)
             assert t.data.dtype == t.grad.dtype == params.flat.dtype
         assert sum(t.data.size for t in params.tensors.values()) == params.flat.size == params.grad.size
-        for n, block in enumerate(params.qkv):  # head i's wq, wk and wv at i*d_k in each third of the block
-            for i in range(params.config.num_heads):
-                for j, kind in enumerate(("wq", "wk", "wv")):
-                    cols = slice(j * d + i * params.config.head_dim, j * d + (i + 1) * params.config.head_dim)
-                    head = params.tensors[f"layer{n}.head{i}.{kind}"].data
-                    assert np.shares_memory(head, block.data[:, cols]) and np.array_equal(head, block.data[:, cols])
+
+    def test_every_tensor_feeds_the_training_graph(self, monkeypatch):
+        # A named tensor that no graph node reads is a second copy of some
+        # weights, not a parameter. Two steps run both structure objectives.
+        read, make = set(), ag._make
+
+        def recording_make(data, parents, vjp):
+            read.update(id(p) for p in parents)
+            return make(data, parents, vjp)
+
+        monkeypatch.setattr(ag, "_make", recording_make)
+        cfg = small_config(num_layers=2, num_heads=2)
+        params = pretrain_run(overfit_corpus(8), cfg, steps=2, rng=0, batch_size=4).params
+        assert [name for name, t in params.tensors.items() if id(t) not in read] == []
 
 
 # -- forward pass ----------------------------------------------------------
@@ -1077,7 +1073,7 @@ class TestBatchedForward:
 
     def test_batched_gradients_match_per_example(self):
         cfg = small_config(num_layers=1, max_positions=512)
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         examples = self.batch(np.random.default_rng(32), 3)
         groups, blocks = exact_blocks([(ex.ids, ex.position_ids, build_attention_mask(ex)) for ex in examples], np.float64)
         assert len(blocks) > 1
@@ -1125,7 +1121,7 @@ class TestModelGradients:
             num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
             vocab_size=32, max_positions=64, seed=11,
         )
-        params = init_params(cfg).astype(np.float64)
+        params = with_dtype(init_params(cfg), np.float64)
         ex = encoded()
         mask = additive_mask(build_attention_mask(ex), dtype=np.float64)
         targets = np.array([1, 5, 7])
@@ -1140,7 +1136,7 @@ class TestModelGradients:
         value, grads = gradient_copies(loss_fn, params)
         rng = np.random.default_rng(2)
         eps = 1e-5
-        for name in ["tok_emb", "layer0.head0.wq", "layer0.wo", "layer0.ffn.w1", "layer0.attn_ln.gain", "mlm.w"]:
+        for name in ["tok_emb", "layer0.qkv", "layer0.wo", "layer0.ffn.w1", "layer0.attn_ln.gain", "mlm.w"]:
             arr = params.tensors[name].data
             idx = tuple(rng.integers(0, s) for s in arr.shape)
             orig = arr[idx]
@@ -1198,7 +1194,7 @@ class TestGraphFreeInference:
 
     def test_after_init_params(self):
         self.assert_graph_free(init_params(small_config()))
-        self.assert_graph_free(init_params(small_config()).astype(np.float64))
+        self.assert_graph_free(with_dtype(init_params(small_config()), np.float64))
 
     def test_after_load_checkpoint(self, tmp_path):
         save_checkpoint(tmp_path / "m.gcb", init_params(small_config()))
@@ -1270,13 +1266,13 @@ class TestAdam:
     def test_equals_reference_bit_for_bit(self, dtype):
         params, reference = init_params(small_config(), dtype=dtype), init_params(small_config(), dtype=dtype)
         state, reference_state = init_adam(params), reference_init_adam(reference)
-        views = [t.data for t in params.leaves()]
+        views = [t.data for t in params.tensors.values()]
         rng = np.random.default_rng(48)
         for _ in range(50):
             params.grad[:] = rng.normal(size=params.grad.shape)
             adam_step(params, state, lr=3e-3)
             reference_adam_step(reference, {k: t.grad for k, t in params.tensors.items()}, reference_state, lr=3e-3)
-            for t, view in zip(params.leaves(), views, strict=True):  # `data` is written in place, not rebound
+            for t, view in zip(params.tensors.values(), views, strict=True):  # `data` is written in place, not rebound
                 assert t.data is view and np.shares_memory(view, params.flat)
         assert state.step == reference_state.step == 50
         for k, t in params.tensors.items():
@@ -1287,17 +1283,15 @@ class TestAdam:
             by_name = ModelParams(params.config, flat).tensors  # the moments in the store's layout
             assert all(np.array_equal(by_name[k].data, moments[k]) for k in params.tensors)
 
-    @pytest.mark.parametrize("case", ["other-params", "rebound-tensor", "rebound-head", "rebound-block"])
+    @pytest.mark.parametrize("case", ["other-params", "rebound-tensor", "rebound-block"])
     def test_rejects_params_it_did_not_pack(self, case):
         # moments of another model's size, or an update the rebound tensor would miss
         params = init_params(small_config())
         state = init_adam(params)
         if case == "other-params":
             params = init_params(small_config(num_layers=1))
-        elif case == "rebound-block":
-            params.qkv[1].data = params.qkv[1].data.copy()
         else:
-            name = "mlm.b" if case == "rebound-tensor" else "layer1.head1.wk"
+            name = "mlm.b" if case == "rebound-tensor" else "layer1.qkv"
             params.tensors[name].data = params.tensors[name].data + 1.0
         params.grad[:] = 1.0
         before = params.flat.copy()
@@ -1307,9 +1301,9 @@ class TestAdam:
 
     def test_init_adam_rebinds_nothing(self):
         params = init_params(small_config())
-        views = [t.data for t in params.leaves()]
+        views = [t.data for t in params.tensors.values()]
         state = init_adam(params)
-        assert all(t.data is view for t, view in zip(params.leaves(), views, strict=True))
+        assert all(t.data is view for t, view in zip(params.tensors.values(), views, strict=True))
         assert state.m.shape == state.v.shape == params.flat.shape and not state.m.any() and not state.v.any()
 
 
@@ -1342,7 +1336,7 @@ class TestCheckpoint:
         for _ in range(3):
             params.grad[:] = rng.normal(size=params.grad.shape)
             adam_step(params, state, lr=1e-2)
-        unpacked = params.astype(np.float32)
+        unpacked = with_dtype(params, np.float32)
         assert all(np.shares_memory(t.data, params.flat) for t in params.tensors.values())
         assert not any(np.shares_memory(t.data, params.flat) for t in unpacked.tensors.values())
         save_checkpoint(tmp_path / "packed.gcb", params)
