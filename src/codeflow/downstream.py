@@ -35,10 +35,6 @@ class EmptyInput(DataError):
     pass
 
 
-class DimensionMismatch(DataError):
-    pass
-
-
 @dataclass
 class SearchExample:
     query_encoded: EncodedExample
@@ -137,7 +133,8 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
     so nothing is padded. `masks`, one allow-matrix per example, replaces
     `build_attention_mask`. A forward's activations are freed before the
     next one runs: ``rows`` is the example's own copy, and `read` copies
-    whatever it keeps of ``maps``."""
+    whatever it keeps of ``maps``. A non-finite read row raises
+    `NonFiniteLoss`, so that no NaN score is ranked or averaged."""
     packed: list[list[int]] = []  # forwards, each a list of examples
     room = 0  # rows the last forward has left
     for i in (i for group in length_groups(examples) for i in group):
@@ -155,6 +152,8 @@ def grouped_forwards(params: ModelParams, examples: list[EncodedExample], read, 
     out = [None] * len(examples)
     for members in packed:
         acts = batch_forward(params, [sequence(i) for i in members], [reads[i] for i in members])
+        if not np.isfinite(acts.final.data[np.concatenate(acts.rows)]).all():
+            raise NonFiniteLoss("the encoder's final states are not finite")
         for s, i in enumerate(members):
             out[i] = read(acts.final.data[acts.rows[s]], acts.maps[s], i)
         del acts
@@ -190,40 +189,25 @@ def encode_code(code: str, params: ModelParams, vocab: Vocabulary) -> np.ndarray
 # ranking --------------------------------------------------------------------
 
 
-def rank_candidates(query_vec: np.ndarray, candidate_vecs, gold_id: int) -> int:
-    """1-based rank of candidate `gold_id` by inner product with the query:
-    one plus the candidates that score higher and the lower-indexed ones that
-    tie. `candidate_vecs` is a sequence of vectors or an ``(n, d)`` matrix."""
-    q = np.asarray(query_vec, dtype=np.float64)
-    try:
-        cands = np.asarray(candidate_vecs, dtype=np.float64)
-    except ValueError as e:  # ragged rows
-        raise DimensionMismatch(f"candidates of unequal shapes vs query {q.shape}") from e
-    if len(cands) == 0:
-        raise EmptyInput("no candidates to rank")
-    if cands.shape[1:] != q.shape:
-        raise DimensionMismatch(f"candidate shape {cands.shape[1:]} vs query {q.shape}")
-    if not 0 <= gold_id < len(cands):  # a negative id would index from the end
-        raise IndexError(f"gold id {gold_id} is not one of {len(cands)} candidates")
-    scores = cands @ q
-    gold = scores[gold_id]
-    return 1 + int(np.count_nonzero(scores > gold)) + int(np.count_nonzero(scores[:gold_id] == gold))
-
-
-def mrr(ranks) -> float:
-    if not ranks:
-        raise EmptyInput("no rankings")
-    return float(np.mean([1.0 / int(r) for r in ranks]))
+def gold_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based rank of each query's own code, ``scores[i, i]``, in row ``i``
+    of a square query x code score matrix: one plus the codes that score
+    higher and the lower-indexed ones that tie, the stable-sort rank."""
+    gold = np.diagonal(scores)[:, None]
+    ties_before = (scores == gold) & np.tri(*scores.shape, k=-1, dtype=bool)
+    return 1 + np.count_nonzero(scores > gold, axis=1) + np.count_nonzero(ties_before, axis=1)
 
 
 def evaluate_search(params: ModelParams, examples: list[SearchExample]) -> float:
     """Whole-corpus protocol: every example's code is a candidate for every
-    query. The examples' encodings decide whether data flow is used."""
+    query, scored by inner product in float64, and the MRR is the mean of
+    the reciprocal `gold_ranks`. The examples' encodings decide whether data
+    flow is used."""
     if not examples:
         raise EmptyInput("no search examples")
     code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples]).astype(np.float64)
-    query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples])
-    return mrr([rank_candidates(qv, code_vecs, gold_id=qid) for qid, qv in enumerate(query_vecs)])
+    query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples]).astype(np.float64)
+    return float(np.mean(1.0 / gold_ranks(query_vecs @ code_vecs.T)))
 
 
 def prepare_search_examples(
@@ -251,10 +235,12 @@ def _finetune(
     a tuple whose first two entries are encoded examples: ``cls`` holds the
     batch's `_cls_rows`, its first examples in order, then its second ones.
     Each epoch draws one permutation from `rng`; a batch of fewer than
-    `min_batch` pairs is skipped. A non-finite loss raises `DivergedLoss`
-    naming the epoch and the step (the batch within it), both from 0."""
+    `min_batch` pairs is skipped. A non-finite loss, or a weight that the
+    last update left non-finite, raises `DivergedLoss` naming the epoch and
+    the step (the batch within it), both from 0."""
     rng = np.random.default_rng(0 if rng is None else rng)
     state = init_adam(params)
+    where = None  # of the last step taken
     for epoch in range(epochs):
         order = rng.permutation(len(pairs))
         for step, lo in enumerate(range(0, len(order), batch_size)):
@@ -270,6 +256,9 @@ def _finetune(
             except NonFiniteLoss as e:
                 raise DivergedLoss(f"epoch {epoch}, step {step}: {e}") from e
             adam_step(params, state, lr)
+            where = f"epoch {epoch}, step {step}"
+    if where and not np.isfinite(params.flat).all():  # no later loss shows an overflow in the last update
+        raise DivergedLoss(f"{where}: a weight is not finite after the update")
     return params
 
 
@@ -358,8 +347,6 @@ def finetune_clone(
 def clone_metrics(predictions, labels) -> tuple[float, float, float]:
     preds = [float(p) for p in predictions]
     golds = [int(l) for l in labels]
-    if len(preds) != len(golds):
-        raise DimensionMismatch("predictions and labels differ in length")
     tp = sum(1 for p, y in zip(preds, golds) if p > 0.5 and y == 1)
     fp = sum(1 for p, y in zip(preds, golds) if p > 0.5 and y == 0)
     fn = sum(1 for p, y in zip(preds, golds) if p <= 0.5 and y == 1)

@@ -483,7 +483,8 @@ def pretrain_run(
     with node alignment (each only when enabled). Every batch is drawn from a
     single language chosen by the smoothed multinomial sampler. Raises
     NoMaskablePositions before the first step for an item with neither comment
-    nor code tokens."""
+    nor code tokens, and DivergedLoss naming the step for a non-finite loss
+    or a weight that the last update left non-finite."""
     if not corpus:
         raise EmptyCorpus("pretraining corpus is empty")
     rng = np.random.default_rng(0 if rng is None else rng)
@@ -532,6 +533,8 @@ def pretrain_run(
         log.append((step, "mlm", parts["mlm"]))
         if structure in parts:
             log.append((step, structure, parts[structure]))
+    if steps and not np.isfinite(params.flat).all():  # no later loss shows an overflow in the last update
+        raise DivergedLoss(f"step {steps - 1}: a weight is not finite after the update")
 
     return PretrainResult(params=params, vocab=vocab, loss_log=log, adam=state)
 

@@ -544,6 +544,28 @@ class TestPretrainCommand:
         assert (code, stdout) == (3, "")
         assert re.fullmatch(r"numerical divergence: epoch \d+, step \d+: loss is nan\n", err), err
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune-search", "finetune-clone"])
+    def test_overflow_in_the_last_update_exits_3(self, tmp_path, capsys, command):
+        # One step at an absurd rate: its loss is finite, and the update
+        # that follows leaves infinite weights, which no later loss sees
+        if command == "pretrain":
+            corpus, length, where = write_corpus(tmp_path, overfit_corpus(4)), ["--steps", "1"], "step 0"
+        elif command == "finetune-search":
+            corpus, length, where = write_search_corpus(tmp_path, n=3), ["--epochs", "1"], "epoch 0, step 0"
+        else:
+            corpus = tmp_path / "clones.jsonl"
+            a, b, y = clone_corpus()[0]
+            corpus.write_text(json.dumps({"code_a": a, "code_b": b, "label": y}) + "\n", encoding="utf-8")
+            length, where = ["--epochs", "1"], "epoch 0, step 0"
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, command, "--corpus", str(corpus), "--out", str(out), *length, "--batch-size", "4",
+            "--lr", "1e300", *SMALL_MODEL,
+        )
+        assert (code, stdout) == (3, "")
+        assert err == f"numerical divergence: {where}: a weight is not finite after the update\n"
+        assert not out.exists()
+
     def test_interrupt_writes_one_line(self, tmp_path, capsys, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -893,6 +915,32 @@ class TestAttentionSplit:
         code, stdout, err = run(capsys, "attention-split", "--corpus", str(corpus), "--checkpoint", str(checkpoint))
         assert (code, stdout) == (2, "")
         assert err == f"data error: {checkpoint} has no encoder layers, so no attention to split\n"
+
+class TestNonFiniteStates:
+    @pytest.mark.parametrize("command", ["eval-search", "eval-clone", "attention-split"])
+    def test_overflowing_encoder_exits_3(self, tmp_path, capsys, command):
+        # Finite weights that load, but whose embeddings overflow the first
+        # layer: a NaN score would rank every gold first and print an MRR of 1
+        if command == "eval-search":
+            corpus = write_search_corpus(tmp_path)
+        elif command == "eval-clone":
+            corpus = write_clone_corpus(tmp_path)
+        else:
+            corpus = write_corpus(tmp_path, overfit_corpus(4))
+        texts = [(q, c) for q, c in search_pairs(4)] + [("", code) for a, b, _ in clone_corpus() for code in (a, b)]
+        texts += [(it.docstring, it.code) for it in overfit_corpus(4)]
+        params = init_params(ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16, max_positions=128))
+        params.tensors["tok_emb"].data *= 1e37
+        save_checkpoint(tmp_path / "model.gcb", params)
+        (tmp_path / "vocab.txt").write_text(build_vocab(texts, 512).serialize(), encoding="utf-8")
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, command, "--corpus", str(corpus), "--checkpoint", str(tmp_path / "model.gcb"), "--out", str(out)
+        )
+        assert (code, stdout) == (3, "")
+        assert err == "numerical divergence: the encoder's final states are not finite\n"
+        assert not out.exists()
+
 
 class TestPinnedInference:
     """The inference commands' outputs on a fixed corpus and seed, as

@@ -10,7 +10,6 @@ import codeflow.downstream as downstream
 from codeflow.autograd import Tensor
 from codeflow.downstream import (
     CloneExample,
-    DimensionMismatch,
     EmptyInput,
     clone_metrics,
     clone_probabilities,
@@ -24,9 +23,8 @@ from codeflow.downstream import (
     filter_search_corpus,
     finetune_clone,
     finetune_search,
-    mrr,
+    gold_ranks,
     prepare_search_examples,
-    rank_candidates,
 )
 from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
 from codeflow.frontend.errors import FrontendError
@@ -66,15 +64,23 @@ def loop_rank(q, cands, gold):
     return sorted(range(len(cands)), key=lambda i: (-scores[i], i)).index(gold) + 1
 
 
+def ranks_of(q, cands):
+    """`gold_ranks` of every candidate for the one query `q`: row ``g`` of
+    the score matrix is `q` against every candidate, with candidate ``g`` as
+    its gold."""
+    cands = np.asarray(cands, dtype=np.float64)
+    return list(gold_ranks(np.tile(q, (len(cands), 1)) @ cands.T))
+
+
 class TestRanking:
     def test_hand_example(self):
         cands = [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([1.0, 0.0])]
-        assert [rank_candidates(np.array([1.0, 0.0]), cands, gold_id=g) for g in range(3)] == [3, 1, 2]
+        assert ranks_of(np.array([1.0, 0.0]), cands) == [3, 1, 2]
 
     def test_ties_break_by_ascending_id(self):
         q = np.array([1.0, 0.0])
         cands = [np.array([1.0, 9.0]), np.array([1.0, -4.0]), np.array([1.0, 0.0])]
-        assert [rank_candidates(q, cands, gold_id=g) for g in range(3)] == [1, 2, 3]
+        assert ranks_of(q, cands) == [1, 2, 3]
 
     def test_ordering_properties_fuzz(self):
         # without ties, the candidates' ranks are 1..n in descending score order
@@ -82,10 +88,9 @@ class TestRanking:
         for _ in range(50):
             q = rng.normal(size=8)
             cands = [rng.normal(size=8) for _ in range(12)]
-            ranks = [rank_candidates(q, cands, gold_id=g) for g in range(12)]
+            ranks = ranks_of(q, cands)
+            assert ranks == [loop_rank(q, cands, g) for g in range(12)]
             assert sorted(ranks) == list(range(1, 13))
-            scores = [float(q @ c) for c in cands]
-            assert [g for _, g in sorted(zip(ranks, range(12)))] == sorted(range(12), key=lambda i: -scores[i])
 
     def test_query_scaling_keeps_ordering(self):
         rng = np.random.default_rng(21)
@@ -93,8 +98,7 @@ class TestRanking:
             q = rng.integers(-2, 3, size=4).astype(np.float64)
             cands = rng.integers(-2, 3, size=(8, 4)).astype(np.float64)
             for scale in (3.0, 0.5):
-                for gold in range(8):
-                    assert rank_candidates(scale * q, cands, gold_id=gold) == rank_candidates(q, cands, gold_id=gold)
+                assert ranks_of(scale * q, cands) == ranks_of(q, cands) == [loop_rank(q, cands, g) for g in range(8)]
 
     def test_matches_loop_reference(self):
         # Small integer vectors make every score exact and ties frequent, so
@@ -105,37 +109,21 @@ class TestRanking:
             q = rng.integers(-2, 3, size=5).astype(np.float64)
             cands = rng.integers(-2, 3, size=(16, 5)).astype(np.float64)
             ties += len(cands) - len({float(q @ c) for c in cands})
-            for gold in range(len(cands)):
-                want = loop_rank(q, cands, gold)
-                for given in (list(cands), cands):
-                    assert rank_candidates(q, given, gold_id=gold) == want
+            assert ranks_of(q, cands) == [loop_rank(q, cands, g) for g in range(len(cands))]
         assert ties > 100
 
-    def test_validation(self):
-        with pytest.raises(EmptyInput):
-            rank_candidates(np.zeros(3), [], gold_id=0)
-        with pytest.raises(EmptyInput):
-            rank_candidates(np.zeros(3), np.zeros((0, 3)), gold_id=0)
-        with pytest.raises(DimensionMismatch):
-            rank_candidates(np.zeros(3), [np.zeros(4)], gold_id=0)
-        with pytest.raises(DimensionMismatch):
-            rank_candidates(np.zeros(3), np.zeros((2, 4)), gold_id=0)
-        with pytest.raises(DimensionMismatch):  # ragged candidate list
-            rank_candidates(np.zeros(3), [np.zeros(3), np.zeros(4)], gold_id=0)
-        for gold in (-1, 2):  # no such candidate
-            with pytest.raises(IndexError):
-                rank_candidates(np.zeros(3), np.zeros((2, 3)), gold_id=gold)
-
-
-class TestMrr:
-    def test_hand_values(self):
-        assert mrr([2, 4]) == pytest.approx(0.375)
-        assert mrr([1, 1, 1]) == 1.0
-        assert mrr((np.int64(2), 4)) == pytest.approx(0.375)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            mrr([])
+    def test_duplicate_codes_tie_exactly(self):
+        # Codes with equal vectors score equally against any query, so the
+        # lower-indexed duplicate ranks first; each query is scored against
+        # every code, as `evaluate_search` scores them.
+        rng = np.random.default_rng(29)
+        codes = rng.normal(size=(40, 16))
+        codes[[17, 38]] = codes[1]
+        queries = rng.normal(size=(40, 16))
+        ranks = gold_ranks(queries @ codes.T)
+        assert list(ranks) == [loop_rank(q, codes, g) for g, q in enumerate(queries)]
+        for g in (17, 38):
+            assert ranks[g] > loop_rank(queries[g], codes, 1)
 
 
 # -- encoding vectors -----------------------------------------------------------
@@ -667,10 +655,6 @@ class TestCloneMetrics:
             want_r = tp / (tp + fn) if tp + fn else 0.0
             want_f = 2 * want_p * want_r / (want_p + want_r) if want_p + want_r else 0.0
             assert (p, r, f1) == (want_p, want_r, want_f)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            clone_metrics([0.5], [1, 0])
 
 
 # -- attention analysis ------------------------------------------------------------

@@ -28,6 +28,27 @@ def package_modules():
     return [importlib.import_module(m.name) for m in pkgutil.walk_packages(codeflow.__path__, "codeflow.")]
 
 
+def module_of(path: Path):
+    """The package module whose source file is `path`."""
+    parts = path.relative_to(Path(__file__).parents[1] / "src").with_suffix("").parts
+    return importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+
+
+def defined_names(test) -> set[tuple[str, str]]:
+    """``(module, name)`` of each top-level class or function, as `test`
+    picks them, that the imported package modules define."""
+    return {
+        (module.__name__, name)
+        for module in [codeflow, *package_modules()]
+        for name, obj in vars(module).items()
+        if test(obj) and obj.__module__ == module.__name__
+    }
+
+
+def all_modules() -> set[str]:
+    return {"codeflow", *(module.__name__ for module in package_modules())}
+
+
 def test_every_input_error_is_a_data_error():
     defined = [
         cls
@@ -114,7 +135,11 @@ def test_every_definition_has_a_caller():
     definitions = [
         (path, stmt) for path, stmt, _ in statements if path in package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     ]
-    assert len(definitions) > 150
+    # the walk reached every module, and every class and function they define
+    assert {module_of(path).__name__ for path in package} == all_modules()
+    assert {(module_of(path).__name__, stmt.name) for path, stmt in definitions} == defined_names(
+        lambda obj: inspect.isclass(obj) or inspect.isfunction(inspect.unwrap(obj))  # a cached one too
+    )
     unused = [
         f"{path.relative_to(root)}:{stmt.lineno} {stmt.name}"
         for path, stmt in definitions
@@ -142,19 +167,20 @@ def test_every_method_has_a_caller():
 
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
     reads = sum((names_read(tree) for tree in trees.values()), Counter())
-    methods, unused = 0, []
+    classes, unused = set(), []
     for path in package:
-        parts = path.relative_to(root / "src").with_suffix("").parts
-        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        module = module_of(path)
         for cls in (stmt for stmt in trees[path].body if isinstance(stmt, ast.ClassDef)):
+            classes.add((module.__name__, cls.name))
             bases = inspect.getmro(getattr(module, cls.name))[1:]
             for method in cls.body:
                 if not isinstance(method, ast.FunctionDef) or re.fullmatch(r"__\w+__", method.name):
                     continue
                 if any(hasattr(base, method.name) for base in bases):
                     continue
-                methods += 1
                 if reads[method.name] == names_read(method)[method.name]:
                     unused.append(f"{path.relative_to(root)}:{method.lineno} {cls.name}.{method.name}")
-    assert methods >= 40
+    # the walk reached every module and every class they define
+    assert {module_of(path).__name__ for path in package} == all_modules()
+    assert classes == defined_names(inspect.isclass)
     assert unused == []
