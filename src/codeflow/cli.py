@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .dfg import extract_dfg, serialize_dfg
 from .downstream import (
     CloneExample,
@@ -33,10 +33,8 @@ from .downstream import (
 )
 from .encoding import (
     RESERVED,
-    EmptyCorpus,
     Limits,
     Vocabulary,
-    VocabularyError,
     build_attention_mask,
     build_vocab,
     encode_example,
@@ -151,33 +149,12 @@ _LIMITS = tuple(f.name for f in fields(Limits))
 _INPUTS = ("config", "seed", "corpus", "checkpoint", "vocab", "out")
 _ENCODER = ("vocab_size", "use_dataflow", *_MODEL, *_LIMITS)
 
-# subcommand -> (help line, its arguments in order: RunConfig field names,
-# plus the `file` positional and `--config`)
-_TUNE = (*_INPUTS, "epochs", "lr", "batch_size", *_ENCODER)
-_COMMANDS = {
-    "extract-dfg": ("print the variable data-flow graph of a source file", ("file", "config")),
-    "encode": (
-        "print the encoded layout and attention-mask density",
-        ("file", "comment", "config", "seed", "vocab_size", "use_dataflow", *_LIMITS, *_MODEL),
-    ),
-    "pretrain": (
-        "run the alternating pre-training loop",
-        ("config", "seed", "corpus", "out", "steps", "lr", "batch_size", "vocab_size",
-         "use_dataflow", "edge_pred", "node_align", *_MODEL, *_LIMITS),
-    ),
-    "finetune-search": ("fine-tune on code search pairs, then report MRR", _TUNE),
-    "eval-search": ("report the code search MRR of a model", _TUNE),
-    "finetune-clone": ("fine-tune on clone pairs, then report precision/recall/F1", _TUNE),
-    "eval-clone": ("report the clone precision, recall and F1 of a model", _TUNE),
-    "attention-split": ("report [CLS] attention mass on code vs nodes", (*_INPUTS, *_ENCODER)),
-}
-
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="codeflow", description="Data-flow-aware code encoder toolkit")
     subs = parser.add_subparsers(dest="command")
     defaults = {f.name: f.default for f in fields(RunConfig)}
-    for command, (help_line, names) in _COMMANDS.items():
+    for command, (help_line, names, _) in _COMMANDS.items():
         # An absent flag stays out of the namespace, so --config can set it.
         sub = subs.add_parser(command, argument_default=argparse.SUPPRESS, help=help_line)
         for name in names:
@@ -272,14 +249,14 @@ def _load_model(rc: RunConfig, texts: list[tuple[str, str]]):
         vocab_path = Path(rc.vocab) if rc.vocab else Path(rc.checkpoint).parent / "vocab.txt"
         try:
             vocab = Vocabulary.deserialize(vocab_path.read_text(encoding="utf-8"))
-        except VocabularyError as e:
-            raise VocabularyError(f"{vocab_path} {e}") from e
+        except DataError as e:
+            raise DataError(f"{vocab_path} {e}") from e
         missing = [f"{token} at id {i}" for token, i in RESERVED if vocab.token_to_id.get(token) != i]
         if missing:
-            raise VocabularyError(f"{vocab_path} lacks the reserved token {missing[0]}")
+            raise DataError(f"{vocab_path} lacks the reserved token {missing[0]}")
         size, top = params.config.vocab_size, max(vocab.token_to_id.values(), default=0)
         if len(vocab) > size or top >= size:
-            raise VocabularyError(
+            raise DataError(
                 f"{vocab_path} has {len(vocab)} tokens with ids up to {top}, "
                 f"more than the checkpoint's vocab_size {size}"
             )
@@ -340,11 +317,12 @@ def _cmd_pretrain(rc: RunConfig) -> int:
     return 0
 
 
-def _cmd_search(rc: RunConfig, tune: bool) -> int:
+def _cmd_search(rc: RunConfig) -> int:
     _require(rc, "corpus", "out")
+    tune = rc.command == "finetune-search"
     raw_items = filter_search_corpus(load_corpus(rc.corpus))
     if not raw_items:
-        raise EmptyCorpus("no usable search examples after filtering")
+        raise DataError("no usable search examples after filtering")
     texts = [(it.docstring, it.code) for it in raw_items]
     params, vocab = _load_model(rc, texts)
     examples = prepare_search_examples(texts, vocab, rc.limits(), params.config.max_positions)
@@ -371,8 +349,9 @@ def _clone_pair(obj) -> CloneExample:
     return CloneExample(code_a=code_a, code_b=code_b, label=label)
 
 
-def _cmd_clone(rc: RunConfig, tune: bool) -> int:
+def _cmd_clone(rc: RunConfig) -> int:
     _require(rc, "corpus", "out")
+    tune = rc.command == "finetune-clone"
     pairs = read_jsonl(rc.corpus, _clone_pair, f"no clone pairs in {rc.corpus}")
     params, vocab = _load_model(rc, [("", p.code_a) for p in pairs] + [("", p.code_b) for p in pairs])
     if tune:
@@ -401,7 +380,7 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     items = load_corpus(rc.corpus)
     params, vocab = _load_model(rc, [(it.docstring, it.code) for it in items])
     if params.config.num_layers == 0:
-        raise CheckpointError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
+        raise DataError(f"{rc.checkpoint} has no encoder layers, so no attention to split")
     encoded = encode_corpus(items, vocab, rc.limits(), params.config.max_positions)
     splits = attention_splits(params, encoded)
     per_lang: dict[str, list[tuple[float, float]]] = {}
@@ -418,15 +397,27 @@ def _cmd_attention_split(rc: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "extract-dfg": _cmd_extract_dfg,
-    "encode": _cmd_encode,
-    "pretrain": _cmd_pretrain,
-    "finetune-search": lambda rc: _cmd_search(rc, tune=True),
-    "eval-search": lambda rc: _cmd_search(rc, tune=False),
-    "finetune-clone": lambda rc: _cmd_clone(rc, tune=True),
-    "eval-clone": lambda rc: _cmd_clone(rc, tune=False),
-    "attention-split": _cmd_attention_split,
+# subcommand -> (help line, its arguments in order: RunConfig field names,
+# plus the `file` positional and `--config`, its handler)
+_TUNE = (*_INPUTS, "epochs", "lr", "batch_size", *_ENCODER)
+_COMMANDS = {
+    "extract-dfg": ("print the variable data-flow graph of a source file", ("file", "config"), _cmd_extract_dfg),
+    "encode": (
+        "print the encoded layout and attention-mask density",
+        ("file", "comment", "config", "seed", "vocab_size", "use_dataflow", *_LIMITS, *_MODEL),
+        _cmd_encode,
+    ),
+    "pretrain": (
+        "run the alternating pre-training loop",
+        ("config", "seed", "corpus", "out", "steps", "lr", "batch_size", "vocab_size",
+         "use_dataflow", "edge_pred", "node_align", *_MODEL, *_LIMITS),
+        _cmd_pretrain,
+    ),
+    "finetune-search": ("fine-tune on code search pairs, then report MRR", _TUNE, _cmd_search),
+    "eval-search": ("report the code search MRR of a model", _TUNE, _cmd_search),
+    "finetune-clone": ("fine-tune on clone pairs, then report precision/recall/F1", _TUNE, _cmd_clone),
+    "eval-clone": ("report the clone precision, recall and F1 of a model", _TUNE, _cmd_clone),
+    "attention-split": ("report [CLS] attention mass on code vs nodes", (*_INPUTS, *_ENCODER), _cmd_attention_split),
 }
 
 
@@ -436,22 +427,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         rc = _merge_config(args)
         with np.errstate(all="ignore"):  # a diverged run reports itself once, through NonFiniteLoss
-            return _HANDLERS[rc.command](rc)
+            return _COMMANDS[rc.command][2](rc)
     except BadFlags as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
+        message, code = f"error: {e}", 1
     except MemoryError as e:  # legal flags can still ask for more memory than the machine has
-        sys.stderr.write(f"error: out of memory: {e}; lower --batch-size\n")
-        return 1
+        message, code = f"error: out of memory: {e}; lower --batch-size", 1
     except (DataError, OSError, UnicodeError) as e:
-        sys.stderr.write(f"data error: {e}\n")
-        return 2
+        message, code = f"data error: {e}", 2
     except NonFiniteLoss as e:
-        sys.stderr.write(f"numerical divergence: {e}\n")
-        return 3
+        message, code = f"numerical divergence: {e}", 3
     except KeyboardInterrupt:  # Ctrl-C: one line and the shell's 128 + SIGINT, not a traceback
-        sys.stderr.write("interrupted\n")
-        return 130
+        message, code = "interrupted", 130
+    # one line, even when the message holds a path with a line break in it
+    sys.stderr.write(message.replace("\n", "\\n").replace("\r", "\\r") + "\n")
+    return code
 
 
 if __name__ == "__main__":

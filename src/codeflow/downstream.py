@@ -27,12 +27,8 @@ from .encoding import (
 from .errors import DataError
 from .frontend.errors import FrontendError
 from .frontend.parser import parse_source
-from .model import Activations, DivergedLoss, ModelParams, NonFiniteLoss, compute_gradients, forward, pair_log_likelihoods
+from .model import Activations, ModelParams, NonFiniteLoss, compute_gradients, forward, pair_log_likelihoods
 from .optim import adam_step, init_adam
-
-
-class EmptyInput(DataError):
-    pass
 
 
 @dataclass
@@ -53,7 +49,7 @@ class CloneExample:
 
 def encode_query_example(query: str, vocab: Vocabulary, limits: Limits = Limits(), max_positions: int = 512) -> EncodedExample:
     if not comment_tokens(query):
-        raise EmptyInput("query has no tokens")
+        raise DataError("query has no tokens")
     return encode_example(query, None, vocab, limits=limits, max_positions=max_positions)
 
 
@@ -107,7 +103,7 @@ def batch_forward(params: ModelParams, sequences, reads) -> Activations:
     groups = length_groups([ids for ids, _, _ in sequences])
     order = [i for group in groups for i in group]
     distinct = [sorted(set(reads[i])) for i in order]
-    dtype = params.tensors["tok_emb"].data.dtype
+    dtype = params.flat.dtype
     acts = forward(
         params,
         np.concatenate([sequences[i][0] for i in order]),
@@ -165,7 +161,7 @@ def _cls_vectors(params: ModelParams, examples: list[EncodedExample]) -> np.ndar
     forwards that read position 0 of each sequence, so the last layer runs
     attention, `wo`, both norms and the FFN for that row only. Each vector
     equals the full forward's bit for bit."""
-    out = np.empty((len(examples), params.config.hidden_dim), dtype=params.tensors["tok_emb"].data.dtype)
+    out = np.empty((len(examples), params.config.hidden_dim), dtype=params.flat.dtype)
 
     def read(rows: np.ndarray, maps, i: int) -> None:
         out[i] = rows[0]
@@ -204,7 +200,7 @@ def evaluate_search(params: ModelParams, examples: list[SearchExample]) -> float
     the reciprocal `gold_ranks`. The examples' encodings decide whether data
     flow is used."""
     if not examples:
-        raise EmptyInput("no search examples")
+        raise DataError("no search examples")
     code_vecs = _cls_vectors(params, [ex.code_encoded for ex in examples]).astype(np.float64)
     query_vecs = _cls_vectors(params, [ex.query_encoded for ex in examples]).astype(np.float64)
     return float(np.mean(1.0 / gold_ranks(query_vecs @ code_vecs.T)))
@@ -236,7 +232,7 @@ def _finetune(
     batch's `_cls_rows`, its first examples in order, then its second ones.
     Each epoch draws one permutation from `rng`; a batch of fewer than
     `min_batch` pairs is skipped. A non-finite loss, or a weight that the
-    last update left non-finite, raises `DivergedLoss` naming the epoch and
+    last update left non-finite, raises `NonFiniteLoss` naming the epoch and
     the step (the batch within it), both from 0."""
     rng = np.random.default_rng(0 if rng is None else rng)
     state = init_adam(params)
@@ -254,11 +250,11 @@ def _finetune(
             try:
                 compute_gradients(loss_fn, params)
             except NonFiniteLoss as e:
-                raise DivergedLoss(f"epoch {epoch}, step {step}: {e}") from e
+                raise NonFiniteLoss(f"epoch {epoch}, step {step}: {e}") from e
             adam_step(params, state, lr)
             where = f"epoch {epoch}, step {step}"
     if where and not np.isfinite(params.flat).all():  # no later loss shows an overflow in the last update
-        raise DivergedLoss(f"{where}: a weight is not finite after the update")
+        raise NonFiniteLoss(f"{where}: a weight is not finite after the update")
     return params
 
 
@@ -274,7 +270,7 @@ def finetune_search(
     the other codes in the batch are negatives, softmax cross-entropy on inner
     products. A trailing batch of one pair has no negative and is skipped."""
     if len(examples) < 2:
-        raise EmptyInput("need at least two pairs for in-batch contrast")
+        raise DataError("need at least two pairs for in-batch contrast")
     if batch_size < 2:
         raise ValueError(f"in-batch contrast needs a batch size of at least 2, not {batch_size}")
 
@@ -324,7 +320,7 @@ def finetune_clone(
 ) -> ModelParams:
     """Binary cross-entropy on the scaled-dot clone probability."""
     if not pairs:
-        raise EmptyInput("no clone pairs")
+        raise DataError("no clone pairs")
     max_positions = params.config.max_positions
     encoded = [
         (

@@ -42,18 +42,6 @@ _ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
 _ID = re.compile(r"[0-9]{1,18}")
 
 
-class EmptyCorpus(DataError):
-    pass
-
-
-class VocabularyError(DataError):
-    """A vocabulary file that does not parse, or ids a model cannot embed."""
-
-
-class SequenceTooLong(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class Limits:
     """Most comment words, code tokens and nodes kept; ``max_nodes=0`` drops the nodes."""
@@ -85,7 +73,7 @@ class Vocabulary:
     @staticmethod
     def deserialize(text: str) -> "Vocabulary":
         """Parse `serialize`'s lines, split at ``\\n`` only. Raises
-        VocabularyError for a line that is not ``token<TAB>id`` with an id of
+        DataError for a line that is not ``token<TAB>id`` with an id of
         1 to 18 ASCII digits, an unknown escape, a token listed twice or an
         id two tokens hold."""
         mapping: dict[str, int] = {}
@@ -95,19 +83,19 @@ class Vocabulary:
                 continue
             esc, tab, idx = line.rpartition("\t")
             if not tab or not _ID.fullmatch(idx):
-                raise VocabularyError(f"line {lineno}: expected token<TAB>id, got {line[:40]!r}")
+                raise DataError(f"line {lineno}: expected token<TAB>id, got {line[:40]!r}")
 
             def unescape(m: re.Match) -> str:
                 if m[1] not in _UNESCAPES:
-                    raise VocabularyError(f"line {lineno}: unknown escape {m[0]!r} in {esc[:40]!r}")
+                    raise DataError(f"line {lineno}: unknown escape {m[0]!r} in {esc[:40]!r}")
                 return _UNESCAPES[m[1]]
 
             token = _ESCAPE.sub(unescape, esc)
             number = int(idx)
             if token in mapping:
-                raise VocabularyError(f"line {lineno}: token {token!r} is listed twice")
+                raise DataError(f"line {lineno}: token {token!r} is listed twice")
             if number in holders:
-                raise VocabularyError(f"line {lineno}: id {number} of {token!r} is already held by {holders[number]!r}")
+                raise DataError(f"line {lineno}: id {number} of {token!r} is already held by {holders[number]!r}")
             mapping[token] = number
             holders[number] = token
         return Vocabulary(mapping)
@@ -138,7 +126,7 @@ def build_vocab(corpus: list[tuple[str, str]], size: int) -> Vocabulary:
     if size < 5:
         raise ValueError(f"vocabulary size must be at least 5, got {size}")
     if not corpus:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+        raise DataError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
     for comment, code in corpus:
         counts.update(comment_tokens(comment))
@@ -192,7 +180,7 @@ def encode_example(
     encoding); without the code segment there are no nodes either.
 
     The comment/code block takes sequential positions from 0; every node
-    shares the reserved id ``max_positions - 1``. Raises SequenceTooLong when
+    shares the reserved id ``max_positions - 1``. Raises DataError when
     the block needs more than ``max_positions - 1`` positions.
     """
     from .frontend.lexer import tokenize
@@ -241,7 +229,7 @@ def encode_example(
     sequential = len(ids) - n_nodes
     p_node = max_positions - 1
     if sequential > p_node:
-        raise SequenceTooLong(f"sequence needs {sequential} sequential positions, only {p_node} available")
+        raise DataError(f"sequence needs {sequential} sequential positions, only {p_node} available")
     return EncodedExample(
         ids=tuple(ids),
         segments=tuple(segments),

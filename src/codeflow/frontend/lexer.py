@@ -22,7 +22,7 @@ dict hit; strings and indents are built each time. The table dies with the
 call: no token is kept from one call to the next. The loop measures the
 indentation at each line start and tracks parenthesis depth. A lone quote
 means an unterminated string and any other unmatched character an invalid
-one. The pieces leave no gap, so the character offset that a `LexError`
+one. The pieces leave no gap, so the character offset that a lexing error
 reports is the sum of the lengths before its piece; the loop itself keeps
 no position.
 
@@ -37,7 +37,7 @@ from operator import length_hint
 from string import ascii_letters, digits
 from typing import NamedTuple
 
-from .errors import IndentationMismatch, InvalidCharacter, LexError, UnterminatedString
+from .errors import FrontendError
 
 KEYWORDS = frozenset({"def", "if", "elif", "else", "while", "for", "in", "return"})
 
@@ -101,7 +101,8 @@ def tokenize(source: str) -> list[Token]:
     parenthesis are treated as plain whitespace. Any indentation still open
     at end of input is closed with dedents.
 
-    Raises InvalidCharacter, UnterminatedString or IndentationMismatch.
+    Raises FrontendError for an invalid character, an unterminated string or
+    an unindent to a width that no open level has.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -156,7 +157,7 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _error(source: str, pieces: list, rest, indents: list[int] | None) -> LexError:
+def _error(source: str, pieces: list, rest, indents: list[int] | None) -> FrontendError:
     """The error of the piece just taken from `rest`, at the character offset
     after its blanks. `indents` are the open indentation widths when the
     piece starts a line: an unindent to a width that none of them matches
@@ -165,9 +166,11 @@ def _error(source: str, pieces: list, rest, indents: list[int] | None) -> LexErr
     blank, piece = pieces[done]
     start = sum(len(b) + len(p) for b, p in pieces[:done]) + len(blank)
     if indents is not None and len(blank) not in indents and len(blank) < indents[-1]:
-        return IndentationMismatch("unindent does not match any outer level", start)
-    if piece in "'\"":
+        problem = "unindent does not match any outer level"
+    elif piece in "'\"":
         end = _UNTERMINATED.match(source, start + 1).end()
         where = "line" if end < len(source) and source[end] == "\n" else "input"
-        return UnterminatedString(f"string literal hits end of {where}", start)
-    return InvalidCharacter(f"unexpected character {piece!r}", start)
+        problem = f"string literal hits end of {where}"
+    else:
+        problem = f"unexpected character {piece!r}"
+    return FrontendError(f"{problem} (character offset {start})")

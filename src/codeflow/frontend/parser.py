@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NoReturn
 
-from .errors import MiniLangSyntaxError
+from .errors import FrontendError
 from .lexer import Token
 from .syntax import (
     Assign,
@@ -76,15 +76,13 @@ class _Parser:
         pos = self.pos
         kind = self.kinds[pos]
         got = "end of input" if kind is None else f"{kind} {self.texts[pos]!r}"
-        raise MiniLangSyntaxError(
-            f"expected one of {sorted(expected)}, got {got}", pos, frozenset(expected)
-        )
+        raise FrontendError(f"expected one of {sorted(expected)}, got {got} (token index {pos})")
 
     def nest(self) -> None:
         """Enter one level of nesting; the caller leaves it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.pos, frozenset())
+            raise FrontendError(f"nesting deeper than {MAX_NESTING} levels (token index {self.pos})")
 
     # -- statements -----------------------------------------------------
 
@@ -257,9 +255,9 @@ _COMPOUND = {
 def parse(tokens: list[Token]) -> Module:
     """Parse a token sequence (as produced by `tokenize`) into a Module.
 
-    Raises MiniLangSyntaxError with the offending token index and the set of
-    kinds/texts that were acceptable there, or with an empty set when the
-    input nests deeper than `MAX_NESTING`.
+    Raises FrontendError naming the offending token index and the kinds or
+    texts that were acceptable there, or that the input nests deeper than
+    `MAX_NESTING`.
     """
     return _Parser(tokens).parse_module()
 

@@ -19,16 +19,9 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 class NonFiniteLoss(ArithmeticError):
-    pass
-
-
-class DivergedLoss(NonFiniteLoss):
-    """A non-finite loss that a training loop raises with where it happened."""
+    """A loss or state that is not finite; a training loop's message names
+    where it happened, and the command line exits with code 3."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,7 @@ class ModelParams:
 
     def __post_init__(self):
         if self.flat.shape != (parameter_count(self.config),):
-            raise ShapeMismatch(f"a flat store of shape {self.flat.shape} does not fit the config")
+            raise ValueError(f"a flat store of shape {self.flat.shape} does not fit the config")
         # The zero pages of an anonymous mapping take no memory until written,
         # so a model that never trains does not pay for its gradient store.
         self.grad = np.frombuffer(mmap.mmap(-1, self.flat.nbytes), dtype=self.flat.dtype)
@@ -324,14 +317,14 @@ MIN_READ_WIDTH = 2
 def read_layout(reads, lengths) -> np.ndarray:
     """The ``(B, W)`` positions a forward given `reads` keeps: row ``b`` is
     ``reads[b]`` padded by repeating its last position, and
-    ``W = max(MIN_READ_WIDTH, longest reads[b])``. Raises ShapeMismatch unless
+    ``W = max(MIN_READ_WIDTH, longest reads[b])``. Raises ValueError unless
     there is one non-empty list per sequence, each within its length."""
     if len(reads) != len(lengths) or not all(len(r) for r in reads):
-        raise ShapeMismatch(f"reads need one non-empty position list per sequence, got {len(reads)} for {len(lengths)}")
+        raise ValueError(f"reads need one non-empty position list per sequence, got {len(reads)} for {len(lengths)}")
     keep = np.empty((len(reads), max(MIN_READ_WIDTH, *map(len, reads))), dtype=np.intp)
     for b, (positions, n) in enumerate(zip(reads, lengths)):
         if min(positions) < 0 or max(positions) >= n:
-            raise ShapeMismatch(f"read positions of sequence {b} fall outside its length {n}")
+            raise ValueError(f"read positions of sequence {b} fall outside its length {n}")
         keep[b, : len(positions)] = positions
         keep[b, len(positions) :] = positions[-1]
     return keep
@@ -386,23 +379,23 @@ def forward(params: ModelParams, ids, position_ids, additive_mask, reads=None) -
     ids = np.asarray(ids, dtype=np.intp)
     position_ids = np.asarray(position_ids, dtype=np.intp)
     if ids.ndim != 1 or ids.shape != position_ids.shape:
-        raise ShapeMismatch(f"ids {ids.shape} and position_ids {position_ids.shape} must be flat and of equal length")
+        raise ValueError(f"ids {ids.shape} and position_ids {position_ids.shape} must be flat and of equal length")
     single = not isinstance(additive_mask, list)
     masks = [np.asarray(additive_mask)[None]] if single else [np.asarray(m) for m in additive_mask]
     if not masks or any(m.ndim != 3 or m.shape[1] != m.shape[2] for m in masks):
-        raise ShapeMismatch("one example needs an (L, L) mask, and blocks a list of (B, L, L) masks")
+        raise ValueError("one example needs an (L, L) mask, and blocks a list of (B, L, L) masks")
     if ids.size != sum(m.shape[0] * m.shape[1] for m in masks):
-        raise ShapeMismatch(f"ids of shape {ids.shape} do not fit masks of shapes {[m.shape for m in masks]}")
+        raise ValueError(f"ids of shape {ids.shape} do not fit masks of shapes {[m.shape for m in masks]}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise ShapeMismatch("token id out of vocabulary range")
+        raise ValueError("token id out of vocabulary range")
     if position_ids.size and (position_ids.min() < 0 or position_ids.max() >= cfg.max_positions):
-        raise ShapeMismatch("position id out of range")
+        raise ValueError("position id out of range")
     shapes = [m.shape[:2] for m in masks]
     keep = None
     if reads is not None:
         sequences = row_spans([batch for batch, _ in shapes])  # of each block in `reads`
         if len(reads) != sequences[-1].stop:
-            raise ShapeMismatch(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
+            raise ValueError(f"reads need one position list per sequence, got {len(reads)} for {sequences[-1].stop}")
         keep = [read_layout(reads[seqs], [length] * batch) for seqs, (batch, length) in zip(sequences, shapes)]
     # The last layer shrinks if some block keeps fewer positions than its
     # length. A block that keeps as many runs the full layer and reports the

@@ -26,7 +26,6 @@ from .encoding import (
     SEG_CODE,
     SEG_COMMENT,
     SEG_NODE,
-    EmptyCorpus,
     EncodedExample,
     Limits,
     Vocabulary,
@@ -37,7 +36,6 @@ from .encoding import (
 from .errors import DataError
 from .model import (
     Activations,
-    DivergedLoss,
     ModelConfig,
     ModelParams,
     NonFiniteLoss,
@@ -50,18 +48,6 @@ from .optim import AdamState, adam_step, init_adam
 
 MASK_FRACTION = 0.15
 NODE_SAMPLE_FRACTION = 0.2
-
-
-class NoMaskablePositions(DataError):
-    pass
-
-
-class EmptyCounts(ValueError):
-    pass
-
-
-class CorpusFormatError(DataError):
-    pass
 
 
 # corpus -------------------------------------------------------------------
@@ -102,8 +88,8 @@ def read_jsonl(path, row, empty: str) -> list:
     file at `path`. Lines end at ``\n`` only: a raw U+2028, U+2029 or U+0085
     is legal inside a JSON string, and a ``\r`` before the ``\n`` is JSON
     whitespace. A line that is not JSON, nests too deep to parse, or on which
-    `row` raises KeyError, TypeError or ValueError, raises CorpusFormatError
-    naming the line; a file with no rows raises EmptyCorpus(`empty`)."""
+    `row` raises KeyError, TypeError or ValueError, raises DataError naming
+    the line; a file with no rows raises DataError(`empty`)."""
     rows = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
@@ -111,9 +97,9 @@ def read_jsonl(path, row, empty: str) -> list:
         try:
             rows.append(row(json.loads(line)))
         except (KeyError, TypeError, ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-            raise CorpusFormatError(f"line {lineno}: {e}") from e
+            raise DataError(f"line {lineno}: {e}") from e
     if not rows:
-        raise EmptyCorpus(empty)
+        raise DataError(empty)
     return rows
 
 
@@ -211,7 +197,7 @@ def select_mlm_targets(
     arrays = sampling_arrays(example)
     maskable = arrays.maskable
     if not len(maskable):
-        raise NoMaskablePositions("example has no comment or code tokens")
+        raise DataError("example has no comment or code tokens")
     count = max(1, int(MASK_FRACTION * len(maskable) + 0.5))
     chosen = rng.choice(len(maskable), size=count, replace=False)
     chosen.sort()
@@ -377,7 +363,7 @@ def batch_loss(params: ModelParams, prepared, structure: str | None) -> tuple[Te
     Each read row equals the one a forward of its example alone gives, bit
     for bit; the losses sum their terms in example order.
     """
-    dtype = params.tensors["tok_emb"].data.dtype
+    dtype = params.flat.dtype
     arrays = [sampling_arrays(ex) for ex, _, _ in prepared]
     reads = [
         [*mlm_t.positions, *(() if tset is None else (p for pair in tset.candidates for p in pair))]
@@ -433,7 +419,7 @@ def language_sampler(counts, alpha: float = 0.7) -> LanguageSampler:
     else:
         items = [(str(i), int(c)) for i, c in enumerate(counts)]
     if not items:
-        raise EmptyCounts("no language counts given")
+        raise ValueError("no language counts given")
     if any(c <= 0 for _, c in items):
         raise ValueError("language counts must be positive")
     raw = np.array([c for _, c in items], dtype=np.float64)
@@ -482,11 +468,11 @@ def pretrain_run(
     """Alternating loop: even steps pair MLM with edge prediction, odd steps
     with node alignment (each only when enabled). Every batch is drawn from a
     single language chosen by the smoothed multinomial sampler. Raises
-    NoMaskablePositions before the first step for an item with neither comment
-    nor code tokens, and DivergedLoss naming the step for a non-finite loss
-    or a weight that the last update left non-finite."""
+    DataError before the first step for an item with neither comment nor code
+    tokens, and NonFiniteLoss naming the step for a non-finite loss or a
+    weight that the last update left non-finite."""
     if not corpus:
-        raise EmptyCorpus("pretraining corpus is empty")
+        raise DataError("pretraining corpus is empty")
     rng = np.random.default_rng(0 if rng is None else rng)
     if vocab is None:
         vocab = build_vocab([(it.docstring, it.code) for it in corpus], config.vocab_size)
@@ -494,7 +480,7 @@ def pretrain_run(
     encoded = [sampling_arrays(ex) for ex in encoded]  # once per run; every step samples from these
     for i, ex in enumerate(encoded):
         if not len(ex.maskable):
-            raise NoMaskablePositions(f"corpus item {i} has no comment or code tokens to mask")
+            raise DataError(f"corpus item {i} has no comment or code tokens to mask")
     by_lang: dict[str, list[int]] = {}
     for i, item in enumerate(corpus):
         by_lang.setdefault(item.lang, []).append(i)
@@ -528,13 +514,13 @@ def pretrain_run(
         try:
             compute_gradients(loss_fn, params)
         except NonFiniteLoss as e:
-            raise DivergedLoss(f"step {step}: {e}") from e
+            raise NonFiniteLoss(f"step {step}: {e}") from e
         adam_step(params, state, lr)
         log.append((step, "mlm", parts["mlm"]))
         if structure in parts:
             log.append((step, structure, parts[structure]))
     if steps and not np.isfinite(params.flat).all():  # no later loss shows an overflow in the last update
-        raise DivergedLoss(f"step {steps - 1}: a weight is not finite after the update")
+        raise NonFiniteLoss(f"step {steps - 1}: a weight is not finite after the update")
 
     return PretrainResult(params=params, vocab=vocab, loss_log=log, adam=state)
 

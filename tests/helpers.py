@@ -22,7 +22,8 @@ import numpy as np
 
 import codeflow.autograd as ag
 from codeflow.frontend import syntax as ast
-from codeflow.frontend.errors import IndentationMismatch, InvalidCharacter, MiniLangSyntaxError, UnterminatedString
+from codeflow.errors import DataError
+from codeflow.frontend.errors import FrontendError
 from codeflow.frontend.lexer import KEYWORDS, OPERATORS, Token
 from codeflow.frontend.parser import MAX_NESTING
 from codeflow.frontend.syntax import (
@@ -50,7 +51,6 @@ from codeflow.pretrain import (
     NODE_SAMPLE_FRACTION,
     CorpusItem,
     MlmBatchTarget,
-    NoMaskablePositions,
     StructureTargets,
 )
 
@@ -165,7 +165,8 @@ def reference_tokenize(source: str) -> list[Token]:
     parenthesis are treated as plain whitespace. Any indentation still open
     at end of input is closed with dedents.
 
-    Raises InvalidCharacter, UnterminatedString or IndentationMismatch.
+    Raises FrontendError for an invalid character, an unterminated string or
+    an unindent to a width that no open level has.
     """
     tokens: list[Token] = []
     indents = [0]
@@ -201,7 +202,7 @@ def reference_tokenize(source: str) -> list[Token]:
                     indents.pop()
                     emit("dedent", pos, pos)
                 if width != indents[-1]:
-                    raise IndentationMismatch("unindent does not match any outer level", pos)
+                    raise FrontendError(f"unindent does not match any outer level (character offset {pos})")
             at_line_start = False
             continue
 
@@ -249,10 +250,10 @@ def reference_tokenize(source: str) -> list[Token]:
                     pos += 1
                     break
                 if c == "\n":
-                    raise UnterminatedString("string literal hits end of line", start)
+                    raise FrontendError(f"string literal hits end of line (character offset {start})")
                 pos += 1
             else:
-                raise UnterminatedString("string literal hits end of input", start)
+                raise FrontendError(f"string literal hits end of input (character offset {start})")
             emit("string", start, pos)
             continue
         for op in OPERATORS:
@@ -265,7 +266,7 @@ def reference_tokenize(source: str) -> list[Token]:
                 pos += len(op)
                 break
         else:
-            raise InvalidCharacter(f"unexpected character {ch!r}", pos)
+            raise FrontendError(f"unexpected character {ch!r} (character offset {pos})")
 
     # Close any indentation still open at end of input.
     while len(indents) > 1:
@@ -319,15 +320,13 @@ class _ReferenceParser:
     def fail(self, expected: set[str]) -> None:
         tok = self.peek()
         got = f"{tok.kind} {tok.text!r}" if tok is not None else "end of input"
-        raise MiniLangSyntaxError(
-            f"expected one of {sorted(expected)}, got {got}", self.pos, frozenset(expected)
-        )
+        raise FrontendError(f"expected one of {sorted(expected)}, got {got} (token index {self.pos})")
 
     def nest(self) -> None:
         """Enter one level of nesting; the caller leaves it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise MiniLangSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.pos, frozenset())
+            raise FrontendError(f"nesting deeper than {MAX_NESTING} levels (token index {self.pos})")
 
     # -- statements -----------------------------------------------------
 
@@ -510,9 +509,9 @@ def reference_parse(tokens: list[Token]) -> ast.Module:
     as its differential oracle: `peek`/`at`/`advance` calls for each token
     checked and one `_binary` method per precedence level.
 
-    Raises MiniLangSyntaxError with the offending token index and the set of
-    kinds/texts that were acceptable there, or with an empty set when the
-    input nests deeper than `MAX_NESTING`.
+    Raises FrontendError naming the offending token index and the kinds or
+    texts that were acceptable there, or that the input nests deeper than
+    `MAX_NESTING`.
     """
     return _ReferenceParser(tokens).parse_module()
 
@@ -955,7 +954,7 @@ def reference_adam_step(params, grads, state: ReferenceAdamState, lr, beta1=0.9,
 def reference_select_mlm_targets(example, rng: np.random.Generator, vocab_size: int) -> MlmBatchTarget:
     maskable = [i for i, segment in enumerate(example.segments) if segment in ("comment", "code")]
     if not maskable:
-        raise NoMaskablePositions("example has no comment or code tokens")
+        raise DataError("example has no comment or code tokens")
     count = max(1, int(MASK_FRACTION * len(maskable) + 0.5))
     chosen = sorted(int(p) for p in rng.choice(len(maskable), size=count, replace=False))
     positions = tuple(maskable[i] for i in chosen)

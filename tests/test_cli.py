@@ -1258,6 +1258,155 @@ class TestCheckpointBoundaries:
         assert "unexpected character '٣' (character offset 13)" in err
 
 
+# -- one exact stderr line per failure kind -----------------------------------
+
+_RESERVED_VOCAB = "[PAD]\t0\n[CLS]\t1\n[SEP]\t2\n[MASK]\t3\n[UNK]\t4\n"
+_PRETRAIN = ["pretrain", "--corpus", "{d}/c.jsonl", "--out", "{d}/o"]
+_EVAL_SEARCH = ["eval-search", "--corpus", "{d}/s.jsonl", "--checkpoint", "{d}/model.gcb", "--out", "{d}/o"]
+
+
+def _jsonl(*rows) -> str:
+    return "".join(json.dumps(r) + "\n" for r in rows)
+
+
+def _search_corpus(n: int = 2, query: str | None = None) -> str:
+    rows = [{"code": code, "docstring": q if query is None else query, "lang": "x"} for q, code in search_pairs(n)]
+    return _jsonl(*rows)
+
+
+def _small_checkpoint(path) -> None:
+    config = ModelConfig(num_layers=1, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=512, max_positions=128)
+    save_checkpoint(path, init_params(config))
+
+
+def _vocab_case(extra: str) -> dict:
+    return {"s.jsonl": _search_corpus(), "model.gcb": _small_checkpoint, "v.txt": _RESERVED_VOCAB + extra}
+
+
+def _write_files(directory, files: dict) -> None:
+    """Each value is the file's text or bytes, or a function that writes it."""
+    for name, content in files.items():
+        path = directory / name
+        if callable(content):
+            content(path)
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+
+
+# (files to write, argv, exit code, stderr line); "{d}" is the test's directory
+ERROR_LINES = [
+    pytest.param(
+        {"f.txt": 's = "abc\nt = s\n'}, ["extract-dfg", "{d}/f.txt"], 2,
+        "data error: string literal hits end of line (character offset 4)", id="unterminated-string",
+    ),
+    pytest.param(
+        {"f.txt": "if a:\n    b = 1\n  c = 2\n"}, ["extract-dfg", "{d}/f.txt"], 2,
+        "data error: unindent does not match any outer level (character offset 18)", id="indentation-mismatch",
+    ),
+    pytest.param(
+        {"f.txt": "x = 1 $\n"}, ["extract-dfg", "{d}/f.txt"], 2,
+        "data error: unexpected character '$' (character offset 6)", id="invalid-character",
+    ),
+    pytest.param(
+        {"f.txt": "def f(:\n"}, ["extract-dfg", "{d}/f.txt"], 2,
+        "data error: expected one of ['identifier'], got operator ':' (token index 3)", id="syntax-error",
+    ),
+    pytest.param(
+        {"f.txt": "x = " + "(" * 101 + "a" + ")" * 101 + "\n"}, ["extract-dfg", "{d}/f.txt"], 2,
+        "data error: nesting deeper than 100 levels (token index 103)", id="nesting-too-deep",
+    ),
+    pytest.param(
+        {"c.jsonl": _jsonl({"code": "a = 1\nb = a\n", "docstring": "copy a value", "lang": "x"})},
+        [*_PRETRAIN, "--max-positions", "8"], 2,
+        "data error: sequence needs 14 sequential positions, only 7 available", id="sequence-too-long",
+    ),
+    pytest.param(
+        _vocab_case("merge\t5\nmerge\t6\n"), [*_EVAL_SEARCH, "--vocab", "{d}/v.txt"], 2,
+        "data error: {d}/v.txt line 7: token 'merge' is listed twice", id="duplicate-vocabulary-token",
+    ),
+    pytest.param(
+        _vocab_case("merge\t1\n"), [*_EVAL_SEARCH, "--vocab", "{d}/v.txt"], 2,
+        "data error: {d}/v.txt line 6: id 1 of 'merge' is already held by '[CLS]'", id="duplicate-vocabulary-id",
+    ),
+    pytest.param(
+        _vocab_case("a\\qb\t5\n"), [*_EVAL_SEARCH, "--vocab", "{d}/v.txt"], 2,
+        "data error: {d}/v.txt line 6: unknown escape '\\\\q' in 'a\\\\qb'", id="unknown-vocabulary-escape",
+    ),
+    pytest.param(
+        {"c.jsonl": _jsonl({"code": "", "docstring": "", "lang": "x"})}, _PRETRAIN, 2,
+        "data error: corpus item 0 has no comment or code tokens to mask", id="nothing-to-mask",
+    ),
+    pytest.param(
+        {"c.jsonl": '{"code": "a = 1\\n"}\n'}, _PRETRAIN, 2, "data error: line 1: 'docstring'", id="bad-corpus-line",
+    ),
+    pytest.param({"c.jsonl": "\n"}, _PRETRAIN, 2, "data error: no corpus entries in {d}/c.jsonl", id="empty-corpus"),
+    pytest.param(
+        {"c.jsonl": ""}, ["eval-clone", "--corpus", "{d}/c.jsonl", "--out", "{d}/o"], 2,
+        "data error: no clone pairs in {d}/c.jsonl", id="no-clone-pairs",
+    ),
+    pytest.param(
+        {"s.jsonl": _search_corpus(query="")}, ["eval-search", "--corpus", "{d}/s.jsonl", "--out", "{d}/o"], 2,
+        "data error: no usable search examples after filtering", id="empty-query",
+    ),
+    pytest.param(
+        {"s.jsonl": _search_corpus(n=1)}, ["finetune-search", "--corpus", "{d}/s.jsonl", "--out", "{d}/o"], 2,
+        "data error: need at least two pairs for in-batch contrast", id="one-search-pair",
+    ),
+    pytest.param(
+        {"s.jsonl": _search_corpus(), "model.gcb": b"GCB3" + bytes(64)}, _EVAL_SEARCH, 2,
+        "data error: bad magic bytes", id="bad-magic",
+    ),
+    pytest.param(
+        {"s.jsonl": _search_corpus(), "model.gcb": checkpoint_file(b"[]", b"")}, _EVAL_SEARCH, 2,
+        "data error: bad model config: 'list' object has no attribute 'items'", id="bad-model-config",
+    ),
+    pytest.param(
+        {"c.jsonl": _jsonl(*({"code": it.code, "docstring": it.docstring, "lang": it.lang} for it in overfit_corpus(4)))},
+        [*_PRETRAIN, "--steps", "3", "--lr", "1e30", *SMALL_MODEL], 3,
+        "numerical divergence: step 1: loss is nan", id="diverged-loss",
+    ),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, line", ERROR_LINES)
+def test_each_failure_kind_prints_its_line(tmp_path, capsys, files, argv, code, line):
+    # each kind is told apart by its message alone: no exception class names it
+    _write_files(tmp_path, files)
+    got = run(capsys, *(arg.replace("{d}", str(tmp_path)) for arg in argv))
+    assert got == (code, "", line.replace("{d}", str(tmp_path)) + "\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, line",
+    [
+        pytest.param(
+            {}, ["pretrain", "--config", "a\nb.json"], 1,
+            "error: cannot read --config a\\nb.json: [Errno 2] No such file or directory: 'a\\nb.json'", id="config",
+        ),
+        pytest.param(
+            {"s.jsonl": _search_corpus(), "m\nodel.gcb": b"GCB1" + bytes(64)},
+            ["eval-search", "--corpus", "s.jsonl", "--checkpoint", "m\nodel.gcb", "--out", "o"], 2,
+            "data error: m\\nodel.gcb is a GCB1 checkpoint, a format this version no longer reads", id="checkpoint",
+        ),
+        pytest.param(
+            {"e\nmpty.jsonl": ""}, ["eval-clone", "--corpus", "e\nmpty.jsonl", "--out", "o"], 2,
+            "data error: no clone pairs in e\\nmpty.jsonl", id="corpus",
+        ),
+        pytest.param(
+            {"e\rmpty.jsonl": ""}, ["eval-clone", "--corpus", "e\rmpty.jsonl", "--out", "o"], 2,
+            "data error: no clone pairs in e\\rmpty.jsonl", id="carriage-return",
+        ),
+    ],
+)
+def test_a_line_break_in_a_path_stays_on_one_line(tmp_path, capsys, monkeypatch, files, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path, files)
+    assert run(capsys, *argv) == (code, "", line + "\n")
+
+
 # -- seeded fuzzing of the input boundaries -----------------------------------
 
 FUZZ_CASES = 30  # per input kind; fixed so the suite's run time stays put

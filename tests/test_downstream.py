@@ -10,7 +10,6 @@ import codeflow.downstream as downstream
 from codeflow.autograd import Tensor
 from codeflow.downstream import (
     CloneExample,
-    EmptyInput,
     clone_metrics,
     clone_probabilities,
     clone_probability,
@@ -27,6 +26,7 @@ from codeflow.downstream import (
     prepare_search_examples,
 )
 from codeflow.encoding import CLS, PAD, Limits, additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.errors import DataError
 from codeflow.frontend.errors import FrontendError
 from codeflow.frontend.parser import parse_source
 from codeflow.model import ModelConfig, compute_gradients, forward, init_params
@@ -163,7 +163,7 @@ class TestVectorEncoders:
 
     def test_empty_query(self):
         _, _, vocab, params, _ = search_fixture()
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^query has no tokens$"):
             encode_text("   ", params, vocab)
 
     def test_unparseable_code(self):
@@ -518,7 +518,7 @@ class TestSearch:
 
     def test_evaluate_empty(self):
         _, _, _, params, _ = search_fixture()
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no search examples$"):
             evaluate_search(params, [])
 
     def test_finetune_overfits_small_set(self):
@@ -531,7 +531,7 @@ class TestSearch:
 
     def test_finetune_needs_two_pairs(self):
         _, _, _, params, examples = search_fixture(n=4)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^need at least two pairs for in-batch contrast$"):
             finetune_search(examples[:1], params, rng=0)
 
     def test_finetune_needs_a_batch_of_two(self):
@@ -618,7 +618,7 @@ class TestCloneDetection:
 
     def test_finetune_empty(self):
         _, vocab, params = clone_fixture()
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no clone pairs$"):
             finetune_clone([], params, vocab, rng=0)
 
 

@@ -13,12 +13,9 @@ from codeflow.encoding import (
     PAD,
     SEP,
     UNK,
-    EmptyCorpus,
     EncodedExample,
     Limits,
-    SequenceTooLong,
     Vocabulary,
-    VocabularyError,
     additive_mask,
     build_attention_mask,
     build_vocab,
@@ -28,8 +25,10 @@ from codeflow.encoding import (
     mask_density,
 )
 from codeflow import downstream, encoding
+from codeflow.errors import DataError
 from codeflow.dfg import build_dfg, extract_dfg, serialize_dfg
 from codeflow.frontend import lexer, parser
+from codeflow.frontend.errors import FrontendError
 from codeflow.frontend.lexer import tokenize
 from codeflow.frontend.parser import parse
 from codeflow.pretrain import encode_corpus, sampling_arrays
@@ -78,7 +77,7 @@ class TestVocabulary:
             build_vocab([("a", "")], size=4)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="^cannot build a vocabulary from an empty corpus$"):
             build_vocab([], size=32)
 
     def test_serialize_round_trip(self):
@@ -106,7 +105,7 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("line", ["a\\q\t5\n", "a\\\t5\n", "\\x41\t5\n"])
     def test_unknown_escape_is_rejected(self, line):
-        with pytest.raises(VocabularyError, match="line 1: unknown escape"):
+        with pytest.raises(DataError, match="^line 1: unknown escape"):
             Vocabulary.deserialize(line)
 
 
@@ -323,7 +322,7 @@ class TestSingleLex:
         assert len(walks) == 0 and calls == {"tokenize": 1, "parse": 1}
         assert len(encode_example(COMMENT, CODE, Vocabulary({}), Limits()).node_positions) == 3
         assert len(walks) == 1 and calls == {"tokenize": 2, "parse": 2}
-        with pytest.raises(parser.MiniLangSyntaxError):
+        with pytest.raises(FrontendError, match=r"^expected one of \['\)'\], got end of input \(token index 4\)$"):
             encode_example(COMMENT, "a = (1\n", Vocabulary({}), Limits(max_nodes=0))
 
 
@@ -359,10 +358,10 @@ class TestTruncation:
         # 14 sequential slots are needed; p_node = max_positions - 1 must
         # leave room for positions 0..13.
         encode(max_positions=15)
-        with pytest.raises(SequenceTooLong):
+        with pytest.raises(DataError, match=r"^sequence needs 14 sequential positions, only 13 available$"):
             encode(max_positions=14)
         # far past the boundary, the message still counts the whole block
-        with pytest.raises(SequenceTooLong, match=r"needs 14 sequential positions, only 1 available"):
+        with pytest.raises(DataError, match=r"^sequence needs 14 sequential positions, only 1 available$"):
             encode(max_positions=2)
 
 

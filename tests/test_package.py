@@ -15,13 +15,11 @@ from pathlib import Path
 import codeflow
 from codeflow.cli import BadFlags
 from codeflow.errors import DataError
-from codeflow.model import DivergedLoss, NonFiniteLoss, ShapeMismatch
-from codeflow.pretrain import EmptyCounts
+from codeflow.model import NonFiniteLoss
 
-# The errors that are not about unusable input: bad flags (exit 1), a loss
-# that is not finite (exit 3), and two internal contracts that no command-line
-# input reaches, which stay loud.
-NOT_DATA_ERRORS = {BadFlags, NonFiniteLoss, DivergedLoss, ShapeMismatch, EmptyCounts}
+# The errors that are not about unusable input: bad flags (exit 1) and a loss
+# that is not finite (exit 3).
+NOT_DATA_ERRORS = {BadFlags, NonFiniteLoss}
 
 
 def package_modules():
@@ -49,16 +47,33 @@ def all_modules() -> set[str]:
     return {"codeflow", *(module.__name__ for module in package_modules())}
 
 
-def test_every_input_error_is_a_data_error():
-    defined = [
+def exception_classes() -> list[type]:
+    return [
         cls
         for module in package_modules()
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if issubclass(cls, BaseException) and cls.__module__ == module.__name__
     ]
+
+
+def test_every_input_error_is_a_data_error():
+    defined = exception_classes()
     assert {DataError, *NOT_DATA_ERRORS} <= set(defined)
     assert [cls.__qualname__ for cls in defined if not issubclass(cls, DataError) and cls not in NOT_DATA_ERRORS] == []
-    assert issubclass(DivergedLoss, NonFiniteLoss)
+
+
+def test_every_exception_class_is_caught_by_name():
+    # A class that no handler names tells a caller nothing that its base class
+    # and its message do not: raise the base class instead. Each class the
+    # package defines is named in an `except` of the package or the benchmark.
+    root = Path(__file__).parents[1]
+    caught = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+    assert [cls.__qualname__ for cls in exception_classes() if cls.__name__ not in caught] == []
 
 
 def test_modules_import_only_the_standard_library_and_numpy():

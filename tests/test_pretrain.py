@@ -14,22 +14,18 @@ from codeflow.dfg import extract_dfg
 from codeflow.encoding import (
     MASK,
     PAD,
-    EmptyCorpus,
     Limits,
-    SequenceTooLong,
     Vocabulary,
     additive_mask,
     build_attention_mask,
     build_vocab,
     encode_example,
 )
-from codeflow.model import DivergedLoss, ModelConfig, forward, init_params
+from codeflow.errors import DataError
+from codeflow.model import ModelConfig, NonFiniteLoss, forward, init_params
 from codeflow.pretrain import (
-    CorpusFormatError,
     CorpusItem,
-    EmptyCounts,
     MlmBatchTarget,
-    NoMaskablePositions,
     Objectives,
     batch_loss,
     encode_corpus,
@@ -139,7 +135,7 @@ class TestMlmTargets:
 
     def test_no_maskable_positions(self):
         ex, _ = encoded_example(comment="", code="")
-        with pytest.raises(NoMaskablePositions):
+        with pytest.raises(DataError, match="^example has no comment or code tokens$"):
             select_mlm_targets(ex, np.random.default_rng(0), 64)
 
 
@@ -196,8 +192,9 @@ def edgeful_examples(count=25, seed=17):
             continue
         try:
             out.append(encode_example("query words", code, vocab, max_positions=128))
-        except SequenceTooLong:
-            continue
+        except DataError as e:
+            if not str(e).startswith("sequence needs"):
+                raise
     return out
 
 
@@ -483,7 +480,7 @@ class TestSamplersMatchTheSetBasedReference:
     def test_nothing_to_mask_raises_in_both(self):
         ex, _ = encoded_example(comment="", code="")
         for sampler in (select_mlm_targets, reference_select_mlm_targets):
-            with pytest.raises(NoMaskablePositions):
+            with pytest.raises(DataError, match="^example has no comment or code tokens$"):
                 sampler(ex, np.random.default_rng(0), 64)
 
     def test_arrays_restate_the_example(self):
@@ -723,7 +720,7 @@ class TestLanguageSampler:
         assert abs(freq - s.probabilities[0]) < 0.02
 
     def test_validation(self):
-        with pytest.raises(EmptyCounts):
+        with pytest.raises(ValueError, match="^no language counts given$"):
             language_sampler({})
         with pytest.raises(ValueError):
             language_sampler({"a": 0})
@@ -747,19 +744,19 @@ class TestCorpusIo:
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"code": "a = 1\\n", "docstring": "x", "lang": "python"}\n{"code": "b = 2\\n"}\n')
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(DataError, match="^line 2: 'docstring'$"):
             load_corpus(path)
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("not json\n")
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(DataError, match="^line 1: Expecting value"):
             load_corpus(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n\n")
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="^no corpus entries in "):
             load_corpus(path)
 
     def test_encode_corpus(self):
@@ -792,7 +789,7 @@ class TestPretrainRun:
 
     def test_item_with_nothing_to_mask_is_rejected_before_step_0(self):
         corpus = self.corpus(2) + items_from([("", "", "python")])
-        with pytest.raises(NoMaskablePositions, match="corpus item 2 has no comment or code tokens"):
+        with pytest.raises(DataError, match="^corpus item 2 has no comment or code tokens to mask$"):
             pretrain_run(corpus, tiny_config(), steps=0)
 
     def test_one_forward_per_step(self, monkeypatch):
@@ -881,7 +878,7 @@ class TestPretrainRun:
         assert [obj for _, obj, _ in result.loss_log] == ["mlm", "mlm", "mlm"]
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="^pretraining corpus is empty$"):
             pretrain_run([], tiny_config(), steps=1)
 
     def test_no_dataflow_ablation_runs_mlm_only(self):
@@ -903,7 +900,7 @@ class TestPretrainRun:
         assert np.mean(mlm[-5:]) < np.mean(mlm[:5])
 
     def test_diverges_with_absurd_learning_rate(self):
-        with np.errstate(all="ignore"), pytest.raises(DivergedLoss):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match=r"^step \d+: "):
             pretrain_run(self.corpus(), tiny_config(), steps=50, rng=0, batch_size=2, lr=1e9)
 
     def test_supplied_vocab_and_params_are_used(self):

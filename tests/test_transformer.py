@@ -11,9 +11,10 @@ import codeflow.autograd as ag
 import codeflow.downstream as downstream
 import codeflow.pretrain as pretrain
 from codeflow.autograd import Tensor
-from codeflow.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from codeflow.checkpoint import load_checkpoint, save_checkpoint
 from codeflow.downstream import length_groups
 from codeflow.encoding import Limits, Vocabulary, additive_mask, build_attention_mask, build_vocab, encode_example
+from codeflow.errors import DataError
 from codeflow.model import (
     LAYER_WEIGHTS,
     MIN_READ_WIDTH,
@@ -21,7 +22,6 @@ from codeflow.model import (
     ModelConfig,
     ModelParams,
     NonFiniteLoss,
-    ShapeMismatch,
     compute_gradients,
     encoder_layer,
     forward,
@@ -686,7 +686,7 @@ class TestReadRows:
         good = [[0]] * 3
         forward(params, ids, positions, masks, reads=good)
         for bad in (good[:-1], good + [[0]], [[0], [], [0]], [[0], [5], [0]], [[0], [-1], [0]]):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ValueError, match="^(reads need one|read positions of sequence)"):
                 forward(params, ids, positions, masks, reads=bad)
 
 
@@ -798,12 +798,12 @@ class TestBlocks:
             (ids, positions, [masks[0], masks[1][0]]),  # a 2-D mask
             (ids, positions, []),  # no block
         ):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ValueError, match="^(ids|one example needs)"):
                 forward(params, *bad)
         reads = [[0]] * sum(len(m) for m in masks)
         forward(params, ids, positions, masks, reads=reads)
         for bad in (reads[:-1], reads + [[0]]):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ValueError, match="^reads need one position list per sequence"):
                 forward(params, ids, positions, masks, reads=bad)
 
 
@@ -1012,11 +1012,11 @@ class TestForward:
         params = init_params(small_config())
         ex = encoded()
         mask = additive_mask(build_attention_mask(ex))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="must be flat and of equal length$"):
             forward(params, ex.ids, ex.position_ids[:-1], mask)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^token id out of vocabulary range$"):
             forward(params, (9999,) + ex.ids[1:], ex.position_ids, mask)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^position id out of range$"):
             forward(params, ex.ids, (9999,) + ex.position_ids[1:], mask)
 
     def test_attention_rows_and_blocking(self):
@@ -1108,7 +1108,7 @@ class TestBatchedForward:
             (ids.ravel(), positions.ravel(), mask),  # flat ids of two sequences and one unlisted mask
             (ids[0], positions[0], mask[0][None]),  # one example with a (1, L, L) mask
         ):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ValueError, match="^(ids|one example needs)"):
                 forward(params, *bad)
 
 
@@ -1350,7 +1350,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError, match="^bad magic bytes$"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -1358,7 +1358,7 @@ class TestCheckpoint:
         path = tmp_path / "model.gcb"
         save_checkpoint(path, params)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError, match="fails its sha256 check: the file is corrupted or truncated$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("floats", [-1, 1])
@@ -1370,7 +1370,7 @@ class TestCheckpoint:
         path = tmp_path / "model.gcb"
         path.write_bytes(checkpoint_file(json.dumps(params.config.to_dict()).encode("utf-8"), store))
         expected = f"^config needs {params.flat.size} parameters, but the file holds {len(store)} bytes of them$"
-        with pytest.raises(CheckpointError, match=expected):
+        with pytest.raises(DataError, match=expected):
             load_checkpoint(path)
 
     def test_header_claiming_more_parameters_than_the_file_holds(self, tmp_path, monkeypatch):
@@ -1382,14 +1382,14 @@ class TestCheckpoint:
         path = tmp_path / "huge.gcb"
         path.write_bytes(checkpoint_file(json.dumps(config.to_dict()).encode("utf-8"), b""))
         monkeypatch.setattr(checkpoint, "ModelParams", lambda *args: pytest.fail("built the config's parameters"))
-        with pytest.raises(CheckpointError, match=f"config needs {parameter_count(config)} parameters"):
+        with pytest.raises(DataError, match=f"config needs {parameter_count(config)} parameters"):
             load_checkpoint(path)
 
     def test_deeply_nested_config_is_refused(self, tmp_path):
         # json raises RecursionError, not ValueError, for nesting this deep
         path = tmp_path / "deep.gcb"
         path.write_bytes(checkpoint_file(b"[" * 100_000 + b"]" * 100_000, b""))
-        with pytest.raises(CheckpointError, match="^bad model config: maximum recursion depth"):
+        with pytest.raises(DataError, match="^bad model config: maximum recursion depth"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1398,5 +1398,5 @@ class TestCheckpoint:
         params.tensors["layer0.ffn.w1"].data[3, 5] = value
         params.tensors["tok_emb"].data[1, 2] = value  # first in `params.tensors` order, though not by name
         save_checkpoint(tmp_path / "model.gcb", params)
-        with pytest.raises(CheckpointError, match=r"^tensor 'tok_emb' holds a non-finite value$"):
+        with pytest.raises(DataError, match=r"^tensor 'tok_emb' holds a non-finite value$"):
             load_checkpoint(tmp_path / "model.gcb")
